@@ -76,21 +76,11 @@ main(int argc, char **argv)
                    "0")
         .addOption("azure-rate-scale",
                    "azure replay speedup: 2 = twice as fast", "1")
-        .addOption("arrivals",
-                   "arrival delivery: streaming (bounded memory) | "
-                   "upfront (materialize the whole trace; A/B "
-                   "validation, bit-identical reports)",
-                   "streaming")
         .addOption("seed", "trace and jitter seed", "1")
         .addOption("epoch-us", "dispatch epoch in microseconds", "1000")
         .addOption("keepalive", "warm-container keep-alive (s)", "10")
         .addOption("threads",
                    "worker threads (0 = one per machine)", "0")
-        .addOption("sched",
-                   "cluster scheduling backend: event (deterministic "
-                   "event queue, idle machines cost zero) | epoch "
-                   "(fixed-epoch oracle; bit-identical reports)",
-                   "event")
         .addOption("preset",
                    "machine type (catalog name) for a homogeneous "
                    "fleet",
@@ -118,9 +108,9 @@ main(int argc, char **argv)
                    "calibrate every fleet machine type in-process "
                    "(Litmus pricing without --tables)")
         .addSwitch("exact-quantum",
-                   "disable steady-state fast-forward and batched idle "
-                   "epochs (bit-identical totals, slower; A/B "
-                   "validation)");
+                   "differential oracle: step every machine through "
+                   "every epoch with fast-forward off (bit-identical "
+                   "totals, slower)");
     args.parseOrExit(argc, argv);
 
     const std::string scenarioPath = args.get("scenario");
@@ -181,12 +171,10 @@ main(int argc, char **argv)
     overlay("azure-file", "azure.path");
     overlay("azure-max-rows", "azure.max_rows");
     overlay("azure-rate-scale", "azure.rate_scale");
-    overlay("arrivals", "arrivals");
     overlay("seed", "seed");
     overlay("epoch-us", "epoch_us");
     overlay("keepalive", "keepalive");
     overlay("threads", "threads");
-    overlay("sched", "scheduler");
     overlay("tables", "tables");
     overlay("tables-out", "tables_out");
     if (args.has("faults")) {

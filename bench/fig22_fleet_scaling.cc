@@ -112,8 +112,8 @@ main()
 
     // Determinism of the threaded runner: the largest configuration,
     // serial vs. multi-threaded, must produce identical fleet totals —
-    // and the event core must match the epoch oracle bit-for-bit at
-    // both thread counts.
+    // and the event core must match the exact-quantum oracle
+    // bit-for-bit at both thread counts.
     auto detSpec =
         fleetScenario(16, cluster::DispatchPolicy::WarmthAware,
                       perMachine, ratePerMachine);
@@ -133,21 +133,22 @@ main()
                      threadedReport.billedCpuSeconds, 6)
               << "\n";
 
-    detSpec.scheduler = cluster::SchedulerBackend::Epoch;
+    detSpec.exactQuantum = true;
     detSpec.threads = 1;
-    scenario::ScenarioRunner epochSerial(detSpec);
-    const cluster::FleetReport &epochSerialReport = epochSerial.run();
+    scenario::ScenarioRunner exactSerial(detSpec);
+    const cluster::FleetReport &exactSerialReport = exactSerial.run();
     detSpec.threads = 8;
-    scenario::ScenarioRunner epochThreaded(detSpec);
-    const cluster::FleetReport &epochThreadedReport =
-        epochThreaded.run();
-    const bool backendsIdentical =
-        cluster::identicalTotals(serialReport, epochSerialReport) &&
-        cluster::identicalTotals(threadedReport, epochThreadedReport);
-    std::cout << "event vs epoch (16 machines, 1 and 8 threads): "
-              << (backendsIdentical ? "identical totals" : "MISMATCH")
+    scenario::ScenarioRunner exactThreaded(detSpec);
+    const cluster::FleetReport &exactThreadedReport =
+        exactThreaded.run();
+    const bool oracleIdentical =
+        cluster::identicalTotals(serialReport, exactSerialReport) &&
+        cluster::identicalTotals(threadedReport, exactThreadedReport);
+    std::cout << "event core vs exact oracle (16 machines, 1 and 8 "
+                 "threads): "
+              << (oracleIdentical ? "identical totals" : "MISMATCH")
               << "  barriers " << serialReport.sched.barriers
-              << " vs " << epochSerialReport.sched.barriers
+              << " vs " << exactSerialReport.sched.barriers
               << " (elided " << serialReport.sched.barriersElided
               << ", idle quanta skipped "
               << serialReport.sched.idleQuantaSkipped << ")\n";
@@ -172,8 +173,8 @@ main()
     json.metric("", "cold_rate_rr_16", coldRr16);
     json.metric("", "cold_rate_warmth_16", coldWarm16);
     json.metric("", "max_conservation_error", worstConservation);
-    json.metric("", "event_epoch_identical",
-                backendsIdentical ? 1.0 : 0.0);
+    json.metric("", "exact_oracle_identical",
+                oracleIdentical ? 1.0 : 0.0);
     const cluster::SchedulerCounters &sc = serialReport.sched;
     json.metric("sched_event", "events_arrival",
                 static_cast<double>(sc.eventsArrival));
@@ -198,7 +199,7 @@ main()
               worstConservation, " relative)");
     if (!deterministic)
         fatal("fig22: threaded fleet runner is not deterministic");
-    if (!backendsIdentical)
-        fatal("fig22: event scheduler diverged from the epoch oracle");
+    if (!oracleIdentical)
+        fatal("fig22: event core diverged from the exact oracle");
     return 0;
 }

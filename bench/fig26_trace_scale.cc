@@ -111,7 +111,7 @@ cellsFor(const std::string &scale)
 }
 
 scenario::ScenarioSpec
-cellSpec(const std::string &path, bool upfront)
+cellSpec(const std::string &path)
 {
     scenario::ScenarioSpec spec;
     spec.fleet = {{"cascade-5218", 2}};
@@ -119,7 +119,6 @@ cellSpec(const std::string &path, bool upfront)
     spec.traffic.azurePath = path;
     spec.keepAlive = 5.0;
     spec.seed = 7;
-    spec.upfrontArrivals = upfront;
     return spec;
 }
 
@@ -131,16 +130,29 @@ struct Outcome
     std::vector<std::vector<pricing::BillRecord>> ledgers;
 };
 
-Outcome
-runOutcome(scenario::ScenarioSpec spec)
+/**
+ * Serve @p spec to completion. @p upfront serves the runner's config
+ * copied with its model wrapped in UpfrontTraffic — the whole trace
+ * resident before the first dispatch — instead of streaming it. With
+ * @p ledgers set, every machine's billing records are copied out.
+ */
+cluster::FleetReport
+serve(scenario::ScenarioSpec spec, bool upfront,
+      std::vector<std::vector<pricing::BillRecord>> *ledgers = nullptr)
 {
     scenario::ScenarioRunner runner(std::move(spec));
-    Outcome out;
-    out.report = runner.run();
-    for (std::size_t m = 0; m < out.report.machines.size(); ++m)
-        out.ledgers.push_back(
-            runner.cluster().ledger(static_cast<unsigned>(m)).records());
-    return out;
+    cluster::ClusterConfig cfg = runner.clusterConfig();
+    const cluster::UpfrontTraffic replay(*cfg.traffic);
+    if (upfront)
+        cfg.traffic = &replay;
+    cluster::Cluster fleet(cfg);
+    const cluster::FleetReport report = fleet.run();
+    if (ledgers) {
+        for (std::size_t m = 0; m < report.machines.size(); ++m)
+            ledgers->push_back(
+                fleet.ledger(static_cast<unsigned>(m)).records());
+    }
+    return report;
 }
 
 void
@@ -205,13 +217,11 @@ Measured
 measure(const std::string &path, bool upfront)
 {
     Measured m;
-    m.firstArrivalS = timeToFirstArrival(cellSpec(path, upfront),
-                                         upfront);
+    m.firstArrivalS = timeToFirstArrival(cellSpec(path), upfront);
     const bool rss = bench::resetPeakRss();
     // LITMUS-LINT-ALLOW(wall-clock): serve wall time is the measurement
     const auto t0 = std::chrono::steady_clock::now();
-    scenario::ScenarioRunner runner(cellSpec(path, upfront));
-    m.report = runner.run();
+    m.report = serve(cellSpec(path), upfront);
     // LITMUS-LINT-ALLOW(wall-clock): timing only — never feeds simulated results
     m.serveWallS = wallSeconds(t0, std::chrono::steady_clock::now());
     if (rss)
@@ -324,7 +334,7 @@ main()
     scenario::writeAzureShapedCsv(diffPath, diffGen);
     for (const bool chaos : {false, true}) {
         const auto withChaos = [&](bool up, unsigned threads) {
-            auto spec = cellSpec(diffPath, up);
+            auto spec = cellSpec(diffPath);
             spec.threads = threads;
             if (chaos) {
                 spec.fault.crashMtbf = 20.0;
@@ -332,7 +342,9 @@ main()
                 spec.fault.retry = cluster::RetryPolicy::RetryBackoff;
                 spec.fault.retryBackoff = 0.5;
             }
-            return runOutcome(std::move(spec));
+            Outcome out;
+            out.report = serve(std::move(spec), up, &out.ledgers);
+            return out;
         };
         const std::string label = chaos ? " (chaos)" : "";
         const Outcome serial = withChaos(false, 1);

@@ -11,12 +11,12 @@
  *  - fleet: the fig22 serving path (open-loop Poisson traffic, warm
  *    pools, epoch barriers) on a small fleet, where arrivals, slice
  *    rotations, and completions keep ending steady stretches. The
- *    fleet runs three ways: the exact-quantum epoch oracle, the
- *    fast-forwarding epoch loop, and the event-driven core (idle
- *    machines never stepped) — whose FleetReports must be
- *    bit-identical;
+ *    fleet runs two ways: the exact-quantum oracle (every machine
+ *    stepped through every epoch, fast-forward off) and the default
+ *    event-driven core (idle machines never stepped) — whose
+ *    FleetReports must be bit-identical;
  *  - sparse: the same fleet at a low arrival rate, mostly idle —
- *    the event core's home turf, where the epoch loop still marches
+ *    the event core's home turf, where the oracle still marches
  *    every machine through every quantum and the event queue
  *    fast-forwards between arrivals. This is where the event
  *    scheduler must land within 2x of the steady-state single-machine
@@ -31,7 +31,7 @@
  * Always enforced (CI bench-smoke, sanitizer job included): quantum
  * accounting (executed + idle-skipped) must conserve total simulated
  * time to 1e-9, every fleet mode must cover identical quantum counts,
- * and the event-vs-epoch FleetReports must be bit-identical. The
+ * and the event-vs-exact FleetReports must be bit-identical. The
  * >= 5x steady and >= 2x fleet speedup floors — and the event
  * scheduler landing within 2x of the steady-state single-machine
  * fast-forward throughput — are asserted unless LITMUS_BENCH_STRICT=0
@@ -56,6 +56,7 @@
 
 #include "bench_util.h"
 #include "cluster/cluster.h"
+#include "scenario/traffic_model.h"
 #include "workload/program.h"
 #include "sim/machine_catalog.h"
 
@@ -177,22 +178,23 @@ runSteady(bool fast_forward, Seconds sim_seconds)
 
 ModeResult
 runFleet(bool fast_forward, std::uint64_t per_machine, double rate,
-         cluster::SchedulerBackend sched,
          cluster::FleetReport *report_out = nullptr)
 {
     const Seconds quantum = 50e-6;
     const unsigned machines = 4;
+    scenario::TrafficSpec traffic;
+    traffic.arrivalsPerSecond = rate * machines;
+    traffic.invocations = per_machine * machines;
+    const auto poisson = scenario::makeTrafficModel(traffic);
     cluster::ClusterConfig cfg;
     cfg.fleet = {{"cascade-5218", machines}};
     cfg.policy = cluster::DispatchPolicy::WarmthAware;
-    cfg.arrivalsPerSecond = rate * machines;
-    cfg.invocations = per_machine * machines;
+    cfg.traffic = poisson.get();
     cfg.keepAlive = 10.0;
     cfg.seed = 7;
     cfg.threads = 1; // serial: the wall-clock ratio measures the
                      // engines, not the host's thread scheduling
-    cfg.scheduler = sched;
-    cfg.exactQuantum = !fast_forward; // true forces the epoch oracle
+    cfg.exactQuantum = !fast_forward; // the oracle
 
     cluster::Cluster fleet(cfg);
     ModeResult r;
@@ -273,32 +275,22 @@ main()
         bestOf([&] { return runSteady(false, steadySeconds); });
     const ModeResult steadyFast =
         bestOf([&] { return runSteady(true, steadySeconds); });
-    cluster::FleetReport epochReport, eventReport;
+    cluster::FleetReport exactReport, eventReport;
     const ModeResult fleetExact = bestOf([&] {
-        return runFleet(false, perMachine, ratePerMachine,
-                        cluster::SchedulerBackend::Epoch);
-    });
-    const ModeResult fleetEpoch = bestOf([&] {
-        return runFleet(true, perMachine, ratePerMachine,
-                        cluster::SchedulerBackend::Epoch, &epochReport);
+        return runFleet(false, perMachine, ratePerMachine, &exactReport);
     });
     const ModeResult fleetEvent = bestOf([&] {
-        return runFleet(true, perMachine, ratePerMachine,
-                        cluster::SchedulerBackend::Event, &eventReport);
+        return runFleet(true, perMachine, ratePerMachine, &eventReport);
     });
     const std::uint64_t sparseInv =
         pricing::envOr("LITMUS_SPARSE_INVOCATIONS", 200);
     const double sparseRate = pricing::envOr("LITMUS_SPARSE_RATE", 20);
-    cluster::FleetReport sparseEpochReport, sparseEventReport;
-    const ModeResult sparseEpoch = bestOf([&] {
-        return runFleet(true, sparseInv, sparseRate,
-                        cluster::SchedulerBackend::Epoch,
-                        &sparseEpochReport);
+    cluster::FleetReport sparseExactReport, sparseEventReport;
+    const ModeResult sparseExact = bestOf([&] {
+        return runFleet(false, sparseInv, sparseRate, &sparseExactReport);
     });
     const ModeResult sparseEvent = bestOf([&] {
-        return runFleet(true, sparseInv, sparseRate,
-                        cluster::SchedulerBackend::Event,
-                        &sparseEventReport);
+        return runFleet(true, sparseInv, sparseRate, &sparseEventReport);
     });
 
     // Every mode must have covered the identical quantum count
@@ -306,20 +298,20 @@ main()
     // have replayed: otherwise the wall-clock comparison is comparing
     // different amounts of simulation.
     if (steadyExact.quanta != steadyFast.quanta ||
-        fleetExact.covered() != fleetEpoch.covered() ||
         fleetExact.covered() != fleetEvent.covered() ||
-        sparseEpoch.covered() != sparseEvent.covered())
+        sparseExact.covered() != sparseEvent.covered())
         fatal("micro_engine_throughput: modes covered different "
               "quantum counts");
-    if (steadyExact.ffQuanta != 0 || fleetExact.ffQuanta != 0)
+    if (steadyExact.ffQuanta != 0 || fleetExact.ffQuanta != 0 ||
+        sparseExact.ffQuanta != 0)
         fatal("micro_engine_throughput: exact mode replayed quanta");
-    // The tentpole's determinism contract: the event core and the
-    // epoch oracle must produce bit-identical fleet reports, on the
-    // loaded fleet and the sparse one alike.
-    if (!cluster::identicalTotals(eventReport, epochReport) ||
-        !cluster::identicalTotals(sparseEventReport, sparseEpochReport))
+    // The determinism contract: the event core and the exact oracle
+    // must produce bit-identical fleet reports, on the loaded fleet
+    // and the sparse one alike.
+    if (!cluster::identicalTotals(eventReport, exactReport) ||
+        !cluster::identicalTotals(sparseEventReport, sparseExactReport))
         fatal("micro_engine_throughput: event scheduler diverged from "
-              "the epoch oracle");
+              "the exact oracle");
     // Deterministic fast-path assertion (independent of wall clock):
     // on a purely steady workload with no observers, everything after
     // the first quantum must take the replay path.
@@ -333,9 +325,8 @@ main()
     addRow(table, "steady", "exact-quantum", steadyExact);
     addRow(table, "steady", "fast-forward", steadyFast);
     addRow(table, "fleet", "exact-quantum", fleetExact);
-    addRow(table, "fleet", "epoch", fleetEpoch);
     addRow(table, "fleet", "event", fleetEvent);
-    addRow(table, "sparse", "epoch", sparseEpoch);
+    addRow(table, "sparse", "exact-quantum", sparseExact);
     addRow(table, "sparse", "event", sparseEvent);
     table.print(std::cout);
 
@@ -344,7 +335,7 @@ main()
     const double fleetSpeedup =
         fleetEvent.wall > 0 ? fleetExact.wall / fleetEvent.wall : 0;
     const double sparseSpeedup =
-        sparseEvent.wall > 0 ? sparseEpoch.wall / sparseEvent.wall : 0;
+        sparseEvent.wall > 0 ? sparseExact.wall / sparseEvent.wall : 0;
     // The headline acceptance ratio: how close the event-driven
     // mostly-idle fleet gets to a lone fast-forwarding machine's
     // sim-seconds-per-wall.
@@ -362,7 +353,7 @@ main()
             TextTable::num(steadyExact.simPerWall(), 0) +
             " sim s/wall s), fleet x" +
             TextTable::num(fleetSpeedup, 1) + ", sparse event x" +
-            TextTable::num(sparseSpeedup, 1) + " over epoch (at " +
+            TextTable::num(sparseSpeedup, 1) + " over exact (at " +
             TextTable::num(100.0 * eventVsSteady, 1) +
             "% of steady), replay rate " +
             TextTable::num(
@@ -379,17 +370,16 @@ main()
     bench::BenchJson json("BENCH_engine.json");
     jsonScenario(json, "steady", steadyExact, steadyFast);
     jsonScenario(json, "fleet", fleetExact, fleetEvent);
-    json.metric("fleet", "sim_per_wall_epoch", fleetEpoch.simPerWall());
     json.metric("fleet", "idle_quanta_skipped", fleetEvent.skipped);
-    json.metric("fleet", "event_epoch_identical", 1.0);
-    json.metric("sparse", "sim_per_wall_epoch",
-                sparseEpoch.simPerWall());
+    json.metric("fleet", "exact_oracle_identical", 1.0);
+    json.metric("sparse", "sim_per_wall_exact",
+                sparseExact.simPerWall());
     json.metric("sparse", "sim_per_wall_event",
                 sparseEvent.simPerWall());
-    json.metric("sparse", "event_speedup_over_epoch", sparseSpeedup);
+    json.metric("sparse", "event_speedup_over_exact", sparseSpeedup);
     json.metric("sparse", "event_vs_steady_ratio", eventVsSteady);
     json.metric("sparse", "idle_quanta_skipped", sparseEvent.skipped);
-    json.metric("sparse", "event_epoch_identical", 1.0);
+    json.metric("sparse", "exact_oracle_identical", 1.0);
     const cluster::SchedulerCounters &sc = eventReport.sched;
     json.metric("fleet_events", "arrival",
                 static_cast<double>(sc.eventsArrival));

@@ -16,30 +16,6 @@
 namespace litmus::cluster
 {
 
-const char *
-schedulerName(SchedulerBackend backend)
-{
-    switch (backend) {
-    case SchedulerBackend::Epoch:
-        return "epoch";
-    case SchedulerBackend::Event:
-        return "event";
-    }
-    fatal("schedulerName: unknown backend ",
-          static_cast<unsigned>(backend));
-}
-
-SchedulerBackend
-schedulerByName(const std::string &name)
-{
-    if (name == "epoch")
-        return SchedulerBackend::Epoch;
-    if (name == "event")
-        return SchedulerBackend::Event;
-    fatal("unknown scheduler backend '", name,
-          "' — expected 'event' or 'epoch'");
-}
-
 unsigned
 ClusterConfig::totalMachines() const
 {
@@ -86,14 +62,9 @@ ClusterConfig::validate() const
         fatal("ClusterConfig: functionPool is empty — traffic needs "
               "at least one function to sample (the default is "
               "workload::allFunctions())");
-    // With an external traffic model the rate/count knobs are the
-    // model's business; only the built-in Poisson source needs them.
-    if (!traffic) {
-        if (arrivalsPerSecond <= 0)
-            fatal("ClusterConfig: arrival rate must be positive");
-        if (invocations == 0)
-            fatal("ClusterConfig: need at least one invocation");
-    }
+    if (!traffic)
+        fatal("ClusterConfig: traffic is null — every fleet needs an "
+              "arrival process (e.g. a `poisson` scenario model)");
     if (epoch <= 0)
         fatal("ClusterConfig: epoch must be positive");
     if (keepAlive < 0)
@@ -492,8 +463,8 @@ Cluster::harvest(Seconds now)
     };
 
     // Fold completions grouped by covering epoch barrier (ascending),
-    // machines in index order within a barrier — the exact order the
-    // epoch march accumulates fleet totals one barrier at a time, so
+    // machines in index order within a barrier — the order the exact
+    // oracle accumulates fleet totals one barrier at a time, so
     // a multi-epoch event batch folds bit-identically. Each machine's
     // buffer is tick-monotone (capture order), so one cursor per
     // machine suffices; a single-epoch batch has one barrier group
@@ -705,69 +676,12 @@ Cluster::applyFaults(Seconds now)
     }
 }
 
-namespace
-{
-
-/**
- * The built-in open-loop Poisson source (ClusterConfig::traffic ==
- * nullptr) as a native stream: one fork() of the arrival Rng, then
- * the legacy draw order per arrival — inter-arrival gap, then the
- * uniform pool pick — which the scenario layer's `poisson` model
- * reproduces bit-exactly from the same substream.
- */
-class InlinePoissonStream final : public ArrivalStream
-{
-  public:
-    InlinePoissonStream(
-        Rng &rng, double rate, std::uint64_t count,
-        const std::vector<const workload::FunctionSpec *> &pool)
-        : ArrivalStream("inline-poisson"), rng_(rng.fork()),
-          rate_(rate), remaining_(count), pool_(pool)
-    {
-    }
-
-  protected:
-    bool produce(Invocation &out) override
-    {
-        if (remaining_ == 0)
-            return false;
-        --remaining_;
-        at_ += rng_.exponential(1.0 / rate_);
-        out.arrival = at_;
-        out.spec = pool_[rng_.below(pool_.size())];
-        return true;
-    }
-
-  private:
-    Rng rng_;
-    double rate_;
-    std::uint64_t remaining_;
-    /** Borrowed from ClusterConfig, which outlives the run. */
-    const std::vector<const workload::FunctionSpec *> &pool_;
-    Seconds at_ = 0;
-};
-
-/** Drain a stream into a vector (the upfront-arrivals A/B path). */
-std::vector<Invocation>
-drainStream(ArrivalStream &stream)
-{
-    std::vector<Invocation> trace;
-    Invocation inv;
-    while (stream.next(inv))
-        trace.push_back(inv);
-    return trace;
-}
-
-} // namespace
-
-/** Per-run serving state shared by both backends. */
+/** Per-run serving state. */
 struct Cluster::Serve
 {
     explicit Serve(unsigned threads) : pool(threads) {}
 
-    /** The arrival cursor both backends pull lazily; under
-     *  ClusterConfig::upfrontArrivals a replay of the materialized
-     *  trace (same arrivals, O(total) resident). */
+    /** The arrival cursor the loop pulls lazily. */
     std::unique_ptr<ArrivalStream> stream;
 
     /** The next undispatched arrival (nullptr at end of stream). */
@@ -875,84 +789,6 @@ Cluster::dispatchDue(Serve &s, Seconds now)
 }
 
 Seconds
-Cluster::serveEpoch(Serve &s)
-{
-    std::uint64_t epochsBatch = 1;
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(machines_.size());
-    for (const auto &m : machines_) {
-        Machine *machine = m.get();
-        jobs.emplace_back([this, machine, &epochsBatch] {
-            machine->engine.runQuanta(epochsBatch * epochQuanta_);
-        });
-    }
-
-    const std::vector<FaultEvent> &faultEvents = faultPlan_.events();
-    while (s.head() != nullptr || !retryQueue_.empty() || anyLive()) {
-        // The drain base extends over the peeked head while arrivals
-        // remain: the fleet is never "failing to drain" while the
-        // stream still owes it work.
-        Seconds drainBase = std::max(
-            s.lastArrival, std::max(s.lastFault, latestRetry_));
-        if (const Invocation *head = s.head())
-            drainBase = std::max(drainBase, head->arrival);
-        if (fleetClock_ > drainBase + cfg_.drainCap)
-            fatal("Cluster::run: fleet failed to drain within ",
-                  cfg_.drainCap, " simulated seconds of the last "
-                  "arrival");
-        // Idle fast-forward: with no live task anywhere, nothing can
-        // complete and no warm pool can grow, so the next due event —
-        // arrival, retry, or fault transition — is the only
-        // interesting time: run every epoch before it as one batch
-        // (one barrier instead of thousands). The engines still
-        // execute every quantum (cheaply, via their idle replay plan),
-        // keep-alive expiry sweeps are monotone in the clock, and the
-        // conservative floor means the dispatch boundary itself is
-        // reached by normal single-epoch stepping — so totals and
-        // stats stay bit-identical to exact mode. Work already due
-        // but blocked behind a fleet-wide outage or blindness window
-        // contributes no target; the pending fault transition that
-        // unblocks it does.
-        epochsBatch = 1;
-        if (!cfg_.exactQuantum && !anyLive()) {
-            const Seconds inf =
-                std::numeric_limits<double>::infinity();
-            Seconds target = inf;
-            if (const Invocation *head = s.head();
-                head != nullptr && head->arrival > fleetClock_)
-                target = std::min(target, head->arrival);
-            if (!retryQueue_.empty() &&
-                retryQueue_.front().arrival > fleetClock_)
-                target = std::min(target, retryQueue_.front().arrival);
-            if (faultCursor_ < faultEvents.size())
-                target = std::min(target, faultEvents[faultCursor_].at);
-            const double gap = target == inf ? 0 : target - fleetClock_;
-            if (gap > s.epochSpan) {
-                epochsBatch = std::max<std::uint64_t>(
-                    1, static_cast<std::uint64_t>(gap / s.epochSpan));
-            }
-        }
-        const bool live = anyLive();
-        s.pool.run(jobs);
-        // All engines execute the same quantum count, so the canonical
-        // clock (the same fadd sequence) is every machine's clock.
-        advanceFleetEpochs(epochsBatch);
-        ++report_.sched.barriers;
-        if (live)
-            ++report_.sched.eventsProgress;
-        const Seconds now = fleetClock_;
-        harvest(now);
-        // Fault transitions apply at the barrier after their
-        // timestamp — the same granularity as dispatch. Completions
-        // harvested above beat a crash landing at this barrier; a
-        // machine restarting here accepts dispatches immediately.
-        applyFaults(now);
-        dispatchDue(s, now);
-    }
-    return fleetClock_;
-}
-
-Seconds
 Cluster::serveEvent(Serve &s)
 {
     const std::vector<FaultEvent> &faultEvents = faultPlan_.events();
@@ -982,14 +818,17 @@ Cluster::serveEvent(Serve &s)
 
         // Arm the head event of each class. Only *future* arrivals
         // and retries arm: work already due but blocked behind a
-        // fleet-wide outage contributes no target (the epoch loop's
-        // rule exactly) — the fault transition that unblocks it does,
-        // and the fault head is always armed. Arming peeks the stream
-        // head without pulling it, so the queue holds one arrival per
-        // stream, never the trace.
+        // fleet-wide outage contributes no target — the fault
+        // transition that unblocks it does, and the fault head is
+        // always armed. The one due arrival that is not blocked is
+        // one at t=0 before the first barrier: it arms, so the first
+        // barrier serves it as the oracle does. Arming peeks the
+        // stream head without pulling it, so the queue holds one
+        // arrival per stream, never the trace.
         queue.clear();
         if (const Invocation *head = s.head();
-            head != nullptr && head->arrival > fleetClock_) {
+            head != nullptr &&
+            (head->arrival > fleetClock_ || fleetTick_ == 0)) {
             queue.push({tickEstimate(head->arrival),
                         EventClass::Arrival, 0, head->seq,
                         head->arrival});
@@ -1014,8 +853,7 @@ Cluster::serveEvent(Serve &s)
         // fleet-wide earliest expiry; the sweep it triggers clears
         // everything lapsed at once. Armed only while work is in
         // flight — an idle fleet's sweeps fold into the next real
-        // barrier (the epoch oracle's own idle-jump rule), and the
-        // sweep's outcome is the same either way.
+        // barrier, and the sweep's outcome is the same either way.
         if (live) {
             Seconds warmMin = std::numeric_limits<double>::infinity();
             unsigned warmMachine = 0;
@@ -1034,7 +872,8 @@ Cluster::serveEvent(Serve &s)
         }
 
         std::uint64_t epochs = 1;
-        if (!queue.empty() && (workPending || !live)) {
+        if (!cfg_.exactQuantum && !queue.empty() &&
+            (workPending || !live)) {
             // The heap pops in deterministic (tick, class, machine,
             // seq) order; the advance target is the minimum exact
             // time over the heads (tick estimates are conservative,
@@ -1053,13 +892,9 @@ Cluster::serveEvent(Serve &s)
                 // the batch's completions in oracle order.
                 epochs = advanceClockToCover(target);
             } else {
-                // Idle fleet: reproduce the epoch oracle's
-                // conservative jump bit-for-bit — floor(gap/span)
+                // Idle fleet: a conservative jump — floor(gap/span)
                 // epochs in one batch, then single steps to the
-                // boundary on later iterations. Matching the
-                // oracle's barrier sequence here matters: a trace
-                // arrival due before the first barrier (t=0) is
-                // served at whatever barrier the jump lands on.
+                // boundary on later iterations.
                 const double gap = target - fleetClock_;
                 if (gap > s.epochSpan)
                     epochs = std::max<std::uint64_t>(
@@ -1070,22 +905,24 @@ Cluster::serveEvent(Serve &s)
         } else {
             // Drain phase (live work, nothing left to dispatch):
             // march one epoch at a time so the loop exits the moment
-            // the fleet drains — exactly when the epoch oracle does,
+            // the fleet drains — exactly when the exact oracle does,
             // before any later fault event fires. Also the fallback
             // when nothing is armed at all (everything due is blocked
             // and no fault is pending: creep to the drain-cap fatal
-            // on the same barrier the oracle would).
+            // on the same barrier the oracle would), and every step of
+            // the oracle itself, which takes each grid barrier.
             advanceFleetEpochs(1);
         }
 
         // Advance every busy machine to the new barrier in parallel;
         // idle machines are never stepped — they sync lazily at their
-        // next dispatch via Engine::skipIdleQuanta.
+        // next dispatch via Engine::skipIdleQuanta. The oracle steps
+        // every machine.
         jobs.clear();
         const std::uint64_t quanta = epochs * epochQuanta_;
         for (const auto &m : machines_) {
             Machine *machine = m.get();
-            if (machine->engine.taskCount() > 0)
+            if (cfg_.exactQuantum || machine->engine.taskCount() > 0)
                 jobs.emplace_back([machine, quanta] {
                     machine->engine.runQuanta(quanta);
                 });
@@ -1130,34 +967,16 @@ Cluster::run()
     // substream of the seed (rng_ keeps the raw seed for dispatch
     // jitter), so traffic is identical across dispatch policies and
     // thread counts, and pulling the stream lazily versus draining it
-    // upfront cannot perturb any other draw — the arrivals are
-    // bit-identical either way, which run modes below A/B.
+    // upfront (UpfrontTraffic) cannot perturb any other draw.
     Rng trafficRng(deriveArrivalSeed(cfg_.seed));
-    if (cfg_.traffic) {
-        if (cfg_.upfrontArrivals)
-            s.stream = replayStream(
-                cfg_.traffic->generate(trafficRng, cfg_.functionPool),
-                cfg_.traffic->name());
-        else
-            s.stream = cfg_.traffic->open(trafficRng, cfg_.functionPool);
-        if (s.stream == nullptr)
-            fatal("Cluster::run: traffic model '",
-                  cfg_.traffic->name(), "' opened a null stream");
-        if (s.stream->peek() == nullptr)
-            fatal("Cluster::run: traffic model '",
-                  cfg_.traffic->name(),
-                  "' generated no arrivals — check its rate/"
-                  "invocations/duration knobs");
-    } else {
-        auto inlineStream = std::make_unique<InlinePoissonStream>(
-            trafficRng, cfg_.arrivalsPerSecond, cfg_.invocations,
-            cfg_.functionPool);
-        if (cfg_.upfrontArrivals)
-            s.stream = replayStream(drainStream(*inlineStream),
-                                    inlineStream->model());
-        else
-            s.stream = std::move(inlineStream);
-    }
+    s.stream = cfg_.traffic->open(trafficRng, cfg_.functionPool);
+    if (s.stream == nullptr)
+        fatal("Cluster::run: traffic model '", cfg_.traffic->name(),
+              "' opened a null stream");
+    if (s.stream->peek() == nullptr)
+        fatal("Cluster::run: traffic model '", cfg_.traffic->name(),
+              "' generated no arrivals — check its rate/"
+              "invocations/duration knobs");
 
     // Epoch length in whole quanta, computed once on the engines'
     // integer tick grid: every inter-barrier advance below is a whole
@@ -1170,46 +989,27 @@ Cluster::run()
 
     // Compile the fault campaign into one deterministic schedule over
     // the expected arrival window (scripted faults may land past it;
-    // every crash carries its restart). Streaming retired the
-    // materialized trace whose realized last timestamp used to bound
-    // the stochastic fault processes, so the horizon is the model's
-    // own estimate — the same number in streaming and upfront modes,
-    // so the compiled schedule (and everything downstream) stays
-    // bit-identical between them. Custom generate()-only models fall
-    // back to their replay stream's exact last timestamp. The drain
-    // deadline extends over pending fault transitions and queued
+    // every crash carries its restart). A lazily pulled stream's last
+    // arrival is unknown up front, so the horizon is the model's own
+    // estimate — the same number however the arrivals are delivered,
+    // so streaming and UpfrontTraffic compile identical schedules. The
+    // drain deadline extends over pending fault transitions and queued
     // retries: a fleet waiting out an outage is making progress, not
     // hanging.
-    Seconds horizon = cfg_.traffic
-                          ? cfg_.traffic->horizonHint()
-                          : static_cast<double>(cfg_.invocations) /
-                                cfg_.arrivalsPerSecond;
-    if (horizon <= 0)
-        horizon = s.stream->horizonHint();
     faultPlan_ = FaultPlan::compile(cfg_.faults, cfg_.totalMachines(),
-                                    horizon, cfg_.seed);
+                                    cfg_.traffic->horizonHint(),
+                                    cfg_.seed);
     s.lastFault = faultPlan_.events().empty()
                       ? 0
                       : faultPlan_.events().back().at;
 
-    // exactQuantum times the true unbatched baseline, so it forces
-    // the epoch oracle regardless of the configured backend.
-    const SchedulerBackend backend = cfg_.exactQuantum
-                                         ? SchedulerBackend::Epoch
-                                         : cfg_.scheduler;
-    report_.sched.scheduler = schedulerName(backend);
-    report_.makespan = backend == SchedulerBackend::Event
-                           ? serveEvent(s)
-                           : serveEpoch(s);
+    report_.makespan = serveEvent(s);
     report_.sched.barriersElided =
         fleetTick_ / epochQuanta_ - report_.sched.barriers;
-    // Both backends pull the stream dry before draining, so pulled
-    // equals the arrivals served — the same total the materialized
-    // trace's size used to report.
+    // The loop pulls the stream dry before draining, so pulled equals
+    // the arrivals served.
     report_.arrivals = s.stream->pulled();
     report_.arrivalFlow.model = s.stream->model();
-    report_.arrivalFlow.mode =
-        cfg_.upfrontArrivals ? "upfront" : "streaming";
     report_.arrivalFlow.generated = s.stream->generated();
     report_.arrivalFlow.pulled = s.stream->pulled();
     report_.arrivalFlow.bufferedMax = s.stream->bufferedMax();
@@ -1239,8 +1039,8 @@ Cluster::run()
         mr.meanLatency =
             m.completions > 0 ? m.latencySum / m.completions : 0.0;
         // Quanta *covered* on the canonical grid: executed plus
-        // idle-elided. Identical across backends (and thread counts)
-        // even though the event core never steps idle engines.
+        // idle-elided. Identical across serving modes (and thread
+        // counts) even though the event core never steps idle engines.
         mr.quanta = m.engine.stats().quanta.value() +
                     m.engine.stats().skippedQuanta.value();
         mr.crashes = m.crashes;

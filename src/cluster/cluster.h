@@ -5,7 +5,7 @@
  * The Litmus paper prices invocations on a single co-located server;
  * production platforms serve the same traffic from fleets. A Cluster
  * owns one sim::Engine per machine, pulls an open-loop arrival stream
- * lazily (the built-in Poisson source or any TrafficSource) at fleet
+ * lazily from its TrafficSource at fleet
  * rates — memory stays O(stream lookahead), so day-long traces over
  * millions of invocations never materialize — routes every arrival
  * through a pluggable Dispatcher, and aggregates per-machine billing
@@ -19,12 +19,12 @@
  * cluster (single-threaded) routes the arrivals that came due, using
  * machine snapshots taken at the barrier — an invocation starts at
  * the first epoch boundary at or after its arrival, never early. The
- * default `event` backend only takes the barriers a typed event queue
- * says matter (idle machines are never stepped at all); the `epoch`
- * backend marches every grid barrier and serves as the differential
- * oracle. All cross-thread state is barrier-local, so a fixed seed
- * gives bit-identical fleet totals at any thread count under either
- * backend.
+ * loop only takes the barriers a typed event queue says matter (idle
+ * machines are never stepped at all); `exactQuantum` marches every
+ * grid barrier with every machine stepped and serves as the
+ * differential oracle. All cross-thread state is barrier-local, so a
+ * fixed seed gives bit-identical fleet totals at any thread count in
+ * either mode.
  *
  * Warm containers: every completed invocation leaves one idle warm
  * container behind (keep-alive bounded). A dispatch that finds one
@@ -52,28 +52,6 @@
 namespace litmus::cluster
 {
 
-/**
- * Cluster serving-loop backend.
- *
- * `Event` (the default) drives the fleet off a deterministic typed
- * event queue (cluster/event_queue.h): wholly idle machines cost
- * nothing between events and busy machines fast-forward to the next
- * event barrier. `Epoch` is the original fixed-epoch march, kept as
- * the differential-testing oracle — fleet reports are bit-identical
- * between the two at any thread count, including under chaos.
- */
-enum class SchedulerBackend : std::uint8_t
-{
-    Epoch,
-    Event,
-};
-
-/** Lower-case backend name ("epoch" / "event"). */
-const char *schedulerName(SchedulerBackend backend);
-
-/** Parse a backend name; fatal() on anything else. */
-SchedulerBackend schedulerByName(const std::string &name);
-
 /** One homogeneous slice of a (possibly mixed) fleet. */
 struct MachineGroup
 {
@@ -100,21 +78,11 @@ struct ClusterConfig
 
     /** @name Open-loop fleet traffic @{ */
     /**
-     * Pluggable arrival process (scenario models all implement the
-     * TrafficSource interface). Borrowed; must outlive the cluster.
-     * Null keeps the built-in open-loop Poisson source driven by
-     * arrivalsPerSecond/invocations below — which a `poisson`
-     * scenario model reproduces bit-exactly, so the two paths are
-     * interchangeable at the same seed.
+     * The arrival process (required; scenario models all implement
+     * the TrafficSource interface, e.g. a `poisson` model for classic
+     * open-loop load). Borrowed; must outlive the cluster.
      */
     const TrafficSource *traffic = nullptr;
-
-    /** Fleet-wide mean arrival rate (invocations per second). Used
-     *  by the built-in Poisson source (traffic == nullptr). */
-    double arrivalsPerSecond = 2000.0;
-
-    /** Total arrivals to generate (built-in Poisson source). */
-    std::uint64_t invocations = 10000;
 
     /** Sampling pool (the whole Table 1 suite by default; an
      *  explicitly empty pool is a validate() error). */
@@ -126,12 +94,6 @@ struct ClusterConfig
     /** @} */
 
     /** @name Serving model @{ */
-    /**
-     * Serving-loop backend; `exactQuantum` forces `Epoch` (the exact
-     * path exists to time the unbatched baseline).
-     */
-    SchedulerBackend scheduler = SchedulerBackend::Event;
-
     /** Dispatch epoch: barrier period between routing decisions. */
     Seconds epoch = 1e-3;
 
@@ -149,10 +111,11 @@ struct ClusterConfig
     unsigned threads = 0;
 
     /**
-     * A/B escape hatch (--exact-quantum): disable the engines'
-     * steady-state fast-forward and the cluster's batched idle-epoch
-     * stepping. Fleet totals are bit-identical either way; exact mode
-     * exists for differential validation and baseline timing.
+     * The differential oracle (--exact-quantum): one epoch per
+     * barrier, every machine stepped every quantum (never
+     * skipIdleQuanta), engine fast-forward off. Fleet totals are
+     * bit-identical either way; exact mode exists for differential
+     * validation and baseline timing.
      */
     bool exactQuantum = false;
 
@@ -163,16 +126,6 @@ struct ClusterConfig
      * never trip it while arrivals are still due.
      */
     Seconds drainCap = 600.0;
-
-    /**
-     * A/B escape hatch (--arrivals=upfront): materialize the whole
-     * arrival trace before serving (the seed-era behavior) instead of
-     * pulling the stream lazily. Fleet totals and ledgers are
-     * bit-identical either way — that differential is a tested gate —
-     * but upfront pays O(total arrivals) resident memory; it exists
-     * for validation and the fig26 memory comparison.
-     */
-    bool upfrontArrivals = false;
     /** @} */
 
     /** @name Fleet billing @{ */
@@ -236,7 +189,7 @@ struct MachineReport
 
     /** Quanta the machine covered on the canonical fleet grid:
      *  executed plus idle-elided (event core). Identical across
-     *  backends and thread counts. */
+     *  serving modes and thread counts. */
     double quanta = 0;
 
     /** @name Failure accounting (fault injection) @{ */
@@ -295,17 +248,14 @@ struct TypeReport
 
 /**
  * Scheduler observability: what the serving loop actually did. Both
- * backends fill the shared-path counters (arrival/retry/fault/
+ * modes fill the shared-path counters (arrival/retry/fault/
  * keep-alive events flow through the same dispatch/harvest code);
  * idle-skip and barrier-elision are where the event core's win shows.
- * Never part of the bit-identity contract — the two backends take
- * different barriers by design — so identicalTotals() ignores this.
+ * Never part of the bit-identity contract — the exact oracle takes
+ * every barrier by design — so identicalTotals() ignores this.
  */
 struct SchedulerCounters
 {
-    /** Backend that produced the report ("epoch" / "event"). */
-    std::string scheduler;
-
     /** @name Events processed, by class @{ */
     std::uint64_t eventsFault = 0;     ///< fault transitions applied
     std::uint64_t eventsArrival = 0;   ///< trace arrivals dispatched
@@ -328,19 +278,15 @@ struct SchedulerCounters
  * Arrival-flow observability: what the traffic stream produced and
  * what it cost to hold. `bufferedMax` is the stream's peak resident
  * arrival count — 1 for native streaming models, the whole trace
- * under `upfrontArrivals` — which is the number fig26's memory claim
- * rests on. Like SchedulerCounters, never part of the bit-identity
- * contract (streaming and upfront buffer differently by design), so
- * identicalTotals() ignores this.
+ * through an UpfrontTraffic replay — which is the number fig26's
+ * memory claim rests on. Like SchedulerCounters, never part of the
+ * bit-identity contract (streaming and upfront buffer differently by
+ * design), so identicalTotals() ignores this.
  */
 struct ArrivalCounters
 {
-    /** Producing traffic model ("poisson", "trace", "azure", ...;
-     *  "inline-poisson" for the built-in source). */
+    /** Producing traffic model ("poisson", "trace", "azure", ...). */
     std::string model;
-
-    /** "streaming" or "upfront" (ClusterConfig::upfrontArrivals). */
-    std::string mode;
 
     /** Arrivals the model produced (includes a peeked head). */
     std::uint64_t generated = 0;
@@ -495,16 +441,14 @@ class Cluster
   private:
     struct Machine;
 
-    /** Per-run serving state shared by both backends (cluster.cc). */
+    /** Per-run serving state (cluster.cc). */
     struct Serve;
 
     /**
-     * Serve the trace on the fixed-epoch march (the differential
-     * oracle); returns the final fleet clock (makespan).
+     * Serve the trace on the event queue (every grid barrier with
+     * every machine stepped under exactQuantum); returns the final
+     * fleet clock (makespan).
      */
-    Seconds serveEpoch(Serve &s);
-
-    /** Serve the trace on the event queue; returns the makespan. */
     Seconds serveEvent(Serve &s);
 
     /** True while any engine owns a live task. */
@@ -542,9 +486,9 @@ class Cluster
      * Fold buffered completions into warm pools and ledgers, then
      * sweep lapsed keep-alives. Completions are folded grouped by
      * their covering epoch barrier (ascending), machines in index
-     * order within a barrier — exactly the order the epoch march
+     * order within a barrier — exactly the order the exact oracle
      * produces one barrier at a time — so the floating-point
-     * accumulation order of fleet totals is backend-independent.
+     * accumulation order of fleet totals is mode-independent.
      */
     void harvest(Seconds now);
 

@@ -142,6 +142,10 @@ FaultSpec::validate() const
     if (retry == RetryPolicy::RetryBackoff && retryMax < 2)
         fatal("fault.retry.max must be >= 2 under retry-backoff (the "
               "first dispatch counts as an attempt)");
+    // The backoff doubles per attempt as a 64-bit shift; attempt 64
+    // would shift past the width (undefined behavior).
+    if (retryMax > 64)
+        fatal("fault.retry.max must be <= 64, got ", retryMax);
     if (retryBackoff < 0)
         fatal("fault.retry.backoff must be >= 0");
 }

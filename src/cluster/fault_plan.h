@@ -159,7 +159,7 @@ struct FaultSpec
     RetryPolicy retry = RetryPolicy::RetryOnce;
 
     /** Total dispatch attempts per invocation under RetryBackoff
-     *  (the first dispatch counts; >= 2 to retry at all). */
+     *  (the first dispatch counts; >= 2 to retry at all, <= 64). */
     unsigned retryMax = 3;
 
     /** First re-dispatch delay under RetryBackoff (s), doubling with

@@ -1,5 +1,6 @@
 #include "cluster/traffic_source.h"
 
+#include <cmath>
 #include <utility>
 
 #include "common/logging.h"
@@ -10,19 +11,6 @@ namespace litmus::cluster
 namespace
 {
 
-/**
- * Flags the generate()-default -> open()-default cycle: a model that
- * overrides neither would otherwise recurse forever. thread_local
- * because concurrent runs may open streams from different threads.
- */
-thread_local bool inDefaultGenerate = false;
-
-struct DefaultGenerateScope
-{
-    DefaultGenerateScope() { inDefaultGenerate = true; }
-    ~DefaultGenerateScope() { inDefaultGenerate = false; }
-};
-
 class VectorReplayStream final : public ArrivalStream
 {
   public:
@@ -30,11 +18,6 @@ class VectorReplayStream final : public ArrivalStream
         : ArrivalStream(std::move(model)), trace_(std::move(trace))
     {
         noteBuffered(trace_.size());
-    }
-
-    Seconds horizonHint() const override
-    {
-        return trace_.empty() ? 0 : trace_.back().arrival;
     }
 
   protected:
@@ -69,6 +52,11 @@ ArrivalStream::fill()
     if (slot_.spec == nullptr)
         fatal("traffic model '", model_,
               "' emitted an invocation without a function spec");
+    // A NaN compares false against everything, so it must be caught
+    // before the ordering check lets it through.
+    if (!std::isfinite(slot_.arrival))
+        fatal("traffic model '", model_, "' emitted a non-finite arrival "
+              "time (", slot_.arrival, ")");
     if (slot_.arrival < lastArrival_)
         fatal("traffic model '", model_, "' emitted out-of-order arrivals (",
               slot_.arrival, " after ", lastArrival_, ")");
@@ -107,27 +95,12 @@ ArrivalStream::noteBuffered(std::uint64_t resident)
         bufferedMax_ = resident;
 }
 
-std::unique_ptr<ArrivalStream>
-TrafficSource::open(
-    Rng &rng,
-    const std::vector<const workload::FunctionSpec *> &pool) const
-{
-    if (inDefaultGenerate)
-        fatal("traffic model '", name(),
-              "' implements neither open() nor generate()");
-    return replayStream(generate(rng, pool), name());
-}
-
 std::vector<Invocation>
 TrafficSource::generate(
     Rng &rng,
     const std::vector<const workload::FunctionSpec *> &pool) const
 {
-    std::unique_ptr<ArrivalStream> stream;
-    {
-        DefaultGenerateScope guard;
-        stream = open(rng, pool);
-    }
+    const std::unique_ptr<ArrivalStream> stream = open(rng, pool);
     std::vector<Invocation> trace;
     Invocation inv;
     while (stream->next(inv))

@@ -15,10 +15,9 @@
  * cursor the serving loop peeks/pulls one arrival at a time, so a
  * day-long million-function trace never has to exist as one resident
  * vector — memory is O(model lookahead), not O(total arrivals).
- * generate() (the seed-era "whole trace up front" call) survives as a
- * default-implemented shim that drains the stream; it is the
- * differential oracle the streaming path is tested against, and the
- * adapter that keeps legacy generate()-only models servable.
+ * generate() drains the same stream into a vector, and UpfrontTraffic
+ * serves that vector back: the upfront delivery the streaming path is
+ * tested against.
  *
  * Determinism: open() derives everything from the caller's Rng
  * (conventionally exactly one fork(), a SplitMix64-derived substream
@@ -44,8 +43,8 @@ namespace litmus::cluster
 /**
  * A pull cursor over one arrival process, valid for one run. The base
  * class owns the stream contract so every model gets it for free:
- * peek()/next() validate that arrivals are nondecreasing and carry a
- * function (fatal() naming the model otherwise), number them
+ * peek()/next() validate that arrivals are finite, nondecreasing and
+ * carry a function (fatal() naming the model otherwise), number them
  * seq 0..n-1 in pull order, and track the flow counters the fleet
  * report exposes (generated / pulled / buffered-max). Implementations
  * override produce() only.
@@ -83,14 +82,6 @@ class ArrivalStream
     /** The producing model's name. */
     const std::string &model() const { return model_; }
 
-    /**
-     * Best-effort end-of-arrivals estimate (0 = unknown). A replay
-     * stream knows its trace's last timestamp exactly, which is the
-     * fallback fault-plan horizon for custom generate()-only models
-     * whose TrafficSource::horizonHint() is unknowable.
-     */
-    virtual Seconds horizonHint() const { return 0; }
-
   protected:
     /**
      * Produce the next arrival (timestamp + function spec; seq is
@@ -118,10 +109,7 @@ class ArrivalStream
 
 /**
  * One arrival process. Implementations are immutable after
- * construction; a model implements open() (native streaming) or
- * generate() (legacy upfront) — each has a default implemented in
- * terms of the other, and implementing neither is fatal() at first
- * use. Built-in models are native streams.
+ * construction and implement open(); every model is a native stream.
  */
 class TrafficSource
 {
@@ -136,37 +124,30 @@ class TrafficSource
      * generator derived from @p rng — conventionally exactly one
      * rng.fork() — and never retain a reference to @p rng or @p pool
      * beyond the model's own lifetime (the pool vector is copied or
-     * outlives the stream at every call site in-tree). Timestamps
-     * nondecreasing from 0 and non-null specs are enforced by the
-     * ArrivalStream base.
-     *
-     * Default: materialize via generate() and replay — the adapter
-     * that keeps generate()-only custom models servable (at upfront
-     * memory cost).
+     * outlives the stream at every call site in-tree). Finite
+     * timestamps nondecreasing from 0 and non-null specs are enforced
+     * by the ArrivalStream base.
      */
     virtual std::unique_ptr<ArrivalStream>
     open(Rng &rng,
-         const std::vector<const workload::FunctionSpec *> &pool) const;
+         const std::vector<const workload::FunctionSpec *> &pool)
+        const = 0;
 
     /**
-     * Generate the full arrival trace: timestamps nondecreasing from
-     * 0, seq numbered 0..n-1, every spec non-null (sampled uniformly
-     * from @p pool unless the model carries its own function names).
-     *
-     * Default: drain open() into a vector — bit-identical to pulling
-     * the stream lazily, which is exactly what the streaming
-     * differential suite asserts.
+     * The full arrival trace: open() drained into a vector (seq
+     * numbered 0..n-1) — bit-identical to pulling the stream lazily,
+     * which is exactly what the streaming differential suite asserts.
      */
-    virtual std::vector<Invocation>
+    std::vector<Invocation>
     generate(Rng &rng,
              const std::vector<const workload::FunctionSpec *> &pool)
         const;
 
     /**
      * Best-effort end-of-arrivals estimate in simulated seconds
-     * (0 = unknown). Streaming retired the materialized trace whose
-     * last timestamp used to bound the stochastic fault processes, so
-     * FaultPlan::compile takes this hint instead: generative models
+     * (0 = unknown): the horizon FaultPlan::compile bounds the
+     * stochastic fault processes with, since a lazily pulled stream's
+     * last timestamp is unknown before serving. Generative models
      * report their duration (or invocations/rate), replay models
      * their capped span. Only consulted when a stochastic fault
      * campaign (crash/slow/blind MTBF) is configured.
@@ -175,12 +156,41 @@ class TrafficSource
 };
 
 /**
- * A stream replaying an already-materialized trace (upfront A/B mode,
- * the legacy-model adapter, tests). Reports the whole vector as its
- * resident buffer — that is the honest cost of upfront generation.
+ * A stream replaying an already-materialized trace (UpfrontTraffic,
+ * tests). Reports the whole vector as its resident buffer — that is
+ * the honest cost of upfront generation.
  */
 std::unique_ptr<ArrivalStream>
 replayStream(std::vector<Invocation> trace, std::string model);
+
+/**
+ * Upfront delivery of another model's arrivals: open() materializes
+ * the whole trace with generate() and replays it. Same arrivals, name
+ * and horizon as the wrapped model — so fleet reports and fault plans
+ * are bit-identical to streaming it — at O(total arrivals) resident
+ * memory. The differential the streaming path is tested against, and
+ * fig26's memory comparison. Borrows @p inner, which must outlive it.
+ */
+class UpfrontTraffic final : public TrafficSource
+{
+  public:
+    explicit UpfrontTraffic(const TrafficSource &inner) : inner_(inner) {}
+
+    std::string name() const override { return inner_.name(); }
+
+    std::unique_ptr<ArrivalStream>
+    open(Rng &rng,
+         const std::vector<const workload::FunctionSpec *> &pool)
+        const override
+    {
+        return replayStream(inner_.generate(rng, pool), inner_.name());
+    }
+
+    Seconds horizonHint() const override { return inner_.horizonHint(); }
+
+  private:
+    const TrafficSource &inner_;
+};
 
 /**
  * The arrival-stream seed for a scenario seed: SplitMix64 substream

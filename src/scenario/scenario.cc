@@ -1,6 +1,7 @@
 #include "scenario/scenario.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/config_reader.h"
 #include "common/logging.h"
@@ -32,6 +33,20 @@ parseLongAtLeast(const std::string &key, const std::string &value,
         fatal("scenario key '", key, "' must be >= ", floor, ", got ",
               parsed);
     return parsed;
+}
+
+/** An unsigned key: fatal() below @p floor or above UINT_MAX, where a
+ *  plain cast would silently wrap (4294967297 threads -> 1). */
+unsigned
+parseUnsignedAtLeast(const std::string &key, const std::string &value,
+                     long floor)
+{
+    constexpr long kMax = std::numeric_limits<unsigned>::max();
+    const long parsed = parseLongAtLeast(key, value, floor);
+    if (parsed > kMax)
+        fatal("scenario key '", key, "' must be <= ", kMax, ", got ",
+              parsed);
+    return static_cast<unsigned>(parsed);
 }
 
 double
@@ -83,6 +98,10 @@ parseFleetSpec(const std::string &spec)
             if (!parsed || *parsed < 1)
                 fatal("fleet spec: bad machine count '", count,
                       "' in '", piece, "' (want <type>:<count>)");
+            if (*parsed > std::numeric_limits<unsigned>::max())
+                fatal("fleet spec: machine count '", count, "' in '",
+                      piece, "' must be <= ",
+                      std::numeric_limits<unsigned>::max());
             group.count = static_cast<unsigned>(*parsed);
         }
         fleet.push_back(group);
@@ -107,14 +126,6 @@ ScenarioSpec::set(const std::string &key, const std::string &value)
         if ((value == "trace" || value == "azure") &&
             !invocationsExplicit)
             traffic.invocations = 0;
-    } else if (key == "arrivals") {
-        if (value == "streaming")
-            upfrontArrivals = false;
-        else if (value == "upfront")
-            upfrontArrivals = true;
-        else
-            fatal("scenario key 'arrivals' expects 'streaming' or "
-                  "'upfront', got '", value, "'");
     } else if (key == "rate") {
         traffic.arrivalsPerSecond = parseDouble(key, value);
     } else if (key == "invocations") {
@@ -156,10 +167,7 @@ ScenarioSpec::set(const std::string &key, const std::string &value)
     } else if (key == "keepalive") {
         keepAlive = parseDouble(key, value);
     } else if (key == "threads") {
-        threads = static_cast<unsigned>(
-            parseLongAtLeast(key, value, 0));
-    } else if (key == "scheduler") {
-        scheduler = cluster::schedulerByName(value);
+        threads = parseUnsignedAtLeast(key, value, 0);
     } else if (key == "exact_quantum") {
         exactQuantum = parseBool(key, value);
     } else if (key == "drain_cap") {
@@ -167,8 +175,7 @@ ScenarioSpec::set(const std::string &key, const std::string &value)
     } else if (key == "calibrate") {
         calibrate = parseBool(key, value);
     } else if (key == "calibration_levels") {
-        calibrationLevels = static_cast<unsigned>(
-            parseLongAtLeast(key, value, 0));
+        calibrationLevels = parseUnsignedAtLeast(key, value, 0);
     } else if (key == "tables") {
         tables = splitNonEmpty(value, ',');
     } else if (key == "tables_out") {
@@ -203,8 +210,7 @@ ScenarioSpec::set(const std::string &key, const std::string &value)
     } else if (key == "fault.retry") {
         fault.retry = cluster::retryPolicyByName(value);
     } else if (key == "fault.retry.max") {
-        fault.retryMax = static_cast<unsigned>(
-            parseLongAtLeast(key, value, 1));
+        fault.retryMax = parseUnsignedAtLeast(key, value, 1);
     } else if (key == "fault.retry.backoff") {
         fault.retryBackoff = parseDouble(key, value);
     } else if (key == "fault.billing") {
@@ -219,7 +225,7 @@ ScenarioSpec::set(const std::string &key, const std::string &value)
 std::vector<std::string>
 ScenarioSpec::knownKeys()
 {
-    return {"arrivals", "azure.max_rows", "azure.path",
+    return {"azure.max_rows", "azure.path",
             "azure.rate_scale",
             "burst.idle_fraction", "burst.off", "burst.on",
             "calibrate", "calibration_levels", "diurnal.amplitude",
@@ -232,7 +238,7 @@ ScenarioSpec::knownKeys()
             "fault.slow.at", "fault.slow.duration",
             "fault.slow.factor", "fault.slow.mtbf", "fleet",
             "functions", "invocations", "keepalive", "policy",
-            "probes", "rate", "scheduler", "seed", "sharing_factor",
+            "probes", "rate", "seed", "sharing_factor",
             "tables",
             "tables_out", "threads", "trace.path", "trace.rate_scale",
             "traffic"};

@@ -77,16 +77,8 @@ struct ScenarioSpec
     Seconds epoch = 1e-3;
     Seconds keepAlive = 10.0;
     unsigned threads = 0;
-    cluster::SchedulerBackend scheduler =
-        cluster::SchedulerBackend::Event;
     bool exactQuantum = false;
     Seconds drainCap = 600.0;
-
-    /** A/B escape hatch (`arrivals = upfront`): materialize the
-     *  whole arrival trace before serving instead of streaming it.
-     *  Totals are bit-identical either way (a tested gate); upfront
-     *  pays O(total arrivals) memory. */
-    bool upfrontArrivals = false;
     /** @} */
 
     /** @name Pricing @{ */

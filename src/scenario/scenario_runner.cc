@@ -43,17 +43,13 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec)
 
     cfg_.fleet = spec_.fleet;
     cfg_.policy = spec_.policy;
-    cfg_.arrivalsPerSecond = spec_.traffic.arrivalsPerSecond;
-    cfg_.invocations = spec_.traffic.invocations;
     cfg_.functionPool = pool_;
     cfg_.seed = spec_.seed;
     cfg_.epoch = spec_.epoch;
     cfg_.keepAlive = spec_.keepAlive;
     cfg_.threads = spec_.threads;
-    cfg_.scheduler = spec_.scheduler;
     cfg_.exactQuantum = spec_.exactQuantum;
     cfg_.drainCap = spec_.drainCap;
-    cfg_.upfrontArrivals = spec_.upfrontArrivals;
     cfg_.sharingFactor = spec_.sharingFactor;
     cfg_.probes = spec_.probes.value_or(!cfg_.discountModels.empty());
     cfg_.traffic = traffic_.get();
@@ -205,8 +201,8 @@ printFleetReport(std::ostream &os, const cluster::FleetReport &report)
     // Scheduler-core footer: how the serving loop spent its barriers.
     // Diagnostic only — never part of the bit-identity contract.
     const cluster::SchedulerCounters &sched = report.sched;
-    os << "scheduler " << sched.scheduler << "  barriers "
-       << sched.barriers << " (elided " << sched.barriersElided
+    os << "scheduler barriers " << sched.barriers << " (elided "
+       << sched.barriersElided
        << ")  idle quanta skipped " << sched.idleQuantaSkipped
        << "  events arrival " << sched.eventsArrival << " retry "
        << sched.eventsRetry << " fault " << sched.eventsFault
@@ -216,8 +212,8 @@ printFleetReport(std::ostream &os, const cluster::FleetReport &report)
     // Arrival-flow footer: how the traffic source fed the fleet.
     // Diagnostic only — never part of the bit-identity contract.
     const cluster::ArrivalCounters &flow = report.arrivalFlow;
-    os << "arrivals " << flow.model << " (" << flow.mode
-       << ")  generated " << flow.generated << "  pulled "
+    os << "arrivals " << flow.model << "  generated "
+       << flow.generated << "  pulled "
        << flow.pulled << "  buffered max " << flow.bufferedMax
        << "\n";
 }

@@ -11,11 +11,6 @@
  *     scenario::ScenarioRunner runner(
  *         scenario::ScenarioSpec::fromFile(path));
  *     const cluster::FleetReport &report = runner.run();
- *
- * A poisson scenario reproduces the pre-scenario fleet bit-exactly at
- * the same seed (the poisson model replicates the cluster's old
- * inline generator draw-for-draw), so migrating an experiment onto
- * the runner never moves its numbers.
  */
 
 #ifndef LITMUS_SCENARIO_SCENARIO_RUNNER_H

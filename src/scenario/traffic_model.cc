@@ -52,11 +52,8 @@ expectedSpan(const TrafficSpec &spec)
 }
 
 /**
- * The legacy open-loop source. The per-arrival draw order
- * (exponential gap, then uniform function index) from one fork() of
- * the arrival Rng replicates the cluster's inline generator exactly,
- * so a poisson scenario at seed S is bit-identical to the built-in
- * fleet source at seed S.
+ * The classic open-loop source: per arrival, an exponential gap then a
+ * uniform function index, drawn from one fork() of the arrival Rng.
  */
 class PoissonStream final : public cluster::ArrivalStream
 {

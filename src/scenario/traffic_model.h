@@ -2,15 +2,11 @@
  * @file
  * Pluggable fleet traffic models: the arrival process as a plugin.
  *
- * Until now every fleet experiment was hard-wired to one open-loop
- * Poisson source generated inline by the cluster. The Litmus fairness
- * claims are only as convincing as the workloads billed under, so the
- * scenario layer turns "how do invocations arrive" into an interface
- * with four built-ins:
+ * The Litmus fairness claims are only as convincing as the workloads
+ * billed under, so the scenario layer turns "how do invocations
+ * arrive" into an interface with these built-ins:
  *
- *  - poisson  the classic open-loop memoryless stream (the legacy
- *             source, now a plugin — bit-identical to the cluster's
- *             old inline generator at the same seed);
+ *  - poisson  the classic open-loop memoryless stream;
  *  - diurnal  a sinusoid-modulated rate (day/night load swing),
  *             sampled by Lewis-Shedler thinning against the peak
  *             rate;

@@ -9,6 +9,7 @@
 
 #include "cluster/cluster.h"
 #include "core/calibration.h"
+#include "poisson_traffic.h"
 #include "workload/suite.h"
 #include "sim/machine_catalog.h"
 
@@ -80,8 +81,7 @@ smallFleet(unsigned machines, DispatchPolicy policy,
     ClusterConfig cfg;
     cfg.fleet = {{testMachine(), machines}};
     cfg.policy = policy;
-    cfg.arrivalsPerSecond = 4000;
-    cfg.invocations = invocations;
+    cfg.traffic = test::poissonTraffic(4000, invocations);
     cfg.functionPool = tinyPool();
     cfg.seed = 11;
     cfg.threads = 1;
@@ -118,15 +118,20 @@ TEST(ClusterConfig, ValidateCatchesNonsense)
     EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
                 "functionPool is empty");
     cfg = ClusterConfig{};
-    cfg.arrivalsPerSecond = 0;
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), "rate");
-    cfg = ClusterConfig{};
-    cfg.invocations = 0;
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
-                "invocation");
-    cfg = ClusterConfig{};
+    cfg.traffic = test::poissonTraffic(4000, 10);
     cfg.epoch = 0;
     EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), "epoch");
+}
+
+TEST(ClusterConfig, NullTrafficIsFatal)
+{
+    // There is no built-in arrival source: a fleet without a traffic
+    // model is refused, naming the field.
+    ClusterConfig cfg;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "traffic is null");
+    EXPECT_EXIT(Cluster{cfg}, ::testing::ExitedWithCode(1),
+                "traffic is null");
 }
 
 std::vector<MachineSnapshot>

@@ -21,6 +21,7 @@
 #include "cluster/cluster.h"
 #include "common/rng.h"
 #include "core/poppa.h"
+#include "poisson_traffic.h"
 #include "sim/engine.h"
 #include "workload/program.h"
 #include "sim/machine_catalog.h"
@@ -310,8 +311,9 @@ TEST_P(ClusterDifferential, TotalsIdenticalAcrossModes)
 {
     // The whole fleet path: Poisson arrivals, warm pools, keep-alive
     // expiry, epoch batching. Billing and serving totals must be
-    // bit-identical with and without fast-forward (which also covers
-    // the cluster's batched idle-epoch stepping). The second epoch
+    // bit-identical between the exact-quantum oracle and the default
+    // loop (engine fast-forward plus the cluster's batched idle-epoch
+    // stepping and idle-machine elision). The second epoch
     // parameter is deliberately not a whole number of quanta: each
     // epoch then advances more than cfg.epoch, and the idle batch must
     // be computed against the covering-quantum span or fast mode
@@ -320,8 +322,7 @@ TEST_P(ClusterDifferential, TotalsIdenticalAcrossModes)
         cluster::ClusterConfig cfg;
         cfg.fleet = {{"cascade-5218", 2}};
         cfg.policy = cluster::DispatchPolicy::WarmthAware;
-        cfg.arrivalsPerSecond = 400.0;
-        cfg.invocations = 300;
+        cfg.traffic = test::poissonTraffic(400.0, 300);
         cfg.keepAlive = 0.05; // short: exercises expiry sweeps
         cfg.seed = 11;
         cfg.threads = 1;
@@ -341,6 +342,9 @@ TEST_P(ClusterDifferential, TotalsIdenticalAcrossModes)
     EXPECT_EQ(exact.rejectedMemory, fast.rejectedMemory);
     EXPECT_EQ(exact.makespan, fast.makespan);
     EXPECT_EQ(exact.meanLatency, fast.meanLatency);
+    // The oracle steps every machine through every grid barrier.
+    EXPECT_EQ(exact.sched.idleQuantaSkipped, 0u);
+    EXPECT_EQ(exact.sched.barriersElided, 0u);
     ASSERT_EQ(exact.machines.size(), fast.machines.size());
     for (std::size_t i = 0; i < exact.machines.size(); ++i) {
         EXPECT_EQ(exact.machines[i].billedCpuSeconds,

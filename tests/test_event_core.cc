@@ -1,15 +1,16 @@
 /**
  * @file
- * Differential suite for the event-driven cluster core: the event
- * scheduler must reproduce the fixed-epoch oracle bit-for-bit —
+ * Differential suite for the event-driven cluster core: the default
+ * serving loop must reproduce the exact-quantum oracle bit-for-bit —
  * every FleetReport field, every per-machine slice, every billing
  * ledger record — across traffic models, mixed fleets, chaos
  * campaigns, and worker-thread counts.
  *
- * The epoch backend is kept alive precisely to serve as this oracle:
- * any divergence here means the event queue dispatched, harvested,
- * or accumulated in a different order than the epoch march, which
- * would silently move billing totals.
+ * The oracle (`exact_quantum = true`) takes every grid barrier, steps
+ * every machine through every quantum, and turns engine fast-forward
+ * off: any divergence here means the event queue dispatched,
+ * harvested, or accumulated in a different order than the plain
+ * epoch march, which would silently move billing totals.
  */
 
 #include <fstream>
@@ -36,7 +37,7 @@ writeTempFile(const std::string &name, const std::string &text)
     return path;
 }
 
-/** One backend's complete observable outcome. */
+/** One run's complete observable outcome. */
 struct RunOutcome
 {
     cluster::FleetReport report;
@@ -45,10 +46,9 @@ struct RunOutcome
 };
 
 RunOutcome
-runWith(scenario::ScenarioSpec spec, cluster::SchedulerBackend sched,
-        unsigned threads = 1)
+runWith(scenario::ScenarioSpec spec, bool exact, unsigned threads = 1)
 {
-    spec.scheduler = sched;
+    spec.exactQuantum = exact;
     spec.threads = threads;
     scenario::ScenarioRunner runner(std::move(spec));
     RunOutcome out;
@@ -61,8 +61,8 @@ runWith(scenario::ScenarioSpec spec, cluster::SchedulerBackend sched,
 
 /**
  * Bit-exact comparison of everything a run reports. SchedulerCounters
- * are deliberately excluded — the two backends take different
- * barriers by design; that is the entire point.
+ * are deliberately excluded — the oracle takes every barrier by
+ * design; that is the entire point.
  */
 void
 expectIdentical(const RunOutcome &a, const RunOutcome &b)
@@ -168,19 +168,18 @@ baseSpec(const std::string &extra = "")
 TEST(EventCoreDifferential, PoissonBitIdentical)
 {
     const auto spec = baseSpec();
-    expectIdentical(runWith(spec, cluster::SchedulerBackend::Event),
-                    runWith(spec, cluster::SchedulerBackend::Epoch));
+    expectIdentical(runWith(spec, false), runWith(spec, true));
 }
 
 TEST(EventCoreDifferential, DiurnalBitIdentical)
 {
     // fig24-style load swing: deep idle troughs exercise the event
-    // core's idle fast-forward against the oracle's floor jump.
+    // core's idle fast-forward against an oracle that takes every
+    // barrier.
     const auto spec = baseSpec("traffic = diurnal\n"
                                "diurnal.period = 0.4\n"
                                "diurnal.amplitude = 0.95\n");
-    expectIdentical(runWith(spec, cluster::SchedulerBackend::Event),
-                    runWith(spec, cluster::SchedulerBackend::Epoch));
+    expectIdentical(runWith(spec, false), runWith(spec, true));
 }
 
 TEST(EventCoreDifferential, BurstBitIdentical)
@@ -189,15 +188,14 @@ TEST(EventCoreDifferential, BurstBitIdentical)
                                "burst.on = 0.05\n"
                                "burst.off = 0.2\n"
                                "burst.idle_fraction = 0.02\n");
-    expectIdentical(runWith(spec, cluster::SchedulerBackend::Event),
-                    runWith(spec, cluster::SchedulerBackend::Epoch));
+    expectIdentical(runWith(spec, false), runWith(spec, true));
 }
 
 TEST(EventCoreDifferential, TraceReplayBitIdentical)
 {
     // Includes a t=0 arrival (due before the first barrier) and long
-    // gaps — the two shapes that force the oracle's conservative idle
-    // jump to be reproduced exactly.
+    // gaps: the event core's conservative idle jump must land on the
+    // barriers where the oracle dispatches.
     const std::string tracePath = writeTempFile(
         "event_core_trace.csv", "0.0,float-py\n"
                                 "0.001,aes-go\n"
@@ -207,8 +205,28 @@ TEST(EventCoreDifferential, TraceReplayBitIdentical)
                                 "1.75,\n");
     const auto spec = baseSpec("traffic = trace\n"
                                "trace.path = " + tracePath + "\n");
-    expectIdentical(runWith(spec, cluster::SchedulerBackend::Event),
-                    runWith(spec, cluster::SchedulerBackend::Epoch));
+    expectIdentical(runWith(spec, false), runWith(spec, true));
+}
+
+TEST(EventCoreDifferential, TraceAtZeroWithPendingFaultBitIdentical)
+{
+    // A t=0 arrival is due before the first barrier. With a fault
+    // pending on an idle fleet, the event core must still serve it at
+    // the first barrier (as the oracle does) rather than jump to the
+    // fault: a late dispatch would put it in flight at the crash.
+    const std::string tracePath = writeTempFile(
+        "event_core_t0.csv", "0.0,float-py\n"
+                             "0.9,aes-go\n");
+    const auto spec = baseSpec("fleet = cascade-5218:1\n"
+                               "traffic = trace\n"
+                               "trace.path = " + tracePath + "\n"
+                               "fault.crash.at = 0.3@0\n"
+                               "fault.crash.restart = 0.05\n"
+                               "fault.retry = drop\n");
+    const RunOutcome event = runWith(spec, false);
+    expectIdentical(event, runWith(spec, true));
+    EXPECT_EQ(event.report.crashes, 1u);
+    EXPECT_EQ(event.report.killedInvocations, 0u);
 }
 
 // ---- fleets ----------------------------------------------------------
@@ -225,8 +243,7 @@ TEST(EventCoreDifferential, MixedFleetBitIdentical)
         "keepalive = 0.1\n"
         "functions = test\n"
         "seed = 3\n");
-    expectIdentical(runWith(spec, cluster::SchedulerBackend::Event),
-                    runWith(spec, cluster::SchedulerBackend::Epoch));
+    expectIdentical(runWith(spec, false), runWith(spec, true));
 }
 
 // ---- chaos -----------------------------------------------------------
@@ -235,7 +252,7 @@ TEST(EventCoreDifferential, ChaosProviderAbsorbsBitIdentical)
 {
     // fig25-style campaign: stochastic crashes with backoff retries.
     // Restart transitions, kill/retry accounting, and absorbed-work
-    // conservation all must survive the backend swap.
+    // conservation all must match the oracle.
     const auto spec = baseSpec("fault.crash.mtbf = 0.4\n"
                                "fault.crash.restart = 0.05\n"
                                "fault.retry = backoff\n"
@@ -243,15 +260,14 @@ TEST(EventCoreDifferential, ChaosProviderAbsorbsBitIdentical)
                                "fault.retry.backoff = 0.02\n"
                                "fault.billing = provider-absorbs\n"
                                "fault.seed = 5\n");
-    expectIdentical(runWith(spec, cluster::SchedulerBackend::Event),
-                    runWith(spec, cluster::SchedulerBackend::Epoch));
+    expectIdentical(runWith(spec, false), runWith(spec, true));
 }
 
 TEST(EventCoreDifferential, ChaosTenantPaysScriptedBitIdentical)
 {
     // Scripted crashes and slowdowns at fixed times under tenant-pays
     // billing: fault events must fire at the same barrier in both
-    // backends even when the fleet is wholly idle around them.
+    // modes even when the fleet is wholly idle around them.
     const auto spec = baseSpec("fault.crash.at = 0.05@0;0.11@2\n"
                                "fault.crash.restart = 0.04\n"
                                "fault.slow.at = 0.08@1\n"
@@ -259,8 +275,7 @@ TEST(EventCoreDifferential, ChaosTenantPaysScriptedBitIdentical)
                                "fault.slow.factor = 0.5\n"
                                "fault.retry = retry-once\n"
                                "fault.billing = tenant-pays\n");
-    expectIdentical(runWith(spec, cluster::SchedulerBackend::Event),
-                    runWith(spec, cluster::SchedulerBackend::Epoch));
+    expectIdentical(runWith(spec, false), runWith(spec, true));
 }
 
 // ---- threads ---------------------------------------------------------
@@ -268,15 +283,10 @@ TEST(EventCoreDifferential, ChaosTenantPaysScriptedBitIdentical)
 TEST(EventCoreDifferential, ThreadCountInvariant)
 {
     const auto spec = baseSpec();
-    const RunOutcome serial =
-        runWith(spec, cluster::SchedulerBackend::Event, 1);
+    const RunOutcome serial = runWith(spec, false, 1);
     for (unsigned threads : {4u, 16u}) {
-        expectIdentical(
-            serial,
-            runWith(spec, cluster::SchedulerBackend::Event, threads));
-        expectIdentical(
-            serial,
-            runWith(spec, cluster::SchedulerBackend::Epoch, threads));
+        expectIdentical(serial, runWith(spec, false, threads));
+        expectIdentical(serial, runWith(spec, true, threads));
     }
 }
 
@@ -285,36 +295,30 @@ TEST(EventCoreDifferential, ThreadCountInvariant)
 TEST(EventCoreCounters, EventCoreSkipsIdleWork)
 {
     // A sparse trace leaves the fleet idle for long stretches: the
-    // event core must elide idle quanta and barriers while the epoch
-    // oracle takes every grid barrier; the shared-path event counters
-    // must agree between backends.
+    // event core must elide idle quanta and barriers while the exact
+    // oracle takes every grid barrier and steps every machine; the
+    // shared-path event counters must agree between the two.
     const std::string tracePath = writeTempFile(
         "event_core_sparse.csv", "0.01,float-py\n"
                                  "0.8,aes-go\n"
                                  "1.9,float-py\n");
     const auto spec = baseSpec("traffic = trace\n"
                                "trace.path = " + tracePath + "\n");
-    const RunOutcome event =
-        runWith(spec, cluster::SchedulerBackend::Event);
-    const RunOutcome epoch =
-        runWith(spec, cluster::SchedulerBackend::Epoch);
-    expectIdentical(event, epoch);
+    const RunOutcome event = runWith(spec, false);
+    const RunOutcome exact = runWith(spec, true);
+    expectIdentical(event, exact);
 
-    EXPECT_EQ(event.report.sched.scheduler, "event");
-    EXPECT_EQ(epoch.report.sched.scheduler, "epoch");
-    EXPECT_GT(event.report.sched.idleQuantaSkipped, 0u);
-    EXPECT_EQ(epoch.report.sched.idleQuantaSkipped, 0u);
-    EXPECT_LE(event.report.sched.barriers, epoch.report.sched.barriers);
-    EXPECT_EQ(event.report.sched.barriers +
-                  event.report.sched.barriersElided,
-              epoch.report.sched.barriers +
-                  epoch.report.sched.barriersElided);
-    EXPECT_EQ(event.report.sched.eventsArrival,
-              epoch.report.sched.eventsArrival);
-    EXPECT_EQ(event.report.sched.eventsRetry,
-              epoch.report.sched.eventsRetry);
-    EXPECT_EQ(event.report.sched.eventsFault,
-              epoch.report.sched.eventsFault);
+    const cluster::SchedulerCounters &ev = event.report.sched;
+    const cluster::SchedulerCounters &ex = exact.report.sched;
+    EXPECT_GT(ev.idleQuantaSkipped, 0u);
+    EXPECT_GT(ev.barriersElided, 0u);
+    EXPECT_EQ(ex.idleQuantaSkipped, 0u);
+    EXPECT_EQ(ex.barriersElided, 0u);
+    EXPECT_LT(ev.barriers, ex.barriers);
+    EXPECT_EQ(ev.barriers + ev.barriersElided, ex.barriers);
+    EXPECT_EQ(ev.eventsArrival, ex.eventsArrival);
+    EXPECT_EQ(ev.eventsRetry, ex.eventsRetry);
+    EXPECT_EQ(ev.eventsFault, ex.eventsFault);
 }
 
 // ---- quantum agreement (config-time validation) ----------------------

@@ -18,6 +18,7 @@
 
 #include "cluster/cluster.h"
 #include "common/config_reader.h"
+#include "poisson_traffic.h"
 #include "scenario/scenario.h"
 #include "sim/machine_catalog.h"
 #include "workload/suite.h"
@@ -88,8 +89,7 @@ smallFleet(unsigned machines, std::uint64_t invocations = 400)
     ClusterConfig cfg;
     cfg.fleet = {{testMachine(), machines}};
     cfg.policy = DispatchPolicy::LeastLoaded;
-    cfg.arrivalsPerSecond = 4000;
-    cfg.invocations = invocations;
+    cfg.traffic = test::poissonTraffic(4000, invocations);
     cfg.functionPool = tinyPool();
     cfg.seed = 11;
     cfg.threads = 1;
@@ -225,6 +225,12 @@ TEST(FaultPlan, ValidateCatchesNonsense)
     spec.retryMax = 1;
     EXPECT_EXIT(spec.validate(), ::testing::ExitedWithCode(1),
                 "fault.retry.max");
+    // The backoff doubles via a 64-bit shift: attempt 64 would be UB.
+    spec.retryMax = 65;
+    EXPECT_EXIT(spec.validate(), ::testing::ExitedWithCode(1),
+                "fault.retry.max must be <= 64");
+    spec.retryMax = 64;
+    spec.validate();
 }
 
 TEST(FaultPlan, CompileIsReplayIdentical)
@@ -584,16 +590,12 @@ TEST(FaultScenario, EveryKnownKeyIsSettable)
             return "all";
         if (key == "policy")
             return "round-robin";
-        if (key == "scheduler")
-            return "event";
         if (key == "traffic")
             return "poisson";
         if (key == "trace.path")
             return "trace.csv";
         if (key == "azure.path")
             return "azure.csv";
-        if (key == "arrivals")
-            return "streaming";
         if (key == "tables")
             return "t.profile";
         if (key == "tables_out")

@@ -4,18 +4,21 @@
  * lazily pulled arrivals must reproduce the materialized-upfront
  * oracle bit-for-bit — every FleetReport field, every per-machine
  * ledger record — for every built-in model (poisson / diurnal /
- * burst / trace / azure), at every thread count, on both scheduler
- * backends, and under a chaos campaign.
+ * burst / trace / azure), at every thread count, against the
+ * exact-quantum oracle, and under a chaos campaign. Upfront delivery
+ * is cluster::UpfrontTraffic wrapped around the scenario's model.
  *
  * Also covers the ArrivalStream contract itself (peek/next, seq
- * numbering, flow counters, ordering and null-spec enforcement, the
- * mutual open()/generate() defaults), the azure-dataset ingester
- * (bucket sampling, suite mapping, caps), and the new scenario keys.
+ * numbering, flow counters, ordering, finiteness and null-spec
+ * enforcement, generate() as the drained stream), the azure-dataset
+ * ingester (bucket sampling, suite mapping, caps), and the azure
+ * scenario keys.
  */
 
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -64,27 +67,32 @@ drain(ArrivalStream &stream)
 // ---- streaming vs upfront differential -------------------------------
 
 /** One run's complete observable outcome (test_event_core's harness,
- *  pointed at the delivery-mode axis instead of the backend axis). */
+ *  pointed at the delivery-mode axis instead of the oracle axis). */
 struct RunOutcome
 {
     cluster::FleetReport report;
     std::vector<std::vector<pricing::BillRecord>> ledgers;
 };
 
+/** Serve @p spec; @p upfront wraps its model in UpfrontTraffic on a
+ *  copy of the runner's ClusterConfig instead of streaming it. */
 RunOutcome
 runWith(scenario::ScenarioSpec spec, bool upfront, unsigned threads,
-        cluster::SchedulerBackend sched =
-            cluster::SchedulerBackend::Event)
+        bool exact = false)
 {
-    spec.upfrontArrivals = upfront;
     spec.threads = threads;
-    spec.scheduler = sched;
+    spec.exactQuantum = exact;
     scenario::ScenarioRunner runner(std::move(spec));
+    cluster::ClusterConfig cfg = runner.clusterConfig();
+    const cluster::UpfrontTraffic replay(*cfg.traffic);
+    if (upfront)
+        cfg.traffic = &replay;
+    cluster::Cluster fleet(cfg);
     RunOutcome out;
-    out.report = runner.run();
+    out.report = fleet.run();
     for (std::size_t m = 0; m < out.report.machines.size(); ++m)
         out.ledgers.push_back(
-            runner.cluster().ledger(static_cast<unsigned>(m)).records());
+            fleet.ledger(static_cast<unsigned>(m)).records());
     return out;
 }
 
@@ -158,20 +166,22 @@ expectIdentical(const RunOutcome &a, const RunOutcome &b)
 
 /** The full delivery-mode matrix for one spec: streaming must equal
  *  upfront at 1 and 16 threads, survive 4/16-thread streaming, and
- *  agree with the epoch oracle while streaming. */
+ *  agree with the exact-quantum oracle while streaming. */
 void
 checkStreamingMatrix(const scenario::ScenarioSpec &spec)
 {
     const RunOutcome serial = runWith(spec, false, 1);
-    EXPECT_EQ(serial.report.arrivalFlow.mode, "streaming");
     const RunOutcome upfront = runWith(spec, true, 1);
-    EXPECT_EQ(upfront.report.arrivalFlow.mode, "upfront");
+    // Same model name either way; upfront holds the whole trace.
+    EXPECT_EQ(serial.report.arrivalFlow.model,
+              upfront.report.arrivalFlow.model);
+    EXPECT_EQ(upfront.report.arrivalFlow.bufferedMax,
+              upfront.report.arrivals);
     expectIdentical(serial, upfront);
     expectIdentical(serial, runWith(spec, false, 4));
     expectIdentical(serial, runWith(spec, false, 16));
     expectIdentical(serial, runWith(spec, true, 16));
-    expectIdentical(serial, runWith(spec, false, 1,
-                                    cluster::SchedulerBackend::Epoch));
+    expectIdentical(serial, runWith(spec, false, 1, true));
 }
 
 scenario::ScenarioSpec
@@ -245,8 +255,8 @@ TEST(StreamingDifferential, ChaosOverlap)
 {
     // Crashes + backoff retries while arrivals stream in: retry
     // re-dispatches interleave with lazily pulled arrivals, and the
-    // stochastic fault schedule must come out identical because both
-    // modes report the same horizon hint.
+    // stochastic fault schedule must come out identical because
+    // UpfrontTraffic forwards the model's horizon hint.
     const auto spec = baseSpec("fault.crash.mtbf = 0.4\n"
                                "fault.crash.restart = 0.05\n"
                                "fault.retry = backoff\n"
@@ -332,7 +342,6 @@ TEST(StreamingContract, ReplayStreamReportsUpfrontCost)
     const auto stream = cluster::replayStream(trace, "canned");
     EXPECT_EQ(stream->model(), "canned");
     EXPECT_EQ(stream->bufferedMax(), 3u);
-    EXPECT_EQ(stream->horizonHint(), 1.0);
     EXPECT_EQ(drain(*stream).size(), 3u);
 }
 
@@ -371,63 +380,16 @@ TEST(StreamingContract, GenerateIsTheStreamDrainedForEveryModel)
     }
 }
 
-/** A legacy-style model: generate() only, no open() override. */
-class GenerateOnly final : public scenario::TrafficModel
-{
-  public:
-    std::string name() const override { return "generate-only"; }
-    std::vector<Invocation>
-    generate(Rng &rng,
-             const std::vector<const FunctionSpec *> &pool)
-        const override
-    {
-        std::vector<Invocation> out;
-        for (std::uint64_t i = 0; i < 100; ++i) {
-            Invocation inv;
-            inv.spec = pool[rng.below(pool.size())];
-            inv.arrival = 0.5 * static_cast<double>(i + 1);
-            inv.seq = i;
-            out.push_back(inv);
-        }
-        return out;
-    }
-};
-
-TEST(StreamingContract, GenerateOnlyModelsStreamViaTheAdapter)
-{
-    GenerateOnly model;
-    Rng rng(3);
-    const auto stream = model.open(rng, onePool());
-    ASSERT_NE(stream, nullptr);
-    // The adapter pays the honest upfront cost and knows the exact
-    // horizon (the fault-plan fallback for custom models).
-    EXPECT_EQ(stream->bufferedMax(), 100u);
-    EXPECT_EQ(stream->horizonHint(), 50.0);
-    EXPECT_EQ(drain(*stream).size(), 100u);
-}
-
-TEST(StreamingContractDeath, ImplementingNeitherIsFatal)
-{
-    class Neither final : public scenario::TrafficModel
-    {
-      public:
-        std::string name() const override { return "neither"; }
-    };
-    Neither model;
-    Rng rng(1);
-    EXPECT_EXIT((void)model.open(rng, onePool()),
-                ::testing::ExitedWithCode(1), "implements neither");
-    EXPECT_EXIT((void)model.generate(rng, onePool()),
-                ::testing::ExitedWithCode(1), "implements neither");
-}
-
-/** A broken stream for contract-enforcement death tests. */
+/** A broken stream for contract-enforcement death tests: its second
+ *  arrival is @p second (earlier than the first, or NaN). */
 class BrokenStream final : public ArrivalStream
 {
   public:
     BrokenStream(bool nullSpec,
-                 const std::vector<const FunctionSpec *> &pool)
-        : ArrivalStream("broken"), nullSpec_(nullSpec), pool_(pool)
+                 const std::vector<const FunctionSpec *> &pool,
+                 Seconds second = 0.5)
+        : ArrivalStream("broken"), nullSpec_(nullSpec), pool_(pool),
+          second_(second)
     {
     }
 
@@ -436,14 +398,14 @@ class BrokenStream final : public ArrivalStream
     {
         ++calls_;
         out.spec = nullSpec_ ? nullptr : pool_[0];
-        // Second arrival travels back in time.
-        out.arrival = calls_ == 1 ? 1.0 : 0.5;
+        out.arrival = calls_ == 1 ? 1.0 : second_;
         return calls_ <= 2;
     }
 
   private:
     bool nullSpec_;
     std::vector<const FunctionSpec *> pool_;
+    Seconds second_;
     unsigned calls_ = 0;
 };
 
@@ -464,6 +426,18 @@ TEST(StreamingContractDeath, BaseEnforcesOrderAndSpecs)
             stream.next(inv);
         },
         ::testing::ExitedWithCode(1), "out-of-order arrivals");
+    // NaN compares false against everything: without an explicit
+    // check it would slip past the ordering test and never dispatch.
+    EXPECT_EXIT(
+        {
+            BrokenStream stream(false, pool,
+                                std::numeric_limits<double>::quiet_NaN());
+            Invocation inv;
+            stream.next(inv);
+            stream.next(inv);
+        },
+        ::testing::ExitedWithCode(1),
+        "traffic model 'broken' emitted a non-finite arrival");
 }
 
 TEST(StreamingContract, ArrivalSeedIsItsOwnStreamFamily)
@@ -681,20 +655,15 @@ TEST(StreamingScenarioKeys, AzureAndArrivalsKeysParse)
         scenario::ScenarioSpec::fromString("traffic = azure\n"
                                            "azure.path = day.csv\n"
                                            "azure.max_rows = 1000\n"
-                                           "azure.rate_scale = 2.5\n"
-                                           "arrivals = upfront\n");
+                                           "azure.rate_scale = 2.5\n");
     EXPECT_EQ(spec.traffic.model, "azure");
     EXPECT_EQ(spec.traffic.azurePath, "day.csv");
     EXPECT_EQ(spec.traffic.azureMaxRows, 1000u);
     EXPECT_DOUBLE_EQ(spec.traffic.azureRateScale, 2.5);
-    EXPECT_TRUE(spec.upfrontArrivals);
     // Like trace, an azure replay with no explicit cap plays the
     // whole file instead of truncating at the generative default.
     EXPECT_EQ(spec.traffic.invocations, 0u);
 
-    EXPECT_FALSE(scenario::ScenarioSpec::fromString(
-                     "arrivals = streaming\n")
-                     .upfrontArrivals);
     EXPECT_EQ(scenario::ScenarioSpec::fromString("invocations = 70\n"
                                                  "traffic = azure\n")
                   .traffic.invocations,
@@ -713,9 +682,15 @@ TEST(StreamingScenarioKeys, RelativeAzurePathResolvesAgainstFile)
 
 TEST(StreamingScenarioKeysDeath, BadArrivalsValueIsFatal)
 {
+    // Delivery is no longer a scenario knob: `arrivals` (and the old
+    // `scheduler` key) hit the unknown-key fatal like any typo.
     EXPECT_EXIT(
-        (void)scenario::ScenarioSpec::fromString("arrivals = eager\n"),
-        ::testing::ExitedWithCode(1), "streaming");
+        (void)scenario::ScenarioSpec::fromString("arrivals = upfront\n"),
+        ::testing::ExitedWithCode(1), "unknown scenario key 'arrivals'");
+    EXPECT_EXIT(
+        (void)scenario::ScenarioSpec::fromString("scheduler = epoch\n"),
+        ::testing::ExitedWithCode(1),
+        "unknown scenario key 'scheduler'");
 }
 
 } // namespace

@@ -2,8 +2,7 @@
  * @file
  * Tests for the scenario layer: pluggable traffic models (empirical
  * rate, seed determinism, trace replay exactness, malformed input),
- * declarative scenario specs, and the ScenarioRunner's bit-exact
- * equivalence with the legacy fleet path.
+ * declarative scenario specs, and the ScenarioRunner's determinism.
  */
 
 #include <cmath>
@@ -297,24 +296,39 @@ TEST(TrafficRegistry, BuiltinsPresentAndUnknownFatal)
 
 TEST(TrafficRegistry, CustomModelsPlugIn)
 {
+    class Ticks final : public cluster::ArrivalStream
+    {
+      public:
+        Ticks(Rng &rng, const std::vector<const FunctionSpec *> &pool)
+            : ArrivalStream("metronome"), rng_(rng.fork()), pool_(pool)
+        {
+        }
+
+      protected:
+        bool produce(Invocation &out) override
+        {
+            if (emitted_ == 100)
+                return false;
+            ++emitted_;
+            out.spec = pool_[rng_.below(pool_.size())];
+            out.arrival = 1e-3 * static_cast<double>(emitted_);
+            return true;
+        }
+
+      private:
+        Rng rng_;
+        std::vector<const FunctionSpec *> pool_;
+        std::uint64_t emitted_ = 0;
+    };
     class EveryMillisecond final : public TrafficModel
     {
       public:
         std::string name() const override { return "metronome"; }
-        std::vector<Invocation>
-        generate(Rng &rng,
-                 const std::vector<const FunctionSpec *> &pool)
+        std::unique_ptr<cluster::ArrivalStream>
+        open(Rng &rng, const std::vector<const FunctionSpec *> &pool)
             const override
         {
-            std::vector<Invocation> out;
-            for (std::uint64_t i = 0; i < 100; ++i) {
-                Invocation inv;
-                inv.spec = pool[rng.below(pool.size())];
-                inv.arrival = 1e-3 * static_cast<double>(i + 1);
-                inv.seq = i;
-                out.push_back(inv);
-            }
-            return out;
+            return std::make_unique<Ticks>(rng, pool);
         }
     };
     registerTrafficModel("metronome", [](const TrafficSpec &) {
@@ -447,6 +461,30 @@ TEST(ScenarioSpec, BuilderChainsAndNamedSetsResolve)
     EXPECT_EQ(ScenarioSpec().functionPool(), workload::allFunctions());
 }
 
+TEST(ScenarioSpecDeath, UnsignedKeysRejectWraparound)
+{
+    // 2^32 + 1 would cast to 1: every unsigned key refuses instead,
+    // naming itself.
+    EXPECT_EXIT((void)ScenarioSpec::fromString("threads = 4294967297\n"),
+                ::testing::ExitedWithCode(1),
+                "scenario key 'threads' must be <= 4294967295");
+    EXPECT_EXIT(
+        (void)ScenarioSpec::fromString("calibration_levels = 4294967296\n"),
+        ::testing::ExitedWithCode(1),
+        "scenario key 'calibration_levels' must be <= 4294967295");
+    EXPECT_EXIT(
+        (void)ScenarioSpec::fromString("fault.retry.max = 4294967297\n"),
+        ::testing::ExitedWithCode(1),
+        "scenario key 'fault.retry.max' must be <= 4294967295");
+    EXPECT_EXIT(
+        (void)ScenarioSpec::fromString("fleet = cascade-5218:4294967297\n"),
+        ::testing::ExitedWithCode(1),
+        "fleet spec: machine count '4294967297'.*must be <= 4294967295");
+    // The largest representable value still parses.
+    EXPECT_EQ(ScenarioSpec::fromString("threads = 4294967295\n").threads,
+              4294967295u);
+}
+
 TEST(ScenarioSpecDeath, MalformedScenarios)
 {
     EXPECT_EXIT((void)ScenarioSpec::fromString("warp_speed = 9\n"),
@@ -471,7 +509,7 @@ TEST(ScenarioSpecDeath, MalformedScenarios)
                 ::testing::ExitedWithCode(1), "");
 }
 
-// ---- runner equivalence with the legacy fleet path --------------------
+// ---- the scenario runner ----------------------------------------------
 
 /** An 8-core cut of the Cascade Lake preset, registered once so
  *  fleet specs can name it. */
@@ -487,30 +525,6 @@ testMachine()
         return cfg.name;
     }();
     return name;
-}
-
-TEST(ScenarioRunner, PoissonModelMatchesLegacyClusterBitExactly)
-{
-    // The legacy path: ClusterConfig's built-in inline Poisson source.
-    cluster::ClusterConfig cfg;
-    cfg.fleet = {{testMachine(), 2}};
-    cfg.policy = cluster::DispatchPolicy::WarmthAware;
-    cfg.arrivalsPerSecond = 4000;
-    cfg.invocations = 120;
-    cfg.functionPool = onePool();
-    cfg.seed = 11;
-    cfg.threads = 1;
-    cluster::Cluster legacy(cfg);
-    const cluster::FleetReport &legacyReport = legacy.run();
-
-    // The scenario path: the same knobs through the poisson plugin.
-    TrafficSpec traffic;
-    traffic.arrivalsPerSecond = cfg.arrivalsPerSecond;
-    traffic.invocations = cfg.invocations;
-    const auto model = makeTrafficModel(traffic);
-    cfg.traffic = model.get();
-    cluster::Cluster viaModel(cfg);
-    EXPECT_TRUE(cluster::identicalTotals(legacyReport, viaModel.run()));
 }
 
 TEST(ScenarioRunner, FileAndBuilderSpecsProduceIdenticalReports)
