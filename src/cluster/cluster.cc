@@ -408,9 +408,7 @@ Cluster::dispatch(const Invocation &inv,
     // An idle machine may lag the fleet grid (the event core never
     // steps idle engines); land it on the canonical clock before the
     // work arrives. No-op when the engine stepped every quantum.
-    if (m.engine.tickCount() < fleetTick_)
-        m.engine.skipIdleQuanta(fleetTick_ - m.engine.tickCount(),
-                                fleetClock_);
+    m.engine.runToTick(fleetTick_, fleetClock_);
 
     sim::Task &handle = m.engine.add(std::move(task));
     m.live.emplace(handle.id(),
@@ -914,17 +912,24 @@ Cluster::serveEvent(Serve &s)
             advanceFleetEpochs(1);
         }
 
-        // Advance every busy machine to the new barrier in parallel;
-        // idle machines are never stepped — they sync lazily at their
-        // next dispatch via Engine::skipIdleQuanta. The oracle steps
-        // every machine.
+        // Advance every busy machine to the new barrier in parallel.
+        // A busy engine steps only until it drains, then elides the
+        // rest of the batch; idle machines get no job at all — they
+        // sync lazily at their next dispatch. The oracle steps every
+        // machine through every quantum.
         jobs.clear();
         const std::uint64_t quanta = epochs * epochQuanta_;
+        const std::uint64_t tick = fleetTick_;
+        const Seconds clock = fleetClock_;
         for (const auto &m : machines_) {
             Machine *machine = m.get();
-            if (cfg_.exactQuantum || machine->engine.taskCount() > 0)
+            if (cfg_.exactQuantum)
                 jobs.emplace_back([machine, quanta] {
                     machine->engine.runQuanta(quanta);
+                });
+            else if (machine->engine.taskCount() > 0)
+                jobs.emplace_back([machine, tick, clock] {
+                    machine->engine.runToTick(tick, clock);
                 });
         }
         if (!jobs.empty())
@@ -941,11 +946,8 @@ Cluster::serveEvent(Serve &s)
 
     // Land every engine on the final barrier, so inspection (and the
     // quanta + skipped conservation identity) sees one fleet clock.
-    for (const auto &m : machines_) {
-        if (m->engine.tickCount() < fleetTick_)
-            m->engine.skipIdleQuanta(
-                fleetTick_ - m->engine.tickCount(), fleetClock_);
-    }
+    for (const auto &m : machines_)
+        m->engine.runToTick(fleetTick_, fleetClock_);
     return fleetClock_;
 }
 

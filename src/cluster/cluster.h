@@ -19,9 +19,11 @@
  * cluster (single-threaded) routes the arrivals that came due, using
  * machine snapshots taken at the barrier — an invocation starts at
  * the first epoch boundary at or after its arrival, never early. The
- * loop only takes the barriers a typed event queue says matter (idle
- * machines are never stepped at all); `exactQuantum` marches every
- * grid barrier with every machine stepped and serves as the
+ * loop only takes the barriers a typed event queue says matter, and
+ * steps only engines with live work: idle machines are never stepped
+ * at all, and a busy engine that drains mid-batch elides the idle
+ * tail up to the barrier (Engine::runToTick). `exactQuantum` marches
+ * every grid barrier with every machine stepped and serves as the
  * differential oracle. All cross-thread state is barrier-local, so a
  * fixed seed gives bit-identical fleet totals at any thread count in
  * either mode.
@@ -112,8 +114,8 @@ struct ClusterConfig
 
     /**
      * The differential oracle (--exact-quantum): one epoch per
-     * barrier, every machine stepped every quantum (never
-     * skipIdleQuanta), engine fast-forward off. Fleet totals are
+     * barrier, every machine stepped every quantum (never an elided
+     * idle quantum), engine fast-forward off. Fleet totals are
      * bit-identical either way; exact mode exists for differential
      * validation and baseline timing.
      */
@@ -264,7 +266,9 @@ struct SchedulerCounters
     std::uint64_t eventsProgress = 0;  ///< barriers with live work
     /** @} */
 
-    /** Idle quanta elided across all engines (never stepped). */
+    /** Idle quanta elided across all engines (never stepped): whole
+     *  idle stretches plus the tail of a batch after a busy engine
+     *  drains. */
     std::uint64_t idleQuantaSkipped = 0;
 
     /** Dispatch/harvest barriers the loop actually took. */
@@ -515,9 +519,11 @@ class Cluster
 
     /** @name Canonical fleet clock @{ */
     /**
-     * Quanta since t=0 on the fleet grid. Busy engines step every
-     * one; idle engines catch up via Engine::skipIdleQuanta at their
-     * next dispatch (so their clocks land on fleetClock_ exactly).
+     * Quanta since t=0 on the fleet grid. Engines step the quanta in
+     * which they hold live work and elide the rest via
+     * Engine::runToTick — at the barrier a busy engine reaches, or at
+     * an idle engine's next dispatch — so every clock lands on
+     * fleetClock_ exactly.
      */
     std::uint64_t fleetTick_ = 0;
 

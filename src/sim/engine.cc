@@ -235,17 +235,20 @@ Engine::step()
 }
 
 void
-Engine::skipIdleQuanta(std::uint64_t n, Seconds clock)
+Engine::runToTick(std::uint64_t tick, Seconds clock)
 {
+    if (tick < tickCount_)
+        fatal("Engine::runToTick: tick ", tick, " is behind tick ",
+              tickCount_);
+    // A completion callback may add work (invoker churn), so liveness
+    // is re-read every quantum.
+    while (tickCount_ < tick && (!tasks_.empty() || !quantumCbs_.empty()))
+        step();
+    const std::uint64_t n = tick - tickCount_;
     if (n == 0)
         return;
-    if (!tasks_.empty())
-        fatal("Engine::skipIdleQuanta: ", tasks_.size(),
-              " tasks still live — only wholly idle machines may skip");
-    if (!quantumCbs_.empty())
-        fatal("Engine::skipIdleQuanta: per-quantum observers are "
-              "registered; they would miss ", n, " callbacks");
-    // Plausibility only — the caller's canonical clock accumulated the
+    // The remaining n quanta are wholly idle: jump to the caller's
+    // clock. Plausibility only — that canonical clock accumulated the
     // same fadd sequence this engine would have, so the two agree to
     // bit-identity when the protocol is followed; a gross mismatch
     // means the caller skipped to the wrong tick. The tolerance must
@@ -259,7 +262,7 @@ Engine::skipIdleQuanta(std::uint64_t n, Seconds clock)
         static_cast<double>(n) * std::abs(expected) *
         std::numeric_limits<double>::epsilon();
     if (std::abs(clock - expected) > 1e-6 + driftBound)
-        fatal("Engine::skipIdleQuanta: clock ", clock,
+        fatal("Engine::runToTick: clock ", clock,
               " is not ", n, " quanta ahead of now ", now_);
     now_ = clock;
     machine_.time = now_;

@@ -55,6 +55,8 @@ struct EngineStats
                               "per-quantum L3 access-path utilization"};
     AverageStat memUtilization{"mem_utilization",
                                "per-quantum DRAM bandwidth utilization"};
+    /** Averaged over stepped quanta only: idle quanta elided by
+     *  runToTick() take no sample. */
     AverageStat runningThreads{"running_threads",
                                "hardware threads busy per quantum"};
     AverageStat frequencyGhz{"frequency_ghz",
@@ -68,7 +70,7 @@ struct EngineStats
     CounterStat solveMemoHits{"solve_memo_hits",
                               "contention solves served from the memo"};
     CounterStat skippedQuanta{"skipped_quanta",
-                              "idle quanta elided by skipIdleQuanta"};
+                              "idle quanta elided by runToTick"};
     /** @} */
 
     /** Register every member under the given group. */
@@ -145,24 +147,28 @@ class Engine
 
     /**
      * Quanta this engine has lived through: executed steps plus idle
-     * quanta elided by skipIdleQuanta(). During a quantum's step() the
+     * quanta elided by runToTick(). During a quantum's step() the
      * count already includes that quantum (1-based), so completion
      * callbacks read the tick the completion belongs to.
      */
     std::uint64_t tickCount() const { return tickCount_; }
 
     /**
-     * Elide @p n wholly idle quanta in O(1): no live tasks means a
-     * step touches nothing task-visible except the clock, so the
-     * engine jumps straight to @p clock — the *caller's* canonical
-     * clock for the destination tick, assigned (not accumulated) so an
-     * idle machine lands on bit-identical time as one that stepped
-     * every quantum against the same shared fadd sequence. fatal() if
-     * tasks are live or per-quantum observers are registered (those
-     * would have fired n times). Counted in stats().skippedQuanta, not
-     * quanta.
+     * Advance to lifetime tick @p tick, landing on @p clock — the
+     * *caller's* canonical clock for that tick. Steps while tasks are
+     * live or per-quantum observers are registered (those must fire
+     * every quantum). Once the engine drains, the rest of the way is
+     * elided in O(1): with no live task a step touches nothing
+     * task-visible except the clock, so the engine jumps straight to
+     * @p clock, assigned (not accumulated) so it lands on bit-identical
+     * time as an engine that stepped every quantum against the same
+     * shared fadd sequence. Every task-visible result therefore equals
+     * runQuanta(tick - tickCount()); only the diagnostics differ
+     * (elided quanta count in stats().skippedQuanta, not quanta, and
+     * take no per-quantum stat samples). fatal() if @p tick lies
+     * behind tickCount() or @p clock is not the elided quanta ahead.
      */
-    void skipIdleQuanta(std::uint64_t n, Seconds clock);
+    void runToTick(std::uint64_t tick, Seconds clock);
 
     /** Machine-wide uncore counters. */
     const MachineCounters &machineCounters() const { return machine_; }

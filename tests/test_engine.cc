@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the quantum-stepped engine: accounting identities, probe
- * capture, completion callbacks, churn, and determinism.
+ * capture, completion callbacks, churn, determinism, and idle-quantum
+ * elision (runToTick).
  */
 
 #include <gtest/gtest.h>
@@ -337,6 +338,112 @@ TEST(Engine, RunQuantaExecutesExactCount)
     engine.runQuanta(7);
     EXPECT_EQ(engine.stats().quanta.value(), 7.0);
     EXPECT_NEAR(engine.now(), 7 * 50e-6, 1e-12);
+}
+
+/** The canonical clock after @p n quanta: one fadd per quantum from 0,
+ *  the sequence a fleet grid (and a stepping engine) accumulates. */
+Seconds
+gridClock(std::uint64_t n, Seconds quantum)
+{
+    Seconds clock = 0;
+    for (std::uint64_t i = 0; i < n; ++i)
+        clock += quantum;
+    return clock;
+}
+
+TEST(Engine, RunToTickElidesTheDrainedTail)
+{
+    // A short task drains in a few quanta; runToTick steps only those
+    // and elides the rest, landing where stepping every quantum lands
+    // with the same completion, counters and clock bit for bit.
+    const std::uint64_t ticks = 400;
+    Engine stepped(smallMachine());
+    Engine elided(smallMachine());
+    TaskCounters steppedCounters, elidedCounters;
+    Seconds steppedFinish = 0, elidedFinish = 0;
+    stepped.onCompletion([&](Task &t) {
+        steppedCounters = t.counters();
+        steppedFinish = t.completionTime();
+    });
+    elided.onCompletion([&](Task &t) {
+        elidedCounters = t.counters();
+        elidedFinish = t.completionTime();
+    });
+    stepped.add(simpleTask(1));
+    elided.add(simpleTask(1));
+
+    stepped.runQuanta(ticks);
+    elided.runToTick(ticks, gridClock(ticks, elided.quantum()));
+
+    EXPECT_EQ(elided.now(), stepped.now());
+    EXPECT_EQ(elided.tickCount(), ticks);
+    EXPECT_EQ(elided.taskCount(), 0u);
+    EXPECT_EQ(elidedFinish, steppedFinish);
+    EXPECT_EQ(elidedCounters.instructions, steppedCounters.instructions);
+    EXPECT_EQ(elidedCounters.cycles, steppedCounters.cycles);
+    EXPECT_EQ(elidedCounters.stallSharedCycles,
+              steppedCounters.stallSharedCycles);
+    EXPECT_EQ(elided.machineCounters().l3Accesses,
+              stepped.machineCounters().l3Accesses);
+
+    const EngineStats &st = elided.stats();
+    EXPECT_GT(st.quanta.value(), 0.0);
+    EXPECT_LT(st.quanta.value(), 0.25 * ticks);
+    EXPECT_EQ(st.quanta.value() + st.skippedQuanta.value(),
+              static_cast<double>(ticks));
+    EXPECT_EQ(stepped.stats().skippedQuanta.value(), 0.0);
+}
+
+TEST(Engine, RunToTickStepsWhileATaskIsLive)
+{
+    // Work still running at the target: every quantum is stepped.
+    Engine engine(smallMachine());
+    engine.add(std::make_unique<workload::EndlessTask>(
+        "g", ResourceDemand{}));
+    engine.runToTick(30, gridClock(30, engine.quantum()));
+    EXPECT_EQ(engine.stats().quanta.value(), 30.0);
+    EXPECT_EQ(engine.stats().skippedQuanta.value(), 0.0);
+    EXPECT_EQ(engine.now(), gridClock(30, engine.quantum()));
+    // Already at the target: a no-op.
+    engine.runToTick(30, engine.now());
+    EXPECT_EQ(engine.tickCount(), 30u);
+}
+
+TEST(Engine, RunToTickOnAnIdleEngineIsOneSkip)
+{
+    Engine engine(smallMachine());
+    const std::uint64_t ticks = 1'000'000;
+    const Seconds clock = gridClock(ticks, engine.quantum());
+    engine.runToTick(ticks, clock);
+    EXPECT_EQ(engine.stats().quanta.value(), 0.0);
+    EXPECT_EQ(engine.stats().skippedQuanta.value(),
+              static_cast<double>(ticks));
+    EXPECT_EQ(engine.now(), clock);
+}
+
+TEST(Engine, RunToTickKeepsSteppingForObservers)
+{
+    // Per-quantum observers must see every quantum, so an idle engine
+    // with one registered steps instead of eliding.
+    Engine engine(smallMachine());
+    unsigned calls = 0;
+    engine.onQuantum([&](Seconds, const SharedState &) { ++calls; });
+    engine.runToTick(25, gridClock(25, engine.quantum()));
+    EXPECT_EQ(calls, 25u);
+    EXPECT_EQ(engine.stats().quanta.value(), 25.0);
+    EXPECT_EQ(engine.stats().skippedQuanta.value(), 0.0);
+    EXPECT_EQ(engine.now(), gridClock(25, engine.quantum()));
+}
+
+TEST(Engine, RunToTickRejectsBadTargets)
+{
+    Engine engine(smallMachine());
+    engine.runQuanta(5);
+    EXPECT_EXIT(engine.runToTick(4, 4 * engine.quantum()),
+                ::testing::ExitedWithCode(1), "behind");
+    // A clock a whole quantum off the destination tick.
+    EXPECT_EXIT(engine.runToTick(10, 9 * engine.quantum()),
+                ::testing::ExitedWithCode(1), "quanta ahead");
 }
 
 TEST(Engine, RejectsFractionalNanosecondQuantum)

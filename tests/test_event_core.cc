@@ -43,6 +43,9 @@ struct RunOutcome
     cluster::FleetReport report;
     /** Per-machine ledger records (copied out of the cluster). */
     std::vector<std::vector<pricing::BillRecord>> ledgers;
+    /** Per-machine engine quanta: stepped, and idle-elided. */
+    std::vector<double> stepped;
+    std::vector<double> skipped;
 };
 
 RunOutcome
@@ -53,9 +56,12 @@ runWith(scenario::ScenarioSpec spec, bool exact, unsigned threads = 1)
     scenario::ScenarioRunner runner(std::move(spec));
     RunOutcome out;
     out.report = runner.run();
-    for (std::size_t m = 0; m < out.report.machines.size(); ++m)
-        out.ledgers.push_back(
-            runner.cluster().ledger(static_cast<unsigned>(m)).records());
+    for (unsigned m = 0; m < out.report.machines.size(); ++m) {
+        out.ledgers.push_back(runner.cluster().ledger(m).records());
+        const sim::EngineStats &st = runner.cluster().engine(m).stats();
+        out.stepped.push_back(st.quanta.value());
+        out.skipped.push_back(st.skippedQuanta.value());
+    }
     return out;
 }
 
@@ -319,6 +325,49 @@ TEST(EventCoreCounters, EventCoreSkipsIdleWork)
     EXPECT_EQ(ev.eventsArrival, ex.eventsArrival);
     EXPECT_EQ(ev.eventsRetry, ex.eventsRetry);
     EXPECT_EQ(ev.eventsFault, ex.eventsFault);
+}
+
+TEST(EventCoreCounters, DrainedEnginesStopStepping)
+{
+    // Invocations finish within a fraction of a second and the next
+    // arrival is 1.5 s away, so each busy batch runs far past the
+    // point its engines drain. The default loop must step only the
+    // quanta that hold live work and elide the drained tail, covering
+    // exactly the oracle's grid with identical output.
+    const std::string tracePath = writeTempFile(
+        "event_core_drained.csv", "0.01,float-py\n"
+                                  "0.012,aes-go\n"
+                                  "1.5,float-py\n"
+                                  "3.0,aes-go\n"
+                                  "3.002,float-py\n"
+                                  "4.5,aes-go\n");
+    const auto spec = baseSpec("traffic = trace\n"
+                               "trace.path = " + tracePath + "\n");
+    const RunOutcome serial = runWith(spec, false, 1);
+    const RunOutcome exact = runWith(spec, true, 1);
+    expectIdentical(serial, exact);
+
+    double steppedDefault = 0, steppedExact = 0;
+    ASSERT_EQ(serial.stepped.size(), exact.stepped.size());
+    for (std::size_t m = 0; m < serial.stepped.size(); ++m) {
+        steppedDefault += serial.stepped[m];
+        steppedExact += exact.stepped[m];
+        EXPECT_EQ(exact.skipped[m], 0.0) << "machine " << m;
+        EXPECT_EQ(serial.stepped[m] + serial.skipped[m], exact.stepped[m])
+            << "machine " << m;
+    }
+    EXPECT_GT(steppedDefault, 0.0);
+    // Stepping busy engines to each batch's barrier would cost about
+    // half the oracle's quanta here; the busy quanta alone are < 10%.
+    EXPECT_LT(steppedDefault, 0.15 * steppedExact);
+
+    for (unsigned threads : {4u, 16u}) {
+        const RunOutcome parallel = runWith(spec, false, threads);
+        expectIdentical(serial, parallel);
+        EXPECT_EQ(parallel.stepped, serial.stepped);
+        EXPECT_EQ(parallel.skipped, serial.skipped);
+        expectIdentical(serial, runWith(spec, true, threads));
+    }
 }
 
 // ---- quantum agreement (config-time validation) ----------------------

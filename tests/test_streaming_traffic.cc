@@ -166,8 +166,9 @@ expectIdentical(const RunOutcome &a, const RunOutcome &b)
 
 /** The full delivery-mode matrix for one spec: streaming must equal
  *  upfront at 1 and 16 threads, survive 4/16-thread streaming, and
- *  agree with the exact-quantum oracle while streaming. */
-void
+ *  agree with the exact-quantum oracle while streaming. Returns the
+ *  serial streaming outcome. */
+RunOutcome
 checkStreamingMatrix(const scenario::ScenarioSpec &spec)
 {
     const RunOutcome serial = runWith(spec, false, 1);
@@ -182,6 +183,7 @@ checkStreamingMatrix(const scenario::ScenarioSpec &spec)
     expectIdentical(serial, runWith(spec, false, 16));
     expectIdentical(serial, runWith(spec, true, 16));
     expectIdentical(serial, runWith(spec, false, 1, true));
+    return serial;
 }
 
 scenario::ScenarioSpec
@@ -198,13 +200,16 @@ baseSpec(const std::string &extra = "")
         extra);
 }
 
+/** A 450-invocation azure-shaped trace over @p minutes. One minute
+ *  keeps the exact oracle, which steps every idle quantum, cheap. */
 std::string
-smallAzureCsv(const std::string &name, std::uint64_t seed)
+smallAzureCsv(const std::string &name, std::uint64_t seed,
+              unsigned minutes = 1)
 {
     scenario::AzureTraceGenSpec gen;
     gen.functions = 200;
-    gen.minutes = 3;
-    gen.invocationsPerMinute = 150.0;
+    gen.minutes = minutes;
+    gen.invocationsPerMinute = 450.0 / minutes;
     gen.seed = seed;
     const std::string path = ::testing::TempDir() + name;
     scenario::writeAzureShapedCsv(path, gen);
@@ -271,12 +276,16 @@ TEST(StreamingDifferential, AzureChaosOverlap)
 {
     const std::string path =
         smallAzureCsv("streaming_azure_chaos.csv", 6);
-    checkStreamingMatrix(
+    // mtbf 12 s on the one-minute trace: about a dozen crashes, a few
+    // of them killing in-flight work that is then retried.
+    const RunOutcome serial = checkStreamingMatrix(
         baseSpec("traffic = azure\n"
                  "azure.path = " + path + "\n"
-                 "fault.crash.mtbf = 40\n"
+                 "fault.crash.mtbf = 12\n"
                  "fault.crash.restart = 2\n"
                  "fault.retry = retry-once\n"));
+    EXPECT_GE(serial.report.crashes, 1u);
+    EXPECT_GE(serial.report.retries, 1u);
 }
 
 // ---- the ArrivalStream contract --------------------------------------
@@ -575,7 +584,7 @@ TEST(StreamingAzure, GeneratorRoundTripServesEveryInvocation)
 
 TEST(StreamingAzure, BuffersOneMinuteAtATime)
 {
-    const std::string path = smallAzureCsv("azure_buffer.csv", 8);
+    const std::string path = smallAzureCsv("azure_buffer.csv", 8, 3);
     scenario::TrafficSpec spec;
     spec.model = "azure";
     spec.azurePath = path;
