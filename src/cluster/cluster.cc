@@ -9,6 +9,7 @@
 #include "cluster/epoch_pool.h"
 #include "cluster/event_queue.h"
 #include "common/logging.h"
+#include "common/repeated_add.h"
 #include "core/litmus_probe.h"
 #include "sim/machine_catalog.h"
 #include "workload/suite.h"
@@ -65,14 +66,19 @@ ClusterConfig::validate() const
     if (!traffic)
         fatal("ClusterConfig: traffic is null — every fleet needs an "
               "arrival process (e.g. a `poisson` scenario model)");
-    if (epoch <= 0)
-        fatal("ClusterConfig: epoch must be positive");
-    if (keepAlive < 0)
-        fatal("ClusterConfig: negative keep-alive");
-    if (drainCap <= 0)
-        fatal("ClusterConfig: drain cap must be positive");
-    if (sharingFactor <= 0)
-        fatal("ClusterConfig: sharing factor must be positive");
+    // Negated comparisons so NaN fails them too.
+    if (!(epoch > 0) || !std::isfinite(epoch))
+        fatal("ClusterConfig: epoch must be positive and finite, got ",
+              epoch);
+    if (!(keepAlive >= 0))
+        fatal("ClusterConfig: keep-alive must be non-negative, got ",
+              keepAlive);
+    if (!(drainCap > 0))
+        fatal("ClusterConfig: drain cap must be positive, got ",
+              drainCap);
+    if (!(sharingFactor > 0) || !std::isfinite(sharingFactor))
+        fatal("ClusterConfig: sharing factor must be positive and "
+              "finite, got ", sharingFactor);
     faults.validate();
 }
 
@@ -713,19 +719,35 @@ Cluster::anyLive() const
 void
 Cluster::advanceFleetEpochs(std::uint64_t epochs)
 {
-    const Seconds quantum = machines_.front()->engine.quantum();
     const std::uint64_t quanta = epochs * epochQuanta_;
-    // One fadd per quantum — the same accumulation every stepping
-    // engine performs, so synced engines land on fleetClock_ exactly.
-    for (std::uint64_t q = 0; q < quanta; ++q)
-        fleetClock_ += quantum;
+    // The closed form of one fadd per quantum — the accumulation every
+    // stepping engine performs — so synced engines land on fleetClock_
+    // exactly.
+    fleetClock_ = addRepeated(fleetClock_,
+                              machines_.front()->engine.quantum(), quanta);
     fleetTick_ += quanta;
 }
 
 std::uint64_t
-Cluster::advanceClockToCover(Seconds target)
+Cluster::advanceClockToCover(Seconds target, Seconds epochSpan)
 {
+    // Jump to two epochs short of the estimated cover, then walk the
+    // last barriers. The accumulated grid is monotone, so a jump that
+    // already reaches target would hide the minimal cover: then walk
+    // from the start instead.
     std::uint64_t epochs = 0;
+    const double gap = (target - fleetClock_) / epochSpan;
+    if (gap > 3) {
+        const auto jump = static_cast<std::uint64_t>(gap) - 2;
+        const Seconds landing =
+            addRepeated(fleetClock_, machines_.front()->engine.quantum(),
+                        jump * epochQuanta_);
+        if (landing < target) {
+            fleetClock_ = landing;
+            fleetTick_ += jump * epochQuanta_;
+            epochs = jump;
+        }
+    }
     do {
         advanceFleetEpochs(1);
         ++epochs;
@@ -888,7 +910,7 @@ Cluster::serveEvent(Serve &s)
                 // barrier is provably a no-op (nothing due, fleet
                 // state frozen between events) and harvest re-folds
                 // the batch's completions in oracle order.
-                epochs = advanceClockToCover(target);
+                epochs = advanceClockToCover(target, s.epochSpan);
             } else {
                 // Idle fleet: a conservative jump — floor(gap/span)
                 // epochs in one batch, then single steps to the

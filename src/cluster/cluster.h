@@ -459,19 +459,22 @@ class Cluster
     bool anyLive() const;
 
     /**
-     * Advance the canonical fleet clock by whole epochs, one fadd per
-     * quantum — the exact accumulation sequence every engine's clock
-     * performs, so the two stay bit-identical at equal tick counts.
+     * Advance the canonical fleet clock by whole epochs. The clock
+     * lands on the bits of one fadd per quantum — the accumulation
+     * every stepping engine's clock performs, so the two stay
+     * bit-identical at equal tick counts — computed in closed form by
+     * addRepeated(), at a cost independent of the quanta covered.
      */
     void advanceFleetEpochs(std::uint64_t epochs);
 
     /**
-     * Walk the fleet clock forward until it reaches the first epoch
-     * barrier at or past @p target (at least one epoch; dueness on
-     * the exact accumulated grid, no analytic division). Returns the
-     * epochs advanced.
+     * Advance the fleet clock to the first epoch barrier at or past
+     * @p target (at least one epoch; dueness on the exact accumulated
+     * grid). Jumps in closed form to two epochs of @p epochSpan short
+     * of the estimate, then walks barrier by barrier, so the epoch
+     * count returned is the minimal one a walk from the start finds.
      */
-    std::uint64_t advanceClockToCover(Seconds target);
+    std::uint64_t advanceClockToCover(Seconds target, Seconds epochSpan);
 
     /** Dispatch every due arrival and retry at the barrier @p now. */
     void dispatchDue(Serve &s, Seconds now);
@@ -527,8 +530,9 @@ class Cluster
      */
     std::uint64_t fleetTick_ = 0;
 
-    /** Simulated time at fleetTick_, accumulated one quantum-fadd per
-     *  tick — bit-identical to every synced engine's now(). */
+    /** Simulated time at fleetTick_: the bits of one quantum-fadd per
+     *  tick from t=0 (taken in closed form by addRepeated()), so it is
+     *  bit-identical to every synced engine's now(). */
     Seconds fleetClock_ = 0;
 
     /** Epoch length in whole quanta (set by run()). */

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/logging.h"
+#include "common/repeated_add.h"
 
 namespace litmus::sim
 {
@@ -165,6 +165,8 @@ Engine::setSpeedFactor(double factor)
 std::uint64_t
 Engine::quantaForDuration(Seconds duration) const
 {
+    if (!std::isfinite(duration))
+        fatal("Engine::run: duration ", duration, " is not finite");
     if (duration < 0)
         fatal("Engine::run: negative duration");
     // Integer nanosecond ticks end-to-end: float division against an
@@ -244,26 +246,21 @@ Engine::runToTick(std::uint64_t tick, Seconds clock)
     // is re-read every quantum.
     while (tickCount_ < tick && (!tasks_.empty() || !quantumCbs_.empty()))
         step();
+    // The remaining n quanta are wholly idle: jump to the caller's
+    // clock. That canonical clock carries the bits of the same fadd
+    // sequence this engine would have performed, so it must equal the
+    // closed form of those n fadds exactly — also when n == 0, where
+    // this checks the caller's clock against the engine's own
+    // stepping. Any difference means the caller skipped to the wrong
+    // tick or accumulated its clock differently.
     const std::uint64_t n = tick - tickCount_;
+    const Seconds expected = addRepeated(now_, quantum_, n);
+    if (clock != expected)
+        fatal("Engine::runToTick: clock ", clock, " is not ", n,
+              " quanta ahead of now ", now_, " (off by ",
+              clock - expected, " s)");
     if (n == 0)
         return;
-    // The remaining n quanta are wholly idle: jump to the caller's
-    // clock. Plausibility only — that canonical clock accumulated the
-    // same fadd sequence this engine would have, so the two agree to
-    // bit-identity when the protocol is followed; a gross mismatch
-    // means the caller skipped to the wrong tick. The tolerance must
-    // cover the drift between the caller's n sequential fadds and the
-    // single multiply here: each fadd near time t rounds by up to
-    // t*eps, so a day-long trace's multi-second idle skip legitimately
-    // accumulates several microseconds of divergence.
-    const Seconds expected =
-        now_ + static_cast<double>(n) * quantum_;
-    const Seconds driftBound =
-        static_cast<double>(n) * std::abs(expected) *
-        std::numeric_limits<double>::epsilon();
-    if (std::abs(clock - expected) > 1e-6 + driftBound)
-        fatal("Engine::runToTick: clock ", clock,
-              " is not ", n, " quanta ahead of now ", now_);
     now_ = clock;
     machine_.time = now_;
     tickCount_ += n;

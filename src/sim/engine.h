@@ -166,7 +166,11 @@ class Engine
      * runQuanta(tick - tickCount()); only the diagnostics differ
      * (elided quanta count in stats().skippedQuanta, not quanta, and
      * take no per-quantum stat samples). fatal() if @p tick lies
-     * behind tickCount() or @p clock is not the elided quanta ahead.
+     * behind tickCount(), or if @p clock differs in any bit from
+     * addRepeated(now(), quantum(), n) for the n quanta left after
+     * stepping — including n == 0, where @p clock must equal now():
+     * a caller that lands a stepped engine thereby cross-checks its
+     * own clock against the engine's per-quantum fadds.
      */
     void runToTick(std::uint64_t tick, Seconds clock);
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "cluster/cluster.h"
 #include "core/calibration.h"
 #include "poisson_traffic.h"
@@ -121,6 +123,42 @@ TEST(ClusterConfig, ValidateCatchesNonsense)
     cfg.traffic = test::poissonTraffic(4000, 10);
     cfg.epoch = 0;
     EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), "epoch");
+}
+
+TEST(ClusterConfig, ValidateRejectsNonFiniteKnobs)
+{
+    // NaN fails every ordered comparison, so `x <= 0` guards let it
+    // through: a NaN epoch hangs quantum accounting and a NaN drain
+    // cap silently disables the drain fatal.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const auto valid = [] {
+        ClusterConfig cfg;
+        cfg.traffic = test::poissonTraffic(4000, 10);
+        return cfg;
+    };
+    ClusterConfig cfg = valid();
+    cfg.epoch = nan;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), "epoch");
+    cfg = valid();
+    cfg.epoch = inf;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), "epoch");
+    cfg = valid();
+    cfg.keepAlive = nan;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "keep-alive");
+    cfg = valid();
+    cfg.drainCap = nan;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "drain cap");
+    cfg = valid();
+    cfg.sharingFactor = nan;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "sharing factor");
+    cfg = valid();
+    cfg.sharingFactor = inf;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "sharing factor");
 }
 
 TEST(ClusterConfig, NullTrafficIsFatal)

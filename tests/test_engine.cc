@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 
 #include "sim/machine.h"
@@ -444,6 +446,34 @@ TEST(Engine, RunToTickRejectsBadTargets)
     // A clock a whole quantum off the destination tick.
     EXPECT_EXIT(engine.runToTick(10, 9 * engine.quantum()),
                 ::testing::ExitedWithCode(1), "quanta ahead");
+    // The check is exact: one ULP off the accumulated grid is refused,
+    // on an elided landing and on one with nothing left to elide.
+    const Seconds grid10 = gridClock(10, engine.quantum());
+    EXPECT_EXIT(engine.runToTick(10, std::nextafter(grid10, 1.0)),
+                ::testing::ExitedWithCode(1), "quanta ahead");
+    EXPECT_EXIT(engine.runToTick(10, std::nextafter(grid10, 0.0)),
+                ::testing::ExitedWithCode(1), "quanta ahead");
+    EXPECT_EXIT(engine.runToTick(5, std::nextafter(engine.now(), 1.0)),
+                ::testing::ExitedWithCode(1), "quanta ahead");
+    engine.runToTick(10, grid10);
+    EXPECT_EQ(engine.now(), grid10);
+}
+
+TEST(Engine, RejectsNonFiniteDurations)
+{
+    // NaN passes both the `duration < 0` and the overflow guard;
+    // unchecked, run(NaN) asks for ~1.8e19 quanta.
+    Engine engine(smallMachine());
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EXIT(engine.quantaForDuration(nan),
+                ::testing::ExitedWithCode(1), "not finite");
+    EXPECT_EXIT(engine.run(nan), ::testing::ExitedWithCode(1),
+                "not finite");
+    EXPECT_EXIT(engine.run(inf), ::testing::ExitedWithCode(1),
+                "not finite");
+    EXPECT_EXIT(engine.run(-inf), ::testing::ExitedWithCode(1),
+                "not finite");
 }
 
 TEST(Engine, RejectsFractionalNanosecondQuantum)

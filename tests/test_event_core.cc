@@ -13,7 +13,9 @@
  * epoch march, which would silently move billing totals.
  */
 
+#include <cstdint>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,11 +24,15 @@
 #include "cluster/cluster.h"
 #include "scenario/scenario_runner.h"
 #include "sim/machine_catalog.h"
+#include "workload/suite.h"
 
 namespace litmus
 {
 namespace
 {
+
+/** Body scale stretching a sub-second function past a minute. */
+constexpr double kLongRunScale = 320;
 
 std::string
 writeTempFile(const std::string &name, const std::string &text)
@@ -296,6 +302,28 @@ TEST(EventCoreDifferential, ThreadCountInvariant)
     }
 }
 
+/** A fixed arrival list over borrowed function specs. */
+class ListTraffic final : public cluster::TrafficSource
+{
+  public:
+    explicit ListTraffic(std::vector<cluster::Invocation> arrivals)
+        : arrivals_(std::move(arrivals))
+    {
+    }
+
+    std::string name() const override { return "list"; }
+
+    std::unique_ptr<cluster::ArrivalStream>
+    open(Rng &,
+         const std::vector<const workload::FunctionSpec *> &) const override
+    {
+        return cluster::replayStream(arrivals_, name());
+    }
+
+  private:
+    std::vector<cluster::Invocation> arrivals_;
+};
+
 // ---- counters --------------------------------------------------------
 
 TEST(EventCoreCounters, EventCoreSkipsIdleWork)
@@ -368,6 +396,49 @@ TEST(EventCoreCounters, DrainedEnginesStopStepping)
         EXPECT_EQ(parallel.skipped, serial.skipped);
         expectIdentical(serial, runWith(spec, true, threads));
     }
+}
+
+TEST(EventCoreCounters, FleetClockIsPerQuantumAccumulation)
+{
+    // Two minute-scale gaps crossed by closed-form clock jumps: one
+    // while a long invocation keeps the fleet busy (the batch covers
+    // the next arrival), one across an idle fleet. The makespan must
+    // still carry the bits of one fadd per quantum from t = 0.
+    workload::FunctionSpec longRun =
+        workload::functionByName("float-py");
+    longRun.name = "float-py-long";
+    for (workload::Phase &phase : longRun.body)
+        phase.instructions *= kLongRunScale;
+    const workload::FunctionSpec &shortRun =
+        workload::functionByName("aes-go");
+    const ListTraffic traffic({{&longRun, 0.01}, {&shortRun, 65.0},
+                               {&shortRun, 200.0}});
+
+    cluster::ClusterConfig cfg;
+    cfg.fleet = {{"cascade-5218", 1}};
+    cfg.functionPool = {&longRun, &shortRun};
+    cfg.traffic = &traffic;
+    cfg.keepAlive = 20;
+    cfg.threads = 1;
+    cluster::Cluster fleet(cfg);
+    const cluster::FleetReport &report = fleet.run();
+    ASSERT_EQ(report.completions, 3u);
+
+    // The long invocation stayed live across the whole first gap and
+    // drained long before the second one.
+    const sim::Engine &engine = fleet.engine(0);
+    const double quantum = engine.quantum();
+    EXPECT_GT(engine.stats().quanta.value() * quantum, 65.0);
+    EXPECT_LT(engine.stats().quanta.value() * quantum, 100.0);
+    EXPECT_GT(report.makespan, 200.0);
+
+    const auto quanta =
+        static_cast<std::uint64_t>(report.machines[0].quanta);
+    Seconds clock = 0;
+    for (std::uint64_t q = 0; q < quanta; ++q)
+        clock += quantum;
+    EXPECT_EQ(report.makespan, clock);
+    EXPECT_EQ(engine.now(), clock);
 }
 
 // ---- quantum agreement (config-time validation) ----------------------
