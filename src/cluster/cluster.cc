@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <thread>
 #include <unordered_map>
@@ -214,7 +215,8 @@ struct Cluster::Machine
 
     /** Earliest keep-alive expiry across all pools (may be stale-low
      *  after a warm dispatch; sweeps recompute it). The expiry sweep
-     *  is skipped entirely until the fleet clock reaches it. */
+     *  is skipped entirely until the fleet clock reaches it; every
+     *  finite value is mirrored on the cluster's keep-alive heap. */
     Seconds nextWarmExpiry = std::numeric_limits<double>::infinity();
 
     /** Memory committed to live invocations (admission control). */
@@ -357,21 +359,89 @@ Cluster::snapshots() const
 }
 
 void
-Cluster::dispatch(const Invocation &inv,
-                  std::vector<MachineSnapshot> &snapshots)
+Cluster::refreshSnapshot(const Machine &m)
 {
-    unsigned chosen = dispatcher_->pick(inv, snapshots);
+    MachineSnapshot &snap = snaps_[m.index];
+    snap.liveTasks = static_cast<unsigned>(m.engine.taskCount());
+    snap.committedMemory = m.committedMemory;
+    snap.dispatchable = !m.down && !m.blind;
+    snap.speedFactor = m.speedFactor;
+    ++report_.sched.barrierMachineVisits;
+}
+
+void
+Cluster::checkBookkeeping() const
+{
+    const std::vector<MachineSnapshot> fresh = snapshots();
+    unsigned blocked = 0;
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+        const MachineSnapshot &kept = snaps_[i];
+        const MachineSnapshot &want = fresh[i];
+        const auto stale = [i](const char *field) {
+            panic("cluster machine ", i, ": maintained snapshot field '",
+                  field, "' differs from a fresh view at the barrier");
+        };
+        if (kept.index != want.index)
+            stale("index");
+        if (kept.type != want.type)
+            stale("type");
+        if (kept.cores != want.cores)
+            stale("cores");
+        if (kept.baseFrequency != want.baseFrequency)
+            stale("baseFrequency");
+        if (kept.dispatchable != want.dispatchable)
+            stale("dispatchable");
+        if (kept.speedFactor != want.speedFactor)
+            stale("speedFactor");
+        if (kept.liveTasks != want.liveTasks)
+            stale("liveTasks");
+        if (kept.committedMemory != want.committedMemory)
+            stale("committedMemory");
+        if (kept.memoryCapacity != want.memoryCapacity)
+            stale("memoryCapacity");
+        if (kept.warmIdle != want.warmIdle)
+            stale("warmIdle");
+        if (!want.dispatchable)
+            ++blocked;
+    }
+    if (blocked != blocked_)
+        panic("cluster: ", blocked_, " machines counted non-dispatchable, "
+              "a fresh view has ", blocked);
+
+    if (std::adjacent_find(busy_.begin(), busy_.end(),
+                           std::greater_equal<>{}) != busy_.end())
+        panic("cluster: busy set is not in ascending machine order");
+    std::vector<bool> warmListed(machines_.size(), false);
+    for (const auto &[expiry, index] : warmHeap_)
+        if (expiry == machines_[index]->nextWarmExpiry)
+            warmListed[index] = true;
+    for (const auto &m : machines_) {
+        if (m->engine.taskCount() > 0 &&
+            !std::binary_search(busy_.begin(), busy_.end(), m->index))
+            panic("cluster machine ", m->index,
+                  ": holds live tasks but is not in the busy set");
+        if (m->nextWarmExpiry < std::numeric_limits<double>::infinity() &&
+            !warmListed[m->index])
+            panic("cluster machine ", m->index, ": keep-alive expiry ",
+                  m->nextWarmExpiry, " has no keep-alive heap entry");
+    }
+}
+
+void
+Cluster::dispatch(const Invocation &inv)
+{
+    unsigned chosen = dispatcher_->pick(inv, snaps_);
     if (chosen >= machines_.size())
         fatal("dispatcher returned machine ", chosen, " of ",
               machines_.size());
 
     const Bytes footprint = inv.spec->memoryFootprint;
-    if (!snapshots[chosen].fits(footprint)) {
+    if (!snaps_[chosen].fits(footprint)) {
         // Spill to the machine with the most free memory; an overfull
         // fleet rejects the arrival (a platform's 429).
         Bytes bestFree = 0;
         bool found = false;
-        for (const MachineSnapshot &snap : snapshots) {
+        for (const MachineSnapshot &snap : snaps_) {
             if (!snap.dispatchable)
                 continue;
             const Bytes free =
@@ -422,11 +492,28 @@ Cluster::dispatch(const Invocation &inv,
     m.committedMemory += footprint;
     ++m.dispatched;
     ++report_.dispatched;
+    markBusy(chosen);
+    // The rest of the batch picks against the new task and memory.
+    refreshSnapshot(m);
+}
 
-    // Keep the batch's snapshots current: no completions happen
-    // between dispatches, so incremental updates are exact.
-    snapshots[chosen].liveTasks += 1;
-    snapshots[chosen].committedMemory = m.committedMemory;
+void
+Cluster::pushWarmExpiry(const Machine &m)
+{
+    warmHeap_.emplace_back(m.nextWarmExpiry, m.index);
+    std::push_heap(warmHeap_.begin(), warmHeap_.end(), std::greater<>{});
+}
+
+void
+Cluster::dropStaleWarmExpiries()
+{
+    while (!warmHeap_.empty() &&
+           warmHeap_.front().first !=
+               machines_[warmHeap_.front().second]->nextWarmExpiry) {
+        std::pop_heap(warmHeap_.begin(), warmHeap_.end(),
+                      std::greater<>{});
+        warmHeap_.pop_back();
+    }
 }
 
 void
@@ -463,49 +550,75 @@ Cluster::harvest(Seconds now)
         // The container goes idle-warm until its keep-alive ends.
         const Seconds expiry = done.completionTime + cfg_.keepAlive;
         m.warmIdle[done.spec->name].push_back(expiry);
-        m.nextWarmExpiry = std::min(m.nextWarmExpiry, expiry);
+        if (expiry < m.nextWarmExpiry) {
+            m.nextWarmExpiry = expiry;
+            pushWarmExpiry(m);
+        }
     };
 
     // Fold completions grouped by covering epoch barrier (ascending),
     // machines in index order within a barrier — the order the exact
     // oracle accumulates fleet totals one barrier at a time, so
-    // a multi-epoch event batch folds bit-identically. Each machine's
-    // buffer is tick-monotone (capture order), so one cursor per
-    // machine suffices; a single-epoch batch has one barrier group
-    // and this degenerates to the plain machine-order fold.
+    // a multi-epoch event batch folds bit-identically. Only machines
+    // that ran in the batch complete anything, and the busy set holds
+    // them in index order. Each machine's buffer is tick-monotone
+    // (capture order), so one cursor per machine suffices; a
+    // single-epoch batch has one barrier group and this degenerates
+    // to the plain machine-order fold.
     const auto barrierOf = [this](std::uint64_t tick) {
         return (tick + epochQuanta_ - 1) / epochQuanta_;
     };
-    std::vector<std::size_t> cursor(machines_.size(), 0);
+    foldCursor_.assign(busy_.size(), 0);
+    report_.sched.barrierMachineVisits += busy_.size();
     for (;;) {
         std::uint64_t minBarrier =
             std::numeric_limits<std::uint64_t>::max();
-        for (std::size_t i = 0; i < machines_.size(); ++i) {
-            const auto &completed = machines_[i]->completed;
-            if (cursor[i] < completed.size())
+        for (std::size_t k = 0; k < busy_.size(); ++k) {
+            const auto &completed = machines_[busy_[k]]->completed;
+            if (foldCursor_[k] < completed.size())
                 minBarrier = std::min(
-                    minBarrier, barrierOf(completed[cursor[i]].tick));
+                    minBarrier, barrierOf(completed[foldCursor_[k]].tick));
         }
         if (minBarrier == std::numeric_limits<std::uint64_t>::max())
             break;
-        for (std::size_t i = 0; i < machines_.size(); ++i) {
-            Machine &m = *machines_[i];
-            while (cursor[i] < m.completed.size() &&
-                   barrierOf(m.completed[cursor[i]].tick) == minBarrier)
-                fold(m, m.completed[cursor[i]++]);
+        for (std::size_t k = 0; k < busy_.size(); ++k) {
+            Machine &m = *machines_[busy_[k]];
+            std::size_t &cursor = foldCursor_[k];
+            while (cursor < m.completed.size() &&
+                   barrierOf(m.completed[cursor].tick) == minBarrier)
+                fold(m, m.completed[cursor++]);
         }
     }
-
-    for (const auto &mp : machines_) {
-        Machine &m = *mp;
+    for (unsigned i : busy_) {
+        Machine &m = *machines_[i];
         m.completed.clear();
+        refreshSnapshot(m);
+    }
 
-        // Expire idle containers whose keep-alive has lapsed. Nothing
-        // can lapse before the tracked minimum, so the sweep is
-        // skipped (bit-identically: it would be a no-op) until then.
-        if (now < m.nextWarmExpiry)
+    // Expire idle containers whose keep-alive has lapsed, busy or not.
+    // Nothing can lapse before a machine's tracked minimum, so only
+    // the machines whose heap entry has come due are swept; the rest
+    // would be no-ops. A machine is swept at most once: its recomputed
+    // minimum lies past now, so later entries for it are stale. The
+    // oracle counts the lapsed machines by scanning the fleet.
+    const auto lapsed =
+        cfg_.exactQuantum
+            ? std::count_if(machines_.begin(), machines_.end(),
+                            [now](const auto &m) {
+                                return now >= m->nextWarmExpiry;
+                            })
+            : 0;
+    const std::uint64_t sweepsBefore = report_.sched.eventsKeepAlive;
+    while (!warmHeap_.empty() && warmHeap_.front().first <= now) {
+        const auto [expiry, index] = warmHeap_.front();
+        std::pop_heap(warmHeap_.begin(), warmHeap_.end(),
+                      std::greater<>{});
+        warmHeap_.pop_back();
+        Machine &m = *machines_[index];
+        if (expiry != m.nextWarmExpiry)
             continue;
         ++report_.sched.eventsKeepAlive;
+        ++report_.sched.barrierMachineVisits;
         m.nextWarmExpiry = std::numeric_limits<double>::infinity();
         // LITMUS-LINT-ALLOW(unordered-iter): order-independent fold — min() over pool fronts commutes and erasing expired pools is per-key; no report, billing total, or dispatch decision sees the visit order
         for (auto it = m.warmIdle.begin(); it != m.warmIdle.end();) {
@@ -520,7 +633,13 @@ Cluster::harvest(Seconds now)
                 ++it;
             }
         }
+        if (m.nextWarmExpiry < std::numeric_limits<double>::infinity())
+            pushWarmExpiry(m);
     }
+    const std::uint64_t swept = report_.sched.eventsKeepAlive - sweepsBefore;
+    if (cfg_.exactQuantum && swept != static_cast<std::uint64_t>(lapsed))
+        panic("cluster: keep-alive heap swept ", swept, " machines, ",
+              lapsed, " had lapsed");
 }
 
 void
@@ -636,7 +755,8 @@ Cluster::crashMachine(Machine &m, Seconds now)
 
     // State loss: committed memory and every warm container are gone,
     // and the expiry tracker resets with them — a fresh minimum is
-    // established as post-restart completions park containers.
+    // established as post-restart completions park containers. The
+    // machine's heap entries no longer match, so they go stale.
     m.committedMemory = 0;
     m.warmIdle.clear();
     m.nextWarmExpiry = std::numeric_limits<double>::infinity();
@@ -651,6 +771,7 @@ Cluster::applyFaults(Seconds now)
         const FaultEvent &ev = events[faultCursor_++];
         ++report_.sched.eventsFault;
         Machine &m = *machines_[ev.machine];
+        const bool wasOpen = !m.down && !m.blind;
         switch (ev.kind) {
         case FaultKind::Crash:
             // Scripted and stochastic windows may overlap on one
@@ -677,6 +798,12 @@ Cluster::applyFaults(Seconds now)
             m.blind = false;
             break;
         }
+        const bool open = !m.down && !m.blind;
+        if (wasOpen && !open)
+            ++blocked_;
+        else if (!wasOpen && open)
+            --blocked_;
+        refreshSnapshot(m);
     }
 }
 
@@ -710,10 +837,25 @@ struct Cluster::Serve
 bool
 Cluster::anyLive() const
 {
-    return std::any_of(machines_.begin(), machines_.end(),
-                       [](const auto &m) {
-                           return m->engine.taskCount() > 0;
-                       });
+    return std::any_of(busy_.begin(), busy_.end(), [this](unsigned i) {
+        return machines_[i]->engine.taskCount() > 0;
+    });
+}
+
+void
+Cluster::pruneBusy()
+{
+    std::erase_if(busy_, [this](unsigned i) {
+        return machines_[i]->engine.taskCount() == 0;
+    });
+}
+
+void
+Cluster::markBusy(unsigned machine)
+{
+    const auto pos = std::lower_bound(busy_.begin(), busy_.end(), machine);
+    if (pos == busy_.end() || *pos != machine)
+        busy_.insert(pos, machine);
 }
 
 void
@@ -762,23 +904,22 @@ Cluster::dispatchDue(Serve &s, Seconds now)
     // their arrival time (never early), with warm containers parked
     // by this barrier's completions already visible. Due retries
     // interleave with due arrivals in (time, seq) order — a retry's
-    // seq predates every pending arrival's. One snapshot set serves
-    // the whole batch (dispatch keeps it current); if no machine is
-    // dispatchable, everything due waits for the barrier that reopens
-    // the fleet. The stream head is peeked (not pulled) until the
-    // batch actually takes it, so a blocked fleet buffers at most one
-    // arrival.
+    // seq predates every pending arrival's. The maintained snapshots
+    // serve the whole batch (dispatch keeps them current); the oracle
+    // checks them, the busy set and the keep-alive heap against the
+    // machines at every barrier. If no machine is dispatchable,
+    // everything due waits for the barrier that reopens the fleet.
+    // The stream head is peeked (not pulled) until the batch actually
+    // takes it, so a blocked fleet buffers at most one arrival.
+    if (cfg_.exactQuantum)
+        checkBookkeeping();
     const Invocation *head = s.head();
     const bool anyDue =
         (head != nullptr && head->arrival <= now) ||
         (!retryQueue_.empty() && retryQueue_.front().arrival <= now);
     if (!anyDue)
         return;
-    auto snaps = snapshots();
-    const bool open = std::any_of(snaps.begin(), snaps.end(),
-                                  [](const MachineSnapshot &snap) {
-                                      return snap.dispatchable;
-                                  });
+    const bool open = blocked_ < machines_.size();
     while (open) {
         head = s.head();
         const bool arrivalDue = head != nullptr && head->arrival <= now;
@@ -797,13 +938,13 @@ Cluster::dispatchDue(Serve &s, Seconds now)
             const Invocation inv = retryQueue_.front();
             retryQueue_.erase(retryQueue_.begin());
             ++report_.sched.eventsRetry;
-            dispatch(inv, snaps);
+            dispatch(inv);
         } else {
             Invocation inv;
             s.stream->next(inv);
             s.lastArrival = inv.arrival;
             ++report_.sched.eventsArrival;
-            dispatch(inv, snaps);
+            dispatch(inv);
         }
     }
 }
@@ -827,6 +968,7 @@ Cluster::serveEvent(Serve &s)
     };
 
     while (s.head() != nullptr || !retryQueue_.empty() || anyLive()) {
+        pruneBusy();
         Seconds drainBase = std::max(
             s.lastArrival, std::max(s.lastFault, latestRetry_));
         if (const Invocation *pending = s.head())
@@ -865,26 +1007,21 @@ Cluster::serveEvent(Serve &s)
             queue.push({tickEstimate(f.at), EventClass::Fault,
                         f.machine, faultCursor_, f.at});
         }
-        const bool live = anyLive();
+        const bool live = !busy_.empty();
         const bool workPending =
             s.head() != nullptr || !retryQueue_.empty();
 
         // Keep-alive expiries coalesce lazily: one event for the
-        // fleet-wide earliest expiry; the sweep it triggers clears
+        // fleet-wide earliest expiry (the heap's top valid entry,
+        // lowest index on ties); the sweep it triggers clears
         // everything lapsed at once. Armed only while work is in
         // flight — an idle fleet's sweeps fold into the next real
         // barrier, and the sweep's outcome is the same either way.
         if (live) {
-            Seconds warmMin = std::numeric_limits<double>::infinity();
-            unsigned warmMachine = 0;
-            for (const auto &m : machines_) {
-                if (m->nextWarmExpiry < warmMin) {
-                    warmMin = m->nextWarmExpiry;
-                    warmMachine = m->index;
-                }
-            }
-            if (warmMin > fleetClock_ &&
-                warmMin < std::numeric_limits<double>::infinity()) {
+            dropStaleWarmExpiries();
+            if (!warmHeap_.empty() &&
+                warmHeap_.front().first > fleetClock_) {
+                const auto [warmMin, warmMachine] = warmHeap_.front();
                 queue.push({tickEstimate(warmMin),
                             EventClass::KeepAlive, warmMachine, 0,
                             warmMin});
@@ -943,17 +1080,19 @@ Cluster::serveEvent(Serve &s)
         const std::uint64_t quanta = epochs * epochQuanta_;
         const std::uint64_t tick = fleetTick_;
         const Seconds clock = fleetClock_;
-        for (const auto &m : machines_) {
-            Machine *machine = m.get();
-            if (cfg_.exactQuantum)
-                jobs.emplace_back([machine, quanta] {
+        if (cfg_.exactQuantum) {
+            for (const auto &m : machines_)
+                jobs.emplace_back([machine = m.get(), quanta] {
                     machine->engine.runQuanta(quanta);
                 });
-            else if (machine->engine.taskCount() > 0)
-                jobs.emplace_back([machine, tick, clock] {
+        } else {
+            for (unsigned i : busy_)
+                jobs.emplace_back([machine = machines_[i].get(), tick,
+                                   clock] {
                     machine->engine.runToTick(tick, clock);
                 });
         }
+        report_.sched.barrierMachineVisits += jobs.size();
         if (!jobs.empty())
             s.pool.run(jobs);
         ++report_.sched.barriers;
@@ -967,9 +1106,34 @@ Cluster::serveEvent(Serve &s)
     }
 
     // Land every engine on the final barrier, so inspection (and the
-    // quanta + skipped conservation identity) sees one fleet clock.
-    for (const auto &m : machines_)
+    // quanta + skipped conservation identity) sees one fleet clock,
+    // and check the drained fleet's invariants on every run: nothing
+    // live, every machine covering the whole grid, every arrival in a
+    // terminal state.
+    pruneBusy();
+    if (!busy_.empty())
+        fatal("Cluster::run: busy set holds ", busy_.size(),
+              " machines after the fleet drained");
+    for (const auto &m : machines_) {
+        if (m->engine.taskCount() > 0)
+            fatal("Cluster::run: machine ", m->index, " still holds ",
+                  m->engine.taskCount(), " tasks after the fleet "
+                  "drained");
         m->engine.runToTick(fleetTick_, fleetClock_);
+        const sim::EngineStats &st = m->engine.stats();
+        const auto covered = static_cast<std::uint64_t>(
+            st.quanta.value() + st.skippedQuanta.value());
+        if (covered != fleetTick_)
+            fatal("Cluster::run: machine ", m->index, " covered ",
+                  covered, " quanta, the fleet grid ", fleetTick_);
+    }
+    const std::uint64_t terminal =
+        report_.completions + report_.abandoned + report_.rejectedMemory;
+    if (terminal != s.stream->pulled())
+        fatal("Cluster::run: ", s.stream->pulled(), " arrivals but ",
+              report_.completions, " completed + ", report_.abandoned,
+              " abandoned + ", report_.rejectedMemory,
+              " rejected = ", terminal);
     return fleetClock_;
 }
 
@@ -1026,6 +1190,10 @@ Cluster::run()
     s.lastFault = faultPlan_.events().empty()
                       ? 0
                       : faultPlan_.events().back().at;
+
+    // The one O(fleet) snapshot build; from here on only the machines
+    // a dispatch, harvest or fault touches are refreshed.
+    snaps_ = snapshots();
 
     report_.makespan = serveEvent(s);
     report_.sched.barriersElided =

@@ -17,16 +17,23 @@
  * wall-clock scales with cores), completions are folded back into
  * warm pools and ledgers in (barrier, machine) order, and then the
  * cluster (single-threaded) routes the arrivals that came due, using
- * machine snapshots taken at the barrier — an invocation starts at
- * the first epoch boundary at or after its arrival, never early. The
- * loop only takes the barriers a typed event queue says matter, and
- * steps only engines with live work: idle machines are never stepped
- * at all, and a busy engine that drains mid-batch elides the idle
- * tail up to the barrier (Engine::runToTick). `exactQuantum` marches
- * every grid barrier with every machine stepped and serves as the
- * differential oracle. All cross-thread state is barrier-local, so a
- * fixed seed gives bit-identical fleet totals at any thread count in
- * either mode.
+ * machine snapshots that equal a fresh view at the barrier — an
+ * invocation starts at the first epoch boundary at or after its
+ * arrival, never early. The loop only takes the barriers a typed
+ * event queue says matter, and steps only engines with live work:
+ * idle machines are never stepped at all, and a busy engine that
+ * drains mid-batch elides the idle tail up to the barrier
+ * (Engine::runToTick). `exactQuantum` marches every grid barrier with
+ * every machine stepped and serves as the differential oracle. All
+ * cross-thread state is barrier-local, so a fixed seed gives
+ * bit-identical fleet totals at any thread count in either mode.
+ *
+ * Barrier bookkeeping follows activity, not fleet size. Three pieces
+ * of state persist across barriers: the busy set (machines that may
+ * hold live tasks, in index order), a keep-alive min-heap of
+ * (expiry, machine), and the dispatcher snapshots, refreshed only for
+ * machines a dispatch, a harvest or a fault touched. A barrier costs
+ * O(machines touched) apart from the dispatch policy's own pick.
  *
  * Warm containers: every completed invocation leaves one idle warm
  * container behind (keep-alive bounded). A dispatch that finds one
@@ -41,6 +48,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/dispatcher.h"
@@ -276,6 +284,12 @@ struct SchedulerCounters
 
     /** Epoch-grid barriers skipped (grid barriers minus taken). */
     std::uint64_t barriersElided = 0;
+
+    /** Machines visited by per-barrier bookkeeping: batch jobs,
+     *  harvest folds, snapshot refreshes and keep-alive sweeps. Under
+     *  the event core it follows the busy machines, not the fleet
+     *  size; the oracle's batches visit every machine. */
+    std::uint64_t barrierMachineVisits = 0;
 };
 
 /**
@@ -455,8 +469,15 @@ class Cluster
      */
     Seconds serveEvent(Serve &s);
 
-    /** True while any engine owns a live task. */
+    /** True while any engine owns a live task (scans the busy set,
+     *  which holds every such machine). */
     bool anyLive() const;
+
+    /** Drop machines with drained engines from the busy set. */
+    void pruneBusy();
+
+    /** Add a machine to the busy set, keeping index order. */
+    void markBusy(unsigned machine);
 
     /**
      * Advance the canonical fleet clock by whole epochs. The clock
@@ -479,25 +500,52 @@ class Cluster
     /** Dispatch every due arrival and retry at the barrier @p now. */
     void dispatchDue(Serve &s, Seconds now);
 
-    /** Dispatcher view of every machine, taken at an epoch barrier. */
+    /**
+     * A fresh dispatcher view of every machine, built from machine
+     * state in O(fleet). run() builds snaps_ from it once; afterwards
+     * the oracle compares snaps_ against it at every barrier
+     * (checkBookkeeping()).
+     */
     std::vector<MachineSnapshot> snapshots() const;
 
-    /**
-     * Route and launch one arrival; updates @p snapshots in place so
-     * one snapshot set serves a whole dispatch batch.
-     */
-    void dispatch(const Invocation &inv,
-                  std::vector<MachineSnapshot> &snapshots);
+    /** Copy @p m's mutable state into its entry of snaps_. */
+    void refreshSnapshot(const Machine &m);
 
     /**
-     * Fold buffered completions into warm pools and ledgers, then
-     * sweep lapsed keep-alives. Completions are folded grouped by
-     * their covering epoch barrier (ascending), machines in index
-     * order within a barrier — exactly the order the exact oracle
-     * produces one barrier at a time — so the floating-point
+     * The oracle's O(fleet) cross-check of the state kept across
+     * barriers; panic() naming the machine and field on the first
+     * mismatch. snaps_ must equal a fresh snapshots() field by field
+     * and blocked_ its non-dispatchable count; busy_ must be ascending
+     * and hold every machine with a live task; every finite
+     * nextWarmExpiry must have a matching keep-alive heap entry.
+     */
+    void checkBookkeeping() const;
+
+    /**
+     * Route and launch one arrival against the maintained snapshots;
+     * refreshes the chosen machine's entry, so the rest of the batch
+     * sees it, and adds the machine to the busy set.
+     */
+    void dispatch(const Invocation &inv);
+
+    /**
+     * Fold buffered completions into warm pools and ledgers, refresh
+     * the busy machines' snapshots, then sweep the machines whose
+     * keep-alive has lapsed (popped off the keep-alive heap).
+     * Completions only happen on busy machines, so the fold visits the
+     * busy set: grouped by covering epoch barrier (ascending), machines
+     * in index order within a barrier — exactly the order the exact
+     * oracle produces one barrier at a time — so the floating-point
      * accumulation order of fleet totals is mode-independent.
      */
     void harvest(Seconds now);
+
+    /** Record @p m's current keep-alive minimum on the heap. */
+    void pushWarmExpiry(const Machine &m);
+
+    /** Pop heap entries that no longer equal their machine's
+     *  keep-alive minimum off the top. */
+    void dropStaleWarmExpiries();
 
     /** Apply every fault transition due at or before @p now. */
     void applyFaults(Seconds now);
@@ -537,6 +585,33 @@ class Cluster
 
     /** Epoch length in whole quanta (set by run()). */
     std::uint64_t epochQuanta_ = 0;
+    /** @} */
+
+    /** @name Barrier bookkeeping kept across barriers @{ */
+    /**
+     * Machines that may hold live tasks, ascending by index: every
+     * machine with a live task is in it. dispatch() inserts; drained
+     * machines drop out at the top of each serving-loop iteration.
+     */
+    std::vector<unsigned> busy_;
+
+    /** harvest()'s per-busy-machine fold cursors (reused). */
+    std::vector<std::size_t> foldCursor_;
+
+    /**
+     * (expiry, machine) min-heap with lazy deletion: an entry counts
+     * only while it equals the machine's nextWarmExpiry, and every
+     * machine with a finite nextWarmExpiry has such an entry. The top
+     * valid entry is the fleet's earliest expiry, lowest index first.
+     */
+    std::vector<std::pair<Seconds, unsigned>> warmHeap_;
+
+    /** Dispatcher snapshots, built once by run() and refreshed per
+     *  touched machine; equal to snapshots() at every barrier. */
+    std::vector<MachineSnapshot> snaps_;
+
+    /** Machines currently down or blind (not dispatchable). */
+    unsigned blocked_ = 0;
     /** @} */
 
     /** @name Fault state (empty/idle without a fault campaign) @{ */

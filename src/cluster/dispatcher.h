@@ -4,9 +4,9 @@
  *
  * The cluster presents each dispatcher with a snapshot of every
  * machine (live tasks, committed memory, warm-container inventory)
- * taken at the current dispatch epoch's barrier, so decisions are
- * deterministic regardless of how many worker threads advance the
- * engines between barriers.
+ * that equals a fresh view at the current dispatch epoch's barrier,
+ * so decisions are deterministic regardless of how many worker
+ * threads advance the engines between barriers.
  *
  * Four policies ship:
  *  - RoundRobin:   rotate through machines, ignoring state;
@@ -71,6 +71,10 @@ struct Invocation
 /**
  * Dispatcher view of one machine at a dispatch barrier.
  *
+ * The cluster maintains one snapshot per machine across barriers,
+ * refreshing only the machines a dispatch, a harvest or a fault
+ * touched, so at every barrier each snapshot equals a fresh view of
+ * its machine (the exact-quantum oracle checks this field by field).
  * The warm-container inventory is borrowed from the cluster (idle
  * containers per function name, each entry a keep-alive expiry time);
  * snapshots are only valid during the pick() call.

@@ -207,7 +207,8 @@ printFleetReport(std::ostream &os, const cluster::FleetReport &report)
        << "  events arrival " << sched.eventsArrival << " retry "
        << sched.eventsRetry << " fault " << sched.eventsFault
        << " keepalive " << sched.eventsKeepAlive << " progress "
-       << sched.eventsProgress << "\n";
+       << sched.eventsProgress << "  machine visits "
+       << sched.barrierMachineVisits << "\n";
 
     // Arrival-flow footer: how the traffic source fed the fleet.
     // Diagnostic only — never part of the bit-identity contract.

@@ -290,6 +290,62 @@ TEST(EventCoreDifferential, ChaosTenantPaysScriptedBitIdentical)
     expectIdentical(runWith(spec, false), runWith(spec, true));
 }
 
+TEST(EventCoreDifferential, SparseFleetFaultsBitIdentical)
+{
+    // A 64-machine fleet at ~1.5 arrivals per machine-second is mostly
+    // idle: the busy set, the keep-alive heap and the maintained
+    // snapshots all see machines come and go. Short keep-alives expire
+    // on idle machines; crashes (with restarts), blindness and slowdown
+    // windows touch idle and busy machines alike, and backoff retries
+    // re-enter the dispatch batch. At every barrier the oracle also
+    // checks the snapshots, busy set and heap against the fleet.
+    for (const char *policy :
+         {"least-loaded", "warmth-aware", "round-robin"}) {
+        SCOPED_TRACE(policy);
+        const auto spec = scenario::ScenarioSpec::fromString(
+            std::string("fleet = cascade-5218:64\n"
+                        "policy = ") +
+            policy +
+            "\n"
+            "rate = 100\n"
+            "invocations = 60\n"
+            "keepalive = 0.03\n"
+            "functions = test\n"
+            "seed = 7\n"
+            "fault.crash.mtbf = 3\n"
+            "fault.crash.restart = 0.05\n"
+            "fault.blind.mtbf = 2\n"
+            "fault.blind.duration = 0.08\n"
+            "fault.slow.mtbf = 2\n"
+            "fault.slow.duration = 0.1\n"
+            "fault.slow.factor = 0.5\n"
+            "fault.retry = backoff\n"
+            "fault.retry.max = 3\n"
+            "fault.retry.backoff = 0.02\n"
+            "fault.seed = 9\n");
+        const RunOutcome serial = runWith(spec, false, 1);
+        const RunOutcome exact = runWith(spec, true, 1);
+        expectIdentical(serial, exact);
+        EXPECT_GT(serial.report.crashes, 0u);
+        EXPECT_GT(serial.report.sched.eventsKeepAlive, 0u);
+        EXPECT_EQ(serial.report.sched.eventsKeepAlive,
+                  exact.report.sched.eventsKeepAlive);
+        EXPECT_EQ(serial.report.sched.eventsFault,
+                  exact.report.sched.eventsFault);
+        // Bookkeeping follows the busy minority, not the fleet: the
+        // event core visits far fewer machines than the oracle's
+        // every-machine batches.
+        EXPECT_LT(5 * serial.report.sched.barrierMachineVisits,
+                  exact.report.sched.barrierMachineVisits);
+
+        // Four threads: identical to the oracle via the serial run.
+        const RunOutcome parallel = runWith(spec, false, 4);
+        expectIdentical(serial, parallel);
+        EXPECT_EQ(parallel.report.sched.barrierMachineVisits,
+                  serial.report.sched.barrierMachineVisits);
+    }
+}
+
 // ---- threads ---------------------------------------------------------
 
 TEST(EventCoreDifferential, ThreadCountInvariant)
@@ -439,6 +495,61 @@ TEST(EventCoreCounters, FleetClockIsPerQuantumAccumulation)
         clock += quantum;
     EXPECT_EQ(report.makespan, clock);
     EXPECT_EQ(engine.now(), clock);
+}
+
+TEST(EventCoreCounters, BarrierWorkIndependentOfIdleMachines)
+{
+    // Least-loaded routes to the lowest-index idle machine, and this
+    // traffic never keeps more than a handful busy, so a 256- and a
+    // 2048-machine fleet serve it on the same machines. Per-barrier
+    // bookkeeping must then cost the same on both: the idle 1792
+    // machines are never visited.
+    const workload::FunctionSpec &floatPy =
+        workload::functionByName("float-py");
+    const workload::FunctionSpec &aesGo =
+        workload::functionByName("aes-go");
+    std::vector<cluster::Invocation> arrivals;
+    for (unsigned i = 0; i < 60; ++i) {
+        cluster::Invocation inv;
+        inv.spec = i % 2 == 0 ? &floatPy : &aesGo;
+        // Bursts of three inside one epoch; each drains and its warm
+        // containers expire before the next.
+        inv.arrival = 0.01 + 0.5 * (i / 3) + 0.0002 * (i % 3);
+        inv.seq = i;
+        arrivals.push_back(inv);
+    }
+    const ListTraffic traffic(arrivals);
+
+    const auto serve = [&](unsigned machines) {
+        cluster::ClusterConfig cfg;
+        cfg.fleet = {{"cascade-5218", machines}};
+        cfg.policy = cluster::DispatchPolicy::LeastLoaded;
+        cfg.functionPool = {&floatPy, &aesGo};
+        cfg.traffic = &traffic;
+        cfg.keepAlive = 0.1;
+        cfg.threads = 1;
+        cluster::Cluster fleet(cfg);
+        return fleet.run();
+    };
+    const cluster::FleetReport small = serve(256);
+    const cluster::FleetReport large = serve(2048);
+    ASSERT_EQ(small.completions, arrivals.size());
+    EXPECT_TRUE(cluster::identicalTotals(small, large));
+    EXPECT_GT(small.sched.eventsKeepAlive, 0u);
+    EXPECT_EQ(small.sched.eventsKeepAlive, large.sched.eventsKeepAlive);
+    EXPECT_EQ(small.sched.barriers, large.sched.barriers);
+    EXPECT_GT(small.sched.barrierMachineVisits, 0u);
+    EXPECT_EQ(small.sched.barrierMachineVisits,
+              large.sched.barrierMachineVisits);
+
+    // Each burst is one dispatch batch; the batch's snapshots count
+    // its own dispatches, so least-loaded spreads it over machines
+    // 0-2 and the rest of the fleet never serves.
+    for (const cluster::FleetReport *report : {&small, &large}) {
+        for (const cluster::MachineReport &m : report->machines)
+            EXPECT_EQ(m.dispatched, m.index < 3 ? 20u : 0u)
+                << "machine " << m.index;
+    }
 }
 
 // ---- quantum agreement (config-time validation) ----------------------
