@@ -106,11 +106,7 @@ main(int argc, char **argv)
                    "")
         .addSwitch("calibrate",
                    "calibrate every fleet machine type in-process "
-                   "(Litmus pricing without --tables)")
-        .addSwitch("exact-quantum",
-                   "differential oracle: step every machine through "
-                   "every epoch with fast-forward off (bit-identical "
-                   "totals, slower)");
+                   "(Litmus pricing without --tables)");
     args.parseOrExit(argc, argv);
 
     const std::string scenarioPath = args.get("scenario");
@@ -195,8 +191,6 @@ main(int argc, char **argv)
     }
     if (args.has("calibrate"))
         spec.calibrate = true;
-    if (args.has("exact-quantum"))
-        spec.exactQuantum = true;
 
     scenario::ScenarioRunner runner(std::move(spec));
 

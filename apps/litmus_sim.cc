@@ -217,8 +217,6 @@ cmdScenario(const ArgParser &args)
         (void)sim::MachineCatalog::registerFromFile(overridePath);
     scenario::ScenarioSpec spec =
         scenario::ScenarioSpec::fromFile(args.positional("arg"));
-    if (args.has("exact-quantum"))
-        spec.exactQuantum = true;
     scenario::ScenarioRunner runner(std::move(spec));
     inform("running scenario with ", runner.traffic().name(),
            " traffic on ", runner.clusterConfig().totalMachines(),
@@ -264,21 +262,13 @@ main(int argc, char **argv)
         .addOption("sharing-factor",
                    "Method 1 T_private calibration factor", "1.0")
         .addOption("seconds", "simulated churn duration (stats)", "1.0")
-        .addSwitch("turbo", "unpin the CPU frequency")
-        .addSwitch("exact-quantum",
-                   "disable the steady-state fast-forward engine "
-                   "(bit-identical output, slower; A/B validation)");
+        .addSwitch("turbo", "unpin the CPU frequency");
 
     args.parseOrExit(argc, argv);
     if (args.positionalCount() == 0) {
         std::cerr << args.usage();
         return 2;
     }
-
-    // Applies to every engine the subcommands construct internally
-    // (experiments, calibration sweeps, solo baselines).
-    if (args.has("exact-quantum"))
-        sim::Engine::setDefaultFastForward(false);
 
     const std::string command = args.positional("command");
     // Only the scenario command takes a second positional; keep the

@@ -133,14 +133,16 @@ main()
                      threadedReport.billedCpuSeconds, 6)
               << "\n";
 
-    detSpec.exactQuantum = true;
-    detSpec.threads = 1;
-    scenario::ScenarioRunner exactSerial(detSpec);
-    const cluster::FleetReport &exactSerialReport = exactSerial.run();
-    detSpec.threads = 8;
-    scenario::ScenarioRunner exactThreaded(detSpec);
-    const cluster::FleetReport &exactThreadedReport =
-        exactThreaded.run();
+    // The oracle serves the same resolved config at each thread count.
+    const auto runExact = [&serial](unsigned threads) {
+        cluster::ClusterConfig cfg = serial.clusterConfig();
+        cfg.exactQuantum = true;
+        cfg.threads = threads;
+        cluster::Cluster fleet(cfg);
+        return fleet.run();
+    };
+    const cluster::FleetReport exactSerialReport = runExact(1);
+    const cluster::FleetReport exactThreadedReport = runExact(8);
     const bool oracleIdentical =
         cluster::identicalTotals(serialReport, exactSerialReport) &&
         cluster::identicalTotals(threadedReport, exactThreadedReport);

@@ -17,8 +17,8 @@
  *    until they drain) — whose FleetReports must be bit-identical;
  *  - sparse: the same fleet at a low arrival rate, mostly idle —
  *    the event core's home turf, where the oracle still marches
- *    every machine through every quantum and the event queue
- *    fast-forwards between arrivals. This is where the event
+ *    every machine through every quantum and the event batches
+ *    jump the fleet clock between arrivals. This is where the event
  *    scheduler must land within 2x of the steady-state single-machine
  *    fast-forward throughput.
  *
@@ -246,7 +246,7 @@ main()
 {
     printBanner(std::cout,
                 "Engine throughput: steady-state fast-forward vs. "
-                "--exact-quantum");
+                "exact quantum stepping");
 
     const double steadySeconds =
         envDouble("LITMUS_ENGINE_BENCH_SECONDS", 1.0);

@@ -8,7 +8,6 @@
 #include <unordered_map>
 
 #include "cluster/epoch_pool.h"
-#include "cluster/event_queue.h"
 #include "common/logging.h"
 #include "common/repeated_add.h"
 #include "core/litmus_probe.h"
@@ -825,11 +824,6 @@ struct Cluster::Serve
     Seconds lastFault = 0;
     /** @} */
 
-    /** What one epoch actually advances: epochs that are not a whole
-     *  number of quanta round up to the covering quantum, so targets
-     *  must be computed against this span, not cfg.epoch. */
-    Seconds epochSpan = 0;
-
     /** Worker pool advancing busy engines between barriers. */
     EpochPool pool;
 };
@@ -858,43 +852,26 @@ Cluster::markBusy(unsigned machine)
         busy_.insert(pos, machine);
 }
 
-void
-Cluster::advanceFleetEpochs(std::uint64_t epochs)
-{
-    const std::uint64_t quanta = epochs * epochQuanta_;
-    // The closed form of one fadd per quantum — the accumulation every
-    // stepping engine performs — so synced engines land on fleetClock_
-    // exactly.
-    fleetClock_ = addRepeated(fleetClock_,
-                              machines_.front()->engine.quantum(), quanta);
-    fleetTick_ += quanta;
-}
-
 std::uint64_t
-Cluster::advanceClockToCover(Seconds target, Seconds epochSpan)
+Cluster::advanceClockToCover(Seconds target, const Pending &pending)
 {
-    // Jump to two epochs short of the estimated cover, then walk the
-    // last barriers. The accumulated grid is monotone, so a jump that
-    // already reaches target would hide the minimal cover: then walk
-    // from the start instead.
-    std::uint64_t epochs = 0;
-    const double gap = (target - fleetClock_) / epochSpan;
-    if (gap > 3) {
-        const auto jump = static_cast<std::uint64_t>(gap) - 2;
-        const Seconds landing =
-            addRepeated(fleetClock_, machines_.front()->engine.quantum(),
-                        jump * epochQuanta_);
-        if (landing < target) {
-            fleetClock_ = landing;
-            fleetTick_ += jump * epochQuanta_;
-            epochs = jump;
-        }
+    const Seconds quantum = machines_.front()->engine.quantum();
+    const RepeatedCover cover =
+        coverRepeated(fleetClock_, quantum, epochQuanta_, target);
+    if (cover.chunks == 0 || cover.sum == fleetClock_) {
+        if (pending.kind == nullptr)
+            fatal("Cluster::run: the fleet clock is stuck at ",
+                  cover.sum, " s, where one ", quantum,
+                  " s quantum is below half an ulp: in-flight work can "
+                  "never finish");
+        fatal("Cluster::run: the fleet clock is stuck at ", cover.sum,
+              " s, where one ", quantum, " s quantum is below half an "
+              "ulp: the pending ", pending.kind, " at ", pending.time,
+              " s can never come due");
     }
-    do {
-        advanceFleetEpochs(1);
-        ++epochs;
-    } while (fleetClock_ < target);
-    return epochs;
+    fleetClock_ = cover.sum;
+    fleetTick_ += cover.chunks * epochQuanta_;
+    return cover.chunks;
 }
 
 void
@@ -953,19 +930,8 @@ Seconds
 Cluster::serveEvent(Serve &s)
 {
     const std::vector<FaultEvent> &faultEvents = faultPlan_.events();
-    EventQueue queue;
-    std::vector<Event> armed;
     std::vector<std::function<void()>> jobs;
     jobs.reserve(machines_.size());
-
-    // Conservative barrier-tick estimate for event ordering; dueness
-    // is always decided against the exact accumulated fleet clock, so
-    // an estimate one barrier off cannot move an event.
-    const auto tickEstimate = [this, &s](Seconds time) {
-        return static_cast<std::uint64_t>(
-                   std::ceil(time / s.epochSpan)) *
-               epochQuanta_;
-    };
 
     while (s.head() != nullptr || !retryQueue_.empty() || anyLive()) {
         pruneBusy();
@@ -978,98 +944,61 @@ Cluster::serveEvent(Serve &s)
                   cfg_.drainCap, " simulated seconds of the last "
                   "arrival");
 
-        // Arm the head event of each class. Only *future* arrivals
-        // and retries arm: work already due but blocked behind a
-        // fleet-wide outage contributes no target — the fault
-        // transition that unblocks it does, and the fault head is
-        // always armed. The one due arrival that is not blocked is
-        // one at t=0 before the first barrier: it arms, so the first
-        // barrier serves it as the oracle does. Arming peeks the
-        // stream head without pulling it, so the queue holds one
-        // arrival per stream, never the trace.
-        queue.clear();
+        // Arm the earliest exact time over the head of each class.
+        // Only *future* arrivals and retries arm: work already due but
+        // blocked behind a fleet-wide outage contributes no target —
+        // the fault transition that unblocks it does, and the fault
+        // head is always armed. The one due arrival that is not
+        // blocked is one at t=0 before the first barrier: it arms, so
+        // the first barrier serves it as the oracle does. Arming peeks
+        // the stream head without pulling it.
+        Pending next;
+        const auto arm = [&next](const char *kind, Seconds time) {
+            if (next.kind == nullptr || time < next.time)
+                next = {kind, time};
+        };
         if (const Invocation *head = s.head();
             head != nullptr &&
-            (head->arrival > fleetClock_ || fleetTick_ == 0)) {
-            queue.push({tickEstimate(head->arrival),
-                        EventClass::Arrival, 0, head->seq,
-                        head->arrival});
-        }
+            (head->arrival > fleetClock_ || fleetTick_ == 0))
+            arm("arrival", head->arrival);
         if (!retryQueue_.empty() &&
-            retryQueue_.front().arrival > fleetClock_) {
-            queue.push({tickEstimate(retryQueue_.front().arrival),
-                        EventClass::Retry, 0,
-                        retryQueue_.front().seq,
-                        retryQueue_.front().arrival});
-        }
-        if (faultCursor_ < faultEvents.size()) {
-            const FaultEvent &f = faultEvents[faultCursor_];
-            queue.push({tickEstimate(f.at), EventClass::Fault,
-                        f.machine, faultCursor_, f.at});
-        }
+            retryQueue_.front().arrival > fleetClock_)
+            arm("retry", retryQueue_.front().arrival);
+        if (faultCursor_ < faultEvents.size())
+            arm("fault", faultEvents[faultCursor_].at);
         const bool live = !busy_.empty();
         const bool workPending =
             s.head() != nullptr || !retryQueue_.empty();
 
-        // Keep-alive expiries coalesce lazily: one event for the
-        // fleet-wide earliest expiry (the heap's top valid entry,
-        // lowest index on ties); the sweep it triggers clears
-        // everything lapsed at once. Armed only while work is in
-        // flight — an idle fleet's sweeps fold into the next real
-        // barrier, and the sweep's outcome is the same either way.
+        // Keep-alive expiries coalesce lazily: one target for the
+        // fleet-wide earliest expiry (the heap's top valid entry); the
+        // sweep it triggers clears everything lapsed at once. Armed
+        // only while work is in flight — an idle fleet's sweeps fold
+        // into the next real barrier, and the sweep's outcome is the
+        // same either way.
         if (live) {
             dropStaleWarmExpiries();
             if (!warmHeap_.empty() &&
-                warmHeap_.front().first > fleetClock_) {
-                const auto [warmMin, warmMachine] = warmHeap_.front();
-                queue.push({tickEstimate(warmMin),
-                            EventClass::KeepAlive, warmMachine, 0,
-                            warmMin});
-            }
+                warmHeap_.front().first > fleetClock_)
+                arm("keep-alive", warmHeap_.front().first);
         }
 
-        std::uint64_t epochs = 1;
-        if (!cfg_.exactQuantum && !queue.empty() &&
-            (workPending || !live)) {
-            // The heap pops in deterministic (tick, class, machine,
-            // seq) order; the advance target is the minimum exact
-            // time over the heads (tick estimates are conservative,
-            // so scan rather than trust the head alone).
-            armed.clear();
-            while (!queue.empty())
-                armed.push_back(queue.pop());
-            Seconds target = armed.front().time;
-            for (const Event &e : armed)
-                target = std::min(target, e.time);
-            if (live) {
-                // Busy machines batch straight to the first barrier
-                // covering the earliest event; every intermediate
-                // barrier is provably a no-op (nothing due, fleet
-                // state frozen between events) and harvest re-folds
-                // the batch's completions in oracle order.
-                epochs = advanceClockToCover(target, s.epochSpan);
-            } else {
-                // Idle fleet: a conservative jump — floor(gap/span)
-                // epochs in one batch, then single steps to the
-                // boundary on later iterations.
-                const double gap = target - fleetClock_;
-                if (gap > s.epochSpan)
-                    epochs = std::max<std::uint64_t>(
-                        1,
-                        static_cast<std::uint64_t>(gap / s.epochSpan));
-                advanceFleetEpochs(epochs);
-            }
-        } else {
-            // Drain phase (live work, nothing left to dispatch):
-            // march one epoch at a time so the loop exits the moment
-            // the fleet drains — exactly when the exact oracle does,
-            // before any later fault event fires. Also the fallback
-            // when nothing is armed at all (everything due is blocked
-            // and no fault is pending: creep to the drain-cap fatal
-            // on the same barrier the oracle would), and every step of
-            // the oracle itself, which takes each grid barrier.
-            advanceFleetEpochs(1);
-        }
+        // A batch goes straight to the first barrier covering the
+        // earliest event, idle fleet or busy: every intermediate
+        // barrier is provably a no-op (nothing due, fleet state frozen
+        // between events) and harvest re-folds the batch's completions
+        // in oracle order. The drain phase (live work, nothing left to
+        // dispatch) takes one epoch at a time, so the loop exits the
+        // moment the fleet drains — exactly when the oracle does,
+        // before any later fault event fires. So does a loop with
+        // nothing armed (everything due is blocked and no fault is
+        // pending: it creeps to the drain-cap fatal on the same
+        // barrier the oracle would), and every step of the oracle
+        // itself, which takes each grid barrier.
+        const bool batch = !cfg_.exactQuantum && next.kind != nullptr &&
+                           (workPending || !live);
+        const std::uint64_t epochs =
+            advanceClockToCover(batch ? next.time : fleetClock_, next);
 
         // Advance every busy machine to the new barrier in parallel.
         // A busy engine steps only until it drains, then elides the
@@ -1172,8 +1101,6 @@ Cluster::run()
     // fast-forward executes the same quantum sequence as single-epoch
     // stepping.
     epochQuanta_ = machines_.front()->engine.quantaForDuration(cfg_.epoch);
-    s.epochSpan = static_cast<double>(epochQuanta_) *
-                  machines_.front()->engine.quantum();
 
     // Compile the fault campaign into one deterministic schedule over
     // the expected arrival window (scripted faults may land past it;

@@ -19,10 +19,11 @@
  * cluster (single-threaded) routes the arrivals that came due, using
  * machine snapshots that equal a fresh view at the barrier — an
  * invocation starts at the first epoch boundary at or after its
- * arrival, never early. The loop only takes the barriers a typed
- * event queue says matter, and steps only engines with live work:
- * idle machines are never stepped at all, and a busy engine that
- * drains mid-batch elides the idle tail up to the barrier
+ * arrival, never early. Each batch advances the fleet clock straight
+ * to the first barrier covering the earliest pending event (arrival,
+ * retry, fault or keep-alive expiry), and steps only engines with
+ * live work: idle machines are never stepped at all, and a busy
+ * engine that drains mid-batch elides the idle tail up to the barrier
  * (Engine::runToTick). `exactQuantum` marches every grid barrier with
  * every machine stepped and serves as the differential oracle. All
  * cross-thread state is barrier-local, so a fixed seed gives
@@ -121,11 +122,11 @@ struct ClusterConfig
     unsigned threads = 0;
 
     /**
-     * The differential oracle (--exact-quantum): one epoch per
-     * barrier, every machine stepped every quantum (never an elided
-     * idle quantum), engine fast-forward off. Fleet totals are
-     * bit-identical either way; exact mode exists for differential
-     * validation and baseline timing.
+     * The differential oracle: one epoch per barrier, every machine
+     * stepped every quantum (never an elided idle quantum), engine
+     * fast-forward off. Fleet totals are bit-identical either way;
+     * exact mode exists for tests, differential benches and baseline
+     * timing, and is not exposed as a scenario key or CLI flag.
      */
     bool exactQuantum = false;
 
@@ -462,10 +463,20 @@ class Cluster
     /** Per-run serving state (cluster.cc). */
     struct Serve;
 
+    /** The earliest armed event: what a batch advances to, and what
+     *  a clock that can no longer advance reports it is waiting for. */
+    struct Pending
+    {
+        /** "arrival", "retry", "fault" or "keep-alive"; nullptr when
+         *  nothing is armed. */
+        const char *kind = nullptr;
+        Seconds time = 0;
+    };
+
     /**
-     * Serve the trace on the event queue (every grid barrier with
-     * every machine stepped under exactQuantum); returns the final
-     * fleet clock (makespan).
+     * Serve the trace in event batches (every grid barrier with every
+     * machine stepped under exactQuantum); returns the final fleet
+     * clock (makespan).
      */
     Seconds serveEvent(Serve &s);
 
@@ -480,22 +491,18 @@ class Cluster
     void markBusy(unsigned machine);
 
     /**
-     * Advance the canonical fleet clock by whole epochs. The clock
+     * Advance the fleet clock by whole epochs to the first barrier at
+     * or past @p target (at least one epoch; dueness on the exact
+     * accumulated grid) and return the epochs taken: the minimal
+     * cover, found by coverRepeated() in O(log epochs). The clock
      * lands on the bits of one fadd per quantum — the accumulation
      * every stepping engine's clock performs, so the two stay
-     * bit-identical at equal tick counts — computed in closed form by
-     * addRepeated(), at a cost independent of the quanta covered.
+     * bit-identical at equal tick counts. fatal() naming @p pending if
+     * the clock cannot move: past ~2^53 quanta one quantum is below
+     * half an ulp of it, so no later event could ever come due.
      */
-    void advanceFleetEpochs(std::uint64_t epochs);
-
-    /**
-     * Advance the fleet clock to the first epoch barrier at or past
-     * @p target (at least one epoch; dueness on the exact accumulated
-     * grid). Jumps in closed form to two epochs of @p epochSpan short
-     * of the estimate, then walks barrier by barrier, so the epoch
-     * count returned is the minimal one a walk from the start finds.
-     */
-    std::uint64_t advanceClockToCover(Seconds target, Seconds epochSpan);
+    std::uint64_t advanceClockToCover(Seconds target,
+                                      const Pending &pending);
 
     /** Dispatch every due arrival and retry at the barrier @p now. */
     void dispatchDue(Serve &s, Seconds now);

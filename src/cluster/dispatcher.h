@@ -74,7 +74,7 @@ struct Invocation
  * The cluster maintains one snapshot per machine across barriers,
  * refreshing only the machines a dispatch, a harvest or a fault
  * touched, so at every barrier each snapshot equals a fresh view of
- * its machine (the exact-quantum oracle checks this field by field).
+ * its machine (the exactQuantum oracle checks this field by field).
  * The warm-container inventory is borrowed from the cluster (idle
  * containers per function name, each entry a keep-alive expiry time);
  * snapshots are only valid during the pick() call.

@@ -7,7 +7,8 @@
  * that took the same number of steps. addRepeated() returns exactly
  * that accumulated value without performing the n additions, so a
  * clock can jump across a long idle gap and still land on the bits a
- * stepping clock reaches.
+ * stepping clock reaches, and coverRepeated() finds the first such
+ * clock at or past a target time without walking to it.
  */
 
 #ifndef LITMUS_COMMON_REPEATED_ADD_H
@@ -91,6 +92,82 @@ addRepeated(Seconds start, Seconds step, std::uint64_t n)
         n -= k;
     }
     return t;
+}
+
+/** What coverRepeated() found. */
+struct RepeatedCover
+{
+    /** Chunks taken; 0 when the sum stalls short of the target. */
+    std::uint64_t chunks = 0;
+
+    /** addRepeated(start, step, chunks * chunk): the first sum at or
+     *  past the target, or where the sum stalls. */
+    Seconds sum = 0;
+};
+
+/**
+ * The least n >= 1 for which addRepeated(start, step, n * chunk)
+ * reaches @p target, with that sum: the first barrier a walk of
+ * @p chunk additions at a time from @p start finds at or past the
+ * target. The sum is monotone in n, so this jumps in closed form to
+ * two chunks short of the quotient estimate, then gallops forward in
+ * doubling strides and bisects the last one — O(log n) addRepeated()
+ * calls however far the rounded sum drifts from the estimate (a jump
+ * that already reaches the target bisects within it).
+ *
+ * Once @p step is below half an ulp of the sum, an addition no longer
+ * moves it; if that happens short of the target, the result has
+ * chunks == 0 and the stalled sum. Requires start >= 0, step > 0 and
+ * chunk > 0, all finite.
+ */
+inline RepeatedCover
+coverRepeated(Seconds start, Seconds step, std::uint64_t chunk,
+              Seconds target)
+{
+    // Strides are capped so that no chunk count or addition count can
+    // overflow: 2^56 additions carry any sum past its stall point.
+    const std::uint64_t maxStride =
+        std::max<std::uint64_t>(1, (std::uint64_t{1} << 56) / chunk);
+    std::uint64_t taken = 0;
+    Seconds base = start;
+    std::uint64_t stride = 1;
+    const double gap = (target - start) / (static_cast<double>(chunk) * step);
+    if (gap > 3) {
+        const std::uint64_t jump =
+            gap < static_cast<double>(maxStride)
+                ? static_cast<std::uint64_t>(gap) - 2
+                : maxStride;
+        const Seconds landing = addRepeated(start, step, jump * chunk);
+        if (landing < target) {
+            taken = jump;
+            base = landing;
+        } else {
+            stride = jump;
+        }
+    }
+    // Invariant: base = the sum after `taken` chunks, short of target.
+    Seconds landing = addRepeated(base, step, stride * chunk);
+    while (landing < target) {
+        if (landing == base)
+            return {0, base};
+        taken += stride;
+        base = landing;
+        stride = std::min(2 * stride, maxStride);
+        landing = addRepeated(base, step, stride * chunk);
+    }
+    // The cover lies within (taken, taken + stride].
+    std::uint64_t lo = 0;
+    while (stride - lo > 1) {
+        const std::uint64_t mid = lo + (stride - lo) / 2;
+        const Seconds probe = addRepeated(base, step, mid * chunk);
+        if (probe >= target) {
+            stride = mid;
+            landing = probe;
+        } else {
+            lo = mid;
+        }
+    }
+    return {taken + stride, landing};
 }
 
 } // namespace litmus

@@ -168,8 +168,6 @@ ScenarioSpec::set(const std::string &key, const std::string &value)
         keepAlive = parseDouble(key, value);
     } else if (key == "threads") {
         threads = parseUnsignedAtLeast(key, value, 0);
-    } else if (key == "exact_quantum") {
-        exactQuantum = parseBool(key, value);
     } else if (key == "drain_cap") {
         drainCap = parseDouble(key, value);
     } else if (key == "calibrate") {
@@ -230,7 +228,7 @@ ScenarioSpec::knownKeys()
             "burst.idle_fraction", "burst.off", "burst.on",
             "calibrate", "calibration_levels", "diurnal.amplitude",
             "diurnal.period", "diurnal.phase", "drain_cap", "duration",
-            "epoch_us", "exact_quantum", "fault.billing",
+            "epoch_us", "fault.billing",
             "fault.blind.at", "fault.blind.duration",
             "fault.blind.mtbf", "fault.crash.at", "fault.crash.mtbf",
             "fault.crash.restart", "fault.retry",

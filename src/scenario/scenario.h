@@ -77,7 +77,6 @@ struct ScenarioSpec
     Seconds epoch = 1e-3;
     Seconds keepAlive = 10.0;
     unsigned threads = 0;
-    bool exactQuantum = false;
     Seconds drainCap = 600.0;
     /** @} */
 

@@ -48,7 +48,6 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec)
     cfg_.epoch = spec_.epoch;
     cfg_.keepAlive = spec_.keepAlive;
     cfg_.threads = spec_.threads;
-    cfg_.exactQuantum = spec_.exactQuantum;
     cfg_.drainCap = spec_.drainCap;
     cfg_.sharingFactor = spec_.sharingFactor;
     cfg_.probes = spec_.probes.value_or(!cfg_.discountModels.empty());

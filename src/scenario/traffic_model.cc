@@ -168,15 +168,6 @@ class DiurnalTraffic final : public TrafficModel
 
     std::string name() const override { return "diurnal"; }
 
-    double rateAt(Seconds t) const
-    {
-        return spec_.arrivalsPerSecond *
-               (1.0 + spec_.diurnalAmplitude *
-                          std::sin(2.0 * kPi *
-                                   (t / spec_.diurnalPeriod +
-                                    spec_.diurnalPhase)));
-    }
-
     std::unique_ptr<cluster::ArrivalStream>
     open(Rng &rng,
          const std::vector<const workload::FunctionSpec *> &pool)
@@ -266,9 +257,6 @@ class BurstTraffic final : public TrafficModel
     }
 
     std::string name() const override { return "burst"; }
-
-    double onRate() const { return rateOn_; }
-    double offRate() const { return rateOff_; }
 
     std::unique_ptr<cluster::ArrivalStream>
     open(Rng &rng,
@@ -371,9 +359,6 @@ class TraceTraffic final : public TrafficModel
     }
 
     std::string name() const override { return "trace"; }
-
-    /** Rows the caps keep (the prescan's count). */
-    std::size_t rowCount() const { return kept_; }
 
     std::unique_ptr<cluster::ArrivalStream>
     open(Rng &rng,
@@ -619,17 +604,6 @@ TraceCsvReader::next(TraceRow &row)
         return true;
     }
     return false;
-}
-
-std::vector<TraceRow>
-loadArrivalTrace(const std::string &path)
-{
-    TraceCsvReader reader(path);
-    std::vector<TraceRow> rows;
-    TraceRow row;
-    while (reader.next(row))
-        rows.push_back(row);
-    return rows;
 }
 
 } // namespace litmus::scenario

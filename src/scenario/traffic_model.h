@@ -183,10 +183,6 @@ class TraceCsvReader
     std::unique_ptr<Impl> impl_;
 };
 
-/** Drain a TraceCsvReader: every row of @p path, materialized
- *  (small-file convenience for tests and tools). */
-std::vector<TraceRow> loadArrivalTrace(const std::string &path);
-
 } // namespace litmus::scenario
 
 #endif // LITMUS_SCENARIO_TRAFFIC_MODEL_H

@@ -28,20 +28,6 @@ hotterDomain(const SharedState &candidate, const SharedState &current)
 
 } // namespace
 
-bool Engine::defaultFastForward_ = true;
-
-void
-Engine::setDefaultFastForward(bool enabled)
-{
-    defaultFastForward_ = enabled;
-}
-
-bool
-Engine::defaultFastForward()
-{
-    return defaultFastForward_;
-}
-
 void
 EngineStats::registerWith(StatsRegistry &registry,
                           const std::string &group)
@@ -66,9 +52,7 @@ Engine::Engine(const MachineConfig &cfg, FrequencyPolicy policy,
       governor_(cfg_, policy),
       scheduler_(cfg_),
       quantum_(quantum > 0 ? quantum : cfg_.quantum),
-      quantumNs_(std::llround(quantum_ * 1e9)),
-      lastFrequency_(cfg_.baseFrequency),
-      fastForward_(defaultFastForward_)
+      quantumNs_(std::llround(quantum_ * 1e9))
 {
     cfg_.validate();
     if (quantum_ <= 0)
@@ -363,7 +347,6 @@ Engine::fullStep()
     // contention solve (and the memo key) like any frequency change.
     const Hertz freq =
         governor_.frequency(scheduler_.activeCores()) * speedFactor_;
-    lastFrequency_ = freq;
 
     // Gather running threads and solve each socket's shared domain
     // independently (sockets == 1 for the default presets).
@@ -420,8 +403,8 @@ Engine::fullStep()
         const double waitingWs =
             scheduler_.waitingWorkingSet(cpuBegin, cpuEnd);
         // The memo returns a result bit-identical to a fresh solve;
-        // exact-quantum mode bypasses it so --exact-quantum times the
-        // true baseline.
+        // with fast-forward off the engine bypasses it, so the oracle
+        // times the true baseline.
         ContentionResult freshSolve;
         if (!fastForward_) {
             freshSolve = solver_.solve(inputs, freq, waitingWs);

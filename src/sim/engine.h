@@ -20,8 +20,9 @@
  * bit-identical to exact quantum stepping while skipping the scheduler
  * scans and the iterative contention solve. Re-solves that do happen
  * are served from a ContentionMemo keyed on the co-running phase
- * signature. setFastForward(false) (the apps' --exact-quantum flag)
- * restores the original path for A/B validation.
+ * signature. setFastForward(false) restores the original path: the
+ * differential oracle (ClusterConfig::exactQuantum) and the engine
+ * benches use it for A/B validation.
  */
 
 #ifndef LITMUS_SIM_ENGINE_H
@@ -187,9 +188,6 @@ class Engine
     /** Contention solver (shared with calibration tooling). */
     const ContentionSolver &solver() const { return solver_; }
 
-    /** Frequency used in the most recent quantum. */
-    Hertz currentFrequency() const { return lastFrequency_; }
-
     /** Number of live tasks. */
     std::size_t taskCount() const { return tasks_.size(); }
 
@@ -231,19 +229,11 @@ class Engine
     /** @name Steady-state fast-forward control @{ */
     /**
      * Enable or disable the fast-forward core for this engine.
-     * Output is bit-identical either way; disabling exists as an A/B
-     * escape hatch (--exact-quantum) and for baseline timing.
+     * Output is bit-identical either way; disabling exists for the
+     * differential oracle and for baseline timing.
      */
     void setFastForward(bool enabled);
     bool fastForward() const { return fastForward_; }
-
-    /**
-     * Process-wide default applied to newly constructed engines, so
-     * command-line front ends can flip every engine an experiment
-     * creates internally without threading a flag through each config.
-     */
-    static void setDefaultFastForward(bool enabled);
-    static bool defaultFastForward();
     /** @} */
 
   private:
@@ -321,7 +311,6 @@ class Engine
     Seconds now_ = 0;
     /** Lifetime quanta: stepped + skipped (see tickCount()). */
     std::uint64_t tickCount_ = 0;
-    Hertz lastFrequency_;
     MachineCounters machine_;
     std::vector<std::unique_ptr<Task>> tasks_;
     /** Ids of live tasks, so alive checks in run loops stay O(1). */
@@ -333,7 +322,7 @@ class Engine
     EngineStats stats_;
     /** Effective-frequency multiplier (slowdown windows; 1 = nominal). */
     double speedFactor_ = 1.0;
-    bool fastForward_;
+    bool fastForward_ = true;
     FastForwardPlan plan_;
 
     /** @name fullStep() scratch space (reused, hot path) @{ */
@@ -342,8 +331,6 @@ class Engine
     std::vector<const ResourceDemand *> scratchDemands_;
     std::vector<SolverInput> scratchInputs_;
     /** @} */
-
-    static bool defaultFastForward_;
 };
 
 } // namespace litmus::sim

@@ -376,22 +376,5 @@ TEST(EngineFastForward, ExactQuantumFlagDisablesReplay)
     EXPECT_GT(engine.stats().ffQuanta.value(), 0.0);
 }
 
-TEST(EngineFastForward, DefaultFlagAppliesToNewEngines)
-{
-    ASSERT_TRUE(Engine::defaultFastForward());
-    Engine::setDefaultFastForward(false);
-    {
-        auto cfg = MachineCatalog::get("cascade-5218");
-        cfg.cores = 2;
-        Engine engine(cfg);
-        EXPECT_FALSE(engine.fastForward());
-    }
-    Engine::setDefaultFastForward(true);
-    auto cfg = MachineCatalog::get("cascade-5218");
-    cfg.cores = 2;
-    Engine engine(cfg);
-    EXPECT_TRUE(engine.fastForward());
-}
-
 } // namespace
 } // namespace litmus::sim

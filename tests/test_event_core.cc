@@ -6,11 +6,12 @@
  * ledger record — across traffic models, mixed fleets, chaos
  * campaigns, and worker-thread counts.
  *
- * The oracle (`exact_quantum = true`) takes every grid barrier, steps
- * every machine through every quantum, and turns engine fast-forward
- * off: any divergence here means the event queue dispatched,
- * harvested, or accumulated in a different order than the plain
- * epoch march, which would silently move billing totals.
+ * The oracle (ClusterConfig::exactQuantum, set on a copy of the
+ * runner's config) takes every grid barrier, steps every machine
+ * through every quantum, and turns engine fast-forward off: any
+ * divergence here means the event batches dispatched, harvested, or
+ * accumulated in a different order than the plain epoch march, which
+ * would silently move billing totals.
  */
 
 #include <cstdint>
@@ -57,14 +58,16 @@ struct RunOutcome
 RunOutcome
 runWith(scenario::ScenarioSpec spec, bool exact, unsigned threads = 1)
 {
-    spec.exactQuantum = exact;
     spec.threads = threads;
-    scenario::ScenarioRunner runner(std::move(spec));
+    const scenario::ScenarioRunner runner(std::move(spec));
+    cluster::ClusterConfig cfg = runner.clusterConfig();
+    cfg.exactQuantum = exact;
+    cluster::Cluster fleet(cfg);
     RunOutcome out;
-    out.report = runner.run();
+    out.report = fleet.run();
     for (unsigned m = 0; m < out.report.machines.size(); ++m) {
-        out.ledgers.push_back(runner.cluster().ledger(m).records());
-        const sim::EngineStats &st = runner.cluster().engine(m).stats();
+        out.ledgers.push_back(fleet.ledger(m).records());
+        const sim::EngineStats &st = fleet.engine(m).stats();
         out.stepped.push_back(st.quanta.value());
         out.skipped.push_back(st.skippedQuanta.value());
     }
@@ -206,8 +209,8 @@ TEST(EventCoreDifferential, BurstBitIdentical)
 TEST(EventCoreDifferential, TraceReplayBitIdentical)
 {
     // Includes a t=0 arrival (due before the first barrier) and long
-    // gaps: the event core's conservative idle jump must land on the
-    // barriers where the oracle dispatches.
+    // gaps: the idle fleet's batches must land on the barriers where
+    // the oracle dispatches.
     const std::string tracePath = writeTempFile(
         "event_core_trace.csv", "0.0,float-py\n"
                                 "0.001,aes-go\n"
@@ -344,6 +347,59 @@ TEST(EventCoreDifferential, SparseFleetFaultsBitIdentical)
         EXPECT_EQ(parallel.report.sched.barrierMachineVisits,
                   serial.report.sched.barrierMachineVisits);
     }
+}
+
+// ---- command-line configurations --------------------------------------
+
+TEST(EventCoreDifferential, FleetCliDefaultsBitIdentical)
+{
+    // `litmus_fleet --invocations 300`: the CLI's defaults are the
+    // spec defaults (four cascade-5218 machines, warmth-aware, Poisson
+    // at 2000/s over the whole suite), at the default thread count.
+    const auto spec =
+        scenario::ScenarioSpec::fromString("invocations = 300\n");
+    ASSERT_EQ(spec.threads, 0u);
+    expectIdentical(runWith(spec, false, spec.threads),
+                    runWith(spec, true, spec.threads));
+}
+
+TEST(EventCoreDifferential, AzureStreamScenarioBitIdentical)
+{
+    // The shipped azure example: idle gaps between trace minutes, so
+    // busy engines drain long before the next arrival and the default
+    // loop elides each batch's idle tail.
+    const auto spec = scenario::ScenarioSpec::fromFile(
+        std::string(LITMUS_EXAMPLES_DIR) +
+        "/scenarios/azure_stream.scenario");
+    const RunOutcome event = runWith(spec, false, spec.threads);
+    expectIdentical(event, runWith(spec, true, spec.threads));
+    EXPECT_GT(event.report.sched.idleQuantaSkipped, 0u);
+}
+
+TEST(EventCoreDifferential, SparseFleetCliCampaignBitIdentical)
+{
+    // `litmus_fleet --machines 256 --policy least-loaded --rate 256
+    // --invocations 600 --keepalive 0.5 --faults=...`: 256 mostly idle
+    // machines under crashes, blindness windows and backoff retries.
+    // The busy set, keep-alive heap and maintained snapshots must
+    // reproduce the oracle, which also cross-checks them against the
+    // whole fleet at every barrier.
+    const auto spec = scenario::ScenarioSpec::fromString(
+        "fleet = cascade-5218:256\n"
+        "policy = least-loaded\n"
+        "rate = 256\n"
+        "invocations = 600\n"
+        "keepalive = 0.5\n"
+        "fault.blind.mtbf = 2\n"
+        "fault.blind.duration = 0.3\n"
+        "fault.crash.mtbf = 4\n"
+        "fault.crash.restart = 0.2\n"
+        "fault.retry = backoff\n");
+    const RunOutcome event = runWith(spec, false, spec.threads);
+    expectIdentical(event, runWith(spec, true, spec.threads));
+    EXPECT_GT(event.report.crashes, 0u);
+    EXPECT_GT(event.report.retries, 0u);
+    EXPECT_GT(event.report.sched.eventsKeepAlive, 0u);
 }
 
 // ---- threads ---------------------------------------------------------
@@ -550,6 +606,81 @@ TEST(EventCoreCounters, BarrierWorkIndependentOfIdleMachines)
             EXPECT_EQ(m.dispatched, m.index < 3 ? 20u : 0u)
                 << "machine " << m.index;
     }
+}
+
+// ---- far-future events -------------------------------------------------
+
+/** A one-machine fleet replaying @p rows, plus @p extra keys. */
+scenario::ScenarioSpec
+traceSpec(const std::string &file, const std::string &rows,
+          const std::string &extra = "")
+{
+    return baseSpec("fleet = cascade-5218:1\n"
+                    "traffic = trace\n"
+                    "trace.path = " + writeTempFile(file, rows) + "\n" +
+                    extra);
+}
+
+TEST(EventCoreFarFuture, ArrivalBelowTheClockHorizonIsServed)
+{
+    // At 4e11 s one 50 us quantum still moves the clock (it rounds to
+    // one ulp, 61 us), so the idle fleet jumps straight to the first
+    // covering barrier and serves the row; landing anywhere later
+    // would trip the drain cap instead. Idle from t = 0, and idle after
+    // serving an earlier row.
+    for (const char *rows : {"4e11,aes-go\n", "0.01,float-py\n"
+                                               "4e11,aes-go\n"}) {
+        SCOPED_TRACE(rows);
+        const auto spec = traceSpec("event_core_4e11.csv", rows);
+        const RunOutcome out = runWith(spec, false);
+        EXPECT_EQ(out.report.completions, out.report.arrivals);
+        EXPECT_GT(out.report.makespan, 4e11);
+        EXPECT_LT(out.report.makespan, 4e11 + 60);
+    }
+}
+
+TEST(EventCoreFarFutureDeath, ArrivalPastTheClockHorizonIsFatal)
+{
+    // Past 2^39 s a 50 us quantum is below half an ulp: the clock
+    // stalls there and the row can never come due. That must fail
+    // fast, naming the event, not hang or blame the drain cap.
+    const auto spec = traceSpec("event_core_1e12.csv", "0.01,float-py\n"
+                                                       "1e12,aes-go\n");
+    EXPECT_EXIT((void)runWith(spec, false), ::testing::ExitedWithCode(1),
+                "fleet clock is stuck at 5\\.49756e\\+11 s.*pending "
+                "arrival at 1e\\+12 s can never come due");
+}
+
+TEST(EventCoreFarFutureDeath, RetryPastTheClockHorizonIsFatal)
+{
+    // A scripted crash kills the in-flight invocation; its backoff
+    // retry lands past the clock horizon.
+    const auto spec =
+        traceSpec("event_core_retry.csv", "0.0,float-py\n",
+                  "fault.crash.at = 0.005@0\n"
+                  "fault.crash.restart = 0.05\n"
+                  "fault.retry = backoff\n"
+                  "fault.retry.backoff = 1e12\n");
+    EXPECT_EXIT((void)runWith(spec, false), ::testing::ExitedWithCode(1),
+                "fleet clock is stuck at 5\\.49756e\\+11 s.*pending "
+                "retry at 1e\\+12 s can never come due");
+}
+
+TEST(EventCoreFarFuture, ScriptedCrashKillsTheInvocation)
+{
+    // The retry death test's premise: the crash lands while the
+    // invocation is in flight, so its retry is what the clock waits
+    // for.
+    const auto spec =
+        traceSpec("event_core_retry_ok.csv", "0.0,float-py\n",
+                  "fault.crash.at = 0.005@0\n"
+                  "fault.crash.restart = 0.05\n"
+                  "fault.retry = backoff\n"
+                  "fault.retry.backoff = 1\n");
+    const RunOutcome out = runWith(spec, false);
+    EXPECT_EQ(out.report.killedInvocations, 1u);
+    EXPECT_EQ(out.report.retries, 1u);
+    EXPECT_EQ(out.report.completions, 1u);
 }
 
 // ---- quantum agreement (config-time validation) ----------------------

@@ -163,5 +163,173 @@ TEST(RepeatedAdd, OutsideTheClosedFormIsTheLoop)
     EXPECT_TRUE(std::isinf(addRepeated(1e308, 1e308, 3)));
 }
 
+// ---- coverRepeated ----------------------------------------------------
+
+/** The cover by brute force: walk @p chunk plain additions at a time
+ *  from @p start until the sum reaches @p target (at least once). */
+RepeatedCover
+walkCover(Seconds start, Seconds step, std::uint64_t chunk,
+          Seconds target)
+{
+    RepeatedCover out{0, start};
+    do {
+        out.sum = loop(out.sum, step, chunk);
+        ++out.chunks;
+    } while (out.sum < target);
+    return out;
+}
+
+void
+expectWalkCover(Seconds start, Seconds step, std::uint64_t chunk,
+                Seconds target)
+{
+    const RepeatedCover walk = walkCover(start, step, chunk, target);
+    const RepeatedCover cover = coverRepeated(start, step, chunk, target);
+    EXPECT_EQ(cover.chunks, walk.chunks)
+        << "start " << start << " step " << step << " chunk " << chunk
+        << " target " << target;
+    EXPECT_EQ(cover.sum, walk.sum)
+        << "start " << start << " step " << step << " chunk " << chunk
+        << " target " << target;
+}
+
+/** Where a walk is out of reach, the definition itself: the sum after
+ *  the cover reaches the target and one chunk fewer does not. */
+RepeatedCover
+expectMinimalCover(Seconds start, Seconds step, std::uint64_t chunk,
+                   Seconds target)
+{
+    const RepeatedCover cover = coverRepeated(start, step, chunk, target);
+    EXPECT_GT(cover.chunks, 0u) << "target " << target;
+    EXPECT_EQ(cover.sum, addRepeated(start, step, cover.chunks * chunk));
+    EXPECT_GE(cover.sum, target);
+    if (cover.chunks > 1) {
+        EXPECT_LT(addRepeated(start, step, (cover.chunks - 1) * chunk),
+                  target)
+            << "target " << target;
+    }
+    return cover;
+}
+
+TEST(RepeatedAddCover, RandomStartsMatchAWalk)
+{
+    Rng rng(20261017);
+    std::vector<Seconds> all = steps();
+    all.push_back(130e-6);
+    for (int trial = 0; trial < 600; ++trial) {
+        const Seconds step = all[rng.below(all.size())];
+        const std::uint64_t chunk =
+            std::vector<std::uint64_t>{1, 20, 26, 1000}[rng.below(4)];
+        const Seconds start =
+            trial % 10 == 0 ? 0.0 : std::exp(rng.uniform(-14.0, 11.5));
+        // Targets from behind the start to ~200k additions ahead, off
+        // the estimate's grid by a random fraction.
+        const double chunks = rng.uniform(-2.0, 200'000.0 / chunk);
+        const Seconds target =
+            start + chunks * static_cast<double>(chunk) * step;
+        expectWalkCover(start, step, chunk, target);
+    }
+}
+
+TEST(RepeatedAddCover, DayScaleStartsMatchAWalk)
+{
+    // A day in, one 50 us addition is off by up to 7e-12 s, so the
+    // quotient estimate can miss the cover by whole epochs.
+    Rng rng(86400);
+    for (int trial = 0; trial < 200; ++trial) {
+        const Seconds start = 86400 + rng.uniform(0.0, 3600.0);
+        const std::uint64_t chunk = trial % 2 == 0 ? 20 : 1;
+        const Seconds target =
+            start + rng.uniform(0.0, 4000.0) * static_cast<double>(chunk) *
+                        50e-6;
+        expectWalkCover(start, 50e-6, chunk, target);
+    }
+}
+
+TEST(RepeatedAddCover, TargetsStraddlingBinadeEdgesMatchAWalk)
+{
+    for (int e : {-3, 0, 1, 5, 10, 14, 16, 20, 30, 33}) {
+        const Seconds edge = std::ldexp(1.0, e);
+        for (Seconds step : {50e-6, 1e-3}) {
+            for (std::uint64_t chunk : {1u, 20u}) {
+                const Seconds span = static_cast<double>(chunk) * step;
+                for (double before : {1.0, 3.0, 50.0, 700.0}) {
+                    const Seconds start = edge - before * span;
+                    if (!(start >= 0))
+                        continue;
+                    for (Seconds target :
+                         {std::nextafter(edge, 0.0), edge,
+                          std::nextafter(edge, 2 * edge), edge + 0.5 * span,
+                          edge + 3.5 * span, edge + 900 * span})
+                        expectWalkCover(start, step, chunk, target);
+                }
+            }
+        }
+    }
+}
+
+TEST(RepeatedAddCover, QuotientJumpsWouldLandLate)
+{
+    // With 50 us epochs, an idle stretch from the 0.12 s barrier to an
+    // arrival at 16384.5 s: the first covering barrier is 327,687,599
+    // epochs on, while floor(gap / span) epochs already overshoot it.
+    const Seconds step = 50e-6;
+    const Seconds start = addRepeated(0.0, step, 2400);
+    const Seconds target = 16384.5;
+    const RepeatedCover cover = expectMinimalCover(start, step, 1, target);
+    EXPECT_EQ(cover.chunks, 327'687'599u);
+    EXPECT_EQ(static_cast<std::uint64_t>((target - start) / step),
+              327'687'600u);
+
+    // With the default 1 ms epoch, arrivals about a day after a fleet
+    // went idle near t = 0: the quotient jump is late at every one of
+    // these arrival times, the cover never.
+    Rng rng(1);
+    for (int trial = 0; trial < 200; ++trial) {
+        const Seconds idleFrom =
+            addRepeated(0.0, step, 20 * between(rng, 1, 100));
+        const Seconds arrival = 86400 + rng.uniform(0.0, 600.0);
+        const RepeatedCover day =
+            expectMinimalCover(idleFrom, step, 20, arrival);
+        const auto jump = static_cast<std::uint64_t>(
+            (arrival - idleFrom) / (20 * step));
+        EXPECT_GT(jump, day.chunks) << "arrival " << arrival;
+    }
+}
+
+TEST(RepeatedAddCover, StallsPastTheClockHorizon)
+{
+    // Past 2^39 s a 50 us step is below half an ulp, past 2^44 s a
+    // 1 ms one: the sum stops moving and the target is unreachable.
+    const RepeatedCover fifty = coverRepeated(0.0, 50e-6, 20, 1e12);
+    EXPECT_EQ(fifty.chunks, 0u);
+    EXPECT_EQ(fifty.sum, std::ldexp(1.0, 39));
+    const RepeatedCover milli = coverRepeated(0.0, 1e-3, 1, 1e14);
+    EXPECT_EQ(milli.chunks, 0u);
+    EXPECT_EQ(milli.sum, std::ldexp(1.0, 44));
+    const RepeatedCover stuck =
+        coverRepeated(std::ldexp(1.0, 39), 50e-6, 20, 6e11);
+    EXPECT_EQ(stuck.chunks, 0u);
+    EXPECT_EQ(stuck.sum, std::ldexp(1.0, 39));
+
+    // Just short of the horizon the sum still moves and is covered.
+    expectMinimalCover(0.0, 50e-6, 20, 4e11);
+}
+
+TEST(RepeatedAddCover, TargetBehindTheStartTakesOneChunk)
+{
+    for (Seconds target : {0.5, 1.0}) {
+        const RepeatedCover cover = coverRepeated(1.0, 1e-3, 20, target);
+        EXPECT_EQ(cover.chunks, 1u);
+        EXPECT_EQ(cover.sum, addRepeated(1.0, 1e-3, 20));
+    }
+    // A stalled sum reports its single chunk without moving; callers
+    // compare the sum with the start to tell.
+    const Seconds stalled = std::ldexp(1.0, 39);
+    const RepeatedCover cover = coverRepeated(stalled, 50e-6, 20, stalled);
+    EXPECT_EQ(cover.chunks, 1u);
+    EXPECT_EQ(cover.sum, stalled);
+}
+
 } // namespace
 } // namespace litmus

@@ -81,9 +81,9 @@ runWith(scenario::ScenarioSpec spec, bool upfront, unsigned threads,
         bool exact = false)
 {
     spec.threads = threads;
-    spec.exactQuantum = exact;
     scenario::ScenarioRunner runner(std::move(spec));
     cluster::ClusterConfig cfg = runner.clusterConfig();
+    cfg.exactQuantum = exact;
     const cluster::UpfrontTraffic replay(*cfg.traffic);
     if (upfront)
         cfg.traffic = &replay;

@@ -407,7 +407,6 @@ TEST(ScenarioSpec, ParsesEveryKey)
         "epoch_us = 500\n"
         "keepalive = 5\n"
         "threads = 3\n"
-        "exact_quantum = yes\n"
         "drain_cap = 120\n"
         "sharing_factor = 1.5\n"
         "probes = true\n");
@@ -425,7 +424,6 @@ TEST(ScenarioSpec, ParsesEveryKey)
     EXPECT_EQ(spec.seed, 99u);
     EXPECT_DOUBLE_EQ(spec.epoch, 500e-6);
     EXPECT_EQ(spec.threads, 3u);
-    EXPECT_TRUE(spec.exactQuantum);
     ASSERT_TRUE(spec.probes.has_value());
     EXPECT_TRUE(*spec.probes);
     spec.validate();
@@ -483,6 +481,20 @@ TEST(ScenarioSpecDeath, UnsignedKeysRejectWraparound)
     // The largest representable value still parses.
     EXPECT_EQ(ScenarioSpec::fromString("threads = 4294967295\n").threads,
               4294967295u);
+}
+
+TEST(ScenarioSpecDeath, ExactQuantumIsNotAScenarioKey)
+{
+    // The differential oracle is ClusterConfig::exactQuantum, set by
+    // tests and benches on a copy of the runner's config; a scenario
+    // file naming it is a typo like any other, located by file:line.
+    const std::string path =
+        writeTempFile("exact_quantum.scenario", "seed = 3\n"
+                                                "exact_quantum = yes\n");
+    EXPECT_EXIT((void)ScenarioSpec::fromFile(path),
+                ::testing::ExitedWithCode(1),
+                "exact_quantum\\.scenario:2: unknown scenario key "
+                "'exact_quantum'");
 }
 
 TEST(ScenarioSpecDeath, MalformedScenarios)
