@@ -23,6 +23,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -252,35 +253,74 @@ class BenchJson
         std::ofstream json(path_);
         if (!json)
             fatal("BenchJson: cannot write ", path_);
+        writeTo(json);
+        echo << "json written to " << path_ << "\n";
+    }
+
+    /** The artifact's JSON text: keys escaped, non-finite values as
+     *  null (JSON has no NaN or infinity). */
+    void writeTo(std::ostream &json) const
+    {
         json << std::setprecision(17) << "{\n";
         bool first = true;
         for (const auto &[group, metrics] : groups_) {
             if (!group.empty()) {
-                json << (first ? "" : ",\n") << "  \"" << group
-                     << "\": {\n";
+                json << (first ? "" : ",\n") << "  " << quoted(group)
+                     << ": {\n";
                 first = false;
                 for (std::size_t i = 0; i < metrics.size(); ++i) {
-                    json << "    \"" << metrics[i].first
-                         << "\": " << metrics[i].second
+                    json << "    " << quoted(metrics[i].first) << ": "
+                         << number(metrics[i].second)
                          << (i + 1 < metrics.size() ? ",\n" : "\n");
                 }
                 json << "  }";
             } else {
                 for (const auto &[key, value] : metrics) {
-                    json << (first ? "" : ",\n") << "  \"" << key
-                         << "\": " << value;
+                    json << (first ? "" : ",\n") << "  " << quoted(key)
+                         << ": " << number(value);
                     first = false;
                 }
             }
         }
         json << "\n}\n";
-        echo << "json written to " << path_ << "\n";
     }
 
     const std::string &path() const { return path_; }
 
   private:
     using Metrics = std::vector<std::pair<std::string, double>>;
+
+    /** A JSON string literal: quotes, backslashes and control
+     *  characters escaped. */
+    static std::string quoted(const std::string &text)
+    {
+        std::ostringstream out;
+        out << '"';
+        for (const char c : text) {
+            if (c == '"' || c == '\\') {
+                out << '\\' << c;
+            } else if (static_cast<unsigned char>(c) < 0x20) {
+                out << "\\u" << std::hex << std::setw(4)
+                    << std::setfill('0')
+                    << static_cast<int>(static_cast<unsigned char>(c))
+                    << std::dec << std::setfill(' ');
+            } else {
+                out << c;
+            }
+        }
+        out << '"';
+        return out.str();
+    }
+
+    /** A JSON number, or null for NaN and infinities. */
+    static std::string number(double value)
+    {
+        if (!std::isfinite(value))
+            return "null";
+        std::ostringstream out;
+        out << std::setprecision(17) << value;
+        return out.str();
+    }
 
     Metrics &groupFor(const std::string &group)
     {

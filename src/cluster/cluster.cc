@@ -7,7 +7,7 @@
 #include <thread>
 #include <unordered_map>
 
-#include "cluster/epoch_pool.h"
+#include "common/epoch_pool.h"
 #include "common/logging.h"
 #include "common/repeated_add.h"
 #include "core/litmus_probe.h"

@@ -1,8 +1,8 @@
-#include "cluster/epoch_pool.h"
+#include "common/epoch_pool.h"
 
 #include "common/logging.h"
 
-namespace litmus::cluster
+namespace litmus
 {
 
 EpochPool::EpochPool(unsigned threads) : threads_(threads)
@@ -114,4 +114,4 @@ EpochPool::workerLoop()
     }
 }
 
-} // namespace litmus::cluster
+} // namespace litmus

@@ -1,6 +1,10 @@
 #include "core/calibration.h"
 
+#include <sched.h>
+
 #include <algorithm>
+#include <functional>
+#include <iterator>
 #include <memory>
 
 #include "common/logging.h"
@@ -98,6 +102,93 @@ class CellEnvironment
     bool captured_ = false;
 };
 
+/** What one (generator, level) stress cell measured. */
+struct CellResult
+{
+    /** One entry per workload::allLanguages(), in that order. */
+    std::vector<CongestionEntry> congestion;
+    PerformanceEntry performance;
+};
+
+/**
+ * Run one stress cell: the startup probes of every language, then the
+ * reference functions, all inside one CellEnvironment. Reads only
+ * @p cfg, the congestion baselines and @p ref_solo, so cells are
+ * independent of each other and of the order they run in.
+ */
+CellResult
+measureCell(const CalibrationConfig &cfg, GeneratorKind gen,
+            unsigned level, const CongestionTable &baselines,
+            const std::map<std::string, SoloBaseline> &ref_solo,
+            const std::vector<unsigned> &subject_affinity)
+{
+    CellEnvironment env(cfg, gen, level, cfg.seed + 31 * level);
+    CellResult cell;
+
+    // Congestion table: startup probes per language.
+    for (Language lang : workload::allLanguages()) {
+        std::vector<double> priv, shared, total, l3;
+        for (unsigned rep = 0; rep < cfg.repetitions; ++rep) {
+            sim::ProbeCapture probe;
+            env.measure(makeStartupTask(lang, cfg.probeWindowOverride),
+                        subject_affinity, &probe);
+            const ProbeReading reading = readProbe(probe);
+            const ProbeSlowdown s =
+                slowdownOf(reading, baselines.baseline(lang));
+            priv.push_back(s.priv);
+            shared.push_back(s.shared);
+            total.push_back(s.total);
+            l3.push_back(reading.machineL3MissPerUs);
+        }
+        CongestionEntry entry;
+        entry.privSlowdown = gmean(priv);
+        entry.sharedSlowdown = gmean(shared);
+        entry.totalSlowdown = gmean(total);
+        entry.l3MissPerUs = mean(l3);
+        cell.congestion.push_back(entry);
+    }
+
+    // Performance table: reference-function slowdown gmeans.
+    std::vector<double> priv, shared, total;
+    for (const FunctionSpec *spec : cfg.referencePool) {
+        const SoloBaseline &solo = ref_solo.at(spec->name);
+        std::vector<double> p, s, t;
+        for (unsigned rep = 0; rep < cfg.repetitions; ++rep) {
+            const sim::TaskCounters counters = env.measure(
+                workload::makeNominalInvocation(*spec, false),
+                subject_affinity, nullptr);
+            const double privCpi =
+                counters.privateCycles() / counters.instructions;
+            const double sharedCpi =
+                counters.stallSharedCycles / counters.instructions;
+            p.push_back(privCpi / solo.privCpi);
+            s.push_back(sharedCpi / solo.sharedCpi);
+            t.push_back((privCpi + sharedCpi) / solo.totalCpi());
+        }
+        priv.push_back(gmean(p));
+        shared.push_back(gmean(s));
+        total.push_back(gmean(t));
+    }
+    cell.performance.privSlowdown = gmean(priv);
+    cell.performance.sharedSlowdown = gmean(shared);
+    cell.performance.totalSlowdown = gmean(total);
+    return cell;
+}
+
+/** CPUs the calling thread may run on (its affinity mask), >= 1. */
+unsigned
+allowedCpuCount()
+{
+    cpu_set_t allowed;
+    CPU_ZERO(&allowed);
+    if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0)
+        return 1;
+    return static_cast<unsigned>(std::max(1, CPU_COUNT(&allowed)));
+}
+
+constexpr GeneratorKind kGenerators[] = {GeneratorKind::CtGen,
+                                         GeneratorKind::MbGen};
+
 } // namespace
 
 void
@@ -115,20 +206,32 @@ CalibrationConfig::validate() const
             fatal("CalibrationConfig: levels must increase");
     }
     const unsigned maxLevel = levels.back();
-    if (generatorFirstCpu + maxLevel > machine.hwThreads())
+    const unsigned hwThreads = machine.hwThreads();
+    if (generatorFirstCpu + maxLevel > hwThreads)
         fatal("CalibrationConfig: level ", maxLevel,
               " does not fit behind cpu ", generatorFirstCpu, " on ",
-              machine.hwThreads(), " hardware threads");
+              hwThreads, " hardware threads");
+    // The subject must own its CPUs: one shared with a generator
+    // would silently measure time-sharing, not congestion.
+    const auto checkSubjectCpu = [&](const char *field, unsigned cpu) {
+        if (cpu >= hwThreads)
+            fatal("CalibrationConfig: ", field, " ", cpu, " is not a "
+                  "cpu of '", machine.name, "' (", hwThreads,
+                  " hardware threads)");
+        if (cpu >= generatorFirstCpu &&
+            cpu < generatorFirstCpu + maxLevel) {
+            fatal("CalibrationConfig: ", field, " ", cpu,
+                  " overlaps the generator range [", generatorFirstCpu,
+                  ", ", generatorFirstCpu + maxLevel, ")");
+        }
+    };
     if (sharingFunctions > 0) {
         if (sharingCpus.empty())
             fatal("CalibrationConfig: sharing enabled without CPUs");
-        for (unsigned cpu : sharingCpus) {
-            if (cpu >= generatorFirstCpu &&
-                cpu < generatorFirstCpu + maxLevel) {
-                fatal("CalibrationConfig: sharing cpu ", cpu,
-                      " overlaps generator range");
-            }
-        }
+        for (unsigned cpu : sharingCpus)
+            checkSubjectCpu("sharingCpus entry", cpu);
+    } else {
+        checkSubjectCpu("subjectCpu", subjectCpu);
     }
     if (repetitions == 0)
         fatal("CalibrationConfig: repetitions must be positive");
@@ -196,10 +299,18 @@ CalibrationProfile
 calibrate(const CalibrationConfig &cfg)
 {
     cfg.validate();
+    const auto cells =
+        static_cast<unsigned>(std::size(kGenerators) * cfg.levels.size());
+    EpochPool pool(std::min(allowedCpuCount(), cells));
+    return calibrate(cfg, pool);
+}
+
+CalibrationProfile
+calibrate(const CalibrationConfig &cfg, EpochPool &pool)
+{
+    cfg.validate();
     CalibrationProfile result;
     result.machine = cfg.machine.name;
-
-    const std::vector<const FunctionSpec *> &refs = cfg.referencePool;
 
     // ---- Congestion-free baselines ---------------------------------
     for (Language lang : workload::allLanguages()) {
@@ -212,74 +323,48 @@ calibrate(const CalibrationConfig &cfg)
         result.congestion.setBaseline(lang, readProbe(solo.probe));
     }
 
-    std::map<std::string, SoloBaseline> refSolo;
-    for (const FunctionSpec *spec : refs)
-        refSolo[spec->name] =
+    for (const FunctionSpec *spec : cfg.referencePool)
+        result.referenceSolo[spec->name] =
             measureSoloBaseline(cfg.machine, *spec, cfg.policy);
-    result.referenceSolo = refSolo;
 
     const std::vector<unsigned> subjectAffinity =
         cfg.sharingFunctions > 0 ? cfg.sharingCpus
                                  : std::vector<unsigned>{cfg.subjectCpu};
 
     // ---- Stress sweep ----------------------------------------------
-    // One environment per (generator, level) cell; every subject runs
-    // sequentially inside it, exactly as a provider would sweep.
-    for (GeneratorKind gen :
-         {GeneratorKind::CtGen, GeneratorKind::MbGen}) {
-        for (unsigned level : cfg.levels) {
-            CellEnvironment env(cfg, gen, level, cfg.seed + 31 * level);
+    // One self-contained environment per (generator, level) cell,
+    // seeded by its level alone, so the cells run on the pool in any
+    // order and on any number of threads. Each writes only its own
+    // slot; the jobs are queued deepest level first, since deeper
+    // cells step the most quanta and would otherwise finish last.
+    const std::size_t levels = cfg.levels.size();
+    std::vector<CellResult> slots(std::size(kGenerators) * levels);
+    std::vector<std::function<void()>> jobs;
+    jobs.reserve(slots.size());
+    for (std::size_t l = levels; l-- > 0;) {
+        for (std::size_t g = 0; g < std::size(kGenerators); ++g) {
+            jobs.emplace_back([&, g, l] {
+                slots[g * levels + l] = measureCell(
+                    cfg, kGenerators[g], cfg.levels[l],
+                    result.congestion, result.referenceSolo,
+                    subjectAffinity);
+            });
+        }
+    }
+    pool.run(jobs);
 
-            // Congestion table: startup probes per language.
-            for (Language lang : workload::allLanguages()) {
-                std::vector<double> priv, shared, total, l3;
-                for (unsigned rep = 0; rep < cfg.repetitions; ++rep) {
-                    sim::ProbeCapture probe;
-                    env.measure(
-                        makeStartupTask(lang, cfg.probeWindowOverride),
-                        subjectAffinity, &probe);
-                    const ProbeReading reading = readProbe(probe);
-                    const ProbeSlowdown s = slowdownOf(
-                        reading, result.congestion.baseline(lang));
-                    priv.push_back(s.priv);
-                    shared.push_back(s.shared);
-                    total.push_back(s.total);
-                    l3.push_back(reading.machineL3MissPerUs);
-                }
-                CongestionEntry entry;
-                entry.privSlowdown = gmean(priv);
-                entry.sharedSlowdown = gmean(shared);
-                entry.totalSlowdown = gmean(total);
-                entry.l3MissPerUs = mean(l3);
-                result.congestion.add(lang, gen, level, entry);
+    // Fill the tables in (generator, level, language) order, exactly
+    // as a serial sweep would.
+    const std::vector<Language> &langs = workload::allLanguages();
+    for (std::size_t g = 0; g < std::size(kGenerators); ++g) {
+        for (std::size_t l = 0; l < levels; ++l) {
+            const CellResult &cell = slots[g * levels + l];
+            for (std::size_t i = 0; i < langs.size(); ++i) {
+                result.congestion.add(langs[i], kGenerators[g],
+                                      cfg.levels[l], cell.congestion[i]);
             }
-
-            // Performance table: reference-function slowdown gmeans.
-            std::vector<double> priv, shared, total;
-            for (const FunctionSpec *spec : refs) {
-                const SoloBaseline &solo = refSolo.at(spec->name);
-                std::vector<double> p, s, t;
-                for (unsigned rep = 0; rep < cfg.repetitions; ++rep) {
-                    const sim::TaskCounters counters = env.measure(
-                        workload::makeNominalInvocation(*spec, false),
-                        subjectAffinity, nullptr);
-                    const double privCpi =
-                        counters.privateCycles() / counters.instructions;
-                    const double sharedCpi = counters.stallSharedCycles /
-                                             counters.instructions;
-                    p.push_back(privCpi / solo.privCpi);
-                    s.push_back(sharedCpi / solo.sharedCpi);
-                    t.push_back((privCpi + sharedCpi) / solo.totalCpi());
-                }
-                priv.push_back(gmean(p));
-                shared.push_back(gmean(s));
-                total.push_back(gmean(t));
-            }
-            PerformanceEntry entry;
-            entry.privSlowdown = gmean(priv);
-            entry.sharedSlowdown = gmean(shared);
-            entry.totalSlowdown = gmean(total);
-            result.performance.add(gen, level, entry);
+            result.performance.add(kGenerators[g], cfg.levels[l],
+                                   cell.performance);
         }
     }
 

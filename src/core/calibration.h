@@ -13,6 +13,13 @@
  * sharing environment present: a population of functions shares a
  * small CPU pool with the subject while the generators stress the
  * remaining cores.
+ *
+ * The sweep is parallel and deterministic. Each (generator, level)
+ * cell is a self-contained environment seeded by its level, so the
+ * cells run as one batch on an EpochPool and write into per-cell
+ * slots; the tables are filled from the slots in the serial order
+ * afterwards. The thread count never changes a result: a profile is
+ * byte-identical at 1 and N threads.
  */
 
 #ifndef LITMUS_CORE_CALIBRATION_H
@@ -21,6 +28,7 @@
 #include <map>
 #include <string>
 
+#include "common/epoch_pool.h"
 #include "core/congestion_table.h"
 #include "core/performance_table.h"
 #include "sim/machine_catalog.h"
@@ -49,7 +57,8 @@ struct CalibrationConfig
     std::vector<unsigned> levels = {2, 4, 6, 8, 10, 12, 14,
                                     16, 18, 20, 22, 24, 26};
 
-    /** CPU the subject runs on in dedicated (Method-agnostic) mode. */
+    /** CPU the subject runs on in dedicated (Method-agnostic) mode;
+     *  must lie outside the generator range. */
     unsigned subjectCpu = 0;
 
     /** First CPU assigned to generator threads. */
@@ -131,8 +140,15 @@ SoloBaseline measureSoloBaseline(const sim::MachineConfig &machine,
                                  sim::FrequencyPolicy policy =
                                      sim::FrequencyPolicy::Fixed);
 
-/** Run the full calibration procedure. */
+/**
+ * Run the full calibration procedure. The stress cells run on a pool
+ * with one thread per CPU the calling thread may run on (its affinity
+ * mask), capped at the cell count; the result does not depend on it.
+ */
 CalibrationProfile calibrate(const CalibrationConfig &cfg);
+
+/** calibrate() with the stress cells on @p pool (any thread count). */
+CalibrationProfile calibrate(const CalibrationConfig &cfg, EpochPool &pool);
 
 /**
  * The provider's standard dedicated-core sweep for a machine: subject

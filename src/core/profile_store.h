@@ -9,6 +9,10 @@
  * for the first calibration instead of duplicating it) and hands out
  * shared immutable profiles, mirroring how a provider calibrates a
  * hardware generation once and deploys the artifact fleet-wide.
+ *
+ * Each calibration runs its stress cells in parallel on its own
+ * EpochPool (see calibrate()); the profile is the same at any thread
+ * count, so a stored profile never depends on the host it ran on.
  */
 
 #ifndef LITMUS_CORE_PROFILE_STORE_H

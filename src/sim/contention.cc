@@ -208,6 +208,12 @@ ContentionMemo::makeKey(Key &key,
     }
 }
 
+std::size_t
+ContentionMemo::entryWords(const Key &key, const ContentionResult &result)
+{
+    return key.size() + 3 * result.threads.size();
+}
+
 // Runs unsynchronized by design: the memo is confined to the single
 // EpochPool job advancing its machine (see the class comment), so no
 // lock is taken here and none of the members carry LITMUS_GUARDED_BY.
@@ -241,6 +247,7 @@ ContentionMemo::solve(const ContentionSolver &solver,
         bypassed_ = true;
         entries_.clear();
         index_.clear();
+        words_ = 0;
         bypassResult_ =
             solver.solve(inputs, frequency, waiting_working_set);
         return bypassResult_;
@@ -250,7 +257,13 @@ ContentionMemo::solve(const ContentionSolver &solver,
                            solver.solve(inputs, frequency,
                                         waiting_working_set));
     index_.emplace(entries_.front().first, entries_.begin());
-    if (entries_.size() > capacity_) {
+    words_ += entryWords(entries_.front().first, entries_.front().second);
+    // Evict from the LRU end, never the entry just inserted (it is the
+    // one returned, and may alone exceed the word budget).
+    while (entries_.size() > 1 &&
+           (entries_.size() > capacity_ ||
+            words_ > capacity_ * kWordsPerEntry)) {
+        words_ -= entryWords(entries_.back().first, entries_.back().second);
         index_.erase(entries_.back().first);
         entries_.pop_back();
     }

@@ -156,25 +156,38 @@ class ContentionSolver
  * patterns of every input, so a hit returns a result bit-identical to
  * a fresh solve and the memo can never change simulation output.
  *
- * Keys grow with the co-run width (7 words per thread), so on traffic
- * whose signatures rarely repeat — per-invocation jitter makes every
- * fleet arrival unique — hashing can cost more than the hits save.
+ * Entries grow with the co-run width: a key of 2 + 7n words and a
+ * result of 3n words for n running threads. The LRU therefore evicts
+ * while the memo holds more than `capacity` entries *or* more than
+ * `capacity * kWordsPerEntry` words, so saturated machines (~30
+ * threads, ~300 words an entry) keep ~100 signatures instead of
+ * ~5 MB of them; signatures of at most three threads fit the word
+ * budget, so those still keep `capacity` entries.
+ *
+ * Wide keys are also costly to hash, so on traffic whose signatures
+ * rarely repeat — per-invocation jitter makes every fleet arrival
+ * unique — hashing can cost more than the hits save.
  * The memo watches its own hit rate and permanently bypasses itself
  * when, after a warm-up, hits stay under ~20% of lookups; the bypass
  * only changes *where* the solve runs, never its result.
  *
  * Concurrency discipline: the memo is deliberately unsynchronized —
  * no mutex, no capability annotation. Each Machine owns exactly one
- * memo, each machine is advanced by exactly one EpochPool job per
- * epoch, and the pool's barrier (see cluster/epoch_pool.h) orders one
- * epoch's accesses before the next. The memo is thread-*confined*,
- * not thread-safe; sharing one instance across concurrently-advancing
+ * memo, each machine is advanced by exactly one EpochPool job at a
+ * time (one per epoch in a fleet, one per stress cell in calibration),
+ * and the pool's barrier (see common/epoch_pool.h) orders one batch's
+ * accesses before the next. The memo is thread-*confined*, not
+ * thread-safe; sharing one instance across concurrently-advancing
  * machines would be a data race.
  */
 class ContentionMemo
 {
   public:
-    /** @param capacity distinct phase signatures kept (LRU beyond). */
+    /** Word budget per entry of capacity: a 3-thread signature. */
+    static constexpr std::size_t kWordsPerEntry = 32;
+
+    /** @param capacity distinct phase signatures kept (LRU beyond);
+     *  the memo also keeps at most capacity * kWordsPerEntry words. */
     explicit ContentionMemo(std::size_t capacity = 1024);
 
     /**
@@ -190,6 +203,9 @@ class ContentionMemo
     std::uint64_t misses() const { return misses_; }
     std::size_t size() const { return entries_.size(); }
     std::size_t capacity() const { return capacity_; }
+
+    /** Key and result words the kept entries store (see entryWords). */
+    std::size_t words() const { return words_; }
 
     /** True once the hit-rate watchdog has switched the memo off. */
     bool bypassed() const { return bypassed_; }
@@ -208,7 +224,12 @@ class ContentionMemo
                         const std::vector<SolverInput> &inputs,
                         Hertz frequency, double waiting_working_set);
 
+    /** Words one entry stores: its key plus 3 per thread result. */
+    static std::size_t entryWords(const Key &key,
+                                  const ContentionResult &result);
+
     std::size_t capacity_;
+    std::size_t words_ = 0;
     Key keyBuffer_;
     std::list<std::pair<Key, ContentionResult>> entries_; // MRU first
     // LITMUS-LINT-ALLOW(unordered-decl): keyed lookup only; LRU/eviction order lives in entries_ (std::list), and hits are bit-identical to fresh solves

@@ -6,7 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <thread>
+
+#include "common/epoch_pool.h"
 #include "core/calibration.h"
+#include "core/table_io.h"
 #include "sim/machine_catalog.h"
 
 namespace litmus::pricing
@@ -48,6 +54,45 @@ TEST(Calibration, ValidatesConfig)
     cfg.sharingFunctions = 10;
     EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
                 "sharing");
+}
+
+TEST(Calibration, RejectsSubjectCpuInsideGeneratorRange)
+{
+    // The subject would time-share a CPU with a generator.
+    CalibrationConfig cfg = smallConfig();
+    cfg.subjectCpu = 1;
+    cfg.generatorFirstCpu = 1;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "subjectCpu 1 overlaps the generator range");
+
+    cfg.subjectCpu = 20; // last generator CPU of level 20
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "subjectCpu 20 overlaps");
+
+    cfg.subjectCpu = 21; // just behind the deepest level
+    cfg.validate();
+
+    cfg = smallConfig();
+    cfg.sharingFunctions = 10;
+    cfg.sharingCpus = {0, 3};
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "sharingCpus entry 3 overlaps");
+}
+
+TEST(Calibration, RejectsCpusBeyondTheMachine)
+{
+    CalibrationConfig cfg = smallConfig();
+    const unsigned hw = cfg.machine.hwThreads();
+    cfg.subjectCpu = hw;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "subjectCpu " + std::to_string(hw) + " is not a cpu");
+
+    cfg = smallConfig();
+    cfg.sharingFunctions = 10;
+    cfg.sharingCpus = {0, hw + 5};
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "sharingCpus entry " + std::to_string(hw + 5) +
+                    " is not a cpu");
 }
 
 TEST(Calibration, MeasureSoloBaseline)
@@ -143,6 +188,72 @@ TEST_F(CalibrationFixture, ReferenceSoloRecorded)
 {
     EXPECT_EQ(result().referenceSolo.size(), 2u);
     EXPECT_TRUE(result().referenceSolo.contains("thum-py"));
+}
+
+/** The v2 artifact bytes of a profile. */
+std::string
+artifact(const CalibrationProfile &profile)
+{
+    std::ostringstream os;
+    saveProfile(os, profile);
+    return os.str();
+}
+
+/** A short Method-2 sweep: 10 functions churn on CPUs 0-4. */
+CalibrationConfig
+smallSharingConfig()
+{
+    CalibrationConfig cfg = smallConfig();
+    cfg.levels = {4, 12};
+    cfg.sharingFunctions = 10;
+    cfg.sharingCpus = {0, 1, 2, 3, 4};
+    cfg.generatorFirstCpu = 5;
+    return cfg;
+}
+
+TEST(Calibration, ThreadCountNeverChangesTheArtifact)
+{
+    for (const CalibrationConfig &cfg :
+         {smallConfig(), smallSharingConfig()}) {
+        EpochPool serial(1);
+        const std::string expected = artifact(calibrate(cfg, serial));
+        EpochPool four(4);
+        EXPECT_EQ(artifact(calibrate(cfg, four)), expected)
+            << "sharingFunctions=" << cfg.sharingFunctions;
+        EXPECT_EQ(artifact(calibrate(cfg)), expected)
+            << "sharingFunctions=" << cfg.sharingFunctions;
+    }
+}
+
+TEST(Calibration, ConcurrentMachineTypesMatchSerial)
+{
+    // Two machine types calibrated at once, each on its own pool,
+    // share only read-only registries (suite, catalog, startups).
+    CalibrationConfig cascade = smallConfig();
+    CalibrationConfig icelake = smallConfig();
+    icelake.machine = sim::MachineCatalog::get("icelake-4314");
+    icelake.levels = {4, 12};
+
+    EpochPool serialPool(1);
+    const std::string cascadeSerial =
+        artifact(calibrate(cascade, serialPool));
+    const std::string icelakeSerial =
+        artifact(calibrate(icelake, serialPool));
+
+    std::string cascadeParallel, icelakeParallel;
+    std::thread first([&] {
+        EpochPool pool(2);
+        cascadeParallel = artifact(calibrate(cascade, pool));
+    });
+    std::thread second([&] {
+        EpochPool pool(2);
+        icelakeParallel = artifact(calibrate(icelake, pool));
+    });
+    first.join();
+    second.join();
+    EXPECT_EQ(cascadeParallel, cascadeSerial);
+    EXPECT_EQ(icelakeParallel, icelakeSerial);
+    EXPECT_NE(cascadeSerial, icelakeSerial);
 }
 
 } // namespace

@@ -395,5 +395,129 @@ TEST(ContentionMemo, EvictsLeastRecentlyUsed)
     EXPECT_EQ(memo.misses(), 4u); // 2.0 was evicted
 }
 
+/** @p threads running threads; @p variant makes the signature unique. */
+std::vector<SolverInput>
+signature(std::size_t threads, int variant)
+{
+    std::vector<SolverInput> inputs(threads,
+                                    SolverInput{memoryDemand(), {}});
+    inputs[0].demand.l2Mpki = 1.0 + 1e-3 * variant;
+    return inputs;
+}
+
+/** Bitwise equality of two solver results. */
+void
+expectBitIdentical(const ContentionResult &a, const ContentionResult &b)
+{
+    EXPECT_EQ(a.shared.l3LatencyNs, b.shared.l3LatencyNs);
+    EXPECT_EQ(a.shared.memLatencyNs, b.shared.memLatencyNs);
+    EXPECT_EQ(a.shared.l3Utilization, b.shared.l3Utilization);
+    EXPECT_EQ(a.shared.memUtilization, b.shared.memUtilization);
+    EXPECT_EQ(a.shared.totalWorkingSet, b.shared.totalWorkingSet);
+    ASSERT_EQ(a.threads.size(), b.threads.size());
+    for (std::size_t i = 0; i < a.threads.size(); ++i) {
+        EXPECT_EQ(a.threads[i].privateCpi, b.threads[i].privateCpi);
+        EXPECT_EQ(a.threads[i].stallPerInstr,
+                  b.threads[i].stallPerInstr);
+        EXPECT_EQ(a.threads[i].l3MissFraction,
+                  b.threads[i].l3MissFraction);
+    }
+}
+
+TEST(ContentionMemo, WordBudgetEvictsWideSignatures)
+{
+    const auto machine = cfg();
+    const ContentionSolver solver(machine);
+    ContentionMemo memo;
+    // A saturated machine: 31 threads = 2 + 10 * 31 = 312 words an
+    // entry, so the 1024 * 32-word budget holds 105 of them.
+    const std::size_t budget =
+        memo.capacity() * ContentionMemo::kWordsPerEntry;
+    for (int i = 0; i < 200; ++i) {
+        memo.solve(solver, signature(31, i), machine.baseFrequency, 0.0);
+        EXPECT_LE(memo.words(), budget);
+    }
+    EXPECT_EQ(memo.size(), budget / 312);
+    EXPECT_EQ(memo.words(), memo.size() * 312);
+    EXPECT_FALSE(memo.bypassed());
+}
+
+TEST(ContentionMemo, NarrowSignaturesKeepFullCapacity)
+{
+    const auto machine = cfg();
+    const ContentionSolver solver(machine);
+    ContentionMemo memo;
+    // Three threads = 32 words, exactly the per-entry budget: the
+    // entry cap, not the word budget, binds, as before the budget.
+    for (int i = 0; i < 1100; ++i)
+        memo.solve(solver, signature(3, i), machine.baseFrequency, 0.0);
+    EXPECT_EQ(memo.size(), memo.capacity());
+    EXPECT_EQ(memo.words(),
+              memo.capacity() * ContentionMemo::kWordsPerEntry);
+    // The oldest 76 were evicted, the newest kept.
+    const std::uint64_t misses = memo.misses();
+    memo.solve(solver, signature(3, 1099), machine.baseFrequency, 0.0);
+    EXPECT_EQ(memo.hits(), 1u);
+    memo.solve(solver, signature(3, 75), machine.baseFrequency, 0.0);
+    EXPECT_EQ(memo.misses(), misses + 1);
+}
+
+TEST(ContentionMemo, HitAfterBudgetEvictionIsBitIdentical)
+{
+    const auto machine = cfg();
+    const ContentionSolver solver(machine);
+    ContentionMemo memo;
+    for (int i = 0; i < 150; ++i)
+        memo.solve(solver, signature(31, i), machine.baseFrequency, 1e6);
+    // Entry 0 was evicted by the budget (a miss that re-solves);
+    // entry 149 survived (a hit from the memo). Both match a fresh
+    // solve bit for bit.
+    for (const int variant : {0, 149}) {
+        const ContentionResult fresh = solver.solve(
+            signature(31, variant), machine.baseFrequency, 1e6);
+        const std::uint64_t hits = memo.hits();
+        const ContentionResult &memoized = memo.solve(
+            solver, signature(31, variant), machine.baseFrequency, 1e6);
+        EXPECT_EQ(memo.hits(), hits + (variant == 149 ? 1 : 0));
+        expectBitIdentical(memoized, fresh);
+    }
+}
+
+TEST(ContentionMemo, OversizedEntryIsKeptAndReturned)
+{
+    const auto machine = cfg();
+    const ContentionSolver solver(machine);
+    ContentionMemo memo(1);
+    // 4 threads = 42 words > the 32-word budget of a capacity-1 memo:
+    // the entry being returned is never the one evicted.
+    const ContentionResult fresh =
+        solver.solve(signature(4, 0), machine.baseFrequency, 0.0);
+    const ContentionResult &memoized =
+        memo.solve(solver, signature(4, 0), machine.baseFrequency, 0.0);
+    EXPECT_EQ(memo.size(), 1u);
+    EXPECT_EQ(memo.words(), 42u);
+    expectBitIdentical(memoized, fresh);
+    memo.solve(solver, signature(4, 0), machine.baseFrequency, 0.0);
+    EXPECT_EQ(memo.hits(), 1u);
+}
+
+TEST(ContentionMemo, BypassResetsWordCount)
+{
+    const auto machine = cfg();
+    const ContentionSolver solver(machine);
+    ContentionMemo memo;
+    for (int i = 0; i < 2100 && !memo.bypassed(); ++i) {
+        memo.solve(solver, signature(2, i), machine.baseFrequency, 0.0);
+        if (!memo.bypassed()) {
+            EXPECT_GT(memo.words(), 0u);
+        }
+    }
+    ASSERT_TRUE(memo.bypassed());
+    EXPECT_EQ(memo.size(), 0u);
+    EXPECT_EQ(memo.words(), 0u);
+    memo.solve(solver, signature(2, 0), machine.baseFrequency, 0.0);
+    EXPECT_EQ(memo.words(), 0u);
+}
+
 } // namespace
 } // namespace litmus::sim

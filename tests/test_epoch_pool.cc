@@ -11,7 +11,7 @@
  * single-thread path.
  */
 
-#include "cluster/epoch_pool.h"
+#include "common/epoch_pool.h"
 
 #include <atomic>
 #include <cstdint>
@@ -29,7 +29,7 @@
 namespace
 {
 
-using litmus::cluster::EpochPool;
+using litmus::EpochPool;
 
 TEST(EpochPool, RunsEveryJobExactlyOnce)
 {
