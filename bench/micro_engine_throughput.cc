@@ -20,7 +20,14 @@
  *    every machine through every quantum and the event batches
  *    jump the fleet clock between arrivals. This is where the event
  *    scheduler must land within 2x of the steady-state single-machine
- *    fast-forward throughput.
+ *    fast-forward throughput;
+ *  - single_thread_barriers: one long-phase task driven through
+ *    runToTick() at 1 ms barriers, the shape of a busy machine in a
+ *    mostly idle fleet, where the engine replays each barrier's steady
+ *    quanta in one closed-form batch. Timed batched, replaying one
+ *    quantum at a time (runQuanta) and with fast-forward off; all
+ *    three must end with bit-identical task and machine counters and
+ *    clock.
  *
  * Reports simulated-seconds-per-wall-second for every mode, solver
  * calls, memo hits, and executed / replayed / idle-skipped quanta,
@@ -31,14 +38,18 @@
  * Always enforced (CI bench-smoke, sanitizer job included): quantum
  * accounting (executed + idle-skipped) must conserve total simulated
  * time to 1e-9, every fleet mode must cover identical quantum counts,
- * and the event-vs-exact FleetReports must be bit-identical. The
+ * the event-vs-exact FleetReports must be bit-identical, and the three
+ * single-thread barrier runs must agree in every counter bit, with
+ * batching engaged only where runToTick() drives a fast-forwarding
+ * engine. The
  * >= 5x steady and >= 2x fleet speedup floors — and the event
  * scheduler landing within 2x of the steady-state single-machine
  * fast-forward throughput — are asserted unless LITMUS_BENCH_STRICT=0
  * (smoke/sanitizer runs, where wall-clock ratios are not meaningful).
  *
  * Knobs: LITMUS_ENGINE_BENCH_SECONDS (steady simulated seconds,
- * default 1.0), LITMUS_FLEET_INVOCATIONS (per machine, default 625),
+ * default 1.0; the barrier scenario simulates 20x that),
+ * LITMUS_FLEET_INVOCATIONS (per machine, default 625),
  * LITMUS_FLEET_RATE (per machine, default 500),
  * LITMUS_SPARSE_INVOCATIONS (per machine, default 200),
  * LITMUS_SPARSE_RATE (per machine, default 20), LITMUS_BENCH_JSON
@@ -46,6 +57,7 @@
  * LITMUS_BENCH_STRICT.
  */
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -56,6 +68,7 @@
 
 #include "bench_util.h"
 #include "cluster/cluster.h"
+#include "common/repeated_add.h"
 #include "scenario/traffic_model.h"
 #include "workload/program.h"
 #include "sim/machine_catalog.h"
@@ -176,6 +189,88 @@ runSteady(bool fast_forward, Seconds sim_seconds)
     return r;
 }
 
+/** A barrier-driven run plus every bit its engine must agree on. */
+struct BarrierRun
+{
+    ModeResult mode;
+    sim::TaskCounters task;
+    sim::MachineCounters machine;
+    double batches = 0;
+};
+
+/** How the barrier scenario drives its engine. */
+enum class BarrierDrive
+{
+    Exact,   ///< fast-forward off, runToTick()
+    Replay,  ///< fast-forward on, runQuanta(): one replay per quantum
+    Batched, ///< fast-forward on, runToTick(): batched replay
+};
+
+BarrierRun
+runSingleThreadBarriers(BarrierDrive drive, Seconds sim_seconds)
+{
+    const Seconds quantum = 50e-6;
+    auto cfg = sim::MachineCatalog::get("cascade-5218");
+    sim::Engine engine(cfg);
+    engine.setFastForward(drive != BarrierDrive::Exact);
+
+    // One phase that outlasts the run, so every barrier after the
+    // first is steady.
+    sim::ResourceDemand d;
+    d.cpi0 = 0.9;
+    d.l2Mpki = 6.0;
+    d.l3WorkingSet = 2_MiB;
+    d.l3MissBase = 0.15;
+    d.mlp = 4.0;
+    const sim::Task &task = engine.add(std::make_unique<workload::ProgramTask>(
+        "long", workload::PhaseProgram({{"body", 1e15, d}})));
+
+    // The caller's canonical clock, advanced one barrier at a time as
+    // the cluster's event core does.
+    const std::uint64_t perBarrier = engine.quantaForDuration(1e-3);
+    const std::uint64_t barriers =
+        engine.quantaForDuration(sim_seconds) / perBarrier;
+    BarrierRun r;
+    r.mode.wall = wallSeconds([&] {
+        Seconds clock = engine.now();
+        for (std::uint64_t b = 1; b <= barriers; ++b) {
+            clock = addRepeated(clock, engine.quantum(), perBarrier);
+            if (drive == BarrierDrive::Replay)
+                engine.runQuanta(perBarrier);
+            engine.runToTick(b * perBarrier, clock);
+        }
+    });
+    r.mode.simSeconds = engine.now();
+    accumulateEngine(r.mode, engine);
+    checkConservation("single_thread_barriers", engine, quantum);
+    r.task = task.counters();
+    r.machine = engine.machineCounters();
+    r.batches = engine.stats().replayBatches.value();
+    return r;
+}
+
+/** fatal() unless both runs hold the same bits in every counter. */
+void
+checkBarrierRunsIdentical(const BarrierRun &exact, const BarrierRun &fast)
+{
+    const auto same = [](double a, double b) {
+        return std::bit_cast<std::uint64_t>(a) ==
+               std::bit_cast<std::uint64_t>(b);
+    };
+    const sim::TaskCounters &a = exact.task;
+    const sim::TaskCounters &b = fast.task;
+    if (!same(a.instructions, b.instructions) || !same(a.cycles, b.cycles) ||
+        !same(a.stallSharedCycles, b.stallSharedCycles) ||
+        !same(a.l2Misses, b.l2Misses) || !same(a.l3Misses, b.l3Misses) ||
+        a.contextSwitches != b.contextSwitches ||
+        !same(exact.machine.l3Accesses, fast.machine.l3Accesses) ||
+        !same(exact.machine.l3Misses, fast.machine.l3Misses) ||
+        !same(exact.machine.time, fast.machine.time) ||
+        exact.mode.quanta != fast.mode.quanta)
+        fatal("micro_engine_throughput: single-thread barrier runs "
+              "diverged from exact stepping");
+}
+
 ModeResult
 runFleet(bool fast_forward, std::uint64_t per_machine, double rate,
          cluster::FleetReport *report_out = nullptr)
@@ -292,6 +387,27 @@ main()
     const ModeResult sparseEvent = bestOf([&] {
         return runFleet(true, sparseInv, sparseRate, &sparseEventReport);
     });
+    const Seconds barrierSeconds = 20 * steadySeconds;
+    const auto bestBarrierRun = [&](BarrierDrive drive) {
+        BarrierRun best = runSingleThreadBarriers(drive, barrierSeconds);
+        for (int i = 1; i < repetitions; ++i) {
+            BarrierRun r = runSingleThreadBarriers(drive, barrierSeconds);
+            if (r.mode.wall < best.mode.wall)
+                best = r;
+        }
+        return best;
+    };
+    const BarrierRun barrierExact = bestBarrierRun(BarrierDrive::Exact);
+    const BarrierRun barrierReplay = bestBarrierRun(BarrierDrive::Replay);
+    const BarrierRun barrierBatched = bestBarrierRun(BarrierDrive::Batched);
+    checkBarrierRunsIdentical(barrierExact, barrierReplay);
+    checkBarrierRunsIdentical(barrierExact, barrierBatched);
+    // Only runToTick() batches, and it must on this steady shape.
+    if (barrierReplay.batches != 0 || !(barrierBatched.batches > 0))
+        fatal("micro_engine_throughput: replay batches ",
+              barrierBatched.batches, " batched / ",
+              barrierReplay.batches,
+              " per-quantum — batching is not engaging where it should");
 
     // Every mode must have covered the identical quantum count
     // (executed, replayed, or idle-skipped), and exact mode must never
@@ -328,6 +444,12 @@ main()
     addRow(table, "fleet", "event", fleetEvent);
     addRow(table, "sparse", "exact-quantum", sparseExact);
     addRow(table, "sparse", "event", sparseEvent);
+    addRow(table, "single_thread_barriers", "exact-quantum",
+           barrierExact.mode);
+    addRow(table, "single_thread_barriers", "replay",
+           barrierReplay.mode);
+    addRow(table, "single_thread_barriers", "batched",
+           barrierBatched.mode);
     table.print(std::cout);
 
     const double steadySpeedup =
@@ -383,6 +505,24 @@ main()
     json.metric("sparse", "quanta", sparseEvent.quanta);
     json.metric("sparse", "idle_quanta_skipped", sparseEvent.skipped);
     json.metric("sparse", "exact_oracle_identical", 1.0);
+    json.metric("single_thread_barriers", "sim_per_wall_exact",
+                barrierExact.mode.simPerWall());
+    json.metric("single_thread_barriers", "sim_per_wall_replay",
+                barrierReplay.mode.simPerWall());
+    json.metric("single_thread_barriers", "sim_per_wall_batched",
+                barrierBatched.mode.simPerWall());
+    const auto ratio = [](double slow, double fast) {
+        return slow > 0 && fast > 0 ? slow / fast : 0;
+    };
+    json.metric("single_thread_barriers", "speedup",
+                ratio(barrierExact.mode.wall, barrierBatched.mode.wall));
+    json.metric("single_thread_barriers", "speedup_over_replay",
+                ratio(barrierReplay.mode.wall, barrierBatched.mode.wall));
+    json.metric("single_thread_barriers", "quanta",
+                barrierBatched.mode.quanta);
+    json.metric("single_thread_barriers", "replay_batches",
+                barrierBatched.batches);
+    json.metric("single_thread_barriers", "bit_identical", 1.0);
     const cluster::SchedulerCounters &sc = eventReport.sched;
     json.metric("fleet_events", "arrival",
                 static_cast<double>(sc.eventsArrival));

@@ -41,12 +41,16 @@ namespace litmus
  * close to zero for step to fit inside t's binade, the additions are
  * performed one by one.
  *
- * Outside the closed form's domain (negative or non-finite start,
- * non-positive or non-finite step) this is the plain loop.
+ * A zero step (either sign) costs one addition: after the first, adding
+ * a zero never changes the value, signed zeros included. Outside the
+ * closed form's domain (negative or non-finite start, negative or
+ * non-finite step) this is the plain loop.
  */
 inline Seconds
 addRepeated(Seconds start, Seconds step, std::uint64_t n)
 {
+    if (step == 0)
+        return n ? start + step : start;
     Seconds t = start;
     if (!(start >= 0) || !(step > 0) || !std::isfinite(start) ||
         !std::isfinite(step)) {

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/repeated_add.h"
 
 namespace litmus
 {
@@ -130,9 +131,21 @@ OnlineStats::add(double x)
         max_ = std::max(max_, x);
     }
     ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
+    sum_ += x;
+    sumSq_ += x * x;
+}
+
+void
+OnlineStats::addRepeated(double x, std::size_t k)
+{
+    if (k == 0)
+        return;
+    // The first sample through add() sets the extrema; the rest cannot
+    // move them, and their sums are closed-form repeated fadds.
+    add(x);
+    sum_ = litmus::addRepeated(sum_, x, k - 1);
+    sumSq_ = litmus::addRepeated(sumSq_, x * x, k - 1);
+    n_ += k - 1;
 }
 
 double
@@ -140,7 +153,8 @@ OnlineStats::variance() const
 {
     if (n_ < 2)
         return 0.0;
-    return m2_ / static_cast<double>(n_);
+    const double m = mean();
+    return std::max(0.0, sumSq_ / static_cast<double>(n_) - m * m);
 }
 
 double
@@ -158,15 +172,11 @@ OnlineStats::merge(const OnlineStats &other)
         *this = other;
         return;
     }
-    const double total = static_cast<double>(n_ + other.n_);
-    const double delta = other.mean_ - mean_;
-    m2_ += other.m2_ +
-           delta * delta * static_cast<double>(n_) *
-               static_cast<double>(other.n_) / total;
-    mean_ += delta * static_cast<double>(other.n_) / total;
+    n_ += other.n_;
+    sum_ += other.sum_;
+    sumSq_ += other.sumSq_;
     min_ = std::min(min_, other.min_);
     max_ = std::max(max_, other.max_);
-    n_ += other.n_;
 }
 
 void

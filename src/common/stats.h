@@ -50,8 +50,11 @@ std::vector<double> ratio(const std::vector<double> &a,
                           const std::vector<double> &b);
 
 /**
- * Streaming accumulator for mean / variance / extrema over long runs
- * (Welford's algorithm), used by PMU-derived per-quantum series.
+ * Streaming accumulator for mean / variance / extrema over long runs,
+ * used by PMU-derived per-quantum series. It keeps the count, the sum,
+ * the sum of squares and the extrema, so k samples of one value fold
+ * in closed form (addRepeated) into exactly the bits that k add() calls
+ * produce.
  */
 class OnlineStats
 {
@@ -59,13 +62,23 @@ class OnlineStats
     /** Add one observation. */
     void add(double x);
 
+    /** Add @p x @p k times: bit-identical to k add(x) calls. */
+    void addRepeated(double x, std::size_t k);
+
     /** Number of observations so far. */
     std::size_t count() const { return n_; }
 
-    /** Running arithmetic mean (0 if empty). */
-    double mean() const { return n_ ? mean_ : 0.0; }
+    /** Sum of the observations, accumulated in arrival order. */
+    double sum() const { return sum_; }
 
-    /** Population variance (0 for fewer than two samples). */
+    /** Running arithmetic mean (0 if empty). */
+    double mean() const
+    {
+        return n_ ? sum_ / static_cast<double>(n_) : 0.0;
+    }
+
+    /** Population variance (0 for fewer than two samples; never
+     *  negative, though cancellation may round it to 0). */
     double variance() const;
 
     /** Population standard deviation. */
@@ -82,8 +95,8 @@ class OnlineStats
 
   private:
     std::size_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
+    double sum_ = 0.0;
+    double sumSq_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
 };

@@ -69,6 +69,8 @@ class AverageStat : public Stat
     using Stat::Stat;
 
     void sample(double v) { acc_.add(v); }
+    /** @p k samples of @p v, bit-identical to k sample(v) calls. */
+    void sampleRepeated(double v, std::size_t k) { acc_.addRepeated(v, k); }
     const OnlineStats &accumulator() const { return acc_; }
 
     std::string render() const override;

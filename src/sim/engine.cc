@@ -43,6 +43,7 @@ EngineStats::registerWith(StatsRegistry &registry,
     registry.add(group, solves);
     registry.add(group, solveMemoHits);
     registry.add(group, skippedQuanta);
+    registry.add(group, replayBatches);
 }
 
 Engine::Engine(const MachineConfig &cfg, FrequencyPolicy policy,
@@ -228,8 +229,11 @@ Engine::runToTick(std::uint64_t tick, Seconds clock)
               tickCount_);
     // A completion callback may add work (invoker churn), so liveness
     // is re-read every quantum.
-    while (tickCount_ < tick && (!tasks_.empty() || !quantumCbs_.empty()))
-        step();
+    while (tickCount_ < tick &&
+           (!tasks_.empty() || !quantumCbs_.empty())) {
+        if (replaySteadyBatch(tick - tickCount_) == 0)
+            step();
+    }
     // The remaining n quanta are wholly idle: jump to the caller's
     // clock. That canonical clock carries the bits of the same fadd
     // sequence this engine would have performed, so it must equal the
@@ -333,6 +337,53 @@ Engine::tryReplayQuantum()
     if (sawFinish || !quantumCbs_.empty())
         reapFinished();
     return true;
+}
+
+std::uint64_t
+Engine::replaySteadyBatch(std::uint64_t limit)
+{
+    // The version check comes first: it guards the Task pointer.
+    if (!fastForward_ || !plan_.valid || plan_.threads.size() != 1 ||
+        plan_.sockets.size() != 1 || !quantumCbs_.empty() ||
+        scheduler_.crowded() || plan_.schedVersion != scheduler_.version())
+        return 0;
+    const PlannedThread &t = plan_.threads.front();
+    Task &task = *t.task;
+    const ProbeCapture &probe = task.probe();
+    if (&task.demand() != t.demand ||
+        (task.probeWindow() > 0 && probe.started && !probe.complete))
+        return 0;
+    const std::uint64_t k = task.steadyRetirements(t.stepInstr, limit);
+    if (k == 0)
+        return 0;
+
+    // k replayed quanta add the same step to each accumulator k times
+    // (one thread, one socket, tick() a no-op, no phase end, no probe
+    // to close), which addRepeated() reproduces bit for bit.
+    TaskCounters &tc = task.counters();
+    tc.instructions = addRepeated(tc.instructions, t.stepInstr, k);
+    tc.cycles = addRepeated(tc.cycles, t.usedCycles, k);
+    tc.stallSharedCycles =
+        addRepeated(tc.stallSharedCycles, t.stallCycles, k);
+    tc.l2Misses = addRepeated(tc.l2Misses, t.l2Misses, k);
+    tc.l3Misses = addRepeated(tc.l3Misses, t.l3Misses, k);
+    machine_.l3Accesses = addRepeated(machine_.l3Accesses, t.l2Misses, k);
+    machine_.l3Misses = addRepeated(machine_.l3Misses, t.l3Misses, k);
+    task.retireRepeated(t.stepInstr, k);
+    const PlannedSocket &s = plan_.sockets.front();
+    stats_.l3Utilization.sampleRepeated(s.l3Utilization, k);
+    stats_.memUtilization.sampleRepeated(s.memUtilization, k);
+
+    tickCount_ += k;
+    now_ = addRepeated(now_, quantum_, k);
+    machine_.time = now_;
+
+    stats_.quanta.add(static_cast<double>(k));
+    stats_.ffQuanta.add(static_cast<double>(k));
+    stats_.runningThreads.sampleRepeated(plan_.runningSample, k);
+    stats_.frequencyGhz.sampleRepeated(plan_.freqGhzSample, k);
+    stats_.replayBatches.add();
+    return k;
 }
 
 void

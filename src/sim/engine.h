@@ -23,6 +23,16 @@
  * signature. setFastForward(false) restores the original path: the
  * differential oracle (ClusterConfig::exactQuantum) and the engine
  * benches use it for A/B validation.
+ *
+ * On a machine that runs one thread, a replayed quantum adds one fixed
+ * step to each counter, so runToTick() goes further and applies k such
+ * quanta at once through addRepeated(), which lands on the bits of the
+ * k sequential additions. It does so only while the plan is valid and
+ * holds exactly one thread on one socket, the scheduler is uncrowded
+ * (its tick() is a no-op), no per-quantum observer is registered, the
+ * task's probe window is closed or absent, and the task vouches for k
+ * phase-steady quanta (Task::steadyRetirements). runQuanta(), run(),
+ * the runUntil*() loops and the oracle (fast-forward off) never batch.
  */
 
 #ifndef LITMUS_SIM_ENGINE_H
@@ -72,6 +82,8 @@ struct EngineStats
                               "contention solves served from the memo"};
     CounterStat skippedQuanta{"skipped_quanta",
                               "idle quanta elided by runToTick"};
+    CounterStat replayBatches{
+        "replay_batches", "steady quanta batches applied by runToTick"};
     /** @} */
 
     /** Register every member under the given group. */
@@ -117,7 +129,8 @@ class Engine
     /** Advance simulated time by the given duration. */
     void run(Seconds duration);
 
-    /** Advance exactly @p n quanta. */
+    /** Advance exactly @p n quanta, one step at a time (never
+     *  batched). */
     void runQuanta(std::uint64_t n);
 
     /**
@@ -158,7 +171,11 @@ class Engine
      * Advance to lifetime tick @p tick, landing on @p clock — the
      * *caller's* canonical clock for that tick. Steps while tasks are
      * live or per-quantum observers are registered (those must fire
-     * every quantum). Once the engine drains, the rest of the way is
+     * every quantum); runs of steady quanta on a one-thread,
+     * one-socket, uncrowded plan with no observer and no open probe
+     * window are applied as one closed-form batch (see the file
+     * comment; counted in stats().replayBatches), bit-identical to
+     * stepping them. Once the engine drains, the rest of the way is
      * elided in O(1): with no live task a step touches nothing
      * task-visible except the clock, so the engine jumps straight to
      * @p clock, assigned (not accumulated) so it lands on bit-identical
@@ -284,6 +301,14 @@ class Engine
 
     /** Replay one steady quantum off the plan. False: plan not valid. */
     bool tryReplayQuantum();
+
+    /**
+     * Replay up to @p limit steady quanta in one closed-form step when
+     * the plan holds one thread on one socket, the scheduler is
+     * uncrowded, no observer is registered and the task's probe window
+     * is closed or absent. Returns the quanta applied (0: none).
+     */
+    std::uint64_t replaySteadyBatch(std::uint64_t limit);
 
     /** Memoized solve plus the solve/hit stat bookkeeping. */
     const ContentionResult &

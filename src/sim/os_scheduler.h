@@ -107,6 +107,10 @@ class OsScheduler
      */
     std::uint64_t version() const { return version_; }
 
+    /** True while some CPU queues two or more tasks; otherwise tick()
+     *  is a no-op. */
+    bool crowded() const { return crowdedCpus_ != 0; }
+
   private:
     struct CpuState
     {

@@ -106,6 +106,30 @@ class Task
     /** True when the task has no more work. */
     virtual bool finished() const = 0;
 
+    /**
+     * How many of the next quanta, at most @p limit, the engine may
+     * replay at once, each retiring exactly @p step instructions. For
+     * every one of those k quanta, remainingInPhase() must exceed
+     * @p step before its retire(step), and that retire must not end
+     * the phase. The engine then calls retireRepeated(step, k). The
+     * default, 0, keeps the engine stepping one quantum at a time.
+     */
+    virtual std::uint64_t steadyRetirements(Instructions /*step*/,
+                                            std::uint64_t /*limit*/) const
+    {
+        return 0;
+    }
+
+    /**
+     * Retire @p step instructions @p k times: the state of k retire()
+     * calls, for k no greater than steadyRetirements(step, ...).
+     */
+    virtual void retireRepeated(Instructions step, std::uint64_t k)
+    {
+        for (; k > 0; --k)
+            retire(step);
+    }
+
     /** @name Identity and placement @{ */
     const std::string &name() const { return name_; }
 

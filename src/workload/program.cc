@@ -1,9 +1,18 @@
 #include "workload/program.h"
 
 #include "common/logging.h"
+#include "common/repeated_add.h"
 
 namespace litmus::workload
 {
+
+namespace
+{
+
+/** A phase ends once this close to its instruction count. */
+constexpr Instructions kPhaseEndSlack = 1e-6;
+
+} // namespace
 
 PhaseProgram::PhaseProgram(std::vector<Phase> phases)
     : phases_(std::move(phases))
@@ -70,12 +79,49 @@ ProgramTask::retire(Instructions n)
     retiredInPhase_ += n;
     while (index_ < program_.size() &&
            retiredInPhase_ >= program_.phases()[index_].instructions -
-                                  1e-6) {
+                                  kPhaseEndSlack) {
         retiredInPhase_ -= program_.phases()[index_].instructions;
         if (retiredInPhase_ < 0)
             retiredInPhase_ = 0;
         ++index_;
     }
+}
+
+std::uint64_t
+ProgramTask::steadyRetirements(Instructions step, std::uint64_t limit) const
+{
+    if (finished() || !(step > 0))
+        return 0;
+    const Instructions phase = program_.phases()[index_].instructions;
+    // The engine's replay guard before the k-th retirement and
+    // retire()'s phase-end test after it, on the exact bits k - 1 and
+    // k retirements reach. Both only tighten as k grows, so a k that
+    // passes them passes them for every earlier quantum too.
+    const auto fits = [&](std::uint64_t k) {
+        const Instructions before =
+            addRepeated(retiredInPhase_, step, k - 1);
+        return phase - before > step &&
+               !(before + step >= phase - kPhaseEndSlack);
+    };
+    // About headroom - 1 quanta pass the guard. Take two fewer, and
+    // halve on the rare estimate that rounding still carries too far.
+    const double spare = (phase - retiredInPhase_) / step - 3;
+    if (!(spare >= 1))
+        return 0;
+    std::uint64_t k = spare < static_cast<double>(limit)
+                          ? static_cast<std::uint64_t>(spare)
+                          : limit;
+    while (k > 0 && !fits(k))
+        k /= 2;
+    return k;
+}
+
+void
+ProgramTask::retireRepeated(Instructions step, std::uint64_t k)
+{
+    if (finished())
+        panic("ProgramTask::retireRepeated after completion");
+    retiredInPhase_ = addRepeated(retiredInPhase_, step, k);
 }
 
 bool

@@ -63,6 +63,9 @@ class ProgramTask : public sim::Task
     Instructions remainingInPhase() const override;
     void retire(Instructions n) override;
     bool finished() const override;
+    std::uint64_t steadyRetirements(Instructions step,
+                                    std::uint64_t limit) const override;
+    void retireRepeated(Instructions step, std::uint64_t k) override;
 
     /** Index of the phase currently executing. */
     std::size_t phaseIndex() const { return index_; }
@@ -88,6 +91,13 @@ class EndlessTask : public sim::Task
     Instructions remainingInPhase() const override;
     void retire(Instructions n) override;
     bool finished() const override { return false; }
+    /** Every quantum of an endless phase is steady. */
+    std::uint64_t steadyRetirements(Instructions,
+                                    std::uint64_t limit) const override
+    {
+        return limit;
+    }
+    void retireRepeated(Instructions, std::uint64_t) override {}
 
   private:
     sim::ResourceDemand demand_;

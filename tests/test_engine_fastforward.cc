@@ -10,15 +10,20 @@
  * rotations), probes, SMT, dual sockets, POPPA freezing, completion
  * churn — through both modes and compare everything with exact
  * equality, then check the fast path actually engages (a replay rate
- * of zero would make the equivalence vacuous).
+ * of zero would make the equivalence vacuous). Batched replay only
+ * runs under runToTick() with no observer, so its differential drives
+ * the engine that way.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <memory>
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/repeated_add.h"
 #include "common/rng.h"
 #include "core/poppa.h"
 #include "poisson_traffic.h"
@@ -301,6 +306,288 @@ TEST(EngineFastForward, PoppaSamplingIdenticalAcrossModes)
     EXPECT_EQ(winExact, winFast);
     EXPECT_EQ(ffExact, 0.0);
     EXPECT_GT(ffFast, 0.0);
+}
+
+// ---- Batched replay: k steady quanta in one closed-form step --------
+
+/** The situations batched replay must handle, or refuse. */
+enum class BatchCase
+{
+    PhaseEndsNearBarrier, ///< phase ends 1 or 2 quanta past a barrier
+    BinadeEdgeStarts,     ///< counters start just below binade edges
+    NoL2Misses,           ///< l2Mpki == 0: zero-step counters
+    Endless,              ///< EndlessTask: every quantum steady
+    ProbeClosesMidRun,    ///< no batch while the probe window is open
+    CrowdedCpu,           ///< two tasks on one CPU until one finishes
+    DualSocket,           ///< two sockets: must fall back
+    CompletionAddsTask,   ///< a completion callback launches work
+};
+
+constexpr BatchCase kBatchCases[] = {
+    BatchCase::PhaseEndsNearBarrier, BatchCase::BinadeEdgeStarts,
+    BatchCase::NoL2Misses,           BatchCase::Endless,
+    BatchCase::ProbeClosesMidRun,    BatchCase::CrowdedCpu,
+    BatchCase::DualSocket,           BatchCase::CompletionAddsTask,
+};
+
+/** Quanta between the caller's barriers. */
+constexpr std::uint64_t kBarrierQuanta = 20;
+
+/** Everything a batched-replay run captures, bit for bit. */
+struct BatchCapture
+{
+    std::vector<TaskCounters> completions;
+    std::vector<Seconds> completionTimes;
+    std::vector<ProbeCapture> probes;
+    std::vector<TaskCounters> survivors;
+    MachineCounters machine;
+    Seconds now = 0;
+    std::uint64_t ticks = 0;
+    double quanta = 0;
+    std::vector<OnlineStats> averages;
+    double ffQuanta = 0;
+    double batches = 0;
+};
+
+ResourceDemand
+randomDemand(Rng &rng, bool l2_misses)
+{
+    ResourceDemand d;
+    d.cpi0 = rng.uniform(0.4, 2.5);
+    d.l2Mpki = l2_misses ? rng.uniform(0.1, 35.0) : 0.0;
+    d.l3WorkingSet = static_cast<Bytes>(rng.uniform(64.0 * 1024, 24e6));
+    d.l3MissBase = rng.uniform(0.0, 0.9);
+    d.mlp = rng.uniform(1.0, 8.0);
+    return d;
+}
+
+/** Instructions one clean quantum retires for @p d running alone:
+ *  the first quantum of a lone task is exactly one plan step. */
+Instructions
+soloStep(const MachineConfig &cfg, const ResourceDemand &d)
+{
+    Engine probe(cfg);
+    Task &t = probe.add(std::make_unique<workload::EndlessTask>("s", d));
+    probe.runQuanta(1);
+    return t.counters().instructions;
+}
+
+/** A phase of @p quanta solo steps, nudged by @p slack instructions. */
+Phase
+stepPhase(const MachineConfig &cfg, const ResourceDemand &d,
+          double quanta, Instructions slack)
+{
+    return Phase{"steady", soloStep(cfg, d) * quanta + slack, d};
+}
+
+std::unique_ptr<ProgramTask>
+programOf(std::vector<Phase> phases, Instructions probe = Task::noProbe)
+{
+    return std::make_unique<ProgramTask>(
+        "b", PhaseProgram(std::move(phases)), probe);
+}
+
+/** One random phase of between @p lo and @p hi solo quanta. */
+Phase
+randomStepPhase(Rng &rng, const MachineConfig &cfg, double lo, double hi)
+{
+    return stepPhase(cfg, randomDemand(rng, !rng.chance(0.2)),
+                     rng.uniform(lo, hi), 0);
+}
+
+/**
+ * Run one batched-replay case on a fresh engine, driving runToTick()
+ * at 20-quantum barriers with no per-quantum observer, and capture
+ * every output bit.
+ */
+BatchCapture
+runBatchCase(BatchCase kind, std::uint64_t seed, bool fast_forward)
+{
+    Rng rng(seed * 16 + static_cast<std::uint64_t>(kind));
+    const MachineConfig cfg =
+        MachineCatalog::get(kind == BatchCase::DualSocket
+                                ? "cascade-5218-dual"
+                                : "cascade-5218");
+    Engine engine(cfg);
+    engine.setFastForward(fast_forward);
+
+    BatchCapture cap;
+    int relaunches = 0;
+    engine.onCompletion([&](Task &t) {
+        cap.completions.push_back(t.counters());
+        cap.completionTimes.push_back(t.completionTime());
+        cap.probes.push_back(t.probe());
+        if (kind == BatchCase::CompletionAddsTask && relaunches++ < 3)
+            engine.add(programOf({randomStepPhase(rng, cfg, 30, 300)}));
+    });
+
+    switch (kind) {
+    case BatchCase::PhaseEndsNearBarrier: {
+        // The first phase ends 1 or 2 quanta past a barrier, give or
+        // take the retire() slack and half a step; later phases end
+        // wherever the split quanta leave them.
+        const double past = static_cast<double>(rng.range(0, 3));
+        const double slackSteps[] = {-0.5, 0.0, 0.5};
+        const ResourceDemand d = randomDemand(rng, true);
+        const Instructions slack[] = {-2e-6, -1e-6, 0, 1e-6, 2e-6};
+        Phase first = stepPhase(
+            cfg, d,
+            static_cast<double>(kBarrierQuanta * rng.range(1, 6)) + past +
+                slackSteps[rng.below(3)],
+            slack[rng.below(5)]);
+        engine.add(programOf({first, randomStepPhase(rng, cfg, 1, 80),
+                              randomStepPhase(rng, cfg, 20, 200)}));
+        break;
+    }
+    case BatchCase::BinadeEdgeStarts: {
+        // Every counter starts a few steps below a power of two, so the
+        // batch that crosses it changes rounding mid-batch; the long
+        // phase's retired count crosses 2^17..2^27 on its own.
+        const ResourceDemand d = randomDemand(rng, true);
+        auto task = programOf({stepPhase(cfg, d, 2500, 0)});
+        const Instructions step = soloStep(cfg, d);
+        TaskCounters &tc = task->counters();
+        const auto below = [&](int exponent) {
+            return std::ldexp(1.0, exponent) -
+                   step * static_cast<double>(rng.range(0, 30)) -
+                   std::ldexp(1.0, exponent - 52);
+        };
+        tc.instructions = below(static_cast<int>(rng.range(40, 50)));
+        tc.cycles = below(static_cast<int>(rng.range(40, 50)));
+        tc.stallSharedCycles = below(static_cast<int>(rng.range(40, 50)));
+        tc.l2Misses = std::ldexp(1.0, 30) - 1e-7;
+        tc.l3Misses = std::nextafter(std::ldexp(1.0, 20), 0.0);
+        engine.add(std::move(task));
+        break;
+    }
+    case BatchCase::NoL2Misses:
+        engine.add(programOf(
+            {stepPhase(cfg, randomDemand(rng, false), 400.5, 0),
+             stepPhase(cfg, randomDemand(rng, false), 300, 0)}));
+        break;
+    case BatchCase::Endless:
+        engine.add(std::make_unique<workload::EndlessTask>(
+            "endless", randomDemand(rng, !rng.chance(0.3))));
+        break;
+    case BatchCase::ProbeClosesMidRun: {
+        const ResourceDemand d = randomDemand(rng, true);
+        const Instructions probe =
+            soloStep(cfg, d) * rng.uniform(5, 120);
+        engine.add(programOf({stepPhase(cfg, d, 900, 0)}, probe));
+        break;
+    }
+    case BatchCase::CrowdedCpu:
+        // Both pinned to CPU 0: slices rotate until the shorter one
+        // finishes, then the survivor runs alone.
+        for (int i = 0; i < 2; ++i) {
+            auto task = programOf({randomStepPhase(rng, cfg, 100, 900)});
+            task->setAffinity({0});
+            engine.add(std::move(task));
+        }
+        break;
+    case BatchCase::DualSocket:
+    case BatchCase::CompletionAddsTask:
+        engine.add(programOf({randomStepPhase(rng, cfg, 30, 300),
+                              randomStepPhase(rng, cfg, 30, 300)}));
+        break;
+    }
+
+    // The caller's canonical clock, one closed-form barrier at a time.
+    const std::uint64_t barriers = 150;
+    Seconds clock = engine.now();
+    for (std::uint64_t b = 1; b <= barriers; ++b) {
+        clock = addRepeated(clock, engine.quantum(), kBarrierQuanta);
+        engine.runToTick(b * kBarrierQuanta, clock);
+    }
+
+    for (Task *t : engine.liveTasks())
+        cap.survivors.push_back(t->counters());
+    cap.machine = engine.machineCounters();
+    cap.now = engine.now();
+    cap.ticks = engine.tickCount();
+    const EngineStats &st = engine.stats();
+    cap.quanta = st.quanta.value();
+    cap.averages = {st.l3Utilization.accumulator(),
+                    st.memUtilization.accumulator(),
+                    st.runningThreads.accumulator(),
+                    st.frequencyGhz.accumulator()};
+    cap.ffQuanta = st.ffQuanta.value();
+    cap.batches = st.replayBatches.value();
+    return cap;
+}
+
+std::uint64_t
+bitsOf(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+void
+expectSameMachine(const MachineCounters &a, const MachineCounters &b)
+{
+    EXPECT_EQ(bitsOf(a.l3Accesses), bitsOf(b.l3Accesses));
+    EXPECT_EQ(bitsOf(a.l3Misses), bitsOf(b.l3Misses));
+    EXPECT_EQ(bitsOf(a.time), bitsOf(b.time));
+}
+
+void
+expectBatchIdentical(const BatchCapture &exact, const BatchCapture &fast)
+{
+    ASSERT_EQ(exact.completions.size(), fast.completions.size());
+    for (std::size_t i = 0; i < exact.completions.size(); ++i) {
+        expectSameCounters(exact.completions[i], fast.completions[i]);
+        EXPECT_EQ(bitsOf(exact.completionTimes[i]),
+                  bitsOf(fast.completionTimes[i]));
+        const ProbeCapture &pe = exact.probes[i];
+        const ProbeCapture &pf = fast.probes[i];
+        EXPECT_EQ(pe.complete, pf.complete);
+        expectSameCounters(pe.taskAtEnd, pf.taskAtEnd);
+        expectSameMachine(pe.machineAtEnd, pf.machineAtEnd);
+    }
+    ASSERT_EQ(exact.survivors.size(), fast.survivors.size());
+    for (std::size_t i = 0; i < exact.survivors.size(); ++i)
+        expectSameCounters(exact.survivors[i], fast.survivors[i]);
+    expectSameMachine(exact.machine, fast.machine);
+    EXPECT_EQ(bitsOf(exact.now), bitsOf(fast.now));
+    EXPECT_EQ(exact.ticks, fast.ticks);
+    EXPECT_EQ(exact.quanta, fast.quanta);
+    ASSERT_EQ(exact.averages.size(), fast.averages.size());
+    for (std::size_t i = 0; i < exact.averages.size(); ++i) {
+        const OnlineStats &a = exact.averages[i];
+        const OnlineStats &b = fast.averages[i];
+        EXPECT_EQ(a.count(), b.count()) << "average " << i;
+        EXPECT_EQ(bitsOf(a.sum()), bitsOf(b.sum())) << "average " << i;
+        EXPECT_EQ(bitsOf(a.mean()), bitsOf(b.mean())) << "average " << i;
+        EXPECT_EQ(bitsOf(a.variance()), bitsOf(b.variance()))
+            << "average " << i;
+        EXPECT_EQ(bitsOf(a.min()), bitsOf(b.min())) << "average " << i;
+        EXPECT_EQ(bitsOf(a.max()), bitsOf(b.max())) << "average " << i;
+    }
+}
+
+TEST(EngineFastForward, BatchedReplayBitIdentical)
+{
+    for (const BatchCase kind : kBatchCases) {
+        double batches = 0;
+        for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+            SCOPED_TRACE(testing::Message()
+                         << "case " << static_cast<int>(kind) << " seed "
+                         << seed);
+            const BatchCapture exact = runBatchCase(kind, seed, false);
+            const BatchCapture fast = runBatchCase(kind, seed, true);
+            expectBatchIdentical(exact, fast);
+            EXPECT_EQ(exact.ffQuanta, 0.0);
+            EXPECT_EQ(exact.batches, 0.0);
+            EXPECT_GT(fast.ffQuanta, 0.0);
+            batches += fast.batches;
+        }
+        // Two sockets sample each socket's utilization every quantum,
+        // which no single repeated add reproduces: never batched.
+        if (kind == BatchCase::DualSocket)
+            EXPECT_EQ(batches, 0.0);
+        else
+            EXPECT_GT(batches, 0.0) << "case " << static_cast<int>(kind);
+    }
 }
 
 class ClusterDifferential : public ::testing::TestWithParam<Seconds>

@@ -158,7 +158,30 @@ TEST(RepeatedAdd, OutsideTheClosedFormIsTheLoop)
         EXPECT_EQ(addRepeated(-3.5, 1e-3, n), loop(-3.5, 1e-3, n));
         EXPECT_EQ(addRepeated(2.0, -1e-3, n), loop(2.0, -1e-3, n));
         EXPECT_EQ(addRepeated(2.0, 0.0, n), 2.0);
+        // Zero steps of either sign, compared bit for bit so that a
+        // signed zero cannot pass for its opposite.
+        for (const Seconds start : {-0.0, 0.0, 2.0, -3.5, 1e-310}) {
+            for (const Seconds step : {-0.0, 0.0}) {
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                              addRepeated(start, step, n)),
+                          std::bit_cast<std::uint64_t>(loop(start, step, n)))
+                    << start << " + " << step << " x " << n;
+            }
+        }
     }
+    EXPECT_TRUE(std::signbit(addRepeated(-0.0, 0.0, 0)));
+    EXPECT_FALSE(std::signbit(addRepeated(-0.0, 0.0, 1)));
+    EXPECT_FALSE(std::signbit(addRepeated(-0.0, 0.0, 7)));
+    EXPECT_TRUE(std::signbit(addRepeated(-0.0, -0.0, 7)));
+    EXPECT_FALSE(std::signbit(addRepeated(0.0, -0.0, 7)));
+    // A zero step returns at once however many additions it stands
+    // for; the loop would take hours here. The operands are read
+    // through volatiles so the compiler cannot fold the loop away.
+    const std::uint64_t huge = std::uint64_t{1} << 40;
+    volatile Seconds opaqueStart = 12.5;
+    volatile Seconds opaqueZero = 0.0;
+    EXPECT_EQ(addRepeated(opaqueStart, opaqueZero, huge), 12.5);
+    EXPECT_EQ(addRepeated(-opaqueStart, -opaqueZero, huge), -12.5);
     EXPECT_TRUE(std::isnan(addRepeated(0.0, std::nan(""), 3)));
     EXPECT_TRUE(std::isinf(addRepeated(1e308, 1e308, 3)));
 }

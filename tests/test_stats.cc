@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "common/stats.h"
 
 namespace litmus
@@ -143,6 +147,69 @@ TEST(OnlineStats, MergeWithEmpty)
     empty.merge(a);
     EXPECT_EQ(empty.count(), 1u);
     EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
+}
+
+/** Bit pattern, so that -0.0 and 0.0 (or two NaNs) are told apart. */
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+void
+expectSameBits(const OnlineStats &a, const OnlineStats &b)
+{
+    EXPECT_EQ(a.count(), b.count());
+    EXPECT_EQ(bits(a.sum()), bits(b.sum()));
+    EXPECT_EQ(bits(a.mean()), bits(b.mean()));
+    EXPECT_EQ(bits(a.min()), bits(b.min()));
+    EXPECT_EQ(bits(a.max()), bits(b.max()));
+    EXPECT_EQ(bits(a.variance()), bits(b.variance()));
+}
+
+TEST(OnlineStats, AddRepeatedMatchesLoop)
+{
+    // 0, a value with an inexact binary expansion, and values (and
+    // running sums) just below a binade edge, where the per-sample
+    // rounding changes as the sum crosses it.
+    const double values[] = {0.0,
+                             0.1,
+                             std::nextafter(1.0, 0.0),
+                             std::nextafter(0.5, 0.0),
+                             std::nextafter(1024.0, 0.0),
+                             30.342735366253194};
+    const double priors[] = {0.0, std::nextafter(2.0, 0.0), 7.25};
+    for (const double x : values) {
+        for (const std::size_t k :
+             {std::size_t{0}, std::size_t{1}, std::size_t{2},
+              std::size_t{3}, std::size_t{1000000}}) {
+            for (const double prior : priors) {
+                SCOPED_TRACE(testing::Message() << "x " << x << " k " << k
+                                                << " prior " << prior);
+                OnlineStats loop, batch;
+                // Empty start, and a start whose sums sit at a prior.
+                if (prior != 0.0) {
+                    loop.add(prior);
+                    batch.add(prior);
+                }
+                for (std::size_t i = 0; i < k; ++i)
+                    loop.add(x);
+                batch.addRepeated(x, k);
+                expectSameBits(loop, batch);
+            }
+        }
+    }
+}
+
+TEST(OnlineStats, ConstantSeriesVarianceIsNotNegative)
+{
+    // sumSq/n - mean^2 can round below zero; variance() clamps it.
+    for (const double x : {0.1, 1.0 / 3.0, 30.342735366253194, 1e-300}) {
+        OnlineStats s;
+        s.addRepeated(x, 1000001);
+        EXPECT_GE(s.variance(), 0.0) << x;
+        EXPECT_FALSE(std::isnan(s.stddev())) << x;
+    }
 }
 
 TEST(OnlineStats, ResetClears)

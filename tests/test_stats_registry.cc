@@ -135,8 +135,8 @@ TEST(EngineStats, PopulatedByRuns)
     EXPECT_DOUBLE_EQ(engine.stats().completions.value(), 1.0);
     EXPECT_NEAR(engine.stats().instructions.value(), 5e6, 1e3);
     EXPECT_GT(engine.stats().frequencyGhz.accumulator().mean(), 1.0);
-    // 8 simulation stats + 3 fast-forward diagnostics.
-    EXPECT_EQ(registry.size(), 11u);
+    // 7 simulation stats + 5 fast-forward diagnostics.
+    EXPECT_EQ(registry.size(), 12u);
     EXPECT_GT(engine.stats().solves.value(), 0.0);
 }
 
