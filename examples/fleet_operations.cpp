@@ -5,24 +5,17 @@
  *  1. Calibrate a machine and persist the tables artifact to disk.
  *  2. (Later / elsewhere) load the artifact and rebuild the model —
  *     no re-sweep needed.
- *  3. Serve a churning workload while a RecalibrationAdvisor watches
- *     the live Litmus-test stream for drift.
- *  4. Drift scenario: the workload turns far more memory-hungry than
- *     the calibration sweep covered, and the advisor flags it.
- *  5. Serve a declarative scenario file (examples/scenarios/) through
+ *  3. Serve a declarative scenario file (examples/scenarios/) through
  *     the scenario layer: a diurnal load swing on a mixed fleet.
  */
 
 #include <iostream>
 
-#include "common/logging.h"
 #include "common/text_table.h"
 #include "core/calibration.h"
-#include "core/recalibration.h"
+#include "core/discount_model.h"
 #include "core/table_io.h"
 #include "scenario/scenario_runner.h"
-#include "workload/invoker.h"
-#include "workload/suite.h"
 #include "sim/machine_catalog.h"
 
 #ifndef LITMUS_SCENARIO_DIR
@@ -31,72 +24,6 @@
 
 using namespace litmus;
 
-namespace
-{
-
-/**
- * Run a churn scenario, feeding every probe to the advisor; returns
- * the advisor's verdict.
- */
-pricing::RecalibrationAdvice
-serveScenario(const sim::MachineConfig &machine,
-              const pricing::DiscountModel &model,
-              const std::vector<const workload::FunctionSpec *> &pool,
-              unsigned co_runners, const char *label)
-{
-    sim::Engine engine(machine);
-    workload::InvokerConfig icfg;
-    icfg.placement = workload::InvokerConfig::Placement::OnePerCore;
-    icfg.targetCount = co_runners;
-    for (unsigned cpu = 1; cpu <= co_runners; ++cpu)
-        icfg.cpuPool.push_back(cpu);
-    icfg.functionPool = pool;
-    workload::Invoker invoker(engine, icfg);
-
-    pricing::RecalibrationConfig rcfg;
-    rcfg.minReadings = 8;
-    pricing::RecalibrationAdvisor advisor(model, rcfg);
-
-    bool captured = false;
-    sim::ProbeCapture probe;
-    engine.onCompletion([&](sim::Task &task) {
-        if (invoker.handleCompletion(task))
-            return;
-        probe = task.probe();
-        captured = true;
-    });
-    invoker.start();
-    engine.run(0.1);
-
-    for (int i = 0; i < 12; ++i) {
-        auto startup = std::make_unique<workload::ProgramTask>(
-            "probe",
-            workload::startupProgram(workload::Language::Python),
-            workload::probeWindow(workload::Language::Python));
-        startup->setAffinity({0});
-        captured = false;
-        sim::Task &handle = engine.add(std::move(startup));
-        engine.runUntilCompleteId(handle.id());
-        if (!captured)
-            fatal("fleet demo: probe not captured");
-        advisor.observe(pricing::readProbe(probe),
-                        workload::Language::Python);
-        engine.run(0.05);
-    }
-
-    const auto advice = advisor.advice();
-    std::cout << "  " << label << ": "
-              << pricing::RecalibrationAdvisor::adviceName(advice)
-              << " (out-of-range "
-              << TextTable::num(100 * advisor.outOfRangeFraction(), 0)
-              << "%, unbracketed "
-              << TextTable::num(100 * advisor.unbracketedFraction(), 0)
-              << "%)\n";
-    return advice;
-}
-
-} // namespace
-
 int
 main()
 {
@@ -104,10 +31,9 @@ main()
     const std::string artifact = "/tmp/litmus-fleet-tables.txt";
 
     printBanner(std::cout, "Fleet operations: calibrate once, deploy, "
-                           "watch for drift");
+                           "serve");
 
-    // 1. Calibrate and persist. A deliberately *shallow* sweep so the
-    //    drift scenario below can outrun it.
+    // 1. Calibrate and persist. A shallow sweep keeps the demo quick.
     std::cout << "calibrating (shallow sweep, levels 2-6)...\n";
     pricing::CalibrationConfig ccfg;
     ccfg.machine = machine;
@@ -123,32 +49,10 @@ main()
     const auto loaded = pricing::loadProfile(artifact);
     loaded.requireMachine(machine.name);
     const pricing::DiscountModel model(loaded);
-    std::cout << "profile reloaded; model rebuilt without re-sweep\n\n";
+    std::cout << "profile reloaded; model for " << model.machine()
+              << " rebuilt without re-sweep\n";
 
-    // 3. Normal operation: mixed workload, light machine.
-    std::cout << "serving scenarios:\n";
-    serveScenario(machine, model, workload::allFunctions(), 8,
-                  "light mixed workload   ");
-
-    // 4. Drift: a stampede of the heaviest graph workloads, far
-    //    beyond what levels 2-6 calibrated.
-    const std::vector<const workload::FunctionSpec *> heavy = {
-        &workload::functionByName("pager-py"),
-        &workload::functionByName("bfs-py"),
-        &workload::functionByName("mst-py"),
-        &workload::functionByName("fib-nj"),
-    };
-    const auto advice = serveScenario(machine, model, heavy, 30,
-                                      "memory-hungry stampede ");
-
-    if (advice != pricing::RecalibrationAdvice::TablesHealthy) {
-        std::cout << "\nadvisor recommends a recalibration sweep — "
-                     "rerun with higher levels:\n"
-                  << "  litmus-sim calibrate --max-level 30 "
-                     "--output new-tables.txt\n";
-    }
-
-    // 5. A declarative scenario: the diurnal mixed-fleet file from
+    // 3. A declarative scenario: the diurnal mixed-fleet file from
     //    examples/scenarios/, shrunk via the programmatic builder so
     //    the demo stays quick (any key can be overridden the same
     //    way — that is exactly what the CLI flag overlay does).

@@ -12,7 +12,6 @@
 #include "common/repeated_add.h"
 #include "core/litmus_probe.h"
 #include "sim/machine_catalog.h"
-#include "workload/suite.h"
 
 namespace litmus::cluster
 {
@@ -70,6 +69,13 @@ ClusterConfig::validate() const
     if (!(epoch > 0) || !std::isfinite(epoch))
         fatal("ClusterConfig: epoch must be positive and finite, got ",
               epoch);
+    // Engine::quantaForDuration rounds to whole nanoseconds first; an
+    // epoch of zero quanta would divide every barrier computation by
+    // zero.
+    if (epoch * 1e9 < 0.5)
+        fatal("ClusterConfig: epoch ", epoch, " s rounds to zero engine "
+              "quanta of ", quantum, " s — use an epoch of at least one "
+              "quantum");
     if (!(keepAlive >= 0))
         fatal("ClusterConfig: keep-alive must be non-negative, got ",
               keepAlive);

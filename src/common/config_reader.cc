@@ -1,6 +1,5 @@
 #include "common/config_reader.h"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -21,6 +20,14 @@ trim(const std::string &s)
         return "";
     const auto end = s.find_last_not_of(" \t\r");
     return s.substr(begin, end - begin + 1);
+}
+
+/** Diagnostic prefix for @p key: its file:line, else "ConfigReader". */
+std::string
+label(const ConfigReader &config, const std::string &key)
+{
+    const std::string where = config.where(key);
+    return where.empty() ? "ConfigReader" : where;
 }
 
 } // namespace
@@ -98,7 +105,7 @@ ConfigReader::getInt(const std::string &key, long fallback) const
     const std::string value = get(key);
     const std::optional<long> parsed = parseLongStrict(value);
     if (!parsed)
-        fatal("ConfigReader: '", key, "' expects an integer, got '",
+        fatal(label(*this, key), ": '", key, "' expects an integer, got '",
               value, "'");
     return *parsed;
 }
@@ -113,29 +120,9 @@ ConfigReader::getDouble(const std::string &key, double fallback) const
     // capacity or "nan" rate is configuration poison.
     const std::optional<double> parsed = parseDoubleStrict(value);
     if (!parsed)
-        fatal("ConfigReader: '", key, "' expects a finite number, got '",
-              value, "'");
+        fatal(label(*this, key), ": '", key,
+              "' expects a finite number, got '", value, "'");
     return *parsed;
-}
-
-bool
-ConfigReader::getBool(const std::string &key, bool fallback) const
-{
-    if (!contains(key))
-        return fallback;
-    std::string value = get(key);
-    std::transform(value.begin(), value.end(), value.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    if (value == "true" || value == "1" || value == "yes" ||
-        value == "on") {
-        return true;
-    }
-    if (value == "false" || value == "0" || value == "no" ||
-        value == "off") {
-        return false;
-    }
-    fatal("ConfigReader: '", key, "' expects a boolean, got '", value,
-          "'");
 }
 
 void

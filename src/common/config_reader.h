@@ -53,7 +53,6 @@ class ConfigReader
                           const std::string &fallback) const;
     long getInt(const std::string &key, long fallback) const;
     double getDouble(const std::string &key, double fallback) const;
-    bool getBool(const std::string &key, bool fallback) const;
 
     /** All keys, in file order (for validation sweeps). */
     const std::vector<std::string> &keys() const { return order_; }

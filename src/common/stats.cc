@@ -63,23 +63,6 @@ maxOf(const std::vector<double> &xs)
 }
 
 double
-percentile(std::vector<double> xs, double pct)
-{
-    if (xs.empty())
-        fatal("percentile of an empty series");
-    if (pct < 0.0 || pct > 100.0)
-        fatal("percentile out of range: ", pct);
-    std::sort(xs.begin(), xs.end());
-    if (xs.size() == 1)
-        return xs.front();
-    const double pos = pct / 100.0 * static_cast<double>(xs.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return xs[lo] + frac * (xs[hi] - xs[lo]);
-}
-
-double
 meanAbs(const std::vector<double> &xs)
 {
     if (xs.empty())
@@ -161,22 +144,6 @@ double
 OnlineStats::stddev() const
 {
     return std::sqrt(variance());
-}
-
-void
-OnlineStats::merge(const OnlineStats &other)
-{
-    if (other.n_ == 0)
-        return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    n_ += other.n_;
-    sum_ += other.sum_;
-    sumSq_ += other.sumSq_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
 }
 
 void

@@ -33,12 +33,6 @@ double stddev(const std::vector<double> &xs);
 double minOf(const std::vector<double> &xs);
 double maxOf(const std::vector<double> &xs);
 
-/**
- * Linear-interpolated percentile in [0, 100].
- * The series is copied and sorted internally.
- */
-double percentile(std::vector<double> xs, double pct);
-
 /** Mean of absolute values, used for aggregate error magnitudes. */
 double meanAbs(const std::vector<double> &xs);
 
@@ -86,9 +80,6 @@ class OnlineStats
 
     double min() const { return min_; }
     double max() const { return max_; }
-
-    /** Merge another accumulator into this one. */
-    void merge(const OnlineStats &other);
 
     /** Reset to the empty state. */
     void reset();

@@ -121,22 +121,4 @@ StatsRegistry::dump(std::ostream &os) const
     }
 }
 
-void
-StatsRegistry::dumpCsv(std::ostream &os) const
-{
-    os << "group,name,value,description\n";
-    for (const Entry &entry : entries_) {
-        os << entry.group << ',' << entry.stat->name() << ",\""
-           << entry.stat->render() << "\",\""
-           << entry.stat->description() << "\"\n";
-    }
-}
-
-void
-StatsRegistry::resetAll()
-{
-    for (const Entry &entry : entries_)
-        entry.stat->reset();
-}
-
 } // namespace litmus

@@ -123,12 +123,6 @@ class StatsRegistry
     /** Render all groups as an aligned report. */
     void dump(std::ostream &os) const;
 
-    /** Render as CSV (group,name,value,description). */
-    void dumpCsv(std::ostream &os) const;
-
-    /** Reset every registered stat. */
-    void resetAll();
-
     std::size_t size() const { return entries_.size(); }
 
   private:

@@ -9,10 +9,13 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "common/logging.h"
 
 namespace litmus
 {
@@ -60,6 +63,27 @@ parseDoubleStrict(const std::string &value)
     if (!end || *end != '\0' || !std::isfinite(parsed))
         return std::nullopt;
     return parsed;
+}
+
+/**
+ * Strict unsigned parse for one configuration value: fatal() on
+ * junk, below @p floor, or above UINT_MAX, where a plain cast would
+ * silently wrap (-4 -> 4294967292, 4294967297 -> 1). @p what names
+ * the value in diagnostics, e.g. "scenario key 'threads'".
+ */
+inline unsigned
+parseUnsignedAtLeast(const std::string &what, const std::string &value,
+                     long floor)
+{
+    constexpr long kMax = std::numeric_limits<unsigned>::max();
+    const std::optional<long> parsed = parseLongStrict(value);
+    if (!parsed)
+        fatal(what, " expects an integer, got '", value, "'");
+    if (*parsed < floor)
+        fatal(what, " must be >= ", floor, ", got ", *parsed);
+    if (*parsed > kMax)
+        fatal(what, " must be <= ", kMax, ", got ", *parsed);
+    return static_cast<unsigned>(*parsed);
 }
 
 } // namespace litmus

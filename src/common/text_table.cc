@@ -60,36 +60,6 @@ TextTable::print(std::ostream &os) const
 }
 
 void
-TextTable::printCsv(std::ostream &os) const
-{
-    auto quote = [](const std::string &s) {
-        if (s.find(',') == std::string::npos &&
-            s.find('"') == std::string::npos) {
-            return s;
-        }
-        std::string out = "\"";
-        for (char ch : s) {
-            if (ch == '"')
-                out += '"';
-            out += ch;
-        }
-        out += '"';
-        return out;
-    };
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c)
-                os << ',';
-            os << quote(row[c]);
-        }
-        os << '\n';
-    };
-    emit(headers_);
-    for (const auto &row : rows_)
-        emit(row);
-}
-
-void
 printBanner(std::ostream &os, const std::string &title)
 {
     os << '\n' << std::string(72, '=') << '\n'

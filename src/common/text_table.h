@@ -34,9 +34,6 @@ class TextTable
     /** Render with space-aligned columns. */
     void print(std::ostream &os) const;
 
-    /** Render as CSV (no alignment, comma separated, quoted as needed). */
-    void printCsv(std::ostream &os) const;
-
     std::size_t rowCount() const { return rows_.size(); }
 
   private:

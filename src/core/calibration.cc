@@ -10,6 +10,7 @@
 #include "common/logging.h"
 #include "common/stats.h"
 #include "sim/machine.h"
+#include "workload/invoker.h"
 #include "workload/traffic_gen.h"
 
 namespace litmus::pricing

@@ -32,7 +32,6 @@
 #include "core/congestion_table.h"
 #include "core/performance_table.h"
 #include "sim/machine_catalog.h"
-#include "workload/invoker.h"
 #include "workload/suite.h"
 
 namespace litmus::pricing

@@ -16,6 +16,7 @@
 
 #include "common/table.h"
 #include "core/litmus_probe.h"
+#include "workload/runtime_startup.h"
 #include "workload/traffic_gen.h"
 
 namespace litmus::pricing

@@ -98,13 +98,6 @@ DiscountModel::l3Fit(Language lang, GeneratorKind gen) const
     return fits(lang, gen).l3;
 }
 
-double
-DiscountModel::maxCalibratedTotal(Language lang) const
-{
-    return std::max(fits(lang, GeneratorKind::CtGen).maxTotal,
-                    fits(lang, GeneratorKind::MbGen).maxTotal);
-}
-
 DiscountEstimate
 DiscountModel::estimate(const ProbeReading &reading, Language lang,
                         double sharing_factor) const

@@ -110,14 +110,6 @@ class DiscountModel
     /** Figure 10a fits: machine L3 miss rate -> startup slowdown. */
     const LogFit &l3Fit(Language lang, GeneratorKind gen) const;
 
-    /**
-     * Largest startup total slowdown the calibration sweep covered
-     * for the language (max across both generators) — observations
-     * beyond this are extrapolated, which the recalibration advisor
-     * watches for.
-     */
-    double maxCalibratedTotal(Language lang) const;
-
   private:
     struct PerLangGen
     {

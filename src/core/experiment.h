@@ -15,7 +15,6 @@
 #include <optional>
 #include <string>
 
-#include "core/billing.h"
 #include "core/pricing_model.h"
 #include "workload/invoker.h"
 

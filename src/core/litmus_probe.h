@@ -13,7 +13,6 @@
 #define LITMUS_CORE_LITMUS_PROBE_H
 
 #include "sim/task.h"
-#include "workload/runtime_startup.h"
 
 namespace litmus::pricing
 {

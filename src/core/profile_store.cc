@@ -1,7 +1,5 @@
 #include "core/profile_store.h"
 
-#include "common/logging.h"
-
 namespace litmus::pricing
 {
 

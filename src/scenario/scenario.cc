@@ -35,20 +35,6 @@ parseLongAtLeast(const std::string &key, const std::string &value,
     return parsed;
 }
 
-/** An unsigned key: fatal() below @p floor or above UINT_MAX, where a
- *  plain cast would silently wrap (4294967297 threads -> 1). */
-unsigned
-parseUnsignedAtLeast(const std::string &key, const std::string &value,
-                     long floor)
-{
-    constexpr long kMax = std::numeric_limits<unsigned>::max();
-    const long parsed = parseLongAtLeast(key, value, floor);
-    if (parsed > kMax)
-        fatal("scenario key '", key, "' must be <= ", kMax, ", got ",
-              parsed);
-    return static_cast<unsigned>(parsed);
-}
-
 double
 parseDouble(const std::string &key, const std::string &value)
 {
@@ -167,13 +153,14 @@ ScenarioSpec::set(const std::string &key, const std::string &value)
     } else if (key == "keepalive") {
         keepAlive = parseDouble(key, value);
     } else if (key == "threads") {
-        threads = parseUnsignedAtLeast(key, value, 0);
+        threads = parseUnsignedAtLeast("scenario key 'threads'", value, 0);
     } else if (key == "drain_cap") {
         drainCap = parseDouble(key, value);
     } else if (key == "calibrate") {
         calibrate = parseBool(key, value);
     } else if (key == "calibration_levels") {
-        calibrationLevels = parseUnsignedAtLeast(key, value, 0);
+        calibrationLevels = parseUnsignedAtLeast(
+            "scenario key 'calibration_levels'", value, 0);
     } else if (key == "tables") {
         tables = splitNonEmpty(value, ',');
     } else if (key == "tables_out") {
@@ -208,7 +195,8 @@ ScenarioSpec::set(const std::string &key, const std::string &value)
     } else if (key == "fault.retry") {
         fault.retry = cluster::retryPolicyByName(value);
     } else if (key == "fault.retry.max") {
-        fault.retryMax = parseUnsignedAtLeast(key, value, 1);
+        fault.retryMax = parseUnsignedAtLeast(
+            "scenario key 'fault.retry.max'", value, 1);
     } else if (key == "fault.retry.backoff") {
         fault.retryBackoff = parseDouble(key, value);
     } else if (key == "fault.billing") {

@@ -3,11 +3,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <utility>
 
 #include "common/logging.h"
-#include "common/mutex.h"
 #include "scenario/azure_trace.h"
 #include "workload/suite.h"
 
@@ -377,43 +375,6 @@ class TraceTraffic final : public TrafficModel
     Seconds lastKept_ = 0;
 };
 
-struct Registry
-{
-    Mutex mutex;
-    std::map<std::string, TrafficModelFactory> factories
-        LITMUS_GUARDED_BY(mutex);
-
-    Registry()
-    {
-        // Construction is single-threaded (function-local static);
-        // the lock is uncontended and keeps the guarded writes
-        // visible to the thread-safety analysis without suppressions.
-        MutexLock lock(&mutex);
-        factories["poisson"] = [](const TrafficSpec &spec) {
-            return std::make_unique<PoissonTraffic>(spec);
-        };
-        factories["diurnal"] = [](const TrafficSpec &spec) {
-            return std::make_unique<DiurnalTraffic>(spec);
-        };
-        factories["burst"] = [](const TrafficSpec &spec) {
-            return std::make_unique<BurstTraffic>(spec);
-        };
-        factories["trace"] = [](const TrafficSpec &spec) {
-            return std::make_unique<TraceTraffic>(spec);
-        };
-        factories["azure"] = [](const TrafficSpec &spec) {
-            return makeAzureTraceModel(spec);
-        };
-    }
-};
-
-Registry &
-registry()
-{
-    static Registry reg;
-    return reg;
-}
-
 } // namespace
 
 void
@@ -465,49 +426,22 @@ TrafficSpec::validate() const
               "finite");
 }
 
-void
-registerTrafficModel(const std::string &name, TrafficModelFactory factory)
-{
-    if (!factory)
-        fatal("registerTrafficModel: null factory for '", name, "'");
-    Registry &reg = registry();
-    MutexLock lock(&reg.mutex);
-    if (!reg.factories.emplace(name, std::move(factory)).second)
-        fatal("registerTrafficModel: '", name, "' already registered");
-}
-
 std::unique_ptr<TrafficModel>
 makeTrafficModel(const TrafficSpec &spec)
 {
     spec.validate();
-    Registry &reg = registry();
-    TrafficModelFactory factory;
-    {
-        MutexLock lock(&reg.mutex);
-        const auto it = reg.factories.find(spec.model);
-        if (it != reg.factories.end())
-            factory = it->second;
-    }
-    if (!factory) {
-        std::string known;
-        for (const std::string &name : trafficModelNames())
-            known += (known.empty() ? "" : ", ") + name;
-        fatal("unknown traffic model '", spec.model, "' (known: ",
-              known, ")");
-    }
-    return factory(spec);
-}
-
-std::vector<std::string>
-trafficModelNames()
-{
-    Registry &reg = registry();
-    MutexLock lock(&reg.mutex);
-    std::vector<std::string> names;
-    names.reserve(reg.factories.size());
-    for (const auto &[name, factory] : reg.factories)
-        names.push_back(name);
-    return names;
+    if (spec.model == "poisson")
+        return std::make_unique<PoissonTraffic>(spec);
+    if (spec.model == "diurnal")
+        return std::make_unique<DiurnalTraffic>(spec);
+    if (spec.model == "burst")
+        return std::make_unique<BurstTraffic>(spec);
+    if (spec.model == "trace")
+        return std::make_unique<TraceTraffic>(spec);
+    if (spec.model == "azure")
+        return makeAzureTraceModel(spec);
+    fatal("unknown traffic model '", spec.model,
+          "' (known: azure, burst, diurnal, poisson, trace)");
 }
 
 struct TraceCsvReader::Impl

@@ -1,6 +1,6 @@
 /**
  * @file
- * Pluggable fleet traffic models: the arrival process as a plugin.
+ * Fleet traffic models: the five built-in arrival processes.
  *
  * The Litmus fairness claims are only as convincing as the workloads
  * billed under, so the scenario layer turns "how do invocations
@@ -22,13 +22,12 @@
  *             scenario/azure_trace.h), sampled into deterministic
  *             timestamps one minute at a time.
  *
- * Custom processes register through registerTrafficModel() and become
- * addressable from scenario files by name. Every built-in is a native
- * stream: open() yields arrivals one at a time from a single fork()
- * of the run's arrival Rng, so memory stays O(model lookahead) for
- * day-long million-function workloads, and a fixed seed gives the
- * same arrivals at any thread count whether the stream is pulled
- * lazily or drained upfront through generate() — the fleet
+ * Scenario files name one of these five; the set is fixed. Every model
+ * is a native stream: open() yields arrivals one at a time from a
+ * single fork() of the run's arrival Rng, so memory stays O(model
+ * lookahead) for day-long million-function workloads, and a fixed
+ * seed gives the same arrivals at any thread count whether the stream
+ * is pulled lazily or drained upfront through generate() — the fleet
  * determinism guarantee does not depend on which model produced the
  * traffic, nor on how it was consumed.
  */
@@ -36,10 +35,8 @@
 #ifndef LITMUS_SCENARIO_TRAFFIC_MODEL_H
 #define LITMUS_SCENARIO_TRAFFIC_MODEL_H
 
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cluster/traffic_source.h"
 #include "common/rng.h"
@@ -54,7 +51,7 @@ namespace litmus::scenario
  */
 struct TrafficSpec
 {
-    /** Model name resolved through the registry. */
+    /** Model name: azure, burst, diurnal, poisson or trace. */
     std::string model = "poisson";
 
     /** Long-run mean arrival rate (invocations per second). Ignored
@@ -118,34 +115,21 @@ struct TrafficSpec
 };
 
 /**
- * One arrival process, by its registry name ("poisson", "diurnal",
+ * One arrival process, by its model name ("poisson", "diurnal",
  * ...). The contract — open() streams nondecreasing non-null
  * arrivals, generate() drains the same stream, identical output for
  * equal-seeded generators — is cluster::TrafficSource's; the scenario
- * layer adds only the registry. The interface lives in the cluster
- * layer so the cluster can consume models without an upward include.
+ * layer adds only the named built-ins. The interface lives in the
+ * cluster layer so the cluster can consume models without an upward
+ * include.
  */
 class TrafficModel : public cluster::TrafficSource
 {
 };
 
-/** Factory signature for registered models. */
-using TrafficModelFactory =
-    std::function<std::unique_ptr<TrafficModel>(const TrafficSpec &)>;
-
-/**
- * Register a custom model under @p name (fatal() on a duplicate).
- * Thread-safe; the built-ins are pre-registered.
- */
-void registerTrafficModel(const std::string &name,
-                          TrafficModelFactory factory);
-
-/** Build the model @p spec names; fatal() with the known names when
- *  the registry has no entry. */
+/** Build the built-in model @p spec names; fatal() with the known
+ *  names on any other name. */
 std::unique_ptr<TrafficModel> makeTrafficModel(const TrafficSpec &spec);
-
-/** Registered model names, sorted (help text, error listings). */
-std::vector<std::string> trafficModelNames();
 
 /**
  * One parsed trace-replay row. A null spec means "sample the pool at

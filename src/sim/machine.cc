@@ -1,6 +1,6 @@
 #include "sim/machine.h"
 
-#include "common/logging.h"
+#include "sim/engine.h"
 
 namespace litmus::sim
 {

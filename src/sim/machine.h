@@ -15,7 +15,9 @@
 #include <functional>
 #include <memory>
 
-#include "sim/engine.h"
+#include "sim/frequency_governor.h"
+#include "sim/machine_config.h"
+#include "sim/task.h"
 
 namespace litmus::sim
 {
@@ -26,9 +28,6 @@ struct RunResult
     TaskCounters counters;
     ProbeCapture probe;
     Seconds wallTime = 0;
-
-    /** On-CPU time in seconds at the given frequency. */
-    Seconds cpuTime(Hertz freq) const { return counters.cycles / freq; }
 };
 
 /**

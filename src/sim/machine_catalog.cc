@@ -187,15 +187,7 @@ MachineCatalog::registerFromFile(const std::string &path)
 {
     const ConfigReader file = ConfigReader::fromFile(path);
     MachineConfig cfg = get(file.getString("base", "cascade-5218"));
-
-    // applyMachineOverrides treats unknown keys as typos; `base` is
-    // ours, so hand it a copy without that key.
-    ConfigReader overrides;
-    for (const std::string &key : file.keys()) {
-        if (key != "base")
-            overrides.set(key, file.get(key));
-    }
-    applyMachineOverrides(cfg, overrides);
+    applyMachineOverrides(cfg, file);
 
     if (!file.contains("name"))
         fatal("MachineCatalog: preset file '", path,

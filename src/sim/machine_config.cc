@@ -4,9 +4,44 @@
 
 #include "common/config_reader.h"
 #include "common/logging.h"
+#include "common/strings.h"
 
 namespace litmus::sim
 {
+
+namespace
+{
+
+/** Diagnostic name of @p key, led by its "file:line" when known. */
+std::string
+keyLabel(const ConfigReader &config, const std::string &key)
+{
+    const std::string where = config.where(key);
+    return (where.empty() ? "" : where + ": ") + "machine key '" + key +
+           "'";
+}
+
+/** An unsigned key, range-checked so a cast cannot wrap. */
+unsigned
+unsignedKey(const ConfigReader &config, const std::string &key)
+{
+    return parseUnsignedAtLeast(keyLabel(config, key), config.get(key),
+                                0);
+}
+
+/** A size in @p unit-byte units: fatal() when negative or at or past
+ *  2^64 bytes, where the cast to Bytes is undefined. */
+Bytes
+bytesKey(const ConfigReader &config, const std::string &key, double unit)
+{
+    const double bytes = config.getDouble(key, 0) * unit;
+    if (bytes < 0 || bytes >= 18446744073709551616.0)
+        fatal(keyLabel(config, key), " must be a size in [0, 2^64) "
+              "bytes, got '", config.get(key), "'");
+    return static_cast<Bytes>(bytes);
+}
+
+} // namespace
 
 void
 MachineConfig::validate() const
@@ -59,18 +94,15 @@ applyMachineOverrides(MachineConfig &machine,
         if (key == "name") {
             machine.name = config.get(key);
         } else if (key == "cores") {
-            machine.cores =
-                static_cast<unsigned>(config.getInt(key, 0));
+            machine.cores = unsignedKey(config, key);
         } else if (key == "smt_ways") {
-            machine.smtWays =
-                static_cast<unsigned>(config.getInt(key, 1));
+            machine.smtWays = unsignedKey(config, key);
         } else if (key == "base_ghz") {
             machine.baseFrequency = config.getDouble(key, 0) * 1e9;
         } else if (key == "turbo_ghz") {
             machine.turboFrequency = config.getDouble(key, 0) * 1e9;
         } else if (key == "l3_capacity_mib") {
-            machine.l3Capacity = static_cast<Bytes>(
-                config.getDouble(key, 0) * 1024.0 * 1024.0);
+            machine.l3Capacity = bytesKey(config, key, 1024.0 * 1024.0);
         } else if (key == "l3_hit_latency_ns") {
             machine.l3HitLatencyNs = config.getDouble(key, 0);
         } else if (key == "mem_latency_ns") {
@@ -108,12 +140,12 @@ applyMachineOverrides(MachineConfig &machine,
         } else if (key == "warmth_rate") {
             machine.warmthRate = config.getDouble(key, 0);
         } else if (key == "memory_capacity_gib") {
-            machine.memoryCapacity = static_cast<Bytes>(
-                config.getDouble(key, 0) * 1024.0 * 1024.0 * 1024.0);
+            machine.memoryCapacity =
+                bytesKey(config, key, 1024.0 * 1024.0 * 1024.0);
         } else if (key == "quantum_us") {
             machine.quantum = config.getDouble(key, 0) * 1e-6;
-        } else {
-            fatal("applyMachineOverrides: unknown key '", key, "'");
+        } else if (key != "base") {
+            fatal(keyLabel(config, key), ": unknown key");
         }
     }
     machine.validate();

@@ -190,9 +190,11 @@ namespace litmus::sim
 
 /**
  * Apply recognized key=value overrides onto a machine config (unknown
- * keys are fatal() so typos surface immediately). Recognized keys:
- * name, cores, smt_ways, base_ghz, turbo_ghz, l3_capacity_mib,
- * l3_hit_latency_ns, mem_latency_ns, l3_service_rate,
+ * keys are fatal() so typos surface immediately; every key diagnostic
+ * leads with the key's file:line). `base` is skipped: it names the
+ * preset a file starts from (MachineCatalog::registerFromFile).
+ * Recognized keys: name, cores, smt_ways, base_ghz, turbo_ghz,
+ * l3_capacity_mib, l3_hit_latency_ns, mem_latency_ns, l3_service_rate,
  * mem_service_rate, l3_queue_max, mem_queue_max, queue_gamma,
  * capacity_miss_exponent, residency_factor, coupling_l3,
  * coupling_mem, coupling_saturation_mpki, coupling_max,

@@ -38,15 +38,6 @@ PhaseProgram::totalInstructions() const
     return total;
 }
 
-PhaseProgram
-PhaseProgram::then(const PhaseProgram &next) const
-{
-    std::vector<Phase> combined = phases_;
-    combined.insert(combined.end(), next.phases_.begin(),
-                    next.phases_.end());
-    return PhaseProgram(std::move(combined));
-}
-
 ProgramTask::ProgramTask(std::string name, PhaseProgram program,
                          Instructions probe_window)
     : Task(std::move(name), probe_window), program_(std::move(program))

@@ -37,9 +37,6 @@ class PhaseProgram
     /** Total instructions across all phases. */
     Instructions totalInstructions() const;
 
-    /** Concatenate two programs (startup + body). */
-    PhaseProgram then(const PhaseProgram &next) const;
-
   private:
     std::vector<Phase> phases_;
 };

@@ -2,6 +2,7 @@
 
 #include "common/logging.h"
 #include "common/units.h"
+#include "workload/program.h"
 
 namespace litmus::workload
 {
@@ -37,6 +38,10 @@ generatorThreadDemand(GeneratorKind kind)
     return d;
 }
 
+namespace
+{
+
+/** Build one endless generator thread task (unpinned). */
 std::unique_ptr<EndlessTask>
 makeGeneratorThread(GeneratorKind kind, unsigned index)
 {
@@ -46,6 +51,8 @@ makeGeneratorThread(GeneratorKind kind, unsigned index)
     return std::make_unique<EndlessTask>(name,
                                          generatorThreadDemand(kind));
 }
+
+} // namespace
 
 std::vector<sim::Task *>
 spawnGenerator(sim::Engine &engine, GeneratorKind kind, unsigned level,

@@ -17,12 +17,10 @@
 #ifndef LITMUS_WORKLOAD_TRAFFIC_GEN_H
 #define LITMUS_WORKLOAD_TRAFFIC_GEN_H
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/engine.h"
-#include "workload/program.h"
 
 namespace litmus::workload
 {
@@ -39,10 +37,6 @@ std::string generatorName(GeneratorKind kind);
 
 /** Demand of a single generator thread. */
 sim::ResourceDemand generatorThreadDemand(GeneratorKind kind);
-
-/** Build one endless generator thread task (unpinned). */
-std::unique_ptr<EndlessTask> makeGeneratorThread(GeneratorKind kind,
-                                                 unsigned index);
 
 /**
  * Spawn @p level generator threads into the engine, pinned one per

@@ -161,6 +161,22 @@ TEST(ClusterConfig, ValidateRejectsNonFiniteKnobs)
                 "sharing factor");
 }
 
+TEST(ClusterConfig, SubNanosecondEpochIsFatal)
+{
+    // The epoch runs on the engine's integer-nanosecond grid: one that
+    // rounds to zero quanta would divide every barrier by zero.
+    ClusterConfig cfg;
+    cfg.traffic = test::poissonTraffic(4000, 10);
+    cfg.epoch = 1e-10;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "epoch 1e-10 s rounds to zero engine quanta of 5e-05 s");
+    EXPECT_EXIT(Cluster{cfg}, ::testing::ExitedWithCode(1),
+                "rounds to zero engine quanta");
+    // Half a nanosecond rounds up to one tick, hence one quantum.
+    cfg.epoch = 0.5e-9;
+    cfg.validate();
+}
+
 TEST(ClusterConfig, NullTrafficIsFatal)
 {
     // There is no built-in arrival source: a fleet without a traffic

@@ -37,17 +37,6 @@ TEST(ConfigReader, FallbacksWhenMissing)
     EXPECT_EQ(cfg.getInt("nope", 7), 7);
     EXPECT_DOUBLE_EQ(cfg.getDouble("nope", 1.25), 1.25);
     EXPECT_EQ(cfg.getString("nope", "d"), "d");
-    EXPECT_TRUE(cfg.getBool("nope", true));
-}
-
-TEST(ConfigReader, BoolSpellings)
-{
-    const auto cfg = ConfigReader::fromString(
-        "a = true\nb = off\nc = YES\nd = 0\n");
-    EXPECT_TRUE(cfg.getBool("a", false));
-    EXPECT_FALSE(cfg.getBool("b", true));
-    EXPECT_TRUE(cfg.getBool("c", false));
-    EXPECT_FALSE(cfg.getBool("d", true));
 }
 
 TEST(ConfigReader, MalformedLineFatal)
@@ -94,13 +83,6 @@ TEST(ConfigReader, MalformedDoubleFatal)
     const auto cfg = ConfigReader::fromString("x = 1.5ghz\n");
     EXPECT_EXIT((void)cfg.getDouble("x", 0),
                 ::testing::ExitedWithCode(1), "number");
-}
-
-TEST(ConfigReader, MalformedBoolFatal)
-{
-    const auto cfg = ConfigReader::fromString("x = maybe\n");
-    EXPECT_EXIT((void)cfg.getBool("x", false),
-                ::testing::ExitedWithCode(1), "boolean");
 }
 
 TEST(ConfigReader, FromFileRoundTrip)

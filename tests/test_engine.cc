@@ -11,6 +11,7 @@
 #include <limits>
 #include <memory>
 
+#include "sim/engine.h"
 #include "sim/machine.h"
 #include "workload/program.h"
 #include "sim/machine_catalog.h"

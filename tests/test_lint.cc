@@ -77,11 +77,13 @@ TEST(LintFixtures, BadTreeFiresEveryRuleAtTheExpectedLocation)
         "src/common/raw_parse_bad.cc:7:raw-parse",
         "src/common/raw_parse_bad.cc:7:raw-parse",
         "src/common/stale_allow_bad.cc:2:stale-allow",
+        "src/common/test_only_bad.h:3:test-only",
         "src/core/billing_float_bad.cc:2:float-billing",
         "src/core/billing_float_bad.cc:4:float-billing",
         "src/core/unordered_decl_bad.h:10:unordered-decl",
         "src/core/unordered_iter_bad.cc:10:unordered-iter",
         "src/core/unordered_iter_bad.cc:12:unordered-iter",
+        "src/core/unused_include_bad.cc:4:include-graph",
         "src/sim/include_cycle_a.h:2:include-graph",
         "src/sim/include_cycle_b.h:2:include-graph",
         "src/sim/layering_bad.cc:2:layering",
@@ -97,7 +99,7 @@ TEST(LintFixtures, BadTreeFiresEveryRuleAtTheExpectedLocation)
         "src/workload/unseeded_rng_bad.cc:9:unseeded-rng",
     };
     EXPECT_EQ(triples(report.findings), expected);
-    EXPECT_EQ(report.filesScanned, 15);
+    EXPECT_EQ(report.filesScanned, 18);
     // The iteration fixture ALLOWs its declaration to isolate the
     // iteration rule.
     EXPECT_EQ(report.suppressions, 1);
@@ -107,9 +109,10 @@ TEST(LintFixtures, GoodTreeIsCleanAndEveryPragmaIsUsed)
 {
     const Report report = runLint(fixtureOptions("good"));
     EXPECT_TRUE(report.clean()) << litmus::lint::toJson(report);
-    EXPECT_EQ(report.filesScanned, 13);
+    EXPECT_EQ(report.filesScanned, 14);
     // The discipline fixtures are clean cross-file too: no unused
-    // includes, and the lock graph orders alpha_mu_ before beta_mu_.
+    // includes, no header without a caller, and the lock graph orders
+    // alpha_mu_ before beta_mu_.
     EXPECT_TRUE(report.advisories.empty());
     // decl 1 + iter-fixture 2 + stale-allow 1 + bad-allow 1: a stale
     // or malformed pragma in a good file would surface as a finding.
@@ -398,7 +401,7 @@ TEST(LintTree, TreeRulePragmasBelongToTreeScans)
     // The tree pass applies it...
     using litmus::lint::SourceFile;
     const std::vector<SourceFile> suppressed = {
-        {"src/sim/one.h",
+        {"src/sim/one.cc",
          "class Legacy\n"
          "{\n"
          "    // LITMUS-LINT-ALLOW(lock-annotation): audited fixture\n"
@@ -410,13 +413,65 @@ TEST(LintTree, TreeRulePragmasBelongToTreeScans)
 
     // ...and stales it when it suppresses nothing.
     const std::vector<SourceFile> unused = {
-        {"src/sim/one.h",
+        {"src/sim/one.cc",
          "// LITMUS-LINT-ALLOW(lock-order): nothing here\n"
          "int x = 0;\n"}};
     const Report stale = litmus::lint::lintFiles(unused, Options{});
     EXPECT_EQ(triples(stale.findings),
               (std::vector<std::string>{
-                  "src/sim/one.h:1:stale-allow"}));
+                  "src/sim/one.cc:1:stale-allow"}));
+}
+
+TEST(LintTree, UnusedIncludeBlocksInSrcAndAdvisesElsewhere)
+{
+    using litmus::lint::SourceFile;
+    const std::vector<SourceFile> files = {
+        {"src/common/units.h",
+         "constexpr unsigned long long\n"
+         "operator\"\"_KiB(unsigned long long v) { return v << 10; }\n"
+         "using Bytes = unsigned long long;\n"},
+        {"src/common/size.h", "struct Size { int n; };\n"},
+        // A literal suffix counts as a use of the header defining it.
+        {"src/sim/cache.cc",
+         "#include \"common/units.h\"\n"
+         "#include \"common/size.h\"\n"
+         "const auto kLine = 64_KiB;\n"},
+        {"bench/probe.cc", "#include \"src/common/size.h\"\n"},
+    };
+    const Report report = litmus::lint::lintFiles(files, Options{});
+    EXPECT_EQ(triples(report.findings),
+              (std::vector<std::string>{
+                  "src/sim/cache.cc:2:include-graph"}));
+    EXPECT_EQ(triples(report.advisories),
+              (std::vector<std::string>{
+                  "bench/probe.cc:1:include-graph"}));
+}
+
+TEST(LintTree, TestOnlyHeaderNeedsACallerBesidesItsOwnCc)
+{
+    using litmus::lint::SourceFile;
+    std::vector<SourceFile> files = {
+        {"src/sim/widget.h", "// A widget.\nstruct Widget {};\n"},
+        {"src/sim/widget.cc",
+         "#include \"sim/widget.h\"\nWidget make() { return {}; }\n"},
+    };
+    const Report alone = litmus::lint::lintFiles(files, Options{});
+    EXPECT_EQ(triples(alone.findings),
+              (std::vector<std::string>{"src/sim/widget.h:2:test-only"}));
+
+    // A bare pragma above the first code line records why it stays.
+    files[0].content =
+        "// LITMUS-LINT-ALLOW(test-only): kept for an external tool\n"
+        "struct Widget {};\n";
+    const Report allowed = litmus::lint::lintFiles(files, Options{});
+    EXPECT_TRUE(allowed.clean()) << litmus::lint::toJson(allowed);
+    EXPECT_EQ(allowed.suppressions, 1);
+
+    // Any other scanned includer, in or out of src/, is a caller.
+    files[0].content = "struct Widget {};\n";
+    files.push_back({"apps/tool.cc",
+                     "#include \"src/sim/widget.h\"\nWidget w;\n"});
+    EXPECT_TRUE(litmus::lint::lintFiles(files, Options{}).clean());
 }
 
 // ---------------------------------------------------------------- //
@@ -455,8 +510,8 @@ TEST(LintReport, JsonCarriesTotalsAndEscapes)
 {
     const Report report = runLint(fixtureOptions("bad"));
     const std::string json = litmus::lint::toJson(report);
-    EXPECT_NE(json.find("\"files_scanned\": 15"), std::string::npos);
-    EXPECT_NE(json.find("\"finding_count\": 23"), std::string::npos);
+    EXPECT_NE(json.find("\"files_scanned\": 18"), std::string::npos);
+    EXPECT_NE(json.find("\"finding_count\": 25"), std::string::npos);
     EXPECT_NE(json.find("\"suppressions\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"rule\": \"wall-clock\""),
               std::string::npos);
@@ -468,7 +523,7 @@ TEST(LintReport, JsonCarriesTotalsAndEscapes)
 TEST(LintReport, CatalogAndKnownRuleAgree)
 {
     const auto &rules = litmus::lint::ruleCatalog();
-    ASSERT_EQ(rules.size(), 12u);
+    ASSERT_EQ(rules.size(), 13u);
     for (const auto &rule : rules) {
         EXPECT_TRUE(litmus::lint::knownRule(rule.name));
         EXPECT_FALSE(rule.description.empty());

@@ -184,5 +184,57 @@ TEST(MachineCatalog, RegisterFromFileRejectsUnknownBase)
     std::remove(path.c_str());
 }
 
+TEST(MachineCatalog, RegisterFromFileRejectsWrapsAndBadSizes)
+{
+    // Each bad value dies at registration, before any engine exists,
+    // and the diagnostic points at the preset file's line.
+    const std::string path = "/tmp/litmus_test_preset_range.conf";
+    const auto rejects = [&](const std::string &line,
+                             const std::string &why) {
+        {
+            std::ofstream out(path);
+            out << "name = ranged\n" << line << "\n";
+        }
+        EXPECT_EXIT(MachineCatalog::registerFromFile(path),
+                    ::testing::ExitedWithCode(1),
+                    "litmus_test_preset_range\\.conf:2: machine key .*" +
+                        why)
+            << line;
+    };
+    // -4 would cast to 4294967292 cores and pass validate().
+    rejects("cores = -4", "must be >= 0, got -4");
+    // 2^32 + 1 would cast to 1 core.
+    rejects("cores = 4294967297", "must be <= 4294967295");
+    rejects("smt_ways = -1", "must be >= 0");
+    rejects("cores = eight", "expects an integer");
+    // A negative or 2^64-byte size would be an undefined cast.
+    rejects("l3_capacity_mib = -1", "must be a size in \\[0, 2\\^64\\)");
+    rejects("memory_capacity_gib = -0.5", "must be a size");
+    rejects("memory_capacity_gib = 1e12", "must be a size");
+    std::remove(path.c_str());
+}
+
+TEST(MachineCatalog, RegisterFromFileLocatesParseErrors)
+{
+    const std::string path = "/tmp/litmus_test_preset_where.conf";
+    {
+        std::ofstream out(path);
+        out << "name = located\nbase_ghz = fast\ncoresss = 2\n";
+    }
+    EXPECT_EXIT(MachineCatalog::registerFromFile(path),
+                ::testing::ExitedWithCode(1),
+                "litmus_test_preset_where\\.conf:2: 'base_ghz' expects a "
+                "finite number");
+    {
+        std::ofstream out(path);
+        out << "name = located\ncoresss = 2\n";
+    }
+    EXPECT_EXIT(MachineCatalog::registerFromFile(path),
+                ::testing::ExitedWithCode(1),
+                "litmus_test_preset_where\\.conf:2: machine key 'coresss': "
+                "unknown key");
+    std::remove(path.c_str());
+}
+
 } // namespace
 } // namespace litmus::sim

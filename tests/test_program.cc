@@ -67,17 +67,6 @@ TEST(PhaseProgram, AppendBuilder)
     EXPECT_EQ(p.size(), 2u);
 }
 
-TEST(PhaseProgram, ThenConcatenates)
-{
-    const PhaseProgram a({phase("a", 10)});
-    const PhaseProgram b({phase("b", 20)});
-    const PhaseProgram c = a.then(b);
-    EXPECT_EQ(c.size(), 2u);
-    EXPECT_DOUBLE_EQ(c.totalInstructions(), 30e6);
-    EXPECT_EQ(c.phases()[0].name, "a");
-    EXPECT_EQ(c.phases()[1].name, "b");
-}
-
 TEST(ProgramTask, WalksPhases)
 {
     ProgramTask task("t", PhaseProgram({phase("a", 1), phase("b", 2)}));

@@ -57,23 +57,6 @@ TEST(MinMax, Basics)
     EXPECT_EXIT(minOf({}), ::testing::ExitedWithCode(1), "minOf");
 }
 
-TEST(Percentile, Interpolates)
-{
-    std::vector<double> xs = {10, 20, 30, 40};
-    EXPECT_DOUBLE_EQ(percentile(xs, 0), 10.0);
-    EXPECT_DOUBLE_EQ(percentile(xs, 100), 40.0);
-    EXPECT_DOUBLE_EQ(percentile(xs, 50), 25.0);
-    EXPECT_DOUBLE_EQ(percentile({7}, 50), 7.0);
-}
-
-TEST(Percentile, RejectsBadInput)
-{
-    EXPECT_EXIT(percentile({}, 50), ::testing::ExitedWithCode(1),
-                "percentile");
-    EXPECT_EXIT(percentile({1.0}, 101), ::testing::ExitedWithCode(1),
-                "percentile");
-}
-
 TEST(MeanAbs, Basics)
 {
     EXPECT_DOUBLE_EQ(meanAbs({-1, 1, -3, 3}), 2.0);
@@ -120,33 +103,6 @@ TEST(OnlineStats, EmptyIsZero)
     EXPECT_EQ(s.count(), 0u);
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
     EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(OnlineStats, MergeEqualsConcatenation)
-{
-    OnlineStats a, b, whole;
-    const std::vector<double> xs = {1, 2, 3, 4, 5, 6, 7};
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        (i < 3 ? a : b).add(xs[i]);
-        whole.add(xs[i]);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), whole.count());
-    EXPECT_NEAR(a.mean(), whole.mean(), 1e-12);
-    EXPECT_NEAR(a.variance(), whole.variance(), 1e-12);
-    EXPECT_DOUBLE_EQ(a.min(), whole.min());
-    EXPECT_DOUBLE_EQ(a.max(), whole.max());
-}
-
-TEST(OnlineStats, MergeWithEmpty)
-{
-    OnlineStats a, empty;
-    a.add(2.0);
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 1u);
-    empty.merge(a);
-    EXPECT_EQ(empty.count(), 1u);
-    EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
 }
 
 /** Bit pattern, so that -0.0 and 0.0 (or two NaNs) are told apart. */

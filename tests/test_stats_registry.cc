@@ -81,17 +81,6 @@ TEST(StatsRegistry, DumpGroupsEntries)
     EXPECT_EQ(registry.size(), 2u);
 }
 
-TEST(StatsRegistry, CsvDump)
-{
-    CounterStat a("a", "first");
-    StatsRegistry registry;
-    registry.add("grp", a);
-    std::ostringstream os;
-    registry.dumpCsv(os);
-    EXPECT_NE(os.str().find("group,name,value"), std::string::npos);
-    EXPECT_NE(os.str().find("grp,a"), std::string::npos);
-}
-
 TEST(StatsRegistry, DuplicateFatal)
 {
     CounterStat a("a", "x"), dup("a", "y");
@@ -99,16 +88,6 @@ TEST(StatsRegistry, DuplicateFatal)
     registry.add("grp", a);
     EXPECT_EXIT(registry.add("grp", dup),
                 ::testing::ExitedWithCode(1), "duplicate");
-}
-
-TEST(StatsRegistry, ResetAll)
-{
-    CounterStat a("a", "x");
-    StatsRegistry registry;
-    registry.add("grp", a);
-    a.add(5);
-    registry.resetAll();
-    EXPECT_DOUBLE_EQ(a.value(), 0.0);
 }
 
 TEST(EngineStats, PopulatedByRuns)

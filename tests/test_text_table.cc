@@ -56,26 +56,6 @@ TEST(TextTable, NumFormatting)
     EXPECT_EQ(TextTable::num(-0.5, 2), "-0.50");
 }
 
-TEST(TextTable, CsvPlain)
-{
-    TextTable t({"a", "b"});
-    t.addRow({"1", "2"});
-    std::ostringstream os;
-    t.printCsv(os);
-    EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
-TEST(TextTable, CsvQuotesSpecialCharacters)
-{
-    TextTable t({"a"});
-    t.addRow({"has,comma"});
-    t.addRow({"has\"quote"});
-    std::ostringstream os;
-    t.printCsv(os);
-    EXPECT_NE(os.str().find("\"has,comma\""), std::string::npos);
-    EXPECT_NE(os.str().find("\"has\"\"quote\""), std::string::npos);
-}
-
 TEST(Banner, ContainsTitle)
 {
     std::ostringstream os;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/machine.h"
+#include "workload/program.h"
 #include "workload/traffic_gen.h"
 #include "sim/machine_catalog.h"
 

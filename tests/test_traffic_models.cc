@@ -277,74 +277,21 @@ TEST(TraceReplay, PaddedColumnsParse)
     EXPECT_EQ(trace[1].spec->name, "aes-go");
 }
 
-// ---- registry ---------------------------------------------------------
+// ---- built-in models ------------------------------------------------
 
 TEST(TrafficRegistry, BuiltinsPresentAndUnknownFatal)
 {
-    const auto names = trafficModelNames();
-    for (const char *expected :
-         {"burst", "diurnal", "poisson", "trace"}) {
-        EXPECT_NE(std::find(names.begin(), names.end(), expected),
-                  names.end());
+    for (const char *name : {"burst", "diurnal", "poisson"}) {
+        TrafficSpec spec;
+        spec.model = name;
+        EXPECT_EQ(makeTrafficModel(spec)->name(), name);
     }
     TrafficSpec spec;
     spec.model = "fractal";
     EXPECT_EXIT((void)makeTrafficModel(spec),
                 ::testing::ExitedWithCode(1),
-                "unknown traffic model 'fractal'");
-}
-
-TEST(TrafficRegistry, CustomModelsPlugIn)
-{
-    class Ticks final : public cluster::ArrivalStream
-    {
-      public:
-        Ticks(Rng &rng, const std::vector<const FunctionSpec *> &pool)
-            : ArrivalStream("metronome"), rng_(rng.fork()), pool_(pool)
-        {
-        }
-
-      protected:
-        bool produce(Invocation &out) override
-        {
-            if (emitted_ == 100)
-                return false;
-            ++emitted_;
-            out.spec = pool_[rng_.below(pool_.size())];
-            out.arrival = 1e-3 * static_cast<double>(emitted_);
-            return true;
-        }
-
-      private:
-        Rng rng_;
-        std::vector<const FunctionSpec *> pool_;
-        std::uint64_t emitted_ = 0;
-    };
-    class EveryMillisecond final : public TrafficModel
-    {
-      public:
-        std::string name() const override { return "metronome"; }
-        std::unique_ptr<cluster::ArrivalStream>
-        open(Rng &rng, const std::vector<const FunctionSpec *> &pool)
-            const override
-        {
-            return std::make_unique<Ticks>(rng, pool);
-        }
-    };
-    registerTrafficModel("metronome", [](const TrafficSpec &) {
-        return std::make_unique<EveryMillisecond>();
-    });
-    TrafficSpec spec;
-    spec.model = "metronome";
-    const auto trace = generate(spec);
-    ASSERT_EQ(trace.size(), 100u);
-    EXPECT_EQ(trace.front().arrival, 1e-3);
-    EXPECT_EXIT(registerTrafficModel("metronome",
-                                     [](const TrafficSpec &) {
-                                         return std::unique_ptr<
-                                             TrafficModel>();
-                                     }),
-                ::testing::ExitedWithCode(1), "already registered");
+                "unknown traffic model 'fractal' \\(known: azure, burst, "
+                "diurnal, poisson, trace\\)");
 }
 
 // ---- traffic spec validation ------------------------------------------
@@ -481,6 +428,17 @@ TEST(ScenarioSpecDeath, UnsignedKeysRejectWraparound)
     // The largest representable value still parses.
     EXPECT_EQ(ScenarioSpec::fromString("threads = 4294967295\n").threads,
               4294967295u);
+}
+
+TEST(ScenarioSpecDeath, SubNanosecondEpochIsFatal)
+{
+    // 0.0001 us is a tenth of a nanosecond: zero engine quanta.
+    EXPECT_EXIT(
+        {
+            ScenarioRunner runner(
+                ScenarioSpec::fromString("epoch_us = 0.0001\n"));
+        },
+        ::testing::ExitedWithCode(1), "rounds to zero engine quanta");
 }
 
 TEST(ScenarioSpecDeath, ExactQuantumIsNotAScenarioKey)

@@ -45,6 +45,7 @@ constexpr const char *kBadAllow = "bad-allow";
 constexpr const char *kLockAnnotation = "lock-annotation";
 constexpr const char *kLockOrder = "lock-order";
 constexpr const char *kIncludeGraph = "include-graph";
+constexpr const char *kTestOnly = "test-only";
 
 const std::vector<RuleInfo> &
 catalog()
@@ -93,9 +94,14 @@ catalog()
          "(tools/lint/lock_order.txt) that no longer matches the "
          "code — refresh with --update-lock-order"},
         {kIncludeGraph,
-         "cross-file: circular #include chain among project headers; "
+         "cross-file: circular #include chain among project headers, "
+         "or a src/ include of a project header it uses nothing from; "
          "the full include DAG is exported with --include-graph, and "
-         "unused project includes are reported as advisories"},
+         "unused includes outside src/ are reported as advisories"},
+        {kTestOnly,
+         "cross-file: a src/ header that no scanned file includes "
+         "except its own .cc — a capability only tests or examples "
+         "use; delete it with its tests"},
     };
     return rules;
 }
@@ -555,7 +561,7 @@ bool
 isTreeRule(const std::string &name)
 {
     return name == kLockAnnotation || name == kLockOrder ||
-           name == kIncludeGraph;
+           name == kIncludeGraph || name == kTestOnly;
 }
 
 std::vector<Finding>

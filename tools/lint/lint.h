@@ -41,9 +41,12 @@
  *   lock-order      nested lock acquisitions whose order cycles
  *                   across the tree, and a checked-in canonical
  *                   order file that is out of date
- *   include-graph   circular #include chains; also exports the
- *                   project include DAG (JSON/dot) and advisory
- *                   unused-include hygiene notes
+ *   include-graph   circular #include chains, and src/ includes of
+ *                   a project header nothing of which is used; also
+ *                   exports the project include DAG (JSON/dot), with
+ *                   unused includes outside src/ as advisories
+ *   test-only       a src/ header no scanned file includes except its
+ *                   own .cc (tests and examples are not scanned)
  *
  * Suppression: `// LITMUS-LINT-ALLOW(rule): reason` on the offending
  * line, or alone on the line above it. Each pragma suppresses exactly
@@ -113,8 +116,8 @@ struct Options
 struct Report
 {
     std::vector<Finding> findings; ///< blocking; file, then line order
-    /** Non-blocking hygiene notes (unused project includes). They
-     *  never affect clean() or the exit code. */
+    /** Non-blocking hygiene notes (unused project includes outside
+     *  src/). They never affect clean() or the exit code. */
     std::vector<Finding> advisories;
     int filesScanned = 0;
     int suppressions = 0; ///< findings silenced by ALLOW pragmas

@@ -16,7 +16,32 @@ namespace
 constexpr const char *kLockAnnotation = "lock-annotation";
 constexpr const char *kLockOrder = "lock-order";
 constexpr const char *kIncludeGraph = "include-graph";
+constexpr const char *kTestOnly = "test-only";
 constexpr const char *kStaleAllow = "stale-allow";
+
+/** True when @p code references @p name: as a whole token, or, for
+ *  a user-defined literal suffix such as `_KiB`, glued to a numeric
+ *  literal (`640_KiB`). */
+bool
+referencesName(const std::string &code, const std::string &name)
+{
+    if (findToken(code, name, 0) != std::string::npos)
+        return true;
+    if (name[0] != '_')
+        return false;
+    for (std::size_t p = code.find(name); p != std::string::npos;
+         p = code.find(name, p + 1)) {
+        const std::size_t end = p + name.size();
+        if (end < code.size() && isIdentChar(code[end]))
+            continue;
+        std::size_t b = p;
+        while (b > 0 && (isIdentChar(code[b - 1]) || code[b - 1] == '.'))
+            --b;
+        if (b < p && std::isdigit(static_cast<unsigned char>(code[b])))
+            return true;
+    }
+    return false;
+}
 
 bool
 ruleEnabled(const Options &options, const std::string &rule)
@@ -1310,20 +1335,56 @@ runTreeAnalysis(const std::vector<SourceFile> &files,
         if (provided.empty())
             continue;
         const std::string &fromCode = parsed[fromIt->second].code;
-        bool used = false;
-        for (const std::string &name : provided) {
-            if (findToken(fromCode, name, 0) != std::string::npos) {
-                used = true;
-                break;
-            }
-        }
+        const bool used = std::any_of(
+            provided.begin(), provided.end(),
+            [&](const std::string &name) {
+                return referencesName(fromCode, name);
+            });
         if (used)
             continue;
-        advisories.push_back(
-            {edge.from, edge.line, kIncludeGraph,
-             "include of '" + edge.to +
-                 "' looks unused — nothing it declares is referenced "
-                 "here (advisory)"});
+        // Blocking in the library, where an unused include is a false
+        // dependency edge; a hygiene note everywhere else.
+        const bool inSrc = edge.from.rfind("src/", 0) == 0;
+        (inSrc ? found : advisories)
+            .push_back({edge.from, edge.line, kIncludeGraph,
+                        "include of '" + edge.to +
+                            "' looks unused — nothing it declares is "
+                            "referenced here" +
+                            (inSrc ? "" : " (advisory)")});
+    }
+
+    // ---- test-only: src/ headers no other scanned file includes - //
+    // Tests and examples are not scanned, so a header that only they
+    // (and its own .cc) include is a capability the product never
+    // uses. Reported at the first code line, where a bare ALLOW
+    // pragma above it can record why the header stays.
+    for (std::size_t j = 0; j < files.size(); ++j) {
+        const std::string &header = files[j].path;
+        if (header.rfind("src/", 0) != 0 ||
+            header.compare(header.size() - 2, 2, ".h") != 0)
+            continue;
+        const std::string ownCc =
+            header.substr(0, header.size() - 2) + ".cc";
+        const bool included = std::any_of(
+            incEdges.begin(), incEdges.end(), [&](const IncEdge &edge) {
+                return edge.to == header && edge.from != ownCc;
+            });
+        if (included)
+            continue;
+        const std::vector<std::string> &lines = parsed[j].strippedLines;
+        const auto firstCode = std::find_if(
+            lines.begin(), lines.end(), [](const std::string &line) {
+                return line.find_first_not_of(" \t") != std::string::npos;
+            });
+        const int line =
+            firstCode == lines.end()
+                ? 1
+                : static_cast<int>(firstCode - lines.begin()) + 1;
+        found.push_back(
+            {header, line, kTestOnly,
+             "no scanned file includes this header except its own "
+             ".cc — only tests or examples use it; delete it with "
+             "its tests, or give it a product caller"});
     }
 
     {

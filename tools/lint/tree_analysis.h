@@ -16,8 +16,11 @@
  *                    checked against tools/lint/lock_order.txt).
  *   include-graph    quoted #includes resolved against the scanned
  *                    file set form the project include DAG, exported
- *                    as JSON and dot; cycles are findings and unused
- *                    project includes are advisories.
+ *                    as JSON and dot; cycles and unused includes in
+ *                    src/ are findings, unused includes elsewhere are
+ *                    advisories.
+ *   test-only        a src/ header that no scanned file includes
+ *                    except its own .cc.
  *
  * The pass is deliberately lexical (the same stripped-token view the
  * per-file rules use) — it does not typecheck. Where resolution is
