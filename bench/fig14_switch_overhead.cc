@@ -69,7 +69,7 @@ main()
                 "Figure 14: temporal-sharing T_private overhead");
 
     const auto machine = sim::MachineCatalog::get("cascade-5218");
-    sim::OsScheduler sched(machine);
+    sim::OsScheduler sched(machine, machine.quantum);
 
     TextTable table({"co-runners/core", "warmth model",
                      "measured Tpriv"});

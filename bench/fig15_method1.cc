@@ -29,7 +29,7 @@ main()
     // Average 10 functions per core: divide T_private by the Figure 14
     // warmth factor before consulting the tables (Section 7.2).
     const auto machine = sim::MachineCatalog::get("cascade-5218");
-    sim::OsScheduler sched(machine);
+    sim::OsScheduler sched(machine, machine.quantum);
     cfg.sharingFactor = sched.warmthForCount(10);
 
     const auto result = pricing::runPricingExperiment(cfg, model);

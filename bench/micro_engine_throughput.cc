@@ -27,7 +27,14 @@
  *    quanta in one closed-form batch. Timed batched, replaying one
  *    quantum at a time (runQuanta) and with fast-forward off; all
  *    three must end with bit-identical task and machine counters and
- *    clock.
+ *    clock;
+ *  - crowded: pricing_heavy's pooled shape (Fig. 17), 320 churning
+ *    memory-intensive co-runners on CPUs 0-15 of a cascade-5218, run
+ *    for a fixed simulated time (twice the steady time) with
+ *    fast-forward on and off. Every CPU queues ~20 tasks, so slice
+ *    rotation and completion rebalancing, not the solver alone, set
+ *    the pace. Both runs must end with bit-identical task and machine
+ *    counters; the bench reports the rotation count.
  *
  * Reports simulated-seconds-per-wall-second for every mode, solver
  * calls, memo hits, and executed / replayed / idle-skipped quanta,
@@ -41,14 +48,16 @@
  * the event-vs-exact FleetReports must be bit-identical, and the three
  * single-thread barrier runs must agree in every counter bit, with
  * batching engaged only where runToTick() drives a fast-forwarding
- * engine. The
+ * engine, and the two crowded runs must agree in every counter bit.
+ * The
  * >= 5x steady and >= 2x fleet speedup floors — and the event
  * scheduler landing within 2x of the steady-state single-machine
  * fast-forward throughput — are asserted unless LITMUS_BENCH_STRICT=0
  * (smoke/sanitizer runs, where wall-clock ratios are not meaningful).
  *
  * Knobs: LITMUS_ENGINE_BENCH_SECONDS (steady simulated seconds,
- * default 1.0; the barrier scenario simulates 20x that),
+ * default 1.0; the barrier scenario simulates 20x that, the crowded
+ * one 2x),
  * LITMUS_FLEET_INVOCATIONS (per machine, default 625),
  * LITMUS_FLEET_RATE (per machine, default 500),
  * LITMUS_SPARSE_INVOCATIONS (per machine, default 200),
@@ -70,7 +79,9 @@
 #include "cluster/cluster.h"
 #include "common/repeated_add.h"
 #include "scenario/traffic_model.h"
+#include "workload/invoker.h"
 #include "workload/program.h"
+#include "workload/suite.h"
 #include "sim/machine_catalog.h"
 
 using namespace litmus;
@@ -249,26 +260,104 @@ runSingleThreadBarriers(BarrierDrive drive, Seconds sim_seconds)
     return r;
 }
 
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/** Every task counter bit equal. */
+bool
+sameBits(const sim::TaskCounters &a, const sim::TaskCounters &b)
+{
+    return sameBits(a.instructions, b.instructions) &&
+           sameBits(a.cycles, b.cycles) &&
+           sameBits(a.stallSharedCycles, b.stallSharedCycles) &&
+           sameBits(a.l2Misses, b.l2Misses) &&
+           sameBits(a.l3Misses, b.l3Misses) &&
+           a.contextSwitches == b.contextSwitches;
+}
+
+/** Every machine counter bit equal. */
+bool
+sameBits(const sim::MachineCounters &a, const sim::MachineCounters &b)
+{
+    return sameBits(a.l3Accesses, b.l3Accesses) &&
+           sameBits(a.l3Misses, b.l3Misses) && sameBits(a.time, b.time);
+}
+
 /** fatal() unless both runs hold the same bits in every counter. */
 void
 checkBarrierRunsIdentical(const BarrierRun &exact, const BarrierRun &fast)
 {
-    const auto same = [](double a, double b) {
-        return std::bit_cast<std::uint64_t>(a) ==
-               std::bit_cast<std::uint64_t>(b);
-    };
-    const sim::TaskCounters &a = exact.task;
-    const sim::TaskCounters &b = fast.task;
-    if (!same(a.instructions, b.instructions) || !same(a.cycles, b.cycles) ||
-        !same(a.stallSharedCycles, b.stallSharedCycles) ||
-        !same(a.l2Misses, b.l2Misses) || !same(a.l3Misses, b.l3Misses) ||
-        a.contextSwitches != b.contextSwitches ||
-        !same(exact.machine.l3Accesses, fast.machine.l3Accesses) ||
-        !same(exact.machine.l3Misses, fast.machine.l3Misses) ||
-        !same(exact.machine.time, fast.machine.time) ||
+    if (!sameBits(exact.task, fast.task) ||
+        !sameBits(exact.machine, fast.machine) ||
         exact.mode.quanta != fast.mode.quanta)
         fatal("micro_engine_throughput: single-thread barrier runs "
               "diverged from exact stepping");
+}
+
+/** A crowded run plus every bit its engine must agree on. */
+struct CrowdedRun
+{
+    ModeResult mode;
+    /** Counters of each completed task, in completion order, then of
+     *  each task still live at the end. */
+    std::vector<sim::TaskCounters> tasks;
+    sim::MachineCounters machine;
+    double completions = 0;
+    /** Slice rotations: every one switches in a different task. */
+    double rotations = 0;
+};
+
+CrowdedRun
+runCrowded(bool fast_forward, Seconds sim_seconds)
+{
+    const Seconds quantum = 50e-6;
+    auto cfg = sim::MachineCatalog::get("cascade-5218");
+    sim::Engine engine(cfg);
+    engine.setFastForward(fast_forward);
+
+    workload::InvokerConfig icfg;
+    icfg.placement = workload::InvokerConfig::Placement::Pooled;
+    icfg.targetCount = 320;
+    for (unsigned cpu = 0; cpu < 16; ++cpu)
+        icfg.cpuPool.push_back(cpu);
+    icfg.functionPool = workload::memoryIntensiveSet();
+    icfg.seed = 7;
+    workload::Invoker invoker(engine, icfg);
+
+    CrowdedRun r;
+    engine.onCompletion([&](sim::Task &task) {
+        r.tasks.push_back(task.counters());
+        invoker.handleCompletion(task); // launches a replacement
+    });
+    invoker.start();
+    r.mode.wall = wallSeconds([&] { engine.run(sim_seconds); });
+    r.mode.simSeconds = engine.now();
+    accumulateEngine(r.mode, engine);
+    checkConservation("crowded", engine, quantum);
+    r.completions = static_cast<double>(r.tasks.size());
+    for (const sim::Task *task : engine.liveTasks())
+        r.tasks.push_back(task->counters());
+    for (const sim::TaskCounters &tc : r.tasks)
+        r.rotations += static_cast<double>(tc.contextSwitches);
+    r.machine = engine.machineCounters();
+    return r;
+}
+
+/** fatal() unless both crowded runs hold the same bits in every counter. */
+void
+checkCrowdedRunsIdentical(const CrowdedRun &exact, const CrowdedRun &fast)
+{
+    bool identical = exact.tasks.size() == fast.tasks.size() &&
+                     sameBits(exact.machine, fast.machine) &&
+                     exact.mode.quanta == fast.mode.quanta;
+    for (std::size_t i = 0; identical && i < exact.tasks.size(); ++i)
+        identical = sameBits(exact.tasks[i], fast.tasks[i]);
+    if (!identical)
+        fatal("micro_engine_throughput: crowded runs diverged between "
+              "fast-forward and exact stepping");
 }
 
 ModeResult
@@ -400,6 +489,19 @@ main()
     const BarrierRun barrierExact = bestBarrierRun(BarrierDrive::Exact);
     const BarrierRun barrierReplay = bestBarrierRun(BarrierDrive::Replay);
     const BarrierRun barrierBatched = bestBarrierRun(BarrierDrive::Batched);
+    const Seconds crowdedSeconds = 2 * steadySeconds;
+    const auto bestCrowdedRun = [&](bool fast_forward) {
+        CrowdedRun best = runCrowded(fast_forward, crowdedSeconds);
+        for (int i = 1; i < repetitions; ++i) {
+            CrowdedRun r = runCrowded(fast_forward, crowdedSeconds);
+            if (r.mode.wall < best.mode.wall)
+                best = std::move(r);
+        }
+        return best;
+    };
+    const CrowdedRun crowdedExact = bestCrowdedRun(false);
+    const CrowdedRun crowdedFast = bestCrowdedRun(true);
+    checkCrowdedRunsIdentical(crowdedExact, crowdedFast);
     checkBarrierRunsIdentical(barrierExact, barrierReplay);
     checkBarrierRunsIdentical(barrierExact, barrierBatched);
     // Only runToTick() batches, and it must on this steady shape.
@@ -419,7 +521,7 @@ main()
         fatal("micro_engine_throughput: modes covered different "
               "quantum counts");
     if (steadyExact.ffQuanta != 0 || fleetExact.ffQuanta != 0 ||
-        sparseExact.ffQuanta != 0)
+        sparseExact.ffQuanta != 0 || crowdedExact.mode.ffQuanta != 0)
         fatal("micro_engine_throughput: exact mode replayed quanta");
     // The determinism contract: the event core and the exact oracle
     // must produce bit-identical fleet reports, on the loaded fleet
@@ -450,6 +552,8 @@ main()
            barrierReplay.mode);
     addRow(table, "single_thread_barriers", "batched",
            barrierBatched.mode);
+    addRow(table, "crowded", "exact-quantum", crowdedExact.mode);
+    addRow(table, "crowded", "fast-forward", crowdedFast.mode);
     table.print(std::cout);
 
     const double steadySpeedup =
@@ -523,6 +627,14 @@ main()
     json.metric("single_thread_barriers", "replay_batches",
                 barrierBatched.batches);
     json.metric("single_thread_barriers", "bit_identical", 1.0);
+    json.metric("crowded", "sim_per_wall_exact",
+                crowdedExact.mode.simPerWall());
+    json.metric("crowded", "sim_per_wall_ff", crowdedFast.mode.simPerWall());
+    json.metric("crowded", "quanta", crowdedFast.mode.quanta);
+    json.metric("crowded", "ff_quanta", crowdedFast.mode.ffQuanta);
+    json.metric("crowded", "rotations", crowdedFast.rotations);
+    json.metric("crowded", "completions", crowdedFast.completions);
+    json.metric("crowded", "bit_identical", 1.0);
     const cluster::SchedulerCounters &sc = eventReport.sched;
     json.metric("fleet_events", "arrival",
                 static_cast<double>(sc.eventsArrival));

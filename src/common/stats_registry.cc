@@ -24,12 +24,22 @@ CounterStat::render() const
     return os.str();
 }
 
+void
+AverageStat::fold() const
+{
+    if (runLength_ == 0)
+        return;
+    acc_.addRepeated(runValue_, runLength_);
+    runLength_ = 0;
+}
+
 std::string
 AverageStat::render() const
 {
+    const OnlineStats &acc = accumulator();
     std::ostringstream os;
-    os << std::fixed << std::setprecision(4) << acc_.mean() << " (min "
-       << acc_.min() << ", max " << acc_.max() << ", n=" << acc_.count()
+    os << std::fixed << std::setprecision(4) << acc.mean() << " (min "
+       << acc.min() << ", max " << acc.max() << ", n=" << acc.count()
        << ")";
     return os.str();
 }

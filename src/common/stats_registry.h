@@ -13,6 +13,8 @@
 #ifndef LITMUS_COMMON_STATS_REGISTRY_H
 #define LITMUS_COMMON_STATS_REGISTRY_H
 
+#include <bit>
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -62,22 +64,58 @@ class CounterStat : public Stat
     double value_ = 0;
 };
 
-/** Mean/min/max accumulator (wraps OnlineStats). */
+/**
+ * Mean/min/max accumulator (wraps OnlineStats).
+ *
+ * Consecutive samples of one value are held back as a pending run and
+ * folded into the accumulator in one OnlineStats::addRepeated() when a
+ * different value arrives or the stat is read. k sequential add(v)
+ * calls compose, so the folded state is bit-identical to adding every
+ * sample as it came. Values match by their bits: +0.0 and -0.0, and
+ * NaNs, never share a run. A read folds, so reading one stat from two
+ * threads at once needs the same locking as sampling it.
+ */
 class AverageStat : public Stat
 {
   public:
     using Stat::Stat;
 
-    void sample(double v) { acc_.add(v); }
+    void sample(double v) { sampleRepeated(v, 1); }
+
     /** @p k samples of @p v, bit-identical to k sample(v) calls. */
-    void sampleRepeated(double v, std::size_t k) { acc_.addRepeated(v, k); }
-    const OnlineStats &accumulator() const { return acc_; }
+    void sampleRepeated(double v, std::size_t k)
+    {
+        if (k == 0)
+            return;
+        if (runLength_ != 0 && std::bit_cast<std::uint64_t>(v) !=
+                                   std::bit_cast<std::uint64_t>(runValue_))
+            fold();
+        runValue_ = v;
+        runLength_ += k;
+    }
+
+    /** Every sample so far (folds the pending run). */
+    const OnlineStats &accumulator() const
+    {
+        fold();
+        return acc_;
+    }
 
     std::string render() const override;
-    void reset() override { acc_.reset(); }
+    void reset() override
+    {
+        acc_.reset();
+        runLength_ = 0;
+    }
 
   private:
-    OnlineStats acc_;
+    /** Add the pending run to acc_ and clear it. */
+    void fold() const;
+
+    // Folding on a read is not a logical change, hence mutable.
+    mutable OnlineStats acc_;
+    mutable std::size_t runLength_ = 0;
+    double runValue_ = 0;
 };
 
 /** Fixed-range linear histogram. */

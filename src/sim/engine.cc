@@ -51,8 +51,8 @@ Engine::Engine(const MachineConfig &cfg, FrequencyPolicy policy,
     : cfg_(cfg),
       solver_(cfg_),
       governor_(cfg_, policy),
-      scheduler_(cfg_),
       quantum_(quantum > 0 ? quantum : cfg_.quantum),
+      scheduler_(cfg_, quantum_),
       quantumNs_(std::llround(quantum_ * 1e9))
 {
     cfg_.validate();
@@ -317,8 +317,8 @@ Engine::tryReplayQuantum()
         stats_.memUtilization.sample(s.memUtilization);
     }
 
-    scheduler_.tick(quantum_); // may rotate; the version bump then
-                               // sends the next quantum down fullStep
+    scheduler_.tick(); // may rotate; the version bump then sends
+                       // the next quantum down fullStep
     now_ += quantum_;
     machine_.time = now_;
 
@@ -569,7 +569,7 @@ Engine::fullStep()
         plan_.valid = true;
     }
 
-    scheduler_.tick(dt);
+    scheduler_.tick();
     now_ += dt;
     machine_.time = now_;
 

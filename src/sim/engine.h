@@ -329,8 +329,8 @@ class Engine
     ContentionSolver solver_;
     ContentionMemo solveMemo_;
     FrequencyGovernor governor_;
-    OsScheduler scheduler_;
     Seconds quantum_;
+    OsScheduler scheduler_; // ticks quantum_, so declared after it
     /** Quantum in integer nanosecond ticks (run() accounting). */
     std::int64_t quantumNs_;
     Seconds now_ = 0;

@@ -73,12 +73,13 @@ MachineConfig::validate() const
     }
     if (smtCpiMultiplier < 1)
         fatal("MachineConfig: smtCpiMultiplier must be >= 1");
-    if (timeSlice <= 0)
-        fatal("MachineConfig: timeSlice must be positive");
+    if (!(timeSlice > 0) || !std::isfinite(timeSlice))
+        fatal("MachineConfig: timeSlice must be positive and finite, got ",
+              timeSlice, " s");
     if (warmthMaxPenalty < 0 || warmthRate < 0)
         fatal("MachineConfig: warmth parameters must be non-negative");
     const double quantumNs = quantum * 1e9;
-    if (quantum <= 0 || quantumNs < 1 ||
+    if (!(quantum > 0) || !std::isfinite(quantum) || quantumNs < 1 ||
         std::abs(quantumNs - std::round(quantumNs)) > 1e-6) {
         fatal("MachineConfig: quantum must be a positive whole number "
               "of nanoseconds, got ",

@@ -4,44 +4,79 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/repeated_add.h"
 
 namespace litmus::sim
 {
 
-OsScheduler::OsScheduler(const MachineConfig &cfg) : cfg_(cfg)
+OsScheduler::OsScheduler(const MachineConfig &cfg, Seconds quantum)
+    : cfg_(cfg), maskWords_((cfg.hwThreads() + 63) / 64)
 {
     cpus_.resize(cfg.hwThreads());
+    if (!(quantum > 0) || !std::isfinite(quantum) ||
+        !(cfg.timeSlice > 0) || !std::isfinite(cfg.timeSlice))
+        fatal("OsScheduler: quantum (", quantum, " s) and timeSlice (",
+              cfg.timeSlice, " s) must be positive and finite");
+    // The slice a CPU has used is a sum of quanta from zero, so it
+    // first reaches the time slice after a fixed number of ticks.
+    sliceTicks_ = coverRepeated(0, quantum, 1, cfg.timeSlice).chunks;
 }
 
-std::vector<unsigned>
-OsScheduler::allowedCpus(const Task *task) const
+std::uint32_t
+OsScheduler::pinMask(const Task *task)
 {
-    if (!task->affinity().empty()) {
-        for (unsigned cpu : task->affinity()) {
-            if (cpu >= cpus_.size())
-                fatal("Task ", task->name(), " affinity cpu ", cpu,
-                      " exceeds machine size ", cpus_.size());
-        }
-        return task->affinity();
+    std::uint32_t slot;
+    if (freeMasks_.empty()) {
+        slot = static_cast<std::uint32_t>(masks_.size() / maskWords_);
+        masks_.resize(masks_.size() + maskWords_, 0);
+    } else {
+        slot = freeMasks_.back();
+        freeMasks_.pop_back();
+        std::fill_n(masks_.begin() + slot * maskWords_, maskWords_, 0);
     }
-    std::vector<unsigned> all(cpus_.size());
-    for (unsigned i = 0; i < cpus_.size(); ++i)
-        all[i] = i;
-    return all;
+    std::uint64_t *words = &masks_[slot * maskWords_];
+    for (unsigned cpu : task->affinity()) {
+        if (cpu >= cpus_.size())
+            fatal("Task ", task->name(), " affinity cpu ", cpu,
+                  " exceeds machine size ", cpus_.size());
+        words[cpu / 64] |= std::uint64_t{1} << (cpu % 64);
+    }
+    return slot;
+}
+
+void
+OsScheduler::startSlice(CpuState &cpu)
+{
+    cpu.sliceStart = ticks_;
+    if (sliceTicks_ != 0)
+        nextDue_ = std::min(nextDue_, ticks_ + sliceTicks_);
 }
 
 void
 OsScheduler::add(Task *task)
 {
-    const auto allowed = allowedCpus(task);
-    unsigned best = allowed.front();
-    for (unsigned cpu : allowed) {
-        if (cpus_[cpu].queue.size() < cpus_[best].queue.size())
-            best = cpu;
+    const std::vector<unsigned> &affinity = task->affinity();
+    Queued entry{task, kAnyCpu};
+    unsigned best = 0;
+    if (affinity.empty()) {
+        for (unsigned cpu = 1; cpu < cpus_.size(); ++cpu) {
+            if (cpus_[cpu].queue.size() < cpus_[best].queue.size())
+                best = cpu;
+        }
+    } else {
+        entry.mask = pinMask(task); // rejects out-of-range CPUs
+        best = affinity.front();
+        for (unsigned cpu : affinity) {
+            if (cpus_[cpu].queue.size() < cpus_[best].queue.size())
+                best = cpu;
+        }
     }
-    cpus_[best].queue.push_back(task);
-    if (cpus_[best].queue.size() == 2)
+    CpuState &target = cpus_[best];
+    target.queue.push_back(entry);
+    if (target.queue.size() == 2) {
         ++crowdedCpus_;
+        startSlice(target);
+    }
     ++version_;
 }
 
@@ -49,20 +84,22 @@ void
 OsScheduler::remove(Task *task)
 {
     for (auto &cpu : cpus_) {
-        auto it = std::find(cpu.queue.begin(), cpu.queue.end(), task);
+        auto it = std::find_if(cpu.queue.begin(), cpu.queue.end(),
+                               [task](const Queued &q) {
+                                   return q.task == task;
+                               });
         if (it != cpu.queue.end()) {
             const bool wasRunning = it == cpu.queue.begin();
+            if (it->mask != kAnyCpu)
+                freeMasks_.push_back(it->mask);
             cpu.queue.erase(it);
             if (cpu.queue.size() == 1)
                 --crowdedCpus_;
-            // The slice resets as soon as the CPU stops being
-            // oversubscribed. Deliberate semantics (and the invariant
-            // that lets an uncrowded tick() be a no-op): previously a
-            // partially consumed slice could carry over if the queue
-            // refilled before the next tick, rotating the new pair
-            // early.
-            if (wasRunning || cpu.queue.size() < 2)
-                cpu.sliceUsed = 0;
+            // The next task in line gets a fresh slice. A queue that
+            // drops below two has no slice; one that refills starts a
+            // fresh one in add(), never carrying a partial slice over.
+            if (wasRunning && cpu.queue.size() >= 2)
+                startSlice(cpu);
             frozen_.erase(task);
             ++version_;
             rebalance();
@@ -77,44 +114,41 @@ OsScheduler::runningOn(unsigned cpu) const
 {
     if (cpu >= cpus_.size())
         panic("OsScheduler::runningOn: cpu ", cpu, " out of range");
-    const std::deque<Task *> &queue = cpus_[cpu].queue;
+    const std::deque<Queued> &queue = cpus_[cpu].queue;
     // Freezing is rare (POPPA windows only); skip the per-entry hash
     // probes on the hot path when nothing is frozen.
     if (frozen_.empty())
-        return queue.empty() ? nullptr : queue.front();
-    for (Task *task : queue) {
-        if (!frozen_.contains(task))
-            return task;
+        return queue.empty() ? nullptr : queue.front().task;
+    for (const Queued &entry : queue) {
+        if (!frozen_.contains(entry.task))
+            return entry.task;
     }
     return nullptr;
 }
 
 void
-OsScheduler::tick(Seconds dt)
+OsScheduler::tick()
 {
-    // With no oversubscribed CPU the loop below is a pure no-op
-    // (every sliceUsed is already 0 by the eager resets), so the
-    // common uncrowded case costs O(1) per quantum.
-    if (crowdedCpus_ == 0)
+    ++ticks_;
+    if (crowdedCpus_ == 0 || ticks_ < nextDue_)
         return;
+    nextDue_ = kNever;
     for (auto &cpu : cpus_) {
-        if (cpu.queue.size() < 2) {
-            cpu.sliceUsed = 0;
+        if (cpu.queue.size() < 2)
             continue;
-        }
-        cpu.sliceUsed += dt;
-        if (cpu.sliceUsed >= cfg_.timeSlice) {
-            cpu.sliceUsed = 0;
-            Task *old = cpu.queue.front();
+        if (ticks_ - cpu.sliceStart >= sliceTicks_) {
+            cpu.sliceStart = ticks_;
+            const Queued old = cpu.queue.front();
             cpu.queue.pop_front();
             cpu.queue.push_back(old);
-            Task *incoming = cpu.queue.front();
-            if (incoming != old) {
+            Task *incoming = cpu.queue.front().task;
+            if (incoming != old.task) {
                 incoming->counters().contextSwitches += 1;
                 cpu.pendingSwitchCycles += cfg_.contextSwitchCycles;
             }
             ++version_;
         }
+        nextDue_ = std::min(nextDue_, cpu.sliceStart + sliceTicks_);
     }
 }
 
@@ -203,7 +237,8 @@ OsScheduler::waitingWorkingSet(unsigned cpu_begin,
     cpu_end = std::min(cpu_end, static_cast<unsigned>(cpus_.size()));
     for (unsigned cpu = cpu_begin; cpu < cpu_end; ++cpu) {
         const Task *running = runningOn(cpu);
-        for (const Task *task : cpus_[cpu].queue) {
+        for (const Queued &entry : cpus_[cpu].queue) {
+            const Task *task = entry.task;
             if (task != running && !task->finished()) {
                 total += static_cast<double>(
                     task->demand().l3WorkingSet);
@@ -227,39 +262,35 @@ OsScheduler::rebalance()
 {
     // Move one *waiting* task from the longest queue onto each idle CPU
     // that its affinity allows. One pass is enough; completions call
-    // this every time.
-    for (unsigned cpu = 0; cpu < cpus_.size(); ++cpu) {
+    // this every time. Only a queue of two or more has a waiting task,
+    // so the pass ends as soon as no CPU is crowded.
+    for (unsigned cpu = 0; cpu < cpus_.size() && crowdedCpus_ != 0; ++cpu) {
         if (!cpus_[cpu].queue.empty())
             continue;
-        Task *candidate = nullptr;
         unsigned fromCpu = 0;
-        std::size_t fromLen = 1; // need a queue with >= 2 tasks
+        std::size_t fromIndex = 0; // 0: no candidate (the running front)
+        std::size_t fromLen = 1;   // need a queue with >= 2 tasks
         for (unsigned other = 0; other < cpus_.size(); ++other) {
-            if (other == cpu || cpus_[other].queue.size() <= fromLen)
+            const std::deque<Queued> &queue = cpus_[other].queue;
+            if (other == cpu || queue.size() <= fromLen)
                 continue;
             // Waiting tasks only (skip the running front).
-            for (std::size_t k = 1; k < cpus_[other].queue.size(); ++k) {
-                Task *t = cpus_[other].queue[k];
-                const auto &aff = t->affinity();
-                const bool ok =
-                    aff.empty() ||
-                    std::find(aff.begin(), aff.end(), cpu) != aff.end();
-                if (ok) {
-                    candidate = t;
+            for (std::size_t k = 1; k < queue.size(); ++k) {
+                if (allows(queue[k], cpu)) {
                     fromCpu = other;
-                    fromLen = cpus_[other].queue.size();
+                    fromIndex = k;
+                    fromLen = queue.size();
                     break;
                 }
             }
         }
-        if (candidate) {
+        if (fromIndex != 0) {
             auto &q = cpus_[fromCpu].queue;
-            q.erase(std::find(q.begin(), q.end(), candidate));
-            if (q.size() == 1) {
+            const Queued moved = q[fromIndex];
+            q.erase(q.begin() + static_cast<std::ptrdiff_t>(fromIndex));
+            if (q.size() == 1)
                 --crowdedCpus_;
-                cpus_[fromCpu].sliceUsed = 0;
-            }
-            cpus_[cpu].queue.push_back(candidate);
+            cpus_[cpu].queue.push_back(moved);
             ++version_;
         }
     }

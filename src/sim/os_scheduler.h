@@ -13,7 +13,9 @@
 #ifndef LITMUS_SIM_OS_SCHEDULER_H
 #define LITMUS_SIM_OS_SCHEDULER_H
 
+#include <cstdint>
 #include <deque>
+#include <limits>
 #include <unordered_set>
 #include <vector>
 
@@ -31,9 +33,18 @@ namespace litmus::sim
 class OsScheduler
 {
   public:
-    explicit OsScheduler(const MachineConfig &cfg);
+    /**
+     * @param quantum the simulated time each tick() advances: the
+     *        engine's quantum, which may override cfg.quantum. Both it
+     *        and cfg.timeSlice must be positive and finite.
+     */
+    OsScheduler(const MachineConfig &cfg, Seconds quantum);
 
-    /** Place a task on the least-loaded CPU its affinity allows. */
+    /**
+     * Place a task on the least-loaded CPU its affinity allows. The
+     * affinity is read here, once: changing it while the task is
+     * queued does not move or re-pin it.
+     */
     void add(Task *task);
 
     /** Remove a task (completion); triggers idle rebalancing. */
@@ -43,10 +54,18 @@ class OsScheduler
     Task *runningOn(unsigned cpu) const;
 
     /**
-     * Advance slice accounting by dt; rotates expired slices and
-     * accrues pending context-switch cycles for switched-in tasks.
+     * Advance slice accounting by one quantum; rotates expired slices
+     * and accrues pending context-switch cycles for switched-in tasks.
+     *
+     * A CPU's slice expires on the R-th tick after it started, where
+     * R is the first count of quanta whose repeated floating-point sum
+     * from zero reaches cfg.timeSlice (no expiry if that sum stalls
+     * short of it). A slice starts when a queue reaches two tasks,
+     * when the running task leaves a queue that still holds two, and
+     * at every rotation. Between expiries a tick is O(1): the CPUs
+     * are scanned, in index order, only at a tick where one may be due.
      */
-    void tick(Seconds dt);
+    void tick();
 
     /**
      * Context-switch cycles waiting to be charged to the task running
@@ -100,38 +119,80 @@ class OsScheduler
 
     /**
      * Topology version: bumped by every mutation that can change what
-     * runs where (add, remove, freeze, slice rotation, rebalancing).
-     * While it is unchanged, runningOn()/warmthMult()/siblingBusy()/
+     * runs where (add, remove, freeze, slice rotation, rebalancing);
+     * a tick() that rotates no slice leaves it alone. While it is
+     * unchanged, runningOn()/warmthMult()/siblingBusy()/
      * waitingWorkingSet() all return the same answers, which is what
      * lets the engine fast-forward steady stretches without re-asking.
      */
     std::uint64_t version() const { return version_; }
 
-    /** True while some CPU queues two or more tasks; otherwise tick()
-     *  is a no-op. */
+    /**
+     * True while some CPU queues two or more tasks. Otherwise no slice
+     * can expire, so tick() only counts the quantum, and a completion
+     * has no waiting task to rebalance.
+     */
     bool crowded() const { return crowdedCpus_ != 0; }
 
   private:
+    /** No allowed-CPU mask: the task may run anywhere. */
+    static constexpr std::uint32_t kAnyCpu =
+        std::numeric_limits<std::uint32_t>::max();
+    static constexpr std::uint64_t kNever =
+        std::numeric_limits<std::uint64_t>::max();
+
+    /** A queued task and the slot of its allowed-CPU mask. */
+    struct Queued
+    {
+        Task *task;
+        std::uint32_t mask; ///< index into masks_, or kAnyCpu
+    };
+
     struct CpuState
     {
-        std::deque<Task *> queue;
-        Seconds sliceUsed = 0;
+        std::deque<Queued> queue;
+        /** Tick count at which the current slice began; meaningful
+         *  while the queue holds two or more tasks. */
+        std::uint64_t sliceStart = 0;
         Cycles pendingSwitchCycles = 0;
     };
 
-    /** CPUs the task may use (affinity or all). */
-    std::vector<unsigned> allowedCpus(const Task *task) const;
+    /** Record a pinned task's affinity as a bitmask, fatal() on a CPU
+     *  the machine lacks; returns its slot. */
+    std::uint32_t pinMask(const Task *task);
+
+    /** True when the queued task may run on cpu. */
+    bool allows(const Queued &entry, unsigned cpu) const
+    {
+        return entry.mask == kAnyCpu ||
+               ((masks_[entry.mask * maskWords_ + cpu / 64] >> (cpu % 64)) &
+                1) != 0;
+    }
+
+    /** Begin a new slice on cpu at the current tick. */
+    void startSlice(CpuState &cpu);
 
     /** Move one waiting task onto an idle CPU when possible. */
     void rebalance();
 
     const MachineConfig &cfg_;
     std::vector<CpuState> cpus_;
+    /** Allowed-CPU bitmasks of the queued pinned tasks, maskWords_
+     *  words per slot; slots in freeMasks_ are unused. */
+    std::vector<std::uint64_t> masks_;
+    std::vector<std::uint32_t> freeMasks_;
+    std::size_t maskWords_;
     // LITMUS-LINT-ALLOW(unordered-decl): membership queries only (contains/insert/erase); never iterated, so its order cannot reach any output
     std::unordered_set<const Task *> frozen_;
     std::uint64_t version_ = 0;
     /** CPUs with >= 2 queued tasks (tick() fast-path bookkeeping). */
     unsigned crowdedCpus_ = 0;
+    /** Ticks per slice (R above); 0 when slices never expire. */
+    std::uint64_t sliceTicks_ = 0;
+    /** tick() calls so far. */
+    std::uint64_t ticks_ = 0;
+    /** No slice expires before this tick (a lower bound). */
+    std::uint64_t nextDue_ = kNever;
 };
 
 } // namespace litmus::sim

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sim/machine_catalog.h"
 
 namespace litmus::sim
@@ -100,6 +102,32 @@ TEST(MachineConfig, RejectsZeroTimeSlice)
     cfg.timeSlice = 0;
     EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
                 "timeSlice");
+}
+
+TEST(MachineConfig, RejectsNonFiniteTimeSlice)
+{
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -1e-3}) {
+        auto cfg = MachineCatalog::get("cascade-5218");
+        cfg.timeSlice = bad;
+        EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                    "timeSlice")
+            << bad;
+    }
+}
+
+TEST(MachineConfig, RejectsNonFiniteQuantum)
+{
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             0.0}) {
+        auto cfg = MachineCatalog::get("cascade-5218");
+        cfg.quantum = bad;
+        EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                    "quantum")
+            << bad;
+    }
 }
 
 } // namespace

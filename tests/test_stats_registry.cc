@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
+#include "common/rng.h"
 #include "common/stats_registry.h"
 #include "sim/engine.h"
 #include "workload/program.h"
@@ -36,6 +40,71 @@ TEST(AverageStat, TracksMoments)
     EXPECT_DOUBLE_EQ(a.accumulator().min(), 1.0);
     EXPECT_DOUBLE_EQ(a.accumulator().max(), 3.0);
     EXPECT_NE(a.render().find("n=2"), std::string::npos);
+}
+
+/** Bits of every moment of @p got equal those of @p want. */
+::testing::AssertionResult
+sameBits(const OnlineStats &got, const OnlineStats &want)
+{
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    if (got.count() != want.count())
+        return ::testing::AssertionFailure()
+               << "count " << got.count() << " vs " << want.count();
+    const double pairs[][2] = {{got.sum(), want.sum()},
+                               {got.mean(), want.mean()},
+                               {got.variance(), want.variance()},
+                               {got.min(), want.min()},
+                               {got.max(), want.max()}};
+    const char *names[] = {"sum", "mean", "variance", "min", "max"};
+    for (std::size_t i = 0; i < std::size(pairs); ++i) {
+        if (bits(pairs[i][0]) != bits(pairs[i][1]))
+            return ::testing::AssertionFailure()
+                   << names[i] << " " << pairs[i][0] << " vs "
+                   << pairs[i][1];
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(AverageStat, RunsFoldBitExactly)
+{
+    // Runs of one value, changes, k == 0, signed zeros, NaN, a reset
+    // mid-run and reads mid-run, against a plain add() loop.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double pool[] = {1.5, 2.0, 0.0, -0.0, nan, 0.1, -3.25, 1e300,
+                           7.0 / 3.0};
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        AverageStat stat("s", "under test");
+        OnlineStats want;
+        Rng rng(seed);
+        double v = pool[0];
+        for (int op = 0; op < 400; ++op) {
+            if (rng.chance(0.3))
+                v = pool[rng.below(std::size(pool))];
+            const std::uint64_t kind = rng.below(10);
+            if (kind < 4) {
+                stat.sample(v);
+                want.add(v);
+            } else if (kind < 8) {
+                const std::size_t ks[] = {0, 1, 2, 7, 1000};
+                const std::size_t k = ks[rng.below(std::size(ks))];
+                stat.sampleRepeated(v, k);
+                for (std::size_t i = 0; i < k; ++i)
+                    want.add(v);
+            } else if (kind == 8) {
+                ASSERT_TRUE(sameBits(stat.accumulator(), want))
+                    << "op " << op;
+                std::ostringstream count;
+                count << "n=" << want.count() << ")";
+                EXPECT_NE(stat.render().find(count.str()),
+                          std::string::npos);
+            } else if (rng.chance(0.2)) {
+                stat.reset();
+                want.reset();
+            }
+        }
+        ASSERT_TRUE(sameBits(stat.accumulator(), want));
+    }
 }
 
 TEST(HistogramStat, BucketsAndEdges)
