@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <iterator>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -89,9 +91,20 @@ ContentionSolver::solve(const std::vector<SolverInput> &inputs,
                         double waiting_working_set) const
 {
     ContentionResult result;
-    result.threads.resize(inputs.size());
+    solve(inputs, frequency, waiting_working_set, result);
+    return result;
+}
+
+void
+ContentionSolver::solve(const std::vector<SolverInput> &inputs,
+                        Hertz frequency, double waiting_working_set,
+                        ContentionResult &result) const
+{
+    const std::size_t n = inputs.size();
+    result.threads.resize(n);
 
     SharedState &shared = result.shared;
+    shared = SharedState{};
     shared.l3LatencyNs = cfg_.l3HitLatencyNs;
     shared.memLatencyNs = cfg_.memLatencyNs;
 
@@ -103,14 +116,62 @@ ContentionSolver::solve(const std::vector<SolverInput> &inputs,
         shared.totalWorkingSet +=
             static_cast<double>(input.demand.l3WorkingSet);
 
-    if (inputs.empty())
-        return result;
+    if (n == 0)
+        return;
 
     const double ghz = frequency * 1e-9; // cycles per ns
 
-    // Damped fixed-point iteration. Three rounds are enough: traffic
-    // rates move latencies which move rates; the damping factor keeps
-    // the loop stable even at saturation.
+    // Terms that do not depend on the iterated state, once per thread
+    // (the expressions threadPerf evaluates, in the same order). While
+    // the rounds run, each thread's slots hold its invariants: the
+    // final miss fraction, the base CPI cpi0 x warmth x smt in
+    // privateCpi, and the L2 misses per instruction in stallPerInstr.
+    const double l3 = static_cast<double>(cfg_.l3Capacity);
+    const bool squeezed =
+        shared.totalWorkingSet > l3 && shared.totalWorkingSet > 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const ResourceDemand &d = inputs[i].demand;
+        ThreadPerf &slots = result.threads[i];
+        const double ws = static_cast<double>(d.l3WorkingSet);
+        const double share =
+            squeezed ? l3 * ws / shared.totalWorkingSet : ws;
+        slots.l3MissFraction = missFraction(d, share);
+        slots.privateCpi =
+            d.cpi0 * inputs[i].env.warmthMult * inputs[i].env.smtMult;
+        slots.stallPerInstr = d.l2Mpki / 1000.0;
+    }
+
+    // Thread i's CPI terms at the current shared state: threadPerf's
+    // state-dependent half. couplingLoad is its per-round factor
+    // privateCouplingL3 * uL3 + privateCouplingMem * uMem.
+    const auto operatingPoint = [&](std::size_t i, double couplingLoad) {
+        const ResourceDemand &d = inputs[i].demand;
+        const ThreadPerf &slots = result.threads[i];
+        const double m = slots.l3MissFraction;
+        const double avgLatNs = (1.0 - m) * shared.l3LatencyNs +
+                                m * shared.memLatencyNs;
+        const double stall = slots.stallPerInstr * avgLatNs * ghz / d.mlp;
+        const double intensity =
+            std::min(1.0, d.l2Mpki / cfg_.couplingSaturationMpki);
+        const double coupling =
+            1.0 + std::min(intensity * couplingLoad,
+                           cfg_.privateCouplingMax);
+        return std::pair{slots.privateCpi * coupling, stall};
+    };
+    const auto setState = [&](double uL3, double uMem) {
+        shared.l3Utilization = uL3;
+        shared.memUtilization = uMem;
+        shared.l3LatencyNs =
+            cfg_.l3HitLatencyNs * queueFactor(uL3, cfg_.l3QueueMax);
+        shared.memLatencyNs =
+            cfg_.memLatencyNs * queueFactor(uMem, cfg_.memQueueMax);
+        return cfg_.privateCouplingL3 * uL3 +
+               cfg_.privateCouplingMem * uMem;
+    };
+
+    // Damped fixed-point iteration: four rounds, then a final pass at
+    // the damped state. Traffic rates move latencies which move rates;
+    // the damping factor keeps the loop stable even at saturation.
     constexpr int iterations = 4;
     constexpr double damping = 0.6;
 
@@ -118,28 +179,21 @@ ContentionSolver::solve(const std::vector<SolverInput> &inputs,
     double uMem = 0.0;
 
     for (int iter = 0; iter < iterations; ++iter) {
-        shared.l3Utilization = uL3;
-        shared.memUtilization = uMem;
-        shared.l3LatencyNs =
-            cfg_.l3HitLatencyNs * queueFactor(uL3, cfg_.l3QueueMax);
-        shared.memLatencyNs =
-            cfg_.memLatencyNs * queueFactor(uMem, cfg_.memQueueMax);
+        const double couplingLoad = setState(uL3, uMem);
 
         double l3AccessPerNs = 0.0;
         double memLinesPerNs = 0.0;
 
-        for (std::size_t i = 0; i < inputs.size(); ++i) {
-            result.threads[i] = threadPerf(inputs[i].demand,
-                                           inputs[i].env, shared,
-                                           frequency);
-            const ThreadPerf &perf = result.threads[i];
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto [privateCpi, stall] = operatingPoint(i, couplingLoad);
             // Instructions per ns this thread retires at the current
             // operating point.
-            const double ipns = ghz / perf.cpi();
+            const double ipns = ghz / (privateCpi + stall);
             const double missesPerNs =
                 ipns * inputs[i].demand.l2Mpki / 1000.0;
             l3AccessPerNs += missesPerNs;
-            memLinesPerNs += missesPerNs * perf.l3MissFraction;
+            memLinesPerNs +=
+                missesPerNs * result.threads[i].l3MissFraction;
         }
 
         const double newUL3 =
@@ -151,19 +205,12 @@ ContentionSolver::solve(const std::vector<SolverInput> &inputs,
         uMem = damping * newUMem + (1.0 - damping) * uMem;
     }
 
-    shared.l3Utilization = uL3;
-    shared.memUtilization = uMem;
-    shared.l3LatencyNs =
-        cfg_.l3HitLatencyNs * queueFactor(uL3, cfg_.l3QueueMax);
-    shared.memLatencyNs =
-        cfg_.memLatencyNs * queueFactor(uMem, cfg_.memQueueMax);
-
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-        result.threads[i] = threadPerf(inputs[i].demand, inputs[i].env,
-                                       shared, frequency);
+    const double couplingLoad = setState(uL3, uMem);
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto [privateCpi, stall] = operatingPoint(i, couplingLoad);
+        result.threads[i].privateCpi = privateCpi;
+        result.threads[i].stallPerInstr = stall;
     }
-
-    return result;
 }
 
 ContentionMemo::ContentionMemo(std::size_t capacity)
@@ -174,9 +221,8 @@ ContentionMemo::ContentionMemo(std::size_t capacity)
 }
 
 std::size_t
-ContentionMemo::KeyHash::operator()(const Key &key) const
+ContentionMemo::hashKey(const Key &key)
 {
-    // FNV-1a over the packed bit patterns.
     std::uint64_t h = 0xcbf29ce484222325ull;
     for (std::uint64_t word : key) {
         h ^= word;
@@ -214,6 +260,14 @@ ContentionMemo::entryWords(const Key &key, const ContentionResult &result)
     return key.size() + 3 * result.threads.size();
 }
 
+ContentionMemo::Index::node_type
+ContentionMemo::unlinkBack()
+{
+    const Entry &lru = entries_.back();
+    words_ -= entryWords(lru.key, lru.result);
+    return index_.extract(KeyRef{&lru.key, lru.hash});
+}
+
 // Runs unsynchronized by design: the memo is confined to the single
 // EpochPool job advancing its machine (see the class comment), so no
 // lock is taken here and none of the members carry LITMUS_GUARDED_BY.
@@ -224,17 +278,18 @@ ContentionMemo::solve(const ContentionSolver &solver,
 {
     if (bypassed_) {
         ++misses_;
-        bypassResult_ =
-            solver.solve(inputs, frequency, waiting_working_set);
+        solver.solve(inputs, frequency, waiting_working_set,
+                     bypassResult_);
         return bypassResult_;
     }
 
     makeKey(keyBuffer_, inputs, frequency, waiting_working_set);
-    const auto it = index_.find(keyBuffer_);
+    const std::size_t hash = hashKey(keyBuffer_);
+    const auto it = index_.find(KeyRef{&keyBuffer_, hash});
     if (it != index_.end()) {
         ++hits_;
         entries_.splice(entries_.begin(), entries_, it->second);
-        return entries_.front().second;
+        return entries_.front().result;
     }
     ++misses_;
 
@@ -248,26 +303,48 @@ ContentionMemo::solve(const ContentionSolver &solver,
         entries_.clear();
         index_.clear();
         words_ = 0;
-        bypassResult_ =
-            solver.solve(inputs, frequency, waiting_working_set);
+        solver.solve(inputs, frequency, waiting_working_set,
+                     bypassResult_);
         return bypassResult_;
     }
 
-    entries_.emplace_front(keyBuffer_,
-                           solver.solve(inputs, frequency,
-                                        waiting_working_set));
-    index_.emplace(entries_.front().first, entries_.begin());
-    words_ += entryWords(entries_.front().first, entries_.front().second);
-    // Evict from the LRU end, never the entry just inserted (it is the
-    // one returned, and may alone exceed the word budget).
+    // The new entry goes in at the MRU end, then entries are evicted
+    // from the LRU end, never the new one (it is the one returned, and
+    // may alone exceed the word budget). When that would evict at all,
+    // the first entry to go is the current LRU one, so its list node,
+    // index node, key and result storage are reused for the new entry.
+    const std::size_t budget = capacity_ * kWordsPerEntry;
+    const std::size_t newWords = keyBuffer_.size() + 3 * inputs.size();
+    Index::node_type node;
+    if (!entries_.empty() && (entries_.size() + 1 > capacity_ ||
+                              words_ + newWords > budget)) {
+        node = unlinkBack();
+        entries_.splice(entries_.begin(), entries_,
+                        std::prev(entries_.end()));
+        entries_.front().key.swap(keyBuffer_);
+    } else {
+        entries_.emplace_front();
+        entries_.front().key = keyBuffer_;
+    }
+    Entry &entry = entries_.front();
+    entry.hash = hash;
+    solver.solve(inputs, frequency, waiting_working_set, entry.result);
+    words_ += entryWords(entry.key, entry.result);
+    const KeyRef ref{&entry.key, hash};
+    if (node) {
+        node.key() = ref;
+        node.mapped() = entries_.begin();
+        index_.insert(std::move(node));
+    } else {
+        index_.emplace(ref, entries_.begin());
+    }
+
     while (entries_.size() > 1 &&
-           (entries_.size() > capacity_ ||
-            words_ > capacity_ * kWordsPerEntry)) {
-        words_ -= entryWords(entries_.back().first, entries_.back().second);
-        index_.erase(entries_.back().first);
+           (entries_.size() > capacity_ || words_ > budget)) {
+        unlinkBack();
         entries_.pop_back();
     }
-    return entries_.front().second;
+    return entry.result;
 }
 
 } // namespace litmus::sim

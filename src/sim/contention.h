@@ -60,10 +60,10 @@ struct SharedState
     /** Effective DRAM latency in ns after queuing. */
     double memLatencyNs = 0.0;
 
-    /** Utilization of the L3 access path in [0, maxUtilization]. */
+    /** Utilization of the L3 access path, clamped to [0, 1]. */
     double l3Utilization = 0.0;
 
-    /** Utilization of DRAM bandwidth in [0, maxUtilization]. */
+    /** Utilization of DRAM bandwidth, clamped to [0, 1]. */
     double memUtilization = 0.0;
 
     /** Sum of all running threads' L3 working sets (bytes). */
@@ -99,7 +99,18 @@ struct ContentionResult
 /**
  * Analytic fixed-point solver for the shared domain.
  *
- * Stateless apart from the configuration; one instance per Machine.
+ * solve() computes exactly what calling threadPerf() for every thread
+ * in every round would, but evaluates each thread's state-independent
+ * terms once per solve instead of once per round: the capacity share
+ * and miss fraction (the share depends only on totalWorkingSet, fixed
+ * before the first round), the L2 misses per instruction and the base
+ * CPI cpi0 x warmth x smt. Each round then computes only what the
+ * iterated utilizations and latencies move. Every hoisted expression
+ * keeps threadPerf's operands and evaluation order, and the traffic
+ * sums stay serial in thread order, so the result is bit-identical.
+ *
+ * Stateless apart from the configuration, so one const instance may
+ * be shared across threads; one instance per Machine.
  */
 class ContentionSolver
 {
@@ -117,6 +128,14 @@ class ContentionSolver
     ContentionResult solve(const std::vector<SolverInput> &inputs,
                            Hertz frequency,
                            double waiting_working_set = 0.0) const;
+
+    /**
+     * solve() into a caller-owned @p result, reusing the capacity of
+     * its thread vector (no allocation once it has held inputs.size()
+     * threads). Every field of @p result is overwritten.
+     */
+    void solve(const std::vector<SolverInput> &inputs, Hertz frequency,
+               double waiting_working_set, ContentionResult &result) const;
 
     /**
      * Recompute a single thread's perf against a fixed shared state
@@ -163,6 +182,13 @@ class ContentionSolver
  * threads, ~300 words an entry) keep ~100 signatures instead of
  * ~5 MB of them; signatures of at most three threads fit the word
  * budget, so those still keep `capacity` entries.
+ *
+ * Each key is hashed once; the entry keeps the hash, and the index
+ * refers to the entry's own key instead of a copy. Once the memo is
+ * full, a miss reuses the evicted LRU entry's list node, index node,
+ * key and result storage, so it allocates only when the new signature
+ * is wider than the storage it reuses. words() counts the words in
+ * use, not the reused storage's capacity.
  *
  * Wide keys are also costly to hash, so on traffic whose signatures
  * rarely repeat — per-invocation jitter makes every fleet arrival
@@ -214,10 +240,43 @@ class ContentionMemo
     /** Bit patterns of every solver input, in a fixed layout. */
     using Key = std::vector<std::uint64_t>;
 
-    struct KeyHash
+    /** One kept signature: its key, the key's hash and the result. */
+    struct Entry
     {
-        std::size_t operator()(const Key &key) const;
+        std::size_t hash = 0;
+        Key key;
+        ContentionResult result;
     };
+    using Entries = std::list<Entry>; // MRU first
+
+    /**
+     * Index key: a view of a key (an entry's, or the lookup buffer)
+     * with its precomputed hash, so the index neither copies keys nor
+     * hashes them again. Equal hashes are confirmed by full key
+     * equality.
+     */
+    struct KeyRef
+    {
+        const Key *key;
+        std::size_t hash;
+
+        bool operator==(const KeyRef &other) const
+        {
+            return hash == other.hash &&
+                   (key == other.key || *key == *other.key);
+        }
+    };
+
+    struct KeyRefHash
+    {
+        std::size_t operator()(const KeyRef &ref) const
+        {
+            return ref.hash;
+        }
+    };
+
+    /** FNV-1a over the packed bit patterns. */
+    static std::size_t hashKey(const Key &key);
 
     /** Build the lookup key into @p key (reused buffer, no alloc). */
     static void makeKey(Key &key,
@@ -228,12 +287,20 @@ class ContentionMemo
     static std::size_t entryWords(const Key &key,
                                   const ContentionResult &result);
 
+    // LITMUS-LINT-ALLOW(unordered-decl): keyed lookup only; LRU/eviction order lives in entries_ (std::list), and hits are bit-identical to fresh solves
+    using Index = std::unordered_map<KeyRef, Entries::iterator, KeyRefHash>;
+
+    /**
+     * Take the LRU entry out of the index and the word count; the
+     * entry stays in the list. Returns its index node for reuse.
+     */
+    Index::node_type unlinkBack();
+
     std::size_t capacity_;
     std::size_t words_ = 0;
     Key keyBuffer_;
-    std::list<std::pair<Key, ContentionResult>> entries_; // MRU first
-    // LITMUS-LINT-ALLOW(unordered-decl): keyed lookup only; LRU/eviction order lives in entries_ (std::list), and hits are bit-identical to fresh solves
-    std::unordered_map<Key, decltype(entries_)::iterator, KeyHash> index_;
+    Entries entries_;
+    Index index_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     bool bypassed_ = false;

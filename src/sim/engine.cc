@@ -456,14 +456,13 @@ Engine::fullStep()
         // The memo returns a result bit-identical to a fresh solve;
         // with fast-forward off the engine bypasses it, so the oracle
         // times the true baseline.
-        ContentionResult freshSolve;
         if (!fastForward_) {
-            freshSolve = solver_.solve(inputs, freq, waitingWs);
+            solver_.solve(inputs, freq, waitingWs, freshSolve_);
             stats_.solves.add();
         }
         const ContentionResult &solved =
             fastForward_ ? memoSolve(inputs, freq, waitingWs)
-                         : freshSolve;
+                         : freshSolve_;
 
         for (std::size_t i = 0; i < runningTasks.size(); ++i) {
             advanceTask(*runningTasks[i], runningCpus[i],

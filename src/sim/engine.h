@@ -202,9 +202,6 @@ class Engine
     /** Configuration this engine simulates. */
     const MachineConfig &config() const { return cfg_; }
 
-    /** Contention solver (shared with calibration tooling). */
-    const ContentionSolver &solver() const { return solver_; }
-
     /** Number of live tasks. */
     std::size_t taskCount() const { return tasks_.size(); }
 
@@ -328,6 +325,8 @@ class Engine
     const MachineConfig cfg_;
     ContentionSolver solver_;
     ContentionMemo solveMemo_;
+    /** fullStep()'s direct solve with fast-forward off (reused). */
+    ContentionResult freshSolve_;
     FrequencyGovernor governor_;
     Seconds quantum_;
     OsScheduler scheduler_; // ticks quantum_, so declared after it

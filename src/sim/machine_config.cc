@@ -53,30 +53,40 @@ MachineConfig::validate() const
               ") must divide evenly across sockets (", sockets, ")");
     if (smtWays == 0 || smtWays > 2)
         fatal("MachineConfig: smtWays must be 1 or 2, got ", smtWays);
-    if (baseFrequency <= 0 || turboFrequency < baseFrequency)
+    if (!(baseFrequency > 0) || !(turboFrequency >= baseFrequency))
         fatal("MachineConfig: bad frequency range");
     if (l3Capacity == 0)
         fatal("MachineConfig: l3Capacity must be positive");
-    if (l3HitLatencyNs <= 0 || memLatencyNs <= l3HitLatencyNs)
+    if (!(l3HitLatencyNs > 0) || !(memLatencyNs > l3HitLatencyNs))
         fatal("MachineConfig: latencies must satisfy 0 < L3 < mem");
-    if (l3ServiceRate <= 0 || memServiceRate <= 0)
+    if (!(l3ServiceRate > 0) || !(memServiceRate > 0))
         fatal("MachineConfig: service rates must be positive");
-    if (l3QueueMax < 1 || memQueueMax < 1 || queueGamma <= 0)
+    if (!(l3QueueMax >= 1) || !(memQueueMax >= 1) || !(queueGamma > 0))
         fatal("MachineConfig: queue model parameters out of range");
-    if (capacityMissExponent <= 0)
+    if (!(capacityMissExponent > 0))
         fatal("MachineConfig: capacityMissExponent must be positive");
-    if (residencyFactor < 0 || residencyFactor > 1)
+    if (!(residencyFactor >= 0) || !(residencyFactor <= 1))
         fatal("MachineConfig: residencyFactor must be in [0,1]");
-    if (privateCouplingL3 < 0 || privateCouplingMem < 0 ||
-        privateCouplingMax < 0) {
+    if (!(privateCouplingL3 >= 0) || !(privateCouplingMem >= 0) ||
+        !(privateCouplingMax >= 0)) {
         fatal("MachineConfig: coupling parameters must be non-negative");
     }
-    if (smtCpiMultiplier < 1)
+    // The solver divides by it: zero would make every thread's memory
+    // intensity inf or NaN, which min(1, .) turns into full coupling.
+    if (!(couplingSaturationMpki > 0))
+        fatal("MachineConfig: couplingSaturationMpki must be positive, "
+              "got ",
+              couplingSaturationMpki);
+    if (!(smtCpiMultiplier >= 1))
         fatal("MachineConfig: smtCpiMultiplier must be >= 1");
     if (!(timeSlice > 0) || !std::isfinite(timeSlice))
         fatal("MachineConfig: timeSlice must be positive and finite, got ",
               timeSlice, " s");
-    if (warmthMaxPenalty < 0 || warmthRate < 0)
+    if (!(contextSwitchCycles >= 0))
+        fatal("MachineConfig: contextSwitchCycles must be non-negative, "
+              "got ",
+              contextSwitchCycles);
+    if (!(warmthMaxPenalty >= 0) || !(warmthRate >= 0))
         fatal("MachineConfig: warmth parameters must be non-negative");
     const double quantumNs = quantum * 1e9;
     if (!(quantum > 0) || !std::isfinite(quantum) || quantumNs < 1 ||

@@ -1,11 +1,25 @@
 /**
  * @file
  * Tests for the shared-resource contention solver: queue curve,
- * capacity-pressure miss model, and fixed-point behaviour.
+ * capacity-pressure miss model, and fixed-point behaviour, plus
+ * differential tests of the solver and the memo against frozen
+ * reference copies of their straightforward forms.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+#include <list>
+#include <ostream>
+#include <sstream>
+#include <string>
+#include <unordered_map>
+#include <utility>
+
+#include "common/rng.h"
 #include "sim/contention.h"
 #include "sim/machine_catalog.h"
 
@@ -519,5 +533,409 @@ TEST(ContentionMemo, BypassResetsWordCount)
     EXPECT_EQ(memo.words(), 0u);
 }
 
+// ---------------------------------------------------------------------
+// Differential oracles. The reference solve calls threadPerf() for
+// every thread in every round (the unhoisted fixed point); the
+// reference memo keeps a second key copy in its index and allocates a
+// fresh entry on every miss. The real ones must agree bit for bit.
+
+/** The fixed point with every per-thread term recomputed each round. */
+ContentionResult
+referenceSolve(const ContentionSolver &solver, const MachineConfig &c,
+               const std::vector<SolverInput> &inputs, Hertz frequency,
+               double waiting_working_set)
+{
+    ContentionResult result;
+    result.threads.resize(inputs.size());
+
+    SharedState &shared = result.shared;
+    shared.l3LatencyNs = c.l3HitLatencyNs;
+    shared.memLatencyNs = c.memLatencyNs;
+    shared.totalWorkingSet =
+        c.residencyFactor * std::max(0.0, waiting_working_set);
+    for (const auto &input : inputs)
+        shared.totalWorkingSet +=
+            static_cast<double>(input.demand.l3WorkingSet);
+
+    if (inputs.empty())
+        return result;
+
+    const double ghz = frequency * 1e-9;
+    constexpr int iterations = 4;
+    constexpr double damping = 0.6;
+    double uL3 = 0.0;
+    double uMem = 0.0;
+
+    for (int iter = 0; iter < iterations; ++iter) {
+        shared.l3Utilization = uL3;
+        shared.memUtilization = uMem;
+        shared.l3LatencyNs =
+            c.l3HitLatencyNs * solver.queueFactor(uL3, c.l3QueueMax);
+        shared.memLatencyNs =
+            c.memLatencyNs * solver.queueFactor(uMem, c.memQueueMax);
+
+        double l3AccessPerNs = 0.0;
+        double memLinesPerNs = 0.0;
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+            result.threads[i] = solver.threadPerf(
+                inputs[i].demand, inputs[i].env, shared, frequency);
+            const ThreadPerf &perf = result.threads[i];
+            const double ipns = ghz / perf.cpi();
+            const double missesPerNs =
+                ipns * inputs[i].demand.l2Mpki / 1000.0;
+            l3AccessPerNs += missesPerNs;
+            memLinesPerNs += missesPerNs * perf.l3MissFraction;
+        }
+
+        const double newUL3 =
+            std::min(l3AccessPerNs / c.l3ServiceRate, 1.0);
+        const double newUMem =
+            std::min(memLinesPerNs / c.memServiceRate, 1.0);
+        uL3 = damping * newUL3 + (1.0 - damping) * uL3;
+        uMem = damping * newUMem + (1.0 - damping) * uMem;
+    }
+
+    shared.l3Utilization = uL3;
+    shared.memUtilization = uMem;
+    shared.l3LatencyNs =
+        c.l3HitLatencyNs * solver.queueFactor(uL3, c.l3QueueMax);
+    shared.memLatencyNs =
+        c.memLatencyNs * solver.queueFactor(uMem, c.memQueueMax);
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+        result.threads[i] = solver.threadPerf(
+            inputs[i].demand, inputs[i].env, shared, frequency);
+    return result;
+}
+
+/** The first field whose bits differ ("" when all agree). */
+std::string
+bitDiff(const ContentionResult &want, const ContentionResult &got)
+{
+    std::ostringstream out;
+    const auto field = [&](const char *name, double a, double b,
+                           std::size_t thread = SIZE_MAX) {
+        if (out.tellp() > 0 || std::bit_cast<std::uint64_t>(a) ==
+                                   std::bit_cast<std::uint64_t>(b))
+            return;
+        if (thread != SIZE_MAX)
+            out << "thread " << thread << " ";
+        out << name << ": want " << a << " got " << b;
+    };
+    field("l3LatencyNs", want.shared.l3LatencyNs, got.shared.l3LatencyNs);
+    field("memLatencyNs", want.shared.memLatencyNs,
+          got.shared.memLatencyNs);
+    field("l3Utilization", want.shared.l3Utilization,
+          got.shared.l3Utilization);
+    field("memUtilization", want.shared.memUtilization,
+          got.shared.memUtilization);
+    field("totalWorkingSet", want.shared.totalWorkingSet,
+          got.shared.totalWorkingSet);
+    if (want.threads.size() != got.threads.size()) {
+        out << "threads: want " << want.threads.size() << " got "
+            << got.threads.size();
+        return out.str();
+    }
+    for (std::size_t i = 0; i < want.threads.size(); ++i) {
+        field("privateCpi", want.threads[i].privateCpi,
+              got.threads[i].privateCpi, i);
+        field("stallPerInstr", want.threads[i].stallPerInstr,
+              got.threads[i].stallPerInstr, i);
+        field("l3MissFraction", want.threads[i].l3MissFraction,
+              got.threads[i].l3MissFraction, i);
+    }
+    return out.str();
+}
+
+/**
+ * Seeded random co-run: cpi0, mpki (zero in ~1 of 8 threads), working
+ * set (zero in ~1 of 8), miss base, mlp, warmth and SMT multipliers.
+ * @p squeeze picks working sets that usually overflow the L3.
+ */
+std::vector<SolverInput>
+randomInputs(Rng &rng, const MachineConfig &c, std::size_t threads,
+             bool squeeze)
+{
+    const double l3 = static_cast<double>(c.l3Capacity);
+    const double maxWs =
+        squeeze ? l3 : l3 / static_cast<double>(threads + 2);
+    std::vector<SolverInput> inputs(threads);
+    for (SolverInput &in : inputs) {
+        in.demand.cpi0 = rng.uniform(0.3, 2.0);
+        in.demand.l2Mpki = rng.chance(0.125) ? 0.0 : rng.uniform(0, 60);
+        in.demand.l3WorkingSet =
+            rng.chance(0.125)
+                ? 0
+                : static_cast<Bytes>(rng.uniform(0.0, maxWs));
+        in.demand.l3MissBase = rng.uniform();
+        in.demand.mlp = rng.uniform(1.0, 10.0);
+        in.env.warmthMult = rng.chance(0.5) ? 1.0 : rng.uniform(1.0, 1.6);
+        in.env.smtMult = rng.chance(0.5) ? 1.0 : c.smtCpiMultiplier;
+    }
+    return inputs;
+}
+
+TEST(SolveDifferential, MatchesPerRoundThreadPerfBitForBit)
+{
+    const auto machine = cfg();
+    const ContentionSolver solver(machine);
+    const double l3 = static_cast<double>(machine.l3Capacity);
+    Rng rng(0x5eed0c0ffeeull);
+    ContentionResult reused; // solve-into target, reused across cases
+    int squeezed = 0;
+    int unsqueezed = 0;
+    for (int n = 0; n < 3000; ++n) {
+        const std::size_t threads = n < 65 ? n : rng.below(65);
+        const bool squeeze = rng.chance(0.5);
+        const auto inputs = randomInputs(rng, machine, threads, squeeze);
+        const Hertz freq = rng.chance(0.5) ? machine.baseFrequency
+                                           : machine.turboFrequency;
+        const double waiting =
+            rng.chance(0.5) ? 0.0 : rng.uniform(-1e6, l3);
+
+        const ContentionResult want =
+            referenceSolve(solver, machine, inputs, freq, waiting);
+        if (threads > 0)
+            ++(want.shared.totalWorkingSet > l3 ? squeezed : unsqueezed);
+        ASSERT_EQ(bitDiff(want, solver.solve(inputs, freq, waiting)), "")
+            << "case " << n << ", " << threads << " threads";
+        solver.solve(inputs, freq, waiting, reused);
+        ASSERT_EQ(bitDiff(want, reused), "")
+            << "reused result, case " << n << ", " << threads
+            << " threads";
+    }
+    // Both sides of the capacity squeeze were exercised.
+    EXPECT_GT(squeezed, 500);
+    EXPECT_GT(unsqueezed, 500);
+}
+
+/**
+ * The memo before its miss path was made allocation-free: the index
+ * holds a second copy of every key, a miss allocates a new entry and
+ * eviction hashes the evicted key again. Misses solve with
+ * referenceSolve.
+ */
+class ReferenceMemo
+{
+  public:
+    ReferenceMemo(const MachineConfig &c, std::size_t capacity)
+        : cfg_(c), capacity_(capacity)
+    {
+    }
+
+    const ContentionResult &solve(const ContentionSolver &solver,
+                                  const std::vector<SolverInput> &inputs,
+                                  Hertz frequency,
+                                  double waiting_working_set)
+    {
+        if (bypassed_) {
+            ++misses_;
+            bypassResult_ = referenceSolve(solver, cfg_, inputs,
+                                           frequency, waiting_working_set);
+            return bypassResult_;
+        }
+        makeKey(inputs, frequency, waiting_working_set);
+        const auto it = index_.find(keyBuffer_);
+        if (it != index_.end()) {
+            ++hits_;
+            entries_.splice(entries_.begin(), entries_, it->second);
+            return entries_.front().second;
+        }
+        ++misses_;
+        if (misses_ >= 2048 && hits_ * 5 < misses_) {
+            bypassed_ = true;
+            entries_.clear();
+            index_.clear();
+            words_ = 0;
+            bypassResult_ = referenceSolve(solver, cfg_, inputs,
+                                           frequency, waiting_working_set);
+            return bypassResult_;
+        }
+        entries_.emplace_front(keyBuffer_,
+                               referenceSolve(solver, cfg_, inputs,
+                                              frequency,
+                                              waiting_working_set));
+        index_.emplace(entries_.front().first, entries_.begin());
+        words_ += entryWords(entries_.front());
+        while (entries_.size() > 1 &&
+               (entries_.size() > capacity_ ||
+                words_ > capacity_ * ContentionMemo::kWordsPerEntry)) {
+            words_ -= entryWords(entries_.back());
+            index_.erase(entries_.back().first);
+            entries_.pop_back();
+        }
+        return entries_.front().second;
+    }
+
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
+    std::size_t size() const { return entries_.size(); }
+    std::size_t words() const { return words_; }
+    bool bypassed() const { return bypassed_; }
+
+  private:
+    using Key = std::vector<std::uint64_t>;
+    using Entry = std::pair<Key, ContentionResult>;
+
+    struct KeyHash
+    {
+        std::size_t operator()(const Key &key) const
+        {
+            std::uint64_t h = 0xcbf29ce484222325ull;
+            for (std::uint64_t word : key) {
+                h ^= word;
+                h *= 0x100000001b3ull;
+            }
+            return static_cast<std::size_t>(h);
+        }
+    };
+
+    static std::size_t entryWords(const Entry &entry)
+    {
+        return entry.first.size() + 3 * entry.second.threads.size();
+    }
+
+    void makeKey(const std::vector<SolverInput> &inputs, Hertz frequency,
+                 double waiting_working_set)
+    {
+        const auto bits = [](double v) {
+            return std::bit_cast<std::uint64_t>(v);
+        };
+        keyBuffer_.clear();
+        keyBuffer_.push_back(bits(frequency));
+        keyBuffer_.push_back(bits(waiting_working_set));
+        for (const SolverInput &in : inputs) {
+            keyBuffer_.push_back(bits(in.demand.cpi0));
+            keyBuffer_.push_back(bits(in.demand.l2Mpki));
+            keyBuffer_.push_back(in.demand.l3WorkingSet);
+            keyBuffer_.push_back(bits(in.demand.l3MissBase));
+            keyBuffer_.push_back(bits(in.demand.mlp));
+            keyBuffer_.push_back(bits(in.env.warmthMult));
+            keyBuffer_.push_back(bits(in.env.smtMult));
+        }
+    }
+
+    const MachineConfig &cfg_;
+    std::size_t capacity_;
+    std::size_t words_ = 0;
+    Key keyBuffer_;
+    std::list<Entry> entries_;
+    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+    bool bypassed_ = false;
+    ContentionResult bypassResult_;
+};
+
+struct MemoStream
+{
+    std::size_t capacity;
+    /** Chance that a lookup repeats an earlier signature. */
+    double reuse;
+    int calls;
+    bool tripsWatchdog;
+};
+
+void
+PrintTo(const MemoStream &stream, std::ostream *os)
+{
+    *os << "capacity " << stream.capacity << ", reuse " << stream.reuse
+        << ", " << stream.calls << " calls";
+}
+
+class MemoDifferential : public ::testing::TestWithParam<MemoStream>
+{
+};
+
+TEST_P(MemoDifferential, MatchesReferenceMemoAfterEveryCall)
+{
+    const MemoStream stream = GetParam();
+    const auto machine = cfg();
+    const ContentionSolver solver(machine);
+    ContentionMemo memo(stream.capacity);
+    ReferenceMemo reference(machine, stream.capacity);
+    Rng rng(0xfeedull + stream.capacity);
+
+    struct Signature
+    {
+        std::vector<SolverInput> inputs;
+        Hertz frequency;
+        double waiting;
+    };
+    std::vector<Signature> history;
+    for (int call = 0; call < stream.calls; ++call) {
+        if (history.empty() || !rng.chance(stream.reuse)) {
+            // A fresh signature, 1-40 threads wide.
+            const std::size_t threads = 1 + rng.below(40);
+            history.push_back(
+                {randomInputs(rng, machine, threads, rng.chance(0.5)),
+                 rng.chance(0.5) ? machine.baseFrequency
+                                 : machine.turboFrequency,
+                 rng.chance(0.5) ? 0.0 : rng.uniform(0.0, 1e8)});
+        } else {
+            // Repeat one at a reuse distance from 1 up to 64 back.
+            const std::size_t back =
+                1 + rng.below(std::min<std::size_t>(history.size(),
+                                                    1u << rng.below(7)));
+            history.push_back(history[history.size() - back]);
+        }
+        const Signature &sig = history.back();
+        const ContentionResult &want = reference.solve(
+            solver, sig.inputs, sig.frequency, sig.waiting);
+        const ContentionResult &got =
+            memo.solve(solver, sig.inputs, sig.frequency, sig.waiting);
+        ASSERT_EQ(memo.hits(), reference.hits()) << "call " << call;
+        ASSERT_EQ(memo.misses(), reference.misses()) << "call " << call;
+        ASSERT_EQ(memo.size(), reference.size()) << "call " << call;
+        ASSERT_EQ(memo.words(), reference.words()) << "call " << call;
+        ASSERT_EQ(memo.bypassed(), reference.bypassed())
+            << "call " << call;
+        ASSERT_EQ(bitDiff(want, got), "") << "call " << call;
+    }
+    EXPECT_EQ(memo.bypassed(), stream.tripsWatchdog);
+    EXPECT_GT(memo.hits(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Streams, MemoDifferential,
+    ::testing::Values(MemoStream{4, 0.6, 3000, false},
+                      MemoStream{16, 0.6, 3000, false},
+                      MemoStream{16, 0.15, 2600, true},
+                      MemoStream{1024, 0.5, 3000, false}));
+
+TEST(ContentionMemo, EqualHashesAreConfirmedByFullKey)
+{
+    const auto machine = cfg();
+    const ContentionSolver solver(machine);
+    ContentionMemo memo;
+    const std::vector<SolverInput> inputs(2,
+                                          SolverInput{memoryDemand(), {}});
+    // The key starts with the bits of the frequency and of the waiting
+    // working set, hashed by word-wise FNV-1a. Pick the second
+    // signature's waiting working set so that its first two words
+    // hash like the first signature's: the two keys then collide.
+    constexpr std::uint64_t basis = 0xcbf29ce484222325ull;
+    constexpr std::uint64_t prime = 0x100000001b3ull;
+    const auto bits = [](double v) {
+        return std::bit_cast<std::uint64_t>(v);
+    };
+    const Hertz freqA = machine.baseFrequency;
+    const Hertz freqB = machine.turboFrequency;
+    const double waitingA = 0.0;
+    const double waitingB = std::bit_cast<double>(
+        ((basis ^ bits(freqA)) * prime) ^ bits(waitingA) ^
+        ((basis ^ bits(freqB)) * prime));
+    ASSERT_EQ(((basis ^ bits(freqA)) * prime) ^ bits(waitingA),
+              ((basis ^ bits(freqB)) * prime) ^ bits(waitingB));
+
+    memo.solve(solver, inputs, freqA, waitingA);
+    const ContentionResult &b = memo.solve(solver, inputs, freqB, waitingB);
+    EXPECT_EQ(memo.hits(), 0u);
+    EXPECT_EQ(memo.misses(), 2u);
+    EXPECT_EQ(bitDiff(solver.solve(inputs, freqB, waitingB), b), "");
+    memo.solve(solver, inputs, freqA, waitingA);
+    EXPECT_EQ(memo.hits(), 1u);
+}
+
 } // namespace
 } // namespace litmus::sim
+

@@ -130,5 +130,84 @@ TEST(MachineConfig, RejectsNonFiniteQuantum)
     }
 }
 
+TEST(MachineConfig, RejectsNonPositiveCouplingSaturation)
+{
+    // A zero saturation sends every thread's intensity to inf (NaN at
+    // zero mpki), which the solver's min(1, .) turns into full
+    // coupling for compute-bound code.
+    for (const double bad : {0.0, -2.5,
+                             std::numeric_limits<double>::quiet_NaN()}) {
+        auto cfg = MachineCatalog::get("cascade-5218");
+        cfg.couplingSaturationMpki = bad;
+        EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                    "couplingSaturationMpki")
+            << bad;
+    }
+}
+
+TEST(MachineConfig, RejectsNegativeContextSwitchCycles)
+{
+    for (const double bad : {-6000.0,
+                             std::numeric_limits<double>::quiet_NaN()}) {
+        auto cfg = MachineCatalog::get("cascade-5218");
+        cfg.contextSwitchCycles = bad;
+        EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                    "contextSwitchCycles")
+            << bad;
+    }
+    auto cfg = MachineCatalog::get("cascade-5218");
+    cfg.contextSwitchCycles = 0;
+    EXPECT_NO_FATAL_FAILURE(cfg.validate());
+}
+
+TEST(MachineConfig, RejectsNaNParameters)
+{
+    // Every range check is written so that NaN fails it too.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    struct Case
+    {
+        const char *what;
+        void (*set)(MachineConfig &, double);
+    };
+    const Case cases[] = {
+        {"frequency",
+         [](MachineConfig &c, double v) { c.baseFrequency = v; }},
+        {"frequency",
+         [](MachineConfig &c, double v) { c.turboFrequency = v; }},
+        {"latencies",
+         [](MachineConfig &c, double v) { c.l3HitLatencyNs = v; }},
+        {"latencies",
+         [](MachineConfig &c, double v) { c.memLatencyNs = v; }},
+        {"service rates",
+         [](MachineConfig &c, double v) { c.l3ServiceRate = v; }},
+        {"service rates",
+         [](MachineConfig &c, double v) { c.memServiceRate = v; }},
+        {"queue", [](MachineConfig &c, double v) { c.l3QueueMax = v; }},
+        {"queue", [](MachineConfig &c, double v) { c.memQueueMax = v; }},
+        {"queue", [](MachineConfig &c, double v) { c.queueGamma = v; }},
+        {"capacityMissExponent",
+         [](MachineConfig &c, double v) { c.capacityMissExponent = v; }},
+        {"residencyFactor",
+         [](MachineConfig &c, double v) { c.residencyFactor = v; }},
+        {"coupling",
+         [](MachineConfig &c, double v) { c.privateCouplingL3 = v; }},
+        {"coupling",
+         [](MachineConfig &c, double v) { c.privateCouplingMem = v; }},
+        {"coupling",
+         [](MachineConfig &c, double v) { c.privateCouplingMax = v; }},
+        {"smtCpiMultiplier",
+         [](MachineConfig &c, double v) { c.smtCpiMultiplier = v; }},
+        {"warmth",
+         [](MachineConfig &c, double v) { c.warmthMaxPenalty = v; }},
+        {"warmth", [](MachineConfig &c, double v) { c.warmthRate = v; }},
+    };
+    for (const Case &c : cases) {
+        auto cfg = MachineCatalog::get("cascade-5218");
+        c.set(cfg, nan);
+        EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), c.what)
+            << c.what;
+    }
+}
+
 } // namespace
 } // namespace litmus::sim
