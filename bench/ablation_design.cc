@@ -72,7 +72,7 @@ main()
 
     std::cout << "calibrating...\n";
     const auto cal = pricing::calibrate(bench::dedicatedCalibration());
-    const pricing::DiscountModel model(cal.congestion, cal.performance);
+    const pricing::DiscountModel model(cal);
 
     const auto machine = sim::MachineCatalog::get("cascade-5218");
     const unsigned reps = bench::reps(3);

@@ -97,7 +97,7 @@ main()
     ccfg.machine = dual;
     ccfg.levels = {4, 8, 12};
     const auto cal = pricing::calibrate(ccfg);
-    const pricing::DiscountModel model(cal.congestion, cal.performance);
+    const pricing::DiscountModel model(cal);
 
     pricing::ExperimentConfig cfg;
     cfg.machine = dual;

@@ -28,7 +28,7 @@ main()
 
     std::cout << "calibrating Litmus tables...\n";
     const auto cal = pricing::calibrate(bench::dedicatedCalibration());
-    const pricing::DiscountModel model(cal.congestion, cal.performance);
+    const pricing::DiscountModel model(cal);
     const pricing::PricingEngine pricer(model);
 
     const auto machine = sim::MachineCatalog::get("cascade-5218");

@@ -33,8 +33,7 @@ main()
         ccfg.levels = {4, 10, 16, 22};
         ccfg.probeWindowOverride = window;
         const auto cal = pricing::calibrate(ccfg);
-        const pricing::DiscountModel model(cal.congestion,
-                                           cal.performance);
+        const pricing::DiscountModel model(cal);
 
         pricing::ExperimentConfig cfg;
         cfg.coRunners = 26;

@@ -30,14 +30,12 @@ main()
                   << " startup (slowdowns vs solo)\n";
         TextTable table({"level", "CT Tpriv", "CT Tshared", "CT L3/us",
                          "MB Tpriv", "MB Tshared", "MB L3/us"});
-        const auto &levels =
-            cal.congestion.levels(lang, GeneratorKind::CtGen);
-        for (std::size_t i = 0; i < levels.size(); ++i) {
+        for (const auto &row : cal.congestion.rows(GeneratorKind::CtGen)) {
             const auto ct = cal.congestion.at(lang, GeneratorKind::CtGen,
-                                              levels[i]);
+                                              row.level);
             const auto mb = cal.congestion.at(lang, GeneratorKind::MbGen,
-                                              levels[i]);
-            table.addRow({TextTable::num(levels[i], 0),
+                                              row.level);
+            table.addRow({TextTable::num(row.level, 0),
                           TextTable::num(ct.privSlowdown),
                           TextTable::num(ct.sharedSlowdown),
                           TextTable::num(ct.l3MissPerUs, 1),
@@ -51,33 +49,29 @@ main()
     std::cout << "\nPerformance table — reference gmean slowdowns\n";
     TextTable perf({"level", "CT Tpriv", "CT Tshared", "CT total",
                     "MB Tpriv", "MB Tshared", "MB total"});
-    const auto &levels = cal.performance.levels(GeneratorKind::CtGen);
-    for (std::size_t i = 0; i < levels.size(); ++i) {
-        const auto &ctP = cal.performance.privSeries(GeneratorKind::CtGen);
-        const auto &ctS =
-            cal.performance.sharedSeries(GeneratorKind::CtGen);
-        const auto &ctT =
-            cal.performance.totalSeries(GeneratorKind::CtGen);
-        const auto &mbP = cal.performance.privSeries(GeneratorKind::MbGen);
-        const auto &mbS =
-            cal.performance.sharedSeries(GeneratorKind::MbGen);
-        const auto &mbT =
-            cal.performance.totalSeries(GeneratorKind::MbGen);
-        perf.addRow({TextTable::num(levels[i], 0),
-                     TextTable::num(ctP[i]), TextTable::num(ctS[i]),
-                     TextTable::num(ctT[i]), TextTable::num(mbP[i]),
-                     TextTable::num(mbS[i]), TextTable::num(mbT[i])});
+    const auto &ctRows = cal.congestion.rows(GeneratorKind::CtGen);
+    const auto &mbRows = cal.congestion.rows(GeneratorKind::MbGen);
+    for (std::size_t i = 0; i < ctRows.size(); ++i) {
+        const pricing::PerformanceEntry &ct = ctRows[i].reference;
+        const pricing::PerformanceEntry &mb = mbRows[i].reference;
+        perf.addRow({TextTable::num(ctRows[i].level, 0),
+                     TextTable::num(ct.privSlowdown),
+                     TextTable::num(ct.sharedSlowdown),
+                     TextTable::num(ct.totalSlowdown),
+                     TextTable::num(mb.privSlowdown),
+                     TextTable::num(mb.sharedSlowdown),
+                     TextTable::num(mb.totalSlowdown)});
     }
     perf.print(std::cout);
 
-    const auto &ctShared =
-        cal.congestion.sharedSeries(Language::Python, GeneratorKind::CtGen);
-    const auto &mbShared =
-        cal.congestion.sharedSeries(Language::Python, GeneratorKind::MbGen);
+    const double ctShared =
+        ctRows.back().startup(Language::Python).sharedSlowdown;
+    const double mbShared =
+        mbRows.back().startup(Language::Python).sharedSlowdown;
     std::cout << "\npaper=    monotone growth; MB Tshared slowdowns >> "
                  "CT at matched levels (e.g. 1.88-2.04 vs 1.08-1.19)\n"
               << "measured= py startup Tshared at top level: CT "
-              << TextTable::num(ctShared.back()) << " vs MB "
-              << TextTable::num(mbShared.back()) << "\n";
+              << TextTable::num(ctShared) << " vs MB "
+              << TextTable::num(mbShared) << "\n";
     return 0;
 }

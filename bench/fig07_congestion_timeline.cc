@@ -26,7 +26,7 @@ main()
 
     std::cout << "calibrating provider tables...\n";
     const auto cal = pricing::calibrate(bench::dedicatedCalibration());
-    const pricing::DiscountModel model(cal.congestion, cal.performance);
+    const pricing::DiscountModel model(cal);
 
     const auto cfg = sim::MachineCatalog::get("cascade-5218");
     sim::Engine engine(cfg);

@@ -25,7 +25,7 @@ main()
 
     std::cout << "calibrating...\n";
     const auto cal = pricing::calibrate(bench::dedicatedCalibration());
-    const pricing::DiscountModel model(cal.congestion, cal.performance);
+    const pricing::DiscountModel model(cal);
 
     TextTable table({"component", "generator", "slope", "intercept",
                      "R^2"});

@@ -26,7 +26,7 @@ main()
 
     std::cout << "calibrating...\n";
     const auto cal = pricing::calibrate(bench::dedicatedCalibration());
-    const pricing::DiscountModel model(cal.congestion, cal.performance);
+    const pricing::DiscountModel model(cal);
 
     // A fixed observed startup slowdown; sweep the observed machine L3
     // miss rate between (and beyond) the two generator extremes.

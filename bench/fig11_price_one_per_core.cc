@@ -22,8 +22,7 @@ main()
     std::cout << "calibrating provider tables (dedicated cores)...\n";
     const auto calibration =
         pricing::calibrate(bench::dedicatedCalibration());
-    const pricing::DiscountModel model(calibration.congestion,
-                                       calibration.performance);
+    const pricing::DiscountModel model(calibration);
 
     pricing::ExperimentConfig cfg;
     cfg.coRunners = 26;

@@ -23,7 +23,7 @@ main()
 
     std::cout << "calibrating...\n";
     const auto cal = pricing::calibrate(bench::dedicatedCalibration());
-    const pricing::DiscountModel model(cal.congestion, cal.performance);
+    const pricing::DiscountModel model(cal);
 
     pricing::ExperimentConfig cfg;
     cfg.coRunners = 26;

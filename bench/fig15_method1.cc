@@ -23,7 +23,7 @@ main()
 
     std::cout << "calibrating (dedicated cores)...\n";
     const auto cal = pricing::calibrate(bench::dedicatedCalibration());
-    const pricing::DiscountModel model(cal.congestion, cal.performance);
+    const pricing::DiscountModel model(cal);
 
     auto cfg = bench::pooledExperiment(160, 16);
     // Average 10 functions per core: divide T_private by the Figure 14

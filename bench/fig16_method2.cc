@@ -22,7 +22,7 @@ main()
 
     std::cout << "calibrating (50 functions over 5 shared cores)...\n";
     const auto cal = pricing::calibrate(bench::sharingCalibration());
-    const pricing::DiscountModel model(cal.congestion, cal.performance);
+    const pricing::DiscountModel model(cal);
 
     const auto cfg = bench::pooledExperiment(160, 16);
     const auto result = pricing::runPricingExperiment(cfg, model);

@@ -23,7 +23,7 @@ main()
 
     std::cout << "calibrating (Method 2)...\n";
     const auto cal = pricing::calibrate(bench::sharingCalibration());
-    const pricing::DiscountModel model(cal.congestion, cal.performance);
+    const pricing::DiscountModel model(cal);
 
     auto cfg = bench::pooledExperiment(320, 16);
     cfg.coRunnerPool = workload::memoryIntensiveSet();

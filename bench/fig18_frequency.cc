@@ -23,7 +23,7 @@ main()
 
     std::cout << "calibrating (Method 2, fixed frequency)...\n";
     const auto cal = pricing::calibrate(bench::sharingCalibration());
-    const pricing::DiscountModel model(cal.congestion, cal.performance);
+    const pricing::DiscountModel model(cal);
 
     auto cfg = bench::pooledExperiment(160, 16);
     cfg.policy = sim::FrequencyPolicy::Turbo;

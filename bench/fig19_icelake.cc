@@ -26,7 +26,7 @@ main()
     std::cout << "calibrating (Method 2 on Ice Lake)...\n";
     const auto cal =
         pricing::calibrate(bench::sharingCalibration(machine));
-    const pricing::DiscountModel model(cal.congestion, cal.performance);
+    const pricing::DiscountModel model(cal);
 
     const auto cfg = bench::pooledExperiment(70, 7, machine);
     const auto result = pricing::runPricingExperiment(cfg, model);

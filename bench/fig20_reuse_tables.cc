@@ -23,7 +23,7 @@ main()
 
     std::cout << "calibrating (Method 2 at 10 functions/core)...\n";
     const auto cal = pricing::calibrate(bench::sharingCalibration());
-    const pricing::DiscountModel model(cal.congestion, cal.performance);
+    const pricing::DiscountModel model(cal);
 
     auto cfg = bench::pooledExperiment(240, 16);
     cfg.warmup = 0.4;

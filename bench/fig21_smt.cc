@@ -30,7 +30,7 @@ main()
     // The sharing pool covers the hardware threads of 5 physical cores.
     auto ccfg = bench::sharingCalibration(machine, 10, 50);
     const auto cal = pricing::calibrate(ccfg);
-    const pricing::DiscountModel model(cal.congestion, cal.performance);
+    const pricing::DiscountModel model(cal);
 
     // 160 functions over all 32 hardware threads.
     const auto cfg = bench::pooledExperiment(160, 32, machine);

@@ -15,14 +15,14 @@
  *  - billing conservation through failures (<= 1e-6): the fleet's
  *    independently accumulated billed + absorbed seconds match the
  *    per-machine ledger + absorption sums;
- *  - every invocation reaches exactly one terminal state:
- *    completions + abandoned + rejected == arrivals;
  *  - the tenant-pays / provider-absorbs split partitions one total:
  *    billed(tenant-pays) == billed + absorbed(provider-absorbs);
  *  - seed-determinism under threading: serial and 8-worker runs of
  *    every cell produce bit-identical fleet reports, failure
  *    accounting included;
  *  - the compiled fault schedule itself is replay-identical.
+ * (That every arrival reaches exactly one terminal state is checked by
+ * Cluster::run itself on every run.)
  *
  * Knobs: LITMUS_FLEET_INVOCATIONS (arrivals per machine, default
  * 400), LITMUS_FLEET_RATE (per machine, default 500),
@@ -145,16 +145,6 @@ main()
         const double consErr = conservationError(report);
         worstConservation = std::max(worstConservation, consErr);
         totalKilled += report.killedInvocations;
-
-        // Exactly one terminal state per arrival, crashes or not.
-        if (report.completions + report.abandoned +
-                report.rejectedMemory !=
-            report.arrivals)
-            fatal("fig25: cell '", name, "' lost invocations: ",
-                  report.completions, " completed + ",
-                  report.abandoned, " abandoned + ",
-                  report.rejectedMemory, " rejected != ",
-                  report.arrivals, " arrivals");
 
         table.addRow({name, std::to_string(report.crashes),
                       std::to_string(report.killedInvocations),

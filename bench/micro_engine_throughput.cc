@@ -73,11 +73,13 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "bench_util.h"
 #include "cluster/cluster.h"
 #include "common/repeated_add.h"
+#include "common/strings.h"
 #include "scenario/traffic_model.h"
 #include "workload/invoker.h"
 #include "workload/program.h"
@@ -108,12 +110,11 @@ envDouble(const char *name, double fallback)
     const char *value = std::getenv(name);
     if (!value || !*value)
         return fallback;
-    char *end = nullptr;
-    const double parsed = std::strtod(value, &end);
-    if (end == value || parsed <= 0)
+    const std::optional<double> parsed = parseDoubleStrict(value);
+    if (!parsed || *parsed <= 0)
         fatal("envDouble: ", name, " must be a positive number, got '",
               value, "'");
-    return parsed;
+    return *parsed;
 }
 
 /** One mode's measurement. */

@@ -26,36 +26,35 @@ const pricing::DiscountModel &
 model()
 {
     static const pricing::DiscountModel m = [] {
-        pricing::CongestionTable congestion;
-        pricing::PerformanceTable performance;
+        pricing::CalibrationProfile profile;
+        pricing::CongestionTable &table = profile.congestion;
         for (Language lang : workload::allLanguages()) {
             pricing::ProbeReading base;
             base.privCpi = 0.7;
             base.sharedCpi = 0.2;
             base.instructions = 45e6;
             base.machineL3MissPerUs = 1.0;
-            congestion.setBaseline(lang, base);
+            table.setBaseline(lang, base);
         }
         for (unsigned level = 2; level <= 26; level += 2) {
             const double x = 1.0 + 0.01 * level;
-            for (Language lang : workload::allLanguages()) {
-                pricing::CongestionEntry e;
-                e.privSlowdown = 1.0 + 0.002 * level;
-                e.sharedSlowdown = 1.0 + 0.05 * level;
-                e.totalSlowdown = x;
-                e.l3MissPerUs = 20.0 * x;
-                congestion.add(lang, GeneratorKind::CtGen, level, e);
-                e.l3MissPerUs = 2000.0 * x;
-                congestion.add(lang, GeneratorKind::MbGen, level, e);
-            }
-            pricing::PerformanceEntry p;
-            p.privSlowdown = 1.0 + 0.003 * level;
-            p.sharedSlowdown = 1.0 + 0.06 * level;
-            p.totalSlowdown = 1.0 + 0.012 * level;
-            performance.add(GeneratorKind::CtGen, level, p);
-            performance.add(GeneratorKind::MbGen, level, p);
+            pricing::CongestionTable::Row row;
+            row.level = level;
+            row.reference.privSlowdown = 1.0 + 0.003 * level;
+            row.reference.sharedSlowdown = 1.0 + 0.06 * level;
+            row.reference.totalSlowdown = 1.0 + 0.012 * level;
+            pricing::CongestionEntry e;
+            e.privSlowdown = 1.0 + 0.002 * level;
+            e.sharedSlowdown = 1.0 + 0.05 * level;
+            e.totalSlowdown = x;
+            e.l3MissPerUs = 20.0 * x;
+            row.startups.assign(workload::allLanguages().size(), e);
+            table.add(GeneratorKind::CtGen, row);
+            for (pricing::CongestionEntry &startup : row.startups)
+                startup.l3MissPerUs = 2000.0 * x;
+            table.add(GeneratorKind::MbGen, row);
         }
-        return pricing::DiscountModel(congestion, performance);
+        return pricing::DiscountModel(profile);
     }();
     return m;
 }

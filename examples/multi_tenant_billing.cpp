@@ -43,8 +43,7 @@ main()
     ccfg.machine = machine;
     ccfg.levels = {4, 10, 16, 22};
     const auto tables = pricing::calibrate(ccfg);
-    const pricing::DiscountModel model(tables.congestion,
-                                       tables.performance);
+    const pricing::DiscountModel model(tables);
     const pricing::PricingEngine pricer(model);
 
     const std::vector<Tenant> tenants = {

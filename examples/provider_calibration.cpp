@@ -36,14 +36,12 @@ main()
     std::cout << "\nPython startup congestion series:\n";
     TextTable cong({"level", "CT total slowdown", "MB total slowdown",
                     "CT L3/us", "MB L3/us"});
-    const auto &levels =
-        tables.congestion.levels(Language::Python, GeneratorKind::CtGen);
-    for (double level : levels) {
+    for (const auto &row : tables.congestion.rows(GeneratorKind::CtGen)) {
         const auto ct = tables.congestion.at(Language::Python,
-                                             GeneratorKind::CtGen, level);
+                                             GeneratorKind::CtGen, row.level);
         const auto mb = tables.congestion.at(Language::Python,
-                                             GeneratorKind::MbGen, level);
-        cong.addRow({TextTable::num(level, 0),
+                                             GeneratorKind::MbGen, row.level);
+        cong.addRow({TextTable::num(row.level, 0),
                      TextTable::num(ct.totalSlowdown),
                      TextTable::num(mb.totalSlowdown),
                      TextTable::num(ct.l3MissPerUs, 1),
@@ -52,8 +50,7 @@ main()
     cong.print(std::cout);
 
     // Fit and report model quality (the operator's go/no-go check).
-    const pricing::DiscountModel model(tables.congestion,
-                                       tables.performance);
+    const pricing::DiscountModel model(tables);
     std::cout << "\nFit quality (R^2) per language:\n";
     TextTable fits({"language", "CT shared", "MB shared", "CT total",
                     "MB total"});

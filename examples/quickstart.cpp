@@ -36,8 +36,7 @@ main()
     const auto tables = pricing::calibrate(ccfg);
 
     // --- Step 2: fit the discount model -------------------------------
-    const pricing::DiscountModel model(tables.congestion,
-                                       tables.performance);
+    const pricing::DiscountModel model(tables);
     const pricing::PricingEngine pricer(model);
 
     // --- Step 3: run a function in a crowded machine -------------------

@@ -26,8 +26,7 @@ main()
     pricing::CalibrationConfig ccfg;
     ccfg.levels = {4, 10, 16, 22};
     const auto tables = pricing::calibrate(ccfg);
-    const pricing::DiscountModel model(tables.congestion,
-                                       tables.performance);
+    const pricing::DiscountModel model(tables);
 
     pricing::ExperimentConfig cfg;
     cfg.coRunners = 26;

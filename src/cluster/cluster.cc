@@ -469,17 +469,17 @@ Cluster::dispatch(const Invocation &inv)
         warmPool != m.warmIdle.end() && !warmPool->second.empty();
 
     std::unique_ptr<workload::ProgramTask> task;
-    workload::InvocationOptions opts;
     if (warm) {
         // Reuse the most recently parked container (LIFO keeps the
         // oldest entries at the front for expiry sweeps).
         warmPool->second.pop_back();
         if (warmPool->second.empty())
             m.warmIdle.erase(warmPool);
-        task = workload::makeWarmInvocation(*inv.spec, rng_, opts);
+        task = workload::makeWarmInvocation(*inv.spec, rng_);
         ++m.warmStarts;
         ++report_.warmStarts;
     } else {
+        workload::InvocationOptions opts;
         opts.withProbe = cfg_.probes;
         task = workload::makeInvocation(*inv.spec, rng_, opts);
         ++m.coldStarts;

@@ -103,30 +103,23 @@ class CellEnvironment
     bool captured_ = false;
 };
 
-/** What one (generator, level) stress cell measured. */
-struct CellResult
-{
-    /** One entry per workload::allLanguages(), in that order. */
-    std::vector<CongestionEntry> congestion;
-    PerformanceEntry performance;
-};
-
 /**
  * Run one stress cell: the startup probes of every language, then the
  * reference functions, all inside one CellEnvironment. Reads only
  * @p cfg, the congestion baselines and @p ref_solo, so cells are
  * independent of each other and of the order they run in.
  */
-CellResult
+CongestionTable::Row
 measureCell(const CalibrationConfig &cfg, GeneratorKind gen,
             unsigned level, const CongestionTable &baselines,
             const std::map<std::string, SoloBaseline> &ref_solo,
             const std::vector<unsigned> &subject_affinity)
 {
     CellEnvironment env(cfg, gen, level, cfg.seed + 31 * level);
-    CellResult cell;
+    CongestionTable::Row cell;
+    cell.level = level;
 
-    // Congestion table: startup probes per language.
+    // Congestion half: startup probes per language.
     for (Language lang : workload::allLanguages()) {
         std::vector<double> priv, shared, total, l3;
         for (unsigned rep = 0; rep < cfg.repetitions; ++rep) {
@@ -146,10 +139,10 @@ measureCell(const CalibrationConfig &cfg, GeneratorKind gen,
         entry.sharedSlowdown = gmean(shared);
         entry.totalSlowdown = gmean(total);
         entry.l3MissPerUs = mean(l3);
-        cell.congestion.push_back(entry);
+        cell.startups.push_back(entry);
     }
 
-    // Performance table: reference-function slowdown gmeans.
+    // Performance half: reference-function slowdown gmeans.
     std::vector<double> priv, shared, total;
     for (const FunctionSpec *spec : cfg.referencePool) {
         const SoloBaseline &solo = ref_solo.at(spec->name);
@@ -170,9 +163,9 @@ measureCell(const CalibrationConfig &cfg, GeneratorKind gen,
         shared.push_back(gmean(s));
         total.push_back(gmean(t));
     }
-    cell.performance.privSlowdown = gmean(priv);
-    cell.performance.sharedSlowdown = gmean(shared);
-    cell.performance.totalSlowdown = gmean(total);
+    cell.reference.privSlowdown = gmean(priv);
+    cell.reference.sharedSlowdown = gmean(shared);
+    cell.reference.totalSlowdown = gmean(total);
     return cell;
 }
 
@@ -186,9 +179,6 @@ allowedCpuCount()
         return 1;
     return static_cast<unsigned>(std::max(1, CPU_COUNT(&allowed)));
 }
-
-constexpr GeneratorKind kGenerators[] = {GeneratorKind::CtGen,
-                                         GeneratorKind::MbGen};
 
 } // namespace
 
@@ -300,8 +290,8 @@ CalibrationProfile
 calibrate(const CalibrationConfig &cfg)
 {
     cfg.validate();
-    const auto cells =
-        static_cast<unsigned>(std::size(kGenerators) * cfg.levels.size());
+    const auto cells = static_cast<unsigned>(
+        std::size(kCalibrationGenerators) * cfg.levels.size());
     EpochPool pool(std::min(allowedCpuCount(), cells));
     return calibrate(cfg, pool);
 }
@@ -339,14 +329,15 @@ calibrate(const CalibrationConfig &cfg, EpochPool &pool)
     // slot; the jobs are queued deepest level first, since deeper
     // cells step the most quanta and would otherwise finish last.
     const std::size_t levels = cfg.levels.size();
-    std::vector<CellResult> slots(std::size(kGenerators) * levels);
+    constexpr std::size_t gens = std::size(kCalibrationGenerators);
+    std::vector<CongestionTable::Row> slots(gens * levels);
     std::vector<std::function<void()>> jobs;
     jobs.reserve(slots.size());
     for (std::size_t l = levels; l-- > 0;) {
-        for (std::size_t g = 0; g < std::size(kGenerators); ++g) {
+        for (std::size_t g = 0; g < gens; ++g) {
             jobs.emplace_back([&, g, l] {
                 slots[g * levels + l] = measureCell(
-                    cfg, kGenerators[g], cfg.levels[l],
+                    cfg, kCalibrationGenerators[g], cfg.levels[l],
                     result.congestion, result.referenceSolo,
                     subjectAffinity);
             });
@@ -354,20 +345,10 @@ calibrate(const CalibrationConfig &cfg, EpochPool &pool)
     }
     pool.run(jobs);
 
-    // Fill the tables in (generator, level, language) order, exactly
-    // as a serial sweep would.
-    const std::vector<Language> &langs = workload::allLanguages();
-    for (std::size_t g = 0; g < std::size(kGenerators); ++g) {
-        for (std::size_t l = 0; l < levels; ++l) {
-            const CellResult &cell = slots[g * levels + l];
-            for (std::size_t i = 0; i < langs.size(); ++i) {
-                result.congestion.add(langs[i], kGenerators[g],
-                                      cfg.levels[l], cell.congestion[i]);
-            }
-            result.performance.add(kGenerators[g], cfg.levels[l],
-                                   cell.performance);
-        }
-    }
+    // Slot g * levels + l is generator g's row at level l.
+    for (std::size_t i = 0; i < slots.size(); ++i)
+        result.congestion.add(kCalibrationGenerators[i / levels],
+                              std::move(slots[i]));
 
     return result;
 }

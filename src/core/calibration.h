@@ -2,11 +2,11 @@
  * @file
  * Provider-side offline calibration (Section 6, Steps 1 and 2).
  *
- * The Calibrator fills the congestion and performance tables by
- * simulating the provider's procedure: stress the machine with CT-Gen
- * and MB-Gen at a range of levels; at each level run the language
- * startups (congestion table) and the reference functions
- * (performance table); normalize everything against congestion-free
+ * The Calibrator fills the calibration table by simulating the
+ * provider's procedure: stress the machine with CT-Gen and MB-Gen at
+ * a range of levels; at each level run the language startups (the
+ * congestion half of a row) and the reference functions (its
+ * performance half); normalize everything against congestion-free
  * solo runs.
  *
  * Method 2 of Section 7.2 is the same procedure with a temporal-
@@ -17,7 +17,7 @@
  * The sweep is parallel and deterministic. Each (generator, level)
  * cell is a self-contained environment seeded by its level, so the
  * cells run as one batch on an EpochPool and write into per-cell
- * slots; the tables are filled from the slots in the serial order
+ * slots; each slot becomes one table row, appended in level order
  * afterwards. The thread count never changes a result: a profile is
  * byte-identical at 1 and N threads.
  */
@@ -30,7 +30,6 @@
 
 #include "common/epoch_pool.h"
 #include "core/congestion_table.h"
-#include "core/performance_table.h"
 #include "sim/machine_catalog.h"
 #include "workload/suite.h"
 
@@ -95,9 +94,9 @@ struct CalibrationConfig
 
 /**
  * Everything calibration produces — a first-class, deployable
- * artifact. The congestion/performance tables (startup baselines
- * included), the reference-function solo baselines, and the name of
- * the machine type it was calibrated on travel together: table_io
+ * artifact. The calibration table (startup baselines included), the
+ * reference-function solo baselines, and the name of the machine
+ * type it was calibrated on travel together: table_io
  * round-trips the whole profile (v2 format), ProfileStore memoizes
  * one per machine type, and DiscountModel refuses to price a machine
  * whose type does not match.
@@ -108,8 +107,9 @@ struct CalibrationProfile
      *  legacy (v1) artifacts and hand-built tables = matches any. */
     std::string machine;
 
+    /** Rows of startup and reference slowdowns, one per stress
+     *  cell, plus the startup baselines. */
     CongestionTable congestion;
-    PerformanceTable performance;
 
     /** Solo baselines of the reference functions (diagnostics). */
     std::map<std::string, SoloBaseline> referenceSolo;

@@ -25,104 +25,58 @@ CongestionTable::baseline(Language lang) const
 }
 
 void
-CongestionTable::add(Language lang, GeneratorKind gen, unsigned level,
-                     const CongestionEntry &entry)
+CongestionTable::add(GeneratorKind gen, Row row)
 {
-    Series &s = series_[{lang, gen}];
-    if (!s.levels.empty() && level <= s.levels.back())
-        fatal("CongestionTable::add: levels must increase (", level,
-              " after ", s.levels.back(), ")");
-    s.levels.push_back(level);
-    s.priv.push_back(entry.privSlowdown);
-    s.shared.push_back(entry.sharedSlowdown);
-    s.total.push_back(entry.totalSlowdown);
-    s.l3.push_back(entry.l3MissPerUs);
+    if (row.startups.size() != workload::allLanguages().size())
+        fatal("CongestionTable::add: ", workload::generatorName(gen),
+              " level ", row.level, " has ", row.startups.size(),
+              " startup entries, want ",
+              workload::allLanguages().size());
+    std::vector<Row> &rows = rows_[gen];
+    if (!rows.empty() && row.level <= rows.back().level)
+        fatal("CongestionTable::add: levels must increase (", row.level,
+              " after ", rows.back().level, ")");
+    rows.push_back(std::move(row));
 }
 
-const CongestionTable::Series &
-CongestionTable::seriesFor(Language lang, GeneratorKind gen) const
+const std::vector<CongestionTable::Row> &
+CongestionTable::rows(GeneratorKind gen) const
 {
-    const auto it = series_.find({lang, gen});
-    if (it == series_.end())
+    const auto it = rows_.find(gen);
+    if (it == rows_.end())
         fatal("CongestionTable: no series for ",
-              workload::languageName(lang), " / ",
               workload::generatorName(gen));
     return it->second;
 }
 
-namespace
-{
-
-/** Interpolate one column of a series at a fractional level. */
-double
-interpColumn(const std::vector<double> &levels,
-             const std::vector<double> &col, double level)
-{
-    if (level <= levels.front())
-        return col.front();
-    if (level >= levels.back())
-        return col.back();
-    for (std::size_t i = 1; i < levels.size(); ++i) {
-        if (level <= levels[i]) {
-            const double t =
-                (level - levels[i - 1]) / (levels[i] - levels[i - 1]);
-            return lerp(col[i - 1], col[i], t);
-        }
-    }
-    return col.back();
-}
-
-} // namespace
-
 CongestionEntry
 CongestionTable::at(Language lang, GeneratorKind gen, double level) const
 {
-    const Series &s = seriesFor(lang, gen);
-    if (s.levels.empty())
-        fatal("CongestionTable::at: empty series");
-    CongestionEntry e;
-    e.privSlowdown = interpColumn(s.levels, s.priv, level);
-    e.sharedSlowdown = interpColumn(s.levels, s.shared, level);
-    e.totalSlowdown = interpColumn(s.levels, s.total, level);
-    e.l3MissPerUs = interpColumn(s.levels, s.l3, level);
-    return e;
-}
-
-const std::vector<double> &
-CongestionTable::levels(Language lang, GeneratorKind gen) const
-{
-    return seriesFor(lang, gen).levels;
-}
-
-const std::vector<double> &
-CongestionTable::privSeries(Language lang, GeneratorKind gen) const
-{
-    return seriesFor(lang, gen).priv;
-}
-
-const std::vector<double> &
-CongestionTable::sharedSeries(Language lang, GeneratorKind gen) const
-{
-    return seriesFor(lang, gen).shared;
-}
-
-const std::vector<double> &
-CongestionTable::totalSeries(Language lang, GeneratorKind gen) const
-{
-    return seriesFor(lang, gen).total;
-}
-
-const std::vector<double> &
-CongestionTable::l3Series(Language lang, GeneratorKind gen) const
-{
-    return seriesFor(lang, gen).l3;
+    const std::vector<Row> &r = rows(gen);
+    if (level <= r.front().level)
+        return r.front().startup(lang);
+    for (std::size_t i = 1; i < r.size(); ++i) {
+        if (level <= r[i].level) {
+            const double lo = r[i - 1].level;
+            const double t = (level - lo) / (r[i].level - lo);
+            const CongestionEntry &a = r[i - 1].startup(lang);
+            const CongestionEntry &b = r[i].startup(lang);
+            CongestionEntry e;
+            e.privSlowdown = lerp(a.privSlowdown, b.privSlowdown, t);
+            e.sharedSlowdown = lerp(a.sharedSlowdown, b.sharedSlowdown, t);
+            e.totalSlowdown = lerp(a.totalSlowdown, b.totalSlowdown, t);
+            e.l3MissPerUs = lerp(a.l3MissPerUs, b.l3MissPerUs, t);
+            return e;
+        }
+    }
+    return r.back().startup(lang);
 }
 
 bool
-CongestionTable::populated(Language lang, GeneratorKind gen) const
+CongestionTable::populated(GeneratorKind gen) const
 {
-    const auto it = series_.find({lang, gen});
-    return it != series_.end() && it->second.levels.size() >= 2;
+    const auto it = rows_.find(gen);
+    return it != rows_.end() && it->second.size() >= 2;
 }
 
 } // namespace litmus::pricing

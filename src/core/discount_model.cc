@@ -9,52 +9,48 @@ namespace litmus::pricing
 {
 
 DiscountModel::DiscountModel(const CalibrationProfile &profile)
-    : DiscountModel(profile.congestion, profile.performance)
+    : machine_(profile.machine)
 {
-    machine_ = profile.machine;
+    const CongestionTable &table = profile.congestion;
+    for (Language lang : workload::allLanguages()) {
+        baselines_[lang] = table.baseline(lang);
+        for (GeneratorKind gen : kCalibrationGenerators) {
+            if (!table.populated(gen))
+                fatal("DiscountModel: calibration table missing ",
+                      workload::generatorName(gen), " rows");
+
+            // x: startup slowdowns at each level; y: reference
+            // slowdowns measured in the same stress cell.
+            std::vector<double> priv, shared, total, l3;
+            std::vector<double> refPriv, refShared, refTotal;
+            for (const CongestionTable::Row &row : table.rows(gen)) {
+                const CongestionEntry &s = row.startup(lang);
+                priv.push_back(s.privSlowdown);
+                shared.push_back(s.sharedSlowdown);
+                total.push_back(s.totalSlowdown);
+                l3.push_back(s.l3MissPerUs);
+                refPriv.push_back(row.reference.privSlowdown);
+                refShared.push_back(row.reference.sharedSlowdown);
+                refTotal.push_back(row.reference.totalSlowdown);
+            }
+
+            PerLangGen f;
+            f.priv = LinearFit::fit(priv, refPriv);
+            f.shared = LinearFit::fit(shared, refShared);
+            f.total = LinearFit::fit(total, refTotal);
+            f.l3 = LogFit::fit(l3, total);
+            f.minTotal = *std::min_element(total.begin(), total.end());
+            f.maxTotal = *std::max_element(total.begin(), total.end());
+
+            fits_.emplace(Key{lang, gen}, std::move(f));
+        }
+    }
 }
 
 void
 DiscountModel::requireMachine(const std::string &machine_name) const
 {
     requireMachineMatch(machine_, machine_name, "DiscountModel");
-}
-
-DiscountModel::DiscountModel(const CongestionTable &congestion,
-                             const PerformanceTable &performance)
-{
-    for (Language lang : workload::allLanguages()) {
-        baselines_[lang] = congestion.baseline(lang);
-        for (GeneratorKind gen :
-             {GeneratorKind::CtGen, GeneratorKind::MbGen}) {
-            if (!congestion.populated(lang, gen))
-                fatal("DiscountModel: congestion table missing ",
-                      workload::languageName(lang), " / ",
-                      workload::generatorName(gen));
-            if (!performance.populated(gen))
-                fatal("DiscountModel: performance table missing ",
-                      workload::generatorName(gen));
-
-            PerLangGen f;
-            // x: startup slowdowns at each level (congestion table);
-            // y: reference slowdowns at the same level (perf table).
-            f.priv = LinearFit::fit(congestion.privSeries(lang, gen),
-                                    performance.privSeries(gen));
-            f.shared =
-                LinearFit::fit(congestion.sharedSeries(lang, gen),
-                               performance.sharedSeries(gen));
-            f.total = LinearFit::fit(congestion.totalSeries(lang, gen),
-                                     performance.totalSeries(gen));
-            f.l3 = LogFit::fit(congestion.l3Series(lang, gen),
-                               congestion.totalSeries(lang, gen));
-
-            const auto &totals = congestion.totalSeries(lang, gen);
-            f.minTotal = *std::min_element(totals.begin(), totals.end());
-            f.maxTotal = *std::max_element(totals.begin(), totals.end());
-
-            fits_.emplace(Key{lang, gen}, std::move(f));
-        }
-    }
 }
 
 const DiscountModel::PerLangGen &

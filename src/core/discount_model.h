@@ -2,8 +2,9 @@
  * @file
  * The discount model (Section 6, Step 3; Figures 9 and 10).
  *
- * Built from the congestion and performance tables, the model holds,
- * per language and per traffic generator:
+ * Built from a calibration profile, the model holds, per language and
+ * per traffic generator, fitted over the table's rows (each row pairs
+ * the startup and reference slowdowns of one stress cell):
  *
  *  - linear fits mapping startup component slowdowns to reference
  *    component slowdowns (Figure 9), and
@@ -63,23 +64,15 @@ class DiscountModel
     using GeneratorKind = workload::GeneratorKind;
 
     /**
-     * Fit the model from a calibration profile — the normal path.
-     * The profile's machine type is retained and enforced wherever
-     * the model prices a concrete machine (requireMachine).
+     * Fit the model from a calibration profile. The profile's machine
+     * type is retained and enforced wherever the model prices a
+     * concrete machine (requireMachine); an empty name matches any.
+     * Requires both generators populated (two rows or more).
      */
     explicit DiscountModel(const CalibrationProfile &profile);
 
-    /**
-     * Fit from loose tables (synthetic-table tests and ablations).
-     * The machine type is left empty, which matches any machine.
-     * Requires both generators populated in both tables for every
-     * language.
-     */
-    DiscountModel(const CongestionTable &congestion,
-                  const PerformanceTable &performance);
-
     /** Machine type the backing profile was calibrated on ("" =
-     *  loose tables, matches anything). */
+     *  matches anything). */
     const std::string &machine() const { return machine_; }
 
     /** fatal() when this model's profile was calibrated on a

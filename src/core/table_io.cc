@@ -2,10 +2,13 @@
 
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/strings.h"
 
 namespace litmus::pricing
 {
@@ -16,6 +19,24 @@ namespace
 using workload::GeneratorKind;
 using workload::Language;
 
+/** One input line, for diagnostics: "path:line: ..." for a file,
+ *  "loadProfile: ... on line N" for a bare stream. */
+struct Where
+{
+    const std::string &source;
+    int line;
+
+    template <typename... Args>
+    [[noreturn]] void
+    fail(Args &&...args) const
+    {
+        if (source.empty())
+            fatal("loadProfile: ", std::forward<Args>(args)...,
+                  " on line ", line);
+        fatal(source, ':', line, ": ", std::forward<Args>(args)...);
+    }
+};
+
 const char *
 langToken(Language lang)
 {
@@ -25,7 +46,7 @@ langToken(Language lang)
 }
 
 Language
-langFromToken(const std::string &token)
+langFromToken(const std::string &token, const Where &at)
 {
     if (token == "python")
         return Language::Python;
@@ -33,7 +54,7 @@ langFromToken(const std::string &token)
         return Language::NodeJs;
     if (token == "go")
         return Language::Go;
-    fatal("table_io: unknown language '", token, "'");
+    at.fail("unknown language '", token, "'");
 }
 
 const char *
@@ -43,13 +64,160 @@ genToken(GeneratorKind gen)
 }
 
 GeneratorKind
-genFromToken(const std::string &token)
+genFromToken(const std::string &token, const Where &at)
 {
     if (token == "ct")
         return GeneratorKind::CtGen;
     if (token == "mb")
         return GeneratorKind::MbGen;
-    fatal("table_io: unknown generator '", token, "'");
+    at.fail("unknown generator '", token, "'");
+}
+
+/** Finish one record: fatal() when a field failed to parse or a
+ *  token is left over. */
+void
+requireComplete(std::istringstream &fields, const char *record,
+                const Where &at)
+{
+    if (!fields)
+        at.fail("malformed ", record);
+    std::string extra;
+    if (fields >> extra)
+        at.fail("malformed ", record, ": trailing token '", extra, "'");
+}
+
+/** A stress level: a whole number that fits an unsigned. */
+unsigned
+levelFromToken(const std::string &token, const char *record,
+               const Where &at)
+{
+    const std::optional<long> level = parseLongStrict(token);
+    constexpr long kMax = std::numeric_limits<unsigned>::max();
+    if (!level || *level < 0 || *level > kMax)
+        at.fail("malformed ", record, ": level '", token,
+                "' is not an integer in [0, ", kMax, "]");
+    return static_cast<unsigned>(*level);
+}
+
+/** A table row while its records are still being read. */
+struct PendingRow
+{
+    int line = 0; // first record at this level
+    std::map<Language, CongestionEntry> startups;
+    std::optional<PerformanceEntry> reference;
+};
+
+/** Parse a profile; @p source names the input in diagnostics ("" for
+ *  a bare stream). */
+CalibrationProfile
+load(std::istream &is, const std::string &source)
+{
+    std::string header;
+    if (!std::getline(is, header) ||
+        (header != "litmus-tables v1" && header != "litmus-tables v2"))
+        Where{source, 1}.fail("bad header '", header,
+                              "' (want litmus-tables v1 | v2)");
+    const bool v2 = header == "litmus-tables v2";
+
+    CalibrationProfile out;
+    std::map<GeneratorKind, std::map<unsigned, PendingRow>> pending;
+    const auto pendingRow = [&](GeneratorKind gen, unsigned level,
+                                int line) -> PendingRow & {
+        PendingRow &row = pending[gen][level];
+        if (row.line == 0)
+            row.line = line;
+        return row;
+    };
+
+    std::string line;
+    int lineNo = 1;
+    while (std::getline(is, line)) {
+        ++lineNo;
+        if (line.empty())
+            continue;
+        const Where at{source, lineNo};
+        std::istringstream fields(line);
+        std::string kind;
+        fields >> kind;
+        if (kind == "machine") {
+            if (!v2)
+                at.fail("'machine' record in a v1 file");
+            fields >> out.machine;
+            requireComplete(fields, "machine record", at);
+        } else if (kind == "baseline") {
+            std::string lang;
+            ProbeReading base;
+            fields >> lang >> base.privCpi >> base.sharedCpi >>
+                base.instructions >> base.machineL3MissPerUs;
+            requireComplete(fields, "baseline", at);
+            if (!base.valid())
+                at.fail("malformed baseline: instructions must be "
+                        "positive");
+            out.congestion.setBaseline(langFromToken(lang, at), base);
+        } else if (kind == "solo") {
+            if (!v2)
+                at.fail("'solo' record in a v1 file");
+            std::string name;
+            SoloBaseline solo;
+            fields >> name >> solo.privCpi >> solo.sharedCpi;
+            requireComplete(fields, "solo baseline", at);
+            out.referenceSolo[name] = solo;
+        } else if (kind == "congestion") {
+            std::string lang, gen, level;
+            CongestionEntry entry;
+            fields >> lang >> gen >> level >> entry.privSlowdown >>
+                entry.sharedSlowdown >> entry.totalSlowdown >>
+                entry.l3MissPerUs;
+            requireComplete(fields, "congestion row", at);
+            const Language l = langFromToken(lang, at);
+            PendingRow &row =
+                pendingRow(genFromToken(gen, at),
+                           levelFromToken(level, "congestion row", at),
+                           lineNo);
+            if (!row.startups.emplace(l, entry).second)
+                at.fail("duplicate congestion row for ", lang, ' ', gen,
+                        " level ", level);
+        } else if (kind == "performance") {
+            std::string gen, level;
+            PerformanceEntry entry;
+            fields >> gen >> level >> entry.privSlowdown >>
+                entry.sharedSlowdown >> entry.totalSlowdown;
+            requireComplete(fields, "performance row", at);
+            PendingRow &row = pendingRow(
+                genFromToken(gen, at),
+                levelFromToken(level, "performance row", at), lineNo);
+            if (row.reference)
+                at.fail("duplicate performance row for ", gen,
+                        " level ", level);
+            row.reference = entry;
+        } else {
+            at.fail("unknown record '", kind, "'");
+        }
+    }
+
+    // Every level needs a row from each language and the reference:
+    // the model fits one against the other level by level.
+    for (const auto &[gen, rows] : pending) {
+        for (const auto &[level, p] : rows) {
+            const Where at{source, p.line};
+            CongestionTable::Row row;
+            row.level = level;
+            for (Language lang : workload::allLanguages()) {
+                const auto entry = p.startups.find(lang);
+                if (entry == p.startups.end())
+                    at.fail("generator ", genToken(gen), " level ",
+                            level, " has no ", langToken(lang),
+                            " congestion row");
+                row.startups.push_back(entry->second);
+            }
+            if (!p.reference)
+                at.fail("generator ", genToken(gen), " level ", level,
+                        " has no performance row");
+            row.reference = *p.reference;
+            out.congestion.add(gen, std::move(row));
+        }
+    }
+    return out;
 }
 
 } // namespace
@@ -72,11 +240,10 @@ saveProfile(std::ostream &os, const CalibrationProfile &profile)
         os << "machine " << profile.machine << '\n';
     }
 
-    const CongestionTable &congestion = profile.congestion;
-    const PerformanceTable &performance = profile.performance;
+    const CongestionTable &table = profile.congestion;
 
     for (Language lang : workload::allLanguages()) {
-        const ProbeReading &base = congestion.baseline(lang);
+        const ProbeReading &base = table.baseline(lang);
         os << "baseline " << langToken(lang) << ' ' << base.privCpi
            << ' ' << base.sharedCpi << ' ' << base.instructions << ' '
            << base.machineL3MissPerUs << '\n';
@@ -88,32 +255,23 @@ saveProfile(std::ostream &os, const CalibrationProfile &profile)
     }
 
     for (Language lang : workload::allLanguages()) {
-        for (GeneratorKind gen :
-             {GeneratorKind::CtGen, GeneratorKind::MbGen}) {
-            const auto &levels = congestion.levels(lang, gen);
-            const auto &priv = congestion.privSeries(lang, gen);
-            const auto &shared = congestion.sharedSeries(lang, gen);
-            const auto &total = congestion.totalSeries(lang, gen);
-            const auto &l3 = congestion.l3Series(lang, gen);
-            for (std::size_t i = 0; i < levels.size(); ++i) {
+        for (GeneratorKind gen : kCalibrationGenerators) {
+            for (const CongestionTable::Row &row : table.rows(gen)) {
+                const CongestionEntry &e = row.startup(lang);
                 os << "congestion " << langToken(lang) << ' '
-                   << genToken(gen) << ' ' << levels[i] << ' '
-                   << priv[i] << ' ' << shared[i] << ' ' << total[i]
-                   << ' ' << l3[i] << '\n';
+                   << genToken(gen) << ' ' << row.level << ' '
+                   << e.privSlowdown << ' ' << e.sharedSlowdown << ' '
+                   << e.totalSlowdown << ' ' << e.l3MissPerUs << '\n';
             }
         }
     }
 
-    for (GeneratorKind gen :
-         {GeneratorKind::CtGen, GeneratorKind::MbGen}) {
-        const auto &levels = performance.levels(gen);
-        const auto &priv = performance.privSeries(gen);
-        const auto &shared = performance.sharedSeries(gen);
-        const auto &total = performance.totalSeries(gen);
-        for (std::size_t i = 0; i < levels.size(); ++i) {
-            os << "performance " << genToken(gen) << ' ' << levels[i]
-               << ' ' << priv[i] << ' ' << shared[i] << ' ' << total[i]
-               << '\n';
+    for (GeneratorKind gen : kCalibrationGenerators) {
+        for (const CongestionTable::Row &row : table.rows(gen)) {
+            const PerformanceEntry &p = row.reference;
+            os << "performance " << genToken(gen) << ' ' << row.level
+               << ' ' << p.privSlowdown << ' ' << p.sharedSlowdown << ' '
+               << p.totalSlowdown << '\n';
         }
     }
 }
@@ -130,80 +288,7 @@ saveProfile(const std::string &path, const CalibrationProfile &profile)
 CalibrationProfile
 loadProfile(std::istream &is)
 {
-    std::string header;
-    if (!std::getline(is, header) ||
-        (header != "litmus-tables v1" && header != "litmus-tables v2"))
-        fatal("loadProfile: bad header '", header,
-              "' (want litmus-tables v1 | v2)");
-    const bool v2 = header == "litmus-tables v2";
-
-    CalibrationProfile out;
-    std::string line;
-    int lineNo = 1;
-    while (std::getline(is, line)) {
-        ++lineNo;
-        if (line.empty())
-            continue;
-        std::istringstream fields(line);
-        std::string kind;
-        fields >> kind;
-        if (kind == "machine") {
-            if (!v2)
-                fatal("loadProfile: 'machine' record in a v1 file on "
-                      "line ", lineNo);
-            fields >> out.machine;
-            if (!fields || out.machine.empty())
-                fatal("loadProfile: malformed machine record on line ",
-                      lineNo);
-        } else if (kind == "baseline") {
-            std::string lang;
-            ProbeReading base;
-            fields >> lang >> base.privCpi >> base.sharedCpi >>
-                base.instructions >> base.machineL3MissPerUs;
-            if (!fields)
-                fatal("loadProfile: malformed baseline on line ",
-                      lineNo);
-            out.congestion.setBaseline(langFromToken(lang), base);
-        } else if (kind == "solo") {
-            if (!v2)
-                fatal("loadProfile: 'solo' record in a v1 file on "
-                      "line ", lineNo);
-            std::string name;
-            SoloBaseline solo;
-            fields >> name >> solo.privCpi >> solo.sharedCpi;
-            if (!fields)
-                fatal("loadProfile: malformed solo baseline on line ",
-                      lineNo);
-            out.referenceSolo[name] = solo;
-        } else if (kind == "congestion") {
-            std::string lang, gen;
-            double level;
-            CongestionEntry entry;
-            fields >> lang >> gen >> level >> entry.privSlowdown >>
-                entry.sharedSlowdown >> entry.totalSlowdown >>
-                entry.l3MissPerUs;
-            if (!fields)
-                fatal("loadProfile: malformed congestion row on line ",
-                      lineNo);
-            out.congestion.add(langFromToken(lang), genFromToken(gen),
-                               static_cast<unsigned>(level), entry);
-        } else if (kind == "performance") {
-            std::string gen;
-            double level;
-            PerformanceEntry entry;
-            fields >> gen >> level >> entry.privSlowdown >>
-                entry.sharedSlowdown >> entry.totalSlowdown;
-            if (!fields)
-                fatal("loadProfile: malformed performance row on line ",
-                      lineNo);
-            out.performance.add(genFromToken(gen),
-                                static_cast<unsigned>(level), entry);
-        } else {
-            fatal("loadProfile: unknown record '", kind, "' on line ",
-                  lineNo);
-        }
-    }
-    return out;
+    return load(is, "");
 }
 
 CalibrationProfile
@@ -212,7 +297,7 @@ loadProfile(const std::string &path)
     std::ifstream in(path);
     if (!in)
         fatal("loadProfile: cannot open '", path, "'");
-    return loadProfile(in);
+    return load(in, path);
 }
 
 } // namespace litmus::pricing

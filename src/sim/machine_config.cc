@@ -44,54 +44,56 @@ bytesKey(const ConfigReader &config, const std::string &key, double unit)
 } // namespace
 
 void
-MachineConfig::validate() const
+MachineConfig::validate(const std::string &where) const
 {
+    const std::string who =
+        (where.empty() ? "" : where + ": ") + "MachineConfig: ";
     if (cores == 0)
-        fatal("MachineConfig: cores must be positive");
+        fatal(who, "cores must be positive");
     if (sockets == 0 || cores % sockets != 0)
-        fatal("MachineConfig: cores (", cores,
+        fatal(who, "cores (", cores,
               ") must divide evenly across sockets (", sockets, ")");
     if (smtWays == 0 || smtWays > 2)
-        fatal("MachineConfig: smtWays must be 1 or 2, got ", smtWays);
+        fatal(who, "smtWays must be 1 or 2, got ", smtWays);
     if (!(baseFrequency > 0) || !(turboFrequency >= baseFrequency))
-        fatal("MachineConfig: bad frequency range");
+        fatal(who, "bad frequency range");
     if (l3Capacity == 0)
-        fatal("MachineConfig: l3Capacity must be positive");
+        fatal(who, "l3Capacity must be positive");
     if (!(l3HitLatencyNs > 0) || !(memLatencyNs > l3HitLatencyNs))
-        fatal("MachineConfig: latencies must satisfy 0 < L3 < mem");
+        fatal(who, "latencies must satisfy 0 < L3 < mem");
     if (!(l3ServiceRate > 0) || !(memServiceRate > 0))
-        fatal("MachineConfig: service rates must be positive");
+        fatal(who, "service rates must be positive");
     if (!(l3QueueMax >= 1) || !(memQueueMax >= 1) || !(queueGamma > 0))
-        fatal("MachineConfig: queue model parameters out of range");
+        fatal(who, "queue model parameters out of range");
     if (!(capacityMissExponent > 0))
-        fatal("MachineConfig: capacityMissExponent must be positive");
+        fatal(who, "capacityMissExponent must be positive");
     if (!(residencyFactor >= 0) || !(residencyFactor <= 1))
-        fatal("MachineConfig: residencyFactor must be in [0,1]");
+        fatal(who, "residencyFactor must be in [0,1]");
     if (!(privateCouplingL3 >= 0) || !(privateCouplingMem >= 0) ||
         !(privateCouplingMax >= 0)) {
-        fatal("MachineConfig: coupling parameters must be non-negative");
+        fatal(who, "coupling parameters must be non-negative");
     }
     // The solver divides by it: zero would make every thread's memory
     // intensity inf or NaN, which min(1, .) turns into full coupling.
     if (!(couplingSaturationMpki > 0))
-        fatal("MachineConfig: couplingSaturationMpki must be positive, "
+        fatal(who, "couplingSaturationMpki must be positive, "
               "got ",
               couplingSaturationMpki);
     if (!(smtCpiMultiplier >= 1))
-        fatal("MachineConfig: smtCpiMultiplier must be >= 1");
+        fatal(who, "smtCpiMultiplier must be >= 1");
     if (!(timeSlice > 0) || !std::isfinite(timeSlice))
-        fatal("MachineConfig: timeSlice must be positive and finite, got ",
+        fatal(who, "timeSlice must be positive and finite, got ",
               timeSlice, " s");
     if (!(contextSwitchCycles >= 0))
-        fatal("MachineConfig: contextSwitchCycles must be non-negative, "
+        fatal(who, "contextSwitchCycles must be non-negative, "
               "got ",
               contextSwitchCycles);
     if (!(warmthMaxPenalty >= 0) || !(warmthRate >= 0))
-        fatal("MachineConfig: warmth parameters must be non-negative");
+        fatal(who, "warmth parameters must be non-negative");
     const double quantumNs = quantum * 1e9;
     if (!(quantum > 0) || !std::isfinite(quantum) || quantumNs < 1 ||
         std::abs(quantumNs - std::round(quantumNs)) > 1e-6) {
-        fatal("MachineConfig: quantum must be a positive whole number "
+        fatal(who, "quantum must be a positive whole number "
               "of nanoseconds, got ",
               quantum, " s");
     }
@@ -159,7 +161,7 @@ applyMachineOverrides(MachineConfig &machine,
             fatal(keyLabel(config, key), ": unknown key");
         }
     }
-    machine.validate();
+    machine.validate(config.source());
 }
 
 } // namespace litmus::sim

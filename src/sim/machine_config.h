@@ -174,8 +174,9 @@ struct MachineConfig
         return (cpu / smtWays) / coresPerSocket();
     }
 
-    /** Abort with fatal() if any field is inconsistent. */
-    void validate() const;
+    /** Abort with fatal() if any field is inconsistent; a non-empty
+     *  @p where (e.g. a preset file's path) leads the message. */
+    void validate(const std::string &where = "") const;
 };
 
 } // namespace litmus::sim

@@ -7,6 +7,16 @@
 namespace litmus::workload
 {
 
+namespace
+{
+
+/** Relative per-invocation jitter of body phases: instruction counts
+ *  and memory intensity. */
+constexpr double kInstructionJitter = 0.015;
+constexpr double kMemoryJitter = 0.02;
+
+} // namespace
+
 Instructions
 FunctionSpec::bodyInstructions() const
 {
@@ -45,8 +55,8 @@ makeInvocation(const FunctionSpec &spec, Rng &rng,
     spec.validate();
     PhaseProgram program = startupProgram(spec.language);
     for (const Phase &phase : spec.body) {
-        program.append(jitterPhase(phase, rng, opts.instructionJitter,
-                                   opts.memoryJitter));
+        program.append(
+            jitterPhase(phase, rng, kInstructionJitter, kMemoryJitter));
     }
     Instructions window = sim::Task::noProbe;
     if (opts.withProbe) {
@@ -62,14 +72,13 @@ makeInvocation(const FunctionSpec &spec, Rng &rng,
 }
 
 std::unique_ptr<ProgramTask>
-makeWarmInvocation(const FunctionSpec &spec, Rng &rng,
-                   const InvocationOptions &opts)
+makeWarmInvocation(const FunctionSpec &spec, Rng &rng)
 {
     spec.validate();
     PhaseProgram program;
     for (const Phase &phase : spec.body) {
-        program.append(jitterPhase(phase, rng, opts.instructionJitter,
-                                   opts.memoryJitter));
+        program.append(
+            jitterPhase(phase, rng, kInstructionJitter, kMemoryJitter));
     }
     return std::make_unique<ProgramTask>(spec.name, std::move(program),
                                          sim::Task::noProbe);

@@ -63,12 +63,6 @@ struct InvocationOptions
      * substrate.
      */
     Instructions probeWindow = 0;
-
-    /** Relative jitter of phase instruction counts. */
-    double instructionJitter = 0.015;
-
-    /** Relative jitter of memory intensity. */
-    double memoryJitter = 0.02;
 };
 
 /**
@@ -76,7 +70,8 @@ struct InvocationOptions
  *
  * The startup phases are never jittered (they are the probe substrate
  * and must stay consistent across invocations); body phases receive
- * small per-invocation jitter from @p rng.
+ * small per-invocation jitter from @p rng (1.5% on instruction counts,
+ * 2% on memory intensity).
  */
 std::unique_ptr<ProgramTask> makeInvocation(const FunctionSpec &spec,
                                             Rng &rng,
@@ -97,9 +92,7 @@ std::unique_ptr<ProgramTask> makeNominalInvocation(
  * skipped. Only the jittered body phases run.
  */
 std::unique_ptr<ProgramTask> makeWarmInvocation(const FunctionSpec &spec,
-                                                Rng &rng,
-                                                const InvocationOptions &opts =
-                                                    InvocationOptions{});
+                                                Rng &rng);
 
 } // namespace litmus::workload
 

@@ -77,8 +77,9 @@ Invoker::launch(std::vector<unsigned> affinity)
         return;
     }
 
+    // Co-runners are never priced, so they carry no probe.
     InvocationOptions opts;
-    opts.withProbe = cfg_.probes;
+    opts.withProbe = false;
     auto task = makeInvocation(*spec, rng_, opts);
     task->setAffinity(affinity);
     sim::Task &handle = engine_.add(std::move(task));

@@ -50,9 +50,6 @@ struct InvokerConfig
     /** Sampling pool (defaults to the whole Table 1 suite). */
     std::vector<const FunctionSpec *> functionPool;
 
-    /** Co-runners don't need probes; enable for full-platform demos. */
-    bool probes = false;
-
     /**
      * Enforce the machine's main-memory capacity: a function whose
      * footprint does not fit is deferred until completions free

@@ -129,11 +129,17 @@ TEST_F(CalibrationFixture, BaselinesForAllLanguages)
 
 TEST_F(CalibrationFixture, TablesPopulatedForBothGenerators)
 {
+    // One row per configured level, each holding every language.
     for (GeneratorKind gen :
          {GeneratorKind::CtGen, GeneratorKind::MbGen}) {
-        EXPECT_TRUE(result().performance.populated(gen));
-        for (Language lang : workload::allLanguages())
-            EXPECT_TRUE(result().congestion.populated(lang, gen));
+        EXPECT_TRUE(result().congestion.populated(gen));
+        const auto &rows = result().congestion.rows(gen);
+        ASSERT_EQ(rows.size(), smallConfig().levels.size());
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            EXPECT_EQ(rows[i].level, smallConfig().levels[i]);
+            EXPECT_EQ(rows[i].startups.size(),
+                      workload::allLanguages().size());
+        }
     }
 }
 
@@ -141,12 +147,15 @@ TEST_F(CalibrationFixture, SlowdownsExceedOneAndGrow)
 {
     for (GeneratorKind gen :
          {GeneratorKind::CtGen, GeneratorKind::MbGen}) {
-        const auto &shared =
-            result().congestion.sharedSeries(Language::Python, gen);
-        EXPECT_GT(shared.front(), 1.0);
-        EXPECT_GT(shared.back(), shared.front());
-        const auto &perfTotal = result().performance.totalSeries(gen);
-        EXPECT_GE(perfTotal.back(), perfTotal.front());
+        const auto &rows = result().congestion.rows(gen);
+        const double first =
+            rows.front().startup(Language::Python).sharedSlowdown;
+        const double last =
+            rows.back().startup(Language::Python).sharedSlowdown;
+        EXPECT_GT(first, 1.0);
+        EXPECT_GT(last, first);
+        EXPECT_GE(rows.back().reference.totalSlowdown,
+                  rows.front().reference.totalSlowdown);
     }
 }
 
@@ -154,21 +163,19 @@ TEST_F(CalibrationFixture, MbStressesSharedTimeMoreThanCt)
 {
     // Figure 5 structure: MB-Gen slows T_shared far more than CT-Gen
     // at matched levels.
-    const auto &ct = result().congestion.sharedSeries(
-        Language::Python, GeneratorKind::CtGen);
-    const auto &mb = result().congestion.sharedSeries(
-        Language::Python, GeneratorKind::MbGen);
+    const auto &ct = result().congestion.rows(GeneratorKind::CtGen);
+    const auto &mb = result().congestion.rows(GeneratorKind::MbGen);
     ASSERT_EQ(ct.size(), mb.size());
-    EXPECT_GT(mb.back(), ct.back());
+    EXPECT_GT(mb.back().startup(Language::Python).sharedSlowdown,
+              ct.back().startup(Language::Python).sharedSlowdown);
 }
 
 TEST_F(CalibrationFixture, MbProducesFarMoreL3Misses)
 {
-    const auto &ct = result().congestion.l3Series(
-        Language::Python, GeneratorKind::CtGen);
-    const auto &mb = result().congestion.l3Series(
-        Language::Python, GeneratorKind::MbGen);
-    EXPECT_GT(mb.back(), 5.0 * ct.back());
+    const auto &ct = result().congestion.rows(GeneratorKind::CtGen);
+    const auto &mb = result().congestion.rows(GeneratorKind::MbGen);
+    EXPECT_GT(mb.back().startup(Language::Python).l3MissPerUs,
+              5.0 * ct.back().startup(Language::Python).l3MissPerUs);
 }
 
 TEST_F(CalibrationFixture, PrivateSlowdownsStaySmall)
@@ -176,8 +183,8 @@ TEST_F(CalibrationFixture, PrivateSlowdownsStaySmall)
     // Figure 5: T_private slowdowns are percent-level, not multiples.
     for (GeneratorKind gen :
          {GeneratorKind::CtGen, GeneratorKind::MbGen}) {
-        for (double v : result().congestion.privSeries(
-                 Language::Python, gen)) {
+        for (const auto &row : result().congestion.rows(gen)) {
+            const double v = row.startup(Language::Python).privSlowdown;
             EXPECT_GT(v, 0.98);
             EXPECT_LT(v, 1.4);
         }

@@ -443,8 +443,7 @@ syntheticProfile(const std::string &machine = "")
 {
     pricing::CalibrationProfile profile;
     profile.machine = machine;
-    pricing::CongestionTable &congestion = profile.congestion;
-    pricing::PerformanceTable &performance = profile.performance;
+    pricing::CongestionTable &table = profile.congestion;
     for (Language lang : workload::allLanguages()) {
         pricing::ProbeReading base;
         // Far below any simulated startup CPI, so observed slowdowns
@@ -453,26 +452,25 @@ syntheticProfile(const std::string &machine = "")
         base.sharedCpi = 0.05;
         base.instructions = 45e6;
         base.machineL3MissPerUs = 1.0;
-        congestion.setBaseline(lang, base);
+        table.setBaseline(lang, base);
     }
     for (unsigned level : {2u, 4u, 6u, 8u}) {
         const double x = 1.0 + 0.05 * level;
-        for (Language lang : workload::allLanguages()) {
-            pricing::CongestionEntry e;
-            e.privSlowdown = 1.0 + 0.005 * level;
-            e.sharedSlowdown = x;
-            e.totalSlowdown = x;
-            e.l3MissPerUs = 10.0 * x;
-            congestion.add(lang, GeneratorKind::CtGen, level, e);
-            e.l3MissPerUs = 1000.0 * x;
-            congestion.add(lang, GeneratorKind::MbGen, level, e);
-        }
-        pricing::PerformanceEntry p;
-        p.privSlowdown = 1.0 + 0.005 * level;
-        p.sharedSlowdown = x;
-        p.totalSlowdown = x;
-        performance.add(GeneratorKind::CtGen, level, p);
-        performance.add(GeneratorKind::MbGen, level, p);
+        pricing::CongestionTable::Row row;
+        row.level = level;
+        row.reference.privSlowdown = 1.0 + 0.005 * level;
+        row.reference.sharedSlowdown = x;
+        row.reference.totalSlowdown = x;
+        pricing::CongestionEntry e;
+        e.privSlowdown = 1.0 + 0.005 * level;
+        e.sharedSlowdown = x;
+        e.totalSlowdown = x;
+        e.l3MissPerUs = 10.0 * x;
+        row.startups.assign(workload::allLanguages().size(), e);
+        table.add(GeneratorKind::CtGen, row);
+        for (pricing::CongestionEntry &startup : row.startups)
+            startup.l3MissPerUs = 1000.0 * x;
+        table.add(GeneratorKind::MbGen, row);
     }
     return profile;
 }

@@ -22,53 +22,54 @@ using workload::Language;
  * CT produces 10 L3 misses/us per unit slowdown above 1; MB produces
  * 1000.
  */
-void
-fillTables(CongestionTable &congestion, PerformanceTable &performance)
+CalibrationProfile
+syntheticProfile()
 {
+    CalibrationProfile profile;
+    CongestionTable &table = profile.congestion;
     for (Language lang : workload::allLanguages()) {
         ProbeReading base;
         base.privCpi = 0.7;
         base.sharedCpi = 0.2;
         base.instructions = 45e6;
         base.machineL3MissPerUs = 1.0;
-        congestion.setBaseline(lang, base);
+        table.setBaseline(lang, base);
     }
 
+    const std::size_t langs = workload::allLanguages().size();
     for (unsigned level : {2u, 4u, 6u, 8u}) {
         const double x = 1.0 + 0.05 * level; // startup slowdown
-        for (Language lang : workload::allLanguages()) {
-            CongestionEntry ct;
-            ct.privSlowdown = 1.0 + 0.005 * level;
-            ct.sharedSlowdown = x;
-            ct.totalSlowdown = x;
-            ct.l3MissPerUs = 10.0 * (1.0 + 0.05 * level);
-            congestion.add(lang, GeneratorKind::CtGen, level, ct);
+        CongestionEntry ct;
+        ct.privSlowdown = 1.0 + 0.005 * level;
+        ct.sharedSlowdown = x;
+        ct.totalSlowdown = x;
+        ct.l3MissPerUs = 10.0 * (1.0 + 0.05 * level);
+        CongestionEntry mb = ct;
+        mb.l3MissPerUs = 1000.0 * (1.0 + 0.05 * level);
 
-            CongestionEntry mb = ct;
-            mb.l3MissPerUs = 1000.0 * (1.0 + 0.05 * level);
-            congestion.add(lang, GeneratorKind::MbGen, level, mb);
-        }
-        PerformanceEntry pct;
-        pct.privSlowdown = 1.0 + 0.005 * level;
-        pct.sharedSlowdown = x;
-        pct.totalSlowdown = x;
-        performance.add(GeneratorKind::CtGen, level, pct);
+        CongestionTable::Row ctRow;
+        ctRow.level = level;
+        ctRow.startups.assign(langs, ct);
+        ctRow.reference.privSlowdown = 1.0 + 0.005 * level;
+        ctRow.reference.sharedSlowdown = x;
+        ctRow.reference.totalSlowdown = x;
+        table.add(GeneratorKind::CtGen, ctRow);
 
-        PerformanceEntry pmb;
-        pmb.privSlowdown = 1.0 + 0.01 * level;
-        pmb.sharedSlowdown = 1.0 + 2.0 * (x - 1.0);
-        pmb.totalSlowdown = 1.0 + 2.0 * (x - 1.0);
-        performance.add(GeneratorKind::MbGen, level, pmb);
+        CongestionTable::Row mbRow;
+        mbRow.level = level;
+        mbRow.startups.assign(langs, mb);
+        mbRow.reference.privSlowdown = 1.0 + 0.01 * level;
+        mbRow.reference.sharedSlowdown = 1.0 + 2.0 * (x - 1.0);
+        mbRow.reference.totalSlowdown = 1.0 + 2.0 * (x - 1.0);
+        table.add(GeneratorKind::MbGen, mbRow);
     }
+    return profile;
 }
 
 DiscountModel
 makeModel()
 {
-    CongestionTable congestion;
-    PerformanceTable performance;
-    fillTables(congestion, performance);
-    return DiscountModel(congestion, performance);
+    return DiscountModel(syntheticProfile());
 }
 
 ProbeReading
@@ -181,18 +182,17 @@ TEST(DiscountModel, PerLanguageBaselines)
 
 TEST(DiscountModel, MissingTableFatal)
 {
-    CongestionTable congestion;
-    PerformanceTable performance;
-    // Only baselines, no series.
+    // Only baselines, no rows.
+    CalibrationProfile profile;
     for (Language lang : workload::allLanguages()) {
         ProbeReading base;
         base.privCpi = 0.7;
         base.sharedCpi = 0.2;
         base.instructions = 1e6;
-        congestion.setBaseline(lang, base);
+        profile.congestion.setBaseline(lang, base);
     }
-    EXPECT_EXIT(DiscountModel(congestion, performance),
-                ::testing::ExitedWithCode(1), "missing");
+    EXPECT_EXIT(DiscountModel{profile}, ::testing::ExitedWithCode(1),
+                "missing");
 }
 
 TEST(DiscountModel, L3FitExposed)

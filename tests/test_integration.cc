@@ -32,7 +32,7 @@ class Pipeline : public ::testing::Test
             };
             cfg.warmup = 0.03;
             const CalibrationProfile r = calibrate(cfg);
-            return DiscountModel(r.congestion, r.performance);
+            return DiscountModel(r);
         }();
         return m;
     }
@@ -124,7 +124,7 @@ TEST(PipelineDeterminism, SameSeedSameResult)
                           &workload::functionByName("aes-go")};
     ccfg.warmup = 0.02;
     const CalibrationProfile cal = calibrate(ccfg);
-    const DiscountModel model(cal.congestion, cal.performance);
+    const DiscountModel model(cal);
 
     auto runOnce = [&] {
         ExperimentConfig cfg;
@@ -153,7 +153,7 @@ TEST(PipelineMethod1, SharingFactorImprovesSharedEnvironment)
                           &workload::functionByName("cur-nj")};
     ccfg.warmup = 0.02;
     const CalibrationProfile cal = calibrate(ccfg);
-    const DiscountModel model(cal.congestion, cal.performance);
+    const DiscountModel model(cal);
 
     auto run = [&](double factor) {
         ExperimentConfig cfg;

@@ -214,6 +214,22 @@ TEST(MachineCatalog, RegisterFromFileRejectsWrapsAndBadSizes)
     std::remove(path.c_str());
 }
 
+TEST(MachineCatalog, RegisterFromFileNamesItInRangeErrors)
+{
+    // Each key parses, but the assembled preset fails a range check.
+    const std::string path = "/tmp/litmus_test_preset_validate.conf";
+    {
+        std::ofstream out(path);
+        out << "name = unsaturated\ncoupling_saturation_mpki = 0\n";
+    }
+    EXPECT_EXIT(MachineCatalog::registerFromFile(path),
+                ::testing::ExitedWithCode(1),
+                "fatal: /tmp/litmus_test_preset_validate\\.conf: "
+                "MachineConfig: couplingSaturationMpki must be positive, "
+                "got 0");
+    std::remove(path.c_str());
+}
+
 TEST(MachineCatalog, RegisterFromFileLocatesParseErrors)
 {
     const std::string path = "/tmp/litmus_test_preset_where.conf";

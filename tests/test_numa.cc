@@ -144,8 +144,7 @@ TEST(Numa, PricingPipelineRunsOnDualSocket)
                           &workload::functionByName("profile-go")};
     ccfg.warmup = 0.03;
     const auto cal = pricing::calibrate(ccfg);
-    const pricing::DiscountModel model(cal.congestion,
-                                       cal.performance);
+    const pricing::DiscountModel model(cal);
 
     pricing::ExperimentConfig cfg;
     cfg.machine = ccfg.machine;

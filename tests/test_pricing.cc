@@ -15,40 +15,39 @@ namespace
 using workload::GeneratorKind;
 using workload::Language;
 
-/** Minimal synthetic model (same tables as test_discount_model). */
+/** Minimal synthetic model (same rows as test_discount_model's CT
+ *  generator, used for both generators). */
 DiscountModel
 makeModel()
 {
-    CongestionTable congestion;
-    PerformanceTable performance;
+    CalibrationProfile profile;
     for (Language lang : workload::allLanguages()) {
         ProbeReading base;
         base.privCpi = 0.7;
         base.sharedCpi = 0.2;
         base.instructions = 45e6;
         base.machineL3MissPerUs = 1.0;
-        congestion.setBaseline(lang, base);
+        profile.congestion.setBaseline(lang, base);
     }
     for (unsigned level : {2u, 4u, 6u, 8u}) {
         const double x = 1.0 + 0.05 * level;
-        for (Language lang : workload::allLanguages()) {
-            CongestionEntry e;
-            e.privSlowdown = 1.0 + 0.005 * level;
-            e.sharedSlowdown = x;
-            e.totalSlowdown = x;
-            e.l3MissPerUs = 10.0 * x;
-            congestion.add(lang, GeneratorKind::CtGen, level, e);
-            e.l3MissPerUs = 1000.0 * x;
-            congestion.add(lang, GeneratorKind::MbGen, level, e);
-        }
-        PerformanceEntry p;
-        p.privSlowdown = 1.0 + 0.005 * level;
-        p.sharedSlowdown = x;
-        p.totalSlowdown = x;
-        performance.add(GeneratorKind::CtGen, level, p);
-        performance.add(GeneratorKind::MbGen, level, p);
+        CongestionTable::Row row;
+        row.level = level;
+        row.reference.privSlowdown = 1.0 + 0.005 * level;
+        row.reference.sharedSlowdown = x;
+        row.reference.totalSlowdown = x;
+        CongestionEntry e;
+        e.privSlowdown = 1.0 + 0.005 * level;
+        e.sharedSlowdown = x;
+        e.totalSlowdown = x;
+        e.l3MissPerUs = 10.0 * x;
+        row.startups.assign(workload::allLanguages().size(), e);
+        profile.congestion.add(GeneratorKind::CtGen, row);
+        for (CongestionEntry &startup : row.startups)
+            startup.l3MissPerUs = 1000.0 * x;
+        profile.congestion.add(GeneratorKind::MbGen, row);
     }
-    return DiscountModel(congestion, performance);
+    return DiscountModel(profile);
 }
 
 sim::TaskCounters

@@ -30,7 +30,7 @@ sharedModel()
                              &workload::functionByName("aes-go")};
         cfg.warmup = 0.03;
         const CalibrationProfile result = calibrate(cfg);
-        return DiscountModel(result.congestion, result.performance);
+        return DiscountModel(result);
     }();
     return model;
 }
@@ -134,7 +134,7 @@ TEST(MachineSweep, IceLakePipeline)
                           &workload::functionByName("profile-go")};
     ccfg.warmup = 0.03;
     const CalibrationProfile cal = calibrate(ccfg);
-    const DiscountModel model(cal.congestion, cal.performance);
+    const DiscountModel model(cal);
 
     ExperimentConfig cfg;
     cfg.machine = ccfg.machine;

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/discount_model.h"
 #include "core/table_io.h"
@@ -33,27 +37,23 @@ sampleProfile()
         base.instructions = 45e6;
         base.machineL3MissPerUs = 2.5;
         profile.congestion.setBaseline(lang, base);
-        for (GeneratorKind gen :
-             {GeneratorKind::CtGen, GeneratorKind::MbGen}) {
-            for (unsigned level : {2u, 8u, 14u}) {
-                CongestionEntry e;
-                e.privSlowdown = 1.0 + 0.01 * level;
-                e.sharedSlowdown = 1.0 + 0.1 * level;
-                e.totalSlowdown = 1.0 + 0.02 * level;
-                e.l3MissPerUs =
-                    (gen == GeneratorKind::MbGen ? 100.0 : 5.0) * level;
-                profile.congestion.add(lang, gen, level, e);
-            }
-        }
     }
     for (GeneratorKind gen :
          {GeneratorKind::CtGen, GeneratorKind::MbGen}) {
         for (unsigned level : {2u, 8u, 14u}) {
-            PerformanceEntry p;
-            p.privSlowdown = 1.0 + 0.012 * level;
-            p.sharedSlowdown = 1.0 + 0.09 * level;
-            p.totalSlowdown = 1.0 + 0.025 * level;
-            profile.performance.add(gen, level, p);
+            CongestionEntry e;
+            e.privSlowdown = 1.0 + 0.01 * level;
+            e.sharedSlowdown = 1.0 + 0.1 * level;
+            e.totalSlowdown = 1.0 + 0.02 * level;
+            e.l3MissPerUs =
+                (gen == GeneratorKind::MbGen ? 100.0 : 5.0) * level;
+            CongestionTable::Row row;
+            row.level = level;
+            row.startups.assign(workload::allLanguages().size(), e);
+            row.reference.privSlowdown = 1.0 + 0.012 * level;
+            row.reference.sharedSlowdown = 1.0 + 0.09 * level;
+            row.reference.totalSlowdown = 1.0 + 0.025 * level;
+            profile.congestion.add(gen, row);
         }
     }
     // Awkward doubles on purpose: the round-trip must be bit-exact.
@@ -62,15 +62,93 @@ sampleProfile()
     return profile;
 }
 
+/** A complete hand-written v2 file as lines: baselines, then every
+ *  (language, generator, level) congestion row, then every
+ *  (generator, level) performance row. */
+std::vector<std::string>
+v2Lines(const std::vector<unsigned> &congestion_levels,
+        const std::vector<unsigned> &performance_levels)
+{
+    std::vector<std::string> lines = {"litmus-tables v2",
+                                      "machine cascade-5218"};
+    for (const char *lang : {"python", "nodejs", "go"})
+        lines.push_back(std::string("baseline ") + lang +
+                        " 0.7 0.2 45000000 2.5");
+    for (const char *lang : {"python", "nodejs", "go"}) {
+        for (const char *gen : {"ct", "mb"}) {
+            for (unsigned level : congestion_levels)
+                lines.push_back(std::string("congestion ") + lang + " " +
+                                gen + " " + std::to_string(level) +
+                                " 1.02 1.2 1.04 10");
+        }
+    }
+    for (const char *gen : {"ct", "mb"}) {
+        for (unsigned level : performance_levels)
+            lines.push_back(std::string("performance ") + gen + " " +
+                            std::to_string(level) + " 1.024 1.18 1.05");
+    }
+    return lines;
+}
+
+/** 1-based number of the first line that starts with @p prefix. */
+int
+lineOf(const std::vector<std::string> &lines, const std::string &prefix)
+{
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        if (lines[i].rfind(prefix, 0) == 0)
+            return static_cast<int>(i) + 1;
+    }
+    ADD_FAILURE() << "no line starts with '" << prefix << "'";
+    return 0;
+}
+
+/** Replace the first line that starts with @p prefix; returns its
+ *  1-based number. */
+int
+replaceLine(std::vector<std::string> &lines, const std::string &prefix,
+            const std::string &replacement)
+{
+    const int line = lineOf(lines, prefix);
+    if (line > 0)
+        lines[line - 1] = replacement;
+    return line;
+}
+
+/** Loading @p lines from a file must die with "<path>:<line>: " and
+ *  then @p message (a regex). */
+void
+expectFileError(const std::vector<std::string> &lines, int line,
+                const std::string &message)
+{
+    // One file per test: ctest runs the tests in parallel processes.
+    const std::string path =
+        std::string("/tmp/litmus_test_table_io_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    {
+        std::ofstream out(path);
+        for (const std::string &text : lines)
+            out << text << '\n';
+    }
+    EXPECT_EXIT(loadProfile(path), ::testing::ExitedWithCode(1),
+                path + ":" + std::to_string(line) + ": " + message);
+    std::remove(path.c_str());
+}
+
 TEST(TableIo, V2RoundTripPreservesEverything)
 {
     const CalibrationProfile profile = sampleProfile();
 
     std::stringstream stream;
     saveProfile(stream, profile);
+    const std::string text = stream.str();
     const CalibrationProfile loaded = loadProfile(stream);
 
     EXPECT_EQ(loaded.machine, "cascade-5218");
+
+    // Saving the loaded profile reproduces the artifact byte for byte.
+    std::ostringstream again;
+    saveProfile(again, loaded);
+    EXPECT_EQ(again.str(), text);
 
     for (Language lang : workload::allLanguages()) {
         const ProbeReading &a = profile.congestion.baseline(lang);
@@ -79,25 +157,29 @@ TEST(TableIo, V2RoundTripPreservesEverything)
         EXPECT_EQ(a.sharedCpi, b.sharedCpi);
         EXPECT_EQ(a.instructions, b.instructions);
         EXPECT_EQ(a.machineL3MissPerUs, b.machineL3MissPerUs);
-
-        for (GeneratorKind gen :
-             {GeneratorKind::CtGen, GeneratorKind::MbGen}) {
-            EXPECT_EQ(profile.congestion.levels(lang, gen),
-                      loaded.congestion.levels(lang, gen));
-            EXPECT_EQ(profile.congestion.privSeries(lang, gen),
-                      loaded.congestion.privSeries(lang, gen));
-            EXPECT_EQ(profile.congestion.sharedSeries(lang, gen),
-                      loaded.congestion.sharedSeries(lang, gen));
-            EXPECT_EQ(profile.congestion.l3Series(lang, gen),
-                      loaded.congestion.l3Series(lang, gen));
-        }
     }
     for (GeneratorKind gen :
          {GeneratorKind::CtGen, GeneratorKind::MbGen}) {
-        EXPECT_EQ(profile.performance.levels(gen),
-                  loaded.performance.levels(gen));
-        EXPECT_EQ(profile.performance.totalSeries(gen),
-                  loaded.performance.totalSeries(gen));
+        const auto &want = profile.congestion.rows(gen);
+        const auto &got = loaded.congestion.rows(gen);
+        ASSERT_EQ(want.size(), got.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(want[i].level, got[i].level);
+            for (Language lang : workload::allLanguages()) {
+                const CongestionEntry &a = want[i].startup(lang);
+                const CongestionEntry &b = got[i].startup(lang);
+                EXPECT_EQ(a.privSlowdown, b.privSlowdown);
+                EXPECT_EQ(a.sharedSlowdown, b.sharedSlowdown);
+                EXPECT_EQ(a.totalSlowdown, b.totalSlowdown);
+                EXPECT_EQ(a.l3MissPerUs, b.l3MissPerUs);
+            }
+            EXPECT_EQ(want[i].reference.privSlowdown,
+                      got[i].reference.privSlowdown);
+            EXPECT_EQ(want[i].reference.sharedSlowdown,
+                      got[i].reference.sharedSlowdown);
+            EXPECT_EQ(want[i].reference.totalSlowdown,
+                      got[i].reference.totalSlowdown);
+        }
     }
 
     // Solo baselines travel with the profile, bit-exactly.
@@ -140,7 +222,7 @@ TEST(TableIo, FileRoundTrip)
     saveProfile(path, profile);
     const CalibrationProfile loaded = loadProfile(path);
     EXPECT_EQ(loaded.machine, profile.machine);
-    EXPECT_TRUE(loaded.performance.populated(GeneratorKind::MbGen));
+    EXPECT_TRUE(loaded.congestion.populated(GeneratorKind::MbGen));
 }
 
 TEST(TableIo, HandWrittenV1StillLoads)
@@ -169,9 +251,12 @@ TEST(TableIo, HandWrittenV1StillLoads)
     const CalibrationProfile loaded = loadProfile(stream);
     EXPECT_TRUE(loaded.machine.empty());
     EXPECT_TRUE(loaded.referenceSolo.empty());
-    EXPECT_EQ(loaded.congestion.levels(Language::Go,
-                                       GeneratorKind::MbGen),
-              (std::vector<double>{2, 8}));
+    const auto &rows = loaded.congestion.rows(GeneratorKind::MbGen);
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0].level, 2u);
+    EXPECT_EQ(rows[1].level, 8u);
+    EXPECT_EQ(rows[1].startup(Language::Go).privSlowdown, 1.08);
+    EXPECT_EQ(rows[1].reference.totalSlowdown, 1.2);
     // Wildcard artifacts price any machine.
     EXPECT_NO_FATAL_FAILURE(loaded.requireMachine("icelake-4314"));
 }
@@ -218,6 +303,92 @@ TEST(TableIo, TruncatedRowsFatal)
     EXPECT_EXIT(loadProfile(performance),
                 ::testing::ExitedWithCode(1),
                 "malformed performance row on line 2");
+}
+
+TEST(TableIo, MisalignedLevelsFatal)
+{
+    // Performance rows at {2, 20} and congestion rows at {2, 8}: level
+    // 8 has no reference to fit against, whatever the row counts.
+    const auto lines = v2Lines({2, 8}, {2, 20});
+    expectFileError(lines, lineOf(lines, "congestion python ct 8 "),
+                    "generator ct level 8 has no performance row");
+}
+
+TEST(TableIo, ExtraCongestionRowFatal)
+{
+    auto lines = v2Lines({2, 8}, {2, 8});
+    lines.push_back("congestion python mb 14 1.1 1.3 1.08 20");
+    expectFileError(lines, static_cast<int>(lines.size()),
+                    "generator mb level 14 has no nodejs congestion row");
+}
+
+TEST(TableIo, DuplicateRowFatal)
+{
+    auto lines = v2Lines({2, 8}, {2, 8});
+    lines.push_back("performance ct 8 1.1 1.3 1.08");
+    expectFileError(lines, static_cast<int>(lines.size()),
+                    "duplicate performance row for ct level 8");
+}
+
+TEST(TableIo, HugeLevelFatal)
+{
+    // 1e30 does not fit an unsigned: the cast would be undefined.
+    auto lines = v2Lines({2, 8}, {2, 8});
+    const int line = replaceLine(lines, "congestion python ct 8 ",
+                                 "congestion python ct 1e30 1.02 1.2 "
+                                 "1.04 10");
+    expectFileError(lines, line,
+                    "malformed congestion row: level '1e30' is not an "
+                    "integer in \\[0, 4294967295\\]");
+}
+
+TEST(TableIo, NegativeLevelFatal)
+{
+    auto lines = v2Lines({2, 8}, {2, 8});
+    const int line = replaceLine(lines, "performance mb 2 ",
+                                 "performance mb -2 1.024 1.18 1.05");
+    expectFileError(lines, line,
+                    "malformed performance row: level '-2' is not an "
+                    "integer");
+}
+
+TEST(TableIo, FractionalLevelFatal)
+{
+    // 2.5 used to be truncated to level 2 without a word.
+    auto lines = v2Lines({2, 8}, {2, 8});
+    const int line = replaceLine(lines, "congestion go mb 8 ",
+                                 "congestion go mb 2.5 1.02 1.2 1.04 10");
+    expectFileError(lines, line,
+                    "malformed congestion row: level '2.5' is not an "
+                    "integer");
+}
+
+TEST(TableIo, TrailingTokenFatal)
+{
+    auto lines = v2Lines({2, 8}, {2, 8});
+    lines.push_back("solo gzip-py 0.5 0.25 garbage");
+    expectFileError(lines, static_cast<int>(lines.size()),
+                    "malformed solo baseline: trailing token 'garbage'");
+
+    // The stream overload keeps the line number.
+    std::stringstream stream(
+        "litmus-tables v2\nbaseline go 0.7 0.2 45e6 2.5 3\n");
+    EXPECT_EXIT(loadProfile(stream), ::testing::ExitedWithCode(1),
+                "loadProfile: malformed baseline: trailing token '3' "
+                "on line 2");
+}
+
+TEST(TableIo, UnknownTokensNameTheirLine)
+{
+    auto lines = v2Lines({2, 8}, {2, 8});
+    int line = replaceLine(lines, "congestion nodejs mb 2 ",
+                           "congestion cobol mb 2 1.02 1.2 1.04 10");
+    expectFileError(lines, line, "unknown language 'cobol'");
+
+    lines = v2Lines({2, 8}, {2, 8});
+    line = replaceLine(lines, "performance ct 8 ",
+                       "performance xx 8 1.024 1.18 1.05");
+    expectFileError(lines, line, "unknown generator 'xx'");
 }
 
 TEST(TableIo, GarbledFieldsFatal)
