@@ -15,6 +15,7 @@
  * reshape the simulated server for any subcommand.
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "common/arg_parser.h"
@@ -48,17 +49,33 @@ machineFromArgs(const ArgParser &args)
     return sim::MachineCatalog::get(preset);
 }
 
+/**
+ * Co-runner count and CPU layout for price/slowdown. One per core
+ * puts co-runner i on cpu i behind the subject on cpu 0, so the
+ * default count stops at the machine's last hardware thread; an
+ * explicit --co-runners that does not fit still fails validation.
+ */
+void
+layoutFromArgs(const ArgParser &args, pricing::ExperimentConfig &cfg)
+{
+    cfg.coRunners =
+        static_cast<unsigned>(args.getIntAtLeast("co-runners", 1));
+    const long poolCpus = args.getIntAtLeast("pool-cpus", 0);
+    if (poolCpus > 0) {
+        cfg.layoutPooled(static_cast<unsigned>(poolCpus));
+        return;
+    }
+    if (!args.has("co-runners"))
+        cfg.coRunners =
+            std::min(cfg.coRunners, cfg.machine.hwThreads() - 1);
+    cfg.layoutOnePerCore();
+}
+
 int
 cmdCalibrate(const ArgParser &args)
 {
     pricing::CalibrationConfig cfg;
     cfg.machine = machineFromArgs(args);
-
-    const long maxLevel = args.getIntAtLeast("max-level", 2);
-    const long step = args.getIntAtLeast("level-step", 1);
-    cfg.levels.clear();
-    for (long level = 2; level <= maxLevel; level += step)
-        cfg.levels.push_back(static_cast<unsigned>(level));
 
     const long sharing = args.getIntAtLeast("sharing-functions", 0);
     if (sharing > 0) {
@@ -68,6 +85,20 @@ cmdCalibrate(const ArgParser &args)
             cfg.sharingCpus.push_back(static_cast<unsigned>(cpu));
         cfg.generatorFirstCpu = static_cast<unsigned>(poolCpus);
     }
+
+    // The default sweep stops where the generators run out of
+    // hardware threads behind generatorFirstCpu; an explicit
+    // --max-level that does not fit still fails validation.
+    long maxLevel = args.getIntAtLeast("max-level", 2);
+    if (!args.has("max-level"))
+        maxLevel = std::min<long>(maxLevel,
+                                  static_cast<long>(
+                                      cfg.machine.hwThreads()) -
+                                      cfg.generatorFirstCpu);
+    const long step = args.getIntAtLeast("level-step", 1);
+    cfg.levels.clear();
+    for (long level = 2; level <= maxLevel; level += step)
+        cfg.levels.push_back(static_cast<unsigned>(level));
 
     inform("calibrating ", cfg.machine.name, " over ",
            cfg.levels.size(), " levels per generator");
@@ -87,13 +118,7 @@ cmdPrice(const ArgParser &args)
 
     pricing::ExperimentConfig cfg;
     cfg.machine = machineFromArgs(args);
-    cfg.coRunners =
-        static_cast<unsigned>(args.getIntAtLeast("co-runners", 1));
-    const long poolCpus = args.getIntAtLeast("pool-cpus", 0);
-    if (poolCpus > 0)
-        cfg.layoutPooled(static_cast<unsigned>(poolCpus));
-    else
-        cfg.layoutOnePerCore();
+    layoutFromArgs(args, cfg);
     cfg.repetitions =
         static_cast<unsigned>(args.getIntAtLeast("reps", 1));
     cfg.sharingFactor = args.getDouble("sharing-factor");
@@ -125,13 +150,7 @@ cmdSlowdown(const ArgParser &args)
 {
     pricing::ExperimentConfig cfg;
     cfg.machine = machineFromArgs(args);
-    cfg.coRunners =
-        static_cast<unsigned>(args.getIntAtLeast("co-runners", 1));
-    const long poolCpus = args.getIntAtLeast("pool-cpus", 0);
-    if (poolCpus > 0)
-        cfg.layoutPooled(static_cast<unsigned>(poolCpus));
-    else
-        cfg.layoutOnePerCore();
+    layoutFromArgs(args, cfg);
     cfg.repetitions =
         static_cast<unsigned>(args.getIntAtLeast("reps", 1));
 

@@ -88,51 +88,68 @@ ClusterConfig::validate() const
     faults.validate();
 }
 
-Seconds
-FleetReport::sumMachineBilledSeconds() const
+ServeTally &
+ServeTally::operator+=(const ServeTally &other)
 {
-    Seconds sum = 0;
-    for (const MachineReport &m : machines)
-        sum += m.billedCpuSeconds;
-    return sum;
+    dispatched += other.dispatched;
+    coldStarts += other.coldStarts;
+    warmStarts += other.warmStarts;
+    completions += other.completions;
+    billedCpuSeconds += other.billedCpuSeconds;
+    commercialUsd += other.commercialUsd;
+    litmusUsd += other.litmusUsd;
+    crashes += other.crashes;
+    killedInvocations += other.killedInvocations;
+    lostCpuSeconds += other.lostCpuSeconds;
+    absorbedCpuSeconds += other.absorbedCpuSeconds;
+    absorbedUsd += other.absorbedUsd;
+    return *this;
 }
 
-Seconds
-FleetReport::sumMachineLostSeconds() const
+ServeTally
+FleetReport::machineSum() const
 {
-    Seconds sum = 0;
+    ServeTally sum;
     for (const MachineReport &m : machines)
-        sum += m.lostCpuSeconds;
-    return sum;
-}
-
-Seconds
-FleetReport::sumMachineAbsorbedSeconds() const
-{
-    Seconds sum = 0;
-    for (const MachineReport &m : machines)
-        sum += m.absorbedCpuSeconds;
+        sum += m;
     return sum;
 }
 
 bool
 identicalTotals(const FleetReport &a, const FleetReport &b)
 {
-    return a.arrivals == b.arrivals && a.dispatched == b.dispatched &&
+    return static_cast<const ServeTally &>(a) == b &&
+           a.arrivals == b.arrivals &&
            a.rejectedMemory == b.rejectedMemory &&
-           a.completions == b.completions &&
-           a.coldStarts == b.coldStarts &&
-           a.warmStarts == b.warmStarts &&
-           a.billedCpuSeconds == b.billedCpuSeconds &&
-           a.commercialUsd == b.commercialUsd &&
-           a.litmusUsd == b.litmusUsd &&
            a.meanLatency == b.meanLatency && a.makespan == b.makespan &&
-           a.crashes == b.crashes &&
-           a.killedInvocations == b.killedInvocations &&
-           a.retries == b.retries && a.abandoned == b.abandoned &&
-           a.lostCpuSeconds == b.lostCpuSeconds &&
-           a.absorbedCpuSeconds == b.absorbedCpuSeconds &&
-           a.absorbedUsd == b.absorbedUsd;
+           a.retries == b.retries && a.abandoned == b.abandoned;
+}
+
+void
+checkConservation(const FleetReport &report)
+{
+    const ServeTally rows = report.machineSum();
+    const Seconds fleetSeconds =
+        report.billedCpuSeconds + report.absorbedCpuSeconds;
+    const Seconds rowSeconds =
+        rows.billedCpuSeconds + rows.absorbedCpuSeconds;
+    if (std::abs(fleetSeconds - rowSeconds) >
+        1e-6 * std::abs(fleetSeconds))
+        fatal("checkConservation: fleet billed + absorbed ", fleetSeconds,
+              " s but the machine rows sum to ", rowSeconds, " s");
+    using Count = std::uint64_t ServeTally::*;
+    for (const auto &[name, count] :
+         {std::pair<const char *, Count>{"dispatched",
+                                         &ServeTally::dispatched},
+          {"cold starts", &ServeTally::coldStarts},
+          {"warm starts", &ServeTally::warmStarts},
+          {"completions", &ServeTally::completions},
+          {"crashes", &ServeTally::crashes},
+          {"killed invocations", &ServeTally::killedInvocations}}) {
+        if (report.*count != rows.*count)
+            fatal("checkConservation: fleet ", name, " ", report.*count,
+                  " but the machine rows sum to ", rows.*count);
+    }
 }
 
 /**
@@ -227,10 +244,9 @@ struct Cluster::Machine
     /** Memory committed to live invocations (admission control). */
     Bytes committedMemory = 0;
 
-    std::uint64_t dispatched = 0;
-    std::uint64_t coldStarts = 0;
-    std::uint64_t warmStarts = 0;
-    std::uint64_t completions = 0;
+    /** Serving counts, kept in place; run() adds the ledger's billed
+     *  seconds and USD before pushing the machine's report row. */
+    ServeTally tally;
     double latencySum = 0;
 
     /** @name Fault lifecycle (barrier-only state) @{ */
@@ -243,12 +259,6 @@ struct Cluster::Machine
 
     /** Current slowdown multiplier (mirrors engine.speedFactor()). */
     double speedFactor = 1.0;
-
-    std::uint64_t crashes = 0;
-    std::uint64_t killed = 0;
-    Seconds lostCpuSeconds = 0;
-    Seconds absorbedCpuSeconds = 0;
-    double absorbedUsd = 0;
     /** @} */
 };
 
@@ -476,13 +486,13 @@ Cluster::dispatch(const Invocation &inv)
         if (warmPool->second.empty())
             m.warmIdle.erase(warmPool);
         task = workload::makeWarmInvocation(*inv.spec, rng_);
-        ++m.warmStarts;
+        ++m.tally.warmStarts;
         ++report_.warmStarts;
     } else {
         workload::InvocationOptions opts;
         opts.withProbe = cfg_.probes;
         task = workload::makeInvocation(*inv.spec, rng_, opts);
-        ++m.coldStarts;
+        ++m.tally.coldStarts;
         ++report_.coldStarts;
     }
 
@@ -495,7 +505,7 @@ Cluster::dispatch(const Invocation &inv)
     m.live.emplace(handle.id(),
                    Machine::Live{inv.spec, warm, inv.seq, inv.attempt});
     m.committedMemory += footprint;
-    ++m.dispatched;
+    ++m.tally.dispatched;
     ++report_.dispatched;
     markBusy(chosen);
     // The rest of the batch picks against the new task and memory.
@@ -546,7 +556,7 @@ Cluster::harvest(Seconds now)
         report_.billedCpuSeconds +=
             done.counters.cycles / cfg_.billing.billingFrequency;
         ++report_.completions;
-        ++m.completions;
+        ++m.tally.completions;
         const double latency = done.completionTime - done.launchTime;
         m.latencySum += latency;
         latencySum_ += latency;
@@ -697,7 +707,7 @@ Cluster::scheduleRetry(const workload::FunctionSpec *spec,
 void
 Cluster::crashMachine(Machine &m, Seconds now)
 {
-    ++m.crashes;
+    ++m.tally.crashes;
     ++report_.crashes;
     m.down = true;
 
@@ -714,9 +724,9 @@ Cluster::crashMachine(Machine &m, Seconds now)
         const Seconds partial =
             counters.cycles / cfg_.billing.billingFrequency;
 
-        ++m.killed;
+        ++m.tally.killedInvocations;
         ++report_.killedInvocations;
-        m.lostCpuSeconds += partial;
+        m.tally.lostCpuSeconds += partial;
         report_.lostCpuSeconds += partial;
 
         if (counters.cycles == 0) {
@@ -745,9 +755,9 @@ Cluster::crashMachine(Machine &m, Seconds now)
                 (1024.0 * 1024 * 1024);
             const double usd =
                 partial * memoryGiB * cfg_.billing.usdPerGiBSecond;
-            m.absorbedCpuSeconds += partial;
+            m.tally.absorbedCpuSeconds += partial;
             report_.absorbedCpuSeconds += partial;
-            m.absorbedUsd += usd;
+            m.tally.absorbedUsd += usd;
             report_.absorbedUsd += usd;
         }
 
@@ -1149,33 +1159,26 @@ Cluster::run()
     report_.machines.clear();
     report_.machines.reserve(machines_.size());
     for (const auto &mp : machines_) {
-        const Machine &m = *mp;
+        Machine &m = *mp;
+        for (const pricing::BillRecord &rec : m.ledger.records())
+            m.tally.billedCpuSeconds += rec.cpuSeconds;
+        m.tally.commercialUsd = m.ledger.totalCommercialUsd();
+        m.tally.litmusUsd = m.ledger.totalLitmusUsd();
         MachineReport mr;
+        static_cast<ServeTally &>(mr) = m.tally;
         mr.index = m.index;
         mr.type = m.config.name;
-        mr.dispatched = m.dispatched;
-        mr.coldStarts = m.coldStarts;
-        mr.warmStarts = m.warmStarts;
-        mr.completions = m.completions;
-        for (const pricing::BillRecord &rec : m.ledger.records())
-            mr.billedCpuSeconds += rec.cpuSeconds;
-        mr.commercialUsd = m.ledger.totalCommercialUsd();
-        mr.litmusUsd = m.ledger.totalLitmusUsd();
-        mr.meanLatency =
-            m.completions > 0 ? m.latencySum / m.completions : 0.0;
+        mr.meanLatency = m.tally.completions > 0
+                             ? m.latencySum / m.tally.completions
+                             : 0.0;
         // Quanta *covered* on the canonical grid: executed plus
         // idle-elided. Identical across serving modes (and thread
         // counts) even though the event core never steps idle engines.
         mr.quanta = m.engine.stats().quanta.value() +
                     m.engine.stats().skippedQuanta.value();
-        mr.crashes = m.crashes;
-        mr.killedInvocations = m.killed;
-        mr.lostCpuSeconds = m.lostCpuSeconds;
-        mr.absorbedCpuSeconds = m.absorbedCpuSeconds;
-        mr.absorbedUsd = m.absorbedUsd;
         report_.commercialUsd += mr.commercialUsd;
         report_.litmusUsd += mr.litmusUsd;
-        report_.machines.push_back(mr);
+        report_.machines.push_back(std::move(mr));
     }
 
     // Per-type revenue/discount breakdown, merged by type in
@@ -1190,26 +1193,13 @@ Cluster::run()
                                      return t.type == mr.type;
                                  });
         if (slot == report_.types.end()) {
-            TypeReport fresh;
-            fresh.type = mr.type;
-            report_.types.push_back(fresh);
+            report_.types.emplace_back().type = mr.type;
             slot = report_.types.end() - 1;
         }
-        TypeReport &tr = *slot;
-        ++tr.machines;
-        tr.dispatched += mr.dispatched;
-        tr.coldStarts += mr.coldStarts;
-        tr.warmStarts += mr.warmStarts;
-        tr.completions += mr.completions;
-        tr.billedCpuSeconds += mr.billedCpuSeconds;
-        tr.commercialUsd += mr.commercialUsd;
-        tr.litmusUsd += mr.litmusUsd;
-        tr.crashes += mr.crashes;
-        tr.killedInvocations += mr.killedInvocations;
-        tr.lostCpuSeconds += mr.lostCpuSeconds;
-        tr.absorbedCpuSeconds += mr.absorbedCpuSeconds;
-        tr.absorbedUsd += mr.absorbedUsd;
+        ++slot->machines;
+        *slot += mr;
     }
+    checkConservation(report_);
 
     ran_ = true;
     return report_;

@@ -175,36 +175,29 @@ struct ClusterConfig
     void validate() const;
 };
 
-/** Per-machine slice of the fleet report. */
-struct MachineReport
+/**
+ * What one serving outcome counts, declared once: a machine's row, a
+ * machine type's roll-up and the fleet totals all inherit it. A
+ * counter added here and to operator+= reaches every level of the
+ * report, the type roll-up and the determinism comparison.
+ */
+struct ServeTally
 {
-    unsigned index = 0;
-
-    /** Machine type (catalog name). */
-    std::string type;
-
     std::uint64_t dispatched = 0;
     std::uint64_t coldStarts = 0;
     std::uint64_t warmStarts = 0;
     std::uint64_t completions = 0;
 
-    /** Billed on-CPU seconds (sum over the machine's ledger). */
+    /** Billed on-CPU seconds. */
     Seconds billedCpuSeconds = 0;
 
     /** Charges in USD. */
     double commercialUsd = 0;
     double litmusUsd = 0;
 
-    /** Mean dispatch-to-completion latency (seconds). */
-    double meanLatency = 0;
-
-    /** Quanta the machine covered on the canonical fleet grid:
-     *  executed plus idle-elided (event core). Identical across
-     *  serving modes and thread counts. */
-    double quanta = 0;
-
-    /** @name Failure accounting (fault injection) @{ */
-    /** Crashes this machine suffered. */
+    /** @name Failure accounting (fault injection; all zero without a
+     *  fault campaign) @{ */
+    /** Machine crashes. */
     std::uint64_t crashes = 0;
 
     /** In-flight invocations killed by those crashes. */
@@ -215,46 +208,58 @@ struct MachineReport
     Seconds lostCpuSeconds = 0;
 
     /** Lost seconds the provider absorbed (never billed); 0 under
-     *  tenant-pays billing. */
+     *  tenant-pays billing. The conservation invariant through
+     *  failures: every cycle any engine retired for an invocation is
+     *  either billed or absorbed — billedCpuSeconds +
+     *  absorbedCpuSeconds covers kept and destroyed work alike. */
     Seconds absorbedCpuSeconds = 0;
 
     /** Commercial value of the absorbed work (USD). */
     double absorbedUsd = 0;
     /** @} */
+
+    /** Discount (1 - litmus/commercial revenue). */
+    double discount() const
+    {
+        return commercialUsd > 0 ? 1.0 - litmusUsd / commercialUsd : 0.0;
+    }
+
+    /** Add @p other field by field, in declaration order. */
+    ServeTally &operator+=(const ServeTally &other);
+
+    /** Bit-exact equality of every counter. */
+    bool operator==(const ServeTally &) const = default;
+};
+
+/** Per-machine slice of the fleet report. Billed seconds and USD come
+ *  from the machine's ledger; the other counters are kept in place as
+ *  the machine serves. */
+struct MachineReport : ServeTally
+{
+    unsigned index = 0;
+
+    /** Machine type (catalog name). */
+    std::string type;
+
+    /** Mean dispatch-to-completion latency (seconds). */
+    double meanLatency = 0;
+
+    /** Quanta the machine covered on the canonical fleet grid:
+     *  executed plus idle-elided (event core). Identical across
+     *  serving modes and thread counts. */
+    double quanta = 0;
 };
 
 /** Per-machine-type slice of the fleet report (revenue/discount
- *  breakdown for heterogeneous fleets). */
-struct TypeReport
+ *  breakdown for heterogeneous fleets): the sum of its machine rows,
+ *  added in machine order. */
+struct TypeReport : ServeTally
 {
     /** Machine type (catalog name). */
     std::string type;
 
     /** Machines of this type in the fleet. */
     unsigned machines = 0;
-
-    std::uint64_t dispatched = 0;
-    std::uint64_t coldStarts = 0;
-    std::uint64_t warmStarts = 0;
-    std::uint64_t completions = 0;
-
-    Seconds billedCpuSeconds = 0;
-    double commercialUsd = 0;
-    double litmusUsd = 0;
-
-    /** @name Failure accounting (fault injection) @{ */
-    std::uint64_t crashes = 0;
-    std::uint64_t killedInvocations = 0;
-    Seconds lostCpuSeconds = 0;
-    Seconds absorbedCpuSeconds = 0;
-    double absorbedUsd = 0;
-    /** @} */
-
-    /** Type discount (1 - litmus/commercial revenue). */
-    double discount() const
-    {
-        return commercialUsd > 0 ? 1.0 - litmusUsd / commercialUsd : 0.0;
-    }
 };
 
 /**
@@ -317,8 +322,14 @@ struct ArrivalCounters
     std::uint64_t bufferedMax = 0;
 };
 
-/** Fleet-wide aggregation. */
-struct FleetReport
+/**
+ * Fleet-wide aggregation. The fleet's billed, lost and absorbed
+ * seconds and its absorbed USD accumulate in event order,
+ * independently of the machine rows (whose billed seconds come from
+ * the ledgers); its USD is the sum of the rows. checkConservation()
+ * holds the two aggregations together.
+ */
+struct FleetReport : ServeTally
 {
     std::vector<MachineReport> machines;
 
@@ -333,22 +344,7 @@ struct FleetReport
     std::vector<TypeReport> types;
 
     std::uint64_t arrivals = 0;
-    std::uint64_t dispatched = 0;
     std::uint64_t rejectedMemory = 0;
-    std::uint64_t completions = 0;
-    std::uint64_t coldStarts = 0;
-    std::uint64_t warmStarts = 0;
-
-    /**
-     * Fleet billed on-CPU seconds, accumulated independently of the
-     * per-machine ledgers (conservation: equals the sum over machines
-     * up to floating-point association).
-     */
-    Seconds billedCpuSeconds = 0;
-
-    /** Fleet charges in USD. */
-    double commercialUsd = 0;
-    double litmusUsd = 0;
 
     /** Mean dispatch-to-completion latency across the fleet. */
     double meanLatency = 0;
@@ -356,42 +352,11 @@ struct FleetReport
     /** Simulated time until the fleet drained. */
     Seconds makespan = 0;
 
-    /** @name Failure accounting (fault injection; all zero without a
-     *  fault campaign) @{ */
-    /** Machine crashes applied across the fleet. */
-    std::uint64_t crashes = 0;
-
-    /** In-flight invocations killed by crashes. */
-    std::uint64_t killedInvocations = 0;
-
     /** Killed invocations re-dispatched by the retry policy. */
     std::uint64_t retries = 0;
 
     /** Killed invocations the retry policy gave up on. */
     std::uint64_t abandoned = 0;
-
-    /**
-     * On-CPU seconds destroyed by crashes. Accumulated independently
-     * of the per-machine slices, like billedCpuSeconds.
-     */
-    Seconds lostCpuSeconds = 0;
-
-    /** Lost seconds the provider absorbed instead of billing. The
-     *  conservation invariant through failures: every cycle any
-     *  engine retired for an invocation is either billed or absorbed
-     *  — billedCpuSeconds + absorbedCpuSeconds covers kept and
-     *  destroyed work alike, under either fault-billing mode. */
-    Seconds absorbedCpuSeconds = 0;
-
-    /** Commercial value of the absorbed work (USD). */
-    double absorbedUsd = 0;
-    /** @} */
-
-    /** Aggregate fleet discount (1 - litmus/commercial revenue). */
-    double discount() const
-    {
-        return commercialUsd > 0 ? 1.0 - litmusUsd / commercialUsd : 0.0;
-    }
 
     /** Served throughput in invocations per simulated second. */
     double throughput() const
@@ -408,23 +373,38 @@ struct FleetReport
                    : 0.0;
     }
 
-    /** Sum of per-machine billed seconds (conservation checks). */
-    Seconds sumMachineBilledSeconds() const;
+    /** The machine rows added up in machine order. */
+    ServeTally machineSum() const;
 
-    /** Sum of per-machine lost seconds (conservation checks). */
-    Seconds sumMachineLostSeconds() const;
+    /** Sum of per-machine billed seconds (conservation checks). */
+    Seconds sumMachineBilledSeconds() const
+    {
+        return machineSum().billedCpuSeconds;
+    }
 
     /** Sum of per-machine absorbed seconds (conservation checks). */
-    Seconds sumMachineAbsorbedSeconds() const;
+    Seconds sumMachineAbsorbedSeconds() const
+    {
+        return machineSum().absorbedCpuSeconds;
+    }
 };
 
 /**
- * Bit-exact equality of two reports' fleet totals (counts, billed
- * seconds, revenues, makespan) — the determinism-check comparison
- * used by benches and tests. Per-machine/type breakdowns follow from
- * the totals and are not re-compared.
+ * Bit-exact equality of two reports' fleet totals (the shared tally
+ * plus arrivals, rejections, mean latency, makespan, retries and
+ * abandons) — the determinism-check comparison used by benches and
+ * tests. Per-machine/type breakdowns follow from the totals and are
+ * not re-compared.
  */
 bool identicalTotals(const FleetReport &a, const FleetReport &b);
+
+/**
+ * fatal() unless the fleet totals agree with the machine rows: billed
+ * plus absorbed seconds to 1e-6 relative (the fleet accumulates them
+ * in event order, the rows from the ledgers), every integer counter
+ * exactly. Cluster::run() checks every report it returns.
+ */
+void checkConservation(const FleetReport &report);
 
 /**
  * The fleet: engines, dispatcher, traffic, billing.

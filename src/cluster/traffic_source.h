@@ -6,7 +6,7 @@
  * stream is produced (Poisson, diurnal, burst, trace replay, custom
  * registrations) is the scenario layer's business. Keeping the
  * interface here — below the scenario layer — inverts that dependency:
- * scenario::TrafficModel derives from cluster::TrafficSource, the
+ * scenario::TrafficModel is another name for cluster::TrafficSource, the
  * cluster never includes scenario headers, and the layer DAG
  * (common -> sim -> workload -> core -> cluster -> scenario) stays
  * acyclic.

@@ -67,7 +67,7 @@ class ArgParser
      *  negative can't hide inside an unsigned cast. */
     long getIntAtLeast(const std::string &name, long floor) const;
 
-    /** True when the switch was present. */
+    /** True when the switch or option was given on the command line. */
     bool has(const std::string &name) const;
 
     /** Positional argument by declared name; fatal() if absent. */

@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 
 #include "common/logging.h"
@@ -20,7 +21,8 @@ using workload::GeneratorKind;
 using workload::Language;
 
 /** One input line, for diagnostics: "path:line: ..." for a file,
- *  "loadProfile: ... on line N" for a bare stream. */
+ *  "loadProfile: ... on line N" for a bare stream. Line 0 stands for
+ *  the whole input: "path: ..." or "loadProfile: ...". */
 struct Where
 {
     const std::string &source;
@@ -30,6 +32,9 @@ struct Where
     [[noreturn]] void
     fail(Args &&...args) const
     {
+        if (line == 0)
+            fatal(source.empty() ? "loadProfile" : source, ": ",
+                  std::forward<Args>(args)...);
         if (source.empty())
             fatal("loadProfile: ", std::forward<Args>(args)...,
                   " on line ", line);
@@ -120,6 +125,7 @@ load(std::istream &is, const std::string &source)
     const bool v2 = header == "litmus-tables v2";
 
     CalibrationProfile out;
+    std::set<Language> baselines;
     std::map<GeneratorKind, std::map<unsigned, PendingRow>> pending;
     const auto pendingRow = [&](GeneratorKind gen, unsigned level,
                                 int line) -> PendingRow & {
@@ -153,7 +159,9 @@ load(std::istream &is, const std::string &source)
             if (!base.valid())
                 at.fail("malformed baseline: instructions must be "
                         "positive");
-            out.congestion.setBaseline(langFromToken(lang, at), base);
+            const Language l = langFromToken(lang, at);
+            out.congestion.setBaseline(l, base);
+            baselines.insert(l);
         } else if (kind == "solo") {
             if (!v2)
                 at.fail("'solo' record in a v1 file");
@@ -216,6 +224,22 @@ load(std::istream &is, const std::string &source)
             row.reference = *p.reference;
             out.congestion.add(gen, std::move(row));
         }
+    }
+
+    // The discount model normalizes every language by its baseline
+    // and fits a line per generator: refuse a profile it cannot use
+    // here, where the file can still be named.
+    const Where whole{source, 0};
+    for (Language lang : workload::allLanguages()) {
+        if (!baselines.contains(lang))
+            whole.fail("no baseline for ", langToken(lang));
+    }
+    for (GeneratorKind gen : kCalibrationGenerators) {
+        const std::size_t levels = pending[gen].size();
+        if (levels < 2)
+            whole.fail("generator ", genToken(gen), " has ", levels,
+                       " level(s), the discount model fits a line "
+                       "through at least 2");
     }
     return out;
 }

@@ -149,33 +149,24 @@ printFleetReport(std::ostream &os, const cluster::FleetReport &report)
     TextTable table({"machine", "type", "dispatched", "cold", "warm",
                      "billed s", "commercial $", "litmus $",
                      "mean lat ms"});
-    for (const cluster::MachineReport &m : report.machines) {
-        table.addRow({std::to_string(m.index), m.type,
-                      std::to_string(m.dispatched),
-                      std::to_string(m.coldStarts),
-                      std::to_string(m.warmStarts),
-                      TextTable::num(m.billedCpuSeconds),
-                      TextTable::num(m.commercialUsd, 6),
-                      TextTable::num(m.litmusUsd, 6),
-                      TextTable::num(1e3 * m.meanLatency)});
-    }
-    for (const cluster::TypeReport &t : report.types) {
-        table.addRow({"type", t.type, std::to_string(t.dispatched),
+    const auto row = [&table](std::string label, std::string type,
+                              const cluster::ServeTally &t,
+                              std::string last) {
+        table.addRow({std::move(label), std::move(type),
+                      std::to_string(t.dispatched),
                       std::to_string(t.coldStarts),
                       std::to_string(t.warmStarts),
                       TextTable::num(t.billedCpuSeconds),
                       TextTable::num(t.commercialUsd, 6),
-                      TextTable::num(t.litmusUsd, 6),
-                      TextTable::num(100 * t.discount(), 1) +
-                          "% disc"});
-    }
-    table.addRow({"fleet", "", std::to_string(report.dispatched),
-                  std::to_string(report.coldStarts),
-                  std::to_string(report.warmStarts),
-                  TextTable::num(report.billedCpuSeconds),
-                  TextTable::num(report.commercialUsd, 6),
-                  TextTable::num(report.litmusUsd, 6),
-                  TextTable::num(1e3 * report.meanLatency)});
+                      TextTable::num(t.litmusUsd, 6), std::move(last)});
+    };
+    for (const cluster::MachineReport &m : report.machines)
+        row(std::to_string(m.index), m.type, m,
+            TextTable::num(1e3 * m.meanLatency));
+    for (const cluster::TypeReport &t : report.types)
+        row("type", t.type, t,
+            TextTable::num(100 * t.discount(), 1) + "% disc");
+    row("fleet", "", report, TextTable::num(1e3 * report.meanLatency));
     table.print(os);
 
     os << "throughput " << TextTable::num(report.throughput(), 0)

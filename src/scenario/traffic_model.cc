@@ -56,9 +56,11 @@ expectedSpan(const TrafficSpec &spec)
 class PoissonStream final : public cluster::ArrivalStream
 {
   public:
+    static constexpr const char *kModel = "poisson";
+
     PoissonStream(const TrafficSpec &spec, Rng &rng,
                   const std::vector<const workload::FunctionSpec *> &pool)
-        : ArrivalStream("poisson"), spec_(spec), rng_(rng.fork()),
+        : ArrivalStream(kModel), spec_(spec), rng_(rng.fork()),
           pool_(pool)
     {
     }
@@ -85,27 +87,6 @@ class PoissonStream final : public cluster::ArrivalStream
     std::uint64_t emitted_ = 0;
 };
 
-class PoissonTraffic final : public TrafficModel
-{
-  public:
-    explicit PoissonTraffic(TrafficSpec spec) : spec_(std::move(spec)) {}
-
-    std::string name() const override { return "poisson"; }
-
-    std::unique_ptr<cluster::ArrivalStream>
-    open(Rng &rng,
-         const std::vector<const workload::FunctionSpec *> &pool)
-        const override
-    {
-        return std::make_unique<PoissonStream>(spec_, rng, pool);
-    }
-
-    Seconds horizonHint() const override { return expectedSpan(spec_); }
-
-  private:
-    TrafficSpec spec_;
-};
-
 /**
  * Sinusoid-modulated rate, sampled by Lewis-Shedler thinning: draw
  * candidates from a homogeneous process at the peak rate and accept
@@ -117,9 +98,12 @@ class PoissonTraffic final : public TrafficModel
 class DiurnalStream final : public cluster::ArrivalStream
 {
   public:
-    DiurnalStream(const TrafficSpec &spec, double peak, Rng &rng,
+    static constexpr const char *kModel = "diurnal";
+
+    DiurnalStream(const TrafficSpec &spec, Rng &rng,
                   const std::vector<const workload::FunctionSpec *> &pool)
-        : ArrivalStream("diurnal"), spec_(spec), peak_(peak),
+        : ArrivalStream(kModel), spec_(spec),
+          peak_(spec.arrivalsPerSecond * (1.0 + spec.diurnalAmplitude)),
           rng_(rng.fork()), pool_(pool)
     {
     }
@@ -159,29 +143,6 @@ class DiurnalStream final : public cluster::ArrivalStream
     std::uint64_t emitted_ = 0;
 };
 
-class DiurnalTraffic final : public TrafficModel
-{
-  public:
-    explicit DiurnalTraffic(TrafficSpec spec) : spec_(std::move(spec)) {}
-
-    std::string name() const override { return "diurnal"; }
-
-    std::unique_ptr<cluster::ArrivalStream>
-    open(Rng &rng,
-         const std::vector<const workload::FunctionSpec *> &pool)
-        const override
-    {
-        const double peak =
-            spec_.arrivalsPerSecond * (1.0 + spec_.diurnalAmplitude);
-        return std::make_unique<DiurnalStream>(spec_, peak, rng, pool);
-    }
-
-    Seconds horizonHint() const override { return expectedSpan(spec_); }
-
-  private:
-    TrafficSpec spec_;
-};
-
 /**
  * Two-state on/off MMPP. Holding times are exponential (mean burstOn
  * / burstOff); arrivals are Poisson at rateOn while on and rateOff
@@ -195,12 +156,18 @@ class DiurnalTraffic final : public TrafficModel
 class BurstStream final : public cluster::ArrivalStream
 {
   public:
-    BurstStream(const TrafficSpec &spec, double rateOn, double rateOff,
-                Rng &rng,
+    static constexpr const char *kModel = "burst";
+
+    BurstStream(const TrafficSpec &spec, Rng &rng,
                 const std::vector<const workload::FunctionSpec *> &pool)
-        : ArrivalStream("burst"), spec_(spec), rateOn_(rateOn),
-          rateOff_(rateOff), rng_(rng.fork()), pool_(pool)
+        : ArrivalStream(kModel), spec_(spec), rng_(rng.fork()),
+          pool_(pool)
     {
+        rateOff_ = spec_.burstIdleFraction * spec_.arrivalsPerSecond;
+        const Seconds cycle = spec_.burstOn + spec_.burstOff;
+        rateOn_ = (spec_.arrivalsPerSecond * cycle -
+                   rateOff_ * spec_.burstOff) /
+                  spec_.burstOn;
         stateEnd_ = rng_.exponential(spec_.burstOn);
     }
 
@@ -232,8 +199,8 @@ class BurstStream final : public cluster::ArrivalStream
 
   private:
     TrafficSpec spec_;
-    double rateOn_;
-    double rateOff_;
+    double rateOn_ = 0;
+    double rateOff_ = 0;
     Rng rng_;
     std::vector<const workload::FunctionSpec *> pool_;
     bool on_ = true;
@@ -242,35 +209,30 @@ class BurstStream final : public cluster::ArrivalStream
     std::uint64_t emitted_ = 0;
 };
 
-class BurstTraffic final : public TrafficModel
+/** A generative model: opens a fresh @p Stream over its spec, named
+ *  by the stream, with the expected span as its horizon. */
+template <typename Stream>
+class GenerativeTraffic final : public TrafficModel
 {
   public:
-    explicit BurstTraffic(TrafficSpec spec) : spec_(std::move(spec))
+    explicit GenerativeTraffic(TrafficSpec spec) : spec_(std::move(spec))
     {
-        rateOff_ = spec_.burstIdleFraction * spec_.arrivalsPerSecond;
-        const Seconds cycle = spec_.burstOn + spec_.burstOff;
-        rateOn_ = (spec_.arrivalsPerSecond * cycle -
-                   rateOff_ * spec_.burstOff) /
-                  spec_.burstOn;
     }
 
-    std::string name() const override { return "burst"; }
+    std::string name() const override { return Stream::kModel; }
 
     std::unique_ptr<cluster::ArrivalStream>
     open(Rng &rng,
          const std::vector<const workload::FunctionSpec *> &pool)
         const override
     {
-        return std::make_unique<BurstStream>(spec_, rateOn_, rateOff_,
-                                             rng, pool);
+        return std::make_unique<Stream>(spec_, rng, pool);
     }
 
     Seconds horizonHint() const override { return expectedSpan(spec_); }
 
   private:
     TrafficSpec spec_;
-    double rateOn_ = 0;
-    double rateOff_ = 0;
 };
 
 /**
@@ -431,11 +393,11 @@ makeTrafficModel(const TrafficSpec &spec)
 {
     spec.validate();
     if (spec.model == "poisson")
-        return std::make_unique<PoissonTraffic>(spec);
+        return std::make_unique<GenerativeTraffic<PoissonStream>>(spec);
     if (spec.model == "diurnal")
-        return std::make_unique<DiurnalTraffic>(spec);
+        return std::make_unique<GenerativeTraffic<DiurnalStream>>(spec);
     if (spec.model == "burst")
-        return std::make_unique<BurstTraffic>(spec);
+        return std::make_unique<GenerativeTraffic<BurstStream>>(spec);
     if (spec.model == "trace")
         return std::make_unique<TraceTraffic>(spec);
     if (spec.model == "azure")

@@ -123,9 +123,7 @@ struct TrafficSpec
  * cluster layer so the cluster can consume models without an upward
  * include.
  */
-class TrafficModel : public cluster::TrafficSource
-{
-};
+using TrafficModel = cluster::TrafficSource;
 
 /** Build the built-in model @p spec names; fatal() with the known
  *  names on any other name. */

@@ -342,6 +342,24 @@ TEST(Cluster, BilledTimeConservedAcrossAggregation)
     EXPECT_DOUBLE_EQ(commercial, report.commercialUsd);
 }
 
+TEST(Cluster, ConservationCheckCatchesAPerturbedMachineRow)
+{
+    Cluster fleet(smallFleet(3, DispatchPolicy::LeastLoaded));
+    const FleetReport &report = fleet.run();
+    checkConservation(report); // run() already passed it
+
+    FleetReport counts = report;
+    ++counts.machines[1].completions;
+    EXPECT_EXIT(checkConservation(counts), ::testing::ExitedWithCode(1),
+                "fleet completions 200 but the machine rows sum to 201");
+
+    FleetReport seconds = report;
+    seconds.machines[2].billedCpuSeconds *= 1.001;
+    EXPECT_EXIT(checkConservation(seconds),
+                ::testing::ExitedWithCode(1),
+                "fleet billed \\+ absorbed .* but the machine rows sum");
+}
+
 /** Totals that must be bit-identical between equivalent runs. */
 struct Totals
 {
@@ -694,8 +712,7 @@ TEST(FleetReportPrinter, TwoTypeLitmusFleetWithACrashMatchesGolden)
     std::ostringstream out;
     scenario::printFleetReport(out, fleet.run());
     ASSERT_GT(fleet.report().killedInvocations, 0u);
-    // Recorded from the field-by-field printer; every row must come
-    // out byte for byte the same.
+    // The whole text, byte for byte: rows, footers and spacing.
     const std::string golden =
         "machine  type            dispatched  cold  warm  billed s  commercial $  litmus $  mean lat ms  \n"
         "-------  --------------  ----------  ----  ----  --------  ------------  --------  -----------  \n"

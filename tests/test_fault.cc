@@ -382,7 +382,7 @@ TEST(FaultCluster, ConservationHoldsThroughCrashes)
                          report.sumMachineAbsorbedSeconds()),
               1e-6);
     EXPECT_LE(relErr(report.lostCpuSeconds,
-                     report.sumMachineLostSeconds()),
+                     report.machineSum().lostCpuSeconds),
               1e-6);
 
     // Every arrival reaches exactly one terminal state.

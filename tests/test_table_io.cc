@@ -322,6 +322,58 @@ TEST(TableIo, ExtraCongestionRowFatal)
                     "generator mb level 14 has no nodejs congestion row");
 }
 
+/** Loading @p lines from a file must die with "<path>: " and then
+ *  @p message: a gap in the whole profile, not on one line. */
+void
+expectIncompleteFile(const std::vector<std::string> &lines,
+                     const std::string &message)
+{
+    const std::string path =
+        std::string("/tmp/litmus_test_table_io_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    {
+        std::ofstream out(path);
+        for (const std::string &text : lines)
+            out << text << '\n';
+    }
+    EXPECT_EXIT(loadProfile(path), ::testing::ExitedWithCode(1),
+                path + ": " + message);
+    std::remove(path.c_str());
+}
+
+/** @p lines without the records that start with @p prefix. */
+std::vector<std::string>
+withoutRecords(std::vector<std::string> lines, const std::string &prefix)
+{
+    std::erase_if(lines, [&](const std::string &line) {
+        return line.rfind(prefix, 0) == 0;
+    });
+    return lines;
+}
+
+TEST(TableIo, GeneratorWithoutRowsFatal)
+{
+    auto lines = withoutRecords(v2Lines({2, 8}, {2, 8}), "performance mb");
+    for (const char *lang : {"python", "nodejs", "go"})
+        lines = withoutRecords(lines, std::string("congestion ") + lang +
+                                          " mb");
+    expectIncompleteFile(lines, "generator mb has 0 level\\(s\\)");
+}
+
+TEST(TableIo, LanguageWithoutBaselineFatal)
+{
+    expectIncompleteFile(
+        withoutRecords(v2Lines({2, 8}, {2, 8}), "baseline nodejs"),
+        "no baseline for nodejs");
+}
+
+TEST(TableIo, SingleLevelGeneratorFatal)
+{
+    expectIncompleteFile(v2Lines({8}, {8}),
+                         "generator ct has 1 level\\(s\\), the discount "
+                         "model fits a line through at least 2");
+}
+
 TEST(TableIo, DuplicateRowFatal)
 {
     auto lines = v2Lines({2, 8}, {2, 8});
