@@ -178,8 +178,19 @@ ContentionSolver::solve(const std::vector<SolverInput> &inputs,
     double uL3 = 0.0;
     double uMem = 0.0;
 
+    // Round 0 runs at zero utilisation, where queueFactor is
+    // 1 + (qmax - 1) * pow(0, gamma): exactly 1 for gamma > 0, which
+    // MachineConfig::validate enforces, and a finite qmax. The unloaded
+    // latencies set above then stand, without the two pow calls.
+    const bool unloadedRound0 = cfg_.queueGamma > 0 &&
+                                std::isfinite(cfg_.l3QueueMax) &&
+                                std::isfinite(cfg_.memQueueMax);
+
     for (int iter = 0; iter < iterations; ++iter) {
-        const double couplingLoad = setState(uL3, uMem);
+        const double couplingLoad =
+            iter == 0 && unloadedRound0
+                ? cfg_.privateCouplingL3 * uL3 + cfg_.privateCouplingMem * uMem
+                : setState(uL3, uMem);
 
         double l3AccessPerNs = 0.0;
         double memLinesPerNs = 0.0;

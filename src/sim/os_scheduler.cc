@@ -72,6 +72,8 @@ OsScheduler::add(Task *task)
         }
     }
     CpuState &target = cpus_[best];
+    if (!target.queue.empty())
+        enterWaiting(target, task);
     target.queue.push_back(entry);
     if (target.queue.size() == 2) {
         ++crowdedCpus_;
@@ -90,9 +92,13 @@ OsScheduler::remove(Task *task)
                                });
         if (it != cpu.queue.end()) {
             const bool wasRunning = it == cpu.queue.begin();
+            if (!wasRunning)
+                leaveWaiting(cpu, task);
             if (it->mask != kAnyCpu)
                 freeMasks_.push_back(it->mask);
             cpu.queue.erase(it);
+            if (wasRunning && !cpu.queue.empty())
+                leaveWaiting(cpu, cpu.queue.front().task); // now runs
             if (cpu.queue.size() == 1)
                 --crowdedCpus_;
             // The next task in line gets a fresh slice. A queue that
@@ -100,7 +106,8 @@ OsScheduler::remove(Task *task)
             // fresh one in add(), never carrying a partial slice over.
             if (wasRunning && cpu.queue.size() >= 2)
                 startSlice(cpu);
-            frozen_.erase(task);
+            if (frozen_.erase(task) != 0 && frozen_.empty())
+                resyncWaitingSums();
             ++version_;
             rebalance();
             return;
@@ -140,6 +147,8 @@ OsScheduler::tick()
             cpu.sliceStart = ticks_;
             const Queued old = cpu.queue.front();
             cpu.queue.pop_front();
+            leaveWaiting(cpu, cpu.queue.front().task);
+            enterWaiting(cpu, old.task);
             cpu.queue.push_back(old);
             Task *incoming = cpu.queue.front().task;
             if (incoming != old.task) {
@@ -213,8 +222,11 @@ OsScheduler::setFrozen(Task *task, bool frozen)
 {
     const bool changed = frozen ? frozen_.insert(task).second
                                 : frozen_.erase(task) > 0;
-    if (changed)
+    if (changed) {
         ++version_;
+        if (frozen_.empty())
+            resyncWaitingSums();
+    }
 }
 
 bool
@@ -223,27 +235,77 @@ OsScheduler::isFrozen(const Task *task) const
     return frozen_.contains(task);
 }
 
-double
-OsScheduler::waitingWorkingSet() const
+void
+OsScheduler::addWaitingBytes(CpuState &cpu, Bytes bytes)
 {
-    return waitingWorkingSet(0, static_cast<unsigned>(cpus_.size()));
+    cpu.waitingBytes += bytes;
+    if (cpu.waitingBytes < bytes)
+        ++waitingWraps_;
+}
+
+void
+OsScheduler::enterWaiting(CpuState &cpu, const Task *task)
+{
+    if (!task->finished())
+        addWaitingBytes(cpu, task->demand().l3WorkingSet);
+}
+
+void
+OsScheduler::leaveWaiting(CpuState &cpu, const Task *task)
+{
+    if (task->finished())
+        return;
+    const Bytes bytes = task->demand().l3WorkingSet;
+    if (cpu.waitingBytes < bytes)
+        --waitingWraps_;
+    cpu.waitingBytes -= bytes;
+}
+
+template <typename Add>
+void
+OsScheduler::forEachWaiting(unsigned cpu, Add add) const
+{
+    const Task *running = runningOn(cpu);
+    for (const Queued &entry : cpus_[cpu].queue) {
+        const Task *task = entry.task;
+        if (task != running && !task->finished())
+            add(task->demand().l3WorkingSet);
+    }
+}
+
+void
+OsScheduler::resyncWaitingSums()
+{
+    waitingWraps_ = 0;
+    for (unsigned cpu = 0; cpu < cpus_.size(); ++cpu) {
+        CpuState &state = cpus_[cpu];
+        state.waitingBytes = 0;
+        forEachWaiting(cpu,
+                       [&](Bytes bytes) { addWaitingBytes(state, bytes); });
+    }
 }
 
 double
 OsScheduler::waitingWorkingSet(unsigned cpu_begin,
                                unsigned cpu_end) const
 {
+    // Integers up to 2^53 add exactly in a double.
+    constexpr std::uint64_t kExact = std::uint64_t{1} << 53;
+    cpu_end = std::min(cpu_end, cpuCount());
+    if (frozen_.empty() && waitingWraps_ == 0) {
+        std::uint64_t total = 0;
+        unsigned cpu = cpu_begin;
+        for (; cpu < cpu_end && cpus_[cpu].waitingBytes <= kExact - total;
+             ++cpu)
+            total += cpus_[cpu].waitingBytes;
+        if (cpu >= cpu_end)
+            return static_cast<double>(total);
+    }
     double total = 0.0;
-    cpu_end = std::min(cpu_end, static_cast<unsigned>(cpus_.size()));
     for (unsigned cpu = cpu_begin; cpu < cpu_end; ++cpu) {
-        const Task *running = runningOn(cpu);
-        for (const Queued &entry : cpus_[cpu].queue) {
-            const Task *task = entry.task;
-            if (task != running && !task->finished()) {
-                total += static_cast<double>(
-                    task->demand().l3WorkingSet);
-            }
-        }
+        forEachWaiting(cpu, [&total](Bytes bytes) {
+            total += static_cast<double>(bytes);
+        });
     }
     return total;
 }
@@ -287,6 +349,7 @@ OsScheduler::rebalance()
         if (fromIndex != 0) {
             auto &q = cpus_[fromCpu].queue;
             const Queued moved = q[fromIndex];
+            leaveWaiting(cpus_[fromCpu], moved.task);
             q.erase(q.begin() + static_cast<std::ptrdiff_t>(fromIndex));
             if (q.size() == 1)
                 --crowdedCpus_;

@@ -103,13 +103,19 @@ class OsScheduler
     unsigned totalTasks() const;
 
     /**
-     * Summed L3 working sets (bytes) of queued tasks that are *not*
-     * currently running — the cache-residue input to the contention
-     * solver's capacity model.
+     * Summed L3 working sets (bytes) of the unfinished tasks queued on
+     * CPUs [cpu_begin, cpu_end) that are *not* running there — the
+     * cache-residue input to the contention solver's capacity model.
+     *
+     * O(cpu_end - cpu_begin): each CPU keeps the integer sum of its
+     * waiting tasks' working sets, updated wherever a task joins or
+     * leaves the part of a queue behind the running front. A waiting
+     * task retires nothing, so its working set holds until it leaves.
+     * The result equals the double sum in queue order bit for bit:
+     * every partial sum of integers up to 2^53 is exact in a double.
+     * Past 2^53, and while a task is frozen (a task behind a frozen
+     * front may run and change phase), it is that recount.
      */
-    double waitingWorkingSet() const;
-
-    /** Same, restricted to CPUs in [cpu_begin, cpu_end). */
     double waitingWorkingSet(unsigned cpu_begin, unsigned cpu_end) const;
 
     unsigned cpuCount() const { return static_cast<unsigned>(cpus_.size()); }
@@ -155,6 +161,10 @@ class OsScheduler
          *  while the queue holds two or more tasks. */
         std::uint64_t sliceStart = 0;
         Cycles pendingSwitchCycles = 0;
+        /** Working-set bytes of the unfinished tasks behind the front,
+         *  modulo 2^64 (waitingWraps_ counts the wraps). Stale while
+         *  frozen_ is non-empty; resynced when it empties. */
+        std::uint64_t waitingBytes = 0;
     };
 
     /** Record a pinned task's affinity as a bitmask, fatal() on a CPU
@@ -175,6 +185,24 @@ class OsScheduler
     /** Move one waiting task onto an idle CPU when possible. */
     void rebalance();
 
+    /** @name Waiting working-set sums @{ */
+    /** Add bytes to cpu's waiting sum, counting a wrap past 2^64. */
+    void addWaitingBytes(CpuState &cpu, Bytes bytes);
+    /** task joins the waiting part of cpu's queue. */
+    void enterWaiting(CpuState &cpu, const Task *task);
+    /** task leaves the waiting part of cpu's queue. */
+    void leaveWaiting(CpuState &cpu, const Task *task);
+    /**
+     * The one recount: calls add(bytes) with the working set of each
+     * unfinished task queued on cpu other than runningOn(cpu), in
+     * queue order.
+     */
+    template <typename Add>
+    void forEachWaiting(unsigned cpu, Add add) const;
+    /** Recount every CPU's waiting sum (once nothing is frozen). */
+    void resyncWaitingSums();
+    /** @} */
+
     const MachineConfig &cfg_;
     std::vector<CpuState> cpus_;
     /** Allowed-CPU bitmasks of the queued pinned tasks, maskWords_
@@ -193,6 +221,9 @@ class OsScheduler
     std::uint64_t ticks_ = 0;
     /** No slice expires before this tick (a lower bound). */
     std::uint64_t nextDue_ = kNever;
+    /** Wraps past 2^64 across all waitingBytes: while non-zero, some
+     *  CPU's true sum exceeds what its waitingBytes holds. */
+    std::uint64_t waitingWraps_ = 0;
 };
 
 } // namespace litmus::sim

@@ -12,6 +12,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <list>
 #include <ostream>
 #include <sstream>
@@ -706,6 +707,36 @@ TEST(SolveDifferential, MatchesPerRoundThreadPerfBitForBit)
     // Both sides of the capacity squeeze were exercised.
     EXPECT_GT(squeezed, 500);
     EXPECT_GT(unsqueezed, 500);
+}
+
+TEST(SolveDifferential, QueueShapesValidateRejectsStillMatch)
+{
+    // The solve skips round 0's queueFactor only where it is exactly 1;
+    // at gamma <= 0 or an infinite queue depth (1 + inf * 0 is NaN) it
+    // must still take it.
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    const auto shapes = {std::pair{0.0, 4.0}, std::pair{-1.0, 4.0},
+                         std::pair{nan, 4.0}, std::pair{2.0, inf}};
+    Rng rng(0x9a33a);
+    for (const auto &[gamma, qmax] : shapes) {
+        auto machine = cfg();
+        machine.queueGamma = gamma;
+        machine.memQueueMax = qmax;
+        const ContentionSolver solver(machine);
+        for (int n = 0; n < 200; ++n) {
+            const auto threads = static_cast<std::size_t>(rng.range(1, 16));
+            const auto inputs =
+                randomInputs(rng, machine, threads, rng.chance(0.5));
+            const Hertz freq = machine.baseFrequency;
+            ASSERT_EQ(bitDiff(referenceSolve(solver, machine, inputs, freq,
+                                             0.0),
+                              solver.solve(inputs, freq, 0.0)),
+                      "")
+                << "gamma " << gamma << ", qmax " << qmax << ", case "
+                << n;
+        }
+    }
 }
 
 /**

@@ -3,12 +3,14 @@
  * Tests for the OS scheduler: placement, rotation, warmth model,
  * rebalancing, freezing, and SMT sibling detection, plus a randomized
  * differential test against a frozen copy of the scheduler as it was
- * before tick-count slice rotation and affinity bitmasks.
+ * before tick-count slice rotation, affinity bitmasks and per-CPU
+ * waiting working-set sums.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <limits>
 #include <memory>
@@ -295,7 +297,8 @@ TEST(Scheduler, ActiveCoresWithSmtCountsPhysical)
 /**
  * Frozen oracle: the scheduler that summed each CPU's used slice in
  * floating point, tick by tick, walked every CPU on every crowded
- * tick, and searched each waiting task's affinity list in rebalance().
+ * tick, searched each waiting task's affinity list in rebalance(), and
+ * walked every queue for the waiting working set.
  * Do not optimise it; its only job is to be obviously the old code.
  */
 class OracleScheduler
@@ -403,6 +406,22 @@ class OracleScheduler
 
     std::uint64_t version() const { return version_; }
 
+    double waitingWorkingSet(unsigned cpu_begin, unsigned cpu_end) const
+    {
+        double total = 0.0;
+        cpu_end = std::min(cpu_end, static_cast<unsigned>(cpus_.size()));
+        for (unsigned cpu = cpu_begin; cpu < cpu_end; ++cpu) {
+            const Task *running = runningOn(cpu);
+            for (const Task *task : cpus_[cpu].queue) {
+                if (task != running && !task->finished()) {
+                    total += static_cast<double>(
+                        task->demand().l3WorkingSet);
+                }
+            }
+        }
+        return total;
+    }
+
   private:
     struct CpuState
     {
@@ -455,6 +474,90 @@ class OracleScheduler
     unsigned crowdedCpus_ = 0;
 };
 
+/** Bit pattern of a double: compares +0 and -0 apart. */
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+TEST(Scheduler, WaitingWorkingSetPast2To53IsTheOrderedSum)
+{
+    const auto cfg = smallMachine(1);
+    OsScheduler real(cfg, cfg.quantum);
+    OracleScheduler oracle(cfg);
+    std::vector<std::unique_ptr<workload::EndlessTask>> realTasks,
+        oracleTasks;
+    const auto addTwins = [&](Bytes ws) {
+        ResourceDemand d;
+        d.l3WorkingSet = ws;
+        realTasks.push_back(std::make_unique<workload::EndlessTask>("t", d));
+        oracleTasks.push_back(
+            std::make_unique<workload::EndlessTask>("t", d));
+        real.add(realTasks.back().get());
+        oracle.add(oracleTasks.back().get());
+    };
+    const auto same = [&] {
+        return bits(real.waitingWorkingSet(0, 1)) ==
+               bits(oracle.waitingWorkingSet(0, 1));
+    };
+    // Behind the running front, two sets just past 2^52 and four of one
+    // byte: in queue order the double sum sticks at 2^53 + 4, while the
+    // integer total, 2^53 + 6, converts exactly.
+    const Bytes big = (Bytes{1} << 52) + 1;
+    for (Bytes ws : {Bytes{0}, big, big, Bytes{1}, Bytes{1}, Bytes{1},
+                     Bytes{1}})
+        addTwins(ws);
+    EXPECT_EQ(oracle.waitingWorkingSet(0, 1),
+              static_cast<double>((Bytes{1} << 53) + 4));
+    EXPECT_NE(oracle.waitingWorkingSet(0, 1),
+              static_cast<double>((Bytes{1} << 53) + 6));
+    EXPECT_TRUE(same());
+    // Rotations reorder the queue, and so the rounding.
+    for (int i = 0; i < 1000; ++i) {
+        real.tick();
+        oracle.tick(cfg.quantum);
+        ASSERT_TRUE(same()) << "tick " << i;
+    }
+    // Three sets past 2^63 wrap the 64-bit sum.
+    for (int i = 0; i < 3; ++i)
+        addTwins((Bytes{1} << 63) + 3);
+    EXPECT_TRUE(same());
+    // Removing every task, the sum falls back below 2^53.
+    for (std::size_t i = 0; i < realTasks.size(); ++i) {
+        real.remove(realTasks[i].get());
+        oracle.remove(oracleTasks[i].get());
+        ASSERT_TRUE(same()) << "removed " << i;
+    }
+}
+
+/** Instructions in each phase of a walk program. */
+constexpr Instructions kWalkPhase = 1000;
+
+/**
+ * A task for the differential walk: endless with the one working set,
+ * or a program with one phase of kWalkPhase instructions per set.
+ */
+std::unique_ptr<Task>
+makeWalkTask(const std::string &name, const std::vector<Bytes> &sets)
+{
+    if (sets.size() == 1) {
+        ResourceDemand d;
+        d.l3WorkingSet = sets.front();
+        return std::make_unique<workload::EndlessTask>(name, d);
+    }
+    std::vector<workload::Phase> phases;
+    for (Bytes ws : sets) {
+        workload::Phase phase;
+        phase.name = name;
+        phase.instructions = kWalkPhase;
+        phase.demand.l3WorkingSet = ws;
+        phases.push_back(phase);
+    }
+    return std::make_unique<workload::ProgramTask>(
+        name, workload::PhaseProgram(std::move(phases)));
+}
+
 /** One seeded random walk of both schedulers over the same operations. */
 void
 runDifferential(Seconds time_slice, Seconds quantum, std::uint64_t seed,
@@ -468,15 +571,25 @@ runDifferential(Seconds time_slice, Seconds quantum, std::uint64_t seed,
     const unsigned cpus = cfg.hwThreads();
 
     // Twin tasks: oracleTasks[i] mirrors realTasks[i].
-    std::vector<std::unique_ptr<workload::EndlessTask>> realTasks,
-        oracleTasks;
+    std::vector<std::unique_ptr<Task>> realTasks, oracleTasks;
+    // The demand each real twin started with.
+    std::vector<const ResourceDemand *> firstDemand;
     std::vector<std::size_t> live;
+    std::set<std::size_t> frozen;
     std::uint64_t rotations = 0, removedRunning = 0, removedWaiting = 0;
+    std::uint64_t finishedRotatedOut = 0, changedRotatedOut = 0;
+    std::uint64_t thaws = 0, thawsByRemove = 0;
+    std::uint64_t nonZeroFrozen = 0, nonZeroThawed = 0;
 
     // Twins share an id, so running tasks compare by id.
     const auto runningId = [](const Task *task) {
         return task ? static_cast<std::int64_t>(task->id()) : -1;
     };
+    // CPU ranges the waiting working set is compared over: each socket
+    // of SMT pairs, straddling ones, the whole machine, past its end,
+    // and empty.
+    const std::vector<std::pair<unsigned, unsigned>> ranges = {
+        {0, cpus}, {0, 2}, {2, 4}, {4, 6}, {1, 5}, {3, 99}, {5, 5}};
     // Compare every observable after one operation.
     const auto check = [&](unsigned op, std::uint64_t realBefore,
                            std::uint64_t oracleBefore) {
@@ -498,13 +611,25 @@ runDifferential(Seconds time_slice, Seconds quantum, std::uint64_t seed,
                       oracleTasks[i]->counters().contextSwitches)
                 << "op " << op << " task " << i;
         }
+        for (const auto &[begin, end] : ranges) {
+            ASSERT_EQ(bits(real.waitingWorkingSet(begin, end)),
+                      bits(oracle.waitingWorkingSet(begin, end)))
+                << "op " << op << " cpus [" << begin << ", " << end
+                << ")";
+        }
+        if (oracle.waitingWorkingSet(0, cpus) != 0) {
+            if (!frozen.empty())
+                ++nonZeroFrozen;
+            else if (thaws > 0)
+                ++nonZeroThawed;
+        }
     };
 
     for (unsigned op = 0; op < ops; ++op) {
         const std::uint64_t realBefore = real.version();
         const std::uint64_t oracleBefore = oracle.version();
         const double roll = rng.uniform();
-        if (roll < 0.30 && live.size() < 4 * cpus) {
+        if (roll < 0.25 && live.size() < 4 * cpus) {
             // add: unpinned, pinned to one CPU, or pooled over a subset.
             std::vector<unsigned> affinity;
             const std::uint64_t kind = rng.below(3);
@@ -518,10 +643,18 @@ runDifferential(Seconds time_slice, Seconds quantum, std::uint64_t seed,
                 if (affinity.empty())
                     affinity.push_back(cpus - 1);
             }
+            // An endless task, or a program of two or three phases,
+            // each with its own working set.
+            std::vector<Bytes> sets(rng.chance(0.5) ? 1 : rng.range(2, 3));
+            const auto step = static_cast<Bytes>(rng.range(1, 1 << 16));
+            sets[0] = static_cast<Bytes>(rng.range(1, 1 << 20)) * 64;
+            for (std::size_t k = 1; k < sets.size(); ++k)
+                sets[k] = sets[k - 1] + step * 64;
             std::string name = "t";
             name += std::to_string(realTasks.size());
-            realTasks.push_back(makeTask(name));
-            oracleTasks.push_back(makeTask(name));
+            realTasks.push_back(makeWalkTask(name, sets));
+            oracleTasks.push_back(makeWalkTask(name, sets));
+            firstDemand.push_back(&realTasks.back()->demand());
             for (auto *tasks : {&realTasks, &oracleTasks}) {
                 tasks->back()->setId(realTasks.size() - 1);
                 tasks->back()->setAffinity(affinity);
@@ -529,9 +662,14 @@ runDifferential(Seconds time_slice, Seconds quantum, std::uint64_t seed,
             live.push_back(realTasks.size() - 1);
             real.add(realTasks.back().get());
             oracle.add(oracleTasks.back().get());
-        } else if (roll < 0.50 && !live.empty()) {
-            // remove a running or a waiting task.
-            const std::size_t at = rng.below(live.size());
+        } else if (roll < 0.40 && !live.empty()) {
+            // remove a running or a waiting task, now and then a
+            // frozen one.
+            std::size_t at = rng.below(live.size());
+            if (!frozen.empty() && rng.chance(0.25))
+                at = static_cast<std::size_t>(
+                    std::find(live.begin(), live.end(), *frozen.begin()) -
+                    live.begin());
             const std::size_t i = live[at];
             bool running = false;
             for (unsigned cpu = 0; cpu < cpus; ++cpu)
@@ -540,20 +678,58 @@ runDifferential(Seconds time_slice, Seconds quantum, std::uint64_t seed,
             real.remove(realTasks[i].get());
             oracle.remove(oracleTasks[i].get());
             live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
-        } else if (roll < 0.55 && !live.empty()) {
-            const std::size_t i = live[rng.below(live.size())];
-            const bool frozen = rng.chance(0.5);
-            real.setFrozen(realTasks[i].get(), frozen);
-            oracle.setFrozen(oracleTasks[i].get(), frozen);
+            if (frozen.erase(i) != 0 && frozen.empty()) {
+                ++thaws;
+                ++thawsByRemove;
+            }
+        } else if (roll < 0.47 && !live.empty()) {
+            // Freeze or unfreeze a live task, mostly a frozen one when
+            // unfreezing.
+            const bool freeze = rng.chance(0.5);
+            std::size_t i = live[rng.below(live.size())];
+            if (!freeze && !frozen.empty() && rng.chance(0.75))
+                i = *std::next(frozen.begin(),
+                               static_cast<std::ptrdiff_t>(
+                                   rng.below(frozen.size())));
+            real.setFrozen(realTasks[i].get(), freeze);
+            oracle.setFrozen(oracleTasks[i].get(), freeze);
+            if (freeze)
+                frozen.insert(i);
+            else if (frozen.erase(i) != 0 && frozen.empty())
+                ++thaws;
+        } else if (roll < 0.65) {
+            // Run each CPU's task as a quantum of the engine would: a
+            // program may change phase or finish. While a front task is
+            // frozen, the one that runs may be a waiting one.
+            for (unsigned cpu = 0; cpu < cpus; ++cpu) {
+                Task *task = real.runningOn(cpu);
+                if (!task || task->finished())
+                    continue;
+                const Instructions n = rng.uniform(0, kWalkPhase);
+                task->retire(n);
+                oracleTasks[task->id()]->retire(n);
+            }
         } else {
             // A burst of ticks, each checked on its own.
             const auto burst = static_cast<unsigned>(rng.range(1, 150));
             for (unsigned t = 0; t < burst; ++t) {
                 const std::uint64_t realTickBefore = real.version();
                 const std::uint64_t oracleTickBefore = oracle.version();
+                std::vector<const Task *> runningBefore(cpus);
+                for (unsigned cpu = 0; cpu < cpus; ++cpu)
+                    runningBefore[cpu] = real.runningOn(cpu);
                 real.tick();
                 oracle.tick(quantum);
                 rotations += oracle.version() - oracleTickBefore;
+                for (unsigned cpu = 0; cpu < cpus; ++cpu) {
+                    const Task *out = runningBefore[cpu];
+                    if (!out || out == real.runningOn(cpu))
+                        continue;
+                    if (out->finished())
+                        ++finishedRotatedOut;
+                    else if (&out->demand() != firstDemand[out->id()])
+                        ++changedRotatedOut;
+                }
                 check(op, realTickBefore, oracleTickBefore);
                 if (::testing::Test::HasFatalFailure())
                     return;
@@ -568,6 +744,11 @@ runDifferential(Seconds time_slice, Seconds quantum, std::uint64_t seed,
     EXPECT_GT(rotations, 10u);
     EXPECT_GT(removedRunning, 10u);
     EXPECT_GT(removedWaiting, 10u);
+    EXPECT_GT(finishedRotatedOut, 0u);
+    EXPECT_GT(changedRotatedOut, 0u);
+    EXPECT_GT(thawsByRemove, 0u);
+    EXPECT_GT(nonZeroFrozen, 0u);
+    EXPECT_GT(nonZeroThawed, 0u);
 }
 
 TEST(SchedulerDifferential, DefaultSliceAndQuantum)
