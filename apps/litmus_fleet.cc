@@ -24,8 +24,8 @@
 #include <vector>
 
 #include "common/arg_parser.h"
+#include "common/line_reader.h"
 #include "common/logging.h"
-#include "common/strings.h"
 #include "scenario/scenario_runner.h"
 #include "sim/machine_catalog.h"
 

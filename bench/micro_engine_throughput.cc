@@ -79,7 +79,7 @@
 #include "bench_util.h"
 #include "cluster/cluster.h"
 #include "common/repeated_add.h"
-#include "common/strings.h"
+#include "common/line_reader.h"
 #include "scenario/traffic_model.h"
 #include "workload/invoker.h"
 #include "workload/program.h"
@@ -110,7 +110,7 @@ envDouble(const char *name, double fallback)
     const char *value = std::getenv(name);
     if (!value || !*value)
         return fallback;
-    const std::optional<double> parsed = parseDoubleStrict(value);
+    const std::optional<double> parsed = parseNumber<double>(value);
     if (!parsed || *parsed <= 0)
         fatal("envDouble: ", name, " must be a positive number, got '",
               value, "'");

@@ -24,7 +24,7 @@ policyName(DispatchPolicy policy)
 }
 
 DispatchPolicy
-policyByName(const std::string &name)
+policyByName(const std::string &name, const SourceLine &at)
 {
     if (name == "round-robin" || name == "roundrobin" || name == "rr")
         return DispatchPolicy::RoundRobin;
@@ -34,9 +34,9 @@ policyByName(const std::string &name)
         return DispatchPolicy::WarmthAware;
     if (name == "cost-aware" || name == "cost")
         return DispatchPolicy::CostAware;
-    fatal("policyByName: unknown dispatch policy '", name,
-          "' (want round-robin | least-loaded | warmth-aware | "
-          "cost-aware)");
+    at.fail("policyByName: unknown dispatch policy '", name,
+            "' (want round-robin | least-loaded | warmth-aware | "
+            "cost-aware)");
 }
 
 const std::vector<DispatchPolicy> &

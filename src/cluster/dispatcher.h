@@ -31,6 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/line_reader.h"
 #include "workload/function_model.h"
 
 namespace litmus::cluster
@@ -50,8 +51,9 @@ enum class DispatchPolicy
 std::string policyName(DispatchPolicy policy);
 
 /** Parse a policy name (also accepts "rr" / "ll" / "warmth" /
- *  "cost"). */
-DispatchPolicy policyByName(const std::string &name);
+ *  "cost"); an unknown name fails at @p at. */
+DispatchPolicy policyByName(const std::string &name,
+                            const SourceLine &at = {});
 
 /** One fleet arrival awaiting dispatch. */
 struct Invocation

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
+#include "common/line_reader.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "common/strings.h"
 
 namespace litmus::cluster
 {
@@ -24,7 +24,7 @@ retryPolicyName(RetryPolicy policy)
 }
 
 RetryPolicy
-retryPolicyByName(const std::string &name)
+retryPolicyByName(const std::string &name, const SourceLine &at)
 {
     if (name == "drop" || name == "none")
         return RetryPolicy::Drop;
@@ -32,8 +32,8 @@ retryPolicyByName(const std::string &name)
         return RetryPolicy::RetryOnce;
     if (name == "retry-backoff" || name == "backoff")
         return RetryPolicy::RetryBackoff;
-    fatal("retryPolicyByName: unknown retry policy '", name,
-          "' (want drop | retry-once | retry-backoff)");
+    at.fail("retryPolicyByName: unknown retry policy '", name,
+            "' (want drop | retry-once | retry-backoff)");
 }
 
 std::string
@@ -49,14 +49,14 @@ faultBillingName(FaultBilling billing)
 }
 
 FaultBilling
-faultBillingByName(const std::string &name)
+faultBillingByName(const std::string &name, const SourceLine &at)
 {
     if (name == "tenant-pays" || name == "tenant")
         return FaultBilling::TenantPays;
     if (name == "provider-absorbs" || name == "provider")
         return FaultBilling::ProviderAbsorbs;
-    fatal("faultBillingByName: unknown fault billing mode '", name,
-          "' (want tenant-pays | provider-absorbs)");
+    at.fail("faultBillingByName: unknown fault billing mode '", name,
+            "' (want tenant-pays | provider-absorbs)");
 }
 
 std::string
@@ -80,7 +80,8 @@ faultKindName(FaultKind kind)
 }
 
 std::vector<ScriptedFault>
-parseScriptedFaults(const std::string &key, const std::string &value)
+parseScriptedFaults(const std::string &key, const std::string &value,
+                    const SourceLine &at)
 {
     // The CLI packs fault overrides into one comma-separated --faults
     // flag, so scripted lists there use ';'; scenario files may use
@@ -90,21 +91,21 @@ parseScriptedFaults(const std::string &key, const std::string &value)
     std::vector<ScriptedFault> out;
     for (const std::string &piece : splitNonEmpty(normalized, ',')) {
         ScriptedFault fault;
-        const auto at = piece.find('@');
-        const std::string time = piece.substr(0, at);
-        const auto parsedTime = parseDoubleStrict(time);
+        const auto sign = piece.find('@');
+        const std::string time = piece.substr(0, sign);
+        const auto parsedTime = parseNumber<double>(time);
         if (!parsedTime || *parsedTime < 0)
-            fatal("'", key, "': bad fault time '", time, "' in '",
-                  piece, "' (want <seconds>[@<machine>])");
+            at.fail("'", key, "': bad fault time '", time, "' in '",
+                    piece, "' (want <seconds>[@<machine>])");
         fault.at = *parsedTime;
-        if (at != std::string::npos) {
-            const std::string machine = piece.substr(at + 1);
-            const auto parsedMachine = parseLongStrict(machine);
-            if (!parsedMachine || *parsedMachine < 0)
-                fatal("'", key, "': bad machine index '", machine,
-                      "' in '", piece,
-                      "' (want <seconds>[@<machine>])");
-            fault.machine = static_cast<unsigned>(*parsedMachine);
+        if (sign != std::string::npos) {
+            const std::string machine = piece.substr(sign + 1);
+            const auto parsedMachine = parseNumber<unsigned>(machine);
+            if (!parsedMachine)
+                at.fail("'", key, "': bad machine index '", machine,
+                        "' in '", piece,
+                        "' (want <seconds>[@<machine>])");
+            fault.machine = *parsedMachine;
         }
         out.push_back(fault);
     }

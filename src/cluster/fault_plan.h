@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "common/line_reader.h"
 #include "common/units.h"
 
 namespace litmus::cluster
@@ -63,8 +64,10 @@ enum class RetryPolicy
 /** Display name: "drop" / "retry-once" / "retry-backoff". */
 std::string retryPolicyName(RetryPolicy policy);
 
-/** Parse a policy name (also accepts "once" / "backoff"). */
-RetryPolicy retryPolicyByName(const std::string &name);
+/** Parse a policy name (also accepts "once" / "backoff"); an unknown
+ *  name fails at @p at. */
+RetryPolicy retryPolicyByName(const std::string &name,
+                              const SourceLine &at = {});
 
 /** Who pays for the partial work a crash destroyed. */
 enum class FaultBilling
@@ -82,8 +85,10 @@ enum class FaultBilling
 /** Display name: "tenant-pays" / "provider-absorbs". */
 std::string faultBillingName(FaultBilling billing);
 
-/** Parse a billing mode (also accepts "tenant" / "provider"). */
-FaultBilling faultBillingByName(const std::string &name);
+/** Parse a billing mode (also accepts "tenant" / "provider"); an
+ *  unknown mode fails at @p at. */
+FaultBilling faultBillingByName(const std::string &name,
+                                const SourceLine &at = {});
 
 /** One scripted (explicitly timed) fault. */
 struct ScriptedFault
@@ -96,10 +101,12 @@ struct ScriptedFault
  * Parse a scripted-fault list: "time[@machine]" entries separated by
  * ',' or ';' (the CLI uses ';' because ',' separates --faults
  * pieces), e.g. "0.5@1;2.0". The machine defaults to 0. fatal() on
- * malformed entries; machine indices are range-checked at compile.
+ * malformed entries, naming @p at; machine indices are range-checked
+ * at compile.
  */
 std::vector<ScriptedFault>
-parseScriptedFaults(const std::string &key, const std::string &value);
+parseScriptedFaults(const std::string &key, const std::string &value,
+                    const SourceLine &at = {});
 
 /**
  * Declarative fault campaign. The scenario fault.* keys map

@@ -4,8 +4,8 @@
 #include <iostream>
 #include <sstream>
 
+#include "common/line_reader.h"
 #include "common/logging.h"
-#include "common/strings.h"
 
 namespace litmus
 {
@@ -119,31 +119,19 @@ ArgParser::get(const std::string &name) const
 long
 ArgParser::getInt(const std::string &name) const
 {
-    const std::string value = get(name);
-    const auto parsed = parseLongStrict(value);
-    if (!parsed)
-        fatal("--", name, " expects an integer, got '", value, "'");
-    return *parsed;
+    return SourceLine{}.number<long>(get(name), "--" + name);
 }
 
 double
 ArgParser::getDouble(const std::string &name) const
 {
-    const std::string value = get(name);
-    const auto parsed = parseDoubleStrict(value);
-    if (!parsed)
-        fatal("--", name, " expects a finite number, got '", value,
-              "'");
-    return *parsed;
+    return SourceLine{}.number<double>(get(name), "--" + name);
 }
 
 long
 ArgParser::getIntAtLeast(const std::string &name, long floor) const
 {
-    const long value = getInt(name);
-    if (value < floor)
-        fatal("--", name, " must be >= ", floor, ", got ", value);
-    return value;
+    return SourceLine{}.number<long>(get(name), "--" + name, floor);
 }
 
 bool

@@ -1,93 +1,69 @@
 #include "common/config_reader.h"
 
-#include <fstream>
-#include <sstream>
-
-#include "common/logging.h"
-#include "common/strings.h"
-
 namespace litmus
 {
 
-namespace
-{
-
-std::string
-trim(const std::string &s)
-{
-    const auto begin = s.find_first_not_of(" \t\r");
-    if (begin == std::string::npos)
-        return "";
-    const auto end = s.find_last_not_of(" \t\r");
-    return s.substr(begin, end - begin + 1);
-}
-
-/** Diagnostic prefix for @p key: its file:line, else "ConfigReader". */
-std::string
-label(const ConfigReader &config, const std::string &key)
-{
-    const std::string where = config.where(key);
-    return where.empty() ? "ConfigReader" : where;
-}
-
-} // namespace
-
 ConfigReader
-ConfigReader::fromString(const std::string &text,
-                         const std::string &source)
+ConfigReader::parse(LineReader &in)
 {
     ConfigReader reader;
-    reader.source_ = source;
-    const std::string label = source.empty() ? "ConfigReader" : source;
-    std::istringstream in(text);
-    std::string line;
-    int lineNo = 0;
-    while (std::getline(in, line)) {
-        ++lineNo;
-        const auto comment = line.find('#');
-        if (comment != std::string::npos)
-            line = line.substr(0, comment);
-        line = trim(line);
-        if (line.empty())
-            continue;
+    reader.source_ = in.source();
+    while (in.next()) {
+        const std::string_view line = in.line();
         const auto eq = line.find('=');
-        if (eq == std::string::npos)
-            fatal(label, ": line ", lineNo, " is not key=value: '",
-                  line, "'");
-        const std::string key = trim(line.substr(0, eq));
-        const std::string value = trim(line.substr(eq + 1));
+        if (eq == std::string_view::npos)
+            in.fail("not key=value: '", line, "'");
+        const std::string key(trimField(line.substr(0, eq)));
         if (key.empty())
-            fatal(label, ": empty key on line ", lineNo);
-        reader.set(key, value);
-        reader.lines_[key] = lineNo;
+            in.fail("empty key");
+        if (const Entry *first = reader.find(key))
+            in.fail("duplicate key '", key, "' (first on line ",
+                    first->line, ")");
+        reader.entries_.push_back(
+            {key, std::string(trimField(line.substr(eq + 1))),
+             in.at().line});
     }
     return reader;
 }
 
 ConfigReader
+ConfigReader::fromString(const std::string &text,
+                         const std::string &source)
+{
+    LineReader in = LineReader::fromText(text, source);
+    return parse(in);
+}
+
+ConfigReader
 ConfigReader::fromFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        fatal("ConfigReader: cannot open '", path, "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return fromString(buffer.str(), path);
+    LineReader in(path);
+    return parse(in);
+}
+
+const ConfigReader::Entry *
+ConfigReader::find(const std::string &key) const
+{
+    for (const Entry &entry : entries_) {
+        if (entry.key == key)
+            return &entry;
+    }
+    return nullptr;
 }
 
 bool
 ConfigReader::contains(const std::string &key) const
 {
-    return values_.contains(key);
+    return find(key) != nullptr;
 }
 
 std::string
 ConfigReader::get(const std::string &key) const
 {
-    const auto it = values_.find(key);
-    if (it == values_.end())
+    const Entry *entry = find(key);
+    if (!entry)
         fatal("ConfigReader: missing key '", key, "'");
-    return it->second;
+    return entry->value;
 }
 
 std::string
@@ -97,63 +73,32 @@ ConfigReader::getString(const std::string &key,
     return contains(key) ? get(key) : fallback;
 }
 
-long
-ConfigReader::getInt(const std::string &key, long fallback) const
-{
-    if (!contains(key))
-        return fallback;
-    const std::string value = get(key);
-    const std::optional<long> parsed = parseLongStrict(value);
-    if (!parsed)
-        fatal(label(*this, key), ": '", key, "' expects an integer, got '",
-              value, "'");
-    return *parsed;
-}
-
 double
 ConfigReader::getDouble(const std::string &key, double fallback) const
 {
-    if (!contains(key))
-        return fallback;
-    const std::string value = get(key);
-    // Strict parse: whole string consumed AND finite — an "inf"
-    // capacity or "nan" rate is configuration poison.
-    const std::optional<double> parsed = parseDoubleStrict(value);
-    if (!parsed)
-        fatal(label(*this, key), ": '", key,
-              "' expects a finite number, got '", value, "'");
-    return *parsed;
+    return contains(key) ? at(key).number<double>(get(key), "'" + key + "'")
+                         : fallback;
 }
 
 void
 ConfigReader::set(const std::string &key, const std::string &value)
 {
-    if (!values_.contains(key))
-        order_.push_back(key);
-    values_[key] = value;
     // A programmatic override has no file line to point at.
-    lines_.erase(key);
-}
-
-int
-ConfigReader::lineOf(const std::string &key) const
-{
-    const auto it = lines_.find(key);
-    return it == lines_.end() ? 0 : it->second;
-}
-
-std::string
-ConfigReader::where(const std::string &key) const
-{
-    const int line = lineOf(key);
-    if (source_.empty() && line == 0)
-        return "";
-    std::string out = source_.empty() ? "<config>" : source_;
-    if (line > 0) {
-        out += ':';
-        out += std::to_string(line);
+    for (Entry &entry : entries_) {
+        if (entry.key == key) {
+            entry.value = value;
+            entry.line = 0;
+            return;
+        }
     }
-    return out;
+    entries_.push_back({key, value, 0});
+}
+
+SourceLine
+ConfigReader::at(const std::string &key) const
+{
+    const Entry *entry = find(key);
+    return {source_, entry ? entry->line : 0};
 }
 
 } // namespace litmus

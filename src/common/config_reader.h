@@ -10,15 +10,18 @@
  *     cores = 48
  *     l3_capacity_mib = 60
  *     mem_service_rate = 2.4
+ *
+ * Lines follow the shared rules of common/line_reader.h; a key given
+ * twice is an error naming both lines.
  */
 
 #ifndef LITMUS_COMMON_CONFIG_READER_H
 #define LITMUS_COMMON_CONFIG_READER_H
 
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
+
+#include "common/line_reader.h"
 
 namespace litmus
 {
@@ -27,19 +30,25 @@ namespace litmus
 class ConfigReader
 {
   public:
+    /** One key = value definition. */
+    struct Entry
+    {
+        std::string key;
+        std::string value;
+
+        /** Line it was defined on; 0 when set programmatically. */
+        int line = 0;
+    };
+
     ConfigReader() = default;
 
-    /**
-     * Parse from text; fatal() on malformed lines. @p source names
-     * the text's origin (a file path) in diagnostics; empty means
-     * in-memory text.
-     */
+    /** Parse from text; fatal() on malformed lines. @p source names
+     *  the text in diagnostics. */
     static ConfigReader fromString(const std::string &text,
-                                   const std::string &source = "");
+                                   const std::string &source = "<config>");
 
     /** Parse from a file; fatal() when unreadable. The path becomes
-     *  the reader's source(), so consumers can point diagnostics at
-     *  file:line. */
+     *  the reader's source(). */
     static ConfigReader fromFile(const std::string &path);
 
     /** True when the key exists. */
@@ -51,33 +60,27 @@ class ConfigReader
     /** Typed lookups with defaults. fatal() on malformed values. */
     std::string getString(const std::string &key,
                           const std::string &fallback) const;
-    long getInt(const std::string &key, long fallback) const;
     double getDouble(const std::string &key, double fallback) const;
 
-    /** All keys, in file order (for validation sweeps). */
-    const std::vector<std::string> &keys() const { return order_; }
+    /** Every definition, in file order. */
+    const std::vector<Entry> &entries() const { return entries_; }
 
     /** Set / override programmatically. */
     void set(const std::string &key, const std::string &value);
 
-    /** Where this config was parsed from ("" = in-memory). */
+    /** Where this config was parsed from. */
     const std::string &source() const { return source_; }
 
-    /** Line the key was (last) defined on; 0 when the key is unknown
-     *  or was set programmatically. */
-    int lineOf(const std::string &key) const;
-
-    /**
-     * "path:line" locator for one key's definition — "" when neither
-     * a source nor a line is known, so callers can prefix
-     * diagnostics unconditionally.
-     */
-    std::string where(const std::string &key) const;
+    /** Where @p key was defined: its line, or line 0 (the whole
+     *  input) when it is unknown or was set programmatically. */
+    SourceLine at(const std::string &key) const;
 
   private:
-    std::map<std::string, std::string> values_;
-    std::vector<std::string> order_;
-    std::map<std::string, int> lines_;
+    static ConfigReader parse(LineReader &in);
+
+    const Entry *find(const std::string &key) const;
+
+    std::vector<Entry> entries_;
     std::string source_;
 };
 

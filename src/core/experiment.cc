@@ -2,9 +2,9 @@
 
 #include <cstdlib>
 
+#include "common/line_reader.h"
 #include "common/logging.h"
 #include "common/stats.h"
-#include "common/strings.h"
 #include "core/calibration.h"
 
 namespace litmus::pricing
@@ -68,11 +68,11 @@ envOr(const char *name, unsigned fallback)
         return fallback;
     // Whole-string parse: "8x" used to silently read as 8; a typoed
     // env knob should fail loudly, not quietly misconfigure a bench.
-    const std::optional<long> parsed = parseLongStrict(value);
-    if (!parsed || *parsed <= 0)
+    const std::optional<unsigned> parsed = parseNumber<unsigned>(value);
+    if (!parsed || *parsed == 0)
         fatal("envOr: ", name, " must be a positive integer, got '",
               value, "'");
-    return static_cast<unsigned>(*parsed);
+    return *parsed;
 }
 
 namespace

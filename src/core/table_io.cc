@@ -6,10 +6,11 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <sstream>
+#include <string_view>
+#include <vector>
 
+#include "common/line_reader.h"
 #include "common/logging.h"
-#include "common/strings.h"
 
 namespace litmus::pricing
 {
@@ -20,28 +21,6 @@ namespace
 using workload::GeneratorKind;
 using workload::Language;
 
-/** One input line, for diagnostics: "path:line: ..." for a file,
- *  "loadProfile: ... on line N" for a bare stream. Line 0 stands for
- *  the whole input: "path: ..." or "loadProfile: ...". */
-struct Where
-{
-    const std::string &source;
-    int line;
-
-    template <typename... Args>
-    [[noreturn]] void
-    fail(Args &&...args) const
-    {
-        if (line == 0)
-            fatal(source.empty() ? "loadProfile" : source, ": ",
-                  std::forward<Args>(args)...);
-        if (source.empty())
-            fatal("loadProfile: ", std::forward<Args>(args)...,
-                  " on line ", line);
-        fatal(source, ':', line, ": ", std::forward<Args>(args)...);
-    }
-};
-
 const char *
 langToken(Language lang)
 {
@@ -51,7 +30,7 @@ langToken(Language lang)
 }
 
 Language
-langFromToken(const std::string &token, const Where &at)
+langFromToken(std::string_view token, const SourceLine &at)
 {
     if (token == "python")
         return Language::Python;
@@ -69,39 +48,13 @@ genToken(GeneratorKind gen)
 }
 
 GeneratorKind
-genFromToken(const std::string &token, const Where &at)
+genFromToken(std::string_view token, const SourceLine &at)
 {
     if (token == "ct")
         return GeneratorKind::CtGen;
     if (token == "mb")
         return GeneratorKind::MbGen;
     at.fail("unknown generator '", token, "'");
-}
-
-/** Finish one record: fatal() when a field failed to parse or a
- *  token is left over. */
-void
-requireComplete(std::istringstream &fields, const char *record,
-                const Where &at)
-{
-    if (!fields)
-        at.fail("malformed ", record);
-    std::string extra;
-    if (fields >> extra)
-        at.fail("malformed ", record, ": trailing token '", extra, "'");
-}
-
-/** A stress level: a whole number that fits an unsigned. */
-unsigned
-levelFromToken(const std::string &token, const char *record,
-               const Where &at)
-{
-    const std::optional<long> level = parseLongStrict(token);
-    constexpr long kMax = std::numeric_limits<unsigned>::max();
-    if (!level || *level < 0 || *level > kMax)
-        at.fail("malformed ", record, ": level '", token,
-                "' is not an integer in [0, ", kMax, "]");
-    return static_cast<unsigned>(*level);
 }
 
 /** A table row while its records are still being read. */
@@ -112,16 +65,59 @@ struct PendingRow
     std::optional<PerformanceEntry> reference;
 };
 
-/** Parse a profile; @p source names the input in diagnostics ("" for
- *  a bare stream). */
-CalibrationProfile
-load(std::istream &is, const std::string &source)
+/** The whitespace-separated fields of one record, checked against
+ *  its shape as they are read. */
+struct Record
 {
-    std::string header;
-    if (!std::getline(is, header) ||
-        (header != "litmus-tables v1" && header != "litmus-tables v2"))
-        Where{source, 1}.fail("bad header '", header,
-                              "' (want litmus-tables v1 | v2)");
+    std::vector<std::string_view> fields;
+    SourceLine at;
+    const char *kind = "";
+
+    /** Require exactly @p count fields after the record's keyword. */
+    void
+    expect(std::size_t count, const char *what)
+    {
+        kind = what;
+        if (fields.size() > count + 1)
+            at.fail("malformed ", kind, ": trailing token '",
+                    fields[count + 1], "'");
+        if (fields.size() < count + 1)
+            at.fail("malformed ", kind, ": ", fields.size() - 1, " of ",
+                    count, " fields");
+    }
+
+    double
+    real(std::size_t i) const
+    {
+        const std::optional<double> value = parseNumber<double>(fields[i]);
+        if (!value)
+            at.fail("malformed ", kind, ": '", fields[i],
+                    "' is not a finite number");
+        return *value;
+    }
+
+    /** A stress level: a whole number that fits an unsigned. */
+    unsigned
+    level(std::size_t i) const
+    {
+        const std::optional<unsigned> value =
+            parseNumber<unsigned>(fields[i]);
+        if (!value)
+            at.fail("malformed ", kind, ": level '", fields[i],
+                    "' is not an integer in [0, ",
+                    std::numeric_limits<unsigned>::max(), "]");
+        return *value;
+    }
+};
+
+/** Parse a profile from @p in. */
+CalibrationProfile
+load(LineReader &in)
+{
+    const std::string_view header = in.next() ? in.line() : "";
+    if (header != "litmus-tables v1" && header != "litmus-tables v2")
+        in.fail("bad header '", header,
+                "' (want litmus-tables v1 | v2)");
     const bool v2 = header == "litmus-tables v2";
 
     CalibrationProfile out;
@@ -135,67 +131,52 @@ load(std::istream &is, const std::string &source)
         return row;
     };
 
-    std::string line;
-    int lineNo = 1;
-    while (std::getline(is, line)) {
-        ++lineNo;
-        if (line.empty())
-            continue;
-        const Where at{source, lineNo};
-        std::istringstream fields(line);
-        std::string kind;
-        fields >> kind;
+    Record r;
+    while (in.next()) {
+        splitWords(in.line(), r.fields);
+        r.at = in.at();
+        const SourceLine &at = r.at;
+        const std::string_view kind = r.fields[0];
         if (kind == "machine") {
             if (!v2)
                 at.fail("'machine' record in a v1 file");
-            fields >> out.machine;
-            requireComplete(fields, "machine record", at);
+            r.expect(1, "machine record");
+            out.machine = r.fields[1];
         } else if (kind == "baseline") {
-            std::string lang;
-            ProbeReading base;
-            fields >> lang >> base.privCpi >> base.sharedCpi >>
-                base.instructions >> base.machineL3MissPerUs;
-            requireComplete(fields, "baseline", at);
+            r.expect(5, "baseline");
+            const ProbeReading base{r.real(2), r.real(3), r.real(4),
+                                    r.real(5)};
             if (!base.valid())
                 at.fail("malformed baseline: instructions must be "
                         "positive");
-            const Language l = langFromToken(lang, at);
+            const Language l = langFromToken(r.fields[1], at);
             out.congestion.setBaseline(l, base);
             baselines.insert(l);
         } else if (kind == "solo") {
             if (!v2)
                 at.fail("'solo' record in a v1 file");
-            std::string name;
-            SoloBaseline solo;
-            fields >> name >> solo.privCpi >> solo.sharedCpi;
-            requireComplete(fields, "solo baseline", at);
-            out.referenceSolo[name] = solo;
+            r.expect(3, "solo baseline");
+            out.referenceSolo[std::string(r.fields[1])] =
+                SoloBaseline{r.real(2), r.real(3)};
         } else if (kind == "congestion") {
-            std::string lang, gen, level;
-            CongestionEntry entry;
-            fields >> lang >> gen >> level >> entry.privSlowdown >>
-                entry.sharedSlowdown >> entry.totalSlowdown >>
-                entry.l3MissPerUs;
-            requireComplete(fields, "congestion row", at);
-            const Language l = langFromToken(lang, at);
-            PendingRow &row =
-                pendingRow(genFromToken(gen, at),
-                           levelFromToken(level, "congestion row", at),
-                           lineNo);
+            r.expect(7, "congestion row");
+            const CongestionEntry entry{r.real(4), r.real(5), r.real(6),
+                                        r.real(7)};
+            const Language l = langFromToken(r.fields[1], at);
+            const unsigned level = r.level(3);
+            PendingRow &row = pendingRow(genFromToken(r.fields[2], at),
+                                         level, at.line);
             if (!row.startups.emplace(l, entry).second)
-                at.fail("duplicate congestion row for ", lang, ' ', gen,
-                        " level ", level);
+                at.fail("duplicate congestion row for ", r.fields[1], ' ',
+                        r.fields[2], " level ", level);
         } else if (kind == "performance") {
-            std::string gen, level;
-            PerformanceEntry entry;
-            fields >> gen >> level >> entry.privSlowdown >>
-                entry.sharedSlowdown >> entry.totalSlowdown;
-            requireComplete(fields, "performance row", at);
-            PendingRow &row = pendingRow(
-                genFromToken(gen, at),
-                levelFromToken(level, "performance row", at), lineNo);
+            r.expect(5, "performance row");
+            const PerformanceEntry entry{r.real(3), r.real(4), r.real(5)};
+            const unsigned level = r.level(2);
+            PendingRow &row =
+                pendingRow(genFromToken(r.fields[1], at), level, at.line);
             if (row.reference)
-                at.fail("duplicate performance row for ", gen,
+                at.fail("duplicate performance row for ", r.fields[1],
                         " level ", level);
             row.reference = entry;
         } else {
@@ -207,7 +188,7 @@ load(std::istream &is, const std::string &source)
     // the model fits one against the other level by level.
     for (const auto &[gen, rows] : pending) {
         for (const auto &[level, p] : rows) {
-            const Where at{source, p.line};
+            const SourceLine at{in.source(), p.line};
             CongestionTable::Row row;
             row.level = level;
             for (Language lang : workload::allLanguages()) {
@@ -229,7 +210,7 @@ load(std::istream &is, const std::string &source)
     // The discount model normalizes every language by its baseline
     // and fits a line per generator: refuse a profile it cannot use
     // here, where the file can still be named.
-    const Where whole{source, 0};
+    const SourceLine whole{in.source(), 0};
     for (Language lang : workload::allLanguages()) {
         if (!baselines.contains(lang))
             whole.fail("no baseline for ", langToken(lang));
@@ -244,6 +225,17 @@ load(std::istream &is, const std::string &source)
     return out;
 }
 
+/** @p name as one record token: refuse a name with whitespace or
+ *  '#', which the loader would split or cut as a comment. */
+const std::string &
+savedName(const char *record, const std::string &name)
+{
+    if (name.find_first_of(" \t\n\r#") != std::string::npos)
+        fatal("saveProfile: ", record, " name '", name,
+              "' contains whitespace or '#' and would not round-trip");
+    return name;
+}
+
 } // namespace
 
 void
@@ -254,15 +246,8 @@ saveProfile(std::ostream &os, const CalibrationProfile &profile)
     // so a reloaded profile prices bit-identically.
     os << std::setprecision(17);
 
-    if (!profile.machine.empty()) {
-        // The record is whitespace-tokenized on load; a name with
-        // spaces would silently truncate there, so refuse it here.
-        if (profile.machine.find_first_of(" \t\n\r") !=
-            std::string::npos)
-            fatal("saveProfile: machine name '", profile.machine,
-                  "' contains whitespace and would not round-trip");
-        os << "machine " << profile.machine << '\n';
-    }
+    if (!profile.machine.empty())
+        os << "machine " << savedName("machine", profile.machine) << '\n';
 
     const CongestionTable &table = profile.congestion;
 
@@ -274,8 +259,8 @@ saveProfile(std::ostream &os, const CalibrationProfile &profile)
     }
 
     for (const auto &[name, solo] : profile.referenceSolo) {
-        os << "solo " << name << ' ' << solo.privCpi << ' '
-           << solo.sharedCpi << '\n';
+        os << "solo " << savedName("solo", name) << ' ' << solo.privCpi
+           << ' ' << solo.sharedCpi << '\n';
     }
 
     for (Language lang : workload::allLanguages()) {
@@ -312,16 +297,15 @@ saveProfile(const std::string &path, const CalibrationProfile &profile)
 CalibrationProfile
 loadProfile(std::istream &is)
 {
-    return load(is, "");
+    LineReader in(is, "<tables>");
+    return load(in);
 }
 
 CalibrationProfile
 loadProfile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        fatal("loadProfile: cannot open '", path, "'");
-    return load(in, path);
+    LineReader in(path);
+    return load(in);
 }
 
 } // namespace litmus::pricing

@@ -17,7 +17,10 @@
  * The v1 format (no machine/solo records) still loads; such legacy
  * artifacts carry an empty machine name, which requireMachine treats
  * as a wildcard. Doubles are written with 17 significant digits, so a
- * save/load round-trip is bit-exact.
+ * save/load round-trip is bit-exact. Loading follows the shared input
+ * rules of common/line_reader.h ('#' comments, blank lines skipped,
+ * strict numbers, "path:line: message" errors); the stream overload
+ * names its input "<tables>".
  */
 
 #ifndef LITMUS_CORE_TABLE_IO_H
@@ -31,7 +34,8 @@
 namespace litmus::pricing
 {
 
-/** Serialize a whole profile (v2) to a stream. */
+/** Serialize a whole profile (v2) to a stream; fatal() on a machine
+ *  or solo name with whitespace or '#', which would not reload. */
 void saveProfile(std::ostream &os, const CalibrationProfile &profile);
 
 /** Serialize to a file; fatal() when unwritable. */

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/line_reader.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "workload/suite.h"
@@ -23,31 +26,14 @@ constexpr Seconds kMinute = 60.0;
 /** Identity columns before the minute-count columns. */
 constexpr std::size_t kIdentityColumns = 4;
 
-/** Strict nonnegative-integer parse (digits only; no sign, no
- *  whitespace, no exponent) — the only thing a count cell may hold. */
-bool
-parseCount(const std::string &field, std::uint64_t &out)
-{
-    if (field.empty() || field.size() > 15)
-        return false;
-    std::uint64_t v = 0;
-    for (const char c : field) {
-        if (c < '0' || c > '9')
-            return false;
-        v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    out = v;
-    return true;
-}
-
 /** FNV-1a over the row identity: stable across runs and platforms,
  *  the hash that spreads unmapped functions over the pool. */
 std::uint64_t
-fnv1a(const std::string &owner, const std::string &app,
-      const std::string &function)
+fnv1a(std::string_view owner, std::string_view app,
+      std::string_view function)
 {
     std::uint64_t h = 1469598103934665603ull;
-    const auto mix = [&h](const std::string &s) {
+    const auto mix = [&h](std::string_view s) {
         for (const char c : s) {
             h ^= static_cast<unsigned char>(c);
             h *= 1099511628211ull;
@@ -59,30 +45,6 @@ fnv1a(const std::string &owner, const std::string &app,
     mix(app);
     mix(function);
     return h;
-}
-
-/** Split one CSV line into trimmed fields. */
-std::vector<std::string>
-splitCsv(const std::string &line)
-{
-    std::vector<std::string> fields;
-    std::size_t start = 0;
-    while (true) {
-        const std::size_t comma = line.find(',', start);
-        std::string field =
-            comma == std::string::npos
-                ? line.substr(start)
-                : line.substr(start, comma - start);
-        const auto first = field.find_first_not_of(" \t\r");
-        field = first == std::string::npos
-                    ? ""
-                    : field.substr(first, field.find_last_not_of(
-                                              " \t\r") - first + 1);
-        fields.push_back(std::move(field));
-        if (comma == std::string::npos)
-            return fields;
-        start = comma + 1;
-    }
 }
 
 /** One ingested function row's arrival identity. */
@@ -132,34 +94,21 @@ struct AzureIndex
 AzureIndex
 parseAzureCsv(const std::string &path, std::uint64_t maxRows)
 {
-    std::ifstream file(path);
-    if (!file)
-        fatal("cannot read azure trace '", path, "'");
-
+    LineReader in(path);
     AzureIndex index;
-    std::string line;
-    unsigned lineNo = 0;
+    std::vector<std::string_view> fields;
     bool headerAllowed = true;
     bool capped = false;
-    while (std::getline(file, line)) {
-        ++lineNo;
-        const auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-
-        const std::vector<std::string> fields = splitCsv(line);
+    while (in.next()) {
+        splitFields(in.line(), ',', fields);
         if (fields.size() < kIdentityColumns + 1)
-            fatal("azure trace '", path, "' line ", lineNo,
-                  ": expected at least ", kIdentityColumns + 1,
-                  " columns (owner, app, function, trigger, counts), "
-                  "got ", fields.size());
+            in.fail("expected at least ", kIdentityColumns + 1,
+                    " columns (owner, app, function, trigger, counts), "
+                    "got ", fields.size());
 
-        std::uint64_t count = 0;
         if (headerAllowed &&
             (fields[0] == "HashOwner" ||
-             !parseCount(fields[kIdentityColumns], count))) {
+             !parseNumber<std::uint64_t>(fields[kIdentityColumns]))) {
             // The dataset's header: identity column names, then the
             // minute numbers — which are digits, so spotting the
             // header needs the identity columns, not the count probe.
@@ -174,9 +123,8 @@ parseAzureCsv(const std::string &path, std::uint64_t maxRows)
             index.minuteColumns = static_cast<std::uint32_t>(
                 fields.size() - kIdentityColumns);
         if (fields.size() - kIdentityColumns != index.minuteColumns)
-            fatal("azure trace '", path, "' line ", lineNo, ": row has ",
-                  fields.size() - kIdentityColumns,
-                  " count columns, expected ", index.minuteColumns);
+            in.fail("row has ", fields.size() - kIdentityColumns,
+                    " count columns, expected ", index.minuteColumns);
 
         if (maxRows > 0 && index.rows.size() >= maxRows) {
             capped = true;
@@ -194,22 +142,23 @@ parseAzureCsv(const std::string &path, std::uint64_t maxRows)
         index.rows.push_back(row);
 
         for (std::uint32_t m = 0; m < index.minuteColumns; ++m) {
-            const std::string &cell = fields[kIdentityColumns + m];
-            if (!parseCount(cell, count))
-                fatal("azure trace '", path, "' line ", lineNo,
-                      ": bad invocation count '", cell, "' in minute ",
-                      m + 1);
-            if (count == 0)
+            const std::string_view cell = fields[kIdentityColumns + m];
+            const std::optional<std::uint64_t> count =
+                parseNumber<std::uint64_t>(cell);
+            if (!count)
+                in.fail("bad invocation count '", cell, "' in minute ",
+                        m + 1);
+            if (*count == 0)
                 continue;
-            index.buckets.push_back({m, rowIdx, count});
-            index.total += count;
+            index.buckets.push_back({m, rowIdx, *count});
+            index.total += *count;
             index.lastMinute = std::max(index.lastMinute, m);
         }
     }
     if (index.rows.empty())
-        fatal("azure trace '", path, "' contains no function rows");
+        SourceLine{path, 0}.fail("contains no function rows");
     if (index.total == 0)
-        fatal("azure trace '", path, "' contains no invocations");
+        SourceLine{path, 0}.fail("contains no invocations");
     if (capped)
         warn("azure trace '", path, "': ingest capped at ",
              index.rows.size(), " rows (azure.max_rows=", maxRows,

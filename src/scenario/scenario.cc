@@ -1,11 +1,9 @@
 #include "scenario/scenario.h"
 
-#include <algorithm>
-#include <limits>
+#include <utility>
 
 #include "common/config_reader.h"
 #include "common/logging.h"
-#include "common/strings.h"
 #include "workload/suite.h"
 
 namespace litmus::scenario
@@ -14,39 +12,9 @@ namespace litmus::scenario
 namespace
 {
 
-long
-parseLong(const std::string &key, const std::string &value)
-{
-    const auto parsed = parseLongStrict(value);
-    if (!parsed)
-        fatal("scenario key '", key, "' expects an integer, got '",
-              value, "'");
-    return *parsed;
-}
-
-long
-parseLongAtLeast(const std::string &key, const std::string &value,
-                 long floor)
-{
-    const long parsed = parseLong(key, value);
-    if (parsed < floor)
-        fatal("scenario key '", key, "' must be >= ", floor, ", got ",
-              parsed);
-    return parsed;
-}
-
-double
-parseDouble(const std::string &key, const std::string &value)
-{
-    const auto parsed = parseDoubleStrict(value);
-    if (!parsed)
-        fatal("scenario key '", key, "' expects a finite number, "
-              "got '", value, "'");
-    return *parsed;
-}
-
 bool
-parseBool(const std::string &key, const std::string &value)
+parseBool(const std::string &key, const std::string &value,
+          const SourceLine &at)
 {
     if (value == "true" || value == "yes" || value == "on" ||
         value == "1")
@@ -54,8 +22,8 @@ parseBool(const std::string &key, const std::string &value)
     if (value == "false" || value == "no" || value == "off" ||
         value == "0")
         return false;
-    fatal("scenario key '", key, "' expects a boolean "
-          "(true/false/yes/no/on/off/1/0), got '", value, "'");
+    at.fail("scenario key '", key, "' expects a boolean "
+            "(true/false/yes/no/on/off/1/0), got '", value, "'");
 }
 
 /** The known-keys list as one comma-joined string (diagnostics). */
@@ -68,10 +36,10 @@ knownKeyListing()
     return known;
 }
 
-} // namespace
-
+/** Parse a "type:count,type:count" fleet listing (count defaults to
+ *  1); fail at @p at on malformed counts or an empty listing. */
 std::vector<cluster::MachineGroup>
-parseFleetSpec(const std::string &spec)
+parseFleetSpec(const std::string &spec, const SourceLine &at)
 {
     std::vector<cluster::MachineGroup> fleet;
     for (const std::string &piece : splitNonEmpty(spec, ',')) {
@@ -80,30 +48,88 @@ parseFleetSpec(const std::string &spec)
         group.machine = piece.substr(0, colon);
         if (colon != std::string::npos) {
             const std::string count = piece.substr(colon + 1);
-            const auto parsed = parseLongStrict(count);
-            if (!parsed || *parsed < 1)
-                fatal("fleet spec: bad machine count '", count,
-                      "' in '", piece, "' (want <type>:<count>)");
-            if (*parsed > std::numeric_limits<unsigned>::max())
-                fatal("fleet spec: machine count '", count, "' in '",
-                      piece, "' must be <= ",
-                      std::numeric_limits<unsigned>::max());
-            group.count = static_cast<unsigned>(*parsed);
+            group.count = at.number<unsigned>(
+                count,
+                "fleet spec: machine count '" + count + "' in '" + piece +
+                    "'",
+                1u);
         }
         fleet.push_back(group);
     }
     if (fleet.empty())
-        fatal("fleet spec: empty fleet listing");
+        at.fail("fleet spec: empty fleet listing");
     return fleet;
 }
 
-ScenarioSpec &
-ScenarioSpec::set(const std::string &key, const std::string &value)
+/** Resolve a `functions` listing; fail at @p at on unknown names or
+ *  an empty pool. */
+std::vector<const workload::FunctionSpec *>
+resolvePool(const std::string &functions, const SourceLine &at)
 {
+    if (functions.empty() || functions == "all")
+        return workload::allFunctions();
+    if (functions == "test")
+        return workload::testSet();
+    if (functions == "reference")
+        return workload::referenceSet();
+    if (functions == "memory")
+        return workload::memoryIntensiveSet();
+    std::vector<const workload::FunctionSpec *> pool;
+    for (const std::string &name : splitNonEmpty(functions, ',')) {
+        const workload::FunctionSpec *spec = workload::findFunction(name);
+        if (!spec)
+            at.fail("scenario key 'functions': unknown function '", name,
+                    "'");
+        pool.push_back(spec);
+    }
+    if (pool.empty())
+        at.fail("scenario: 'functions' names no functions — use a set "
+                "(all/test/reference/memory) or a comma list of suite "
+                "names");
+    return pool;
+}
+
+} // namespace
+
+ScenarioSpec &
+ScenarioSpec::set(const std::string &key, const std::string &value,
+                  const SourceLine &at)
+{
+    const std::string what = "scenario key '" + key + "'";
+    // The keys that set one double field to their value.
+    const std::pair<const char *, double *> reals[] = {
+        {"rate", &traffic.arrivalsPerSecond},
+        {"duration", &traffic.duration},
+        {"diurnal.period", &traffic.diurnalPeriod},
+        {"diurnal.amplitude", &traffic.diurnalAmplitude},
+        {"diurnal.phase", &traffic.diurnalPhase},
+        {"burst.on", &traffic.burstOn},
+        {"burst.off", &traffic.burstOff},
+        {"burst.idle_fraction", &traffic.burstIdleFraction},
+        {"trace.rate_scale", &traffic.traceRateScale},
+        {"azure.rate_scale", &traffic.azureRateScale},
+        {"keepalive", &keepAlive},
+        {"drain_cap", &drainCap},
+        {"sharing_factor", &sharingFactor},
+        {"fault.crash.mtbf", &fault.crashMtbf},
+        {"fault.crash.restart", &fault.restartDelay},
+        {"fault.slow.mtbf", &fault.slowMtbf},
+        {"fault.slow.duration", &fault.slowDuration},
+        {"fault.slow.factor", &fault.slowFactor},
+        {"fault.blind.mtbf", &fault.blindMtbf},
+        {"fault.blind.duration", &fault.blindDuration},
+        {"fault.retry.backoff", &fault.retryBackoff},
+    };
+    for (const auto &[name, field] : reals) {
+        if (key == name) {
+            *field = at.number<double>(value, what);
+            return *this;
+        }
+    }
     if (key == "fleet") {
-        fleet = parseFleetSpec(value);
+        fleet = parseFleetSpec(value, at);
     } else if (key == "policy") {
-        policy = cluster::policyByName(value);
+        policy = cluster::policyByName(value, at);
     } else if (key == "traffic") {
         traffic.model = value;
         // The 10000-arrival default is a stop condition for the
@@ -112,98 +138,51 @@ ScenarioSpec::set(const std::string &key, const std::string &value)
         if ((value == "trace" || value == "azure") &&
             !invocationsExplicit)
             traffic.invocations = 0;
-    } else if (key == "rate") {
-        traffic.arrivalsPerSecond = parseDouble(key, value);
     } else if (key == "invocations") {
-        traffic.invocations = static_cast<std::uint64_t>(
-            parseLongAtLeast(key, value, 0));
+        traffic.invocations = at.number<std::uint64_t>(value, what);
         invocationsExplicit = true;
-    } else if (key == "duration") {
-        traffic.duration = parseDouble(key, value);
-    } else if (key == "diurnal.period") {
-        traffic.diurnalPeriod = parseDouble(key, value);
-    } else if (key == "diurnal.amplitude") {
-        traffic.diurnalAmplitude = parseDouble(key, value);
-    } else if (key == "diurnal.phase") {
-        traffic.diurnalPhase = parseDouble(key, value);
-    } else if (key == "burst.on") {
-        traffic.burstOn = parseDouble(key, value);
-    } else if (key == "burst.off") {
-        traffic.burstOff = parseDouble(key, value);
-    } else if (key == "burst.idle_fraction") {
-        traffic.burstIdleFraction = parseDouble(key, value);
     } else if (key == "trace.path") {
         traffic.tracePath = value;
-    } else if (key == "trace.rate_scale") {
-        traffic.traceRateScale = parseDouble(key, value);
     } else if (key == "azure.path") {
         traffic.azurePath = value;
     } else if (key == "azure.max_rows") {
-        traffic.azureMaxRows = static_cast<std::uint64_t>(
-            parseLongAtLeast(key, value, 0));
-    } else if (key == "azure.rate_scale") {
-        traffic.azureRateScale = parseDouble(key, value);
+        traffic.azureMaxRows = at.number<std::uint64_t>(value, what);
     } else if (key == "functions") {
+        (void)resolvePool(value, at);
         functions = value;
     } else if (key == "seed") {
-        seed = static_cast<std::uint64_t>(
-            parseLongAtLeast(key, value, 0));
+        seed = at.number<std::uint64_t>(value, what);
     } else if (key == "epoch_us") {
-        epoch = parseDouble(key, value) * 1e-6;
-    } else if (key == "keepalive") {
-        keepAlive = parseDouble(key, value);
+        epoch = at.number<double>(value, what) * 1e-6;
     } else if (key == "threads") {
-        threads = parseUnsignedAtLeast("scenario key 'threads'", value, 0);
-    } else if (key == "drain_cap") {
-        drainCap = parseDouble(key, value);
+        threads = at.number<unsigned>(value, what);
     } else if (key == "calibrate") {
-        calibrate = parseBool(key, value);
+        calibrate = parseBool(key, value, at);
     } else if (key == "calibration_levels") {
-        calibrationLevels = parseUnsignedAtLeast(
-            "scenario key 'calibration_levels'", value, 0);
+        calibrationLevels = at.number<unsigned>(value, what);
     } else if (key == "tables") {
         tables = splitNonEmpty(value, ',');
     } else if (key == "tables_out") {
         tablesOut = value;
     } else if (key == "probes") {
-        probes = parseBool(key, value);
-    } else if (key == "sharing_factor") {
-        sharingFactor = parseDouble(key, value);
+        probes = parseBool(key, value, at);
     } else if (key == "fault.seed") {
-        fault.seed = static_cast<std::uint64_t>(
-            parseLongAtLeast(key, value, 0));
-    } else if (key == "fault.crash.mtbf") {
-        fault.crashMtbf = parseDouble(key, value);
-    } else if (key == "fault.crash.restart") {
-        fault.restartDelay = parseDouble(key, value);
+        fault.seed = at.number<std::uint64_t>(value, what);
     } else if (key == "fault.crash.at") {
-        fault.crashAt = cluster::parseScriptedFaults(key, value);
-    } else if (key == "fault.slow.mtbf") {
-        fault.slowMtbf = parseDouble(key, value);
-    } else if (key == "fault.slow.duration") {
-        fault.slowDuration = parseDouble(key, value);
-    } else if (key == "fault.slow.factor") {
-        fault.slowFactor = parseDouble(key, value);
+        fault.crashAt = cluster::parseScriptedFaults(key, value, at);
     } else if (key == "fault.slow.at") {
-        fault.slowAt = cluster::parseScriptedFaults(key, value);
-    } else if (key == "fault.blind.mtbf") {
-        fault.blindMtbf = parseDouble(key, value);
-    } else if (key == "fault.blind.duration") {
-        fault.blindDuration = parseDouble(key, value);
+        fault.slowAt = cluster::parseScriptedFaults(key, value, at);
     } else if (key == "fault.blind.at") {
-        fault.blindAt = cluster::parseScriptedFaults(key, value);
+        fault.blindAt = cluster::parseScriptedFaults(key, value, at);
     } else if (key == "fault.retry") {
-        fault.retry = cluster::retryPolicyByName(value);
+        fault.retry = cluster::retryPolicyByName(value, at);
     } else if (key == "fault.retry.max") {
-        fault.retryMax = parseUnsignedAtLeast(
-            "scenario key 'fault.retry.max'", value, 1);
-    } else if (key == "fault.retry.backoff") {
-        fault.retryBackoff = parseDouble(key, value);
+        fault.retryMax = at.number<unsigned>(value, what, 1u);
     } else if (key == "fault.billing") {
-        fault.billing = cluster::faultBillingByName(value);
+        fault.billing = cluster::faultBillingByName(value, at);
     } else {
-        fatal("unknown scenario key '", key, "' (known: ",
-              knownKeyListing(), ")");
+        at.fail("unknown scenario key '", key, "' (known: ",
+                knownKeyListing(), ")");
     }
     return *this;
 }
@@ -234,18 +213,8 @@ ScenarioSpec
 ScenarioSpec::fromConfig(const ConfigReader &config)
 {
     ScenarioSpec spec;
-    const std::vector<std::string> known = knownKeys();
-    for (const std::string &key : config.keys()) {
-        // Typos surface with the offending line, not just the key:
-        // "examples/x.scenario:12: unknown scenario key ...".
-        if (!std::binary_search(known.begin(), known.end(), key)) {
-            const std::string where = config.where(key);
-            fatal(where.empty() ? "scenario" : where,
-                  ": unknown scenario key '", key, "' (known: ",
-                  knownKeyListing(), ")");
-        }
-        spec.set(key, config.get(key));
-    }
+    for (const ConfigReader::Entry &entry : config.entries())
+        spec.set(entry.key, entry.value, {config.source(), entry.line});
     return spec;
 }
 
@@ -277,23 +246,7 @@ ScenarioSpec::fromString(const std::string &text)
 std::vector<const workload::FunctionSpec *>
 ScenarioSpec::functionPool() const
 {
-    if (functions.empty() || functions == "all")
-        return workload::allFunctions();
-    if (functions == "test")
-        return workload::testSet();
-    if (functions == "reference")
-        return workload::referenceSet();
-    if (functions == "memory")
-        return workload::memoryIntensiveSet();
-    std::vector<const workload::FunctionSpec *> pool;
-    // An unknown name fatal()s with the suite listing.
-    for (const std::string &name : splitNonEmpty(functions, ','))
-        pool.push_back(&workload::functionByName(name));
-    if (pool.empty())
-        fatal("scenario: 'functions' names no functions — use a set "
-              "(all/test/reference/memory) or a comma list of suite "
-              "names");
-    return pool;
+    return resolvePool(functions, {});
 }
 
 void

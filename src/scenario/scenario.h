@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/line_reader.h"
 #include "scenario/traffic_model.h"
 
 namespace litmus
@@ -42,11 +43,6 @@ class ConfigReader;
 
 namespace litmus::scenario
 {
-
-/** Parse a "type:count,type:count" fleet listing (count defaults to
- *  1); fatal() on malformed counts or an empty spec. */
-std::vector<cluster::MachineGroup>
-parseFleetSpec(const std::string &spec);
 
 /**
  * The declarative scenario. Defaults mirror the litmus_fleet CLI so
@@ -115,15 +111,16 @@ struct ScenarioSpec
     /**
      * Apply one key=value pair — the programmatic builder and the
      * file parser share this. fatal() on unknown keys or malformed
-     * values. Returns *this for chaining:
+     * values, naming @p at (the key's file:line). Returns *this for
+     * chaining:
      *
      *     ScenarioSpec().set("traffic", "burst").set("rate", "5000")
      */
-    ScenarioSpec &set(const std::string &key, const std::string &value);
+    ScenarioSpec &set(const std::string &key, const std::string &value,
+                      const SourceLine &at = {});
 
-    /** Apply every key of a parsed config, in file order. Unknown
-     *  keys fatal() with the config's file:line locator, so a typo
-     *  in a scenario file points at the offending line. */
+    /** Apply every key of a parsed config, in file order; a bad key
+     *  or value fails at its file:line. */
     static ScenarioSpec fromConfig(const ConfigReader &config);
 
     /** Load from a scenario file. A relative trace.path or

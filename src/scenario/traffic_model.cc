@@ -1,8 +1,8 @@
 #include "scenario/traffic_model.h"
 
+#include <cctype>
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
+#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -305,8 +305,7 @@ class TraceTraffic final : public TrafficModel
             lastKept_ = at;
         }
         if (kept_ == 0)
-            fatal("traffic trace '", spec_.tracePath,
-                  "' contains no arrivals");
+            SourceLine{spec_.tracePath, 0}.fail("contains no arrivals");
         if (capped) {
             // A cap that bites is worth a notice: a silently
             // truncated replay reads as "covered the trace". The
@@ -406,97 +405,55 @@ makeTrafficModel(const TrafficSpec &spec)
           "' (known: azure, burst, diurnal, poisson, trace)");
 }
 
-struct TraceCsvReader::Impl
+namespace
 {
-    std::string path;
-    std::ifstream file;
-    unsigned lineNo = 0;
-    Seconds prev = 0;
-    // One leading non-numeric row (after any comments) is tolerated
-    // as the column header.
-    bool headerAllowed = true;
-};
 
-TraceCsvReader::TraceCsvReader(std::string path)
-    : impl_(std::make_unique<Impl>())
+/** A first-row timestamp field that cannot start a number: only such
+ *  a row is taken as the column header ("+1.0", "nan" and "0.5s" are
+ *  data rows, parsed or refused). */
+bool
+headerStamp(std::string_view stamp)
 {
-    impl_->path = std::move(path);
-    impl_->file.open(impl_->path);
-    if (!impl_->file)
-        fatal("cannot read arrival trace '", impl_->path, "'");
+    if (stamp.empty() || !std::isalpha(static_cast<unsigned char>(stamp[0])))
+        return false;
+    std::string head(stamp.substr(0, 3));
+    for (char &c : head)
+        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    return head != "inf" && head != "nan";
 }
 
-TraceCsvReader::~TraceCsvReader() = default;
+} // namespace
 
 bool
 TraceCsvReader::next(TraceRow &row)
 {
-    Impl &st = *impl_;
-    std::string line;
-    while (std::getline(st.file, line)) {
-        ++st.lineNo;
-        // Strip comments and surrounding whitespace.
-        const auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        const auto first = line.find_first_not_of(" \t\r");
-        if (first == std::string::npos)
-            continue;
-        const auto last = line.find_last_not_of(" \t\r");
-        line = line.substr(first, last - first + 1);
-
-        std::string stamp = line;
-        std::string function;
-        const auto comma = line.find(',');
-        if (comma != std::string::npos) {
-            stamp = line.substr(0, comma);
-            const auto stampEnd = stamp.find_last_not_of(" \t");
-            stamp = stampEnd == std::string::npos
-                        ? ""
-                        : stamp.substr(0, stampEnd + 1);
-            function = line.substr(comma + 1);
-            const auto fnFirst = function.find_first_not_of(" \t");
-            function = fnFirst == std::string::npos
-                           ? ""
-                           : function.substr(
-                                 fnFirst, function.find_last_not_of(
-                                              " \t") - fnFirst + 1);
-        }
-
-        char *end = nullptr;
-        // LITMUS-LINT-ALLOW(raw-parse): header detection needs strtod's partial-consumption position (consumed-nothing = header row), which parseDoubleStrict hides; the full-consumption + isfinite checks below are exactly the strict contract
-        const double at = std::strtod(stamp.c_str(), &end);
-        // strtod happily parses "nan"/"inf", and NaN slips past
-        // every ordering comparison below — reject non-finite
-        // timestamps as malformed.
-        if (!end || *end != '\0' || stamp.empty() ||
-            !std::isfinite(at)) {
-            // The header row is one where the timestamp field is not
-            // numeric at all; anything strtod makes partial sense of
-            // ("nan", "0.5s") is a malformed data row, even first.
-            if (st.headerAllowed && !stamp.empty() &&
-                end == stamp.c_str()) {
-                st.headerAllowed = false;
+    while (in_.next()) {
+        const bool headerAllowed = std::exchange(headerAllowed_, false);
+        splitFields(in_.line(), ',', fields_);
+        const std::string_view stamp = fields_[0];
+        const std::optional<double> at = parseNumber<double>(stamp);
+        if (!at) {
+            if (headerAllowed && headerStamp(stamp))
                 continue;
-            }
-            fatal("trace '", st.path, "' line ", st.lineNo,
-                  ": bad arrival timestamp '", stamp, "'");
+            in_.fail("bad arrival timestamp '", stamp, "'");
         }
-        st.headerAllowed = false;
-        if (at < 0)
-            fatal("trace '", st.path, "' line ", st.lineNo,
-                  ": negative arrival time ", at);
-        if (at < st.prev)
-            fatal("trace '", st.path, "' line ", st.lineNo,
-                  ": arrivals out of order (", at, " after ", st.prev,
-                  ")");
-        st.prev = at;
+        if (fields_.size() > 2)
+            in_.fail("expected <seconds>[,<function>], got ",
+                     fields_.size(), " fields");
+        if (*at < 0)
+            in_.fail("negative arrival time ", *at);
+        if (*at < prev_)
+            in_.fail("arrivals out of order (", *at, " after ", prev_,
+                     ")");
+        prev_ = *at;
 
-        row.arrival = at;
-        // An unknown function name fatal()s with the suite listing.
-        row.spec = function.empty()
-                       ? nullptr
-                       : &workload::functionByName(function);
+        row.arrival = *at;
+        row.spec = nullptr;
+        if (fields_.size() == 2 && !fields_[1].empty()) {
+            row.spec = workload::findFunction(fields_[1]);
+            if (!row.spec)
+                in_.fail("unknown function '", fields_[1], "'");
+        }
         return true;
     }
     return false;

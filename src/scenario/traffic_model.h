@@ -37,9 +37,11 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "cluster/traffic_source.h"
-#include "common/rng.h"
+#include "common/line_reader.h"
 
 namespace litmus::scenario
 {
@@ -146,23 +148,23 @@ struct TraceRow
  * and each opened stream run one of these), also exposed for tests
  * and tools. fatal()s with file:line on unreadable files, malformed
  * or non-finite timestamps, unknown function names, and out-of-order
- * rows; '#' comments and one leading non-numeric header row are
- * tolerated.
+ * rows. Lines follow the shared rules of common/line_reader.h; the
+ * first row may be a header if its timestamp field starts with a
+ * letter and not with "inf" or "nan".
  */
 class TraceCsvReader
 {
   public:
-    explicit TraceCsvReader(std::string path);
-    TraceCsvReader(const TraceCsvReader &) = delete;
-    TraceCsvReader &operator=(const TraceCsvReader &) = delete;
-    ~TraceCsvReader();
+    explicit TraceCsvReader(const std::string &path) : in_(path) {}
 
     /** Parse the next data row into @p row; false at end of file. */
     bool next(TraceRow &row);
 
   private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
+    LineReader in_;
+    std::vector<std::string_view> fields_;
+    Seconds prev_ = 0;
+    bool headerAllowed_ = true;
 };
 
 } // namespace litmus::scenario

@@ -1,10 +1,11 @@
 #include "sim/machine_config.h"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/config_reader.h"
 #include "common/logging.h"
-#include "common/strings.h"
 
 namespace litmus::sim
 {
@@ -12,21 +13,12 @@ namespace litmus::sim
 namespace
 {
 
-/** Diagnostic name of @p key, led by its "file:line" when known. */
-std::string
-keyLabel(const ConfigReader &config, const std::string &key)
-{
-    const std::string where = config.where(key);
-    return (where.empty() ? "" : where + ": ") + "machine key '" + key +
-           "'";
-}
-
 /** An unsigned key, range-checked so a cast cannot wrap. */
 unsigned
 unsignedKey(const ConfigReader &config, const std::string &key)
 {
-    return parseUnsignedAtLeast(keyLabel(config, key), config.get(key),
-                                0);
+    return config.at(key).number<unsigned>(config.get(key),
+                                           "machine key '" + key + "'");
 }
 
 /** A size in @p unit-byte units: fatal() when negative or at or past
@@ -36,10 +28,43 @@ bytesKey(const ConfigReader &config, const std::string &key, double unit)
 {
     const double bytes = config.getDouble(key, 0) * unit;
     if (bytes < 0 || bytes >= 18446744073709551616.0)
-        fatal(keyLabel(config, key), " must be a size in [0, 2^64) "
-              "bytes, got '", config.get(key), "'");
+        config.at(key).fail("machine key '", key,
+                            "' must be a size in [0, 2^64) bytes, got '",
+                            config.get(key), "'");
     return static_cast<Bytes>(bytes);
 }
+
+/** A key that sets one double field to its value times @c scale. */
+struct RealKey
+{
+    const char *key;
+    double MachineConfig::*field;
+    double scale;
+};
+
+constexpr RealKey kRealKeys[] = {
+    {"base_ghz", &MachineConfig::baseFrequency, 1e9},
+    {"turbo_ghz", &MachineConfig::turboFrequency, 1e9},
+    {"l3_hit_latency_ns", &MachineConfig::l3HitLatencyNs, 1},
+    {"mem_latency_ns", &MachineConfig::memLatencyNs, 1},
+    {"l3_service_rate", &MachineConfig::l3ServiceRate, 1},
+    {"mem_service_rate", &MachineConfig::memServiceRate, 1},
+    {"l3_queue_max", &MachineConfig::l3QueueMax, 1},
+    {"mem_queue_max", &MachineConfig::memQueueMax, 1},
+    {"queue_gamma", &MachineConfig::queueGamma, 1},
+    {"capacity_miss_exponent", &MachineConfig::capacityMissExponent, 1},
+    {"residency_factor", &MachineConfig::residencyFactor, 1},
+    {"coupling_l3", &MachineConfig::privateCouplingL3, 1},
+    {"coupling_mem", &MachineConfig::privateCouplingMem, 1},
+    {"coupling_saturation_mpki", &MachineConfig::couplingSaturationMpki, 1},
+    {"coupling_max", &MachineConfig::privateCouplingMax, 1},
+    {"smt_cpi_multiplier", &MachineConfig::smtCpiMultiplier, 1},
+    {"time_slice_ms", &MachineConfig::timeSlice, 1e-3},
+    {"context_switch_cycles", &MachineConfig::contextSwitchCycles, 1},
+    {"warmth_max_penalty", &MachineConfig::warmthMaxPenalty, 1},
+    {"warmth_rate", &MachineConfig::warmthRate, 1},
+    {"quantum_us", &MachineConfig::quantum, 1e-6},
+};
 
 } // namespace
 
@@ -103,62 +128,26 @@ void
 applyMachineOverrides(MachineConfig &machine,
                       const ConfigReader &config)
 {
-    for (const std::string &key : config.keys()) {
-        if (key == "name") {
+    for (const ConfigReader::Entry &entry : config.entries()) {
+        const std::string &key = entry.key;
+        const auto real =
+            std::find_if(std::begin(kRealKeys), std::end(kRealKeys),
+                         [&key](const RealKey &r) { return key == r.key; });
+        if (real != std::end(kRealKeys)) {
+            machine.*real->field = config.getDouble(key, 0) * real->scale;
+        } else if (key == "name") {
             machine.name = config.get(key);
         } else if (key == "cores") {
             machine.cores = unsignedKey(config, key);
         } else if (key == "smt_ways") {
             machine.smtWays = unsignedKey(config, key);
-        } else if (key == "base_ghz") {
-            machine.baseFrequency = config.getDouble(key, 0) * 1e9;
-        } else if (key == "turbo_ghz") {
-            machine.turboFrequency = config.getDouble(key, 0) * 1e9;
         } else if (key == "l3_capacity_mib") {
             machine.l3Capacity = bytesKey(config, key, 1024.0 * 1024.0);
-        } else if (key == "l3_hit_latency_ns") {
-            machine.l3HitLatencyNs = config.getDouble(key, 0);
-        } else if (key == "mem_latency_ns") {
-            machine.memLatencyNs = config.getDouble(key, 0);
-        } else if (key == "l3_service_rate") {
-            machine.l3ServiceRate = config.getDouble(key, 0);
-        } else if (key == "mem_service_rate") {
-            machine.memServiceRate = config.getDouble(key, 0);
-        } else if (key == "l3_queue_max") {
-            machine.l3QueueMax = config.getDouble(key, 0);
-        } else if (key == "mem_queue_max") {
-            machine.memQueueMax = config.getDouble(key, 0);
-        } else if (key == "queue_gamma") {
-            machine.queueGamma = config.getDouble(key, 0);
-        } else if (key == "capacity_miss_exponent") {
-            machine.capacityMissExponent = config.getDouble(key, 0);
-        } else if (key == "residency_factor") {
-            machine.residencyFactor = config.getDouble(key, 0);
-        } else if (key == "coupling_l3") {
-            machine.privateCouplingL3 = config.getDouble(key, 0);
-        } else if (key == "coupling_mem") {
-            machine.privateCouplingMem = config.getDouble(key, 0);
-        } else if (key == "coupling_saturation_mpki") {
-            machine.couplingSaturationMpki = config.getDouble(key, 0);
-        } else if (key == "coupling_max") {
-            machine.privateCouplingMax = config.getDouble(key, 0);
-        } else if (key == "smt_cpi_multiplier") {
-            machine.smtCpiMultiplier = config.getDouble(key, 0);
-        } else if (key == "time_slice_ms") {
-            machine.timeSlice = config.getDouble(key, 0) * 1e-3;
-        } else if (key == "context_switch_cycles") {
-            machine.contextSwitchCycles = config.getDouble(key, 0);
-        } else if (key == "warmth_max_penalty") {
-            machine.warmthMaxPenalty = config.getDouble(key, 0);
-        } else if (key == "warmth_rate") {
-            machine.warmthRate = config.getDouble(key, 0);
         } else if (key == "memory_capacity_gib") {
             machine.memoryCapacity =
                 bytesKey(config, key, 1024.0 * 1024.0 * 1024.0);
-        } else if (key == "quantum_us") {
-            machine.quantum = config.getDouble(key, 0) * 1e-6;
         } else if (key != "base") {
-            fatal(keyLabel(config, key), ": unknown key");
+            config.at(key).fail("machine key '", key, "': unknown key");
         }
     }
     machine.validate(config.source());

@@ -251,11 +251,11 @@ memoryIntensiveSet()
 }
 
 const FunctionSpec *
-findFunction(const std::string &name)
+findFunction(std::string_view name)
 {
     static const auto index = [] {
         // LITMUS-LINT-ALLOW(unordered-decl): name->spec lookup index only; suite order everywhere comes from table1Suite()'s vector
-        std::unordered_map<std::string, const FunctionSpec *> map;
+        std::unordered_map<std::string_view, const FunctionSpec *> map;
         for (const FunctionSpec &spec : table1Suite())
             map.emplace(spec.name, &spec);
         return map;

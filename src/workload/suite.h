@@ -18,6 +18,7 @@
 #ifndef LITMUS_WORKLOAD_SUITE_H
 #define LITMUS_WORKLOAD_SUITE_H
 
+#include <string_view>
 #include <vector>
 
 #include "workload/function_model.h"
@@ -46,7 +47,7 @@ const FunctionSpec &functionByName(const std::string &name);
 /** Non-fatal lookup: nullptr when no suite member has this name
  *  (heuristic mappers — e.g. the azure trace ingester — probe names
  *  that usually aren't suite functions). */
-const FunctionSpec *findFunction(const std::string &name);
+const FunctionSpec *findFunction(std::string_view name);
 
 /** Pointers to every suite member (co-runner sampling pool). */
 std::vector<const FunctionSpec *> allFunctions();

@@ -1,13 +1,13 @@
-// Fixture: numeric text goes through the strict whole-string parsers.
+// Fixture: numeric text goes through the strict whole-field parser.
 #include <optional>
-#include <string>
+#include <string_view>
 
 namespace litmus
 {
-std::optional<double> parseDoubleStrict(const std::string &value);
+template <typename T> std::optional<T> parseNumber(std::string_view text);
 }
 
-double fixtureParse(const std::string &text)
+double fixtureParse(std::string_view text)
 {
-    return litmus::parseDoubleStrict(text).value_or(0.0);
+    return litmus::parseNumber<double>(text).value_or(0.0);
 }

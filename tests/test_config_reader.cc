@@ -25,16 +25,17 @@ TEST(ConfigReader, ParsesBasics)
         "\n"
         "c = 2.5\n");
     EXPECT_TRUE(cfg.contains("a"));
-    EXPECT_EQ(cfg.getInt("a", 0), 1);
+    EXPECT_EQ(cfg.get("a"), "1");
     EXPECT_EQ(cfg.get("b"), "hello");
     EXPECT_DOUBLE_EQ(cfg.getDouble("c", 0), 2.5);
-    EXPECT_EQ(cfg.keys().size(), 3u);
+    ASSERT_EQ(cfg.entries().size(), 3u);
+    EXPECT_EQ(cfg.entries()[2].key, "c");
+    EXPECT_EQ(cfg.entries()[2].line, 5);
 }
 
 TEST(ConfigReader, FallbacksWhenMissing)
 {
     const auto cfg = ConfigReader::fromString("x = 1\n");
-    EXPECT_EQ(cfg.getInt("nope", 7), 7);
     EXPECT_DOUBLE_EQ(cfg.getDouble("nope", 1.25), 1.25);
     EXPECT_EQ(cfg.getString("nope", "d"), "d");
 }
@@ -48,7 +49,8 @@ TEST(ConfigReader, MalformedLineFatal)
 TEST(ConfigReader, MalformedLineReportsLineNumber)
 {
     EXPECT_EXIT(ConfigReader::fromString("a = 1\n\n# note\nbroken\n"),
-                ::testing::ExitedWithCode(1), "line 4");
+                ::testing::ExitedWithCode(1),
+                "<config>:4: not key=value: 'broken'");
 }
 
 TEST(ConfigReader, EmptyKeyFatal)
@@ -74,8 +76,8 @@ TEST(ConfigReader, EmptyValueIsAllowed)
 TEST(ConfigReader, TrailingGarbageIntFatal)
 {
     const auto cfg = ConfigReader::fromString("x = 12abc\n");
-    EXPECT_EXIT((void)cfg.getInt("x", 0), ::testing::ExitedWithCode(1),
-                "integer");
+    EXPECT_EXIT((void)cfg.getDouble("x", 0), ::testing::ExitedWithCode(1),
+                "<config>:1: 'x' expects a finite number, got '12abc'");
 }
 
 TEST(ConfigReader, MalformedDoubleFatal)
@@ -95,15 +97,17 @@ TEST(ConfigReader, FromFileRoundTrip)
     }
     const auto cfg = ConfigReader::fromFile(path);
     std::remove(path.c_str());
-    EXPECT_EQ(cfg.getInt("cores", 0), 48);
+    EXPECT_DOUBLE_EQ(cfg.getDouble("cores", 0), 48);
     EXPECT_DOUBLE_EQ(cfg.getDouble("base_ghz", 0), 3.0);
+    EXPECT_EQ(cfg.source(), path);
+    EXPECT_EQ(cfg.at("base_ghz").line, 3);
 }
 
 TEST(ConfigReader, MalformedNumberFatal)
 {
     const auto cfg = ConfigReader::fromString("x = abc\n");
-    EXPECT_EXIT((void)cfg.getInt("x", 0), ::testing::ExitedWithCode(1),
-                "integer");
+    EXPECT_EXIT((void)cfg.getDouble("x", 0), ::testing::ExitedWithCode(1),
+                "<config>:1: 'x' expects a finite number, got 'abc'");
 }
 
 TEST(ConfigReader, MissingKeyFatal)
@@ -116,7 +120,8 @@ TEST(ConfigReader, MissingKeyFatal)
 TEST(ConfigReader, MissingFileFatal)
 {
     EXPECT_EXIT(ConfigReader::fromFile("/nonexistent/path.conf"),
-                ::testing::ExitedWithCode(1), "cannot open");
+                ::testing::ExitedWithCode(1),
+                "cannot read '/nonexistent/path\\.conf'");
 }
 
 TEST(ConfigReader, SetOverrides)
@@ -124,8 +129,31 @@ TEST(ConfigReader, SetOverrides)
     ConfigReader cfg;
     cfg.set("k", "1");
     cfg.set("k", "2");
-    EXPECT_EQ(cfg.getInt("k", 0), 2);
-    EXPECT_EQ(cfg.keys().size(), 1u);
+    EXPECT_EQ(cfg.get("k"), "2");
+    EXPECT_EQ(cfg.entries().size(), 1u);
+}
+
+TEST(ConfigReader, DuplicateKeyFatal)
+{
+    // A repeated key names both of its lines.
+    EXPECT_EXIT(ConfigReader::fromString("seed = 1\n"
+                                         "rate = 2\n"
+                                         "\n"
+                                         "# again\n"
+                                         "seed = 3\n",
+                                         "dup.scenario"),
+                ::testing::ExitedWithCode(1),
+                "dup\\.scenario:5: duplicate key 'seed' \\(first on line "
+                "1\\)");
+}
+
+TEST(ConfigReader, CrlfAndPaddingAreStripped)
+{
+    const auto cfg =
+        ConfigReader::fromString("  a\t=\t1 \r\n\r\n b = x=y # c\r\n");
+    EXPECT_EQ(cfg.get("a"), "1");
+    EXPECT_EQ(cfg.get("b"), "x=y");
+    EXPECT_EQ(cfg.at("b").line, 3);
 }
 
 TEST(MachineOverrides, AppliesRecognizedKeys)

@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
+#include "common/config_reader.h"
 #include "scenario/scenario_runner.h"
 #include "sim/machine_catalog.h"
 #include "workload/suite.h"
@@ -163,19 +164,23 @@ expectIdentical(const RunOutcome &a, const RunOutcome &b)
     }
 }
 
-/** fig22-style base: small warmth-aware fleet, test-set functions. */
+/** fig22-style base: small warmth-aware fleet, test-set functions.
+ *  A key in @p extra overrides the base value in place. */
 scenario::ScenarioSpec
 baseSpec(const std::string &extra = "")
 {
-    return scenario::ScenarioSpec::fromString(
+    ConfigReader config = ConfigReader::fromString(
         "fleet = cascade-5218:3\n"
         "policy = warmth-aware\n"
         "rate = 1500\n"
         "invocations = 400\n"
         "keepalive = 0.05\n"
         "functions = test\n"
-        "seed = 11\n" +
-        extra);
+        "seed = 11\n");
+    const ConfigReader overrides = ConfigReader::fromString(extra);
+    for (const ConfigReader::Entry &entry : overrides.entries())
+        config.set(entry.key, entry.value);
+    return scenario::ScenarioSpec::fromConfig(config);
 }
 
 // ---- traffic models --------------------------------------------------

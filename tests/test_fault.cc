@@ -640,19 +640,19 @@ TEST(FaultScenario, ConfigReaderWhereLocatesDefinitions)
         "# comment\n"
         "b = 2\n",
         "demo.conf");
-    EXPECT_EQ(config.lineOf("a"), 1);
-    EXPECT_EQ(config.lineOf("b"), 4);
-    EXPECT_EQ(config.where("a"), "demo.conf:1");
-    EXPECT_EQ(config.where("b"), "demo.conf:4");
+    EXPECT_EQ(config.at("a").source, "demo.conf");
+    EXPECT_EQ(config.at("a").line, 1);
+    EXPECT_EQ(config.at("b").line, 4);
     // Programmatic overrides have no line; the source still names
     // the origin.
     config.set("c", "3");
-    EXPECT_EQ(config.lineOf("c"), 0);
-    EXPECT_EQ(config.where("c"), "demo.conf");
-    // In-memory text with no source: nothing to point at.
+    EXPECT_EQ(config.at("c").line, 0);
+    EXPECT_EQ(config.at("c").source, "demo.conf");
+    // In-memory text carries a fixed label instead of a path.
     ConfigReader anonymous = ConfigReader::fromString("a = 1\n");
-    EXPECT_EQ(anonymous.where("missing"), "");
-    EXPECT_EQ(anonymous.where("a"), "<config>:1");
+    EXPECT_EQ(anonymous.at("missing").line, 0);
+    EXPECT_EQ(anonymous.at("a").source, "<config>");
+    EXPECT_EQ(anonymous.at("a").line, 1);
 }
 
 // ---------------------------------------------------------------------

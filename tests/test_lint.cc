@@ -74,6 +74,7 @@ TEST(LintFixtures, BadTreeFiresEveryRuleAtTheExpectedLocation)
     const std::vector<std::string> expected = {
         "src/common/bad_allow_bad.cc:2:bad-allow",
         "src/common/bad_allow_bad.cc:3:bad-allow",
+        "src/common/from_chars_bad.cc:8:raw-parse",
         "src/common/raw_parse_bad.cc:7:raw-parse",
         "src/common/raw_parse_bad.cc:7:raw-parse",
         "src/common/stale_allow_bad.cc:2:stale-allow",
@@ -99,7 +100,7 @@ TEST(LintFixtures, BadTreeFiresEveryRuleAtTheExpectedLocation)
         "src/workload/unseeded_rng_bad.cc:9:unseeded-rng",
     };
     EXPECT_EQ(triples(report.findings), expected);
-    EXPECT_EQ(report.filesScanned, 18);
+    EXPECT_EQ(report.filesScanned, 19);
     // The iteration fixture ALLOWs its declaration to isolate the
     // iteration rule.
     EXPECT_EQ(report.suppressions, 1);
@@ -109,7 +110,7 @@ TEST(LintFixtures, GoodTreeIsCleanAndEveryPragmaIsUsed)
 {
     const Report report = runLint(fixtureOptions("good"));
     EXPECT_TRUE(report.clean()) << litmus::lint::toJson(report);
-    EXPECT_EQ(report.filesScanned, 14);
+    EXPECT_EQ(report.filesScanned, 15);
     // The discipline fixtures are clean cross-file too: no unused
     // includes, no header without a caller, and the lock graph orders
     // alpha_mu_ before beta_mu_.
@@ -510,8 +511,8 @@ TEST(LintReport, JsonCarriesTotalsAndEscapes)
 {
     const Report report = runLint(fixtureOptions("bad"));
     const std::string json = litmus::lint::toJson(report);
-    EXPECT_NE(json.find("\"files_scanned\": 18"), std::string::npos);
-    EXPECT_NE(json.find("\"finding_count\": 25"), std::string::npos);
+    EXPECT_NE(json.find("\"files_scanned\": 19"), std::string::npos);
+    EXPECT_NE(json.find("\"finding_count\": 26"), std::string::npos);
     EXPECT_NE(json.find("\"suppressions\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"rule\": \"wall-clock\""),
               std::string::npos);

@@ -214,6 +214,20 @@ TEST(MachineCatalog, RegisterFromFileRejectsWrapsAndBadSizes)
     std::remove(path.c_str());
 }
 
+TEST(MachineCatalog, RegisterFromFileRefusesDuplicateKeys)
+{
+    const std::string path = "/tmp/litmus_test_preset_dup.conf";
+    {
+        std::ofstream out(path);
+        out << "name = twice\ncores = 8\ncores = 16\n";
+    }
+    EXPECT_EXIT(MachineCatalog::registerFromFile(path),
+                ::testing::ExitedWithCode(1),
+                "litmus_test_preset_dup\\.conf:3: duplicate key 'cores' "
+                "\\(first on line 2\\)");
+    std::remove(path.c_str());
+}
+
 TEST(MachineCatalog, RegisterFromFileNamesItInRangeErrors)
 {
     // Each key parses, but the assembled preset fails a range check.

@@ -288,21 +288,21 @@ TEST(TableIo, TruncatedRowsFatal)
     std::stringstream congestion(
         "litmus-tables v1\ncongestion python ct 2 1.0\n");
     EXPECT_EXIT(loadProfile(congestion), ::testing::ExitedWithCode(1),
-                "malformed congestion row on line 2");
+                "<tables>:2: malformed congestion row: 4 of 7 fields");
     std::stringstream baseline("litmus-tables v2\nbaseline go 0.7\n");
     EXPECT_EXIT(loadProfile(baseline), ::testing::ExitedWithCode(1),
-                "malformed baseline on line 2");
+                "<tables>:2: malformed baseline: 2 of 5 fields");
     std::stringstream solo("litmus-tables v2\nsolo gzip-py 0.5\n");
     EXPECT_EXIT(loadProfile(solo), ::testing::ExitedWithCode(1),
-                "malformed solo baseline on line 2");
+                "<tables>:2: malformed solo baseline: 2 of 3 fields");
     std::stringstream machine("litmus-tables v2\nmachine\n");
     EXPECT_EXIT(loadProfile(machine), ::testing::ExitedWithCode(1),
-                "malformed machine record on line 2");
+                "<tables>:2: malformed machine record: 0 of 1 fields");
     std::stringstream performance(
         "litmus-tables v2\nperformance mb 2 1.0 1.1\n");
     EXPECT_EXIT(loadProfile(performance),
                 ::testing::ExitedWithCode(1),
-                "malformed performance row on line 2");
+                "<tables>:2: malformed performance row: 4 of 5 fields");
 }
 
 TEST(TableIo, MisalignedLevelsFatal)
@@ -426,8 +426,7 @@ TEST(TableIo, TrailingTokenFatal)
     std::stringstream stream(
         "litmus-tables v2\nbaseline go 0.7 0.2 45e6 2.5 3\n");
     EXPECT_EXIT(loadProfile(stream), ::testing::ExitedWithCode(1),
-                "loadProfile: malformed baseline: trailing token '3' "
-                "on line 2");
+                "<tables>:2: malformed baseline: trailing token '3'");
 }
 
 TEST(TableIo, UnknownTokensNameTheirLine)
@@ -471,7 +470,72 @@ TEST(TableIo, UnknownRecordFatal)
 TEST(TableIo, MissingFileFatal)
 {
     EXPECT_EXIT(loadProfile("/nonexistent/tables.txt"),
-                ::testing::ExitedWithCode(1), "cannot open");
+                ::testing::ExitedWithCode(1),
+                "cannot read '/nonexistent/tables\\.txt'");
+}
+
+TEST(TableIo, CommentsCrlfAndPaddingLoad)
+{
+    // The shared line rules: '#' comments, blank lines, CRLF endings
+    // and padding read like the plain file.
+    std::ostringstream plain;
+    std::ostringstream dressed;
+    dressed << "# calibrated on a quiet host\r\n";
+    for (const std::string &line : v2Lines({2, 8}, {2, 8})) {
+        plain << line << '\n';
+        dressed << "  " << line << "\t# note\r\n\r\n";
+    }
+    std::stringstream plainIn(plain.str());
+    std::stringstream dressedIn(dressed.str());
+    std::ostringstream a;
+    std::ostringstream b;
+    saveProfile(a, loadProfile(plainIn));
+    saveProfile(b, loadProfile(dressedIn));
+    EXPECT_EQ(a.str(), b.str());
+}
+
+TEST(TableIo, NonFiniteOrHexNumbersFatal)
+{
+    auto lines = v2Lines({2, 8}, {2, 8});
+    int line = replaceLine(lines, "baseline go ",
+                           "baseline go inf 0.2 45000000 2.5");
+    expectFileError(lines, line,
+                    "malformed baseline: 'inf' is not a finite number");
+    lines = v2Lines({2, 8}, {2, 8});
+    line = replaceLine(lines, "performance mb 8 ",
+                       "performance mb 8 0x1 1.18 1.05");
+    expectFileError(lines, line,
+                    "malformed performance row: '0x1' is not a finite "
+                    "number");
+}
+
+TEST(TableIo, SaveRefusesMachineNamesThatWouldNotReload)
+{
+    // Table files take '#' comments: a '#' in a name would cut the
+    // record short on reload, and whitespace would split it.
+    CalibrationProfile profile = sampleProfile();
+    std::ostringstream out;
+    profile.machine = "cascade#2";
+    EXPECT_EXIT(saveProfile(out, profile), ::testing::ExitedWithCode(1),
+                "saveProfile: machine name 'cascade#2' contains "
+                "whitespace or '#'");
+    profile.machine = "cascade 5218";
+    EXPECT_EXIT(saveProfile(out, profile), ::testing::ExitedWithCode(1),
+                "saveProfile: machine name 'cascade 5218'");
+}
+
+TEST(TableIo, SaveRefusesSoloNamesThatWouldNotReload)
+{
+    CalibrationProfile profile = sampleProfile();
+    std::ostringstream out;
+    profile.referenceSolo["gzip#py"] = {0.5, 0.25};
+    EXPECT_EXIT(saveProfile(out, profile), ::testing::ExitedWithCode(1),
+                "saveProfile: solo name 'gzip#py' contains whitespace or "
+                "'#'");
+    profile.referenceSolo.erase("gzip#py");
+    profile.referenceSolo["gzip py"] = {0.5, 0.25};
+    EXPECT_EXIT(saveProfile(out, profile), ::testing::ExitedWithCode(1),
+                "saveProfile: solo name 'gzip py'");
 }
 
 TEST(TableIo, ProfileMachineMismatchFatal)

@@ -471,12 +471,72 @@ TEST(ScenarioSpecDeath, MalformedScenarios)
     EXPECT_EXIT((void)ScenarioSpec::fromString("calibrate = maybe\n"),
                 ::testing::ExitedWithCode(1), "expects a boolean");
     EXPECT_EXIT((void)ScenarioSpec::fromString("fleet = cascade:zero\n"),
-                ::testing::ExitedWithCode(1), "bad machine count");
+                ::testing::ExitedWithCode(1),
+                "<config>:1: fleet spec: machine count 'zero' in "
+                "'cascade:zero' expects an integer");
     EXPECT_EXIT((void)ScenarioSpec::fromString("functions = nope-py\n")
                     .functionPool(),
                 ::testing::ExitedWithCode(1), "nope-py");
     EXPECT_EXIT((void)ScenarioSpec::fromFile("/nonexistent.scenario"),
                 ::testing::ExitedWithCode(1), "");
+}
+
+TEST(ScenarioSpecDeath, ValuesNameTheirLine)
+{
+    // A bad value is located like a bad key: at its file:line.
+    const auto dies = [](const std::string &name, const std::string &line2,
+                         const std::string &message) {
+        const std::string path =
+            writeTempFile(name, "seed = 3\n" + line2 + "\n");
+        EXPECT_EXIT((void)ScenarioSpec::fromFile(path),
+                    ::testing::ExitedWithCode(1),
+                    name + ":2: " + message)
+            << line2;
+    };
+    dies("rate.scenario", "rate = fast",
+         "scenario key 'rate' expects a finite number, got 'fast'");
+    dies("seed.scenario", "fault.seed = 18446744073709551616",
+         "scenario key 'fault\\.seed' expects an integer");
+    dies("fleet.scenario", "fleet = cascade-5218:0",
+         "fleet spec: machine count '0' in 'cascade-5218:0' must be >= 1");
+    dies("functions.scenario", "functions = float-py,nope-py",
+         "scenario key 'functions': unknown function 'nope-py'");
+    dies("crash.scenario", "fault.crash.at = 0.5@x",
+         "'fault\\.crash\\.at': bad machine index 'x'");
+    dies("policy.scenario", "policy = fastest",
+         "policyByName: unknown dispatch policy 'fastest'");
+    dies("retry.scenario", "fault.retry = forever",
+         "retryPolicyByName: unknown retry policy 'forever'");
+    dies("billing.scenario", "fault.billing = nobody",
+         "faultBillingByName: unknown fault billing mode 'nobody'");
+    dies("calibrate.scenario", "calibrate = maybe",
+         "scenario key 'calibrate' expects a boolean");
+}
+
+TEST(ScenarioSpecDeath, DuplicateKeyNamesBothLines)
+{
+    const std::string path = writeTempFile(
+        "dup_seed.scenario",
+        "seed = 1\nfleet = cascade-5218:1\n\n# retuned\nseed = 2\n");
+    EXPECT_EXIT((void)ScenarioSpec::fromFile(path),
+                ::testing::ExitedWithCode(1),
+                "dup_seed\\.scenario:5: duplicate key 'seed' \\(first on "
+                "line 1\\)");
+}
+
+TEST(TraceReplayDeath, UnknownFunctionNamesItsRow)
+{
+    TrafficSpec spec;
+    spec.model = "trace";
+    spec.tracePath = writeTempFile("unknown_row.csv",
+                                   "0.1,float-py\n0.2,nope\n");
+    EXPECT_EXIT((void)makeTrafficModel(spec), ::testing::ExitedWithCode(1),
+                "unknown_row\\.csv:2: unknown function 'nope'");
+    spec.tracePath = writeTempFile("three_fields.csv",
+                                   "0.1,float-py,extra\n");
+    EXPECT_EXIT((void)makeTrafficModel(spec), ::testing::ExitedWithCode(1),
+                "three_fields\\.csv:1: expected <seconds>\\[,<function>\\], "
+                "got 3 fields");
 }
 
 // ---- the scenario runner ----------------------------------------------

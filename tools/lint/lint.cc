@@ -70,8 +70,8 @@ catalog()
          "workload -> core -> cluster -> scenario, or any src/ "
          "include of apps//bench//tools//tests/"},
         {kRawParse,
-         "lenient numeric parsing (atof/strtod/stod/...) in src/ — "
-         "use the strict whole-string parsers in common/strings.h"},
+         "lenient numeric parsing (atof/strtod/stod/from_chars/...) in "
+         "src/ — use the strict parseNumber in common/line_reader.h"},
         {kFloatBilling,
          "`float` in billing/pricing code — money and billed seconds "
          "are double end to end; float truncation breaks 1e-15 "
@@ -149,6 +149,14 @@ bool
 isRngHome(const std::string &path)
 {
     return path == "src/common/rng.h" || path == "src/common/rng.cc";
+}
+
+/** The strict number parser's home: the one place from_chars runs. */
+bool
+isLineReaderHome(const std::string &path)
+{
+    return path == "src/common/line_reader.h" ||
+           path == "src/common/line_reader.cc";
 }
 
 bool
@@ -477,7 +485,12 @@ checkRawParse(const std::string &path, const FileClass &fc,
     for (const char *token :
          {"atof", "atoi", "atol", "atoll", "strtod", "strtof",
           "strtol", "strtoll", "strtoul", "strtoull", "stod", "stof",
-          "stoi", "stol", "stoll", "stoul", "stoull", "sscanf"}) {
+          "stoi", "stol", "stoll", "stoul", "stoull", "sscanf",
+          "from_chars"}) {
+        // from_chars is strict only with the whole-field and finite
+        // checks parseNumber adds around it.
+        if (std::string(token) == "from_chars" && isLineReaderHome(path))
+            continue;
         for (std::size_t pos = findToken(code, token, 0);
              pos != std::string::npos;
              pos = findToken(code, token, pos + 1)) {
@@ -491,8 +504,8 @@ checkRawParse(const std::string &path, const FileClass &fc,
                 {path, lineOfOffset(code, pos), kRawParse,
                  std::string(token) +
                      "() accepts trailing junk, partial parses, or "
-                     "inf/nan — use parseLongStrict/parseDoubleStrict "
-                     "from common/strings.h"});
+                     "inf/nan — use parseNumber from "
+                     "common/line_reader.h"});
         }
     }
 }

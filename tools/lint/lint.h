@@ -25,8 +25,9 @@
  *                   common -> sim -> workload -> core -> cluster ->
  *                   scenario, and src/ includes of apps//bench//
  *                   tools//tests/
- *   raw-parse       lenient numeric parsing in src/ (use the strict
- *                   parsers in common/strings.h)
+ *   raw-parse       lenient numeric parsing in src/, std::from_chars
+ *                   called outside common/line_reader.* (use its
+ *                   strict parseNumber)
  *   float-billing   `float` in billing/pricing code (double is the
  *                   project currency type)
  *   stale-allow     a LITMUS-LINT-ALLOW pragma that suppresses
