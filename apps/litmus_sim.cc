@@ -205,8 +205,6 @@ cmdStats(const ArgParser &args)
     for (long cpu = 0; cpu < poolCpus; ++cpu)
         icfg.cpuPool.push_back(static_cast<unsigned>(cpu));
     workload::Invoker invoker(engine, icfg);
-    engine.onCompletion(
-        [&](sim::Task &task) { invoker.handleCompletion(task); });
     invoker.start();
 
     const double seconds = args.getDouble("seconds");

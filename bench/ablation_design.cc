@@ -85,17 +85,6 @@ main()
         icfg.cpuPool.push_back(i);
     icfg.seed = 42;
     workload::Invoker invoker(engine, icfg);
-
-    sim::TaskCounters lastCounters;
-    sim::ProbeCapture lastProbe;
-    bool captured = false;
-    engine.onCompletion([&](sim::Task &task) {
-        if (invoker.handleCompletion(task))
-            return;
-        lastCounters = task.counters();
-        lastProbe = task.probe();
-        captured = true;
-    });
     invoker.start();
     engine.run(0.15);
 
@@ -112,21 +101,17 @@ main()
         for (unsigned rep = 0; rep < reps; ++rep) {
             auto task = workload::makeInvocation(*spec, rng);
             task->setAffinity({0});
-            captured = false;
-            sim::Task &handle = engine.add(std::move(task));
-            engine.runUntilCompleteId(handle.id());
-            if (!captured)
-                fatal("ablation_design: completion not captured");
+            const auto done = engine.runToCompletion(std::move(task));
+            const sim::TaskCounters &counters = done->counters();
 
-            const double ideal =
-                solo.totalCpi() * lastCounters.instructions;
-            const auto probe = pricing::readProbe(lastProbe);
+            const double ideal = solo.totalCpi() * counters.instructions;
+            const auto probe = pricing::readProbe(*done);
             for (std::size_t v = 0; v < variants.size(); ++v) {
                 const double p =
-                    variantPrice(model, lastCounters, probe,
-                                 spec->language, static_cast<int>(v));
+                    variantPrice(model, counters, probe, spec->language,
+                                 static_cast<int>(v));
                 errs[v].push_back((p - ideal) / ideal);
-                prices[v].push_back(p / lastCounters.cycles);
+                prices[v].push_back(p / counters.cycles);
             }
         }
     }

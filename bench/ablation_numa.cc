@@ -42,16 +42,11 @@ slowdownWithHogs(const sim::MachineConfig &cfg,
         task->setAffinity({cpu});
         engine.add(std::move(task));
     }
-    sim::TaskCounters counters;
-    engine.onCompletion([&](sim::Task &t) {
-        if (t.name() == "pager-py")
-            counters = t.counters();
-    });
     auto subject = workload::makeNominalInvocation(
         workload::functionByName("pager-py"), false);
     subject->setAffinity({0});
-    sim::Task &handle = engine.add(std::move(subject));
-    engine.runUntilComplete(handle);
+    const sim::TaskCounters counters =
+        engine.runToCompletion(std::move(subject))->counters();
     return (counters.cycles / counters.instructions) / solo_cpi;
 }
 

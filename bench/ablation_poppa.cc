@@ -48,19 +48,6 @@ main()
         icfg.cpuPool.push_back(i);
     icfg.seed = 42;
     workload::Invoker invoker(engine, icfg);
-
-    sim::TaskCounters lastCounters;
-    sim::ProbeCapture lastProbe;
-    std::uint64_t lastId = 0;
-    bool captured = false;
-    engine.onCompletion([&](sim::Task &task) {
-        if (invoker.handleCompletion(task))
-            return;
-        lastCounters = task.counters();
-        lastProbe = task.probe();
-        lastId = task.id();
-        captured = true;
-    });
     invoker.start();
     engine.run(0.2);
 
@@ -71,18 +58,13 @@ main()
         for (unsigned rep = 0; rep < reps; ++rep) {
             auto task = workload::makeInvocation(*spec, rng);
             task->setAffinity({0});
-            captured = false;
-            sim::Task &handle = engine.add(std::move(task));
-            engine.runUntilCompleteId(handle.id());
-            if (!captured)
-                fatal("ablation_poppa: completion not captured");
+            const auto done = engine.runToCompletion(std::move(task));
+            const sim::TaskCounters &counters = done->counters();
 
-            const auto quote =
-                pricer.quote(lastCounters, pricing::readProbe(lastProbe),
-                             spec->language, solo);
+            const auto quote = pricer.quote(
+                counters, pricing::readProbe(*done), spec->language, solo);
             const double poppaPrice =
-                sampler.price(lastCounters, lastId) /
-                lastCounters.cycles;
+                sampler.price(counters, done->id()) / counters.cycles;
             litmusErr.push_back(quote.litmusNormalized() -
                                 quote.idealNormalized());
             poppaErr.push_back(poppaPrice - quote.idealNormalized());

@@ -12,7 +12,6 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "sim/machine.h"
 #include "workload/suite.h"
 #include "workload/traffic_gen.h"
 #include "sim/machine_catalog.h"
@@ -49,11 +48,11 @@ suiteAverage()
     double l2 = 0, l3 = 0;
     const auto &suite = workload::table1Suite();
     for (const auto &spec : suite) {
-        const auto run = sim::runSolo(cfg, [&] {
-            return workload::makeNominalInvocation(spec, false);
-        });
-        l2 += run.counters.l2Misses / (run.wallTime * 1e3);
-        l3 += run.counters.l3Misses / (run.wallTime * 1e3);
+        const auto run = sim::Engine(cfg).runToCompletion(
+            workload::makeNominalInvocation(spec, false));
+        const Seconds wall = run->completionTime() - run->launchTime();
+        l2 += run->counters().l2Misses / (wall * 1e3);
+        l3 += run->counters().l3Misses / (wall * 1e3);
     }
     return {l2 / suite.size(), l3 / suite.size()};
 }

@@ -29,9 +29,10 @@ sampleStartupIpc(workload::Language lang)
 
     std::vector<double> ipc;
     sim::TaskCounters prev;
-    while (engine.alive(task)) {
+    // The engine holds only this task, so it is live while any is.
+    while (engine.taskCount() > 0) {
         engine.run(1e-3);
-        if (!engine.alive(task))
+        if (engine.taskCount() == 0)
             break;
         const sim::TaskCounters now = task.counters();
         const sim::TaskCounters delta = now.since(prev);

@@ -55,20 +55,6 @@ main()
     heavy.seed = 6;
     workload::Invoker heavyInvoker(engine, heavy);
 
-    pricing::ProbeReading lastProbe;
-    bool probeCaptured = false;
-    bool waveActive = false;
-    engine.onCompletion([&](sim::Task &task) {
-        if (lightInvoker.handleCompletion(task))
-            return;
-        if (waveActive && heavyInvoker.handleCompletion(task))
-            return;
-        if (task.probe().complete) {
-            lastProbe = pricing::readProbe(task);
-            probeCaptured = true;
-        }
-    });
-
     lightInvoker.start();
 
     TextTable table({"t (s)", "phase", "startup slowdown", "L3/us",
@@ -78,29 +64,24 @@ main()
 
     for (int tick = 0; tick < 16; ++tick) {
         const double t = engine.now();
-        if (tick == 5) {
-            waveActive = true;
+        if (tick == 5)
             heavyInvoker.start();
-        }
 
         // Launch one Litmus probe (a bare Python startup) on core 0.
         auto probe = std::make_unique<workload::ProgramTask>(
             "probe", workload::startupProgram(workload::Language::Python),
             workload::probeWindow(workload::Language::Python));
         probe->setAffinity({0});
-        probeCaptured = false;
-        sim::Task &handle = engine.add(std::move(probe));
-        engine.runUntilCompleteId(handle.id());
-        if (!probeCaptured)
-            fatal("fig07: probe not captured");
+        const pricing::ProbeReading reading =
+            pricing::readProbe(*engine.runToCompletion(std::move(probe)));
 
         const auto est =
-            model.estimate(lastProbe, workload::Language::Python);
+            model.estimate(reading, workload::Language::Python);
         const double discount = 1.0 - (est.rPrivate + est.rShared) / 2.0;
         const bool busy = tick >= 6 && tick < 14;
         table.addRow({TextTable::num(t, 2), busy ? "heavy wave" : "quiet",
                       TextTable::num(est.observed.total),
-                      TextTable::num(lastProbe.machineL3MissPerUs, 1),
+                      TextTable::num(reading.machineL3MissPerUs, 1),
                       TextTable::num(100 * discount, 2)});
         if (busy) {
             busyDiscount += discount;

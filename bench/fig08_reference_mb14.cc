@@ -37,13 +37,10 @@ main()
         workload::spawnGenerator(engine, workload::GeneratorKind::MbGen,
                                  14, 1);
         engine.run(0.02);
-        sim::TaskCounters counters;
-        engine.onCompletion(
-            [&](sim::Task &t) { counters = t.counters(); });
         auto task = workload::makeNominalInvocation(*spec, false);
         task->setAffinity({0});
-        sim::Task &handle = engine.add(std::move(task));
-        engine.runUntilComplete(handle);
+        const sim::TaskCounters counters =
+            engine.runToCompletion(std::move(task))->counters();
 
         const double privCpi =
             counters.privateCycles() / counters.instructions;

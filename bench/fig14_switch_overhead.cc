@@ -35,14 +35,6 @@ measuredInflation(unsigned n)
     icfg.cpuPool = {0};
     icfg.seed = n;
     std::optional<workload::Invoker> invoker;
-    sim::TaskCounters counters;
-    bool captured = false;
-    engine.onCompletion([&](sim::Task &task) {
-        if (invoker && invoker->handleCompletion(task))
-            return;
-        counters = task.counters();
-        captured = true;
-    });
     if (n > 1) {
         invoker.emplace(engine, icfg);
         invoker->start();
@@ -51,10 +43,8 @@ measuredInflation(unsigned n)
 
     auto task = workload::makeNominalInvocation(spec, false);
     task->setAffinity({0});
-    sim::Task &handle = engine.add(std::move(task));
-    engine.runUntilCompleteId(handle.id(), 1200.0);
-    if (!captured)
-        fatal("fig14: completion not captured");
+    const sim::TaskCounters counters =
+        engine.runToCompletion(std::move(task), 1200.0)->counters();
     const double privCpi =
         counters.privateCycles() / counters.instructions;
     return privCpi / solo.privCpi;

@@ -329,10 +329,8 @@ runCrowded(bool fast_forward, Seconds sim_seconds)
     workload::Invoker invoker(engine, icfg);
 
     CrowdedRun r;
-    engine.onCompletion([&](sim::Task &task) {
-        r.tasks.push_back(task.counters());
-        invoker.handleCompletion(task); // launches a replacement
-    });
+    engine.onCompletion(
+        [&](sim::Task &task) { r.tasks.push_back(task.counters()); });
     invoker.start();
     r.mode.wall = wallSeconds([&] { engine.run(sim_seconds); });
     r.mode.simSeconds = engine.now();

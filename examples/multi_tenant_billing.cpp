@@ -9,7 +9,6 @@
 #include <iostream>
 #include <map>
 
-#include "common/logging.h"
 #include "common/text_table.h"
 #include "core/billing.h"
 #include "core/calibration.h"
@@ -76,17 +75,6 @@ main()
         icfg.cpuPool.push_back(cpu);
     icfg.seed = 99;
     workload::Invoker invoker(engine, icfg);
-
-    sim::TaskCounters counters;
-    sim::ProbeCapture probe;
-    bool captured = false;
-    engine.onCompletion([&](sim::Task &task) {
-        if (invoker.handleCompletion(task))
-            return;
-        counters = task.counters();
-        probe = task.probe();
-        captured = true;
-    });
     invoker.start();
     engine.run(0.1);
 
@@ -98,16 +86,12 @@ main()
             for (int rep = 0; rep < 3; ++rep) {
                 auto task = workload::makeInvocation(*spec, rng);
                 task->setAffinity({0, 1, 2, 3});
-                captured = false;
-                sim::Task &handle = engine.add(std::move(task));
-                engine.runUntilCompleteId(handle.id());
-                if (!captured)
-                    fatal("billing demo: invocation not captured");
+                const auto done = engine.runToCompletion(std::move(task));
                 const auto quote =
-                    pricer.quote(counters, pricing::readProbe(probe),
+                    pricer.quote(done->counters(), pricing::readProbe(*done),
                                  spec->language, solo.at(spec->name));
-                ledger.record(tenant.name, spec->name, counters, quote,
-                              spec->memoryFootprint);
+                ledger.record(tenant.name, spec->name, done->counters(),
+                              quote, spec->memoryFootprint);
             }
         }
     }

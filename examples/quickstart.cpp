@@ -11,7 +11,6 @@
 
 #include <iostream>
 
-#include "common/logging.h"
 #include "common/text_table.h"
 #include "core/calibration.h"
 #include "core/experiment.h"
@@ -49,31 +48,18 @@ main()
     icfg.targetCount = 12;
     for (unsigned cpu = 1; cpu <= 12; ++cpu)
         icfg.cpuPool.push_back(cpu);
-    workload::Invoker invoker(engine, icfg);
-
-    sim::TaskCounters counters;
-    sim::ProbeCapture probe;
-    bool captured = false;
-    engine.onCompletion([&](sim::Task &task) {
-        if (invoker.handleCompletion(task))
-            return;
-        counters = task.counters();
-        probe = task.probe();
-        captured = true;
-    });
+    workload::Invoker invoker(engine, icfg); // replaces finished co-runners
     invoker.start();
     engine.run(0.1); // let the population warm up
 
     Rng rng(1);
     auto task = workload::makeInvocation(spec, rng);
     task->setAffinity({0});
-    sim::Task &handle = engine.add(std::move(task));
-    engine.runUntilCompleteId(handle.id());
-    if (!captured)
-        fatal("quickstart: invocation not captured");
+    const auto done = engine.runToCompletion(std::move(task));
 
     // --- Step 4: price it ---------------------------------------------
-    const auto quote = pricer.quote(counters, pricing::readProbe(probe),
+    const auto quote = pricer.quote(done->counters(),
+                                    pricing::readProbe(*done),
                                     spec.language, solo);
 
     printBanner(std::cout, "Quickstart: pricing one pager-py invocation "

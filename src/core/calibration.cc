@@ -6,10 +6,10 @@
 #include <functional>
 #include <iterator>
 #include <memory>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/stats.h"
-#include "sim/machine.h"
 #include "workload/invoker.h"
 #include "workload/traffic_gen.h"
 
@@ -40,74 +40,12 @@ makeStartupTask(Language lang, Instructions window_override = 0)
         workload::startupProgram(lang), window);
 }
 
-/** Per-cell measurement context: engine + optional sharing churn. */
-class CellEnvironment
-{
-  public:
-    CellEnvironment(const CalibrationConfig &cfg, GeneratorKind gen,
-                    unsigned level, std::uint64_t seed)
-        : engine_(cfg.machine, cfg.policy)
-    {
-        if (cfg.sharingFunctions > 0) {
-            workload::InvokerConfig icfg;
-            icfg.placement = workload::InvokerConfig::Placement::Pooled;
-            icfg.targetCount = cfg.sharingFunctions;
-            icfg.cpuPool = cfg.sharingCpus;
-            icfg.seed = seed;
-            invoker_ =
-                std::make_unique<workload::Invoker>(engine_, icfg);
-        }
-
-        engine_.onCompletion([this](sim::Task &task) {
-            if (invoker_ && invoker_->handleCompletion(task))
-                return;
-            lastCounters_ = task.counters();
-            lastProbe_ = task.probe();
-            captured_ = true;
-        });
-
-        if (invoker_)
-            invoker_->start();
-
-        if (level > 0)
-            workload::spawnGenerator(engine_, gen, level,
-                                     cfg.generatorFirstCpu);
-
-        engine_.run(cfg.warmup);
-    }
-
-    /** Run a subject task to completion; returns its final counters. */
-    sim::TaskCounters
-    measure(std::unique_ptr<sim::Task> subject,
-            std::vector<unsigned> affinity, sim::ProbeCapture *probe_out)
-    {
-        subject->setAffinity(std::move(affinity));
-        captured_ = false;
-        sim::Task &handle = engine_.add(std::move(subject));
-        const std::uint64_t id = handle.id();
-        engine_.runUntilCompleteId(id);
-        if (!captured_)
-            panic("CellEnvironment: completion not captured");
-        if (probe_out)
-            *probe_out = lastProbe_;
-        return lastCounters_;
-    }
-
-    sim::Engine &engine() { return engine_; }
-
-  private:
-    sim::Engine engine_;
-    std::unique_ptr<workload::Invoker> invoker_;
-    sim::TaskCounters lastCounters_;
-    sim::ProbeCapture lastProbe_;
-    bool captured_ = false;
-};
-
 /**
  * Run one stress cell: the startup probes of every language, then the
- * reference functions, all inside one CellEnvironment. Reads only
- * @p cfg, the congestion baselines and @p ref_solo, so cells are
- * independent of each other and of the order they run in.
+ * reference functions, all on one engine holding the cell's optional
+ * sharing churn and generators. Reads only @p cfg, the congestion
+ * baselines and @p ref_solo, so cells are independent of each other
+ * and of the order they run in.
  */
 CongestionTable::Row
 measureCell(const CalibrationConfig &cfg, GeneratorKind gen,
@@ -115,7 +53,27 @@ measureCell(const CalibrationConfig &cfg, GeneratorKind gen,
             const std::map<std::string, SoloBaseline> &ref_solo,
             const std::vector<unsigned> &subject_affinity)
 {
-    CellEnvironment env(cfg, gen, level, cfg.seed + 31 * level);
+    sim::Engine engine(cfg.machine, cfg.policy);
+    std::optional<workload::Invoker> invoker;
+    if (cfg.sharingFunctions > 0) {
+        workload::InvokerConfig icfg;
+        icfg.placement = workload::InvokerConfig::Placement::Pooled;
+        icfg.targetCount = cfg.sharingFunctions;
+        icfg.cpuPool = cfg.sharingCpus;
+        icfg.seed = cfg.seed + 31 * level;
+        invoker.emplace(engine, icfg);
+        invoker->start();
+    }
+    if (level > 0)
+        workload::spawnGenerator(engine, gen, level,
+                                 cfg.generatorFirstCpu);
+    engine.run(cfg.warmup);
+
+    const auto measure = [&](std::unique_ptr<sim::Task> subject) {
+        subject->setAffinity(subject_affinity);
+        return engine.runToCompletion(std::move(subject));
+    };
+
     CongestionTable::Row cell;
     cell.level = level;
 
@@ -123,10 +81,8 @@ measureCell(const CalibrationConfig &cfg, GeneratorKind gen,
     for (Language lang : workload::allLanguages()) {
         std::vector<double> priv, shared, total, l3;
         for (unsigned rep = 0; rep < cfg.repetitions; ++rep) {
-            sim::ProbeCapture probe;
-            env.measure(makeStartupTask(lang, cfg.probeWindowOverride),
-                        subject_affinity, &probe);
-            const ProbeReading reading = readProbe(probe);
+            const ProbeReading reading = readProbe(*measure(
+                makeStartupTask(lang, cfg.probeWindowOverride)));
             const ProbeSlowdown s =
                 slowdownOf(reading, baselines.baseline(lang));
             priv.push_back(s.priv);
@@ -148,9 +104,9 @@ measureCell(const CalibrationConfig &cfg, GeneratorKind gen,
         const SoloBaseline &solo = ref_solo.at(spec->name);
         std::vector<double> p, s, t;
         for (unsigned rep = 0; rep < cfg.repetitions; ++rep) {
-            const sim::TaskCounters counters = env.measure(
-                workload::makeNominalInvocation(*spec, false),
-                subject_affinity, nullptr);
+            const sim::TaskCounters counters =
+                measure(workload::makeNominalInvocation(*spec, false))
+                    ->counters();
             const double privCpi =
                 counters.privateCycles() / counters.instructions;
             const double sharedCpi =
@@ -275,14 +231,13 @@ measureSoloBaseline(const sim::MachineConfig &machine,
                     const FunctionSpec &spec,
                     sim::FrequencyPolicy policy)
 {
-    const sim::RunResult run = sim::runSolo(
-        machine,
-        [&] { return workload::makeNominalInvocation(spec, false); },
-        policy);
+    const sim::TaskCounters counters =
+        sim::Engine(machine, policy)
+            .runToCompletion(workload::makeNominalInvocation(spec, false))
+            ->counters();
     SoloBaseline solo;
-    solo.privCpi = run.counters.privateCycles() / run.counters.instructions;
-    solo.sharedCpi =
-        run.counters.stallSharedCycles / run.counters.instructions;
+    solo.privCpi = counters.privateCycles() / counters.instructions;
+    solo.sharedCpi = counters.stallSharedCycles / counters.instructions;
     return solo;
 }
 
@@ -305,13 +260,11 @@ calibrate(const CalibrationConfig &cfg, EpochPool &pool)
 
     // ---- Congestion-free baselines ---------------------------------
     for (Language lang : workload::allLanguages()) {
-        const sim::RunResult solo = sim::runSolo(
-            cfg.machine,
-            [&] {
-                return makeStartupTask(lang, cfg.probeWindowOverride);
-            },
-            cfg.policy);
-        result.congestion.setBaseline(lang, readProbe(solo.probe));
+        const std::unique_ptr<sim::Task> solo =
+            sim::Engine(cfg.machine, cfg.policy)
+                .runToCompletion(
+                    makeStartupTask(lang, cfg.probeWindowOverride));
+        result.congestion.setBaseline(lang, readProbe(*solo));
     }
 
     for (const FunctionSpec *spec : cfg.referencePool)

@@ -107,18 +107,6 @@ runExperiment(const ExperimentConfig &cfg, const DiscountModel *model)
     icfg.functionPool = cfg.coRunnerPool;
     icfg.seed = cfg.seed;
     workload::Invoker invoker(engine, icfg);
-
-    sim::TaskCounters lastCounters;
-    sim::ProbeCapture lastProbe;
-    bool captured = false;
-    engine.onCompletion([&](sim::Task &task) {
-        if (invoker.handleCompletion(task))
-            return;
-        lastCounters = task.counters();
-        lastProbe = task.probe();
-        captured = true;
-    });
-
     invoker.start();
     engine.run(cfg.warmup);
 
@@ -141,25 +129,22 @@ runExperiment(const ExperimentConfig &cfg, const DiscountModel *model)
             opts.probeWindow = cfg.probeWindowOverride;
             auto task = workload::makeInvocation(*spec, rng, opts);
             task->setAffinity(cfg.subjectCpus);
-            captured = false;
-            sim::Task &handle = engine.add(std::move(task));
-            engine.runUntilCompleteId(handle.id());
-            if (!captured)
-                panic("experiment: subject completion not captured");
+            const std::unique_ptr<sim::Task> done =
+                engine.runToCompletion(std::move(task));
+            const sim::TaskCounters &counters = done->counters();
 
             const double privCpi =
-                lastCounters.privateCycles() / lastCounters.instructions;
-            const double sharedCpi = lastCounters.stallSharedCycles /
-                                     lastCounters.instructions;
+                counters.privateCycles() / counters.instructions;
+            const double sharedCpi =
+                counters.stallSharedCycles / counters.instructions;
 
             tPriv.push_back(privCpi / base.privCpi);
             tShared.push_back(sharedCpi / base.sharedCpi);
             totalSlow.push_back((privCpi + sharedCpi) / base.totalCpi());
 
             if (pricer) {
-                const ProbeReading probe = readProbe(lastProbe);
                 const PriceQuote q = pricer->quote(
-                    lastCounters, probe, spec->language, base);
+                    counters, readProbe(*done), spec->language, base);
                 litmusN.push_back(q.litmusNormalized());
                 idealN.push_back(q.idealNormalized());
                 privErr.push_back(q.privError());

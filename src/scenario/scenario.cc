@@ -131,6 +131,7 @@ ScenarioSpec::set(const std::string &key, const std::string &value,
     } else if (key == "policy") {
         policy = cluster::policyByName(value, at);
     } else if (key == "traffic") {
+        requireTrafficModel(value, at);
         traffic.model = value;
         // The 10000-arrival default is a stop condition for the
         // generative models; a replay must not silently truncate its

@@ -1,5 +1,6 @@
 #include "scenario/traffic_model.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <optional>
@@ -387,10 +388,24 @@ TrafficSpec::validate() const
               "finite");
 }
 
+void
+requireTrafficModel(std::string_view name, const SourceLine &at)
+{
+    if (std::find(std::begin(kTrafficModelNames),
+                  std::end(kTrafficModelNames),
+                  name) != std::end(kTrafficModelNames))
+        return;
+    std::string known;
+    for (std::string_view model : kTrafficModelNames)
+        known.append(known.empty() ? "" : ", ").append(model);
+    at.fail("unknown traffic model '", name, "' (known: ", known, ")");
+}
+
 std::unique_ptr<TrafficModel>
 makeTrafficModel(const TrafficSpec &spec)
 {
     spec.validate();
+    requireTrafficModel(spec.model);
     if (spec.model == "poisson")
         return std::make_unique<GenerativeTraffic<PoissonStream>>(spec);
     if (spec.model == "diurnal")
@@ -399,10 +414,7 @@ makeTrafficModel(const TrafficSpec &spec)
         return std::make_unique<GenerativeTraffic<BurstStream>>(spec);
     if (spec.model == "trace")
         return std::make_unique<TraceTraffic>(spec);
-    if (spec.model == "azure")
-        return makeAzureTraceModel(spec);
-    fatal("unknown traffic model '", spec.model,
-          "' (known: azure, burst, diurnal, poisson, trace)");
+    return makeAzureTraceModel(spec); // the one name left
 }
 
 namespace

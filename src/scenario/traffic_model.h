@@ -127,6 +127,14 @@ struct TrafficSpec
  */
 using TrafficModel = cluster::TrafficSource;
 
+/** The built-in model names, as diagnostics list them. */
+inline constexpr std::string_view kTrafficModelNames[] = {
+    "azure", "burst", "diurnal", "poisson", "trace"};
+
+/** Fail at @p at, listing kTrafficModelNames, unless @p name is one of
+ *  them. */
+void requireTrafficModel(std::string_view name, const SourceLine &at = {});
+
 /** Build the built-in model @p spec names; fatal() with the known
  *  names on any other name. */
 std::unique_ptr<TrafficModel> makeTrafficModel(const TrafficSpec &spec);

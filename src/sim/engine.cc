@@ -91,21 +91,8 @@ Engine::add(std::unique_ptr<Task> task)
     }
     Task &ref = *task;
     scheduler_.add(task.get()); // bumps the scheduler version
-    liveIds_.insert(ref.id());
     tasks_.push_back(std::move(task));
     return ref;
-}
-
-bool
-Engine::alive(const Task &task) const
-{
-    return aliveId(task.id());
-}
-
-bool
-Engine::aliveId(std::uint64_t id) const
-{
-    return liveIds_.contains(id);
 }
 
 std::vector<Task *>
@@ -123,7 +110,6 @@ Engine::killAllTasks()
 {
     for (const auto &task : tasks_) {
         scheduler_.remove(task.get()); // bumps the scheduler version
-        liveIds_.erase(task->id());
     }
     // The version bump already fences stale replays, but the plan
     // holds raw Task pointers into the corpses we are about to hand
@@ -180,34 +166,19 @@ Engine::runQuanta(std::uint64_t n)
         step();
 }
 
-void
-Engine::runUntilComplete(const Task &task, Seconds cap)
+std::unique_ptr<Task>
+Engine::runToCompletion(std::unique_ptr<Task> task, Seconds cap)
 {
-    runUntilCompleteId(task.id(), cap);
-}
-
-void
-Engine::runUntilCompleteId(std::uint64_t id, Seconds cap)
-{
+    awaitedId_ = add(std::move(task)).id();
     const Seconds end = now_ + cap;
-    while (aliveId(id)) {
+    while (!awaited_) {
         if (now_ >= end)
-            fatal("Engine::runUntilCompleteId: task ", id,
+            fatal("Engine::runToCompletion: task ", awaitedId_,
                   " did not finish within ", cap, " simulated seconds");
         step();
     }
-}
-
-void
-Engine::runUntilIdle(Seconds cap)
-{
-    const Seconds end = now_ + cap;
-    while (!tasks_.empty()) {
-        if (now_ >= end)
-            fatal("Engine::runUntilIdle: tasks still live after ", cap,
-                  " simulated seconds");
-        step();
-    }
+    awaitedId_ = 0;
+    return std::move(awaited_);
 }
 
 void
@@ -683,13 +654,14 @@ Engine::reapFinished()
         stats_.completions.add();
         stats_.instructions.add(task->counters().instructions);
         scheduler_.remove(task); // bumps the scheduler version
-        liveIds_.erase(task->id());
         // Move ownership out before the callback so the callback may
         // add new tasks (invoker churn) without invalidating iterators.
         std::unique_ptr<Task> owned = std::move(tasks_[i]);
         tasks_.erase(tasks_.begin() + static_cast<std::ptrdiff_t>(i));
         for (const auto &cb : completionCbs_)
             cb(*owned);
+        if (owned->id() == awaitedId_)
+            awaited_ = std::move(owned);
     }
 }
 

@@ -10,6 +10,13 @@
  * PMU counters, probe windows, completion callbacks, and machine-wide
  * uncore counters are all maintained here.
  *
+ * Every experiment that measures one function — a solo baseline, a
+ * calibration cell's subject, a priced invocation among co-runners —
+ * runs it through runToCompletion(): the engine steps until that task
+ * is reaped, lets every completion listener see it (an Invoker
+ * relaunches its own co-runners there), then hands the finished task
+ * back so the caller reads its counters and probe from it.
+ *
  * Long steady phases and idle stretches dominate real traces, so the
  * engine does not recompute what cannot have changed: a full step
  * captures a *replay plan* (the solved per-thread quantum deltas), and
@@ -32,7 +39,7 @@
  * (its tick() is a no-op), no per-quantum observer is registered, the
  * task's probe window is closed or absent, and the task vouches for k
  * phase-steady quanta (Task::steadyRetirements). runQuanta(), run(),
- * the runUntil*() loops and the oracle (fast-forward off) never batch.
+ * runToCompletion() and the oracle (fast-forward off) never batch.
  */
 
 #ifndef LITMUS_SIM_ENGINE_H
@@ -41,7 +48,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "common/stats_registry.h"
@@ -142,16 +148,16 @@ class Engine
     std::uint64_t quantaForDuration(Seconds duration) const;
 
     /**
-     * Advance until the given task completes (or the time cap is hit;
-     * then fatal(), because every experiment must terminate).
+     * Add @p task, step one quantum at a time until it finishes, and
+     * hand it back. When it is reaped every completion listener runs
+     * first, in registration order, as for any task; then the engine
+     * returns it instead of destroying it, so the caller reads
+     * counters(), probe(), id(), launchTime() and completionTime()
+     * from it. fatal() if it is still live after @p cap simulated
+     * seconds, because every experiment must terminate.
      */
-    void runUntilComplete(const Task &task, Seconds cap = 600.0);
-
-    /** Advance until the task with the given id completes. */
-    void runUntilCompleteId(std::uint64_t id, Seconds cap = 600.0);
-
-    /** Advance until no live tasks remain (respects the cap). */
-    void runUntilIdle(Seconds cap = 600.0);
+    std::unique_ptr<Task> runToCompletion(std::unique_ptr<Task> task,
+                                          Seconds cap = 600.0);
 
     /** Current simulated time. */
     Seconds now() const { return now_; }
@@ -204,12 +210,6 @@ class Engine
 
     /** Number of live tasks. */
     std::size_t taskCount() const { return tasks_.size(); }
-
-    /** True while the task is still owned by the engine. */
-    bool alive(const Task &task) const;
-
-    /** True while a task with the given id is owned by the engine. */
-    bool aliveId(std::uint64_t id) const;
 
     /** Non-owning view of every live task (POPPA victim selection). */
     std::vector<Task *> liveTasks();
@@ -337,9 +337,10 @@ class Engine
     std::uint64_t tickCount_ = 0;
     MachineCounters machine_;
     std::vector<std::unique_ptr<Task>> tasks_;
-    /** Ids of live tasks, so alive checks in run loops stay O(1). */
-    // LITMUS-LINT-ALLOW(unordered-decl): O(1) liveness membership only; never iterated — task visit order comes from tasks_, not this set
-    std::unordered_set<std::uint64_t> liveIds_;
+    /** runToCompletion()'s task: its id while it runs (0: none), then
+     *  the task itself, kept by reapFinished() after the listeners. */
+    std::uint64_t awaitedId_ = 0;
+    std::unique_ptr<Task> awaited_;
     std::vector<CompletionCallback> completionCbs_;
     std::vector<QuantumObserver> quantumCbs_;
     std::uint64_t nextTaskId_ = 1;

@@ -150,7 +150,7 @@ registry()
 } // namespace
 
 MachineConfig
-MachineCatalog::get(const std::string &name)
+MachineCatalog::get(const std::string &name, const SourceLine &at)
 {
     Registry &reg = registry();
     MutexLock lock(&reg.mutex);
@@ -159,8 +159,8 @@ MachineCatalog::get(const std::string &name)
         std::ostringstream known;
         for (std::size_t i = 0; i < reg.canonical.size(); ++i)
             known << (i ? ", " : "") << reg.canonical[i];
-        fatal("MachineCatalog: unknown machine '", name,
-              "' (catalog: ", known.str(), ")");
+        at.fail("MachineCatalog: unknown machine '", name,
+                "' (catalog: ", known.str(), ")");
     }
     return *preset;
 }
@@ -186,7 +186,8 @@ MachineConfig
 MachineCatalog::registerFromFile(const std::string &path)
 {
     const ConfigReader file = ConfigReader::fromFile(path);
-    MachineConfig cfg = get(file.getString("base", "cascade-5218"));
+    MachineConfig cfg =
+        get(file.getString("base", "cascade-5218"), file.at("base"));
     applyMachineOverrides(cfg, file);
 
     if (!file.contains("name"))

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/line_reader.h"
 #include "sim/machine_config.h"
 
 namespace litmus::sim
@@ -38,9 +39,10 @@ namespace litmus::sim
 class MachineCatalog
 {
   public:
-    /** Preset by name or alias; fatal() listing the catalog when
-     *  unknown. The returned config is a copy. */
-    static MachineConfig get(const std::string &name);
+    /** Preset by name or alias; fail at @p at listing the catalog
+     *  when unknown. The returned config is a copy. */
+    static MachineConfig get(const std::string &name,
+                             const SourceLine &at = {});
 
     /** True when @p name resolves (canonical or alias). */
     static bool has(const std::string &name);

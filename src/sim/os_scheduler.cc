@@ -121,7 +121,7 @@ OsScheduler::runningOn(unsigned cpu) const
 {
     if (cpu >= cpus_.size())
         panic("OsScheduler::runningOn: cpu ", cpu, " out of range");
-    const std::deque<Queued> &queue = cpus_[cpu].queue;
+    const std::vector<Queued> &queue = cpus_[cpu].queue;
     // Freezing is rare (POPPA windows only); skip the per-entry hash
     // probes on the hot path when nothing is frozen.
     if (frozen_.empty())
@@ -145,13 +145,13 @@ OsScheduler::tick()
             continue;
         if (ticks_ - cpu.sliceStart >= sliceTicks_) {
             cpu.sliceStart = ticks_;
-            const Queued old = cpu.queue.front();
-            cpu.queue.pop_front();
-            leaveWaiting(cpu, cpu.queue.front().task);
-            enterWaiting(cpu, old.task);
-            cpu.queue.push_back(old);
-            Task *incoming = cpu.queue.front().task;
-            if (incoming != old.task) {
+            Task *outgoing = cpu.queue.front().task;
+            Task *incoming = cpu.queue[1].task;
+            leaveWaiting(cpu, incoming);
+            enterWaiting(cpu, outgoing);
+            std::rotate(cpu.queue.begin(), cpu.queue.begin() + 1,
+                        cpu.queue.end());
+            if (incoming != outgoing) {
                 incoming->counters().contextSwitches += 1;
                 cpu.pendingSwitchCycles += cfg_.contextSwitchCycles;
             }
@@ -333,7 +333,7 @@ OsScheduler::rebalance()
         std::size_t fromIndex = 0; // 0: no candidate (the running front)
         std::size_t fromLen = 1;   // need a queue with >= 2 tasks
         for (unsigned other = 0; other < cpus_.size(); ++other) {
-            const std::deque<Queued> &queue = cpus_[other].queue;
+            const std::vector<Queued> &queue = cpus_[other].queue;
             if (other == cpu || queue.size() <= fromLen)
                 continue;
             // Waiting tasks only (skip the running front).

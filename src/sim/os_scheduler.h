@@ -14,7 +14,6 @@
 #define LITMUS_SIM_OS_SCHEDULER_H
 
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <unordered_set>
 #include <vector>
@@ -156,7 +155,9 @@ class OsScheduler
 
     struct CpuState
     {
-        std::deque<Queued> queue;
+        /** The front task runs. A vector, not a deque: an empty one
+         *  allocates nothing, and a fleet holds mostly empty queues. */
+        std::vector<Queued> queue;
         /** Tick count at which the current slice began; meaningful
          *  while the queue holds two or more tasks. */
         std::uint64_t sliceStart = 0;

@@ -18,6 +18,8 @@ Invoker::Invoker(sim::Engine &engine, InvokerConfig cfg)
         fatal("Invoker: OnePerCore needs >= targetCount CPUs (",
               cfg_.cpuPool.size(), " < ", cfg_.targetCount, ")");
     }
+    engine_.onCompletion(
+        [this](sim::Task &task) { handleCompletion(task); });
 }
 
 void
@@ -33,23 +35,16 @@ Invoker::start()
     }
 }
 
-bool
-Invoker::owns(const sim::Task &task) const
-{
-    return owned_.contains(task.id());
-}
-
-bool
-Invoker::handleCompletion(sim::Task &task)
+void
+Invoker::handleCompletion(const sim::Task &task)
 {
     const auto it = owned_.find(task.id());
     if (it == owned_.end())
-        return false;
+        return;
     std::vector<unsigned> affinity = std::move(it->second.affinity);
     committedMemory_ -= it->second.memory;
     owned_.erase(it);
     launch(std::move(affinity));
-    return true;
 }
 
 void

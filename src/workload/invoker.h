@@ -10,6 +10,12 @@
  *    a replacement inherits the freed CPU.
  *  - Pooled (Section 7.2): functions share a CPU pool and may run on
  *    any CPU in it (temporal sharing via the OS scheduler).
+ *
+ * The invoker subscribes itself to its engine's completions when it is
+ * built, so the churn needs no routing by the caller: a measurement
+ * adds its subject through Engine::runToCompletion() and every
+ * co-runner that finishes meanwhile is replaced. Several invokers may
+ * share one engine; each relaunches only the tasks it launched.
  */
 
 #ifndef LITMUS_WORKLOAD_INVOKER_H
@@ -65,26 +71,24 @@ struct InvokerConfig
 /**
  * Maintains the co-runner population inside an engine.
  *
- * The experiment harness owns the engine's completion callback and
- * must forward co-runner completions to handleCompletion().
+ * Lifetime: the constructor registers a completion listener that holds
+ * this invoker's address, and an engine cannot drop a listener. So the
+ * engine must not step after the invoker is destroyed (declaring the
+ * invoker after its engine in one scope is enough), and an invoker is
+ * neither copied nor moved.
  */
 class Invoker
 {
   public:
+    /** Subscribes to @p engine's completions; nothing launches until
+     *  start(). */
     Invoker(sim::Engine &engine, InvokerConfig cfg);
+
+    Invoker(const Invoker &) = delete;
+    Invoker &operator=(const Invoker &) = delete;
 
     /** Launch the initial population. */
     void start();
-
-    /** True if the invoker launched this task. */
-    bool owns(const sim::Task &task) const;
-
-    /**
-     * Notify that a task completed. If it was a co-runner, a freshly
-     * sampled replacement is launched (same CPU in OnePerCore mode).
-     * @return true when the task belonged to the invoker.
-     */
-    bool handleCompletion(sim::Task &task);
 
     /** Number of co-runners currently live. */
     unsigned liveCount() const
@@ -104,6 +108,13 @@ class Invoker
     const InvokerConfig &config() const { return cfg_; }
 
   private:
+    /**
+     * The completion listener: when @p task is one of this invoker's
+     * co-runners, launch a freshly sampled replacement (same CPU in
+     * OnePerCore mode); ignore any other task.
+     */
+    void handleCompletion(const sim::Task &task);
+
     /** Launch one sampled function on the given CPUs. */
     void launch(std::vector<unsigned> affinity);
 

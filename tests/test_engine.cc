@@ -1,18 +1,18 @@
 /**
  * @file
  * Tests for the quantum-stepped engine: accounting identities, probe
- * capture, completion callbacks, churn, determinism, and idle-quantum
- * elision (runToTick).
+ * capture, completion callbacks, runToCompletion, churn, determinism,
+ * and idle-quantum elision (runToTick).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 
 #include "sim/engine.h"
-#include "sim/machine.h"
 #include "workload/program.h"
 #include "sim/machine_catalog.h"
 
@@ -54,6 +54,19 @@ simpleTask(double minstr = 50, Instructions probe = Task::noProbe)
         "t", PhaseProgram({simplePhase(minstr)}), probe);
 }
 
+/** An endless memory-hungry co-runner. */
+std::unique_ptr<workload::EndlessTask>
+hogTask()
+{
+    ResourceDemand d;
+    d.cpi0 = 0.6;
+    d.l2Mpki = 30.0;
+    d.l3WorkingSet = 16_MiB;
+    d.l3MissBase = 0.8;
+    d.mlp = 8.0;
+    return std::make_unique<workload::EndlessTask>("hog", d);
+}
+
 TEST(Engine, RunsTaskToCompletion)
 {
     Engine engine(smallMachine());
@@ -63,20 +76,18 @@ TEST(Engine, RunsTaskToCompletion)
         done = true;
         name = t.name();
     });
-    Task &task = engine.add(simpleTask());
-    engine.runUntilComplete(task);
+    const std::unique_ptr<Task> task = engine.runToCompletion(simpleTask());
     EXPECT_TRUE(done);
     EXPECT_EQ(name, "t");
+    EXPECT_EQ(task->name(), "t");
+    EXPECT_TRUE(task->finished());
     EXPECT_EQ(engine.taskCount(), 0u);
 }
 
 TEST(Engine, CounterIdentities)
 {
-    Engine engine(smallMachine());
-    TaskCounters counters;
-    engine.onCompletion([&](Task &t) { counters = t.counters(); });
-    Task &task = engine.add(simpleTask(50));
-    engine.runUntilComplete(task);
+    const TaskCounters counters =
+        Engine(smallMachine()).runToCompletion(simpleTask(50))->counters();
 
     EXPECT_NEAR(counters.instructions, 50e6, 1e3);
     // T_private + T_shared == cycles.
@@ -93,8 +104,9 @@ TEST(Engine, SoloCpiMatchesModel)
 {
     // cpi = cpi0 + mpki/1000 * avg_lat_cycles / mlp at base frequency.
     const auto cfg = smallMachine();
-    const RunResult run = runSolo(cfg, [] { return simpleTask(50); });
-    const double cpi = run.counters.cycles / run.counters.instructions;
+    const TaskCounters counters =
+        Engine(cfg).runToCompletion(simpleTask(50))->counters();
+    const double cpi = counters.cycles / counters.instructions;
     const double ghz = cfg.baseFrequency * 1e-9;
     const double avgLat =
         (0.8 * cfg.l3HitLatencyNs + 0.2 * cfg.memLatencyNs) * ghz;
@@ -105,20 +117,19 @@ TEST(Engine, SoloCpiMatchesModel)
 TEST(Engine, WallTimeMatchesCycles)
 {
     const auto cfg = smallMachine();
-    const RunResult run = runSolo(cfg, [] { return simpleTask(50); });
+    const std::unique_ptr<Task> run =
+        Engine(cfg).runToCompletion(simpleTask(50));
     // Alone on a fixed-frequency machine, wall time ~= cycles / freq
     // (quantum rounding adds at most one quantum).
-    EXPECT_NEAR(run.wallTime, run.counters.cycles / cfg.baseFrequency,
-                100e-6);
+    EXPECT_NEAR(run->completionTime() - run->launchTime(),
+                run->counters().cycles / cfg.baseFrequency, 100e-6);
 }
 
 TEST(Engine, ProbeCapturesAtWindow)
 {
-    Engine engine(smallMachine());
-    ProbeCapture probe;
-    engine.onCompletion([&](Task &t) { probe = t.probe(); });
-    Task &task = engine.add(simpleTask(50, 10e6));
-    engine.runUntilComplete(task);
+    const ProbeCapture probe = Engine(smallMachine())
+                                   .runToCompletion(simpleTask(50, 10e6))
+                                   ->probe();
 
     ASSERT_TRUE(probe.started);
     ASSERT_TRUE(probe.complete);
@@ -131,11 +142,8 @@ TEST(Engine, ProbeCapturesAtWindow)
 
 TEST(Engine, NoProbeWhenDisabled)
 {
-    Engine engine(smallMachine());
-    ProbeCapture probe;
-    engine.onCompletion([&](Task &t) { probe = t.probe(); });
-    Task &task = engine.add(simpleTask(20));
-    engine.runUntilComplete(task);
+    const ProbeCapture probe =
+        Engine(smallMachine()).runToCompletion(simpleTask(20))->probe();
     EXPECT_FALSE(probe.started);
     EXPECT_FALSE(probe.complete);
 }
@@ -145,12 +153,10 @@ TEST(Engine, MultiPhaseTaskRetiresAllPhases)
     PhaseProgram program({simplePhase(5, 0.5, 0.0),
                           simplePhase(7, 2.0, 20.0),
                           simplePhase(3, 1.0, 1.0)});
-    Engine engine(smallMachine());
-    TaskCounters counters;
-    engine.onCompletion([&](Task &t) { counters = t.counters(); });
-    Task &task = engine.add(
-        std::make_unique<ProgramTask>("multi", program));
-    engine.runUntilComplete(task);
+    const TaskCounters counters =
+        Engine(smallMachine())
+            .runToCompletion(std::make_unique<ProgramTask>("multi", program))
+            ->counters();
     EXPECT_NEAR(counters.instructions, 15e6, 1e3);
 }
 
@@ -176,8 +182,7 @@ TEST(Engine, MultipleListenersAllCalled)
     int a = 0, b = 0;
     engine.onCompletion([&](Task &) { ++a; });
     engine.onCompletion([&](Task &) { ++b; });
-    Task &task = engine.add(simpleTask(1));
-    engine.runUntilComplete(task);
+    engine.runToCompletion(simpleTask(1));
     EXPECT_EQ(a, 1);
     EXPECT_EQ(b, 1);
 }
@@ -205,24 +210,142 @@ TEST(Engine, TimeAdvances)
     EXPECT_NEAR(engine.machineCounters().time, 0.01, 1e-9);
 }
 
-TEST(Engine, RunUntilCompleteCapFatal)
+TEST(Engine, RunToCompletionCapFatal)
 {
     Engine engine(smallMachine());
-    Task &task = engine.add(std::make_unique<workload::EndlessTask>(
-        "endless", ResourceDemand{}));
-    EXPECT_EXIT(engine.runUntilComplete(task, 0.01),
-                ::testing::ExitedWithCode(1), "did not finish");
+    EXPECT_EXIT(engine.runToCompletion(std::make_unique<workload::EndlessTask>(
+                                           "endless", ResourceDemand{}),
+                                       0.01),
+                ::testing::ExitedWithCode(1),
+                "task 1 did not finish within 0.01 simulated seconds");
 }
 
-TEST(Engine, AliveTracksOwnership)
+TEST(Engine, RunToCompletionHandsBackTheReapedTask)
 {
+    // Listeners see the task first; then the caller owns that same
+    // object, stamped and no longer in the engine.
     Engine engine(smallMachine());
-    Task &task = engine.add(simpleTask(1));
-    EXPECT_TRUE(engine.alive(task));
-    EXPECT_TRUE(engine.aliveId(task.id()));
-    const auto id = task.id();
-    engine.runUntilCompleteId(id);
-    EXPECT_FALSE(engine.aliveId(id));
+    engine.add(simpleTask(100)); // outlives the subject
+    const Task *seen = nullptr;
+    engine.onCompletion([&](Task &t) {
+        seen = &t;
+        EXPECT_EQ(engine.taskCount(), 1u);
+    });
+    const std::unique_ptr<Task> task = engine.runToCompletion(simpleTask(1));
+    EXPECT_EQ(seen, task.get());
+    EXPECT_EQ(task->id(), 2u);
+    EXPECT_EQ(task->launchTime(), 0.0);
+    EXPECT_EQ(task->completionTime(), engine.now());
+    EXPECT_EQ(engine.taskCount(), 1u);
+    EXPECT_EQ(engine.stats().completions.value(), 1.0);
+}
+
+/** What the old callback-capture protocol read from a finished task. */
+struct Captured
+{
+    TaskCounters counters;
+    ProbeCapture probe;
+    std::uint64_t id = 0;
+    Seconds launched = 0;
+    Seconds completed = 0;
+};
+
+Captured
+captureOf(const Task &t)
+{
+    return {t.counters(), t.probe(), t.id(), t.launchTime(),
+            t.completionTime()};
+}
+
+/** Id of the subject both differential runs measure: it follows two
+ *  hogs and its twin. */
+constexpr std::uint64_t kSubjectId = 4;
+
+/**
+ * A crowded engine: two warmed-up hogs, then a twin of the subject
+ * on the next CPU, launched with it so both finish in the same
+ * quantum, and a listener that records every other completion and
+ * relaunches the twin's CPU from inside the reap.
+ */
+void
+crowd(Engine &engine, std::vector<Seconds> &co_finish)
+{
+    for (unsigned cpu = 2; cpu < 4; ++cpu) {
+        auto hog = hogTask();
+        hog->setAffinity({cpu});
+        engine.add(std::move(hog));
+    }
+    engine.run(1e-3);
+    auto twin = simpleTask(20, 5e6);
+    twin->setAffinity({1});
+    engine.add(std::move(twin));
+    engine.onCompletion([&engine, &co_finish](Task &t) {
+        if (t.id() == kSubjectId)
+            return;
+        co_finish.push_back(t.completionTime());
+        auto next = simpleTask(2);
+        next->setAffinity({1});
+        engine.add(std::move(next));
+    });
+}
+
+TEST(Engine, RunToCompletionMatchesCallbackCapture)
+{
+    // The differential: the same crowded run measured through
+    // runToCompletion() and through a copy of the protocol it replaced
+    // (a capturing listener plus a step loop until it fires) agrees
+    // bit for bit on the subject, the co-runners and the machine.
+    const auto subject = [] {
+        auto task = simpleTask(20, 5e6);
+        task->setAffinity({0});
+        return task;
+    };
+
+    Engine old(smallMachine());
+    std::vector<Seconds> oldCo;
+    crowd(old, oldCo);
+    Captured before;
+    bool captured = false;
+    old.onCompletion([&](Task &t) {
+        if (t.id() == kSubjectId) {
+            before = captureOf(t);
+            captured = true;
+        }
+    });
+    old.add(subject());
+    while (!captured)
+        old.runQuanta(1);
+
+    Engine now(smallMachine());
+    std::vector<Seconds> nowCo;
+    crowd(now, nowCo);
+    const Captured after = captureOf(*now.runToCompletion(subject()));
+
+    // The twin co-runner finished in the subject's quantum.
+    ASSERT_EQ(nowCo.size(), 1u);
+    EXPECT_EQ(nowCo.front(), after.completed);
+    EXPECT_EQ(nowCo, oldCo);
+
+    EXPECT_EQ(after.id, kSubjectId);
+    EXPECT_EQ(after.id, before.id);
+    EXPECT_EQ(after.launched, before.launched);
+    EXPECT_EQ(after.completed, before.completed);
+    EXPECT_EQ(std::memcmp(&after.counters, &before.counters,
+                          sizeof(TaskCounters)),
+              0);
+    ASSERT_TRUE(after.probe.complete);
+    EXPECT_EQ(std::memcmp(&after.probe.taskAtEnd, &before.probe.taskAtEnd,
+                          sizeof(TaskCounters)),
+              0);
+    EXPECT_EQ(std::memcmp(&after.probe.machineAtEnd,
+                          &before.probe.machineAtEnd,
+                          sizeof(MachineCounters)),
+              0);
+    EXPECT_EQ(now.now(), old.now());
+    EXPECT_EQ(now.taskCount(), old.taskCount());
+    EXPECT_EQ(std::memcmp(&now.machineCounters(), &old.machineCounters(),
+                          sizeof(MachineCounters)),
+              0);
 }
 
 TEST(Engine, LiveTasksView)
@@ -237,12 +360,8 @@ TEST(Engine, DeterministicAcrossRuns)
 {
     auto runOnce = [] {
         Engine engine(smallMachine());
-        TaskCounters counters;
-        engine.onCompletion([&](Task &t) { counters = t.counters(); });
-        Task &task = engine.add(simpleTask(30));
         engine.add(simpleTask(100)); // co-runner
-        engine.runUntilComplete(task);
-        return counters;
+        return engine.runToCompletion(simpleTask(30))->counters();
     };
     const TaskCounters a = runOnce();
     const TaskCounters b = runOnce();
@@ -254,31 +373,18 @@ TEST(Engine, DeterministicAcrossRuns)
 TEST(Engine, CoRunnerSlowsSubjectDown)
 {
     const auto cfg = smallMachine();
-    const RunResult solo = runSolo(cfg, [] { return simpleTask(30); });
+    const TaskCounters solo =
+        Engine(cfg).runToCompletion(simpleTask(30))->counters();
 
     Engine engine(cfg);
-    TaskCounters counters;
-    engine.onCompletion([&](Task &t) {
-        if (t.name() == "t")
-            counters = t.counters();
-    });
     // Memory-hungry co-runners on the other cores.
-    for (int i = 0; i < 3; ++i) {
-        ResourceDemand d;
-        d.cpi0 = 0.6;
-        d.l2Mpki = 30.0;
-        d.l3WorkingSet = 16_MiB;
-        d.l3MissBase = 0.8;
-        d.mlp = 8.0;
-        engine.add(
-            std::make_unique<workload::EndlessTask>("hog", d));
-    }
-    Task &task = engine.add(simpleTask(30));
-    engine.runUntilComplete(task);
+    for (int i = 0; i < 3; ++i)
+        engine.add(hogTask());
+    const TaskCounters counters =
+        engine.runToCompletion(simpleTask(30))->counters();
 
-    EXPECT_GT(counters.cycles, solo.counters.cycles * 1.01);
-    EXPECT_GT(counters.stallSharedCycles,
-              solo.counters.stallSharedCycles * 1.2);
+    EXPECT_GT(counters.cycles, solo.cycles * 1.01);
+    EXPECT_GT(counters.stallSharedCycles, solo.stallSharedCycles * 1.2);
 }
 
 TEST(Engine, RunExecutesExactQuantumCounts)
@@ -525,25 +631,20 @@ TEST(Engine, SmtSiblingInflatesCpi)
     auto cfg = smallMachine(2);
     cfg.smtWays = 2;
     // Solo on the machine (no sibling).
-    const RunResult solo = runSolo(cfg, [] { return simpleTask(20); });
+    const TaskCounters solo =
+        Engine(cfg).runToCompletion(simpleTask(20))->counters();
 
     Engine engine(cfg);
-    TaskCounters counters;
-    engine.onCompletion([&](Task &t) {
-        if (t.name() == "t")
-            counters = t.counters();
-    });
     auto sibling = std::make_unique<workload::EndlessTask>(
         "sib", ResourceDemand{});
     sibling->setAffinity({1}); // core 0, way 1
     engine.add(std::move(sibling));
     auto subject = simpleTask(20);
     subject->setAffinity({0}); // core 0, way 0
-    Task &task = engine.add(std::move(subject));
-    engine.runUntilComplete(task);
+    const TaskCounters counters =
+        engine.runToCompletion(std::move(subject))->counters();
 
-    const double soloCpi =
-        solo.counters.cycles / solo.counters.instructions;
+    const double soloCpi = solo.cycles / solo.instructions;
     const double smtCpi = counters.cycles / counters.instructions;
     EXPECT_GT(smtCpi, soloCpi * 1.5);
 }

@@ -152,7 +152,8 @@ runWorkload(std::uint64_t seed, bool fast_forward)
             engine.add(randomTask(rng, cfg.hwThreads(), index++));
         engine.run(rng.uniform(0.8e-3, 12e-3));
     }
-    engine.runUntilIdle();
+    while (engine.taskCount() > 0) // drain, one quantum at a time
+        engine.runQuanta(1);
     engine.run(1.1e-3); // trailing idle stretch exercises idle replay
 
     for (Task *t : engine.liveTasks())

@@ -23,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include "sim/engine.h"
-#include "sim/machine.h"
 #include "sim/machine_catalog.h"
 #include "workload/program.h"
 

@@ -1,11 +1,13 @@
 /**
  * @file
- * Tests for the invoker's population maintenance and placement modes.
+ * Tests for the invoker's population maintenance and placement modes,
+ * and for its own completion subscription.
  */
 
 #include <gtest/gtest.h>
 
 #include "workload/invoker.h"
+#include "workload/program.h"
 #include "workload/suite.h"
 #include "sim/machine_catalog.h"
 
@@ -69,8 +71,6 @@ TEST(Invoker, MaintainsPopulationUnderChurn)
     cfg.cpuPool = {0, 1, 2, 3, 4, 5, 6, 7};
     cfg.seed = 3;
     Invoker invoker(engine, cfg);
-    engine.onCompletion(
-        [&](sim::Task &task) { invoker.handleCompletion(task); });
     invoker.start();
     engine.run(0.5);
     EXPECT_EQ(invoker.liveCount(), 8u);
@@ -80,24 +80,85 @@ TEST(Invoker, MaintainsPopulationUnderChurn)
     EXPECT_GT(invoker.launchedCount(), 12u);
 }
 
+/** A short task no invoker launched. */
+std::unique_ptr<sim::Task>
+foreignTask()
+{
+    Phase phase;
+    phase.name = "foreign";
+    phase.instructions = 1e6;
+    phase.demand.cpi0 = 1.0;
+    return std::make_unique<ProgramTask>("foreign",
+                                         PhaseProgram({phase}));
+}
+
 TEST(Invoker, OwnershipTracking)
 {
+    // The invoker relaunches its own co-runners with no routing by the
+    // caller, and a foreign task's completion launches nothing.
     sim::Engine engine(machine());
     InvokerConfig cfg;
     cfg.targetCount = 2;
     cfg.cpuPool = {0, 1};
+    cfg.functionPool = {&functionByName("float-py")};
     Invoker invoker(engine, cfg);
     invoker.start();
-    auto tasks = engine.liveTasks();
-    ASSERT_EQ(tasks.size(), 2u);
-    EXPECT_TRUE(invoker.owns(*tasks[0]));
+    ASSERT_EQ(invoker.launchedCount(), 2u);
 
-    // A foreign task is not owned and not respawned.
-    sim::ResourceDemand d;
-    auto foreign = std::make_unique<EndlessTask>("foreign", d);
-    sim::Task &handle = engine.add(std::move(foreign));
-    EXPECT_FALSE(invoker.owns(handle));
-    EXPECT_FALSE(invoker.handleCompletion(handle));
+    auto foreign = foreignTask();
+    foreign->setAffinity({2});
+    engine.runToCompletion(std::move(foreign));
+    EXPECT_EQ(invoker.launchedCount(), 2u);
+    EXPECT_EQ(engine.taskCount(), 2u);
+
+    engine.run(0.5); // float-py runs well under 0.5 s
+    EXPECT_GT(invoker.launchedCount(), 2u);
+    EXPECT_EQ(invoker.liveCount(), 2u);
+    EXPECT_EQ(engine.taskCount(), 2u);
+}
+
+TEST(Invoker, TwoInvokersRelaunchOnlyTheirOwn)
+{
+    // Two populations on one engine, as in Figure 7's light background
+    // and heavy wave: each replaces only what it launched, on its own
+    // cores.
+    sim::Engine engine(machine());
+    InvokerConfig lightCfg;
+    lightCfg.targetCount = 2;
+    lightCfg.cpuPool = {0, 1};
+    lightCfg.functionPool = {&functionByName("fib-go")};
+    lightCfg.seed = 5;
+    Invoker light(engine, lightCfg);
+
+    InvokerConfig heavyCfg;
+    heavyCfg.targetCount = 3;
+    heavyCfg.cpuPool = {4, 5, 6};
+    heavyCfg.functionPool = {&functionByName("pager-py")};
+    heavyCfg.seed = 6;
+    Invoker heavy(engine, heavyCfg);
+
+    light.start();
+    engine.run(0.3);
+    const std::uint64_t lightBefore = light.launchedCount();
+    EXPECT_GT(lightBefore, 2u);
+    EXPECT_EQ(heavy.launchedCount(), 0u); // not started: owns nothing
+    EXPECT_EQ(engine.taskCount(), 2u);
+
+    heavy.start();
+    engine.run(0.6);
+    EXPECT_GT(heavy.launchedCount(), 3u);
+    EXPECT_GT(light.launchedCount(), lightBefore);
+    EXPECT_EQ(light.liveCount(), 2u);
+    EXPECT_EQ(heavy.liveCount(), 3u);
+    EXPECT_EQ(engine.taskCount(), 5u);
+    const auto runsOn = [&](unsigned cpu) {
+        const sim::Task *task = engine.scheduler().runningOn(cpu);
+        return task ? task->name() : std::string("idle");
+    };
+    for (unsigned cpu : {0u, 1u})
+        EXPECT_EQ(runsOn(cpu), "fib-go");
+    for (unsigned cpu : {4u, 5u, 6u})
+        EXPECT_EQ(runsOn(cpu), "pager-py");
 }
 
 TEST(Invoker, ReplacementInheritsFreedCore)
@@ -109,8 +170,6 @@ TEST(Invoker, ReplacementInheritsFreedCore)
     cfg.cpuPool = {4, 5, 6};
     cfg.seed = 11;
     Invoker invoker(engine, cfg);
-    engine.onCompletion(
-        [&](sim::Task &task) { invoker.handleCompletion(task); });
     invoker.start();
     engine.run(0.6);
     // Population still pinned one per core on exactly the pool CPUs.

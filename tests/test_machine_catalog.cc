@@ -184,6 +184,23 @@ TEST(MachineCatalog, RegisterFromFileRejectsUnknownBase)
     std::remove(path.c_str());
 }
 
+TEST(MachineCatalog, RegisterFromFileNamesTheBaseLine)
+{
+    // An unknown base dies at its own line, not later in a lookup that
+    // has lost the file.
+    const std::string path = "/tmp/litmus_test_preset_badbase_line.conf";
+    {
+        std::ofstream out(path);
+        out << "name = whatever\n# inherits\nbase = vax-11\n";
+    }
+    EXPECT_EXIT(MachineCatalog::registerFromFile(path),
+                ::testing::ExitedWithCode(1),
+                "fatal: /tmp/litmus_test_preset_badbase_line\\.conf:3: "
+                "MachineCatalog: unknown machine 'vax-11' \\(catalog: "
+                "cascade-5218");
+    std::remove(path.c_str());
+}
+
 TEST(MachineCatalog, RegisterFromFileRejectsWrapsAndBadSizes)
 {
     // Each bad value dies at registration, before any engine exists,

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
-#include "sim/machine.h"
 #include "workload/suite.h"
 #include "sim/machine_catalog.h"
 
@@ -39,18 +38,13 @@ subjectCpiWithHogs(const MachineConfig &cfg,
         task->setAffinity({cpu});
         engine.add(std::move(task));
     }
-    TaskCounters counters;
-    engine.onCompletion([&](Task &t) {
-        if (t.name() == "subject")
-            counters = t.counters();
-    });
     const auto &spec = workload::functionByName("pager-py");
     auto subject = workload::makeNominalInvocation(spec, false);
     auto named = std::make_unique<workload::ProgramTask>(
         "subject", subject->program());
     named->setAffinity({0}); // socket 0, core 0
-    Task &handle = engine.add(std::move(named));
-    engine.runUntilComplete(handle);
+    const TaskCounters counters =
+        engine.runToCompletion(std::move(named))->counters();
     return counters.cycles / counters.instructions;
 }
 

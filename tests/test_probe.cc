@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/litmus_probe.h"
-#include "sim/machine.h"
+#include "sim/engine.h"
 #include "workload/function_model.h"
 #include "workload/suite.h"
 #include "sim/machine_catalog.h"
@@ -87,10 +87,10 @@ TEST(Probe, EndToEndSoloCapture)
     // the slowdown against itself is exactly 1.
     const auto cfg = sim::MachineCatalog::get("cascade-5218");
     const auto &spec = workload::functionByName("aes-py");
-    const auto run = sim::runSolo(
-        cfg, [&] { return workload::makeNominalInvocation(spec, true); });
-    ASSERT_TRUE(run.probe.complete);
-    const ProbeReading reading = readProbe(run.probe);
+    const auto run = sim::Engine(cfg).runToCompletion(
+        workload::makeNominalInvocation(spec, true));
+    ASSERT_TRUE(run->probe().complete);
+    const ProbeReading reading = readProbe(*run);
     EXPECT_GE(reading.instructions,
               workload::probeWindow(spec.language));
     EXPECT_GT(reading.privCpi, 0.0);
@@ -107,11 +107,9 @@ TEST(Probe, SameLanguageFunctionsProbeAlike)
     // assumption.
     const auto cfg = sim::MachineCatalog::get("cascade-5218");
     auto readFor = [&](const char *name) {
-        const auto run = sim::runSolo(cfg, [&] {
-            return workload::makeNominalInvocation(
-                workload::functionByName(name), true);
-        });
-        return readProbe(run.probe);
+        return readProbe(*sim::Engine(cfg).runToCompletion(
+            workload::makeNominalInvocation(workload::functionByName(name),
+                                            true)));
     };
     const ProbeReading a = readFor("float-py");
     const ProbeReading b = readFor("pager-py");

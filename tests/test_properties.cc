@@ -162,8 +162,6 @@ TEST(MemoryAdmission, DefersWhenFull)
     icfg.cpuPool = {0, 1, 2, 3};
     icfg.functionPool = {&workload::functionByName("recogn-py")}; // 1 GiB
     workload::Invoker invoker(engine, icfg);
-    engine.onCompletion(
-        [&](sim::Task &task) { invoker.handleCompletion(task); });
     invoker.start();
 
     EXPECT_LE(invoker.committedMemory(), machine.memoryCapacity);

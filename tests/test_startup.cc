@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/machine.h"
+#include "sim/engine.h"
 #include "workload/runtime_startup.h"
 #include "sim/machine_catalog.h"
 
@@ -68,11 +68,9 @@ TEST(Startup, RelativeDurations)
     const auto cfg = sim::MachineCatalog::get("cascade-5218");
     std::map<Language, Seconds> wall;
     for (Language lang : allLanguages()) {
-        const auto run = sim::runSolo(cfg, [&] {
-            return std::make_unique<ProgramTask>("s",
-                                                 startupProgram(lang));
-        });
-        wall[lang] = run.wallTime;
+        const auto run = sim::Engine(cfg).runToCompletion(
+            std::make_unique<ProgramTask>("s", startupProgram(lang)));
+        wall[lang] = run->completionTime() - run->launchTime();
     }
     EXPECT_GT(wall[Language::NodeJs], 3 * wall[Language::Python]);
     EXPECT_GT(wall[Language::Python], 2 * wall[Language::Go]);

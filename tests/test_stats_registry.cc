@@ -175,9 +175,8 @@ TEST(EngineStats, PopulatedByRuns)
     phase.demand.l3WorkingSet = 1_MiB;
     phase.demand.l3MissBase = 0.2;
     phase.demand.mlp = 4.0;
-    sim::Task &task = engine.add(std::make_unique<workload::ProgramTask>(
+    engine.runToCompletion(std::make_unique<workload::ProgramTask>(
         "t", workload::PhaseProgram({phase})));
-    engine.runUntilComplete(task);
 
     EXPECT_GT(engine.stats().quanta.value(), 0.0);
     EXPECT_DOUBLE_EQ(engine.stats().completions.value(), 1.0);

@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/litmus_probe.h"
-#include "sim/machine.h"
+#include "sim/engine.h"
 #include "workload/suite.h"
 #include "sim/machine_catalog.h"
 
@@ -34,9 +34,9 @@ TEST_P(SuiteSweep, SoloRunInvariants)
     const auto cfg = sim::MachineCatalog::get("cascade-5218");
     const FunctionSpec &fn = functionByName(GetParam());
 
-    const sim::RunResult run = sim::runSolo(
-        cfg, [&] { return makeNominalInvocation(fn, true); });
-    const sim::TaskCounters &c = run.counters;
+    const std::unique_ptr<sim::Task> run =
+        sim::Engine(cfg).runToCompletion(makeNominalInvocation(fn, true));
+    const sim::TaskCounters &c = run->counters();
 
     // Retired exactly the nominal program.
     EXPECT_NEAR(c.instructions, fn.nominalProgram().totalInstructions(),
@@ -55,15 +55,14 @@ TEST_P(SuiteSweep, SoloRunInvariants)
     EXPECT_LE(c.l3Misses, c.l2Misses + 1e-6);
 
     // The Litmus probe closed inside the startup.
-    ASSERT_TRUE(run.probe.complete);
+    ASSERT_TRUE(run->probe().complete);
     const sim::TaskCounters window =
-        run.probe.taskAtEnd.since(run.probe.taskAtStart);
+        run->probe().taskAtEnd.since(run->probe().taskAtStart);
     EXPECT_LE(window.instructions,
               startupProgram(fn.language).totalInstructions() + 1e6);
 
     // The probe reading is well-formed.
-    const pricing::ProbeReading reading =
-        pricing::readProbe(run.probe);
+    const pricing::ProbeReading reading = pricing::readProbe(*run);
     EXPECT_GT(reading.privCpi, 0.0);
     EXPECT_GT(reading.sharedCpi, 0.0);
 

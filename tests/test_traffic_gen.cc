@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/machine.h"
 #include "workload/program.h"
 #include "workload/traffic_gen.h"
 #include "sim/machine_catalog.h"
@@ -115,14 +114,11 @@ TEST(TrafficGen, LevelsProduceIncreasingCongestion)
         phase.name = "probe";
         phase.instructions = 20e6;
         phase.demand = probeDemand;
-        sim::TaskCounters counters;
-        engine.onCompletion(
-            [&](sim::Task &t) { counters = t.counters(); });
         auto task = std::make_unique<ProgramTask>(
             "probe", PhaseProgram({phase}));
         task->setAffinity({0});
-        sim::Task &handle = engine.add(std::move(task));
-        engine.runUntilComplete(handle);
+        const sim::TaskCounters counters =
+            engine.runToCompletion(std::move(task))->counters();
         const double cpi = counters.cycles / counters.instructions;
         EXPECT_GT(cpi, prevCpi * 0.999) << "level " << level;
         prevCpi = cpi;

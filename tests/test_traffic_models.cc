@@ -513,6 +513,17 @@ TEST(ScenarioSpecDeath, ValuesNameTheirLine)
          "scenario key 'calibrate' expects a boolean");
 }
 
+TEST(ScenarioSpecDeath, UnknownTrafficModelNamesItsLine)
+{
+    // Refused where it is read, with the names makeTrafficModel knows.
+    const std::string path = writeTempFile(
+        "fractal.scenario", "seed = 3\ntraffic = fractal\nrate = 50\n");
+    EXPECT_EXIT((void)ScenarioSpec::fromFile(path),
+                ::testing::ExitedWithCode(1),
+                "fractal\\.scenario:2: unknown traffic model 'fractal' "
+                "\\(known: azure, burst, diurnal, poisson, trace\\)");
+}
+
 TEST(ScenarioSpecDeath, DuplicateKeyNamesBothLines)
 {
     const std::string path = writeTempFile(
