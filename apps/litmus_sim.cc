@@ -178,7 +178,7 @@ cmdSuite(const ArgParser &)
             {spec.name, workload::languageName(spec.language),
              spec.reference ? "reference*"
                             : (spec.testSet ? "test" : "pool"),
-             TextTable::num(spec.bodyInstructions() / 1e6, 0),
+             TextTable::num(sim::totalInstructions(spec.body) / 1e6, 0),
              TextTable::num(static_cast<double>(spec.memoryFootprint) /
                                 (1024.0 * 1024.0),
                             0)});

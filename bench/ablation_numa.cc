@@ -37,8 +37,8 @@ slowdownWithHogs(const sim::MachineConfig &cfg,
         d.l3WorkingSet = 16_MiB;
         d.l3MissBase = 0.8;
         d.mlp = 8.0;
-        auto task = std::make_unique<workload::EndlessTask>(
-            "hog" + std::to_string(cpu), d);
+        auto task =
+            std::make_unique<sim::Task>("hog" + std::to_string(cpu), d);
         task->setAffinity({cpu});
         engine.add(std::move(task));
     }

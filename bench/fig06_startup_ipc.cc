@@ -24,7 +24,7 @@ sampleStartupIpc(workload::Language lang)
 {
     const auto cfg = sim::MachineCatalog::get("cascade-5218");
     sim::Engine engine(cfg);
-    sim::Task &task = engine.add(std::make_unique<workload::ProgramTask>(
+    sim::Task &task = engine.add(std::make_unique<sim::Task>(
         "startup", workload::startupProgram(lang)));
 
     std::vector<double> ipc;

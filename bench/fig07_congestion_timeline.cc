@@ -68,7 +68,7 @@ main()
             heavyInvoker.start();
 
         // Launch one Litmus probe (a bare Python startup) on core 0.
-        auto probe = std::make_unique<workload::ProgramTask>(
+        auto probe = std::make_unique<sim::Task>(
             "probe", workload::startupProgram(workload::Language::Python),
             workload::probeWindow(workload::Language::Python));
         probe->setAffinity({0});

@@ -82,7 +82,6 @@
 #include "common/line_reader.h"
 #include "scenario/traffic_model.h"
 #include "workload/invoker.h"
-#include "workload/program.h"
 #include "workload/suite.h"
 #include "sim/machine_catalog.h"
 
@@ -189,8 +188,7 @@ runSteady(bool fast_forward, Seconds sim_seconds)
         d.mlp = 4.0;
         std::string name = "gen";
         name += std::to_string(i);
-        engine.add(std::make_unique<workload::EndlessTask>(
-            std::move(name), d));
+        engine.add(std::make_unique<sim::Task>(std::move(name), d));
     }
 
     ModeResult r;
@@ -234,8 +232,8 @@ runSingleThreadBarriers(BarrierDrive drive, Seconds sim_seconds)
     d.l3WorkingSet = 2_MiB;
     d.l3MissBase = 0.15;
     d.mlp = 4.0;
-    const sim::Task &task = engine.add(std::make_unique<workload::ProgramTask>(
-        "long", workload::PhaseProgram({{"body", 1e15, d}})));
+    const sim::Task &task = engine.add(std::make_unique<sim::Task>(
+        "long", std::vector<sim::Phase>{{"body", 1e15, d}}));
 
     // The caller's canonical clock, advanced one barrier at a time as
     // the cluster's event core does.

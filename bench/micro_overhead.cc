@@ -157,8 +157,7 @@ BM_EngineQuantum(benchmark::State &state)
         // the operator+ temporary chain.
         std::string name = "t";
         name += std::to_string(i);
-        engine.add(
-            std::make_unique<workload::EndlessTask>(std::move(name), d));
+        engine.add(std::make_unique<sim::Task>(std::move(name), d));
     }
     for (auto _ : state)
         engine.run(50e-6);

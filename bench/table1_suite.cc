@@ -31,7 +31,7 @@ main()
             workload::languageName(spec.language),
             spec.reference ? "reference*"
                            : (spec.testSet ? "test" : "pool"),
-            TextTable::num(spec.bodyInstructions() / 1e6, 0),
+            TextTable::num(sim::totalInstructions(spec.body) / 1e6, 0),
             TextTable::num(body.demand.l2Mpki, 2),
             TextTable::num(
                 static_cast<double>(body.demand.l3WorkingSet) /

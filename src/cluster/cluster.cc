@@ -478,7 +478,7 @@ Cluster::dispatch(const Invocation &inv)
     const bool warm =
         warmPool != m.warmIdle.end() && !warmPool->second.empty();
 
-    std::unique_ptr<workload::ProgramTask> task;
+    std::unique_ptr<sim::Task> task;
     if (warm) {
         // Reuse the most recently parked container (LIFO keeps the
         // oldest entries at the front for expiry sweeps).

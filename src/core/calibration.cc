@@ -24,7 +24,7 @@ using workload::GeneratorKind;
 using workload::Language;
 
 /** Bare startup task used as the congestion-table subject. */
-std::unique_ptr<workload::ProgramTask>
+std::unique_ptr<sim::Task>
 makeStartupTask(Language lang, Instructions window_override = 0)
 {
     Instructions window = window_override > 0
@@ -32,12 +32,10 @@ makeStartupTask(Language lang, Instructions window_override = 0)
                               : workload::probeWindow(lang);
     // The probe must close inside the startup (shorter runtimes like
     // Go cap the usable window).
-    window = std::min(
-        window,
-        workload::startupProgram(lang).totalInstructions() * 0.9);
-    return std::make_unique<workload::ProgramTask>(
-        "start-" + workload::languageSuffix(lang),
-        workload::startupProgram(lang), window);
+    const std::vector<sim::Phase> &startup = workload::startupProgram(lang);
+    window = std::min(window, sim::totalInstructions(startup) * 0.9);
+    return std::make_unique<sim::Task>(
+        "start-" + workload::languageSuffix(lang), startup, window);
 }
 
 /**

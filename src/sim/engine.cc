@@ -278,9 +278,9 @@ Engine::tryReplayQuantum()
             t.task->retire(t.stepInstr);
             updateProbe(*t.task);
             // The phase headroom check above leaves work in the phase,
-            // but ProgramTask advances within a small retirement
-            // tolerance of the boundary — the task may have just
-            // finished exactly as it would under exact stepping.
+            // but Task::retire ends a phase within kPhaseEndSlack of
+            // its boundary — the task may have just finished exactly
+            // as it would under exact stepping.
             if (t.task->finished())
                 sawFinish = true;
         }

@@ -3,10 +3,12 @@
  * Quantum-stepped simulation engine with a steady-state fast-forward
  * core.
  *
- * Each quantum (default 50 us) the engine asks the scheduler which task
- * runs on every hardware thread, solves the shared-domain contention
- * fixed point once, then advances each running task — splitting the
- * quantum at phase boundaries so short startup sub-phases stay sharp.
+ * Every task is a sim::Task walking its phase list (a function's
+ * startup and body, or one endless generator phase). Each quantum
+ * (default 50 us) the engine asks the scheduler which task runs on
+ * every hardware thread, solves the shared-domain contention fixed
+ * point once, then advances each running task — splitting the quantum
+ * at phase boundaries so short startup sub-phases stay sharp.
  * PMU counters, probe windows, completion callbacks, and machine-wide
  * uncore counters are all maintained here.
  *
@@ -20,12 +22,13 @@
  * Long steady phases and idle stretches dominate real traces, so the
  * engine does not recompute what cannot have changed: a full step
  * captures a *replay plan* (the solved per-thread quantum deltas), and
- * while the scheduler topology, every running task's phase, and the
- * phase headroom are unchanged, subsequent quanta replay the cached
- * deltas — same additions, same order, same per-quantum observer
- * callbacks — so every statistic, counter, and billing input stays
- * bit-identical to exact quantum stepping while skipping the scheduler
- * scans and the iterative contention solve. Re-solves that do happen
+ * while the scheduler topology, every running task's phase (the
+ * address Task::demand() returns) and the phase headroom are
+ * unchanged, subsequent quanta replay the cached deltas — same
+ * additions, same order, same per-quantum observer callbacks — so
+ * every statistic, counter, and billing input stays bit-identical to
+ * exact quantum stepping while skipping the scheduler scans and the
+ * iterative contention solve. Re-solves that do happen
  * are served from a ContentionMemo keyed on the co-running phase
  * signature. setFastForward(false) restores the original path: the
  * differential oracle (ClusterConfig::exactQuantum) and the engine
@@ -38,7 +41,8 @@
  * holds exactly one thread on one socket, the scheduler is uncrowded
  * (its tick() is a no-op), no per-quantum observer is registered, the
  * task's probe window is closed or absent, and the task vouches for k
- * phase-steady quanta (Task::steadyRetirements). runQuanta(), run(),
+ * phase-steady quanta (Task::steadyRetirements, which applies the
+ * phase-end slack of Task::retire). runQuanta(), run(),
  * runToCompletion() and the oracle (fast-forward off) never batch.
  */
 

@@ -17,22 +17,12 @@ constexpr double kMemoryJitter = 0.02;
 
 } // namespace
 
-Instructions
-FunctionSpec::bodyInstructions() const
-{
-    Instructions total = 0;
-    for (const Phase &phase : body)
-        total += phase.instructions;
-    return total;
-}
-
-PhaseProgram
+std::vector<sim::Phase>
 FunctionSpec::nominalProgram() const
 {
-    PhaseProgram program = startupProgram(language);
-    for (const Phase &phase : body)
-        program.append(phase);
-    return program;
+    std::vector<sim::Phase> phases = startupProgram(language);
+    phases.insert(phases.end(), body.begin(), body.end());
+    return phases;
 }
 
 void
@@ -42,56 +32,63 @@ FunctionSpec::validate() const
         fatal("FunctionSpec: empty name");
     if (body.empty())
         fatal("FunctionSpec ", name, ": needs at least one body phase");
-    for (const Phase &phase : body)
+    for (const sim::Phase &phase : body)
         phase.validate();
     if (memoryFootprint == 0)
         fatal("FunctionSpec ", name, ": zero memory footprint");
 }
 
-std::unique_ptr<ProgramTask>
+sim::Phase
+jitterPhase(const sim::Phase &phase, Rng &rng, double inst_rel,
+            double mem_rel)
+{
+    sim::Phase out = phase;
+    out.instructions = phase.instructions * rng.jitter(inst_rel);
+    out.demand.l2Mpki = phase.demand.l2Mpki * rng.jitter(mem_rel);
+    return out;
+}
+
+std::unique_ptr<sim::Task>
 makeInvocation(const FunctionSpec &spec, Rng &rng,
                const InvocationOptions &opts)
 {
     spec.validate();
-    PhaseProgram program = startupProgram(spec.language);
-    for (const Phase &phase : spec.body) {
-        program.append(
+    const std::vector<sim::Phase> &startup = startupProgram(spec.language);
+    std::vector<sim::Phase> phases = startup;
+    for (const sim::Phase &phase : spec.body)
+        phases.push_back(
             jitterPhase(phase, rng, kInstructionJitter, kMemoryJitter));
-    }
     Instructions window = sim::Task::noProbe;
     if (opts.withProbe) {
         window = opts.probeWindow > 0 ? opts.probeWindow
                                       : probeWindow(spec.language);
         // The probe is only meaningful over the common startup prefix.
-        window = std::min(
-            window,
-            startupProgram(spec.language).totalInstructions() * 0.9);
+        window = std::min(window, sim::totalInstructions(startup) * 0.9);
     }
-    return std::make_unique<ProgramTask>(spec.name, std::move(program),
-                                         window);
+    return std::make_unique<sim::Task>(spec.name, std::move(phases),
+                                       window);
 }
 
-std::unique_ptr<ProgramTask>
+std::unique_ptr<sim::Task>
 makeWarmInvocation(const FunctionSpec &spec, Rng &rng)
 {
     spec.validate();
-    PhaseProgram program;
-    for (const Phase &phase : spec.body) {
-        program.append(
+    std::vector<sim::Phase> phases;
+    for (const sim::Phase &phase : spec.body)
+        phases.push_back(
             jitterPhase(phase, rng, kInstructionJitter, kMemoryJitter));
-    }
-    return std::make_unique<ProgramTask>(spec.name, std::move(program),
-                                         sim::Task::noProbe);
+    return std::make_unique<sim::Task>(spec.name, std::move(phases),
+                                       sim::Task::noProbe);
 }
 
-std::unique_ptr<ProgramTask>
+std::unique_ptr<sim::Task>
 makeNominalInvocation(const FunctionSpec &spec, bool with_probe)
 {
     spec.validate();
     const Instructions window =
         with_probe ? probeWindow(spec.language) : sim::Task::noProbe;
-    return std::make_unique<ProgramTask>(spec.name,
-                                         spec.nominalProgram(), window);
+    return std::make_unique<sim::Task>(spec.name, spec.nominalProgram(),
+                                       window);
 }
 
 } // namespace litmus::workload

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "workload/runtime_startup.h"
 
 namespace litmus::workload
@@ -36,16 +37,13 @@ struct FunctionSpec
     bool testSet = false;
 
     /** Body phases, executed after the language startup. */
-    std::vector<Phase> body;
+    std::vector<sim::Phase> body;
 
     /** Allocated memory for billing (pay-as-you-go GB-seconds). */
     Bytes memoryFootprint = 256_MiB;
 
-    /** Total body instructions. */
-    Instructions bodyInstructions() const;
-
-    /** Startup + body as one program (no jitter). */
-    PhaseProgram nominalProgram() const;
+    /** Startup + body as one phase list (no jitter). */
+    std::vector<sim::Phase> nominalProgram() const;
 
     void validate() const;
 };
@@ -66,6 +64,20 @@ struct InvocationOptions
 };
 
 /**
+ * Apply per-invocation jitter to a phase: instruction count and memory
+ * intensity wobble a little run to run (inputs differ, allocators
+ * place data differently). Demand jitter is kept small so calibration
+ * tables remain meaningful.
+ *
+ * @param phase    the nominal phase
+ * @param rng      per-task random stream
+ * @param inst_rel relative spread of the instruction count
+ * @param mem_rel  relative spread of l2Mpki
+ */
+sim::Phase jitterPhase(const sim::Phase &phase, Rng &rng, double inst_rel,
+                       double mem_rel);
+
+/**
  * Instantiate one invocation of the function as a schedulable task.
  *
  * The startup phases are never jittered (they are the probe substrate
@@ -73,17 +85,16 @@ struct InvocationOptions
  * small per-invocation jitter from @p rng (1.5% on instruction counts,
  * 2% on memory intensity).
  */
-std::unique_ptr<ProgramTask> makeInvocation(const FunctionSpec &spec,
-                                            Rng &rng,
-                                            const InvocationOptions &opts =
-                                                InvocationOptions{});
+std::unique_ptr<sim::Task> makeInvocation(const FunctionSpec &spec, Rng &rng,
+                                          const InvocationOptions &opts =
+                                              InvocationOptions{});
 
 /**
  * Build the jitter-free invocation used for solo baselines so T_solo
  * is deterministic.
  */
-std::unique_ptr<ProgramTask> makeNominalInvocation(
-    const FunctionSpec &spec, bool with_probe = true);
+std::unique_ptr<sim::Task> makeNominalInvocation(const FunctionSpec &spec,
+                                                 bool with_probe = true);
 
 /**
  * Instantiate a warm-start invocation: the runtime is already
@@ -91,8 +102,8 @@ std::unique_ptr<ProgramTask> makeNominalInvocation(
  * with it the Litmus probe, whose substrate is the startup — is
  * skipped. Only the jittered body phases run.
  */
-std::unique_ptr<ProgramTask> makeWarmInvocation(const FunctionSpec &spec,
-                                                Rng &rng);
+std::unique_ptr<sim::Task> makeWarmInvocation(const FunctionSpec &spec,
+                                              Rng &rng);
 
 } // namespace litmus::workload
 

@@ -29,9 +29,9 @@ Invoker::start()
         fatal("Invoker::start called twice");
     for (unsigned i = 0; i < cfg_.targetCount; ++i) {
         if (cfg_.placement == InvokerConfig::Placement::OnePerCore)
-            launch({cfg_.cpuPool[i]});
+            launchOrDefer({cfg_.cpuPool[i]});
         else
-            launch(cfg_.cpuPool);
+            launchOrDefer(cfg_.cpuPool);
     }
 }
 
@@ -44,11 +44,30 @@ Invoker::handleCompletion(const sim::Task &task)
     std::vector<unsigned> affinity = std::move(it->second.affinity);
     committedMemory_ -= it->second.memory;
     owned_.erase(it);
-    launch(std::move(affinity));
+    const std::size_t waited = waiting_.size();
+    launchOrDefer(std::move(affinity));
+
+    // The freed memory may now fit slots that were already waiting.
+    // Retry them oldest first; the first that still does not fit keeps
+    // its place and holds back those behind it.
+    std::size_t launched = 0;
+    while (launched < waited && launch(waiting_[launched]))
+        ++launched;
+    waiting_.erase(waiting_.begin(),
+                   waiting_.begin() + static_cast<std::ptrdiff_t>(launched));
 }
 
 void
-Invoker::launch(std::vector<unsigned> affinity)
+Invoker::launchOrDefer(std::vector<unsigned> affinity)
+{
+    if (launch(affinity))
+        return;
+    ++deferred_;
+    waiting_.push_back(std::move(affinity));
+}
+
+bool
+Invoker::launch(const std::vector<unsigned> &affinity)
 {
     const Bytes capacity = engine_.config().memoryCapacity;
 
@@ -65,12 +84,8 @@ Invoker::launch(std::vector<unsigned> affinity)
             break;
         }
     }
-    if (!spec) {
-        // Machine memory full: defer this slot until completions free
-        // capacity (the next completion retries via launch()).
-        ++deferred_;
-        return;
-    }
+    if (!spec)
+        return false;
 
     // Co-runners are never priced, so they carry no probe.
     InvocationOptions opts;
@@ -79,9 +94,9 @@ Invoker::launch(std::vector<unsigned> affinity)
     task->setAffinity(affinity);
     sim::Task &handle = engine_.add(std::move(task));
     committedMemory_ += spec->memoryFootprint;
-    owned_.emplace(handle.id(),
-                   Owned{std::move(affinity), spec->memoryFootprint});
+    owned_.emplace(handle.id(), Owned{affinity, spec->memoryFootprint});
     ++launched_;
+    return true;
 }
 
 } // namespace litmus::workload

@@ -57,10 +57,11 @@ struct InvokerConfig
     std::vector<const FunctionSpec *> functionPool;
 
     /**
-     * Enforce the machine's main-memory capacity: a function whose
-     * footprint does not fit is deferred until completions free
-     * memory (the paper's experiments were sized by exactly this
-     * limit — Section 7.2 and the Ice Lake setup).
+     * Enforce the machine's main-memory capacity: a slot whose sampled
+     * functions do not fit is deferred until completions free memory
+     * (the paper's experiments were sized by exactly this limit —
+     * Section 7.2 and the Ice Lake setup). Deferred slots wait in
+     * FIFO order and are retried at every completion.
      */
     bool enforceMemoryCapacity = true;
 
@@ -102,7 +103,11 @@ class Invoker
     /** Memory currently committed to live co-runners (bytes). */
     Bytes committedMemory() const { return committedMemory_; }
 
-    /** Launches deferred (so far) because memory was full. */
+    /**
+     * Times so far a slot started to wait because memory was full (at
+     * start() or when its co-runner finished). Failed retries of a
+     * waiting slot do not count again.
+     */
     std::uint64_t deferredCount() const { return deferred_; }
 
     const InvokerConfig &config() const { return cfg_; }
@@ -111,12 +116,19 @@ class Invoker
     /**
      * The completion listener: when @p task is one of this invoker's
      * co-runners, launch a freshly sampled replacement (same CPU in
-     * OnePerCore mode); ignore any other task.
+     * OnePerCore mode), then retry the deferred slots; ignore any
+     * other task.
      */
     void handleCompletion(const sim::Task &task);
 
-    /** Launch one sampled function on the given CPUs. */
-    void launch(std::vector<unsigned> affinity);
+    /**
+     * Launch one sampled function on the given CPUs. False, with no
+     * launch, when none of the samples fits the free memory.
+     */
+    bool launch(const std::vector<unsigned> &affinity);
+
+    /** launch(), or append the slot to the deferred FIFO. */
+    void launchOrDefer(std::vector<unsigned> affinity);
 
     sim::Engine &engine_;
     InvokerConfig cfg_;
@@ -129,6 +141,8 @@ class Invoker
     };
     // LITMUS-LINT-ALLOW(unordered-decl): task-id keyed ownership lookup only; never iterated (relaunch decisions key off completions, in completion order)
     std::unordered_map<std::uint64_t, Owned> owned_;
+    /** Affinities of the slots waiting for memory, oldest first. */
+    std::vector<std::vector<unsigned>> waiting_;
     std::uint64_t launched_ = 0;
     std::uint64_t deferred_ = 0;
     Bytes committedMemory_ = 0;

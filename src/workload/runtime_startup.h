@@ -15,8 +15,9 @@
 #define LITMUS_WORKLOAD_RUNTIME_STARTUP_H
 
 #include <string>
+#include <vector>
 
-#include "workload/program.h"
+#include "sim/task.h"
 
 namespace litmus::workload
 {
@@ -39,10 +40,10 @@ std::string languageName(Language lang);
 const std::vector<Language> &allLanguages();
 
 /**
- * The startup phase program for a language. Identical for every
+ * The startup phases of a language. Identical for every
  * function of that language (the property the Litmus test exploits).
  */
-const PhaseProgram &startupProgram(Language lang);
+const std::vector<sim::Phase> &startupProgram(Language lang);
 
 /**
  * Litmus-probe window for the language: the instruction count over

@@ -43,7 +43,7 @@ fn(const char *name, Language lang, Role role, double minstr,
     spec.reference = role == Role::Ref;
     spec.testSet = role == Role::Test;
 
-    Phase body;
+    sim::Phase body;
     body.name = "body";
     body.instructions = minstr * 1e6;
     body.demand.cpi0 = cpi0;
@@ -60,11 +60,11 @@ fn(const char *name, Language lang, Role role, double minstr,
 }
 
 /** One body phase for the multi-phase specs. */
-Phase
+sim::Phase
 bodyPhase(const char *name, double minstr, double cpi0, double mpki,
           double ws_mib, double miss_base, double mlp)
 {
-    Phase p;
+    sim::Phase p;
     p.name = name;
     p.instructions = minstr * 1e6;
     p.demand.cpi0 = cpi0;
@@ -79,7 +79,7 @@ bodyPhase(const char *name, double minstr, double cpi0, double mpki,
 /** Build a spec with an explicit multi-phase body. */
 FunctionSpec
 fnMulti(const char *name, Language lang, Role role,
-        std::vector<Phase> body, unsigned mem_mib)
+        std::vector<sim::Phase> body, unsigned mem_mib)
 {
     FunctionSpec spec;
     spec.name = name;

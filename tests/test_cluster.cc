@@ -36,7 +36,7 @@ tinySuite()
             FunctionSpec spec;
             spec.name = name;
             spec.language = Language::Go;
-            workload::Phase body;
+            sim::Phase body;
             body.name = "body";
             body.instructions = 3_Minstr;
             body.demand.cpi0 = 0.8;
@@ -435,8 +435,8 @@ TEST(Cluster, WarmInvocationSkipsStartup)
     const FunctionSpec &spec = tinySuite()[0];
     const auto cold = workload::makeInvocation(spec, rng);
     const auto warm = workload::makeWarmInvocation(spec, rng);
-    EXPECT_LT(warm->program().totalInstructions(),
-              cold->program().totalInstructions());
+    EXPECT_LT(sim::totalInstructions(warm->phases()),
+              sim::totalInstructions(cold->phases()));
     // Warm containers skip the startup, so there is no probe substrate.
     EXPECT_EQ(warm->probeWindow(), sim::Task::noProbe);
     EXPECT_GT(cold->probeWindow(), 0.0);

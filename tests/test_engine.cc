@@ -13,17 +13,12 @@
 #include <memory>
 
 #include "sim/engine.h"
-#include "workload/program.h"
 #include "sim/machine_catalog.h"
 
 namespace litmus::sim
 {
 namespace
 {
-
-using workload::Phase;
-using workload::PhaseProgram;
-using workload::ProgramTask;
 
 MachineConfig
 smallMachine(unsigned cores = 4)
@@ -47,15 +42,15 @@ simplePhase(double minstr, double cpi0 = 1.0, double mpki = 5.0)
     return p;
 }
 
-std::unique_ptr<ProgramTask>
+std::unique_ptr<Task>
 simpleTask(double minstr = 50, Instructions probe = Task::noProbe)
 {
-    return std::make_unique<ProgramTask>(
-        "t", PhaseProgram({simplePhase(minstr)}), probe);
+    return std::make_unique<Task>(
+        "t", std::vector<Phase>{simplePhase(minstr)}, probe);
 }
 
 /** An endless memory-hungry co-runner. */
-std::unique_ptr<workload::EndlessTask>
+std::unique_ptr<Task>
 hogTask()
 {
     ResourceDemand d;
@@ -64,7 +59,7 @@ hogTask()
     d.l3WorkingSet = 16_MiB;
     d.l3MissBase = 0.8;
     d.mlp = 8.0;
-    return std::make_unique<workload::EndlessTask>("hog", d);
+    return std::make_unique<Task>("hog", d);
 }
 
 TEST(Engine, RunsTaskToCompletion)
@@ -150,12 +145,12 @@ TEST(Engine, NoProbeWhenDisabled)
 
 TEST(Engine, MultiPhaseTaskRetiresAllPhases)
 {
-    PhaseProgram program({simplePhase(5, 0.5, 0.0),
-                          simplePhase(7, 2.0, 20.0),
-                          simplePhase(3, 1.0, 1.0)});
+    std::vector<Phase> program{simplePhase(5, 0.5, 0.0),
+                               simplePhase(7, 2.0, 20.0),
+                               simplePhase(3, 1.0, 1.0)};
     const TaskCounters counters =
         Engine(smallMachine())
-            .runToCompletion(std::make_unique<ProgramTask>("multi", program))
+            .runToCompletion(std::make_unique<Task>("multi", program))
             ->counters();
     EXPECT_NEAR(counters.instructions, 15e6, 1e3);
 }
@@ -213,9 +208,9 @@ TEST(Engine, TimeAdvances)
 TEST(Engine, RunToCompletionCapFatal)
 {
     Engine engine(smallMachine());
-    EXPECT_EXIT(engine.runToCompletion(std::make_unique<workload::EndlessTask>(
-                                           "endless", ResourceDemand{}),
-                                       0.01),
+    EXPECT_EXIT(engine.runToCompletion(
+                    std::make_unique<Task>("endless", ResourceDemand{}),
+                    0.01),
                 ::testing::ExitedWithCode(1),
                 "task 1 did not finish within 0.01 simulated seconds");
 }
@@ -507,8 +502,7 @@ TEST(Engine, RunToTickStepsWhileATaskIsLive)
 {
     // Work still running at the target: every quantum is stepped.
     Engine engine(smallMachine());
-    engine.add(std::make_unique<workload::EndlessTask>(
-        "g", ResourceDemand{}));
+    engine.add(std::make_unique<Task>("g", ResourceDemand{}));
     engine.runToTick(30, gridClock(30, engine.quantum()));
     EXPECT_EQ(engine.stats().quanta.value(), 30.0);
     EXPECT_EQ(engine.stats().skippedQuanta.value(), 0.0);
@@ -607,7 +601,7 @@ TEST(Engine, ObserverSeesBusySocketNotIdleOne)
         d.l3MissBase = 0.0; // all L2 misses hit the L3: no DRAM traffic
         d.mlp = 4.0;
         auto task =
-            std::make_unique<workload::EndlessTask>("l3hog", d);
+            std::make_unique<Task>("l3hog", d);
         task->setAffinity({cpu});
         engine.add(std::move(task));
     }
@@ -635,8 +629,7 @@ TEST(Engine, SmtSiblingInflatesCpi)
         Engine(cfg).runToCompletion(simpleTask(20))->counters();
 
     Engine engine(cfg);
-    auto sibling = std::make_unique<workload::EndlessTask>(
-        "sib", ResourceDemand{});
+    auto sibling = std::make_unique<Task>("sib", ResourceDemand{});
     sibling->setAffinity({1}); // core 0, way 1
     engine.add(std::move(sibling));
     auto subject = simpleTask(20);

@@ -28,17 +28,12 @@
 #include "core/poppa.h"
 #include "poisson_traffic.h"
 #include "sim/engine.h"
-#include "workload/program.h"
 #include "sim/machine_catalog.h"
 
 namespace litmus::sim
 {
 namespace
 {
-
-using workload::Phase;
-using workload::PhaseProgram;
-using workload::ProgramTask;
 
 /** One per-quantum observer sample, captured bit-for-bit. */
 struct Sample
@@ -85,7 +80,7 @@ randomPhase(Rng &rng)
     return p;
 }
 
-std::unique_ptr<ProgramTask>
+std::unique_ptr<Task>
 randomTask(Rng &rng, unsigned hw_threads, int index)
 {
     std::vector<Phase> phases;
@@ -98,8 +93,8 @@ randomTask(Rng &rng, unsigned hw_threads, int index)
     // operator+ temporary chain.
     std::string name = "t";
     name += std::to_string(index);
-    auto task = std::make_unique<ProgramTask>(
-        std::move(name), PhaseProgram(std::move(phases)), probe);
+    auto task =
+        std::make_unique<Task>(std::move(name), std::move(phases), probe);
     if (rng.chance(0.5)) {
         // Pin to a small pool so CPUs oversubscribe and slices rotate.
         task->setAffinity({static_cast<unsigned>(
@@ -253,8 +248,7 @@ TEST(EngineFastForward, SteadyWorkloadReplaysAlmostEverything)
         d.mlp = 4.0;
         std::string name = "gen";
         name += std::to_string(i);
-        engine.add(std::make_unique<workload::EndlessTask>(
-            std::move(name), d));
+        engine.add(std::make_unique<Task>(std::move(name), d));
     }
     engine.run(0.5);
     const EngineStats &st = engine.stats();
@@ -287,8 +281,7 @@ TEST(EngineFastForward, PoppaSamplingIdenticalAcrossModes)
             d.mlp = 4.0;
             std::string name = "g";
             name += std::to_string(i);
-            Task &t = engine.add(std::make_unique<workload::EndlessTask>(
-                std::move(name), d));
+            Task &t = engine.add(std::make_unique<Task>(std::move(name), d));
             ids.push_back(t.id());
         }
         engine.run(0.08);
@@ -317,7 +310,7 @@ enum class BatchCase
     PhaseEndsNearBarrier, ///< phase ends 1 or 2 quanta past a barrier
     BinadeEdgeStarts,     ///< counters start just below binade edges
     NoL2Misses,           ///< l2Mpki == 0: zero-step counters
-    Endless,              ///< EndlessTask: every quantum steady
+    Endless,              ///< endless task: every quantum steady
     ProbeClosesMidRun,    ///< no batch while the probe window is open
     CrowdedCpu,           ///< two tasks on one CPU until one finishes
     DualSocket,           ///< two sockets: must fall back
@@ -368,7 +361,7 @@ Instructions
 soloStep(const MachineConfig &cfg, const ResourceDemand &d)
 {
     Engine probe(cfg);
-    Task &t = probe.add(std::make_unique<workload::EndlessTask>("s", d));
+    Task &t = probe.add(std::make_unique<Task>("s", d));
     probe.runQuanta(1);
     return t.counters().instructions;
 }
@@ -381,11 +374,10 @@ stepPhase(const MachineConfig &cfg, const ResourceDemand &d,
     return Phase{"steady", soloStep(cfg, d) * quanta + slack, d};
 }
 
-std::unique_ptr<ProgramTask>
+std::unique_ptr<Task>
 programOf(std::vector<Phase> phases, Instructions probe = Task::noProbe)
 {
-    return std::make_unique<ProgramTask>(
-        "b", PhaseProgram(std::move(phases)), probe);
+    return std::make_unique<Task>("b", std::move(phases), probe);
 }
 
 /** One random phase of between @p lo and @p hi solo quanta. */
@@ -467,7 +459,7 @@ runBatchCase(BatchCase kind, std::uint64_t seed, bool fast_forward)
              stepPhase(cfg, randomDemand(rng, false), 300, 0)}));
         break;
     case BatchCase::Endless:
-        engine.add(std::make_unique<workload::EndlessTask>(
+        engine.add(std::make_unique<Task>(
             "endless", randomDemand(rng, !rng.chance(0.3))));
         break;
     case BatchCase::ProbeClosesMidRun: {
@@ -653,8 +645,7 @@ TEST(EngineFastForward, ExactQuantumFlagDisablesReplay)
     Engine engine(cfg);
     engine.setFastForward(false);
     EXPECT_FALSE(engine.fastForward());
-    engine.add(std::make_unique<workload::EndlessTask>(
-        "g", ResourceDemand{}));
+    engine.add(std::make_unique<Task>("g", ResourceDemand{}));
     engine.run(0.01);
     EXPECT_EQ(engine.stats().ffQuanta.value(), 0.0);
 

@@ -24,7 +24,6 @@
 
 #include "sim/engine.h"
 #include "sim/machine_catalog.h"
-#include "workload/program.h"
 
 namespace
 {
@@ -100,8 +99,6 @@ TEST(EpochPool, SurvivesMidBarrierCrash)
     // (engines step while down; they are never recreated), and the
     // engine must accept new work after the restart.
     using litmus::sim::Engine;
-    using litmus::workload::PhaseProgram;
-    using litmus::workload::ProgramTask;
 
     auto machine = litmus::sim::MachineCatalog::get("cascade-5218");
     machine.cores = 4;
@@ -109,7 +106,7 @@ TEST(EpochPool, SurvivesMidBarrierCrash)
     Engine b(machine);
 
     const auto task = [] {
-        litmus::workload::Phase p;
+        litmus::sim::Phase p;
         p.name = "p";
         p.instructions = 5e6;
         p.demand.cpi0 = 1.0;
@@ -117,7 +114,8 @@ TEST(EpochPool, SurvivesMidBarrierCrash)
         p.demand.l3WorkingSet = 1 << 20;
         p.demand.l3MissBase = 0.2;
         p.demand.mlp = 4.0;
-        return std::make_unique<ProgramTask>("t", PhaseProgram({p}));
+        return std::make_unique<litmus::sim::Task>(
+            "t", std::vector<litmus::sim::Phase>{p});
     };
     a.add(task());
     b.add(task());

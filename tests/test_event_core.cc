@@ -524,7 +524,7 @@ TEST(EventCoreCounters, FleetClockIsPerQuantumAccumulation)
     workload::FunctionSpec longRun =
         workload::functionByName("float-py");
     longRun.name = "float-py-long";
-    for (workload::Phase &phase : longRun.body)
+    for (sim::Phase &phase : longRun.body)
         phase.instructions *= kLongRunScale;
     const workload::FunctionSpec &shortRun =
         workload::functionByName("aes-go");

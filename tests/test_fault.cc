@@ -41,7 +41,7 @@ tinySuite()
             FunctionSpec spec;
             spec.name = name;
             spec.language = Language::Go;
-            workload::Phase body;
+            sim::Phase body;
             body.name = "body";
             body.instructions = 3_Minstr;
             body.demand.cpi0 = 0.8;

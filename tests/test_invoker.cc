@@ -6,8 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "workload/invoker.h"
-#include "workload/program.h"
 #include "workload/suite.h"
 #include "sim/machine_catalog.h"
 
@@ -84,12 +85,12 @@ TEST(Invoker, MaintainsPopulationUnderChurn)
 std::unique_ptr<sim::Task>
 foreignTask()
 {
-    Phase phase;
+    sim::Phase phase;
     phase.name = "foreign";
     phase.instructions = 1e6;
     phase.demand.cpi0 = 1.0;
-    return std::make_unique<ProgramTask>("foreign",
-                                         PhaseProgram({phase}));
+    return std::make_unique<sim::Task>("foreign",
+                                       std::vector<sim::Phase>{phase});
 }
 
 TEST(Invoker, OwnershipTracking)
@@ -176,6 +177,37 @@ TEST(Invoker, ReplacementInheritsFreedCore)
     EXPECT_EQ(invoker.liveCount(), 3u);
     for (unsigned cpu : {4u, 5u, 6u})
         EXPECT_EQ(engine.scheduler().queueLength(cpu), 1u);
+}
+
+TEST(Invoker, DeferredSlotsLaunchOnceMemoryFrees)
+{
+    // Two 1 GiB recogn-py fill a 2 GiB machine, so most of the six
+    // pooled slots wait at start(). Completions free memory, and the
+    // waiting slots must launch then (a 128 MiB float-py fits beside
+    // one recogn-py) instead of being dropped for good.
+    sim::MachineConfig cfg = machine();
+    cfg.memoryCapacity = 2_GiB;
+    sim::Engine engine(cfg);
+    InvokerConfig icfg;
+    icfg.placement = InvokerConfig::Placement::Pooled;
+    icfg.targetCount = 6;
+    icfg.cpuPool = {0, 1, 2, 3, 4, 5};
+    icfg.functionPool.assign(7, &functionByName("recogn-py"));
+    icfg.functionPool.push_back(&functionByName("float-py"));
+    Invoker invoker(engine, icfg);
+    invoker.start();
+    ASSERT_LT(invoker.liveCount(), 6u);
+    ASSERT_GT(invoker.deferredCount(), 0u);
+
+    unsigned most = 0;
+    for (int i = 0; i < 40; ++i) {
+        engine.run(0.5);
+        EXPECT_LE(invoker.committedMemory(), cfg.memoryCapacity);
+        EXPECT_EQ(engine.taskCount(), invoker.liveCount());
+        most = std::max(most, invoker.liveCount());
+    }
+    EXPECT_EQ(most, 6u);
+    EXPECT_GT(invoker.liveCount(), 2u);
 }
 
 TEST(Invoker, ValidatesConfiguration)

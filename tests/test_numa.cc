@@ -15,7 +15,7 @@ namespace litmus::sim
 namespace
 {
 
-std::unique_ptr<workload::EndlessTask>
+std::unique_ptr<Task>
 hog(const std::string &name)
 {
     ResourceDemand d;
@@ -24,7 +24,7 @@ hog(const std::string &name)
     d.l3WorkingSet = 16_MiB;
     d.l3MissBase = 0.8;
     d.mlp = 8.0;
-    return std::make_unique<workload::EndlessTask>(name, d);
+    return std::make_unique<Task>(name, d);
 }
 
 /** Subject CPI with hogs pinned to the given CPUs. */
@@ -40,8 +40,7 @@ subjectCpiWithHogs(const MachineConfig &cfg,
     }
     const auto &spec = workload::functionByName("pager-py");
     auto subject = workload::makeNominalInvocation(spec, false);
-    auto named = std::make_unique<workload::ProgramTask>(
-        "subject", subject->program());
+    auto named = std::make_unique<Task>("subject", subject->phases());
     named->setAffinity({0}); // socket 0, core 0
     const TaskCounters counters =
         engine.runToCompletion(std::move(named))->counters();

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "core/poppa.h"
-#include "workload/program.h"
 #include "sim/machine_catalog.h"
 
 namespace litmus::pricing
@@ -22,7 +21,7 @@ machine(unsigned cores = 4)
     return cfg;
 }
 
-std::unique_ptr<workload::EndlessTask>
+std::unique_ptr<sim::Task>
 hog(const std::string &name)
 {
     sim::ResourceDemand d;
@@ -31,7 +30,7 @@ hog(const std::string &name)
     d.l3WorkingSet = 16_MiB;
     d.l3MissBase = 0.8;
     d.mlp = 8.0;
-    return std::make_unique<workload::EndlessTask>(name, d);
+    return std::make_unique<sim::Task>(name, d);
 }
 
 TEST(Poppa, RejectsBadConfig)

@@ -20,7 +20,6 @@
 
 #include "common/rng.h"
 #include "sim/os_scheduler.h"
-#include "workload/program.h"
 #include "sim/machine_catalog.h"
 
 namespace litmus::sim
@@ -28,12 +27,12 @@ namespace litmus::sim
 namespace
 {
 
-std::unique_ptr<workload::EndlessTask>
+std::unique_ptr<Task>
 makeTask(const std::string &name)
 {
     ResourceDemand d;
     d.cpi0 = 1.0;
-    return std::make_unique<workload::EndlessTask>(name, d);
+    return std::make_unique<Task>(name, d);
 }
 
 MachineConfig
@@ -486,14 +485,12 @@ TEST(Scheduler, WaitingWorkingSetPast2To53IsTheOrderedSum)
     const auto cfg = smallMachine(1);
     OsScheduler real(cfg, cfg.quantum);
     OracleScheduler oracle(cfg);
-    std::vector<std::unique_ptr<workload::EndlessTask>> realTasks,
-        oracleTasks;
+    std::vector<std::unique_ptr<Task>> realTasks, oracleTasks;
     const auto addTwins = [&](Bytes ws) {
         ResourceDemand d;
         d.l3WorkingSet = ws;
-        realTasks.push_back(std::make_unique<workload::EndlessTask>("t", d));
-        oracleTasks.push_back(
-            std::make_unique<workload::EndlessTask>("t", d));
+        realTasks.push_back(std::make_unique<Task>("t", d));
+        oracleTasks.push_back(std::make_unique<Task>("t", d));
         real.add(realTasks.back().get());
         oracle.add(oracleTasks.back().get());
     };
@@ -544,18 +541,17 @@ makeWalkTask(const std::string &name, const std::vector<Bytes> &sets)
     if (sets.size() == 1) {
         ResourceDemand d;
         d.l3WorkingSet = sets.front();
-        return std::make_unique<workload::EndlessTask>(name, d);
+        return std::make_unique<Task>(name, d);
     }
-    std::vector<workload::Phase> phases;
+    std::vector<Phase> phases;
     for (Bytes ws : sets) {
-        workload::Phase phase;
+        Phase phase;
         phase.name = name;
         phase.instructions = kWalkPhase;
         phase.demand.l3WorkingSet = ws;
         phases.push_back(phase);
     }
-    return std::make_unique<workload::ProgramTask>(
-        name, workload::PhaseProgram(std::move(phases)));
+    return std::make_unique<Task>(name, std::move(phases));
 }
 
 /** One seeded random walk of both schedulers over the same operations. */

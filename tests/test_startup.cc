@@ -30,9 +30,9 @@ TEST(Startup, Suffixes)
 TEST(Startup, ProgramsNonEmptyAndValid)
 {
     for (Language lang : allLanguages()) {
-        const PhaseProgram &p = startupProgram(lang);
+        const std::vector<sim::Phase> &p = startupProgram(lang);
         EXPECT_GE(p.size(), 3u) << languageName(lang);
-        for (const Phase &phase : p.phases())
+        for (const sim::Phase &phase : p)
             EXPECT_NO_FATAL_FAILURE(phase.validate());
     }
 }
@@ -41,7 +41,7 @@ TEST(Startup, ProbeWindowWithinStartup)
 {
     for (Language lang : allLanguages()) {
         EXPECT_LT(probeWindow(lang),
-                  startupProgram(lang).totalInstructions())
+                  sim::totalInstructions(startupProgram(lang)))
             << languageName(lang);
         EXPECT_GT(probeWindow(lang), 0.0);
     }
@@ -69,7 +69,7 @@ TEST(Startup, RelativeDurations)
     std::map<Language, Seconds> wall;
     for (Language lang : allLanguages()) {
         const auto run = sim::Engine(cfg).runToCompletion(
-            std::make_unique<ProgramTask>("s", startupProgram(lang)));
+            std::make_unique<sim::Task>("s", startupProgram(lang)));
         wall[lang] = run->completionTime() - run->launchTime();
     }
     EXPECT_GT(wall[Language::NodeJs], 3 * wall[Language::Python]);
@@ -85,11 +85,10 @@ TEST(Startup, MemoryHeavyPrefix)
     // The probe window must cover memory-intensive phases: average
     // MPKI over the window should be substantial.
     for (Language lang : allLanguages()) {
-        const PhaseProgram &p = startupProgram(lang);
         const Instructions window = probeWindow(lang);
         Instructions seen = 0;
         double weightedMpki = 0;
-        for (const Phase &phase : p.phases()) {
+        for (const sim::Phase &phase : startupProgram(lang)) {
             if (seen >= window)
                 break;
             const Instructions take =

@@ -13,7 +13,6 @@
 #include "common/rng.h"
 #include "common/stats_registry.h"
 #include "sim/engine.h"
-#include "workload/program.h"
 #include "sim/machine_catalog.h"
 
 namespace litmus
@@ -167,7 +166,7 @@ TEST(EngineStats, PopulatedByRuns)
     StatsRegistry registry;
     engine.stats().registerWith(registry, "engine");
 
-    workload::Phase phase;
+    sim::Phase phase;
     phase.name = "p";
     phase.instructions = 5e6;
     phase.demand.cpi0 = 1.0;
@@ -175,8 +174,8 @@ TEST(EngineStats, PopulatedByRuns)
     phase.demand.l3WorkingSet = 1_MiB;
     phase.demand.l3MissBase = 0.2;
     phase.demand.mlp = 4.0;
-    engine.runToCompletion(std::make_unique<workload::ProgramTask>(
-        "t", workload::PhaseProgram({phase})));
+    engine.runToCompletion(
+        std::make_unique<sim::Task>("t", std::vector<sim::Phase>{phase}));
 
     EXPECT_GT(engine.stats().quanta.value(), 0.0);
     EXPECT_DOUBLE_EQ(engine.stats().completions.value(), 1.0);

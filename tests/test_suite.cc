@@ -105,13 +105,13 @@ TEST(Suite, TriplicatedFunctions)
 TEST(Suite, NominalProgramStartsWithStartup)
 {
     const FunctionSpec &spec = functionByName("aes-py");
-    const PhaseProgram program = spec.nominalProgram();
-    EXPECT_EQ(program.phases().front().name,
-              startupProgram(Language::Python).phases().front().name);
+    const std::vector<sim::Phase> program = spec.nominalProgram();
+    EXPECT_EQ(program.front().name,
+              startupProgram(Language::Python).front().name);
     EXPECT_DOUBLE_EQ(
-        program.totalInstructions(),
-        startupProgram(Language::Python).totalInstructions() +
-            spec.bodyInstructions());
+        sim::totalInstructions(program),
+        sim::totalInstructions(startupProgram(Language::Python)) +
+            sim::totalInstructions(spec.body));
 }
 
 TEST(Suite, SoloSharedShareCharacterization)

@@ -39,7 +39,7 @@ TEST_P(SuiteSweep, SoloRunInvariants)
     const sim::TaskCounters &c = run->counters();
 
     // Retired exactly the nominal program.
-    EXPECT_NEAR(c.instructions, fn.nominalProgram().totalInstructions(),
+    EXPECT_NEAR(c.instructions, sim::totalInstructions(fn.nominalProgram()),
                 1e3);
 
     // Accounting identity.
@@ -59,7 +59,7 @@ TEST_P(SuiteSweep, SoloRunInvariants)
     const sim::TaskCounters window =
         run->probe().taskAtEnd.since(run->probe().taskAtStart);
     EXPECT_LE(window.instructions,
-              startupProgram(fn.language).totalInstructions() + 1e6);
+              sim::totalInstructions(startupProgram(fn.language)) + 1e6);
 
     // The probe reading is well-formed.
     const pricing::ProbeReading reading = pricing::readProbe(*run);
@@ -78,18 +78,18 @@ TEST_P(SuiteSweep, JitteredInvocationsDifferSlightly)
     Rng a(1), b(2);
     const auto ta = makeInvocation(fn, a);
     const auto tb = makeInvocation(fn, b);
-    const double ia = ta->program().totalInstructions();
-    const double ib = tb->program().totalInstructions();
+    const double ia = sim::totalInstructions(ta->phases());
+    const double ib = sim::totalInstructions(tb->phases());
     // Different draws, but within a few percent of each other.
     EXPECT_NEAR(ia, ib, 0.1 * ia);
     // Startup phases are never jittered: the probe substrate is
     // bit-identical.
     const auto &startup = startupProgram(fn.language);
     for (std::size_t i = 0; i < startup.size(); ++i) {
-        EXPECT_DOUBLE_EQ(ta->program().phases()[i].instructions,
-                         startup.phases()[i].instructions);
-        EXPECT_DOUBLE_EQ(ta->program().phases()[i].demand.l2Mpki,
-                         startup.phases()[i].demand.l2Mpki);
+        EXPECT_DOUBLE_EQ(ta->phases()[i].instructions,
+                         startup[i].instructions);
+        EXPECT_DOUBLE_EQ(ta->phases()[i].demand.l2Mpki,
+                         startup[i].demand.l2Mpki);
     }
 }
 

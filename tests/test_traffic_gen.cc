@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "workload/program.h"
 #include "workload/traffic_gen.h"
 #include "sim/machine_catalog.h"
 
@@ -110,12 +109,12 @@ TEST(TrafficGen, LevelsProduceIncreasingCongestion)
         sim::Engine engine(cfg);
         spawnGenerator(engine, GeneratorKind::MbGen, level, 1);
         engine.run(0.01); // warm
-        workload::Phase phase;
+        sim::Phase phase;
         phase.name = "probe";
         phase.instructions = 20e6;
         phase.demand = probeDemand;
-        auto task = std::make_unique<ProgramTask>(
-            "probe", PhaseProgram({phase}));
+        auto task = std::make_unique<sim::Task>(
+            "probe", std::vector<sim::Phase>{phase});
         task->setAffinity({0});
         const sim::TaskCounters counters =
             engine.runToCompletion(std::move(task))->counters();

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "lint_util.h"
 
@@ -235,7 +236,8 @@ parseMembers(const std::string &code, ClassInfo &cls)
     };
 
     const auto finish = [&] {
-        const std::string text = chunk;
+        const std::string text = std::move(chunk);
+        const std::vector<std::size_t> textOffsets = std::move(offsets);
         reset();
         if (trimCopy(text).empty())
             return;
@@ -320,7 +322,7 @@ parseMembers(const std::string &code, ClassInfo &cls)
 
         Member m;
         m.name = name;
-        m.line = lineOfOffset(code, offsets[b]);
+        m.line = lineOfOffset(code, textOffsets[b]);
         const std::string base = baseType(head.substr(0, b));
         m.isRawMutex = isRawMutexType(base);
         m.isCapability = isCapabilityType(base);
