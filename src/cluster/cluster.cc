@@ -496,10 +496,9 @@ Cluster::dispatch(const Invocation &inv)
         ++report_.coldStarts;
     }
 
-    // An idle machine may lag the fleet grid (the event core never
-    // steps idle engines); land it on the canonical clock before the
-    // work arrives. No-op when the engine stepped every quantum.
-    m.engine.runToTick(fleetTick_, fleetClock_);
+    // Land a lagging engine on the canonical clock before the work
+    // arrives.
+    syncEngine(m);
 
     sim::Task &handle = m.engine.add(std::move(task));
     m.live.emplace(handle.id(),
@@ -575,36 +574,37 @@ Cluster::harvest(Seconds now)
     // machines in index order within a barrier — the order the exact
     // oracle accumulates fleet totals one barrier at a time, so
     // a multi-epoch event batch folds bit-identically. Only machines
-    // that ran in the batch complete anything, and the busy set holds
-    // them in index order. Each machine's buffer is tick-monotone
-    // (capture order), so one cursor per machine suffices; a
-    // single-epoch batch has one barrier group and this degenerates
-    // to the plain machine-order fold.
+    // that ran in the batch complete anything, and advanced_ holds
+    // them in index order; no other machine's snapshot can have
+    // changed. Each machine's buffer is tick-monotone (capture order),
+    // so one cursor per machine suffices; a single-epoch batch has one
+    // barrier group and this degenerates to the plain machine-order
+    // fold.
     const auto barrierOf = [this](std::uint64_t tick) {
         return (tick + epochQuanta_ - 1) / epochQuanta_;
     };
-    foldCursor_.assign(busy_.size(), 0);
-    report_.sched.barrierMachineVisits += busy_.size();
+    foldCursor_.assign(advanced_.size(), 0);
+    report_.sched.barrierMachineVisits += advanced_.size();
     for (;;) {
         std::uint64_t minBarrier =
             std::numeric_limits<std::uint64_t>::max();
-        for (std::size_t k = 0; k < busy_.size(); ++k) {
-            const auto &completed = machines_[busy_[k]]->completed;
+        for (std::size_t k = 0; k < advanced_.size(); ++k) {
+            const auto &completed = machines_[advanced_[k]]->completed;
             if (foldCursor_[k] < completed.size())
                 minBarrier = std::min(
                     minBarrier, barrierOf(completed[foldCursor_[k]].tick));
         }
         if (minBarrier == std::numeric_limits<std::uint64_t>::max())
             break;
-        for (std::size_t k = 0; k < busy_.size(); ++k) {
-            Machine &m = *machines_[busy_[k]];
+        for (std::size_t k = 0; k < advanced_.size(); ++k) {
+            Machine &m = *machines_[advanced_[k]];
             std::size_t &cursor = foldCursor_[k];
             while (cursor < m.completed.size() &&
                    barrierOf(m.completed[cursor].tick) == minBarrier)
                 fold(m, m.completed[cursor++]);
         }
     }
-    for (unsigned i : busy_) {
+    for (unsigned i : advanced_) {
         Machine &m = *machines_[i];
         m.completed.clear();
         refreshSnapshot(m);
@@ -712,8 +712,9 @@ Cluster::crashMachine(Machine &m, Seconds now)
     m.down = true;
 
     // Kill the in-flight invocations and account for the destroyed
-    // work. The corpses come back in task-creation order, so loss
-    // accounting and retry queueing are deterministic.
+    // work, up to this barrier. The corpses come back in task-creation
+    // order, so loss accounting and retry queueing are deterministic.
+    syncEngine(m);
     for (const auto &task : m.engine.killAllTasks()) {
         const auto it = m.live.find(task->id());
         if (it == m.live.end())
@@ -799,10 +800,13 @@ Cluster::applyFaults(Seconds now)
             m.down = false;
             break;
         case FaultKind::SlowStart:
+            // The quanta up to this barrier ran at the old speed.
+            syncEngine(m);
             m.speedFactor = ev.factor;
             m.engine.setSpeedFactor(ev.factor);
             break;
         case FaultKind::SlowEnd:
+            syncEngine(m);
             m.speedFactor = 1.0;
             m.engine.setSpeedFactor(1.0);
             break;
@@ -866,6 +870,12 @@ Cluster::markBusy(unsigned machine)
     const auto pos = std::lower_bound(busy_.begin(), busy_.end(), machine);
     if (pos == busy_.end() || *pos != machine)
         busy_.insert(pos, machine);
+}
+
+void
+Cluster::syncEngine(Machine &m)
+{
+    m.engine.runToTick(fleetTick_, fleetClock_);
 }
 
 std::uint64_t
@@ -1016,26 +1026,35 @@ Cluster::serveEvent(Serve &s)
         const std::uint64_t epochs =
             advanceClockToCover(batch ? next.time : fleetClock_, next);
 
-        // Advance every busy machine to the new barrier in parallel.
-        // A busy engine steps only until it drains, then elides the
-        // rest of the batch; idle machines get no job at all — they
-        // sync lazily at their next dispatch. The oracle steps every
-        // machine through every quantum.
+        // Advance, in parallel, every busy machine with a change due
+        // by the new barrier. A busy engine whose steadyThrough()
+        // reaches the barrier replays a phase it cannot leave before
+        // then: no completion, nothing a dispatcher, a harvest or a
+        // fault could see, so it gets no job and syncs later. An
+        // advanced engine steps only until it drains, then elides the
+        // rest of the batch. Idle machines get no job at all. The
+        // oracle steps every machine through every quantum.
         jobs.clear();
+        advanced_.clear();
         const std::uint64_t quanta = epochs * epochQuanta_;
         const std::uint64_t tick = fleetTick_;
         const Seconds clock = fleetClock_;
         if (cfg_.exactQuantum) {
+            advanced_ = busy_;
             for (const auto &m : machines_)
                 jobs.emplace_back([machine = m.get(), quanta] {
                     machine->engine.runQuanta(quanta);
                 });
         } else {
-            for (unsigned i : busy_)
-                jobs.emplace_back([machine = machines_[i].get(), tick,
-                                   clock] {
-                    machine->engine.runToTick(tick, clock);
+            for (unsigned i : busy_) {
+                sim::Engine &engine = machines_[i]->engine;
+                if (engine.steadyThrough() >= tick)
+                    continue;
+                advanced_.push_back(i);
+                jobs.emplace_back([&engine, tick, clock] {
+                    engine.runToTick(tick, clock);
                 });
+            }
         }
         report_.sched.barrierMachineVisits += jobs.size();
         if (!jobs.empty())
@@ -1064,7 +1083,7 @@ Cluster::serveEvent(Serve &s)
             fatal("Cluster::run: machine ", m->index, " still holds ",
                   m->engine.taskCount(), " tasks after the fleet "
                   "drained");
-        m->engine.runToTick(fleetTick_, fleetClock_);
+        syncEngine(*m);
         const sim::EngineStats &st = m->engine.stats();
         const auto covered = static_cast<std::uint64_t>(
             st.quanta.value() + st.skippedQuanta.value());

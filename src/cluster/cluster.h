@@ -22,8 +22,10 @@
  * arrival, never early. Each batch advances the fleet clock straight
  * to the first barrier covering the earliest pending event (arrival,
  * retry, fault or keep-alive expiry), and steps only engines with
- * live work: idle machines are never stepped at all, and a busy
- * engine that drains mid-batch elides the idle tail up to the barrier
+ * live work: idle machines are never stepped at all, a busy engine
+ * whose replay horizon (Engine::steadyThrough) covers the barrier is
+ * left behind until something touches it, and a busy engine that
+ * drains mid-batch elides the idle tail up to the barrier
  * (Engine::runToTick). `exactQuantum` marches every grid barrier with
  * every machine stepped and serves as the differential oracle. All
  * cross-thread state is barrier-local, so a fixed seed gives
@@ -293,8 +295,10 @@ struct SchedulerCounters
 
     /** Machines visited by per-barrier bookkeeping: batch jobs,
      *  harvest folds, snapshot refreshes and keep-alive sweeps. Under
-     *  the event core it follows the busy machines, not the fleet
-     *  size; the oracle's batches visit every machine. */
+     *  the event core it follows the busy machines with a change due
+     *  (a busy engine that replays steadily through the barrier is not
+     *  visited), not the fleet size; the oracle's batches visit every
+     *  machine. */
     std::uint64_t barrierMachineVisits = 0;
 };
 
@@ -471,6 +475,15 @@ class Cluster
     void markBusy(unsigned machine);
 
     /**
+     * Land @p m's engine on (fleetTick_, fleetClock_). A barrier leaves
+     * a busy engine behind while its steadyThrough() covers the barrier
+     * and an idle one until it gets work, so everything that reads or
+     * changes an engine between barriers (a dispatch, a crash, a speed
+     * change, the final landing) syncs it first.
+     */
+    void syncEngine(Machine &m);
+
+    /**
      * Advance the fleet clock by whole epochs to the first barrier at
      * or past @p target (at least one epoch; dueness on the exact
      * accumulated grid) and return the epochs taken: the minimal
@@ -517,13 +530,14 @@ class Cluster
 
     /**
      * Fold buffered completions into warm pools and ledgers, refresh
-     * the busy machines' snapshots, then sweep the machines whose
+     * the advanced machines' snapshots, then sweep the machines whose
      * keep-alive has lapsed (popped off the keep-alive heap).
-     * Completions only happen on busy machines, so the fold visits the
-     * busy set: grouped by covering epoch barrier (ascending), machines
-     * in index order within a barrier — exactly the order the exact
-     * oracle produces one barrier at a time — so the floating-point
-     * accumulation order of fleet totals is mode-independent.
+     * Completions only happen on machines the batch advanced, so the
+     * fold visits those (advanced_): grouped by covering epoch barrier
+     * (ascending), machines in index order within a barrier — exactly
+     * the order the exact oracle produces one barrier at a time — so
+     * the floating-point accumulation order of fleet totals is
+     * mode-independent.
      */
     void harvest(Seconds now);
 
@@ -559,9 +573,9 @@ class Cluster
     /**
      * Quanta since t=0 on the fleet grid. Engines step the quanta in
      * which they hold live work and elide the rest via
-     * Engine::runToTick — at the barrier a busy engine reaches, or at
-     * an idle engine's next dispatch — so every clock lands on
-     * fleetClock_ exactly.
+     * Engine::runToTick — at the first barrier past a busy engine's
+     * steadyThrough(), or whenever syncEngine() lands it — so every
+     * clock lands on fleetClock_ exactly.
      */
     std::uint64_t fleetTick_ = 0;
 
@@ -582,7 +596,14 @@ class Cluster
      */
     std::vector<unsigned> busy_;
 
-    /** harvest()'s per-busy-machine fold cursors (reused). */
+    /**
+     * The busy machines the current batch advanced, ascending: those
+     * whose engine could not replay through the barrier unchanged
+     * (every busy machine under exactQuantum). Reused per batch.
+     */
+    std::vector<unsigned> advanced_;
+
+    /** harvest()'s per-advanced-machine fold cursors (reused). */
     std::vector<std::size_t> foldCursor_;
 
     /**

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/repeated_add.h"
@@ -310,23 +311,49 @@ Engine::tryReplayQuantum()
     return true;
 }
 
-std::uint64_t
-Engine::replaySteadyBatch(std::uint64_t limit)
+const Engine::PlannedThread *
+Engine::steadyThread() const
 {
     // The version check comes first: it guards the Task pointer.
     if (!fastForward_ || !plan_.valid || plan_.threads.size() != 1 ||
         plan_.sockets.size() != 1 || !quantumCbs_.empty() ||
         scheduler_.crowded() || plan_.schedVersion != scheduler_.version())
-        return 0;
+        return nullptr;
     const PlannedThread &t = plan_.threads.front();
-    Task &task = *t.task;
+    const Task &task = *t.task;
     const ProbeCapture &probe = task.probe();
     if (&task.demand() != t.demand ||
         (task.probeWindow() > 0 && probe.started && !probe.complete))
-        return 0;
-    const std::uint64_t k = task.steadyRetirements(t.stepInstr, limit);
+        return nullptr;
+    return &t;
+}
+
+std::uint64_t
+Engine::steadyThrough()
+{
+    const PlannedThread *t = steadyThread();
+    if (t == nullptr)
+        return tickCount_;
+    // Asked at most once per plan. Steps and batches since the plan was
+    // built retire the same step on the same bits whatever their split,
+    // so the first answer stays exact for the plan's lifetime.
+    if (plan_.steadyEnd == 0) {
+        const std::uint64_t room =
+            std::numeric_limits<std::uint64_t>::max() - tickCount_;
+        plan_.steadyEnd =
+            tickCount_ + t->task->steadyRetirements(t->stepInstr, room);
+    }
+    return std::max(plan_.steadyEnd, tickCount_);
+}
+
+std::uint64_t
+Engine::replaySteadyBatch(std::uint64_t limit)
+{
+    const std::uint64_t k = std::min(limit, steadyThrough() - tickCount_);
     if (k == 0)
         return 0;
+    const PlannedThread &t = plan_.threads.front();
+    Task &task = *t.task;
 
     // k replayed quanta add the same step to each accumulator k times
     // (one thread, one socket, tick() a no-op, no phase end, no probe
@@ -536,6 +563,7 @@ Engine::fullStep()
         // Captured before tick(): a rotation in this quantum bumps the
         // version and correctly invalidates the plan.
         plan_.schedVersion = scheduler_.version();
+        plan_.steadyEnd = 0;
         plan_.valid = true;
     }
 

@@ -44,6 +44,12 @@
  * phase-steady quanta (Task::steadyRetirements, which applies the
  * phase-end slack of Task::retire). runQuanta(), run(),
  * runToCompletion() and the oracle (fast-forward off) never batch.
+ *
+ * The tick such a batch is sure to reach, steadyThrough(), is computed
+ * once per replay plan and tells a caller how long it may leave the
+ * engine alone: no phase ends and no task completes before it. The
+ * fleet's barriers use it to advance only the engines with a change
+ * due, and land the others when they must touch them.
  */
 
 #ifndef LITMUS_SIM_ENGINE_H
@@ -178,6 +184,19 @@ class Engine
     std::uint64_t tickCount() const { return tickCount_; }
 
     /**
+     * The last tick runToTick() is sure to reach by batched replay
+     * alone: through it the engine's one running thread stays in its
+     * phase, so no phase ends, no task completes and no full step runs.
+     * tickCount() when the engine cannot batch (see the file comment),
+     * and the largest tick for an endless phase. Sound, not tight:
+     * a later quantum may still be steady. O(1) after its first call
+     * on a replay plan, which caches the answer; anything that changes
+     * the plan (add(), a completion, killAllTasks(), setSpeedFactor(),
+     * a rotation) drops it.
+     */
+    std::uint64_t steadyThrough();
+
+    /**
      * Advance to lifetime tick @p tick, landing on @p clock — the
      * *caller's* canonical clock for that tick. Steps while tasks are
      * live or per-quantum observers are registered (those must fire
@@ -185,7 +204,10 @@ class Engine
      * one-socket, uncrowded plan with no observer and no open probe
      * window are applied as one closed-form batch (see the file
      * comment; counted in stats().replayBatches), bit-identical to
-     * stepping them. Once the engine drains, the rest of the way is
+     * stepping them, however the caller splits its calls: a caller may
+     * leave an engine behind while its tick is at most steadyThrough(),
+     * because nothing it could observe changes before then, and land it
+     * later in one call. Once the engine drains, the rest of the way is
      * elided in O(1): with no live task a step touches nothing
      * task-visible except the clock, so the engine jumps straight to
      * @p clock, assigned (not accumulated) so it lands on bit-identical
@@ -292,6 +314,10 @@ class Engine
         SharedState observedState;
         std::vector<PlannedThread> threads;
         std::vector<PlannedSocket> sockets;
+        /** steadyThrough()'s answer for this plan once asked (0: not
+         *  yet): the absolute tick the plan's lone thread replays
+         *  through without a phase end. */
+        std::uint64_t steadyEnd = 0;
     };
 
     /** Execute one quantum (replay when possible, full otherwise). */
@@ -304,10 +330,17 @@ class Engine
     bool tryReplayQuantum();
 
     /**
-     * Replay up to @p limit steady quanta in one closed-form step when
-     * the plan holds one thread on one socket, the scheduler is
-     * uncrowded, no observer is registered and the task's probe window
-     * is closed or absent. Returns the quanta applied (0: none).
+     * The plan's lone thread when its quanta may be batched: the plan
+     * is valid and current, holds one thread on one socket, the
+     * scheduler is uncrowded, no observer is registered, the task is
+     * still in the planned phase and its probe window is closed or
+     * absent. nullptr otherwise.
+     */
+    const PlannedThread *steadyThread() const;
+
+    /**
+     * Replay up to @p limit steady quanta, never past steadyThrough(),
+     * in one closed-form step. Returns the quanta applied (0: none).
      */
     std::uint64_t replaySteadyBatch(std::uint64_t limit);
 

@@ -326,8 +326,30 @@ OsScheduler::rebalance()
     // that its affinity allows. One pass is enough; completions call
     // this every time. Only a queue of two or more has a waiting task,
     // so the pass ends as soon as no CPU is crowded.
+    if (crowdedCpus_ == 0)
+        return;
+    // An idle CPU no waiting task may run on takes nothing: OR the
+    // waiting tasks' masks once and skip the CPUs outside the union.
+    // The pass only turns waiting tasks into running ones, so the
+    // union taken here covers every task still waiting later on.
+    bool anywhere = false;
+    reach_.assign(maskWords_, 0);
+    for (const CpuState &state : cpus_) {
+        for (std::size_t k = 1; k < state.queue.size(); ++k) {
+            const Queued &entry = state.queue[k];
+            if (entry.mask == kAnyCpu) {
+                anywhere = true;
+                break;
+            }
+            for (std::size_t w = 0; w < maskWords_; ++w)
+                reach_[w] |= masks_[entry.mask * maskWords_ + w];
+        }
+        if (anywhere)
+            break;
+    }
     for (unsigned cpu = 0; cpu < cpus_.size() && crowdedCpus_ != 0; ++cpu) {
-        if (!cpus_[cpu].queue.empty())
+        if (!cpus_[cpu].queue.empty() ||
+            (!anywhere && ((reach_[cpu / 64] >> (cpu % 64)) & 1) == 0))
             continue;
         unsigned fromCpu = 0;
         std::size_t fromIndex = 0; // 0: no candidate (the running front)

@@ -211,6 +211,8 @@ class OsScheduler
     std::vector<std::uint64_t> masks_;
     std::vector<std::uint32_t> freeMasks_;
     std::size_t maskWords_;
+    /** rebalance()'s union of the waiting tasks' masks (scratch). */
+    std::vector<std::uint64_t> reach_;
     // LITMUS-LINT-ALLOW(unordered-decl): membership queries only (contains/insert/erase); never iterated, so its order cannot reach any output
     std::unordered_set<const Task *> frozen_;
     std::uint64_t version_ = 0;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -608,15 +609,22 @@ referenceSolve(const ContentionSolver &solver, const MachineConfig &c,
     return result;
 }
 
-/** The first field whose bits differ ("" when all agree). */
+/**
+ * The first field whose bits differ ("" when all agree). A NaN matches
+ * a NaN of either sign: IEEE 754 leaves the sign of a NaN result
+ * unspecified, and it follows the operand order the compiler picks. A
+ * NaN against a finite value, either way round, still differs.
+ */
 std::string
 bitDiff(const ContentionResult &want, const ContentionResult &got)
 {
     std::ostringstream out;
     const auto field = [&](const char *name, double a, double b,
                            std::size_t thread = SIZE_MAX) {
-        if (out.tellp() > 0 || std::bit_cast<std::uint64_t>(a) ==
-                                   std::bit_cast<std::uint64_t>(b))
+        if (out.tellp() > 0 ||
+            std::bit_cast<std::uint64_t>(a) ==
+                std::bit_cast<std::uint64_t>(b) ||
+            (std::isnan(a) && std::isnan(b)))
             return;
         if (thread != SIZE_MAX)
             out << "thread " << thread << " ";

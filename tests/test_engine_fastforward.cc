@@ -583,6 +583,140 @@ TEST(EngineFastForward, BatchedReplayBitIdentical)
     }
 }
 
+// ---- The replay horizon: steadyThrough() ------------------------------
+
+/** One task of a horizon case, built once per engine. */
+struct HorizonTask
+{
+    /** The phase list; empty means an endless task at `endless`. */
+    std::vector<Phase> phases;
+    ResourceDemand endless;
+    Instructions probe = Task::noProbe;
+    /** Pinned to CPU 0, so two such tasks crowd it. */
+    bool pinned = false;
+};
+
+std::unique_ptr<Task>
+buildTask(const HorizonTask &spec)
+{
+    auto task = spec.phases.empty()
+                    ? std::make_unique<Task>("endless", spec.endless)
+                    : programOf(spec.phases, spec.probe);
+    if (spec.pinned)
+        task->setAffinity({0});
+    return task;
+}
+
+HorizonTask
+randomHorizonTask(Rng &rng, const MachineConfig &cfg, bool pinned)
+{
+    HorizonTask spec;
+    spec.pinned = pinned;
+    if (rng.chance(0.2)) {
+        spec.endless = randomDemand(rng, !rng.chance(0.3));
+        return spec;
+    }
+    const auto count = rng.range(1, 4);
+    for (std::int64_t i = 0; i < count; ++i)
+        spec.phases.push_back(randomStepPhase(rng, cfg, 0.5, 300));
+    if (rng.chance(0.4))
+        spec.probe =
+            soloStep(cfg, spec.phases.front().demand) * rng.uniform(2, 60);
+    return spec;
+}
+
+TEST(EngineHorizon, RunningToTheHorizonChangesNothingVisible)
+{
+    // After every landing the engine names the tick it is sure to
+    // replay through. Running to it must add no full step, end no
+    // phase and complete no task, and a twin stepping the same tasks
+    // one exact quantum at a time must match bit for bit throughout.
+    // Every third seed pins its tasks to CPU 0, which crowds it.
+    const MachineConfig cfg = MachineCatalog::get("cascade-5218");
+    std::uint64_t ahead = 0; // landings whose horizon lay ahead
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        Rng rng(seed);
+        const bool crowd = seed % 3 == 0;
+        Engine lazy(cfg);
+        Engine twin(cfg);
+        twin.setFastForward(false);
+        std::vector<TaskCounters> lazyDone, twinDone;
+        std::vector<Seconds> lazyTimes, twinTimes;
+        lazy.onCompletion([&](Task &t) {
+            lazyDone.push_back(t.counters());
+            lazyTimes.push_back(t.completionTime());
+        });
+        twin.onCompletion([&](Task &t) {
+            twinDone.push_back(t.counters());
+            twinTimes.push_back(t.completionTime());
+        });
+        const auto launch = [&] {
+            const HorizonTask spec = randomHorizonTask(rng, cfg, crowd);
+            lazy.add(buildTask(spec));
+            twin.add(buildTask(spec));
+        };
+        launch();
+        if (crowd)
+            launch();
+
+        Seconds clock = 0;
+        std::uint64_t tick = 0;
+        const auto advance = [&](std::uint64_t to) {
+            clock = addRepeated(clock, lazy.quantum(), to - tick);
+            lazy.runToTick(to, clock);
+            for (; tick < to; ++tick)
+                twin.runQuanta(1);
+        };
+        const auto phaseIndices = [](Engine &engine) {
+            std::vector<std::size_t> out;
+            for (const Task *t : engine.liveTasks())
+                out.push_back(t->phaseIndex());
+            return out;
+        };
+        for (int landing = 0; landing < 150; ++landing) {
+            advance(tick + static_cast<std::uint64_t>(rng.range(1, 40)));
+            if (rng.chance(lazy.taskCount() == 0 ? 0.5 : 0.04))
+                launch();
+            const std::uint64_t horizon = lazy.steadyThrough();
+            ASSERT_GE(horizon, tick);
+            if (lazy.scheduler().crowded()) {
+                ASSERT_EQ(horizon, tick);
+            }
+            if (horizon == tick)
+                continue;
+            ++ahead;
+            // An endless phase has no end; go a bounded way into it.
+            const std::uint64_t to = std::min(horizon, tick + 400);
+            const EngineStats &st = lazy.stats();
+            const double fullSteps = st.quanta.value() - st.ffQuanta.value();
+            const std::size_t done = lazyDone.size();
+            const std::vector<std::size_t> phases = phaseIndices(lazy);
+            advance(to);
+            ASSERT_EQ(st.quanta.value() - st.ffQuanta.value(), fullSteps)
+                << "landing " << landing;
+            ASSERT_EQ(lazyDone.size(), done) << "landing " << landing;
+            ASSERT_EQ(phaseIndices(lazy), phases) << "landing " << landing;
+
+            const std::vector<Task *> lazyLive = lazy.liveTasks();
+            const std::vector<Task *> twinLive = twin.liveTasks();
+            ASSERT_EQ(lazyLive.size(), twinLive.size());
+            for (std::size_t i = 0; i < lazyLive.size(); ++i)
+                expectSameCounters(lazyLive[i]->counters(),
+                                   twinLive[i]->counters());
+        }
+        ASSERT_EQ(lazyDone.size(), twinDone.size());
+        for (std::size_t i = 0; i < lazyDone.size(); ++i) {
+            expectSameCounters(lazyDone[i], twinDone[i]);
+            EXPECT_EQ(bitsOf(lazyTimes[i]), bitsOf(twinTimes[i]));
+        }
+        expectSameMachine(lazy.machineCounters(), twin.machineCounters());
+        EXPECT_EQ(bitsOf(lazy.now()), bitsOf(twin.now()));
+        EXPECT_EQ(phaseIndices(lazy), phaseIndices(twin));
+    }
+    EXPECT_GT(ahead, 500u);
+}
+
 class ClusterDifferential : public ::testing::TestWithParam<Seconds>
 {
 };

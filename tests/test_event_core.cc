@@ -56,12 +56,10 @@ struct RunOutcome
     std::vector<double> skipped;
 };
 
+/** Serve @p cfg, default loop or (@p exact) the oracle. */
 RunOutcome
-runWith(scenario::ScenarioSpec spec, bool exact, unsigned threads = 1)
+serveWith(cluster::ClusterConfig cfg, bool exact)
 {
-    spec.threads = threads;
-    const scenario::ScenarioRunner runner(std::move(spec));
-    cluster::ClusterConfig cfg = runner.clusterConfig();
     cfg.exactQuantum = exact;
     cluster::Cluster fleet(cfg);
     RunOutcome out;
@@ -73,6 +71,14 @@ runWith(scenario::ScenarioSpec spec, bool exact, unsigned threads = 1)
         out.skipped.push_back(st.skippedQuanta.value());
     }
     return out;
+}
+
+RunOutcome
+runWith(scenario::ScenarioSpec spec, bool exact, unsigned threads = 1)
+{
+    spec.threads = threads;
+    const scenario::ScenarioRunner runner(std::move(spec));
+    return serveWith(runner.clusterConfig(), exact);
 }
 
 /**
@@ -611,6 +617,57 @@ TEST(EventCoreCounters, BarrierWorkIndependentOfIdleMachines)
             EXPECT_EQ(m.dispatched, m.index < 3 ? 20u : 0u)
                 << "machine " << m.index;
     }
+}
+
+TEST(EventCoreCounters, SteadyEnginesSkipBarriers)
+{
+    // Eight long invocations land on eight machines of a sparse fleet
+    // at once; then the fleet drains one epoch per barrier for seconds.
+    // Each engine spends nearly all of it replaying one steady body
+    // phase, which no barrier needs to see, so the default loop must
+    // visit far fewer machines than (busy machines x barriers) while
+    // serving bit for bit what the oracle serves.
+    workload::FunctionSpec longRun =
+        workload::functionByName("float-py");
+    longRun.name = "float-py-long";
+    for (sim::Phase &phase : longRun.body)
+        phase.instructions *= 10;
+    std::vector<cluster::Invocation> arrivals;
+    for (unsigned i = 0; i < 8; ++i)
+        arrivals.push_back({&longRun, 0.01 + 0.0001 * i, i});
+    const ListTraffic traffic(arrivals);
+
+    cluster::ClusterConfig cfg;
+    cfg.fleet = {{"cascade-5218", 64}};
+    cfg.policy = cluster::DispatchPolicy::LeastLoaded;
+    cfg.functionPool = {&longRun};
+    cfg.traffic = &traffic;
+    cfg.keepAlive = 0.05;
+    cfg.threads = 1;
+    const RunOutcome lazy = serveWith(cfg, false);
+    const RunOutcome exact = serveWith(cfg, true);
+    expectIdentical(lazy, exact);
+    const cluster::FleetReport &report = lazy.report;
+    ASSERT_EQ(report.completions, arrivals.size());
+    for (const cluster::MachineReport &m : report.machines)
+        EXPECT_EQ(m.dispatched, m.index < 8 ? 1u : 0u)
+            << "machine " << m.index;
+
+    // Every barrier while an invocation runs finds its machine busy,
+    // and the drain takes one barrier per epoch, so an invocation live
+    // for l seconds spans at least l / epoch - 2 barriers.
+    const double busyBarriers =
+        static_cast<double>(report.completions) *
+        (report.meanLatency / cfg.epoch - 2);
+    EXPECT_GT(busyBarriers, 8000.0);
+    EXPECT_LT(20.0 * static_cast<double>(report.sched.barrierMachineVisits),
+              busyBarriers);
+
+    cfg.threads = 4;
+    const RunOutcome parallel = serveWith(cfg, false);
+    expectIdentical(lazy, parallel);
+    EXPECT_EQ(parallel.report.sched.barrierMachineVisits,
+              report.sched.barrierMachineVisits);
 }
 
 // ---- far-future events -------------------------------------------------
