@@ -25,9 +25,9 @@
  *    runToTick() at 1 ms barriers, the shape of a busy machine in a
  *    mostly idle fleet, where the engine replays each barrier's steady
  *    quanta in one closed-form batch. Timed batched, replaying one
- *    quantum at a time (runQuanta) and with fast-forward off; all
- *    three must end with bit-identical task and machine counters and
- *    clock;
+ *    quantum at a time (a no-op per-quantum observer rules batches
+ *    out) and with fast-forward off; all three must end with
+ *    bit-identical task and machine counters and clock;
  *  - crowded: pricing_heavy's pooled shape (Fig. 17), 320 churning
  *    memory-intensive co-runners on CPUs 0-15 of a cascade-5218, run
  *    for a fixed simulated time (twice the steady time) with
@@ -47,8 +47,8 @@
  * time to 1e-9, every fleet mode must cover identical quantum counts,
  * the event-vs-exact FleetReports must be bit-identical, and the three
  * single-thread barrier runs must agree in every counter bit, with
- * batching engaged only where runToTick() drives a fast-forwarding
- * engine, and the two crowded runs must agree in every counter bit.
+ * batching engaged exactly where a fast-forwarding engine has no
+ * observer, and the two crowded runs must agree in every counter bit.
  * The
  * >= 5x steady and >= 2x fleet speedup floors — and the event
  * scheduler landing within 2x of the steady-state single-machine
@@ -212,7 +212,7 @@ struct BarrierRun
 enum class BarrierDrive
 {
     Exact,   ///< fast-forward off, runToTick()
-    Replay,  ///< fast-forward on, runQuanta(): one replay per quantum
+    Replay,  ///< fast-forward on, an observer: one replay per quantum
     Batched, ///< fast-forward on, runToTick(): batched replay
 };
 
@@ -234,6 +234,9 @@ runSingleThreadBarriers(BarrierDrive drive, Seconds sim_seconds)
     d.mlp = 4.0;
     const sim::Task &task = engine.add(std::make_unique<sim::Task>(
         "long", std::vector<sim::Phase>{{"body", 1e15, d}}));
+    // An observer must see every quantum, so none is batched.
+    if (drive == BarrierDrive::Replay)
+        engine.onQuantum([](Seconds, const sim::SharedState &) {});
 
     // The caller's canonical clock, advanced one barrier at a time as
     // the cluster's event core does.
@@ -245,8 +248,6 @@ runSingleThreadBarriers(BarrierDrive drive, Seconds sim_seconds)
         Seconds clock = engine.now();
         for (std::uint64_t b = 1; b <= barriers; ++b) {
             clock = addRepeated(clock, engine.quantum(), perBarrier);
-            if (drive == BarrierDrive::Replay)
-                engine.runQuanta(perBarrier);
             engine.runToTick(b * perBarrier, clock);
         }
     });
@@ -307,6 +308,8 @@ struct CrowdedRun
     double completions = 0;
     /** Slice rotations: every one switches in a different task. */
     double rotations = 0;
+    /** Batches of steady quanta between rotations and completions. */
+    double batches = 0;
 };
 
 CrowdedRun
@@ -340,6 +343,7 @@ runCrowded(bool fast_forward, Seconds sim_seconds)
     for (const sim::TaskCounters &tc : r.tasks)
         r.rotations += static_cast<double>(tc.contextSwitches);
     r.machine = engine.machineCounters();
+    r.batches = engine.stats().replayBatches.value();
     return r;
 }
 
@@ -355,6 +359,10 @@ checkCrowdedRunsIdentical(const CrowdedRun &exact, const CrowdedRun &fast)
     if (!identical)
         fatal("micro_engine_throughput: crowded runs diverged between "
               "fast-forward and exact stepping");
+    // Steady stretches between rotations batch on a crowded machine.
+    if (exact.batches != 0 || !(fast.batches > 0))
+        fatal("micro_engine_throughput: crowded replay batches ",
+              fast.batches, " fast-forward / ", exact.batches, " exact");
 }
 
 ModeResult
@@ -501,7 +509,8 @@ main()
     checkCrowdedRunsIdentical(crowdedExact, crowdedFast);
     checkBarrierRunsIdentical(barrierExact, barrierReplay);
     checkBarrierRunsIdentical(barrierExact, barrierBatched);
-    // Only runToTick() batches, and it must on this steady shape.
+    // Every fast-forwarding engine without an observer batches, and
+    // it must on this steady shape; an observer rules batches out.
     if (barrierReplay.batches != 0 || !(barrierBatched.batches > 0))
         fatal("micro_engine_throughput: replay batches ",
               barrierBatched.batches, " batched / ",
@@ -630,6 +639,7 @@ main()
     json.metric("crowded", "quanta", crowdedFast.mode.quanta);
     json.metric("crowded", "ff_quanta", crowdedFast.mode.ffQuanta);
     json.metric("crowded", "rotations", crowdedFast.rotations);
+    json.metric("crowded", "replay_batches", crowdedFast.batches);
     json.metric("crowded", "completions", crowdedFast.completions);
     json.metric("crowded", "bit_identical", 1.0);
     const cluster::SchedulerCounters &sc = eventReport.sched;

@@ -42,9 +42,10 @@ namespace litmus
  * performed one by one.
  *
  * A zero step (either sign) costs one addition: after the first, adding
- * a zero never changes the value, signed zeros included. Outside the
- * closed form's domain (negative or non-finite start, negative or
- * non-finite step) this is the plain loop.
+ * a zero never changes the value, signed zeros included. Below a dozen
+ * additions, and outside the closed form's domain (negative or
+ * non-finite start, negative or non-finite step), this is the plain
+ * loop: the binade set-up costs about as much as twelve additions.
  */
 inline Seconds
 addRepeated(Seconds start, Seconds step, std::uint64_t n)
@@ -52,8 +53,9 @@ addRepeated(Seconds start, Seconds step, std::uint64_t n)
     if (step == 0)
         return n ? start + step : start;
     Seconds t = start;
-    if (!(start >= 0) || !(step > 0) || !std::isfinite(start) ||
-        !std::isfinite(step)) {
+    constexpr std::uint64_t kLoopBelow = 12;
+    if (n < kLoopBelow || !(start >= 0) || !(step > 0) ||
+        !std::isfinite(start) || !std::isfinite(step)) {
         for (; n > 0; --n)
             t += step;
         return t;

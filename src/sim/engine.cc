@@ -27,6 +27,36 @@ hotterDomain(const SharedState &candidate, const SharedState &current)
             candidate.l3Utilization > current.l3Utilization);
 }
 
+/**
+ * How many of the next quanta, at most @p limit, may each add @p step
+ * to @p task's instruction count and leave its open probe window open.
+ * updateProbe() closes the window on the first quantum whose count is
+ * the window past the count at its start, and that difference only
+ * grows with the count, so checking the last quantum checks them all.
+ */
+std::uint64_t
+quantaProbeStaysOpen(const Task &task, Instructions step,
+                     std::uint64_t limit)
+{
+    const Instructions start = task.probe().taskAtStart.instructions;
+    const Instructions count = task.counters().instructions;
+    const auto open = [&](std::uint64_t k) {
+        return addRepeated(count, step, k) - start < task.probeWindow();
+    };
+    // Estimate two quanta short, and halve on the rare estimate that
+    // rounding still carries too far.
+    const double spare =
+        (task.probeWindow() - (count - start)) / step - 2;
+    if (!(spare >= 1))
+        return 0;
+    std::uint64_t k = spare < static_cast<double>(limit)
+                          ? static_cast<std::uint64_t>(spare)
+                          : limit;
+    while (k > 0 && !open(k))
+        k /= 2;
+    return k;
+}
+
 } // namespace
 
 void
@@ -163,8 +193,8 @@ Engine::run(Seconds duration)
 void
 Engine::runQuanta(std::uint64_t n)
 {
-    for (std::uint64_t i = 0; i < n; ++i)
-        step();
+    for (std::uint64_t left = n; left > 0;)
+        left -= advance(left);
 }
 
 std::unique_ptr<Task>
@@ -172,14 +202,35 @@ Engine::runToCompletion(std::unique_ptr<Task> task, Seconds cap)
 {
     awaitedId_ = add(std::move(task)).id();
     const Seconds end = now_ + cap;
+    // Stepping checks the cap before every quantum, so it stops at the
+    // first tick whose clock reaches the end; batches stop there too,
+    // which makes the fatal fire at the same tick and time either way.
+    // A clock that stalls short of the end never reaches it.
+    std::uint64_t capTick = std::numeric_limits<std::uint64_t>::max();
+    if (now_ < end) {
+        const RepeatedCover cover = coverRepeated(now_, quantum_, 1, end);
+        if (cover.chunks != 0)
+            capTick = tickCount_ + cover.chunks;
+    }
     while (!awaited_) {
         if (now_ >= end)
             fatal("Engine::runToCompletion: task ", awaitedId_,
-                  " did not finish within ", cap, " simulated seconds");
-        step();
+                  " did not finish within ", cap,
+                  " simulated seconds (at quantum ", tickCount_, ")");
+        advance(capTick - tickCount_);
     }
     awaitedId_ = 0;
     return std::move(awaited_);
+}
+
+std::uint64_t
+Engine::advance(std::uint64_t limit)
+{
+    const std::uint64_t batched = replaySteadyBatch(limit);
+    if (batched != 0)
+        return batched;
+    step();
+    return 1;
 }
 
 void
@@ -202,10 +253,8 @@ Engine::runToTick(std::uint64_t tick, Seconds clock)
     // A completion callback may add work (invoker churn), so liveness
     // is re-read every quantum.
     while (tickCount_ < tick &&
-           (!tasks_.empty() || !quantumCbs_.empty())) {
-        if (replaySteadyBatch(tick - tickCount_) == 0)
-            step();
-    }
+           (!tasks_.empty() || !quantumCbs_.empty()))
+        advance(tick - tickCount_);
     // The remaining n quanta are wholly idle: jump to the caller's
     // clock. That canonical clock carries the bits of the same fadd
     // sequence this engine would have performed, so it must equal the
@@ -311,39 +360,56 @@ Engine::tryReplayQuantum()
     return true;
 }
 
-const Engine::PlannedThread *
-Engine::steadyThread() const
+void
+Engine::planSteadyEnd(std::uint64_t limit)
 {
-    // The version check comes first: it guards the Task pointer.
-    if (!fastForward_ || !plan_.valid || plan_.threads.size() != 1 ||
-        plan_.sockets.size() != 1 || !quantumCbs_.empty() ||
-        scheduler_.crowded() || plan_.schedVersion != scheduler_.version())
-        return nullptr;
-    const PlannedThread &t = plan_.threads.front();
-    const Task &task = *t.task;
-    const ProbeCapture &probe = task.probe();
-    if (&task.demand() != t.demand ||
-        (task.probeWindow() > 0 && probe.started && !probe.complete))
-        return nullptr;
-    return &t;
+    // Steps and batches since the plan was built retire the same steps
+    // on the same bits whatever their split, so the answer stays exact
+    // for the plan's lifetime. tickCount_ is at least 1 once a full
+    // step has built a plan, so the cached end is never the "not yet
+    // asked" 0.
+    std::uint64_t end = tickCount_ + limit;
+    for (const PlannedThread &t : plan_.threads) {
+        const Task &task = *t.task;
+        if (&task.demand() != t.demand) {
+            // Left the planned phase: the next step rebuilds the plan.
+            end = tickCount_;
+            break;
+        }
+        end = tickCount_ +
+              task.steadyRetirements(t.stepInstr, end - tickCount_);
+        const ProbeCapture &probe = task.probe();
+        if (task.probeWindow() > 0 && probe.started && !probe.complete)
+            end = tickCount_ + quantaProbeStaysOpen(task, t.stepInstr,
+                                                    end - tickCount_);
+        if (end == tickCount_)
+            break; // nothing batches on this plan
+    }
+    plan_.steadyEnd = end;
+    plan_.steadyCapped = end == tickCount_ + limit;
 }
 
 std::uint64_t
 Engine::steadyThrough()
 {
-    const PlannedThread *t = steadyThread();
-    if (t == nullptr)
+    // The version check comes first: it guards the Task pointers.
+    if (!fastForward_ || !plan_.valid || !quantumCbs_.empty() ||
+        plan_.schedVersion != scheduler_.version())
         return tickCount_;
-    // Asked at most once per plan. Steps and batches since the plan was
-    // built retire the same step on the same bits whatever their split,
-    // so the first answer stays exact for the plan's lifetime.
-    if (plan_.steadyEnd == 0) {
-        const std::uint64_t room =
-            std::numeric_limits<std::uint64_t>::max() - tickCount_;
-        plan_.steadyEnd =
-            tickCount_ + t->task->steadyRetirements(t->stepInstr, room);
-    }
-    return std::max(plan_.steadyEnd, tickCount_);
+    // The scheduler's bound is read live. The plan's end is walked only
+    // as far as it, once, and again only if a due tick that rotated
+    // nothing moved the bound past a walk that stopped there.
+    const std::uint64_t quiet =
+        std::min(scheduler_.quietTicks(),
+                 std::numeric_limits<std::uint64_t>::max() - tickCount_);
+    if (quiet == 0)
+        return tickCount_;
+    if (plan_.steadyEnd == 0 ||
+        (plan_.steadyCapped && plan_.steadyEnd < tickCount_ + quiet))
+        planSteadyEnd(quiet);
+    if (plan_.steadyEnd <= tickCount_)
+        return tickCount_;
+    return tickCount_ + std::min(plan_.steadyEnd - tickCount_, quiet);
 }
 
 std::uint64_t
@@ -352,25 +418,63 @@ Engine::replaySteadyBatch(std::uint64_t limit)
     const std::uint64_t k = std::min(limit, steadyThrough() - tickCount_);
     if (k == 0)
         return 0;
-    const PlannedThread &t = plan_.threads.front();
-    Task &task = *t.task;
 
-    // k replayed quanta add the same step to each accumulator k times
-    // (one thread, one socket, tick() a no-op, no phase end, no probe
-    // to close), which addRepeated() reproduces bit for bit.
-    TaskCounters &tc = task.counters();
-    tc.instructions = addRepeated(tc.instructions, t.stepInstr, k);
-    tc.cycles = addRepeated(tc.cycles, t.usedCycles, k);
-    tc.stallSharedCycles =
-        addRepeated(tc.stallSharedCycles, t.stallCycles, k);
-    tc.l2Misses = addRepeated(tc.l2Misses, t.l2Misses, k);
-    tc.l3Misses = addRepeated(tc.l3Misses, t.l3Misses, k);
-    machine_.l3Accesses = addRepeated(machine_.l3Accesses, t.l2Misses, k);
-    machine_.l3Misses = addRepeated(machine_.l3Misses, t.l3Misses, k);
-    task.retireRepeated(t.stepInstr, k);
-    const PlannedSocket &s = plan_.sockets.front();
-    stats_.l3Utilization.sampleRepeated(s.l3Utilization, k);
-    stats_.memUtilization.sampleRepeated(s.memUtilization, k);
+    // k replayed quanta, with no phase end, no probe to close and no
+    // slice to rotate. Each task's counters and retired count are its
+    // own accumulators, taking k sequential adds of its step. The
+    // machine counters add every thread's misses in plan order each
+    // quantum, so with one thread they too are k adds of one step, and
+    // addRepeated() lands on the bits of all of them in O(1). With more,
+    // the machine counters take the k x threads additions in replay
+    // order, and the task counters ride along in the same walk, where
+    // the threads' independent chains overlap.
+    if (plan_.threads.size() == 1) {
+        const PlannedThread &t = plan_.threads.front();
+        TaskCounters &tc = t.task->counters();
+        tc.instructions = addRepeated(tc.instructions, t.stepInstr, k);
+        tc.cycles = addRepeated(tc.cycles, t.usedCycles, k);
+        tc.stallSharedCycles =
+            addRepeated(tc.stallSharedCycles, t.stallCycles, k);
+        tc.l2Misses = addRepeated(tc.l2Misses, t.l2Misses, k);
+        tc.l3Misses = addRepeated(tc.l3Misses, t.l3Misses, k);
+        machine_.l3Accesses =
+            addRepeated(machine_.l3Accesses, t.l2Misses, k);
+        machine_.l3Misses = addRepeated(machine_.l3Misses, t.l3Misses, k);
+    } else {
+        double l3Accesses = machine_.l3Accesses;
+        double l3Misses = machine_.l3Misses;
+        for (std::uint64_t q = 0; q < k; ++q) {
+            for (const PlannedThread &t : plan_.threads) {
+                TaskCounters &tc = t.task->counters();
+                tc.instructions += t.stepInstr;
+                tc.cycles += t.usedCycles;
+                tc.stallSharedCycles += t.stallCycles;
+                tc.l2Misses += t.l2Misses;
+                tc.l3Misses += t.l3Misses;
+                l3Accesses += t.l2Misses;
+                l3Misses += t.l3Misses;
+            }
+        }
+        machine_.l3Accesses = l3Accesses;
+        machine_.l3Misses = l3Misses;
+    }
+    for (const PlannedThread &t : plan_.threads)
+        t.task->retireRepeated(t.stepInstr, k);
+    // Each quantum samples every socket in socket order; with one
+    // socket those are k samples of one value.
+    if (plan_.sockets.size() == 1) {
+        const PlannedSocket &s = plan_.sockets.front();
+        stats_.l3Utilization.sampleRepeated(s.l3Utilization, k);
+        stats_.memUtilization.sampleRepeated(s.memUtilization, k);
+    } else {
+        for (std::uint64_t q = 0; q < k; ++q) {
+            for (const PlannedSocket &s : plan_.sockets) {
+                stats_.l3Utilization.sample(s.l3Utilization);
+                stats_.memUtilization.sample(s.memUtilization);
+            }
+        }
+    }
+    scheduler_.skipQuietTicks(k);
 
     tickCount_ += k;
     now_ = addRepeated(now_, quantum_, k);
@@ -666,6 +770,8 @@ Engine::updateProbe(Task &task)
         // is only updated at quantum end; stamp a consistent time.
         probe.machineAtEnd.time = now_;
         probe.complete = true;
+        // The cached horizon may have stopped short of this window.
+        plan_.steadyEnd = 0;
     }
 }
 

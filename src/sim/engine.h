@@ -34,22 +34,31 @@
  * differential oracle (ClusterConfig::exactQuantum) and the engine
  * benches use it for A/B validation.
  *
- * On a machine that runs one thread, a replayed quantum adds one fixed
- * step to each counter, so runToTick() goes further and applies k such
- * quanta at once through addRepeated(), which lands on the bits of the
- * k sequential additions. It does so only while the plan is valid and
- * holds exactly one thread on one socket, the scheduler is uncrowded
- * (its tick() is a no-op), no per-quantum observer is registered, the
- * task's probe window is closed or absent, and the task vouches for k
- * phase-steady quanta (Task::steadyRetirements, which applies the
- * phase-end slack of Task::retire). runQuanta(), run(),
- * runToCompletion() and the oracle (fast-forward off) never batch.
+ * A replayed quantum adds fixed steps, so every driver — run(),
+ * runQuanta(), runToTick() and runToCompletion() — goes further and
+ * applies k such quanta as one batch that lands on the bits of the k
+ * sequential quanta: each task's counters and retired count are its
+ * own accumulators and take k adds of their step; the machine-wide L3
+ * counters, which sum every thread's misses in plan order each
+ * quantum, take those k x threads additions in that order (with one
+ * thread, k adds of one step, which addRepeated() lands in O(1)); a
+ * multi-socket machine samples its per-socket utilizations quantum by
+ * quantum in socket order; and the scheduler skips k ticks that
+ * provably rotate no slice (OsScheduler::quietTicks). A batch needs
+ * the plan valid and current, no per-quantum observer, every task
+ * vouching for k phase-steady quanta (Task::steadyRetirements, which
+ * applies the phase-end slack of Task::retire) and every open probe
+ * window staying open through them; any thread count, socket count
+ * and crowded scheduler qualify. The oracle (fast-forward off) never
+ * batches.
  *
- * The tick such a batch is sure to reach, steadyThrough(), is computed
- * once per replay plan and tells a caller how long it may leave the
- * engine alone: no phase ends and no task completes before it. The
- * fleet's barriers use it to advance only the engines with a change
- * due, and land the others when they must touch them.
+ * The tick a batch is sure to reach, steadyThrough(), tells a caller
+ * how long it may leave the engine alone: no phase ends, no probe
+ * window closes, no task completes and no slice rotates before it.
+ * The scheduler's bound is read live; the tasks' side is walked once
+ * per replay plan, as far as that bound. The fleet's barriers use it
+ * to advance only the engines with a change due, and land the others
+ * when they must touch them.
  */
 
 #ifndef LITMUS_SIM_ENGINE_H
@@ -98,8 +107,8 @@ struct EngineStats
                               "contention solves served from the memo"};
     CounterStat skippedQuanta{"skipped_quanta",
                               "idle quanta elided by runToTick"};
-    CounterStat replayBatches{
-        "replay_batches", "steady quanta batches applied by runToTick"};
+    CounterStat replayBatches{"replay_batches",
+                              "batches of steady quanta replayed at once"};
     /** @} */
 
     /** Register every member under the given group. */
@@ -145,8 +154,8 @@ class Engine
     /** Advance simulated time by the given duration. */
     void run(Seconds duration);
 
-    /** Advance exactly @p n quanta, one step at a time (never
-     *  batched). */
+    /** Advance exactly @p n quanta, steady runs of them in batches
+     *  (see the file comment). */
     void runQuanta(std::uint64_t n);
 
     /**
@@ -158,13 +167,15 @@ class Engine
     std::uint64_t quantaForDuration(Seconds duration) const;
 
     /**
-     * Add @p task, step one quantum at a time until it finishes, and
-     * hand it back. When it is reaped every completion listener runs
-     * first, in registration order, as for any task; then the engine
-     * returns it instead of destroying it, so the caller reads
-     * counters(), probe(), id(), launchTime() and completionTime()
-     * from it. fatal() if it is still live after @p cap simulated
-     * seconds, because every experiment must terminate.
+     * Add @p task, run quanta (steady runs in batches) until it
+     * finishes, and hand it back. When it is reaped every completion
+     * listener runs first, in registration order, as for any task;
+     * then the engine returns it instead of destroying it, so the
+     * caller reads counters(), probe(), id(), launchTime() and
+     * completionTime() from it. fatal() if it is still live after @p cap simulated
+     * seconds, because every experiment must terminate; a batch never
+     * carries the clock past that point, so it fires at the same tick
+     * with fast-forward on or off.
      */
     std::unique_ptr<Task> runToCompletion(std::unique_ptr<Task> task,
                                           Seconds cap = 600.0);
@@ -185,14 +196,16 @@ class Engine
 
     /**
      * The last tick runToTick() is sure to reach by batched replay
-     * alone: through it the engine's one running thread stays in its
-     * phase, so no phase ends, no task completes and no full step runs.
-     * tickCount() when the engine cannot batch (see the file comment),
-     * and the largest tick for an endless phase. Sound, not tight:
-     * a later quantum may still be steady. O(1) after its first call
-     * on a replay plan, which caches the answer; anything that changes
-     * the plan (add(), a completion, killAllTasks(), setSpeedFactor(),
-     * a rotation) drops it.
+     * alone: through it every running thread stays in its phase, every
+     * open probe window stays open and no slice rotates, so no phase
+     * ends, no task completes and no full step runs. tickCount() when
+     * the engine cannot batch (see the file comment), and the largest
+     * tick while every thread is in an endless phase and no CPU is
+     * crowded. Sound, not tight: a later quantum may still be steady.
+     * O(1) after its first call on a replay plan, which caches the
+     * tasks' side of the answer; anything that changes the plan (add(),
+     * a completion, killAllTasks(), setSpeedFactor(), a rotation)
+     * drops it, and so does a probe window's close.
      */
     std::uint64_t steadyThrough();
 
@@ -200,11 +213,10 @@ class Engine
      * Advance to lifetime tick @p tick, landing on @p clock — the
      * *caller's* canonical clock for that tick. Steps while tasks are
      * live or per-quantum observers are registered (those must fire
-     * every quantum); runs of steady quanta on a one-thread,
-     * one-socket, uncrowded plan with no observer and no open probe
-     * window are applied as one closed-form batch (see the file
-     * comment; counted in stats().replayBatches), bit-identical to
-     * stepping them, however the caller splits its calls: a caller may
+     * every quantum); runs of steady quanta are applied as batches
+     * (see the file comment; counted in stats().replayBatches),
+     * bit-identical to stepping them, however the caller splits its
+     * calls: a caller may
      * leave an engine behind while its tick is at most steadyThrough(),
      * because nothing it could observe changes before then, and land it
      * later in one call. Once the engine drains, the rest of the way is
@@ -314,10 +326,13 @@ class Engine
         SharedState observedState;
         std::vector<PlannedThread> threads;
         std::vector<PlannedSocket> sockets;
-        /** steadyThrough()'s answer for this plan once asked (0: not
-         *  yet): the absolute tick the plan's lone thread replays
-         *  through without a phase end. */
+        /** planSteadyEnd()'s answer once asked (0: not yet): the
+         *  absolute tick every planned thread replays through without
+         *  a phase end. */
         std::uint64_t steadyEnd = 0;
+        /** steadyEnd is where the walk stopped looking, not a bound
+         *  any thread set: the plan may be steady beyond it. */
+        bool steadyCapped = false;
     };
 
     /** Execute one quantum (replay when possible, full otherwise). */
@@ -330,19 +345,25 @@ class Engine
     bool tryReplayQuantum();
 
     /**
-     * The plan's lone thread when its quanta may be batched: the plan
-     * is valid and current, holds one thread on one socket, the
-     * scheduler is uncrowded, no observer is registered, the task is
-     * still in the planned phase and its probe window is closed or
-     * absent. nullptr otherwise.
+     * Fill plan_.steadyEnd: the tick through which every planned
+     * thread stays in its phase with more than a step of headroom and
+     * keeps any open probe window open, looking at most @p limit ticks
+     * ahead (the current tick when a thread has left its phase). Call
+     * only on a valid, current plan.
      */
-    const PlannedThread *steadyThread() const;
+    void planSteadyEnd(std::uint64_t limit);
 
     /**
      * Replay up to @p limit steady quanta, never past steadyThrough(),
-     * in one closed-form step. Returns the quanta applied (0: none).
+     * as one batch. Returns the quanta applied (0: none).
      */
     std::uint64_t replaySteadyBatch(std::uint64_t limit);
+
+    /**
+     * Take one batch of up to @p limit quanta, or one step when none
+     * batches; returns the quanta taken (at least 1).
+     */
+    std::uint64_t advance(std::uint64_t limit);
 
     /** Memoized solve plus the solve/hit stat bookkeeping. */
     const ContentionResult &

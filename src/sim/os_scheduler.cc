@@ -161,6 +161,15 @@ OsScheduler::tick()
     }
 }
 
+void
+OsScheduler::skipQuietTicks(std::uint64_t k)
+{
+    if (k > quietTicks())
+        panic("OsScheduler::skipQuietTicks: ", k, " ticks pass the next "
+              "possible slice expiry (", quietTicks(), " quiet)");
+    ticks_ += k;
+}
+
 Cycles
 OsScheduler::consumePendingSwitchCycles(unsigned cpu)
 {

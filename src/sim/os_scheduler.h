@@ -67,6 +67,23 @@ class OsScheduler
     void tick();
 
     /**
+     * How many tick() calls from now are sure to rotate nothing, so
+     * each only counts the quantum: the ticks before the next possible
+     * slice expiry, and the largest count while no CPU is crowded.
+     * The bound can lag a drained queue (it is recomputed at the due
+     * tick), never run ahead of a real expiry.
+     */
+    std::uint64_t quietTicks() const
+    {
+        if (crowdedCpus_ == 0)
+            return kNever;
+        return nextDue_ > ticks_ ? nextDue_ - ticks_ - 1 : 0;
+    }
+
+    /** @p k tick() calls at once; @p k must not exceed quietTicks(). */
+    void skipQuietTicks(std::uint64_t k);
+
+    /**
      * Context-switch cycles waiting to be charged to the task running
      * on cpu; the engine consumes them (they burn cycles without
      * retiring instructions).
@@ -131,13 +148,6 @@ class OsScheduler
      * lets the engine fast-forward steady stretches without re-asking.
      */
     std::uint64_t version() const { return version_; }
-
-    /**
-     * True while some CPU queues two or more tasks. Otherwise no slice
-     * can expire, so tick() only counts the quantum, and a completion
-     * has no waiting task to rebalance.
-     */
-    bool crowded() const { return crowdedCpus_ != 0; }
 
   private:
     /** No allowed-CPU mask: the task may run anywhere. */

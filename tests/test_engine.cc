@@ -11,6 +11,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 
 #include "sim/engine.h"
 #include "sim/machine_catalog.h"
@@ -213,6 +214,35 @@ TEST(Engine, RunToCompletionCapFatal)
                     0.01),
                 ::testing::ExitedWithCode(1),
                 "task 1 did not finish within 0.01 simulated seconds");
+}
+
+TEST(Engine, RunToCompletionCapFiresOnTheSameTickEitherWay)
+{
+    // Endless co-runners make every quantum batchable, yet no batch may
+    // carry the clock past the cap: the fatal must name the first
+    // quantum whose clock reaches it, as stepping finds it. A warm-up
+    // moves the start off the tick grid's origin.
+    const Seconds cap = 0.0123;
+    const auto hitCap = [cap](bool fast_forward) {
+        Engine engine(smallMachine());
+        engine.setFastForward(fast_forward);
+        for (int i = 0; i < 3; ++i)
+            engine.add(std::make_unique<Task>("hog", ResourceDemand{}));
+        engine.run(0.0031);
+        engine.runToCompletion(
+            std::make_unique<Task>("endless", ResourceDemand{}), cap);
+    };
+    Engine reference(smallMachine());
+    reference.run(0.0031);
+    std::uint64_t tick = reference.tickCount();
+    const Seconds end = reference.now() + cap;
+    for (Seconds t = reference.now(); t < end; t += reference.quantum())
+        ++tick;
+    const std::string message = "task 4 did not finish within 0.0123 "
+                                "simulated seconds \\(at quantum " +
+                                std::to_string(tick) + "\\)";
+    EXPECT_EXIT(hitCap(false), ::testing::ExitedWithCode(1), message);
+    EXPECT_EXIT(hitCap(true), ::testing::ExitedWithCode(1), message);
 }
 
 TEST(Engine, RunToCompletionHandsBackTheReapedTask)

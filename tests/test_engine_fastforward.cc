@@ -10,15 +10,17 @@
  * rotations), probes, SMT, dual sockets, POPPA freezing, completion
  * churn — through both modes and compare everything with exact
  * equality, then check the fast path actually engages (a replay rate
- * of zero would make the equivalence vacuous). Batched replay only
- * runs under runToTick() with no observer, so its differential drives
- * the engine that way.
+ * of zero would make the equivalence vacuous). Batched replay runs
+ * whenever no observer is registered, so its differential drives the
+ * engine through runToTick(), runQuanta() and runToCompletion() with
+ * none.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -302,19 +304,22 @@ TEST(EngineFastForward, PoppaSamplingIdenticalAcrossModes)
     EXPECT_GT(ffFast, 0.0);
 }
 
-// ---- Batched replay: k steady quanta in one closed-form step --------
+// ---- Batched replay: k steady quanta at once -------------------------
 
-/** The situations batched replay must handle, or refuse. */
+/** The situations batched replay must handle. */
 enum class BatchCase
 {
     PhaseEndsNearBarrier, ///< phase ends 1 or 2 quanta past a barrier
     BinadeEdgeStarts,     ///< counters start just below binade edges
     NoL2Misses,           ///< l2Mpki == 0: zero-step counters
     Endless,              ///< endless task: every quantum steady
-    ProbeClosesMidRun,    ///< no batch while the probe window is open
+    ProbeClosesMidRun,    ///< batches stop short of the probe's close
     CrowdedCpu,           ///< two tasks on one CPU until one finishes
-    DualSocket,           ///< two sockets: must fall back
+    DualSocket,           ///< two sockets, sampled in socket order
     CompletionAddsTask,   ///< a completion callback launches work
+    MultiThread,          ///< several tasks on their own CPUs
+    CrowdedRotations,     ///< crowded CPUs rotating beside free ones
+    OpenProbes,           ///< several threads with long probe windows
 };
 
 constexpr BatchCase kBatchCases[] = {
@@ -322,7 +327,21 @@ constexpr BatchCase kBatchCases[] = {
     BatchCase::NoL2Misses,           BatchCase::Endless,
     BatchCase::ProbeClosesMidRun,    BatchCase::CrowdedCpu,
     BatchCase::DualSocket,           BatchCase::CompletionAddsTask,
+    BatchCase::MultiThread,          BatchCase::CrowdedRotations,
+    BatchCase::OpenProbes,
 };
+
+/** How a batch case drives its engine (no observer in any). */
+enum class BatchDrive
+{
+    RunToTick,       ///< runToTick() at fixed barriers
+    RunQuanta,       ///< runQuanta() in random chunks
+    RunToCompletion, ///< runToCompletion() of a string of subjects
+};
+
+constexpr BatchDrive kBatchDrives[] = {
+    BatchDrive::RunToTick, BatchDrive::RunQuanta,
+    BatchDrive::RunToCompletion};
 
 /** Quanta between the caller's barriers. */
 constexpr std::uint64_t kBarrierQuanta = 20;
@@ -389,12 +408,12 @@ randomStepPhase(Rng &rng, const MachineConfig &cfg, double lo, double hi)
 }
 
 /**
- * Run one batched-replay case on a fresh engine, driving runToTick()
- * at 20-quantum barriers with no per-quantum observer, and capture
- * every output bit.
+ * Run one batched-replay case on a fresh engine, driving it the given
+ * way with no per-quantum observer, and capture every output bit.
  */
 BatchCapture
-runBatchCase(BatchCase kind, std::uint64_t seed, bool fast_forward)
+runBatchCase(BatchCase kind, BatchDrive drive, std::uint64_t seed,
+             bool fast_forward)
 {
     Rng rng(seed * 16 + static_cast<std::uint64_t>(kind));
     const MachineConfig cfg =
@@ -483,14 +502,78 @@ runBatchCase(BatchCase kind, std::uint64_t seed, bool fast_forward)
         engine.add(programOf({randomStepPhase(rng, cfg, 30, 300),
                               randomStepPhase(rng, cfg, 30, 300)}));
         break;
+    case BatchCase::MultiThread: {
+        const auto tasks = rng.range(3, 6);
+        for (std::int64_t i = 0; i < tasks; ++i) {
+            std::vector<Phase> phases;
+            const auto count = rng.range(1, 3);
+            for (std::int64_t p = 0; p < count; ++p)
+                phases.push_back(randomStepPhase(rng, cfg, 30, 300));
+            engine.add(programOf(std::move(phases)));
+        }
+        break;
+    }
+    case BatchCase::CrowdedRotations:
+        // CPUs 0-2 hold two or three pinned tasks each and rotate every
+        // slice; two free tasks take CPUs 3 and 4.
+        for (unsigned cpu = 0; cpu < 3; ++cpu) {
+            const auto tasks = rng.range(2, 3);
+            for (std::int64_t i = 0; i < tasks; ++i) {
+                auto task =
+                    programOf({randomStepPhase(rng, cfg, 200, 900)});
+                task->setAffinity({cpu});
+                engine.add(std::move(task));
+            }
+        }
+        for (int i = 0; i < 2; ++i)
+            engine.add(programOf({randomStepPhase(rng, cfg, 200, 900)}));
+        break;
+    case BatchCase::OpenProbes: {
+        const auto tasks = rng.range(3, 5);
+        for (std::int64_t i = 0; i < tasks; ++i) {
+            const ResourceDemand d = randomDemand(rng, true);
+            const Instructions probe =
+                soloStep(cfg, d) * rng.uniform(40, 400);
+            engine.add(programOf({stepPhase(cfg, d, 900, 0)}, probe));
+        }
+        break;
+    }
     }
 
-    // The caller's canonical clock, one closed-form barrier at a time.
-    const std::uint64_t barriers = 150;
-    Seconds clock = engine.now();
-    for (std::uint64_t b = 1; b <= barriers; ++b) {
-        clock = addRepeated(clock, engine.quantum(), kBarrierQuanta);
-        engine.runToTick(b * kBarrierQuanta, clock);
+    // The same drive in both modes: its random draws come from its own
+    // stream, so the case above is the same whatever the drive.
+    const std::uint64_t total = 150 * kBarrierQuanta;
+    Rng driveRng(seed * 4 + static_cast<std::uint64_t>(drive));
+    switch (drive) {
+    case BatchDrive::RunToTick: {
+        // The caller's canonical clock, one closed-form barrier at a
+        // time.
+        Seconds clock = engine.now();
+        for (std::uint64_t tick = kBarrierQuanta; tick <= total;
+             tick += kBarrierQuanta) {
+            clock = addRepeated(clock, engine.quantum(), kBarrierQuanta);
+            engine.runToTick(tick, clock);
+        }
+        break;
+    }
+    case BatchDrive::RunQuanta:
+        while (engine.tickCount() < total)
+            engine.runQuanta(
+                std::min(total - engine.tickCount(),
+                         static_cast<std::uint64_t>(driveRng.range(1, 60))));
+        break;
+    case BatchDrive::RunToCompletion:
+        // Subjects one after another, half of them probed; each lands
+        // in cap.completions through the listener.
+        while (engine.tickCount() < total) {
+            const Phase phase = randomStepPhase(driveRng, cfg, 5, 150);
+            const Instructions probe =
+                driveRng.chance(0.5)
+                    ? soloStep(cfg, phase.demand) * driveRng.uniform(2, 60)
+                    : Task::noProbe;
+            engine.runToCompletion(programOf({phase}, probe));
+        }
+        break;
     }
 
     for (Task *t : engine.liveTasks())
@@ -561,25 +644,30 @@ expectBatchIdentical(const BatchCapture &exact, const BatchCapture &fast)
 TEST(EngineFastForward, BatchedReplayBitIdentical)
 {
     for (const BatchCase kind : kBatchCases) {
-        double batches = 0;
-        for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-            SCOPED_TRACE(testing::Message()
-                         << "case " << static_cast<int>(kind) << " seed "
-                         << seed);
-            const BatchCapture exact = runBatchCase(kind, seed, false);
-            const BatchCapture fast = runBatchCase(kind, seed, true);
-            expectBatchIdentical(exact, fast);
-            EXPECT_EQ(exact.ffQuanta, 0.0);
-            EXPECT_EQ(exact.batches, 0.0);
-            EXPECT_GT(fast.ffQuanta, 0.0);
-            batches += fast.batches;
+        for (const BatchDrive drive : kBatchDrives) {
+            double batches = 0;
+            for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+                SCOPED_TRACE(testing::Message()
+                             << "case " << static_cast<int>(kind)
+                             << " drive " << static_cast<int>(drive)
+                             << " seed " << seed);
+                const BatchCapture exact =
+                    runBatchCase(kind, drive, seed, false);
+                const BatchCapture fast =
+                    runBatchCase(kind, drive, seed, true);
+                expectBatchIdentical(exact, fast);
+                EXPECT_EQ(exact.ffQuanta, 0.0);
+                EXPECT_EQ(exact.batches, 0.0);
+                EXPECT_GT(fast.ffQuanta, 0.0);
+                batches += fast.batches;
+            }
+            // Every case batches under every drive: thread count,
+            // socket count, a crowded CPU and an open probe no longer
+            // rule it out.
+            EXPECT_GT(batches, 0.0) << "case " << static_cast<int>(kind)
+                                    << " drive "
+                                    << static_cast<int>(drive);
         }
-        // Two sockets sample each socket's utilization every quantum,
-        // which no single repeated add reproduces: never batched.
-        if (kind == BatchCase::DualSocket)
-            EXPECT_EQ(batches, 0.0);
-        else
-            EXPECT_GT(batches, 0.0) << "case " << static_cast<int>(kind);
     }
 }
 
@@ -631,9 +719,11 @@ TEST(EngineHorizon, RunningToTheHorizonChangesNothingVisible)
     // replay through. Running to it must add no full step, end no
     // phase and complete no task, and a twin stepping the same tasks
     // one exact quantum at a time must match bit for bit throughout.
-    // Every third seed pins its tasks to CPU 0, which crowds it.
+    // Every third seed pins its tasks to CPU 0, which crowds it: there
+    // the horizon also stops short of the next possible slice expiry.
     const MachineConfig cfg = MachineCatalog::get("cascade-5218");
-    std::uint64_t ahead = 0; // landings whose horizon lay ahead
+    std::uint64_t ahead = 0;        // landings whose horizon lay ahead
+    std::uint64_t crowdedAhead = 0; // ... with a crowded CPU
     for (std::uint64_t seed = 1; seed <= 24; ++seed) {
         SCOPED_TRACE(testing::Message() << "seed " << seed);
         Rng rng(seed);
@@ -680,12 +770,16 @@ TEST(EngineHorizon, RunningToTheHorizonChangesNothingVisible)
                 launch();
             const std::uint64_t horizon = lazy.steadyThrough();
             ASSERT_GE(horizon, tick);
-            if (lazy.scheduler().crowded()) {
-                ASSERT_EQ(horizon, tick);
-            }
+            // Unbounded while no CPU is crowded.
+            const std::uint64_t quiet = lazy.scheduler().quietTicks();
+            const bool crowded =
+                quiet != std::numeric_limits<std::uint64_t>::max();
+            ASSERT_LE(horizon - tick, quiet);
             if (horizon == tick)
                 continue;
             ++ahead;
+            if (crowded)
+                ++crowdedAhead;
             // An endless phase has no end; go a bounded way into it.
             const std::uint64_t to = std::min(horizon, tick + 400);
             const EngineStats &st = lazy.stats();
@@ -715,6 +809,67 @@ TEST(EngineHorizon, RunningToTheHorizonChangesNothingVisible)
         EXPECT_EQ(phaseIndices(lazy), phaseIndices(twin));
     }
     EXPECT_GT(ahead, 500u);
+    EXPECT_GT(crowdedAhead, 50u);
+}
+
+TEST(EngineHorizon, DueTickThatRotatesNothingFreesThePlan)
+{
+    // CPU 0 starts a slice at tick 0 and drains before it expires, so
+    // the scheduler's next due tick stays at that expiry while CPU 1's
+    // slice, started later, runs on. The due tick rotates nothing and
+    // keeps the plan; the horizon must then move on to CPU 1's expiry
+    // instead of leaving the plan to per-quantum replay, with every bit
+    // equal to a twin stepping exactly.
+    const MachineConfig cfg = MachineCatalog::get("cascade-5218");
+    Engine lazy(cfg);
+    Engine twin(cfg);
+    twin.setFastForward(false);
+    Rng rng(7);
+    const ResourceDemand d = randomDemand(rng, true);
+    const auto launch = [&](double quanta, unsigned cpu) {
+        for (Engine *engine : {&lazy, &twin}) {
+            auto task = programOf({stepPhase(cfg, d, quanta, 0)});
+            task->setAffinity({cpu});
+            engine->add(std::move(task));
+        }
+    };
+    launch(20, 0);   // runs first on CPU 0 and drains it early
+    launch(5000, 0); // waits behind it
+    launch(5000, 1);
+    Seconds clock = 0;
+    std::uint64_t tick = 0;
+    const auto advance = [&](std::uint64_t to) {
+        clock = addRepeated(clock, lazy.quantum(), to - tick);
+        lazy.runToTick(to, clock);
+        for (; tick < to; ++tick)
+            twin.runQuanta(1);
+    };
+    advance(30);
+    launch(5000, 1); // crowds CPU 1: its slice expires at tick 131
+    advance(60);
+    ASSERT_EQ(lazy.taskCount(), 3u); // the short task is done
+
+    // The bound still names CPU 0's stale expiry, tick 101.
+    ASSERT_EQ(lazy.scheduler().quietTicks(), 101u - 60u - 1u);
+    ASSERT_LT(lazy.steadyThrough(), 101u);
+    const EngineStats &st = lazy.stats();
+    const double fullSteps = st.quanta.value() - st.ffQuanta.value();
+    advance(102); // through the due tick, which rotates nothing
+    const std::uint64_t horizon = lazy.steadyThrough();
+    EXPECT_GE(horizon, 130u);
+    EXPECT_LE(horizon - tick, lazy.scheduler().quietTicks());
+    advance(horizon);
+    EXPECT_EQ(st.quanta.value() - st.ffQuanta.value(), fullSteps);
+    EXPECT_GE(st.replayBatches.value(), 2.0);
+
+    const std::vector<Task *> lazyLive = lazy.liveTasks();
+    const std::vector<Task *> twinLive = twin.liveTasks();
+    ASSERT_EQ(lazyLive.size(), twinLive.size());
+    for (std::size_t i = 0; i < lazyLive.size(); ++i)
+        expectSameCounters(lazyLive[i]->counters(),
+                           twinLive[i]->counters());
+    expectSameMachine(lazy.machineCounters(), twin.machineCounters());
+    EXPECT_EQ(bitsOf(lazy.now()), bitsOf(twin.now()));
 }
 
 class ClusterDifferential : public ::testing::TestWithParam<Seconds>
