@@ -1,21 +1,19 @@
 /**
  * @file
- * Shared helpers for the experiment benches: standard calibrations,
- * paper-vs-measured summary lines, machine-readable JSON artifacts,
- * and environment knobs.
+ * Shared helpers for the benches: paper-vs-measured summary lines,
+ * wall-clock timing, peak RSS, and machine-readable JSON artifacts.
  *
  * Every bench prints the series the corresponding paper figure/table
  * reports, a `paper=` line with the headline numbers from the paper,
- * and a `measured=` line with ours, so EXPERIMENTS.md can be filled
- * by running the binaries. Benches on the perf trajectory also write
- * a BENCH_<name>.json artifact (BenchJson) that CI prints and
- * uploads per run.
+ * and a `measured=` line with ours. Benches on the perf trajectory
+ * also write a BENCH_<name>.json artifact (BenchJson) that CI prints
+ * and uploads per run.
  */
 
 #ifndef LITMUS_BENCH_BENCH_UTIL_H
 #define LITMUS_BENCH_BENCH_UTIL_H
 
-#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -29,10 +27,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/stats.h"
-#include "common/text_table.h"
-#include "core/experiment.h"
-#include "sim/machine_catalog.h"
 
 namespace litmus::bench
 {
@@ -46,124 +40,33 @@ relativeError(double a, double b)
     return std::abs(a - b) / std::abs(a);
 }
 
-/** Repetitions per test function (env LITMUS_REPS overrides). */
-inline unsigned
-reps(unsigned fallback = 5)
-{
-    return pricing::envOr("LITMUS_REPS", fallback);
-}
-
-/** Calibration repetitions (env LITMUS_CAL_REPS overrides). */
-inline unsigned
-calReps(unsigned fallback = 1)
-{
-    return pricing::envOr("LITMUS_CAL_REPS", fallback);
-}
-
-/**
- * The provider's dedicated-core calibration (Sections 6 / 7.1):
- * subject pinned to CPU 0, generators on CPUs 1..level. Levels scale
- * with the machine's thread count (dedicatedCalibrationFor).
- */
-inline pricing::CalibrationConfig
-dedicatedCalibration(
-    sim::MachineConfig machine = sim::MachineCatalog::get("cascade-5218"))
-{
-    pricing::CalibrationConfig cfg =
-        pricing::dedicatedCalibrationFor(std::move(machine));
-    cfg.repetitions = calReps();
-    return cfg;
-}
-
-/**
- * The Method 2 sharing calibration (Section 7.2): 50 functions churn
- * over 5 CPUs (10 per CPU) and the subject joins that pool; the
- * generators stress the cores behind the pool.
- */
-inline pricing::CalibrationConfig
-sharingCalibration(
-    sim::MachineConfig machine = sim::MachineCatalog::get("cascade-5218"),
-    unsigned pool_cpus = 5, unsigned sharing_functions = 50)
-{
-    pricing::CalibrationConfig cfg;
-    cfg.machine = std::move(machine);
-    cfg.sharingFunctions = sharing_functions;
-    for (unsigned i = 0; i < pool_cpus; ++i)
-        cfg.sharingCpus.push_back(i);
-    cfg.generatorFirstCpu = pool_cpus;
-    const unsigned headroom = cfg.machine.hwThreads() - pool_cpus;
-    cfg.levels.clear();
-    for (unsigned level = 2; level <= headroom && level <= 26; level += 4)
-        cfg.levels.push_back(level);
-    cfg.repetitions = calReps();
-    return cfg;
-}
-
-/**
- * Standard Section 7.2 pooled experiment: co-runners and the test
- * function share the first @p pool_cpus CPUs.
- */
-inline pricing::ExperimentConfig
-pooledExperiment(unsigned co_runners = 160, unsigned pool_cpus = 16,
-                 sim::MachineConfig machine =
-                     sim::MachineCatalog::get("cascade-5218"))
-{
-    pricing::ExperimentConfig cfg;
-    cfg.machine = std::move(machine);
-    cfg.coRunners = co_runners;
-    cfg.layoutPooled(pool_cpus);
-    cfg.repetitions = reps();
-    cfg.warmup = 0.3;
-    return cfg;
-}
-
-/** Print one price-per-function table (Figures 11, 15-21). */
-inline void
-printPriceTable(const pricing::ExperimentResult &result)
-{
-    TextTable table({"function", "litmus price", "ideal price"});
-    for (const auto &row : result.rows) {
-        table.addRow({row.name, TextTable::num(row.litmusPrice),
-                      TextTable::num(row.idealPrice)});
-    }
-    table.addRow({"gmean", TextTable::num(result.gmeanLitmusPrice),
-                  TextTable::num(result.gmeanIdealPrice)});
-    table.print(std::cout);
-}
-
 /**
  * The standard summary footer: what the paper reports next to what
- * this run measured, in two aligned greppable lines.
+ * this run measured, in two aligned greppable lines. The pair opens
+ * with a blank line unless @p separate is false, which continues a
+ * footer already printed.
  */
 inline void
 printPaperMeasured(std::ostream &os, const std::string &paper,
-                   const std::string &measured)
+                   const std::string &measured, bool separate = true)
 {
-    os << "\npaper=    " << paper << "\n"
+    os << (separate ? "\npaper=    " : "paper=    ") << paper << "\n"
        << "measured= " << measured << "\n";
 }
 
-/** Print the paper-vs-measured discount summary. */
-inline void
-printDiscountSummary(const pricing::ExperimentResult &result,
-                     double paper_litmus_discount,
-                     double paper_ideal_discount)
+/**
+ * Wall-clock seconds spent running @p fn. Bench timing only: a
+ * duration measured here must never feed a simulated result.
+ */
+template <typename Fn>
+double
+wallSeconds(Fn &&fn)
 {
-    printPaperMeasured(
-        std::cout,
-        "litmus discount " +
-            TextTable::num(100 * paper_litmus_discount, 1) +
-            "%  ideal discount " +
-            TextTable::num(100 * paper_ideal_discount, 1) + "%",
-        "litmus discount " +
-            TextTable::num(100 * result.litmusDiscount(), 1) +
-            "%  ideal discount " +
-            TextTable::num(100 * result.idealDiscount(), 1) +
-            "%  gap " +
-            TextTable::num(100 * (result.idealDiscount() -
-                                  result.litmusDiscount()),
-                           1) +
-            "pp");
+    // LITMUS-LINT-ALLOW(wall-clock): bench timing, never a simulated result
+    using Clock = std::chrono::steady_clock;
+    const auto start = Clock::now();
+    fn();
+    return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
 /**

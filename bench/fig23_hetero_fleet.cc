@@ -27,6 +27,8 @@
 #include <iostream>
 
 #include "bench_util.h"
+#include "common/text_table.h"
+#include "core/experiment.h"
 #include "scenario/scenario_runner.h"
 
 using namespace litmus;

@@ -30,6 +30,8 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
+#include "common/text_table.h"
+#include "core/experiment.h"
 #include "scenario/scenario_runner.h"
 #include "workload/suite.h"
 

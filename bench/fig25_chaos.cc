@@ -36,6 +36,8 @@
 
 #include "bench_util.h"
 #include "cluster/fault_plan.h"
+#include "common/text_table.h"
+#include "core/experiment.h"
 #include "scenario/scenario_runner.h"
 
 using namespace litmus;

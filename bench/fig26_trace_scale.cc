@@ -44,7 +44,6 @@
  * LITMUS_BENCH_JSON.
  */
 
-#include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -53,6 +52,8 @@
 #include "bench_util.h"
 #include "cluster/traffic_source.h"
 #include "common/rng.h"
+#include "common/text_table.h"
+#include "core/experiment.h"
 #include "scenario/azure_trace.h"
 #include "scenario/scenario_runner.h"
 
@@ -63,15 +64,6 @@ namespace
 
 using bench::BenchJson;
 using cluster::identicalTotals;
-
-double
-// LITMUS-LINT-ALLOW(wall-clock): measuring wall time IS this bench's purpose
-wallSeconds(std::chrono::steady_clock::time_point from,
-            // LITMUS-LINT-ALLOW(wall-clock): timing only — never feeds simulated results
-            std::chrono::steady_clock::time_point to)
-{
-    return std::chrono::duration<double>(to - from).count();
-}
 
 /** One sweep cell: an Azure-shaped file and whether the upfront
  *  (materialize-everything) twin is affordable for it. */
@@ -186,22 +178,20 @@ double
 timeToFirstArrival(const scenario::ScenarioSpec &spec, bool upfront)
 {
     const auto pool = spec.functionPool();
-    // LITMUS-LINT-ALLOW(wall-clock): time-to-first-dispatch is the measurement
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto model = scenario::makeTrafficModel(spec.traffic);
-    Rng rng(cluster::deriveArrivalSeed(spec.seed));
-    if (upfront) {
-        const auto trace = model->generate(rng, pool);
-        if (trace.empty())
-            fatal("fig26: empty upfront trace");
-    } else {
-        auto stream = model->open(rng, pool);
-        cluster::Invocation inv;
-        if (!stream->next(inv))
-            fatal("fig26: empty stream");
-    }
-    // LITMUS-LINT-ALLOW(wall-clock): timing only — never feeds simulated results
-    return wallSeconds(t0, std::chrono::steady_clock::now());
+    return bench::wallSeconds([&] {
+        const auto model = scenario::makeTrafficModel(spec.traffic);
+        Rng rng(cluster::deriveArrivalSeed(spec.seed));
+        if (upfront) {
+            const auto trace = model->generate(rng, pool);
+            if (trace.empty())
+                fatal("fig26: empty upfront trace");
+        } else {
+            auto stream = model->open(rng, pool);
+            cluster::Invocation inv;
+            if (!stream->next(inv))
+                fatal("fig26: empty stream");
+        }
+    });
 }
 
 /** One mode's measured serve of one cell. */
@@ -219,11 +209,8 @@ measure(const std::string &path, bool upfront)
     Measured m;
     m.firstArrivalS = timeToFirstArrival(cellSpec(path), upfront);
     const bool rss = bench::resetPeakRss();
-    // LITMUS-LINT-ALLOW(wall-clock): serve wall time is the measurement
-    const auto t0 = std::chrono::steady_clock::now();
-    m.report = serve(cellSpec(path), upfront);
-    // LITMUS-LINT-ALLOW(wall-clock): timing only — never feeds simulated results
-    m.serveWallS = wallSeconds(t0, std::chrono::steady_clock::now());
+    m.serveWallS = bench::wallSeconds(
+        [&] { m.report = serve(cellSpec(path), upfront); });
     if (rss)
         m.peakRssMb =
             static_cast<double>(bench::peakRssBytes()) / (1 << 20);

@@ -67,7 +67,6 @@
  */
 
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -80,6 +79,8 @@
 #include "cluster/cluster.h"
 #include "common/repeated_add.h"
 #include "common/line_reader.h"
+#include "common/text_table.h"
+#include "core/experiment.h"
 #include "scenario/traffic_model.h"
 #include "workload/invoker.h"
 #include "workload/suite.h"
@@ -89,19 +90,6 @@ using namespace litmus;
 
 namespace
 {
-
-/** Wall-clock seconds elapsed while running @p fn. */
-template <typename Fn>
-double
-wallSeconds(Fn &&fn)
-{
-    // LITMUS-LINT-ALLOW(wall-clock): measuring wall time IS this bench's purpose
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    // LITMUS-LINT-ALLOW(wall-clock): timing only — never feeds simulated results
-    const auto end = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(end - start).count();
-}
 
 double
 envDouble(const char *name, double fallback)
@@ -192,7 +180,7 @@ runSteady(bool fast_forward, Seconds sim_seconds)
     }
 
     ModeResult r;
-    r.wall = wallSeconds([&] { engine.run(sim_seconds); });
+    r.wall = bench::wallSeconds([&] { engine.run(sim_seconds); });
     r.simSeconds = engine.now();
     accumulateEngine(r, engine);
     checkConservation("steady", engine, quantum);
@@ -244,7 +232,7 @@ runSingleThreadBarriers(BarrierDrive drive, Seconds sim_seconds)
     const std::uint64_t barriers =
         engine.quantaForDuration(sim_seconds) / perBarrier;
     BarrierRun r;
-    r.mode.wall = wallSeconds([&] {
+    r.mode.wall = bench::wallSeconds([&] {
         Seconds clock = engine.now();
         for (std::uint64_t b = 1; b <= barriers; ++b) {
             clock = addRepeated(clock, engine.quantum(), perBarrier);
@@ -333,7 +321,7 @@ runCrowded(bool fast_forward, Seconds sim_seconds)
     engine.onCompletion(
         [&](sim::Task &task) { r.tasks.push_back(task.counters()); });
     invoker.start();
-    r.mode.wall = wallSeconds([&] { engine.run(sim_seconds); });
+    r.mode.wall = bench::wallSeconds([&] { engine.run(sim_seconds); });
     r.mode.simSeconds = engine.now();
     accumulateEngine(r.mode, engine);
     checkConservation("crowded", engine, quantum);
@@ -387,7 +375,7 @@ runFleet(bool fast_forward, std::uint64_t per_machine, double rate,
 
     cluster::Cluster fleet(cfg);
     ModeResult r;
-    r.wall = wallSeconds([&] { fleet.run(); });
+    r.wall = bench::wallSeconds([&] { fleet.run(); });
     for (unsigned m = 0; m < machines; ++m) {
         const sim::Engine &engine = fleet.engine(m);
         r.simSeconds += engine.now();

@@ -11,7 +11,6 @@
 #include "core/discount_model.h"
 #include "core/pricing_model.h"
 #include "sim/contention.h"
-#include "workload/suite.h"
 #include "sim/machine_catalog.h"
 
 using namespace litmus;

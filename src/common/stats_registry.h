@@ -132,7 +132,6 @@ class HistogramStat : public Stat
 
     void sample(double v);
 
-    std::size_t bucketCount() const { return counts_.size(); }
     std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
     std::uint64_t underflow() const { return underflow_; }
     std::uint64_t overflow() const { return overflow_; }
