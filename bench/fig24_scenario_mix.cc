@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "cluster/traffic_source.h"
 #include "common/rng.h"
 #include "common/text_table.h"
 #include "core/experiment.h"
@@ -146,10 +147,10 @@ main()
                           report.sumMachineBilledSeconds()));
 
         // Mean rate the model actually realized: regenerate the
-        // arrival trace (same seed => identical stream to the run)
-        // and measure count over its span — the post-drain makespan
-        // would understate it.
-        Rng traceRng(spec.seed);
+        // arrival trace from the seed Cluster::run draws arrivals
+        // with (identical stream to the run) and measure count over
+        // its span — the post-drain makespan would understate it.
+        Rng traceRng(cluster::deriveArrivalSeed(spec.seed));
         const auto arrivals =
             scenario::makeTrafficModel(spec.traffic)
                 ->generate(traceRng, spec.functionPool());
