@@ -150,6 +150,22 @@ checkConservation(const FleetReport &report)
             fatal("checkConservation: fleet ", name, " ", report.*count,
                   " but the machine rows sum to ", rows.*count);
     }
+    // Flow through a drained fleet: each dispatch started cold or
+    // warm and ended completed or killed, and scheduleRetry() retried
+    // or abandoned each kill once.
+    const auto flow = [](const char *whole, std::uint64_t total,
+                         const char *a, std::uint64_t x, const char *b,
+                         std::uint64_t y) {
+        if (x + y != total)
+            fatal("checkConservation: ", total, " ", whole, " but ", x,
+                  " ", a, " + ", y, " ", b);
+    };
+    flow("dispatched", report.dispatched, "cold", report.coldStarts,
+         "warm starts", report.warmStarts);
+    flow("dispatched", report.dispatched, "completed",
+         report.completions, "killed", report.killedInvocations);
+    flow("killed", report.killedInvocations, "retried", report.retries,
+         "abandoned", report.abandoned);
 }
 
 /**

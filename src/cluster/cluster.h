@@ -403,10 +403,12 @@ struct FleetReport : ServeTally
 bool identicalTotals(const FleetReport &a, const FleetReport &b);
 
 /**
- * fatal() unless the fleet totals agree with the machine rows: billed
- * plus absorbed seconds to 1e-6 relative (the fleet accumulates them
- * in event order, the rows from the ledgers), every integer counter
- * exactly. Cluster::run() checks every report it returns.
+ * fatal() unless the fleet totals agree with the machine rows (billed
+ * plus absorbed seconds to 1e-6 relative, since the fleet accumulates
+ * them in event order and the rows from the ledgers; every integer
+ * counter exactly) and the drained fleet's flow adds up: dispatched =
+ * cold + warm starts = completions + killed, killed = retried +
+ * abandoned. Cluster::run() checks every report it returns.
  */
 void checkConservation(const FleetReport &report);
 

@@ -12,6 +12,7 @@
 
 #include "cluster/cluster.h"
 #include "core/calibration.h"
+#include "fleet_run.h"
 #include "poisson_traffic.h"
 #include "scenario/scenario_runner.h"
 #include "workload/suite.h"
@@ -360,41 +361,51 @@ TEST(Cluster, ConservationCheckCatchesAPerturbedMachineRow)
                 "fleet billed \\+ absorbed .* but the machine rows sum");
 }
 
-/** Totals that must be bit-identical between equivalent runs. */
-struct Totals
-{
-    Seconds billed;
-    std::uint64_t cold;
-    std::uint64_t completions;
-    double commercial;
-    double latency;
-    Seconds makespan;
-};
+// Each flow death test perturbs the fleet total and one machine row
+// alike, so the rows still sum to the fleet and only the flow breaks.
 
-Totals
-totalsOf(const FleetReport &report)
+TEST(Cluster, FlowCheckCatchesADispatchWithoutAStart)
 {
-    return {report.billedCpuSeconds, report.coldStarts,
-            report.completions,      report.commercialUsd,
-            report.meanLatency,      report.makespan};
+    Cluster fleet(smallFleet(3, DispatchPolicy::LeastLoaded));
+    FleetReport report = fleet.run();
+    ++report.dispatched;
+    ++report.machines[0].dispatched;
+    EXPECT_EXIT(checkConservation(report), ::testing::ExitedWithCode(1),
+                "201 dispatched but [0-9]+ cold \\+ [0-9]+ warm starts");
 }
 
-void
-expectIdentical(const Totals &a, const Totals &b)
+TEST(Cluster, FlowCheckCatchesACompletionWithoutADispatch)
 {
-    EXPECT_EQ(a.billed, b.billed);
-    EXPECT_EQ(a.cold, b.cold);
-    EXPECT_EQ(a.completions, b.completions);
-    EXPECT_EQ(a.commercial, b.commercial);
-    EXPECT_EQ(a.latency, b.latency);
-    EXPECT_EQ(a.makespan, b.makespan);
+    Cluster fleet(smallFleet(3, DispatchPolicy::LeastLoaded));
+    FleetReport report = fleet.run();
+    ++report.completions;
+    ++report.machines[0].completions;
+    EXPECT_EXIT(checkConservation(report), ::testing::ExitedWithCode(1),
+                "200 dispatched but 201 completed \\+ 0 killed");
 }
+
+TEST(Cluster, FlowCheckCatchesAKillNeitherRetriedNorAbandoned)
+{
+    ClusterConfig cfg = smallFleet(2, DispatchPolicy::LeastLoaded);
+    cfg.faults.crashMtbf = 0.01;
+    cfg.faults.restartDelay = 0.004;
+    cfg.faults.retry = RetryPolicy::Drop;
+    Cluster fleet(cfg);
+    FleetReport report = fleet.run();
+    ASSERT_GT(report.killedInvocations, 0u);
+    ASSERT_EQ(report.abandoned, report.killedInvocations);
+    --report.abandoned;
+    EXPECT_EXIT(checkConservation(report), ::testing::ExitedWithCode(1),
+                "[0-9]+ killed but 0 retried \\+ [0-9]+ abandoned");
+}
+
+using test::expectIdentical;
+using test::serveFleet;
 
 TEST(Cluster, FixedSeedReproducesIdenticalTotals)
 {
-    Cluster a(smallFleet(3, DispatchPolicy::WarmthAware));
-    Cluster b(smallFleet(3, DispatchPolicy::WarmthAware));
-    expectIdentical(totalsOf(a.run()), totalsOf(b.run()));
+    const ClusterConfig cfg = smallFleet(3, DispatchPolicy::WarmthAware);
+    expectIdentical(serveFleet(cfg), serveFleet(cfg));
 }
 
 TEST(Cluster, ThreadedRunnerMatchesSerialBitExactly)
@@ -403,10 +414,7 @@ TEST(Cluster, ThreadedRunnerMatchesSerialBitExactly)
     serialCfg.threads = 1;
     auto threadedCfg = serialCfg;
     threadedCfg.threads = 4;
-
-    Cluster serial(serialCfg);
-    Cluster threaded(threadedCfg);
-    expectIdentical(totalsOf(serial.run()), totalsOf(threaded.run()));
+    expectIdentical(serveFleet(serialCfg), serveFleet(threadedCfg));
 }
 
 TEST(Cluster, WarmthAwareBeatsRoundRobinOnColdStarts)
@@ -594,13 +602,43 @@ TEST(Cluster, HeterogeneousFleetReportsPerTypeBreakdown)
 
 TEST(Cluster, HeterogeneousThreadedRunnerIsDeterministic)
 {
-    auto serialCfg = mixedFleet(DispatchPolicy::CostAware);
-    serialCfg.threads = 1;
-    auto threadedCfg = serialCfg;
-    threadedCfg.threads = 4;
-    Cluster serial(serialCfg);
-    Cluster threaded(threadedCfg);
-    expectIdentical(totalsOf(serial.run()), totalsOf(threaded.run()));
+    // Unpriced, and Litmus-priced with a model bound per type and
+    // probes on: each must serve bit for bit at 1, 4 and 16 threads
+    // and under the exact-quantum oracle.
+    const pricing::DiscountModel cascadeModel(
+        syntheticProfile(testMachine()));
+    const pricing::DiscountModel icelakeModel(
+        syntheticProfile(testIcelake()));
+    for (const bool priced : {false, true}) {
+        SCOPED_TRACE(priced ? "priced" : "unpriced");
+        ClusterConfig cfg = mixedFleet(DispatchPolicy::CostAware);
+        ASSERT_EQ(cfg.threads, 1u);
+        if (priced) {
+            cfg.discountModels[testMachine()] = &cascadeModel;
+            cfg.discountModels[testIcelake()] = &icelakeModel;
+            cfg.probes = true;
+        }
+        const test::RunOutcome serial = serveFleet(cfg);
+        for (unsigned threads : {4u, 16u}) {
+            ClusterConfig threaded = cfg;
+            threaded.threads = threads;
+            expectIdentical(serial, serveFleet(threaded));
+        }
+        ClusterConfig exact = cfg;
+        exact.exactQuantum = true;
+        expectIdentical(serial, serveFleet(exact));
+
+        if (priced) {
+            // Pricing engaged: every type discounts, none goes free.
+            for (const TypeReport &t : serial.report.types) {
+                EXPECT_GT(t.litmusUsd, 0.0) << t.type;
+                EXPECT_LT(t.litmusUsd, t.commercialUsd) << t.type;
+            }
+            EXPECT_GT(serial.report.litmusUsd, 0.0);
+            EXPECT_LT(serial.report.litmusUsd,
+                      serial.report.commercialUsd);
+        }
+    }
 }
 
 TEST(Cluster, CostAwareShiftsLoadTowardFasterMachines)

@@ -26,6 +26,7 @@
 
 #include "cluster/cluster.h"
 #include "cluster/traffic_source.h"
+#include "fleet_run.h"
 #include "scenario/azure_trace.h"
 #include "scenario/scenario_runner.h"
 
@@ -66,13 +67,8 @@ drain(ArrivalStream &stream)
 
 // ---- streaming vs upfront differential -------------------------------
 
-/** One run's complete observable outcome (test_event_core's harness,
- *  pointed at the delivery-mode axis instead of the oracle axis). */
-struct RunOutcome
-{
-    cluster::FleetReport report;
-    std::vector<std::vector<pricing::BillRecord>> ledgers;
-};
+using test::expectIdentical;
+using test::RunOutcome;
 
 /** Serve @p spec; @p upfront wraps its model in UpfrontTraffic on a
  *  copy of the runner's ClusterConfig instead of streaming it. */
@@ -87,81 +83,7 @@ runWith(scenario::ScenarioSpec spec, bool upfront, unsigned threads,
     const cluster::UpfrontTraffic replay(*cfg.traffic);
     if (upfront)
         cfg.traffic = &replay;
-    cluster::Cluster fleet(cfg);
-    RunOutcome out;
-    out.report = fleet.run();
-    for (std::size_t m = 0; m < out.report.machines.size(); ++m)
-        out.ledgers.push_back(
-            fleet.ledger(static_cast<unsigned>(m)).records());
-    return out;
-}
-
-/** Bit-exact comparison of everything a run reports. The arrival-flow
- *  counters are deliberately excluded: the two delivery modes buffer
- *  differently by design — that is the entire point. */
-void
-expectIdentical(const RunOutcome &a, const RunOutcome &b)
-{
-    const cluster::FleetReport &x = a.report;
-    const cluster::FleetReport &y = b.report;
-    EXPECT_EQ(x.arrivals, y.arrivals);
-    EXPECT_EQ(x.dispatched, y.dispatched);
-    EXPECT_EQ(x.rejectedMemory, y.rejectedMemory);
-    EXPECT_EQ(x.completions, y.completions);
-    EXPECT_EQ(x.coldStarts, y.coldStarts);
-    EXPECT_EQ(x.warmStarts, y.warmStarts);
-    EXPECT_EQ(x.billedCpuSeconds, y.billedCpuSeconds);
-    EXPECT_EQ(x.commercialUsd, y.commercialUsd);
-    EXPECT_EQ(x.litmusUsd, y.litmusUsd);
-    EXPECT_EQ(x.meanLatency, y.meanLatency);
-    EXPECT_EQ(x.makespan, y.makespan);
-    EXPECT_EQ(x.crashes, y.crashes);
-    EXPECT_EQ(x.killedInvocations, y.killedInvocations);
-    EXPECT_EQ(x.retries, y.retries);
-    EXPECT_EQ(x.abandoned, y.abandoned);
-    EXPECT_EQ(x.lostCpuSeconds, y.lostCpuSeconds);
-    EXPECT_EQ(x.absorbedCpuSeconds, y.absorbedCpuSeconds);
-    EXPECT_EQ(x.absorbedUsd, y.absorbedUsd);
-    EXPECT_TRUE(cluster::identicalTotals(x, y));
-
-    ASSERT_EQ(x.machines.size(), y.machines.size());
-    for (std::size_t i = 0; i < x.machines.size(); ++i) {
-        const cluster::MachineReport &m = x.machines[i];
-        const cluster::MachineReport &n = y.machines[i];
-        EXPECT_EQ(m.dispatched, n.dispatched) << "machine " << i;
-        EXPECT_EQ(m.coldStarts, n.coldStarts) << "machine " << i;
-        EXPECT_EQ(m.warmStarts, n.warmStarts) << "machine " << i;
-        EXPECT_EQ(m.completions, n.completions) << "machine " << i;
-        EXPECT_EQ(m.billedCpuSeconds, n.billedCpuSeconds)
-            << "machine " << i;
-        EXPECT_EQ(m.commercialUsd, n.commercialUsd) << "machine " << i;
-        EXPECT_EQ(m.litmusUsd, n.litmusUsd) << "machine " << i;
-        EXPECT_EQ(m.meanLatency, n.meanLatency) << "machine " << i;
-        EXPECT_EQ(m.quanta, n.quanta) << "machine " << i;
-        EXPECT_EQ(m.crashes, n.crashes) << "machine " << i;
-        EXPECT_EQ(m.killedInvocations, n.killedInvocations)
-            << "machine " << i;
-    }
-
-    ASSERT_EQ(a.ledgers.size(), b.ledgers.size());
-    for (std::size_t m = 0; m < a.ledgers.size(); ++m) {
-        ASSERT_EQ(a.ledgers[m].size(), b.ledgers[m].size())
-            << "ledger " << m;
-        for (std::size_t r = 0; r < a.ledgers[m].size(); ++r) {
-            const pricing::BillRecord &p = a.ledgers[m][r];
-            const pricing::BillRecord &q = b.ledgers[m][r];
-            EXPECT_EQ(p.function, q.function)
-                << "ledger " << m << " record " << r;
-            EXPECT_EQ(p.tenant, q.tenant)
-                << "ledger " << m << " record " << r;
-            EXPECT_EQ(p.cpuSeconds, q.cpuSeconds)
-                << "ledger " << m << " record " << r;
-            EXPECT_EQ(p.commercialUsd, q.commercialUsd)
-                << "ledger " << m << " record " << r;
-            EXPECT_EQ(p.litmusUsd, q.litmusUsd)
-                << "ledger " << m << " record " << r;
-        }
-    }
+    return test::serveFleet(cfg);
 }
 
 /** The full delivery-mode matrix for one spec: streaming must equal
