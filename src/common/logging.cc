@@ -6,25 +6,6 @@
 namespace litmus
 {
 
-namespace
-{
-
-LogLevel threshold = LogLevel::Inform;
-
-} // namespace
-
-void
-setLogThreshold(LogLevel level)
-{
-    threshold = level;
-}
-
-LogLevel
-logThreshold()
-{
-    return threshold;
-}
-
 namespace detail
 {
 
@@ -45,15 +26,13 @@ emitPanic(const std::string &msg)
 void
 emitWarn(const std::string &msg)
 {
-    if (threshold <= LogLevel::Warn)
-        std::cerr << "warn: " << msg << std::endl;
+    std::cerr << "warn: " << msg << std::endl;
 }
 
 void
 emitInform(const std::string &msg)
 {
-    if (threshold <= LogLevel::Inform)
-        std::cout << "info: " << msg << std::endl;
+    std::cout << "info: " << msg << std::endl;
 }
 
 } // namespace detail

@@ -18,15 +18,6 @@
 namespace litmus
 {
 
-/** Severity of a log record, used by the global log filter. */
-enum class LogLevel
-{
-    Inform,
-    Warn,
-    Fatal,
-    Panic,
-};
-
 namespace detail
 {
 
@@ -40,19 +31,13 @@ concat(Args &&...args)
     return os.str();
 }
 
-/** Emit a formed record; terminates the process for Fatal/Panic. */
+/** Emit a formed record; fatal and panic terminate the process. */
 [[noreturn]] void emitFatal(const std::string &msg);
 [[noreturn]] void emitPanic(const std::string &msg);
 void emitWarn(const std::string &msg);
 void emitInform(const std::string &msg);
 
 } // namespace detail
-
-/** Set the minimum level that is printed (Fatal/Panic always print). */
-void setLogThreshold(LogLevel level);
-
-/** Current threshold, exposed for tests. */
-LogLevel logThreshold();
 
 /**
  * Report an unrecoverable user-facing error (bad configuration,
