@@ -9,13 +9,12 @@
  * pricing: each machine type is calibrated once (ProfileStore) and
  * billed through its own profile-backed discount model.
  *
- * Always enforced:
- *  - the per-machine-type billing breakdown sums to the fleet totals
- *    (relative error <= 1e-6, for billed seconds and both revenues);
- *  - fleet billed seconds equal the sum of the per-machine ledgers
- *    (<= 1e-6);
- *  - the threaded epoch runner is bit-identical to the serial one at
- *    a fixed seed.
+ * Always enforced: the per-machine-type billing breakdown sums to
+ * the fleet totals (relative error <= 1e-6, for billed seconds and
+ * both revenues). The conservation column is printed; Cluster::run
+ * checks it on every run, and ctest
+ * (Cluster.HeterogeneousThreadedRunnerIsDeterministic) serves a
+ * priced mixed fleet at several thread counts and under the oracle.
  *
  * Knobs: LITMUS_FLEET_INVOCATIONS (arrivals per machine, default
  * 625), LITMUS_FLEET_RATE (per machine, default 500),
@@ -161,27 +160,6 @@ main()
     }
     table.print(std::cout);
 
-    // Determinism of the threaded runner on the mixed fleet: serial
-    // vs. 8 workers must produce identical totals.
-    auto detSpec = fleetScenario(cluster::DispatchPolicy::CostAware,
-                                 perMachine, ratePerMachine,
-                                 litmusPricing);
-    detSpec.threads = 1;
-    scenario::ScenarioRunner serial(detSpec);
-    const cluster::FleetReport &serialReport = serial.run();
-    detSpec.threads = 8;
-    scenario::ScenarioRunner threaded(detSpec);
-    const cluster::FleetReport &threadedReport = threaded.run();
-    const bool deterministic =
-        cluster::identicalTotals(serialReport, threadedReport);
-    std::cout << "\ndeterminism(mixed fleet, 1 vs 8 threads): "
-              << (deterministic ? "identical totals" : "MISMATCH")
-              << "  billed "
-              << TextTable::num(serialReport.billedCpuSeconds, 6)
-              << " vs "
-              << TextTable::num(threadedReport.billedCpuSeconds, 6)
-              << "\n";
-
     bench::printPaperMeasured(
         std::cout,
         "n/a (heterogeneity extension; the paper prices one server "
@@ -207,17 +185,10 @@ main()
     json.metric("", "discount_icelake", discountIcelake);
     json.metric("", "max_type_breakdown_error", worstTypeError);
     json.metric("", "max_conservation_error", worstConservation);
-    json.metric("", "deterministic", deterministic ? 1 : 0);
     json.write();
 
     if (worstTypeError > 1e-6)
         fatal("fig23: per-type billing does not sum to the fleet "
               "total (", worstTypeError, " relative)");
-    if (worstConservation > 1e-6)
-        fatal("fig23: fleet billing conservation violated (",
-              worstConservation, " relative)");
-    if (!deterministic)
-        fatal("fig23: threaded mixed-fleet runner is not "
-              "deterministic");
     return 0;
 }

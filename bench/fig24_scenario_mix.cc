@@ -11,10 +11,10 @@
  * pricing, and reports per-model throughput, cold-start rate,
  * empirical arrival rate, and the aggregate discount.
  *
- * Always enforced:
- *  - every model is seed-deterministic under threading: serial and
- *    8-worker runs produce bit-identical fleet reports;
- *  - fleet billing conservation (<= 1e-6) for every model.
+ * The conservation error is printed; Cluster::run checks it on every
+ * run. Every model's thread-count determinism is a ctest
+ * (StreamingDifferential.*Matrix, which also compares each against
+ * upfront delivery and the exact-quantum oracle).
  *
  * Knobs: LITMUS_FLEET_INVOCATIONS (arrivals per machine, default
  * 500), LITMUS_FLEET_RATE (per machine, default 500),
@@ -42,7 +42,6 @@ namespace
 {
 
 using bench::relativeError;
-using cluster::identicalTotals;
 
 /**
  * Synthesize the replay trace: a deterministic Poisson-ish arrival
@@ -123,23 +122,16 @@ main()
     };
 
     TextTable table({"model", "arrivals", "served/s", "empirical/s",
-                     "cold %", "billed s", "discount %",
-                     "deterministic"});
+                     "cold %", "billed s", "discount %"});
     bench::BenchJson json("BENCH_scenarios.json");
-    bool allDeterministic = true;
     double worstConservation = 0;
     double discountSum = 0, commercialSum = 0, litmusSum = 0;
     for (const std::string model :
          {"poisson", "diurnal", "burst", "trace"}) {
         auto spec = baseScenario(model);
         spec.threads = 1;
-        scenario::ScenarioRunner serial(spec);
-        const cluster::FleetReport &report = serial.run();
-        spec.threads = 8;
-        scenario::ScenarioRunner threaded(spec);
-        const bool deterministic =
-            identicalTotals(report, threaded.run());
-        allDeterministic = allDeterministic && deterministic;
+        scenario::ScenarioRunner runner(spec);
+        const cluster::FleetReport &report = runner.run();
 
         worstConservation = std::max(
             worstConservation,
@@ -168,8 +160,7 @@ main()
                       TextTable::num(empirical, 0),
                       TextTable::num(100 * report.coldStartRate(), 1),
                       TextTable::num(report.billedCpuSeconds, 3),
-                      TextTable::num(100 * report.discount(), 1),
-                      deterministic ? "yes" : "NO"});
+                      TextTable::num(100 * report.discount(), 1)});
 
         json.metric(model, "throughput", report.throughput());
         json.metric(model, "empirical_rate", empirical);
@@ -177,7 +168,6 @@ main()
         json.metric(model, "billed_cpu_seconds",
                     report.billedCpuSeconds);
         json.metric(model, "discount", report.discount());
-        json.metric(model, "deterministic", deterministic ? 1 : 0);
     }
 
     table.print(std::cout);
@@ -192,21 +182,11 @@ main()
         "aggregate discount " +
             TextTable::num(100 * aggregateDiscount, 1) +
             "% across 4 traffic models, max conservation error " +
-            TextTable::num(worstConservation, 9) +
-            (allDeterministic ? ", all models deterministic"
-                              : ", DETERMINISM BROKEN"));
+            TextTable::num(worstConservation, 9));
 
     json.metric("", "aggregate_discount", aggregateDiscount);
     json.metric("", "mean_model_discount", discountSum / 4);
     json.metric("", "max_conservation_error", worstConservation);
-    json.metric("", "all_deterministic", allDeterministic ? 1 : 0);
     json.write();
-
-    if (worstConservation > 1e-6)
-        fatal("fig24: fleet billing conservation violated (",
-              worstConservation, " relative)");
-    if (!allDeterministic)
-        fatal("fig24: a traffic model is not deterministic under "
-              "threading");
     return 0;
 }

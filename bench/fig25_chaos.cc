@@ -11,18 +11,13 @@
  * blindness windows on top, and reports per-cell crash/kill/retry
  * counts, lost work, and the fault-billing split.
  *
- * Always enforced:
- *  - billing conservation through failures (<= 1e-6): the fleet's
- *    independently accumulated billed + absorbed seconds match the
- *    per-machine ledger + absorption sums;
- *  - the tenant-pays / provider-absorbs split partitions one total:
- *    billed(tenant-pays) == billed + absorbed(provider-absorbs);
- *  - seed-determinism under threading: serial and 8-worker runs of
- *    every cell produce bit-identical fleet reports, failure
- *    accounting included;
- *  - the compiled fault schedule itself is replay-identical.
- * (That every arrival reaches exactly one terminal state is checked by
- * Cluster::run itself on every run.)
+ * The bench fails only when the campaign kills nothing, which would
+ * leave failure billing unmeasured. The conservation error and the
+ * tenant-pays / provider-absorbs split error are printed; Cluster::run
+ * checks conservation, terminal states and the kill = retried +
+ * abandoned flow on every run, and ctest (FaultCluster.*, FaultPlan.*)
+ * covers the retry policies, the billing split, thread-count
+ * determinism and replay-identical fault schedules.
  *
  * Knobs: LITMUS_FLEET_INVOCATIONS (arrivals per machine, default
  * 400), LITMUS_FLEET_RATE (per machine, default 500),
@@ -46,7 +41,6 @@ namespace
 {
 
 using bench::relativeError;
-using cluster::identicalTotals;
 
 /** One cell's conservation error: fleet billed+absorbed accumulators
  *  vs the independent per-machine ledger and absorption sums. */
@@ -102,33 +96,9 @@ main()
         return spec;
     };
 
-    // The compiled schedule must be replay-identical: same spec, same
-    // fleet, same horizon => the same event list, event for event.
-    {
-        const auto spec = baseScenario(cluster::RetryPolicy::Drop);
-        const auto planA = cluster::FaultPlan::compile(
-            spec.fault, kMachines, span, spec.seed);
-        const auto planB = cluster::FaultPlan::compile(
-            spec.fault, kMachines, span, spec.seed);
-        if (planA.events().size() != planB.events().size())
-            fatal("fig25: fault plan not replay-identical");
-        for (std::size_t i = 0; i < planA.events().size(); ++i) {
-            const auto &a = planA.events()[i];
-            const auto &b = planB.events()[i];
-            if (a.at != b.at || a.kind != b.kind ||
-                a.machine != b.machine || a.factor != b.factor)
-                fatal("fig25: fault plan not replay-identical at "
-                      "event ", i);
-        }
-        if (planA.empty())
-            fatal("fig25: fault campaign compiled to no events");
-    }
-
     TextTable table({"cell", "crashes", "killed", "retried",
-                     "abandoned", "lost s", "absorbed s", "cons err",
-                     "deterministic"});
+                     "abandoned", "lost s", "absorbed s", "cons err"});
     bench::BenchJson json("BENCH_chaos.json");
-    bool allDeterministic = true;
     double worstConservation = 0;
     std::uint64_t totalKilled = 0;
 
@@ -136,13 +106,8 @@ main()
                              scenario::ScenarioSpec spec)
         -> cluster::FleetReport {
         spec.threads = 1;
-        scenario::ScenarioRunner serial(spec);
-        const cluster::FleetReport report = serial.run();
-        spec.threads = 8;
-        scenario::ScenarioRunner threaded(spec);
-        const bool deterministic =
-            identicalTotals(report, threaded.run());
-        allDeterministic = allDeterministic && deterministic;
+        scenario::ScenarioRunner runner(spec);
+        const cluster::FleetReport report = runner.run();
 
         const double consErr = conservationError(report);
         worstConservation = std::max(worstConservation, consErr);
@@ -154,8 +119,7 @@ main()
                       std::to_string(report.abandoned),
                       TextTable::num(report.lostCpuSeconds, 4),
                       TextTable::num(report.absorbedCpuSeconds, 4),
-                      TextTable::num(consErr, 9),
-                      deterministic ? "yes" : "NO"});
+                      TextTable::num(consErr, 9)});
 
         json.metric(name, "crashes", report.crashes);
         json.metric(name, "killed", report.killedInvocations);
@@ -169,33 +133,15 @@ main()
                     report.billedCpuSeconds);
         json.metric(name, "completions", report.completions);
         json.metric(name, "conservation_error", consErr);
-        json.metric(name, "deterministic", deterministic ? 1 : 0);
         return report;
     };
 
     // --- Retry-policy sweep under the same crash schedule. ---------
-    const auto dropReport =
-        runCell("drop", baseScenario(cluster::RetryPolicy::Drop));
-    if (dropReport.retries != 0 ||
-        dropReport.abandoned != dropReport.killedInvocations)
-        fatal("fig25: drop policy must abandon every killed "
-              "invocation (", dropReport.retries, " retries, ",
-              dropReport.abandoned, " abandoned, ",
-              dropReport.killedInvocations, " killed)");
-
-    const auto onceReport =
-        runCell("retry-once", baseScenario(cluster::RetryPolicy::RetryOnce));
-    if (onceReport.retries + onceReport.abandoned !=
-        onceReport.killedInvocations)
-        fatal("fig25: retry-once must retry or abandon each kill "
-              "exactly once");
-
+    runCell("drop", baseScenario(cluster::RetryPolicy::Drop));
+    runCell("retry-once", baseScenario(cluster::RetryPolicy::RetryOnce));
     const auto backoffSpec =
         baseScenario(cluster::RetryPolicy::RetryBackoff);
     const auto backoffReport = runCell("retry-backoff", backoffSpec);
-    if (backoffReport.retries + backoffReport.abandoned !=
-        backoffReport.killedInvocations)
-        fatal("fig25: retry-backoff must retry or abandon each kill");
 
     // --- The fault-billing split partitions one total. -------------
     // Billing mode changes who pays, never what runs: the tenant-pays
@@ -204,8 +150,6 @@ main()
     auto tenantSpec = backoffSpec;
     tenantSpec.fault.billing = cluster::FaultBilling::TenantPays;
     const auto tenantReport = runCell("tenant-pays", tenantSpec);
-    if (tenantReport.absorbedCpuSeconds != 0)
-        fatal("fig25: tenant-pays absorbed work");
     const double splitError = relativeError(
         tenantReport.billedCpuSeconds,
         backoffReport.billedCpuSeconds +
@@ -239,30 +183,17 @@ main()
             std::to_string(totalKilled) +
             " invocations killed across the sweep, max conservation "
             "error " +
-            TextTable::num(worstConservation, 9) +
-            (allDeterministic ? ", all cells deterministic"
-                              : ", DETERMINISM BROKEN"));
+            TextTable::num(worstConservation, 9));
 
     json.metric("", "billing_split_error", splitError);
     json.metric("", "billing_split_usd_error", splitUsdError);
     json.metric("", "max_conservation_error", worstConservation);
     json.metric("", "total_killed", totalKilled);
-    json.metric("", "all_deterministic", allDeterministic ? 1 : 0);
     json.write();
 
-    if (worstConservation > 1e-6)
-        fatal("fig25: billing conservation violated through failures "
-              "(", worstConservation, " relative)");
-    if (splitError > 1e-6 || splitUsdError > 1e-6)
-        fatal("fig25: tenant-pays and provider-absorbs do not split "
-              "one total (", splitError, " s, ", splitUsdError,
-              " $)");
     if (totalKilled == 0)
         fatal("fig25: the fault campaign never killed an in-flight "
               "invocation — the chaos sweep is not exercising "
               "failure billing");
-    if (!allDeterministic)
-        fatal("fig25: a chaos cell is not deterministic under "
-              "threading");
     return 0;
 }

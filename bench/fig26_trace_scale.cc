@@ -22,12 +22,11 @@
  * azure minute (<= 10% of the trace on every standard cell).
  *
  * Always enforced:
- *  - streaming and upfront produce bit-identical fleet totals AND
- *    per-machine billing ledgers (record for record) on the
- *    differential cell, at 1 and 8 worker threads, with and without
- *    a crash/retry chaos campaign;
  *  - every cell where both modes run has identical fleet totals;
  *  - streaming peak RSS stays under LITMUS_TRACE_RSS_CEILING_MB.
+ * The record-for-record ledger differential (streaming vs upfront, at
+ * several thread counts, with and without chaos) is ctest's
+ * StreamingDifferential suite.
  * At standard/full scale with LITMUS_BENCH_STRICT != 0 the bench
  * additionally asserts the exact buffered-max shape above and (with
  * /proc available) that the streaming peak stays flat (<= 2x)
@@ -114,23 +113,13 @@ cellSpec(const std::string &path)
     return spec;
 }
 
-/** A run's complete observable outcome (fig-26's own copy of the
- *  test_event_core differential harness, fatal() instead of gtest). */
-struct Outcome
-{
-    cluster::FleetReport report;
-    std::vector<std::vector<pricing::BillRecord>> ledgers;
-};
-
 /**
  * Serve @p spec to completion. @p upfront serves the runner's config
  * copied with its model wrapped in UpfrontTraffic — the whole trace
- * resident before the first dispatch — instead of streaming it. With
- * @p ledgers set, every machine's billing records are copied out.
+ * resident before the first dispatch — instead of streaming it.
  */
 cluster::FleetReport
-serve(scenario::ScenarioSpec spec, bool upfront,
-      std::vector<std::vector<pricing::BillRecord>> *ledgers = nullptr)
+serve(scenario::ScenarioSpec spec, bool upfront)
 {
     scenario::ScenarioRunner runner(std::move(spec));
     cluster::ClusterConfig cfg = runner.clusterConfig();
@@ -138,38 +127,7 @@ serve(scenario::ScenarioSpec spec, bool upfront,
     if (upfront)
         cfg.traffic = &replay;
     cluster::Cluster fleet(cfg);
-    const cluster::FleetReport report = fleet.run();
-    if (ledgers) {
-        for (std::size_t m = 0; m < report.machines.size(); ++m)
-            ledgers->push_back(
-                fleet.ledger(static_cast<unsigned>(m)).records());
-    }
-    return report;
-}
-
-void
-requireIdentical(const Outcome &a, const Outcome &b,
-                 const std::string &what)
-{
-    if (!identicalTotals(a.report, b.report))
-        fatal("fig26: fleet totals diverged (", what, ")");
-    if (a.ledgers.size() != b.ledgers.size())
-        fatal("fig26: machine count diverged (", what, ")");
-    for (std::size_t m = 0; m < a.ledgers.size(); ++m) {
-        if (a.ledgers[m].size() != b.ledgers[m].size())
-            fatal("fig26: ledger ", m, " record count diverged (",
-                  what, ")");
-        for (std::size_t r = 0; r < a.ledgers[m].size(); ++r) {
-            const pricing::BillRecord &p = a.ledgers[m][r];
-            const pricing::BillRecord &q = b.ledgers[m][r];
-            if (p.function != q.function || p.tenant != q.tenant ||
-                p.cpuSeconds != q.cpuSeconds ||
-                p.commercialUsd != q.commercialUsd ||
-                p.litmusUsd != q.litmusUsd)
-                fatal("fig26: ledger ", m, " record ", r,
-                      " diverged (", what, ")");
-        }
-    }
+    return fleet.run();
 }
 
 /** Time from cold model build to the first arrival being available:
@@ -310,42 +268,6 @@ main()
         addRow(cells[upfrontIdx[k]], "upfront", upfront[k]);
     table.print(std::cout);
 
-    // ---- differential gate: totals + per-record ledgers ------------
-    // A dedicated tiny cell keeps this affordable at every scale.
-    scenario::AzureTraceGenSpec diffGen;
-    diffGen.functions = 500;
-    diffGen.minutes = 4;
-    diffGen.invocationsPerMinute = 300.0;
-    diffGen.seed = 27;
-    const std::string diffPath = "fig26_azure_diff.csv";
-    scenario::writeAzureShapedCsv(diffPath, diffGen);
-    for (const bool chaos : {false, true}) {
-        const auto withChaos = [&](bool up, unsigned threads) {
-            auto spec = cellSpec(diffPath);
-            spec.threads = threads;
-            if (chaos) {
-                spec.fault.crashMtbf = 20.0;
-                spec.fault.restartDelay = 1.0;
-                spec.fault.retry = cluster::RetryPolicy::RetryBackoff;
-                spec.fault.retryBackoff = 0.5;
-            }
-            Outcome out;
-            out.report = serve(std::move(spec), up, &out.ledgers);
-            return out;
-        };
-        const std::string label = chaos ? " (chaos)" : "";
-        const Outcome serial = withChaos(false, 1);
-        requireIdentical(serial, withChaos(true, 1),
-                         "streaming vs upfront, 1 thread" + label);
-        requireIdentical(serial, withChaos(false, 8),
-                         "streaming 1 vs 8 threads" + label);
-        requireIdentical(serial, withChaos(true, 8),
-                         "streaming vs upfront, 8 threads" + label);
-    }
-    std::cout << "\nstreaming vs upfront differential (totals + "
-                 "per-record ledgers, 1 & 8 threads, +chaos): "
-                 "identical\n";
-
     // ---- arrival-residency gates (exact, no /proc needed) ----------
     // Upfront's resident trace IS the whole run (buffered max ==
     // arrivals, so it grows linearly with trace length); streaming
@@ -426,12 +348,10 @@ main()
             " of " +
             std::to_string(
                 streaming[upfrontIdx.back()].report.arrivals) +
-            " day-trace arrivals), ledgers bit-identical streaming "
-            "vs upfront (1 & 8 threads, +chaos)");
+            " day-trace arrivals)");
 
     json.metric("", "cells", static_cast<double>(cells.size()));
     json.metric("", "rss_available", rssAvailable ? 1 : 0);
-    json.metric("", "differential_ok", 1);
     json.write();
     return 0;
 }
