@@ -3,9 +3,9 @@
  * Figure 22 (extension): fleet scaling of the serving layer.
  *
  * The paper prices invocations on one machine; this bench scales the
- * same open-loop traffic across 1 -> 16 machines under the three
- * dispatch policies, holding the per-machine arrival rate constant
- * (weak scaling). It reports served throughput, cold-start rate, and
+ * same open-loop traffic across 1 -> 16 machines under every
+ * dispatch policy (cluster::allPolicies()), holding the per-machine
+ * arrival rate constant (weak scaling). It reports served throughput, cold-start rate, and
  * the fleet's price-conservation error — fleet billed CPU seconds
  * versus the sum of the per-machine ledgers — and the serving loop's
  * event counters on the 16-machine warmth-aware point. Determinism
@@ -19,6 +19,7 @@
 
 #include <cmath>
 #include <iostream>
+#include <string>
 
 #include "bench_util.h"
 #include "common/text_table.h"
@@ -67,7 +68,9 @@ main()
 {
     printBanner(std::cout,
                 "Figure 22 (extension): fleet scaling, 1 -> 16 "
-                "machines x 3 dispatch policies");
+                "machines x " +
+                    std::to_string(cluster::allPolicies().size()) +
+                    " dispatch policies");
 
     const std::uint64_t perMachine =
         pricing::envOr("LITMUS_FLEET_INVOCATIONS", 625);

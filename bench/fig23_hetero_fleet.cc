@@ -9,10 +9,9 @@
  * pricing: each machine type is calibrated once (ProfileStore) and
  * billed through its own profile-backed discount model.
  *
- * Always enforced: the per-machine-type billing breakdown sums to
- * the fleet totals (relative error <= 1e-6, for billed seconds and
- * both revenues). The conservation column is printed; Cluster::run
- * checks it on every run, and ctest
+ * The type-breakdown and conservation error columns are printed;
+ * Cluster::run checks both identities on every run (counts exactly,
+ * billed seconds and both revenues to 1e-6 relative), and ctest
  * (Cluster.HeterogeneousThreadedRunnerIsDeterministic) serves a
  * priced mixed fleet at several thread counts and under the oracle.
  *
@@ -62,27 +61,17 @@ fleetScenario(cluster::DispatchPolicy policy, std::uint64_t per_machine,
 using bench::relativeError;
 
 /** Worst relative error between the type breakdown and the fleet
- *  totals (billed seconds, commercial and Litmus revenue), plus
- *  exact count checks. */
+ *  totals (billed seconds, commercial and Litmus revenue). */
 double
 typeBreakdownError(const cluster::FleetReport &report)
 {
     Seconds billed = 0;
     double commercial = 0, litmus = 0;
-    std::uint64_t dispatched = 0, completions = 0;
-    unsigned machines = 0;
     for (const cluster::TypeReport &t : report.types) {
         billed += t.billedCpuSeconds;
         commercial += t.commercialUsd;
         litmus += t.litmusUsd;
-        dispatched += t.dispatched;
-        completions += t.completions;
-        machines += t.machines;
     }
-    if (dispatched != report.dispatched ||
-        completions != report.completions ||
-        machines != report.machines.size())
-        fatal("fig23: type breakdown loses machines or invocations");
     if (report.billedCpuSeconds <= 0)
         fatal("fig23: fleet billed no CPU time");
     double err = relativeError(report.billedCpuSeconds, billed);
@@ -186,9 +175,5 @@ main()
     json.metric("", "max_type_breakdown_error", worstTypeError);
     json.metric("", "max_conservation_error", worstConservation);
     json.write();
-
-    if (worstTypeError > 1e-6)
-        fatal("fig23: per-type billing does not sum to the fleet "
-              "total (", worstTypeError, " relative)");
     return 0;
 }

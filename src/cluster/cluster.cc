@@ -166,6 +166,36 @@ checkConservation(const FleetReport &report)
          report.completions, "killed", report.killedInvocations);
     flow("killed", report.killedInvocations, "retried", report.retries,
          "abandoned", report.abandoned);
+    // The type rows partition the machine rows: their counts add up
+    // exactly, their seconds and USD (summed in type order) to 1e-6.
+    ServeTally types;
+    std::size_t typedMachines = 0;
+    for (const TypeReport &type : report.types) {
+        types += type;
+        typedMachines += type.machines;
+    }
+    if (typedMachines != report.machines.size())
+        fatal("checkConservation: fleet has ", report.machines.size(),
+              " machines but the type rows count ", typedMachines);
+    for (const auto &[name, count] :
+         {std::pair<const char *, Count>{"dispatched",
+                                         &ServeTally::dispatched},
+          {"completions", &ServeTally::completions}}) {
+        if (report.*count != types.*count)
+            fatal("checkConservation: fleet ", name, " ", report.*count,
+                  " but the type rows sum to ", types.*count);
+    }
+    using Amount = double ServeTally::*;
+    for (const auto &[name, amount] :
+         {std::pair<const char *, Amount>{"billed seconds",
+                                          &ServeTally::billedCpuSeconds},
+          {"commercial USD", &ServeTally::commercialUsd},
+          {"Litmus USD", &ServeTally::litmusUsd}}) {
+        if (std::abs(report.*amount - types.*amount) >
+            1e-6 * std::abs(report.*amount))
+            fatal("checkConservation: fleet ", name, " ", report.*amount,
+                  " but the type rows sum to ", types.*amount);
+    }
 }
 
 /**

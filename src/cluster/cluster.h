@@ -406,9 +406,11 @@ bool identicalTotals(const FleetReport &a, const FleetReport &b);
  * fatal() unless the fleet totals agree with the machine rows (billed
  * plus absorbed seconds to 1e-6 relative, since the fleet accumulates
  * them in event order and the rows from the ledgers; every integer
- * counter exactly) and the drained fleet's flow adds up: dispatched =
+ * counter exactly), the drained fleet's flow adds up (dispatched =
  * cold + warm starts = completions + killed, killed = retried +
- * abandoned. Cluster::run() checks every report it returns.
+ * abandoned), and the type rows sum to the fleet (machines, dispatched
+ * and completions exactly; billed seconds, commercial and Litmus USD
+ * to 1e-6 relative). Cluster::run() checks every report it returns.
  */
 void checkConservation(const FleetReport &report);
 

@@ -9,6 +9,12 @@
  * clock can jump across a long idle gap and still land on the bits a
  * stepping clock reaches, and coverRepeated() finds the first such
  * clock at or past a target time without walking to it.
+ *
+ * The engine's batched replay calls addRepeated() for every counter
+ * of a running task, and a fresh task's counters grow from zero
+ * through a new binade every time they double. So its cost is kept to
+ * at most 16 plain additions near zero plus one pass per binade
+ * crossed, with one division only where a binade is crossed.
  */
 
 #ifndef LITMUS_COMMON_REPEATED_ADD_H
@@ -36,16 +42,20 @@ namespace litmus
  * step/u ends in exactly .5: then the tie goes to the even neighbour,
  * so the first increment depends on t's parity but every later one
  * (from an even t) does not. Two real additions therefore fix d, and
- * k further additions are the exact product k*d, as long as the sum
- * stays clear of the binade's top. Near the top, and while t is too
- * close to zero for step to fit inside t's binade, the additions are
- * performed one by one.
+ * j further additions are the exact product j*d as long as the sum
+ * stays below the binade's top.
+ *
+ * Cost: while the sum is below 16 steps its binades hold too few
+ * steps to pay for a jump, so those additions are performed one by
+ * one (at most 16). Past that, each binade costs one pass: two real
+ * additions, then either one multiply-add that finishes inside the
+ * binade, or one division that jumps to the last sum below the top
+ * and the real addition that crosses it.
  *
  * A zero step (either sign) costs one addition: after the first, adding
- * a zero never changes the value, signed zeros included. Below a dozen
- * additions, and outside the closed form's domain (negative or
- * non-finite start, negative or non-finite step), this is the plain
- * loop: the binade set-up costs about as much as twelve additions.
+ * a zero never changes the value, signed zeros included. Outside the
+ * closed form's domain (negative or non-finite start, negative or
+ * non-finite step), this is the plain loop.
  */
 inline Seconds
 addRepeated(Seconds start, Seconds step, std::uint64_t n)
@@ -53,13 +63,14 @@ addRepeated(Seconds start, Seconds step, std::uint64_t n)
     if (step == 0)
         return n ? start + step : start;
     Seconds t = start;
-    constexpr std::uint64_t kLoopBelow = 12;
-    if (n < kLoopBelow || !(start >= 0) || !(step > 0) ||
-        !std::isfinite(start) || !std::isfinite(step)) {
+    if (!(start >= 0) || !(step > 0) || !std::isfinite(start) ||
+        !std::isfinite(step)) {
         for (; n > 0; --n)
             t += step;
         return t;
     }
+    for (const Seconds plain = 16 * step; n > 0 && t < plain; --n)
+        t += step;
     constexpr std::uint64_t kExponentMask = 0x7ff0000000000000ULL;
     constexpr std::uint64_t kTopExponent = 0x7fe0000000000000ULL;
     while (n > 0) {
@@ -73,9 +84,12 @@ addRepeated(Seconds start, Seconds step, std::uint64_t n)
                 ? std::numeric_limits<double>::min()
                 : 2 * std::bit_cast<double>(exponent);
         const Seconds t1 = t + step;
+        if (n == 1)
+            return t1;
         const Seconds t2 = t1 + step;
-        if (n == 1 || exponent == kTopExponent || !(t2 < top)) {
-            // One addition left, or the second one leaves the binade.
+        if (exponent == kTopExponent || !(t2 < top)) {
+            // The second addition leaves the binade (only a start just
+            // below a top, or the last binade, gets here).
             t = t1;
             --n;
             continue;
@@ -85,17 +99,26 @@ addRepeated(Seconds start, Seconds step, std::uint64_t n)
         // both are multiples of u within a factor of two).
         n -= 2;
         const Seconds d = t2 - t1;
-        if (d == 0)
-            return t2;
-        // Stop two increments short of the top, so every jumped
-        // addition rounds on this binade's grid.
+        // gap < 2^e and each product j*d formed below (< gap + d <
+        // 2^(e+1)) are multiples of u, hence exact, and so is each sum
+        // t2 + j*d below the top. A count past 2^53 converts
+        // inexactly, but then n*d >= 2^53 u > gap either way. A zero d
+        // (the step is below half an ulp) finishes here: no further
+        // addition moves the sum.
         const Seconds gap = top - t2;
-        const auto fit = static_cast<std::uint64_t>(gap / d);
-        const std::uint64_t k = std::min(n, fit > 2 ? fit - 2 : 0);
-        // k * d < gap is a multiple of u below 2^e, hence exact, and
-        // so is the sum.
-        t = t2 + static_cast<double>(k) * d;
-        n -= k;
+        if (static_cast<double>(n) * d < gap)
+            return t2 + static_cast<double>(n) * d;
+        // Jump to the largest j with j*d < gap (so j < n). gap/d is a
+        // ratio of two whole numbers of ulps below 2^53, so its rounded
+        // value truncates to its floor; when it is whole, that floor
+        // reaches the top and j is one less.
+        auto j = static_cast<std::uint64_t>(gap / d);
+        if (static_cast<double>(j) * d >= gap)
+            --j;
+        // The sum j*d lands on is the last below the top, so the next
+        // addition crosses it, rounding on the next binade's grid.
+        t = t2 + static_cast<double>(j) * d + step;
+        n -= j + 1;
     }
     return t;
 }

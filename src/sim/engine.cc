@@ -424,7 +424,8 @@ Engine::replaySteadyBatch(std::uint64_t limit)
     // own accumulators, taking k sequential adds of its step. The
     // machine counters add every thread's misses in plan order each
     // quantum, so with one thread they too are k adds of one step, and
-    // addRepeated() lands on the bits of all of them in O(1). With more,
+    // addRepeated() lands on the bits of all of them in O(binades
+    // crossed). With more,
     // the machine counters take the k x threads additions in replay
     // order, and the task counters ride along in the same walk, where
     // the threads' independent chains overlap.
@@ -537,10 +538,10 @@ Engine::fullStep()
         runningDemands.clear();
         inputs.clear();
 
-        for (unsigned cpu = cpuBegin; cpu < cpuEnd; ++cpu) {
+        scheduler_.forEachOccupied(cpuBegin, cpuEnd, [&](unsigned cpu) {
             Task *task = scheduler_.runningOn(cpu);
             if (!task || task->finished())
-                continue;
+                return;
             SolverInput input;
             input.demand = task->demand();
             input.env.warmthMult = scheduler_.warmthMult(cpu);
@@ -551,7 +552,7 @@ Engine::fullStep()
             runningTasks.push_back(task);
             runningDemands.push_back(&task->demand());
             inputs.push_back(input);
-        }
+        });
 
         const double waitingWs =
             scheduler_.waitingWorkingSet(cpuBegin, cpuEnd);

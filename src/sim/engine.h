@@ -41,7 +41,8 @@
  * own accumulators and take k adds of their step; the machine-wide L3
  * counters, which sum every thread's misses in plan order each
  * quantum, take those k x threads additions in that order (with one
- * thread, k adds of one step, which addRepeated() lands in O(1)); a
+ * thread, k adds of one step, which addRepeated() lands in at most 16
+ * plain additions plus one pass per binade crossed); a
  * multi-socket machine samples its per-socket utilizations quantum by
  * quantum in socket order; and the scheduler skips k ticks that
  * provably rotate no slice (OsScheduler::quietTicks). A batch needs
@@ -338,7 +339,12 @@ class Engine
     /** Execute one quantum (replay when possible, full otherwise). */
     void step();
 
-    /** The exact quantum step; rebuilds the replay plan as it goes. */
+    /**
+     * The exact quantum step; rebuilds the replay plan as it goes. It
+     * gathers the running threads from the scheduler's occupied CPUs
+     * only (OsScheduler::forEachOccupied), so outside the solve it costs
+     * O(occupied CPUs), not O(hardware threads).
+     */
     void fullStep();
 
     /** Replay one steady quantum off the plan. False: plan not valid. */

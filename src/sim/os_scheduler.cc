@@ -75,6 +75,17 @@ OsScheduler::add(Task *task)
     if (!target.queue.empty())
         enterWaiting(target, task);
     target.queue.push_back(entry);
+    if (occupied_.empty()) {
+        // The first task: one allocation each for the mask and for
+        // the warmth of the queue lengths a machine usually sees.
+        occupied_.assign(maskWords_, 0);
+        warmth_.reserve(8);
+    }
+    setOccupied(best, true);
+    while (warmth_.size() <= target.queue.size()) {
+        const auto count = static_cast<unsigned>(warmth_.size());
+        warmth_.push_back(warmthCurve(count));
+    }
     if (target.queue.size() == 2) {
         ++crowdedCpus_;
         startSlice(target);
@@ -85,7 +96,8 @@ OsScheduler::add(Task *task)
 void
 OsScheduler::remove(Task *task)
 {
-    for (auto &cpu : cpus_) {
+    for (unsigned index = 0; index < cpus_.size(); ++index) {
+        CpuState &cpu = cpus_[index];
         auto it = std::find_if(cpu.queue.begin(), cpu.queue.end(),
                                [task](const Queued &q) {
                                    return q.task == task;
@@ -97,6 +109,8 @@ OsScheduler::remove(Task *task)
             if (it->mask != kAnyCpu)
                 freeMasks_.push_back(it->mask);
             cpu.queue.erase(it);
+            if (cpu.queue.empty())
+                setOccupied(index, false);
             if (wasRunning && !cpu.queue.empty())
                 leaveWaiting(cpu, cpu.queue.front().task); // now runs
             if (cpu.queue.size() == 1)
@@ -178,14 +192,8 @@ OsScheduler::consumePendingSwitchCycles(unsigned cpu)
     return pending;
 }
 
-unsigned
-OsScheduler::queueLength(unsigned cpu) const
-{
-    return static_cast<unsigned>(cpus_[cpu].queue.size());
-}
-
 double
-OsScheduler::warmthForCount(unsigned co_runners) const
+OsScheduler::warmthCurve(unsigned co_runners) const
 {
     if (co_runners <= 1)
         return 1.0;
@@ -194,24 +202,22 @@ OsScheduler::warmthForCount(unsigned co_runners) const
                      (1.0 - std::exp(-cfg_.warmthRate * (n - 1.0)));
 }
 
-double
-OsScheduler::warmthMult(unsigned cpu) const
-{
-    return warmthForCount(queueLength(cpu));
-}
-
 unsigned
 OsScheduler::activeCores() const
 {
+    // A core is smtWays consecutive CPUs, and smtWays is 1 or 2
+    // (MachineConfig::validate), so the core holding cpu ends at
+    // cpu | (smtWays - 1).
+    const unsigned lastWay = cfg_.smtWays - 1;
     unsigned active = 0;
-    for (unsigned core = 0; core < cfg_.cores; ++core) {
-        for (unsigned way = 0; way < cfg_.smtWays; ++way) {
-            if (runningOn(core * cfg_.smtWays + way)) {
-                ++active;
-                break;
-            }
+    unsigned nextCore = 0; // first CPU past the last core counted
+    forEachOccupied(0, cpuCount(), [&](unsigned cpu) {
+        // Count a core once: its other ways are not asked.
+        if (cpu >= nextCore && runningOn(cpu)) {
+            ++active;
+            nextCore = (cpu | lastWay) + 1;
         }
-    }
+    });
     return active;
 }
 
@@ -302,6 +308,11 @@ OsScheduler::waitingWorkingSet(unsigned cpu_begin,
     constexpr std::uint64_t kExact = std::uint64_t{1} << 53;
     cpu_end = std::min(cpu_end, cpuCount());
     if (frozen_.empty() && waitingWraps_ == 0) {
+        // Only a queue of two or more has a task waiting. A machine
+        // that has one is mostly busy, where this plain walk costs
+        // less than a walk of the occupied CPUs.
+        if (crowdedCpus_ == 0)
+            return 0.0;
         std::uint64_t total = 0;
         unsigned cpu = cpu_begin;
         for (; cpu < cpu_end && cpus_[cpu].waitingBytes <= kExact - total;
@@ -385,6 +396,7 @@ OsScheduler::rebalance()
             if (q.size() == 1)
                 --crowdedCpus_;
             cpus_[cpu].queue.push_back(moved);
+            setOccupied(cpu, true);
             ++version_;
         }
     }

@@ -13,6 +13,8 @@
 #ifndef LITMUS_SIM_OS_SCHEDULER_H
 #define LITMUS_SIM_OS_SCHEDULER_H
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <unordered_set>
@@ -91,16 +93,46 @@ class OsScheduler
     Cycles consumePendingSwitchCycles(unsigned cpu);
 
     /** Runnable tasks sharing cpu (including the running one). */
-    unsigned queueLength(unsigned cpu) const;
+    unsigned queueLength(unsigned cpu) const
+    {
+        return static_cast<unsigned>(cpus_[cpu].queue.size());
+    }
 
     /**
      * Cache-warmth CPI multiplier for the task running on cpu:
      * 1 + maxPenalty * (1 - exp(-rate * (n - 1))) for n co-runners.
      */
-    double warmthMult(unsigned cpu) const;
+    double warmthMult(unsigned cpu) const
+    {
+        return warmthForCount(queueLength(cpu));
+    }
 
-    /** Physical cores with at least one running task. */
+    /**
+     * Physical cores with at least one running task. Walks the
+     * occupied CPUs only, and each core's first running way.
+     */
     unsigned activeCores() const;
+
+    /**
+     * Call @p visit(cpu) for each CPU in [begin, end) whose queue holds
+     * a task, in index order: O(occupied CPUs + cpuCount() / 64).
+     * @p visit must not add or remove tasks.
+     */
+    template <typename Visit>
+    void forEachOccupied(unsigned begin, unsigned end, Visit visit) const
+    {
+        // No word before the first add(): nothing is occupied.
+        end = std::min(end, static_cast<unsigned>(occupied_.size() * 64));
+        for (unsigned base = begin - begin % 64; base < end; base += 64) {
+            std::uint64_t word = occupied_[base / 64];
+            if (base < begin)
+                word &= ~std::uint64_t{0} << (begin - base);
+            if (end - base < 64)
+                word &= (std::uint64_t{1} << (end - base)) - 1;
+            for (; word != 0; word &= word - 1)
+                visit(base + static_cast<unsigned>(std::countr_zero(word)));
+        }
+    }
 
     /** True when the SMT sibling of cpu is running a task. */
     bool siblingBusy(unsigned cpu) const;
@@ -123,7 +155,8 @@ class OsScheduler
      * CPUs [cpu_begin, cpu_end) that are *not* running there — the
      * cache-residue input to the contention solver's capacity model.
      *
-     * O(cpu_end - cpu_begin): each CPU keeps the integer sum of its
+     * O(cpu_end - cpu_begin), and O(1) while no CPU queues two tasks
+     * and none is frozen: each CPU keeps the integer sum of its
      * waiting tasks' working sets, updated wherever a task joins or
      * leaves the part of a queue behind the running front. A waiting
      * task retires nothing, so its working set holds until it leaves.
@@ -136,8 +169,16 @@ class OsScheduler
 
     unsigned cpuCount() const { return static_cast<unsigned>(cpus_.size()); }
 
-    /** Expose the warmth curve itself (Figure 14 bench). */
-    double warmthForCount(unsigned co_runners) const;
+    /**
+     * The warmth curve itself (Figure 14 bench): warmthMult() of a CPU
+     * queueing @p co_runners tasks. Every count up to the longest
+     * queue so far is computed once and cached.
+     */
+    double warmthForCount(unsigned co_runners) const
+    {
+        return co_runners < warmth_.size() ? warmth_[co_runners]
+                                           : warmthCurve(co_runners);
+    }
 
     /**
      * Topology version: bumped by every mutation that can change what
@@ -190,6 +231,19 @@ class OsScheduler
                 1) != 0;
     }
 
+    /** The warmth formula, uncached. */
+    double warmthCurve(unsigned co_runners) const;
+
+    /** Mark cpu occupied or not in occupied_. */
+    void setOccupied(unsigned cpu, bool occupied)
+    {
+        const std::uint64_t bit = std::uint64_t{1} << (cpu % 64);
+        if (occupied)
+            occupied_[cpu / 64] |= bit;
+        else
+            occupied_[cpu / 64] &= ~bit;
+    }
+
     /** Begin a new slice on cpu at the current tick. */
     void startSlice(CpuState &cpu);
 
@@ -223,6 +277,13 @@ class OsScheduler
     std::size_t maskWords_;
     /** rebalance()'s union of the waiting tasks' masks (scratch). */
     std::vector<std::uint64_t> reach_;
+    /** Bit cpu % 64 of word cpu / 64 is set iff cpu's queue is
+     *  non-empty: what forEachOccupied() walks. Allocated by the first
+     *  add(), so a machine that never runs a task allocates nothing. */
+    std::vector<std::uint64_t> occupied_;
+    /** warmthCurve(n) for every n up to the longest queue so far
+     *  (add() extends it), so warmthMult() is one load. */
+    std::vector<double> warmth_;
     // LITMUS-LINT-ALLOW(unordered-decl): membership queries only (contains/insert/erase); never iterated, so its order cannot reach any output
     std::unordered_set<const Task *> frozen_;
     std::uint64_t version_ = 0;

@@ -600,6 +600,54 @@ TEST(Cluster, HeterogeneousFleetReportsPerTypeBreakdown)
                 1e-12 + 1e-9 * report.commercialUsd);
 }
 
+TEST(Cluster, TypeBreakdownCheckCatchesAPerturbedTypeRow)
+{
+    // A Litmus-priced two-type fleet; each copy perturbs one type row
+    // while the machine rows still sum to the fleet.
+    const pricing::DiscountModel model = syntheticModel();
+    ClusterConfig cfg = mixedFleet(DispatchPolicy::LeastLoaded);
+    cfg.discountModels[testMachine()] = &model;
+    cfg.probes = true;
+    Cluster fleet(cfg);
+    const FleetReport &report = fleet.run();
+    checkConservation(report); // run() already passed it
+    ASSERT_EQ(report.types.size(), 2u);
+    ASSERT_GT(report.litmusUsd, 0.0);
+
+    FleetReport machines = report;
+    ++machines.types[1].machines;
+    EXPECT_EXIT(checkConservation(machines), ::testing::ExitedWithCode(1),
+                "fleet has 4 machines but the type rows count 5");
+
+    FleetReport dispatched = report;
+    --dispatched.types[0].dispatched;
+    EXPECT_EXIT(checkConservation(dispatched),
+                ::testing::ExitedWithCode(1),
+                "fleet dispatched [0-9]+ but the type rows sum to");
+
+    FleetReport completions = report;
+    ++completions.types[1].completions;
+    EXPECT_EXIT(checkConservation(completions),
+                ::testing::ExitedWithCode(1),
+                "fleet completions [0-9]+ but the type rows sum to");
+
+    FleetReport billed = report;
+    billed.types[0].billedCpuSeconds *= 1.0001;
+    EXPECT_EXIT(checkConservation(billed), ::testing::ExitedWithCode(1),
+                "fleet billed seconds .* but the type rows sum to");
+
+    FleetReport commercial = report;
+    commercial.types[1].commercialUsd *= 0.9999;
+    EXPECT_EXIT(checkConservation(commercial),
+                ::testing::ExitedWithCode(1),
+                "fleet commercial USD .* but the type rows sum to");
+
+    FleetReport litmus = report;
+    litmus.types[0].litmusUsd *= 1.0001;
+    EXPECT_EXIT(checkConservation(litmus), ::testing::ExitedWithCode(1),
+                "fleet Litmus USD .* but the type rows sum to");
+}
+
 TEST(Cluster, HeterogeneousThreadedRunnerIsDeterministic)
 {
     // Unpriced, and Litmus-priced with a model bound per type and

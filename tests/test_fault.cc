@@ -18,6 +18,7 @@
 
 #include "cluster/cluster.h"
 #include "common/config_reader.h"
+#include "fleet_run.h"
 #include "poisson_traffic.h"
 #include "scenario/scenario.h"
 #include "sim/machine_catalog.h"
@@ -353,17 +354,15 @@ TEST(FaultCluster, TotalsIdenticalAcrossThreadCounts)
 
     ClusterConfig serialCfg = base;
     serialCfg.threads = 1;
-    Cluster serial(serialCfg);
-    const FleetReport &reference = serial.run();
-    EXPECT_GT(reference.crashes, 0u);
-    EXPECT_GT(reference.killedInvocations, 0u);
+    const test::RunOutcome reference = test::serveFleet(serialCfg);
+    EXPECT_GT(reference.report.crashes, 0u);
+    EXPECT_GT(reference.report.killedInvocations, 0u);
 
     for (unsigned threads : {4u, 16u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads against serial");
         ClusterConfig cfg = base;
         cfg.threads = threads;
-        Cluster threaded(cfg);
-        EXPECT_TRUE(identicalTotals(reference, threaded.run()))
-            << threads << " threads diverged from serial";
+        test::expectIdentical(reference, test::serveFleet(cfg));
     }
 }
 
@@ -669,11 +668,9 @@ TEST(ChaosSmoke, ThreadedChaosRunIsDeterministic)
     base.faults.blindDuration = 0.008;
     base.threads = 4;
 
-    Cluster first(base);
-    const FleetReport &a = first.run();
-    Cluster second(base);
-    const FleetReport &b = second.run();
-    EXPECT_TRUE(identicalTotals(a, b));
+    const test::RunOutcome first = test::serveFleet(base);
+    test::expectIdentical(first, test::serveFleet(base));
+    const FleetReport &a = first.report;
     EXPECT_GT(a.killedInvocations, 0u);
     EXPECT_LE(relErr(a.billedCpuSeconds + a.absorbedCpuSeconds,
                      a.sumMachineBilledSeconds() +

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -149,6 +150,82 @@ TEST(RepeatedAdd, ComposesOverHugeCounts)
                   addRepeated(start, step, a + b))
             << "start " << start << " step " << step << " a " << a
             << " b " << b;
+    }
+}
+
+TEST(RepeatedAdd, FreshCountersInRandomBatchesMatchTheLoop)
+{
+    // An engine's counters start at zero and grow by one step a
+    // quantum, applied in batches of any size: every batch boundary
+    // must land on the loop's bits, whatever binade it falls in.
+    Rng rng(20261019);
+    for (int trial = 0; trial < 200; ++trial) {
+        // Steps like a quantum's instructions, cycles or misses, and
+        // the engine clock's quantum itself.
+        const Seconds step =
+            trial % 8 == 0 ? 50e-6 : std::exp(rng.uniform(-12.0, 14.0));
+        Seconds batched = 0.0;
+        Seconds looped = 0.0;
+        std::uint64_t done = 0;
+        while (done < 200'000) {
+            const std::uint64_t k = rng.chance(0.3)
+                                        ? between(rng, 1, 4)
+                                        : between(rng, 1, 20'000);
+            batched = addRepeated(batched, step, k);
+            looped = loop(looped, step, k);
+            done += k;
+            ASSERT_EQ(batched, looped)
+                << "step " << step << " after " << done << " additions";
+        }
+    }
+}
+
+TEST(RepeatedAdd, SumsEndingAtABinadeTopMatchTheLoop)
+{
+    // Walks whose last sum lands exactly on a binade's top, one ulp
+    // below it, or one step either side of those, from a start j steps
+    // below: the in-binade finish and the jump to the crossing meet
+    // there.
+    for (Seconds step : steps()) {
+        for (int e : {-3, 0, 1, 12, 33, 43}) {
+            const Seconds top = std::ldexp(1.0, e + 1);
+            const Seconds ulp = std::ldexp(1.0, e - 52);
+            for (std::uint64_t j : {3u, 4u, 5u, 17u, 100u, 1000u}) {
+                for (const Seconds end : {top, top - ulp}) {
+                    const Seconds start =
+                        end - static_cast<double>(j) * step;
+                    if (!(start >= top / 2) || start == end)
+                        continue; // not a walk inside [2^e, top)
+                    for (std::uint64_t n = j - 2; n <= j + 2; ++n)
+                        ASSERT_EQ(addRepeated(start, step, n),
+                                  loop(start, step, n))
+                            << "start " << start << " step " << step
+                            << " n " << n;
+                }
+            }
+        }
+    }
+}
+
+TEST(RepeatedAdd, WalksThatStayInTheirBinadeMatchTheLoop)
+{
+    // From a start well inside a binade, a walk that ends before the
+    // top finishes in one multiply-add, with no quotient to take.
+    Rng rng(99);
+    for (int trial = 0; trial < 2000; ++trial) {
+        const Seconds step = std::exp(rng.uniform(-12.0, 4.0));
+        const int e = static_cast<int>(rng.range(-2, 40));
+        const Seconds base = std::ldexp(1.0, e);
+        if (base < 32 * step)
+            continue; // the binade holds too few steps
+        const Seconds start = base + rng.uniform(0.0, 0.25) * base;
+        const auto room = static_cast<std::uint64_t>(
+            (2 * base - start) / step);
+        const std::uint64_t n = between(rng, 0, std::min<std::uint64_t>(
+                                                    room / 2, 50'000));
+        ASSERT_EQ(addRepeated(start, step, n), loop(start, step, n))
+            << "start " << start << " step " << step << " n " << n;
+        ASSERT_LT(loop(start, step, n), 2 * base);
     }
 }
 

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <deque>
 #include <limits>
 #include <memory>
@@ -188,6 +189,40 @@ TEST(Scheduler, WarmthAppliesPerCpuQueue)
     EXPECT_DOUBLE_EQ(sched.warmthMult(0), sched.warmthForCount(3));
 }
 
+TEST(Scheduler, CachedWarmthIsTheFormula)
+{
+    // Each queue length's warmth is computed once; it must be the
+    // formula's value bit for bit at every length a queue reaches.
+    const auto cfg = smallMachine(1);
+    OsScheduler sched(cfg, cfg.quantum);
+    const auto formula = [&cfg](unsigned n) {
+        if (n <= 1)
+            return 1.0;
+        return 1.0 + cfg.warmthMaxPenalty *
+                         (1.0 - std::exp(-cfg.warmthRate *
+                                         (static_cast<double>(n) - 1.0)));
+    };
+    const auto same = [](double a, double b) {
+        return std::bit_cast<std::uint64_t>(a) ==
+               std::bit_cast<std::uint64_t>(b);
+    };
+    constexpr unsigned kLongest = 4096;
+    std::vector<std::unique_ptr<Task>> tasks;
+    for (unsigned n = 1; n <= kLongest; ++n) {
+        tasks.push_back(makeTask("t"));
+        sched.add(tasks.back().get());
+        ASSERT_TRUE(same(sched.warmthMult(0), formula(n))) << "n " << n;
+    }
+    for (unsigned n = 0; n <= kLongest + 100; ++n)
+        ASSERT_TRUE(same(sched.warmthForCount(n), formula(n))) << "n " << n;
+    // Shrinking queues read the same cached values.
+    for (unsigned n = kLongest; n > 0; --n) {
+        ASSERT_TRUE(same(sched.warmthMult(0), formula(n))) << "n " << n;
+        sched.remove(tasks[n - 1].get());
+    }
+    EXPECT_TRUE(same(sched.warmthMult(0), 1.0));
+}
+
 TEST(Scheduler, RebalanceFillsIdleCpu)
 {
     const auto cfg = smallMachine(2);
@@ -296,8 +331,9 @@ TEST(Scheduler, ActiveCoresWithSmtCountsPhysical)
 /**
  * Frozen oracle: the scheduler that summed each CPU's used slice in
  * floating point, tick by tick, walked every CPU on every crowded
- * tick, searched each waiting task's affinity list in rebalance(), and
- * walked every queue for the waiting working set.
+ * tick, searched each waiting task's affinity list in rebalance(),
+ * walked every queue for the waiting working set, and every CPU for
+ * the active cores.
  * Do not optimise it; its only job is to be obviously the old code.
  */
 class OracleScheduler
@@ -404,6 +440,20 @@ class OracleScheduler
     }
 
     std::uint64_t version() const { return version_; }
+
+    unsigned activeCores() const
+    {
+        unsigned active = 0;
+        for (unsigned core = 0; core < cfg_.cores; ++core) {
+            for (unsigned way = 0; way < cfg_.smtWays; ++way) {
+                if (runningOn(core * cfg_.smtWays + way)) {
+                    ++active;
+                    break;
+                }
+            }
+        }
+        return active;
+    }
 
     double waitingWorkingSet(unsigned cpu_begin, unsigned cpu_end) const
     {
@@ -554,12 +604,15 @@ makeWalkTask(const std::string &name, const std::vector<Bytes> &sets)
     return std::make_unique<Task>(name, std::move(phases));
 }
 
-/** One seeded random walk of both schedulers over the same operations. */
+/**
+ * One seeded random walk of both schedulers over the same operations,
+ * on a machine of @p cores cores of two SMT ways (6 CPUs by default).
+ */
 void
 runDifferential(Seconds time_slice, Seconds quantum, std::uint64_t seed,
-                unsigned ops)
+                unsigned ops, unsigned cores = 3)
 {
-    auto cfg = smallMachine(3, 2); // 6 CPUs, SMT pairs
+    auto cfg = smallMachine(cores, 2);
     cfg.timeSlice = time_slice;
     OsScheduler real(cfg, quantum);
     OracleScheduler oracle(cfg);
@@ -576,6 +629,7 @@ runDifferential(Seconds time_slice, Seconds quantum, std::uint64_t seed,
     std::uint64_t finishedRotatedOut = 0, changedRotatedOut = 0;
     std::uint64_t thaws = 0, thawsByRemove = 0;
     std::uint64_t nonZeroFrozen = 0, nonZeroThawed = 0;
+    std::uint64_t runningPast64 = 0;
 
     // Twins share an id, so running tasks compare by id.
     const auto runningId = [](const Task *task) {
@@ -583,21 +637,28 @@ runDifferential(Seconds time_slice, Seconds quantum, std::uint64_t seed,
     };
     // CPU ranges the waiting working set is compared over: each socket
     // of SMT pairs, straddling ones, the whole machine, past its end,
-    // and empty.
+    // and empty; on a machine past 64 CPUs, ranges ending at, starting
+    // at and straddling the first word of the occupied-CPU mask.
     const std::vector<std::pair<unsigned, unsigned>> ranges = {
-        {0, cpus}, {0, 2}, {2, 4}, {4, 6}, {1, 5}, {3, 99}, {5, 5}};
+        {0, cpus}, {0, 2},   {2, 4},    {4, 6},        {1, 5},
+        {3, 99},   {5, 5},   {0, 64},   {64, cpus},    {60, 70},
+        {63, 65},  {70, 64}, {cpus - 1, cpus + 40}};
     // Compare every observable after one operation.
     const auto check = [&](unsigned op, std::uint64_t realBefore,
                            std::uint64_t oracleBefore) {
         ASSERT_EQ(real.version() != realBefore,
                   oracle.version() != oracleBefore)
             << "op " << op;
+        ASSERT_EQ(real.activeCores(), oracle.activeCores()) << "op " << op;
         for (unsigned cpu = 0; cpu < cpus; ++cpu) {
             ASSERT_EQ(real.queueLength(cpu), oracle.queueLength(cpu))
                 << "op " << op << " cpu " << cpu;
+
             ASSERT_EQ(runningId(real.runningOn(cpu)),
                       runningId(oracle.runningOn(cpu)))
                 << "op " << op << " cpu " << cpu;
+            if (cpu >= 64 && real.runningOn(cpu))
+                ++runningPast64;
             ASSERT_EQ(real.consumePendingSwitchCycles(cpu),
                       oracle.consumePendingSwitchCycles(cpu))
                 << "op " << op << " cpu " << cpu;
@@ -608,6 +669,19 @@ runDifferential(Seconds time_slice, Seconds quantum, std::uint64_t seed,
                 << "op " << op << " task " << i;
         }
         for (const auto &[begin, end] : ranges) {
+            // The occupied-CPU walk visits exactly the non-empty queues
+            // in the range, in index order.
+            std::vector<unsigned> walked, occupied;
+            real.forEachOccupied(begin, end, [&](unsigned cpu) {
+                walked.push_back(cpu);
+            });
+            for (unsigned cpu = begin; cpu < std::min(end, cpus); ++cpu) {
+                if (oracle.queueLength(cpu) > 0)
+                    occupied.push_back(cpu);
+            }
+            ASSERT_EQ(walked, occupied)
+                << "op " << op << " cpus [" << begin << ", " << end
+                << ")";
             ASSERT_EQ(bits(real.waitingWorkingSet(begin, end)),
                       bits(oracle.waitingWorkingSet(begin, end)))
                 << "op " << op << " cpus [" << begin << ", " << end
@@ -745,6 +819,9 @@ runDifferential(Seconds time_slice, Seconds quantum, std::uint64_t seed,
     EXPECT_GT(thawsByRemove, 0u);
     EXPECT_GT(nonZeroFrozen, 0u);
     EXPECT_GT(nonZeroThawed, 0u);
+    if (cpus > 64) {
+        EXPECT_GT(runningPast64, 0u);
+    }
 }
 
 TEST(SchedulerDifferential, DefaultSliceAndQuantum)
@@ -765,6 +842,14 @@ TEST(SchedulerDifferential, SliceShorterThanQuantum)
     // Every crowded tick expires the slice.
     for (std::uint64_t seed = 1; seed <= 3; ++seed)
         runDifferential(20e-6, 50e-6, seed, 1500);
+}
+
+TEST(SchedulerDifferential, TwoMaskWords)
+{
+    // 80 CPUs: the occupied-CPU mask spans two words, and a core's two
+    // ways straddle none of them.
+    for (std::uint64_t seed = 1; seed <= 2; ++seed)
+        runDifferential(5e-3, 50e-6, seed, 2000, 40);
 }
 
 } // namespace
