@@ -80,7 +80,10 @@ main(int argc, char **argv)
         .addOption("epoch-us", "dispatch epoch in microseconds", "1000")
         .addOption("keepalive", "warm-container keep-alive (s)", "10")
         .addOption("threads",
-                   "worker threads (0 = one per machine)", "0")
+                   "worker threads (0 = min(machines, hardware "
+                   "threads); never more than machines, at most " +
+                       std::to_string(cluster::ClusterConfig::kMaxThreads),
+                   "0")
         .addOption("preset",
                    "machine type (catalog name) for a homogeneous "
                    "fleet",

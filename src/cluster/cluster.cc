@@ -85,6 +85,9 @@ ClusterConfig::validate() const
     if (!(sharingFactor > 0) || !std::isfinite(sharingFactor))
         fatal("ClusterConfig: sharing factor must be positive and "
               "finite, got ", sharingFactor);
+    if (threads > kMaxThreads)
+        fatal("ClusterConfig: threads must be <= ", kMaxThreads,
+              ", got ", threads);
     faults.validate();
 }
 
@@ -1153,11 +1156,12 @@ Cluster::run()
     if (ran_)
         fatal("Cluster::run called twice");
 
+    // Each job steps one machine, so threads past the machine count
+    // would only park.
+    const auto machines = static_cast<unsigned>(machines_.size());
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     const unsigned threads =
-        cfg_.threads > 0
-            ? cfg_.threads
-            : std::min(static_cast<unsigned>(machines_.size()), hw);
+        std::min(machines, cfg_.threads > 0 ? cfg_.threads : hw);
 
     Serve s(threads);
 

@@ -118,10 +118,15 @@ struct ClusterConfig
 
     /**
      * Worker threads driving the engines (0 = one per machine, capped
-     * by the host's hardware concurrency; 1 = fully serial). Totals
-     * are identical at every setting.
+     * by the host's hardware concurrency; 1 = fully serial). run()
+     * never starts more than one per machine, since no more jobs
+     * exist; above kMaxThreads validate() fails. Totals are identical
+     * at every setting.
      */
     unsigned threads = 0;
+
+    /** The most worker threads any run may ask for. */
+    static constexpr unsigned kMaxThreads = 1024;
 
     /**
      * The differential oracle: one epoch per barrier, every machine

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string_view>
@@ -86,47 +88,78 @@ struct AzureIndex
     std::uint64_t total = 0;
 };
 
+/** Where the cell starting at @p p ends: its ',' or @p end. */
+const char *
+cellEnd(const char *p, const char *end)
+{
+    const void *comma =
+        std::memchr(p, ',', static_cast<std::size_t>(end - p));
+    return comma ? static_cast<const char *>(comma) : end;
+}
+
+/** Cells in [p, end): one more than its commas. */
+std::size_t
+countCells(const char *p, const char *end)
+{
+    return 1 + static_cast<std::size_t>(std::count(p, end, ','));
+}
+
 /**
- * Parse a dataset-shaped CSV into the bucket index. Row and
- * column-shape validation fatal() with file:line; the row cap stops
- * the read — rows past it are never parsed.
+ * Parse a dataset-shaped CSV into the bucket index, reading each row
+ * once, left to right. Row and column-shape validation fatal() with
+ * file:line; a ragged row names its shape before any bad cell in it.
+ * The row cap stops the read — rows past it are never parsed.
  */
 AzureIndex
 parseAzureCsv(const std::string &path, std::uint64_t maxRows)
 {
+    // A run of at most this many digits cannot overflow 64 bits.
+    constexpr std::ptrdiff_t kSafeDigits =
+        std::numeric_limits<std::uint64_t>::digits10;
+
     LineReader in(path);
     AzureIndex index;
-    std::vector<std::string_view> fields;
     bool headerAllowed = true;
     bool capped = false;
+    const auto checkColumns = [&](std::size_t columns) {
+        if (columns != index.minuteColumns)
+            in.fail("row has ", columns, " count columns, expected ",
+                    index.minuteColumns);
+    };
     while (in.next()) {
-        splitFields(in.line(), ',', fields);
-        if (fields.size() < kIdentityColumns + 1)
-            in.fail("expected at least ", kIdentityColumns + 1,
-                    " columns (owner, app, function, trigger, counts), "
-                    "got ", fields.size());
-
-        if (headerAllowed &&
-            (fields[0] == "HashOwner" ||
-             !parseNumber<std::uint64_t>(fields[kIdentityColumns]))) {
-            // The dataset's header: identity column names, then the
-            // minute numbers — which are digits, so spotting the
-            // header needs the identity columns, not the count probe.
-            // Its shape fixes the column count.
-            headerAllowed = false;
-            index.minuteColumns = static_cast<std::uint32_t>(
-                fields.size() - kIdentityColumns);
-            continue;
+        const std::string_view line = in.line();
+        const char *p = line.data();
+        const char *const end = p + line.size();
+        std::string_view identity[kIdentityColumns];
+        for (std::size_t k = 0; k < kIdentityColumns; ++k) {
+            const char *const cut = cellEnd(p, end);
+            if (cut == end)
+                in.fail("expected at least ", kIdentityColumns + 1,
+                        " columns (owner, app, function, trigger, "
+                        "counts), got ", k + 1);
+            identity[k] = trimField({p, static_cast<std::size_t>(cut - p)});
+            p = cut + 1;
         }
-        headerAllowed = false;
-        if (index.minuteColumns == 0)
-            index.minuteColumns = static_cast<std::uint32_t>(
-                fields.size() - kIdentityColumns);
-        if (fields.size() - kIdentityColumns != index.minuteColumns)
-            in.fail("row has ", fields.size() - kIdentityColumns,
-                    " count columns, expected ", index.minuteColumns);
+        // p is at the first count cell.
+
+        if (headerAllowed) {
+            // The first line's shape fixes the column count. It is the
+            // dataset's header when it names HashOwner or its first
+            // count cell is no count; the header's minute numbers are
+            // digits, so spotting it needs the identity columns too.
+            headerAllowed = false;
+            index.minuteColumns =
+                static_cast<std::uint32_t>(countCells(p, end));
+            const char *const cut = cellEnd(p, end);
+            if (identity[0] == "HashOwner" ||
+                !parseNumber<std::uint64_t>(trimField(
+                    {p, static_cast<std::size_t>(cut - p)})))
+                continue;
+        }
 
         if (maxRows > 0 && index.rows.size() >= maxRows) {
+            // The capped row's shape is checked; its cells are not.
+            checkColumns(countCells(p, end));
             capped = true;
             break;
         }
@@ -135,24 +168,50 @@ parseAzureCsv(const std::string &path, std::uint64_t maxRows)
         // Mapping heuristic: a HashFunction field naming a Table 1
         // member pins that function; everything else spreads over
         // the run's pool by identity hash.
-        row.spec = workload::findFunction(fields[2]);
-        row.hash = fnv1a(fields[0], fields[1], fields[2]);
+        row.spec = workload::findFunction(identity[2]);
+        row.hash = fnv1a(identity[0], identity[1], identity[2]);
         const std::uint32_t rowIdx =
             static_cast<std::uint32_t>(index.rows.size());
         index.rows.push_back(row);
 
-        for (std::uint32_t m = 0; m < index.minuteColumns; ++m) {
-            const std::string_view cell = fields[kIdentityColumns + m];
-            const std::optional<std::uint64_t> count =
-                parseNumber<std::uint64_t>(cell);
-            if (!count)
-                in.fail("bad invocation count '", cell, "' in minute ",
-                        m + 1);
-            if (*count == 0)
+        for (std::uint32_t m = 0;; ++m) {
+            // Most cells of a sparse trace read "0,": step over them.
+            if (end - p > 1 && p[0] == '0' && p[1] == ',' &&
+                m + 1 < index.minuteColumns) {
+                p += 2;
                 continue;
-            index.buckets.push_back({m, rowIdx, *count});
-            index.total += *count;
-            index.lastMinute = std::max(index.lastMinute, m);
+            }
+            // A cell of plain digits ending at ',' or the line's end
+            // is read in the one loop; anything else (blanks, a sign,
+            // a long or empty cell) takes the strict parse.
+            const char *const cell = p;
+            std::uint64_t count = 0;
+            for (; p != end && *p >= '0' && *p <= '9'; ++p)
+                count = count * 10 + static_cast<std::uint64_t>(*p - '0');
+            if (p == cell || p - cell > kSafeDigits ||
+                (p != end && *p != ',')) {
+                p = cellEnd(cell, end);
+                const std::string_view text = trimField(
+                    {cell, static_cast<std::size_t>(p - cell)});
+                const std::optional<std::uint64_t> parsed =
+                    parseNumber<std::uint64_t>(text);
+                if (!parsed) {
+                    checkColumns(m + countCells(p, end));
+                    in.fail("bad invocation count '", text,
+                            "' in minute ", m + 1);
+                }
+                count = *parsed;
+            }
+            if (count != 0) {
+                index.buckets.push_back({m, rowIdx, count});
+                index.total += count;
+                index.lastMinute = std::max(index.lastMinute, m);
+            }
+            if (p == end || m + 1 == index.minuteColumns) {
+                checkColumns(m + countCells(p, end));
+                break;
+            }
+            ++p; // past the ','
         }
     }
     if (index.rows.empty())

@@ -157,6 +157,10 @@ ScenarioSpec::set(const std::string &key, const std::string &value,
         epoch = at.number<double>(value, what) * 1e-6;
     } else if (key == "threads") {
         threads = at.number<unsigned>(value, what);
+        if (threads > cluster::ClusterConfig::kMaxThreads)
+            at.fail(what, " must be <= ",
+                    cluster::ClusterConfig::kMaxThreads, ", got ",
+                    threads);
     } else if (key == "calibrate") {
         calibrate = parseBool(key, value, at);
     } else if (key == "calibration_levels") {

@@ -59,9 +59,16 @@ OsScheduler::add(Task *task)
     Queued entry{task, kAnyCpu};
     unsigned best = 0;
     if (affinity.empty()) {
-        for (unsigned cpu = 1; cpu < cpus_.size(); ++cpu) {
-            if (cpus_[cpu].queue.size() < cpus_[best].queue.size())
-                best = cpu;
+        // The scan below picks the lowest-index shortest queue, so an
+        // empty CPU, when there is one, is the first zero bit of the
+        // occupied mask; only a machine with every CPU busy is scanned.
+        best = firstIdleCpu();
+        if (best == cpus_.size()) {
+            best = 0;
+            for (unsigned cpu = 1; cpu < cpus_.size(); ++cpu) {
+                if (cpus_[cpu].queue.size() < cpus_[best].queue.size())
+                    best = cpu;
+            }
         }
     } else {
         entry.mask = pinMask(task); // rejects out-of-range CPUs

@@ -244,6 +244,21 @@ class OsScheduler
             occupied_[cpu / 64] &= ~bit;
     }
 
+    /** The lowest-index CPU with an empty queue, or cpuCount() when
+     *  every CPU is occupied: O(cpuCount() / 64). */
+    unsigned firstIdleCpu() const
+    {
+        // Bits past the last CPU stay clear, so a full machine's first
+        // zero bit is cpuCount() itself, or there is none.
+        for (std::size_t w = 0; w < occupied_.size(); ++w) {
+            if (~occupied_[w] != 0)
+                return static_cast<unsigned>(w * 64) +
+                       static_cast<unsigned>(std::countr_one(occupied_[w]));
+        }
+        // No mask before the first add(): CPU 0 is empty.
+        return occupied_.empty() ? 0 : cpuCount();
+    }
+
     /** Begin a new slice on cpu at the current tick. */
     void startSlice(CpuState &cpu);
 

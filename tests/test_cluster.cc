@@ -191,6 +191,34 @@ TEST(ClusterConfig, NullTrafficIsFatal)
                 "traffic is null");
 }
 
+TEST(ClusterConfig, ThreadsPastTheCapFailBeforeAnyThreadStarts)
+{
+    const unsigned cap = ClusterConfig::kMaxThreads;
+    const std::string over = std::to_string(cap + 1);
+    EXPECT_EQ(scenario::ScenarioSpec::fromString(
+                  "threads = " + std::to_string(cap) + "\n")
+                  .threads,
+              cap);
+    // The scenario key (and so litmus_fleet --threads) fails where it
+    // is read, naming its line: no cluster exists yet.
+    EXPECT_EXIT((void)scenario::ScenarioSpec::fromString(
+                    "seed = 1\nthreads = " + over + "\n"),
+                ::testing::ExitedWithCode(1),
+                "<config>:2: scenario key 'threads' must be <= " +
+                    std::to_string(cap) + ", got " + over);
+    // A config built in code fails in validate(), which the Cluster
+    // constructor runs; the pool starts only in run().
+    ClusterConfig cfg;
+    cfg.traffic = test::poissonTraffic(4000, 10);
+    cfg.threads = cap + 1;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "threads must be <= " + std::to_string(cap));
+    EXPECT_EXIT(Cluster{cfg}, ::testing::ExitedWithCode(1),
+                "threads must be <= " + std::to_string(cap));
+    cfg.threads = cap;
+    cfg.validate();
+}
+
 std::vector<MachineSnapshot>
 snapshots(const std::vector<unsigned> &loads)
 {

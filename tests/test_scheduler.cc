@@ -852,5 +852,108 @@ TEST(SchedulerDifferential, TwoMaskWords)
         runDifferential(5e-3, 50e-6, seed, 2000, 40);
 }
 
+/**
+ * Random adds and removes, pinned tasks included, on a machine of
+ * @p cores cores of two SMT ways: every add must place its task on
+ * the CPU the old scan over all queue lengths picks.
+ */
+void
+runPlacementDifferential(unsigned cores, std::uint64_t seed, unsigned ops)
+{
+    const auto cfg = smallMachine(cores, 2);
+    OsScheduler sched(cfg, cfg.quantum);
+    Rng rng(seed);
+    const unsigned cpus = cfg.hwThreads();
+    std::vector<std::unique_ptr<Task>> tasks;
+    std::vector<Task *> live;
+    std::uint64_t placedIdle = 0, placedBusy = 0, placedPinned = 0;
+
+    // The scan: the lowest-index shortest queue the task may run on.
+    const auto scan = [&](const std::vector<unsigned> &affinity) {
+        std::vector<unsigned> allowed = affinity;
+        if (allowed.empty()) {
+            for (unsigned cpu = 0; cpu < cpus; ++cpu)
+                allowed.push_back(cpu);
+        }
+        unsigned best = allowed.front();
+        for (unsigned cpu : allowed) {
+            if (sched.queueLength(cpu) < sched.queueLength(best))
+                best = cpu;
+        }
+        return best;
+    };
+
+    for (unsigned op = 0; op < ops; ++op) {
+        // Alternate filling and draining phases, so the machine passes
+        // through idle, partly busy and crowded states.
+        const double addChance = (op / (4 * cpus)) % 2 == 0 ? 0.7 : 0.3;
+        if (live.empty() ||
+            (live.size() < 3 * cpus && rng.chance(addChance))) {
+            std::vector<unsigned> affinity;
+            if (rng.chance(0.3)) {
+                for (unsigned cpu = 0; cpu < cpus; ++cpu) {
+                    if (rng.chance(0.3))
+                        affinity.push_back(cpu);
+                }
+                if (affinity.empty())
+                    affinity.push_back(
+                        static_cast<unsigned>(rng.below(cpus)));
+            }
+            const unsigned expected = scan(affinity);
+            std::vector<unsigned> before(cpus);
+            for (unsigned cpu = 0; cpu < cpus; ++cpu)
+                before[cpu] = sched.queueLength(cpu);
+            std::string name = "t";
+            name += std::to_string(tasks.size());
+            tasks.push_back(makeTask(name));
+            tasks.back()->setAffinity(affinity);
+            sched.add(tasks.back().get());
+            live.push_back(tasks.back().get());
+            // add() moves nothing else: the one longer queue is the
+            // chosen CPU.
+            for (unsigned cpu = 0; cpu < cpus; ++cpu) {
+                ASSERT_EQ(sched.queueLength(cpu),
+                          before[cpu] + (cpu == expected ? 1u : 0u))
+                    << "op " << op << " cpu " << cpu;
+            }
+            if (!affinity.empty())
+                ++placedPinned;
+            else if (before[expected] == 0)
+                ++placedIdle;
+            else
+                ++placedBusy;
+        } else {
+            const std::size_t at = rng.below(live.size());
+            sched.remove(live[at]);
+            live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+        }
+    }
+    // Both unpinned cases and pinned placement were exercised.
+    EXPECT_GT(placedIdle, 20u);
+    EXPECT_GT(placedBusy, 20u);
+    EXPECT_GT(placedPinned, 20u);
+}
+
+TEST(PlacementDifferential, OneMaskWord)
+{
+    for (std::uint64_t seed = 1; seed <= 3; ++seed)
+        runPlacementDifferential(3, seed, 2000);
+}
+
+TEST(PlacementDifferential, FullMaskWord)
+{
+    // 64 CPUs: a fully occupied word has no zero bit at all.
+    for (std::uint64_t seed = 1; seed <= 2; ++seed)
+        runPlacementDifferential(32, seed, 3000);
+}
+
+TEST(PlacementDifferential, TwoMaskWords)
+{
+    // 80 CPUs: the first idle CPU may sit in the second word, and the
+    // second word's bits past the last CPU are never a candidate.
+    for (std::uint64_t seed = 1; seed <= 2; ++seed)
+        runPlacementDifferential(40, seed, 3000);
+}
+
 } // namespace
 } // namespace litmus::sim

@@ -20,12 +20,15 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
 #include "cluster/traffic_source.h"
+#include "common/line_reader.h"
 #include "fleet_run.h"
 #include "scenario/azure_trace.h"
 #include "scenario/scenario_runner.h"
@@ -576,6 +579,240 @@ TEST(StreamingAzureDeath, MalformedTraces)
     missing.azureRateScale = 0;
     EXPECT_EXIT(missing.validate(), ::testing::ExitedWithCode(1),
                 "azure.rate_scale");
+}
+
+// ---- the one-pass ingest against the split-then-parse reference ------
+
+/** One function row as the reference parse reads it. */
+struct ReferenceRow
+{
+    std::vector<std::string> identity;
+    std::vector<std::uint64_t> counts;
+};
+
+/**
+ * The reference: the ingest's earlier split-then-parse loop, kept as
+ * the oracle. Each line is split into trimmed fields, each cell parsed
+ * on its own. Covers well-formed files only (a bad file fails a test
+ * expectation rather than the process).
+ */
+std::vector<ReferenceRow>
+referenceParse(const std::string &path)
+{
+    LineReader in(path);
+    std::vector<std::string_view> fields;
+    std::vector<ReferenceRow> rows;
+    bool headerAllowed = true;
+    std::size_t columns = 0;
+    while (in.next()) {
+        splitFields(in.line(), ',', fields);
+        if (fields.size() < 5) {
+            ADD_FAILURE() << "short row: " << in.line();
+            return rows;
+        }
+        if (headerAllowed &&
+            (fields[0] == "HashOwner" ||
+             !parseNumber<std::uint64_t>(fields[4]))) {
+            headerAllowed = false;
+            columns = fields.size() - 4;
+            continue;
+        }
+        headerAllowed = false;
+        if (columns == 0)
+            columns = fields.size() - 4;
+        EXPECT_EQ(fields.size() - 4, columns) << in.line();
+        ReferenceRow row;
+        row.identity.assign(fields.begin(), fields.begin() + 4);
+        for (std::size_t m = 4; m < fields.size(); ++m) {
+            const auto count = parseNumber<std::uint64_t>(fields[m]);
+            EXPECT_TRUE(count) << "'" << fields[m] << "'";
+            row.counts.push_back(count.value_or(0));
+        }
+        rows.push_back(std::move(row));
+    }
+    return rows;
+}
+
+/** @p rows as a plain dataset-shaped CSV: header, no blanks, no
+ *  comments, LF line ends, counts in shortest decimal. */
+std::string
+canonicalCsv(const std::vector<ReferenceRow> &rows)
+{
+    std::string text = "HashOwner,HashApp,HashFunction,Trigger";
+    for (std::size_t m = 1; m <= rows.front().counts.size(); ++m) {
+        text += ',';
+        text += std::to_string(m);
+    }
+    text += '\n';
+    for (const ReferenceRow &row : rows) {
+        for (std::size_t k = 0; k < row.identity.size(); ++k) {
+            if (k > 0)
+                text += ',';
+            text += row.identity[k];
+        }
+        for (std::uint64_t count : row.counts) {
+            text += ',';
+            text += std::to_string(count);
+        }
+        text += '\n';
+    }
+    return text;
+}
+
+/** The first @p invocations arrivals the ingest makes of @p path. */
+std::vector<Invocation>
+firstAzureArrivals(const std::string &path, std::uint64_t invocations)
+{
+    scenario::TrafficSpec spec;
+    spec.model = "azure";
+    spec.azurePath = path;
+    spec.invocations = invocations;
+    Rng rng(42);
+    return scenario::makeTrafficModel(spec)->generate(rng, twoPool());
+}
+
+TEST(StreamingAzure, OnePassIngestMatchesTheSplitReference)
+{
+    // Blank-padded cells, tabs, CRLF line ends, comments, leading
+    // zeros and the largest count; one file with the dataset's
+    // header, one whose first line is already a function row. The
+    // largest count sits in the last minute, which the invocation cap
+    // stops the stream short of.
+    const std::string max = "18446744073709551615";
+    const std::vector<std::pair<std::string, std::string>> files = {
+        {"azure_messy_header.csv",
+         "# a hand-written day\r\n"
+         " HashOwner , HashApp,HashFunction ,Trigger,1,2,3,4\r\n"
+         "\r\n"
+         " aaaa ,bbbb,float-py,\thttp, 2 ,007,\t0 ,0\r\n"
+         "cccc,dddd,eeee,timer,0,1,3\t,0   # trailing comment\r\n"
+         "ffff, gggg ,aes-go,queue,0000,0, 12," + max + "\r\n"},
+        {"azure_messy_bare.csv",
+         "aaaa,bbbb,cccc,http,01, 0,2,0\n"
+         "\t# comment only\n"
+         "dddd , eeee,float-py , timer,0,5 ,\t0," + max + "\t\r\n"
+         "ffff,gggg,hhhh,event,3,0,0,0\n"},
+    };
+    for (const auto &[name, text] : files) {
+        SCOPED_TRACE(name);
+        const std::string messy = writeTempFile(name, text);
+        const std::vector<ReferenceRow> rows = referenceParse(messy);
+        ASSERT_FALSE(::testing::Test::HasFailure());
+        ASSERT_EQ(rows.size(), 3u);
+        // Every count before the last minute, by minute.
+        std::vector<std::uint64_t> perMinute(3, 0);
+        for (const ReferenceRow &row : rows) {
+            ASSERT_EQ(row.counts.size(), 4u);
+            for (std::size_t m = 0; m < 3; ++m)
+                perMinute[m] += row.counts[m];
+        }
+        EXPECT_TRUE(std::any_of(
+            rows.begin(), rows.end(), [](const ReferenceRow &row) {
+                return row.counts.back() ==
+                       std::numeric_limits<std::uint64_t>::max();
+            }));
+        std::uint64_t before = 0;
+        for (std::uint64_t n : perMinute)
+            before += n;
+
+        const std::string plain =
+            writeTempFile(name + ".plain", canonicalCsv(rows));
+        const auto got = firstAzureArrivals(messy, before);
+        const auto want = firstAzureArrivals(plain, before);
+        ASSERT_EQ(got.size(), before);
+        ASSERT_EQ(want.size(), before);
+        std::vector<std::uint64_t> seen(3, 0);
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].arrival, want[i].arrival) << "arrival " << i;
+            EXPECT_EQ(got[i].spec, want[i].spec) << "arrival " << i;
+            const auto minute =
+                static_cast<std::size_t>(got[i].arrival / 60.0);
+            ASSERT_LT(minute, 3u);
+            ++seen[minute];
+        }
+        EXPECT_EQ(seen, perMinute);
+    }
+}
+
+TEST(StreamingAzure, RowCapLeavesAMalformedRowUnread)
+{
+    // The second row holds a bad cell, but the cap stops the read
+    // before it is parsed.
+    const std::string path = writeTempFile(
+        "azure_cap_malformed.csv",
+        "HashOwner,HashApp,HashFunction,Trigger,1,2\n"
+        "aaaa,bbbb,float-py,http,2,1\n"
+        "cccc,dddd,aes-go,timer,+1,0x1\n");
+    scenario::TrafficSpec capped;
+    capped.azureMaxRows = 1;
+    EXPECT_EQ(azureArrivals(path, 42, capped).size(), 3u);
+}
+
+TEST(StreamingAzureDeath, CountCellGrammar)
+{
+    // A count cell is decimal digits with optional blanks around
+    // them: no sign, no hex, never empty, at most 2^64 - 1.
+    const std::string header =
+        "HashOwner,HashApp,HashFunction,Trigger,1,2\n";
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {"aaaa,bbbb,cccc,http,1,18446744073709551616",
+         "'18446744073709551616' in minute 2"},
+        {"aaaa,bbbb,cccc,http,+1,0", "'\\+1' in minute 1"},
+        {"aaaa,bbbb,cccc,http,0x1,0", "'0x1' in minute 1"},
+        {"aaaa,bbbb,cccc,http,1,", "'' in minute 2"},
+        {"aaaa,bbbb,cccc,http,1,2 3", "'2 3' in minute 2"},
+        {"aaaa,bbbb,cccc,http,-0,1", "'-0' in minute 1"},
+    };
+    scenario::TrafficSpec spec;
+    spec.model = "azure";
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+        SCOPED_TRACE(bad[i].first);
+        spec.azurePath = writeTempFile(
+            "azure_cell" + std::to_string(i) + ".csv",
+            header + "eeee,ffff,float-py,http,1,1\n" + bad[i].first + "\n");
+        EXPECT_EXIT((void)scenario::makeTrafficModel(spec),
+                    ::testing::ExitedWithCode(1),
+                    "azure_cell" + std::to_string(i) +
+                        "\\.csv:3: bad invocation count " + bad[i].second);
+    }
+}
+
+TEST(StreamingAzureDeath, RowShapeComesBeforeItsCells)
+{
+    scenario::TrafficSpec spec;
+    spec.model = "azure";
+    const auto expectFatal = [&](const std::string &name,
+                                 const std::string &text,
+                                 const std::string &message) {
+        SCOPED_TRACE(name);
+        spec.azurePath = writeTempFile(name, text);
+        EXPECT_EXIT((void)scenario::makeTrafficModel(spec),
+                    ::testing::ExitedWithCode(1), message);
+    };
+    const std::string header =
+        "HashOwner,HashApp,HashFunction,Trigger,1,2,3\n";
+    // A ragged row with a bad cell names its shape, short or long.
+    expectFatal("azure_short_bad.csv", header + "aaaa,bbbb,cccc,http,x,1\n",
+                "azure_short_bad\\.csv:2: row has 2 count columns, "
+                "expected 3");
+    expectFatal("azure_long_bad.csv",
+                header + "aaaa,bbbb,cccc,http,1,+2,3,4\n",
+                "azure_long_bad\\.csv:2: row has 4 count columns, "
+                "expected 3");
+    // Too few columns for a single count.
+    expectFatal("azure_identity_only.csv", header + "aaaa,bbbb,cccc\n",
+                "azure_identity_only\\.csv:2: expected at least 5 "
+                "columns .*got 3");
+    expectFatal("azure_no_counts.csv", "aaaa,bbbb,cccc,http\n",
+                "azure_no_counts\\.csv:1: expected at least 5 "
+                "columns .*got 4");
+    // The capped row's shape is still checked, though its cells are
+    // not read.
+    spec.azureMaxRows = 1;
+    expectFatal("azure_capped_ragged.csv",
+                header + "aaaa,bbbb,float-py,http,1,0,0\n"
+                         "cccc,dddd,eeee,http,1,+1\n",
+                "azure_capped_ragged\\.csv:3: row has 2 count columns");
 }
 
 // ---- the new scenario keys -------------------------------------------

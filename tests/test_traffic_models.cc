@@ -425,9 +425,14 @@ TEST(ScenarioSpecDeath, UnsignedKeysRejectWraparound)
         (void)ScenarioSpec::fromString("fleet = cascade-5218:4294967297\n"),
         ::testing::ExitedWithCode(1),
         "fleet spec: machine count '4294967297'.*must be <= 4294967295");
-    // The largest representable value still parses.
-    EXPECT_EQ(ScenarioSpec::fromString("threads = 4294967295\n").threads,
+    // The largest representable value still parses where no tighter
+    // ceiling applies; `threads` has one (ClusterConfig::kMaxThreads).
+    EXPECT_EQ(ScenarioSpec::fromString("calibration_levels = 4294967295\n")
+                  .calibrationLevels,
               4294967295u);
+    EXPECT_EXIT((void)ScenarioSpec::fromString("threads = 4294967295\n"),
+                ::testing::ExitedWithCode(1),
+                "scenario key 'threads' must be <= 1024");
 }
 
 TEST(ScenarioSpecDeath, SubNanosecondEpochIsFatal)
