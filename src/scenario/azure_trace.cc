@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <string_view>
@@ -113,10 +112,6 @@ countCells(const char *p, const char *end)
 AzureIndex
 parseAzureCsv(const std::string &path, std::uint64_t maxRows)
 {
-    // A run of at most this many digits cannot overflow 64 bits.
-    constexpr std::ptrdiff_t kSafeDigits =
-        std::numeric_limits<std::uint64_t>::digits10;
-
     LineReader in(path);
     AzureIndex index;
     bool headerAllowed = true;
@@ -181,30 +176,20 @@ parseAzureCsv(const std::string &path, std::uint64_t maxRows)
                 p += 2;
                 continue;
             }
-            // A cell of plain digits ending at ',' or the line's end
-            // is read in the one loop; anything else (blanks, a sign,
-            // a long or empty cell) takes the strict parse.
-            const char *const cell = p;
-            std::uint64_t count = 0;
-            for (; p != end && *p >= '0' && *p <= '9'; ++p)
-                count = count * 10 + static_cast<std::uint64_t>(*p - '0');
-            if (p == cell || p - cell > kSafeDigits ||
-                (p != end && *p != ',')) {
-                p = cellEnd(cell, end);
-                const std::string_view text = trimField(
-                    {cell, static_cast<std::size_t>(p - cell)});
-                const std::optional<std::uint64_t> parsed =
-                    parseNumber<std::uint64_t>(text);
-                if (!parsed) {
-                    checkColumns(m + countCells(p, end));
-                    in.fail("bad invocation count '", text,
-                            "' in minute ", m + 1);
-                }
-                count = *parsed;
+            const char *const cut = cellEnd(p, end);
+            const std::string_view text =
+                trimField({p, static_cast<std::size_t>(cut - p)});
+            const std::optional<std::uint64_t> count =
+                parseNumber<std::uint64_t>(text);
+            if (!count) {
+                checkColumns(m + countCells(cut, end));
+                in.fail("bad invocation count '", text, "' in minute ",
+                        m + 1);
             }
-            if (count != 0) {
-                index.buckets.push_back({m, rowIdx, count});
-                index.total += count;
+            p = cut;
+            if (*count != 0) {
+                index.buckets.push_back({m, rowIdx, *count});
+                index.total += *count;
                 index.lastMinute = std::max(index.lastMinute, m);
             }
             if (p == end || m + 1 == index.minuteColumns) {

@@ -19,15 +19,13 @@
  *
  *  - **One pass per row.** Each line (read through LineReader, so
  *    `#` comments, blank lines and CRLF follow the shared input rules)
- *    is walked once, left to right: the four identity fields, then one
- *    digit loop per count cell. A count cell is decimal digits, with
- *    optional spaces or tabs around them, and at most 2^64 - 1; no
- *    sign, no hex, never empty. Anything else fails with
- *    `file:line: bad invocation count '...' in minute M`, unless the
- *    row is also of the wrong width (not as many count columns as the
- *    first line): that fails first. The 2.9 MB, 10,000-function
- *    by 120-minute file of the `azure_2h` benchmark parses in about
- *    3.5 ms (Release, gcc 12, one core of a 4-core VM).
+ *    is walked once, left to right, with no per-row field vector: the
+ *    four identity fields, then each count cell in place. A count cell
+ *    is decimal digits, with optional spaces or tabs around them, and
+ *    at most 2^64 - 1; no sign, no hex, never empty. Anything else
+ *    fails with `file:line: bad invocation count '...' in minute M`,
+ *    unless the row is also of the wrong width (not as many count
+ *    columns as the first line): that fails first.
  *  - **Caps during parse.** Rows past `azure.max_rows` are never
  *    read; the resident index holds only the nonzero minute buckets
  *    of the kept rows — O(nonzero buckets), which under the

@@ -674,11 +674,13 @@ firstAzureArrivals(const std::string &path, std::uint64_t invocations)
 TEST(StreamingAzure, OnePassIngestMatchesTheSplitReference)
 {
     // Blank-padded cells, tabs, CRLF line ends, comments, leading
-    // zeros and the largest count; one file with the dataset's
-    // header, one whose first line is already a function row. The
-    // largest count sits in the last minute, which the invocation cap
-    // stops the stream short of.
-    const std::string max = "18446744073709551615";
+    // zeros and a 19-digit count past 2^63; one file with the
+    // dataset's header, one whose first line is already a function
+    // row. The large count sits in the last minute, which the
+    // invocation cap stops the stream short of; with the other counts
+    // it stays below 2^64, so the file total is exact.
+    constexpr std::uint64_t kLarge = 9999999999999999999ull;
+    const std::string large = std::to_string(kLarge);
     const std::vector<std::pair<std::string, std::string>> files = {
         {"azure_messy_header.csv",
          "# a hand-written day\r\n"
@@ -686,11 +688,11 @@ TEST(StreamingAzure, OnePassIngestMatchesTheSplitReference)
          "\r\n"
          " aaaa ,bbbb,float-py,\thttp, 2 ,007,\t0 ,0\r\n"
          "cccc,dddd,eeee,timer,0,1,3\t,0   # trailing comment\r\n"
-         "ffff, gggg ,aes-go,queue,0000,0, 12," + max + "\r\n"},
+         "ffff, gggg ,aes-go,queue,0000,0, 12," + large + "\r\n"},
         {"azure_messy_bare.csv",
          "aaaa,bbbb,cccc,http,01, 0,2,0\n"
          "\t# comment only\n"
-         "dddd , eeee,float-py , timer,0,5 ,\t0," + max + "\t\r\n"
+         "dddd , eeee,float-py , timer,0,5 ,\t0," + large + "\t\r\n"
          "ffff,gggg,hhhh,event,3,0,0,0\n"},
     };
     for (const auto &[name, text] : files) {
@@ -707,9 +709,8 @@ TEST(StreamingAzure, OnePassIngestMatchesTheSplitReference)
                 perMinute[m] += row.counts[m];
         }
         EXPECT_TRUE(std::any_of(
-            rows.begin(), rows.end(), [](const ReferenceRow &row) {
-                return row.counts.back() ==
-                       std::numeric_limits<std::uint64_t>::max();
+            rows.begin(), rows.end(), [&](const ReferenceRow &row) {
+                return row.counts.back() == kLarge;
             }));
         std::uint64_t before = 0;
         for (std::uint64_t n : perMinute)
@@ -732,6 +733,26 @@ TEST(StreamingAzure, OnePassIngestMatchesTheSplitReference)
         }
         EXPECT_EQ(seen, perMinute);
     }
+}
+
+TEST(StreamingAzure, LargestCountParses)
+{
+    // 2^64 - 1, padded, as the file's only invocations: the model
+    // builds (no wrap, so the total is not zero) and the horizon ends
+    // with that cell's minute. No stream is opened, so the bucket is
+    // never materialized.
+    const std::string path = writeTempFile(
+        "azure_largest.csv",
+        "HashOwner,HashApp,HashFunction,Trigger,1,2,3\n"
+        "aaaa,bbbb,float-py,http,0,\t18446744073709551615 ,0\n");
+    const std::vector<ReferenceRow> rows = referenceParse(path);
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].counts[1], std::numeric_limits<std::uint64_t>::max());
+    scenario::TrafficSpec spec;
+    spec.model = "azure";
+    spec.azurePath = path;
+    EXPECT_DOUBLE_EQ(scenario::makeTrafficModel(spec)->horizonHint(),
+                     120.0);
 }
 
 TEST(StreamingAzure, RowCapLeavesAMalformedRowUnread)
