@@ -124,6 +124,14 @@ main(int argc, char **argv)
         if (args.has(flag))
             spec.set(key, args.get(flag));
     };
+    // --machines, bounded before it narrows to a group count.
+    const auto machinesFlag = [&args] {
+        const long machines = args.getIntAtLeast("machines", 1);
+        if (machines > cluster::ClusterConfig::kMaxMachines)
+            fatal("litmus-fleet: --machines must be <= ",
+                  cluster::ClusterConfig::kMaxMachines, ", got ", machines);
+        return static_cast<unsigned>(machines);
+    };
     if (args.has("fleet")) {
         spec.set("fleet", args.get("fleet"));
     } else if (args.has("machines") || args.has("preset") ||
@@ -138,9 +146,7 @@ main(int argc, char **argv)
         else if (args.has("preset") || scenarioPath.empty())
             preset = args.get("preset");
         if (scenarioPath.empty()) {
-            spec.fleet = {{preset,
-                           static_cast<unsigned>(
-                               args.getIntAtLeast("machines", 1))}};
+            spec.fleet = {{preset, machinesFlag()}};
         } else {
             // Overlay only the pieces the user actually gave onto the
             // file's fleet; never let an unset flag's default clobber
@@ -152,11 +158,9 @@ main(int argc, char **argv)
                       "' — pass --fleet=type:count,... instead");
             if (preset.empty())
                 preset = spec.fleet.front().machine;
-            const unsigned count =
-                args.has("machines")
-                    ? static_cast<unsigned>(
-                          args.getIntAtLeast("machines", 1))
-                    : spec.fleet.front().count;
+            const unsigned count = args.has("machines")
+                                       ? machinesFlag()
+                                       : spec.fleet.front().count;
             spec.fleet = {{preset, count}};
         }
     }

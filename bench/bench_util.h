@@ -16,7 +16,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -115,23 +114,17 @@ peakRssBytes()
 /**
  * Machine-readable bench artifact: grouped numeric metrics written as
  * one JSON object per group, in insertion order. The output path
- * defaults to bench-out/BENCH_<name>.json under the working directory
- * (the directory is created on write), so every bench's artifacts
- * collect in one place for CI upload; LITMUS_BENCH_JSON overrides the
- * full path (shared by every bench, so CI can redirect a single
- * bench's artifact).
+ * is bench-out/BENCH_<name>.json under the working directory (the
+ * directory is created on write), so every bench's artifacts collect
+ * in one place for CI upload.
  */
 class BenchJson
 {
   public:
-    /** @param default_path e.g. "BENCH_engine.json" (lands in
-     *  bench-out/) */
-    explicit BenchJson(std::string default_path)
-        : path_("bench-out/" + std::move(default_path))
+    /** @param name e.g. "BENCH_engine.json" (lands in bench-out/) */
+    explicit BenchJson(std::string name)
+        : path_("bench-out/" + std::move(name))
     {
-        const char *env = std::getenv("LITMUS_BENCH_JSON");
-        if (env && *env)
-            path_ = env;
     }
 
     /** Record one metric under a group ("" = top level). */

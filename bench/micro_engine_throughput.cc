@@ -61,9 +61,8 @@
  * LITMUS_FLEET_INVOCATIONS (per machine, default 625),
  * LITMUS_FLEET_RATE (per machine, default 500),
  * LITMUS_SPARSE_INVOCATIONS (per machine, default 200),
- * LITMUS_SPARSE_RATE (per machine, default 20), LITMUS_BENCH_JSON
- * (output path, default bench-out/BENCH_engine.json),
- * LITMUS_BENCH_STRICT.
+ * LITMUS_SPARSE_RATE (per machine, default 20), LITMUS_BENCH_STRICT.
+ * Writes bench-out/BENCH_engine.json.
  */
 
 #include <bit>

@@ -1,13 +1,15 @@
 /**
  * @file
  * paper_figures: runs the paper's figure, table and ablation
- * reproductions (Figures 1-21, Table 1 and four ablations).
+ * reproductions (Figures 1-21, Table 1 and four ablations) and the
+ * fleet figures (Figures 22-26, fleet_figures.cc).
  *
  *   paper_figures                 every figure, in table order
  *   paper_figures fig16_method2   the named figures, in argument order
  *
  * An unknown id exits 2 and lists the known ones. LITMUS_REPS and
- * LITMUS_CAL_REPS set the repetition counts.
+ * LITMUS_CAL_REPS set the repetition counts; fleet_figures.cc lists
+ * the fleet figures' knobs.
  *
  * The table below is a baseline plus per-figure overrides: Figures 11
  * and 15-21 are one motion (calibrate, fit the discount model, price
@@ -36,6 +38,7 @@
 #include "core/experiment.h"
 #include "core/poppa.h"
 #include "core/profile_store.h"
+#include "fleet_figures.h"
 #include "sim/machine_catalog.h"
 #include "workload/invoker.h"
 #include "workload/runtime_startup.h"
@@ -1610,6 +1613,11 @@ const Figure kFigures[] = {
                                     100 * result.litmusDiscount(), 1) +
                                 "% (gap " + gapPp(result) + "pp)");
                     }}},
+    {"fig22_fleet_scaling", fig22FleetScaling},
+    {"fig23_hetero_fleet", fig23HeteroFleet},
+    {"fig24_scenario_mix", fig24ScenarioMix},
+    {"fig25_chaos", fig25Chaos},
+    {"fig26_trace_scale", fig26TraceScale},
     {"table1_suite", table1Suite},
     {"ablation_design", ablationDesign},
     {"ablation_numa", ablationNuma},

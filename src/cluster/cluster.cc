@@ -31,6 +31,8 @@ ClusterConfig::validate() const
     if (fleet.empty())
         fatal("ClusterConfig: fleet spec is empty — need at least "
               "one machine group, e.g. {\"cascade-5218\", 4}");
+    // Summed wide, so no group count can wrap the total.
+    std::uint64_t machines = 0;
     for (const MachineGroup &group : fleet) {
         if (group.count == 0)
             fatal("ClusterConfig: machine group '", group.machine,
@@ -38,7 +40,11 @@ ClusterConfig::validate() const
                   "positive count");
         // Resolving an unknown name fatal()s with the catalog listing.
         (void)sim::MachineCatalog::get(group.machine);
+        machines += group.count;
     }
+    if (machines > kMaxMachines)
+        fatal("ClusterConfig: the fleet has ", machines,
+              " machines, more than kMaxMachines (", kMaxMachines, ")");
     // The dispatch epoch is a whole number of quanta and the fleet
     // clock lives on one shared grid, so every machine type in a
     // fleet must agree on the engine quantum (satisfied trivially by

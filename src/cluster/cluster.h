@@ -82,7 +82,8 @@ struct ClusterConfig
      * The fleet, as machine-type groups resolved through
      * MachineCatalog — {"cascade-5218", 8}, {"icelake-4314", 8} is
      * the paper's two testbeds serving side by side. Machines are
-     * indexed group by group in spec order.
+     * indexed group by group in spec order; past kMaxMachines in all,
+     * validate() fails.
      */
     std::vector<MachineGroup> fleet = {{"cascade-5218", 4}};
 
@@ -127,6 +128,9 @@ struct ClusterConfig
 
     /** The most worker threads any run may ask for. */
     static constexpr unsigned kMaxThreads = 1024;
+
+    /** The most machines a fleet may hold, summed over its groups. */
+    static constexpr unsigned kMaxMachines = 16384;
 
     /**
      * The differential oracle: one epoch per barrier, every machine

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string_view>
@@ -188,6 +189,10 @@ parseAzureCsv(const std::string &path, std::uint64_t maxRows)
             }
             p = cut;
             if (*count != 0) {
+                if (*count > std::numeric_limits<std::uint64_t>::max() -
+                                 index.total)
+                    in.fail("invocation count ", *count, " in minute ",
+                            m + 1, " takes the trace's total past 2^64 - 1");
                 index.buckets.push_back({m, rowIdx, *count});
                 index.total += *count;
                 index.lastMinute = std::max(index.lastMinute, m);

@@ -37,27 +37,34 @@ knownKeyListing()
 }
 
 /** Parse a "type:count,type:count" fleet listing (count defaults to
- *  1); fail at @p at on malformed counts or an empty listing. */
+ *  1); fail at @p at on malformed counts, a count or a total past
+ *  ClusterConfig::kMaxMachines, or an empty listing. */
 std::vector<cluster::MachineGroup>
 parseFleetSpec(const std::string &spec, const SourceLine &at)
 {
+    constexpr unsigned cap = cluster::ClusterConfig::kMaxMachines;
     std::vector<cluster::MachineGroup> fleet;
+    std::uint64_t machines = 0;
     for (const std::string &piece : splitNonEmpty(spec, ',')) {
         cluster::MachineGroup group;
         const auto colon = piece.find(':');
         group.machine = piece.substr(0, colon);
         if (colon != std::string::npos) {
             const std::string count = piece.substr(colon + 1);
-            group.count = at.number<unsigned>(
-                count,
-                "fleet spec: machine count '" + count + "' in '" + piece +
-                    "'",
-                1u);
+            const std::string what = "fleet spec: machine count '" +
+                                     count + "' in '" + piece + "'";
+            group.count = at.number<unsigned>(count, what, 1u);
+            if (group.count > cap)
+                at.fail(what, " must be <= ", cap, ", got ", group.count);
         }
+        machines += group.count;
         fleet.push_back(group);
     }
     if (fleet.empty())
         at.fail("fleet spec: empty fleet listing");
+    if (machines > cap)
+        at.fail("fleet spec: '", spec, "' totals ", machines,
+                " machines, more than the ", cap, " a fleet may hold");
     return fleet;
 }
 

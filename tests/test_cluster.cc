@@ -219,6 +219,49 @@ TEST(ClusterConfig, ThreadsPastTheCapFailBeforeAnyThreadStarts)
     cfg.validate();
 }
 
+TEST(ClusterConfig, MachinesPastTheCapFailBeforeAnyEngineIsBuilt)
+{
+    const unsigned cap = ClusterConfig::kMaxMachines;
+    const std::string over = std::to_string(cap + 1);
+    EXPECT_EQ(scenario::ScenarioSpec::fromString(
+                  "fleet = cascade-5218:" + std::to_string(cap) + "\n")
+                  .fleet.front()
+                  .count,
+              cap);
+    // The scenario key (and so litmus_fleet --fleet) fails where it is
+    // read, naming its line: a group past the cap, and groups each
+    // under it whose sum is not.
+    EXPECT_EXIT((void)scenario::ScenarioSpec::fromString(
+                    "seed = 1\nfleet = cascade-5218:" + over + "\n"),
+                ::testing::ExitedWithCode(1),
+                "<config>:2: fleet spec: machine count '" + over +
+                    "' in 'cascade-5218:" + over + "' must be <= " +
+                    std::to_string(cap) + ", got " + over);
+    EXPECT_EXIT((void)scenario::ScenarioSpec::fromString(
+                    "fleet = cascade-5218:10000,icelake-4314:10000\n"),
+                ::testing::ExitedWithCode(1),
+                "<config>:1: fleet spec: .* totals 20000 machines, more "
+                "than the " +
+                    std::to_string(cap));
+    // A config built in code fails in validate(), which the Cluster
+    // constructor runs before it builds an engine; summed in unsigned,
+    // these two groups would wrap to one machine.
+    ClusterConfig cfg;
+    cfg.traffic = test::poissonTraffic(4000, 10);
+    cfg.fleet = {{"cascade-5218", std::numeric_limits<unsigned>::max()},
+                 {"icelake-4314", 2}};
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "the fleet has 4294967297 machines, more than "
+                "kMaxMachines");
+    EXPECT_EXIT(Cluster{cfg}, ::testing::ExitedWithCode(1),
+                "the fleet has 4294967297 machines");
+    cfg.fleet = {{"cascade-5218", cap + 1}};
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "the fleet has " + over + " machines");
+    cfg.fleet = {{"cascade-5218", cap}};
+    cfg.validate();
+}
+
 std::vector<MachineSnapshot>
 snapshots(const std::vector<unsigned> &loads)
 {

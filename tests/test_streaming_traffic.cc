@@ -755,6 +755,23 @@ TEST(StreamingAzure, LargestCountParses)
                      120.0);
 }
 
+TEST(StreamingAzureDeath, TotalPastTheLargestCountFails)
+{
+    // Each cell fits 2^64 - 1 but the file's total does not: the row
+    // fails at its line instead of wrapping the total to 0 (which
+    // read as "contains no invocations").
+    scenario::TrafficSpec spec;
+    spec.model = "azure";
+    spec.azurePath = writeTempFile(
+        "azure_total_wrap.csv",
+        "HashOwner,HashApp,HashFunction,Trigger,1,2\n"
+        "aaaa,bbbb,cccc,http,18446744073709551615,1\n");
+    EXPECT_EXIT((void)scenario::makeTrafficModel(spec),
+                ::testing::ExitedWithCode(1),
+                "azure_total_wrap\\.csv:2: invocation count 1 in minute 2 "
+                "takes the trace's total past 2\\^64 - 1");
+}
+
 TEST(StreamingAzure, RowCapLeavesAMalformedRowUnread)
 {
     // The second row holds a bad cell, but the cap stops the read

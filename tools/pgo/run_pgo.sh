@@ -2,11 +2,11 @@
 # Two-phase profile-guided-optimization build.
 #
 # Phase 1 configures an instrumented build (pgo-generate-<cc> preset),
-# trains it on the two benches that dominate the simulator's hot paths
+# trains it on the two runs that dominate the simulator's hot paths
 # — micro_engine_throughput (engine stepping, fast-forward replay,
-# event-driven fleet serving) and fig22_fleet_scaling (dispatch,
-# harvest, billing) — then phase 2 rebuilds with the collected
-# profiles plus LTO (pgo-use-<cc> preset).
+# event-driven fleet serving) and `paper_figures fig22_fleet_scaling`
+# (dispatch, harvest, billing) — then phase 2 rebuilds with the
+# collected profiles plus LTO (pgo-use-<cc> preset).
 #
 # Usage: tools/pgo/run_pgo.sh [gcc|clang]   (default: gcc)
 #
@@ -33,13 +33,13 @@ echo "== phase 1: instrumented build (pgo-generate-$cc) =="
 rm -rf "$profiles" "build-pgo-generate-$cc"
 cmake --preset "pgo-generate-$cc"
 cmake --build --preset "pgo-generate-$cc" -j "$jobs" \
-    --target micro_engine_throughput fig22_fleet_scaling
+    --target micro_engine_throughput paper_figures
 
-echo "== training: micro_engine_throughput + fig22_fleet_scaling =="
+echo "== training: micro_engine_throughput + paper_figures fig22_fleet_scaling =="
 # Wall-clock speedup floors are meaningless on an instrumented binary.
 export LITMUS_BENCH_STRICT=0
 (cd "build-pgo-generate-$cc/bench" && ./micro_engine_throughput)
-(cd "build-pgo-generate-$cc/bench" && ./fig22_fleet_scaling)
+(cd "build-pgo-generate-$cc/bench" && ./paper_figures fig22_fleet_scaling)
 
 if [ "$cc" = clang ]; then
     echo "== merging clang raw profiles =="
