@@ -11,10 +11,9 @@
  * under a different seed. A flag invocation and the equivalent
  * scenario file produce bit-identical fleet reports.
  *
- * Traffic is pluggable (--traffic=poisson|diurnal|burst|trace|azure,
+ * Traffic is pluggable (--traffic=azure|burst|diurnal|poisson|trace,
  * plus the model knobs); Litmus pricing needs one calibration profile
- * per
- * machine type: --tables loads serialized profiles, --calibrate
+ * per machine type: --tables loads serialized profiles, --calibrate
  * sweeps every fleet type in-process (memoized via ProfileStore), and
  * --tables-out persists the active profiles.
  */
@@ -47,12 +46,12 @@ main(int argc, char **argv)
                    "--machines/--preset)",
                    "")
         .addOption("policy",
-                   "dispatch policy: round-robin | least-loaded | "
-                   "warmth-aware | cost-aware",
+                   "dispatch policy: " +
+                       nameListing(cluster::kDispatchPolicies),
                    "warmth-aware")
         .addOption("traffic",
-                   "traffic model: poisson | diurnal | burst | trace "
-                   "| azure",
+                   "traffic model: " +
+                       nameListing(scenario::kTrafficModels),
                    "poisson")
         .addOption("rate", "fleet arrival rate (invocations/s)", "2000")
         .addOption("invocations",
@@ -209,7 +208,7 @@ main(int argc, char **argv)
     inform("serving ", runner.traffic().name(), " traffic across ",
            runner.clusterConfig().totalMachines(), " machines (",
            fleetDesc, "; ",
-           cluster::policyName(runner.spec().policy), ")");
+           nameOf(cluster::kDispatchPolicies, runner.spec().policy), ")");
 
     const cluster::FleetReport &report = runner.run();
     scenario::printFleetReport(std::cout, report);

@@ -8,8 +8,8 @@
  *   slowdown   run the co-run slowdown experiment (no pricing)
  *   suite      list the Table 1 workload suite
  *   stats      run a churn scenario and dump engine statistics
- *   scenario   run a declarative fleet scenario file
- *              (litmus-sim scenario examples/scenarios/x.scenario)
+ *
+ * Scenario files run through litmus-fleet --scenario=<file>.
  *
  * A machine override file (--machine my-fleet.conf, key=value) can
  * reshape the simulated server for any subcommand.
@@ -24,7 +24,6 @@
 #include "core/calibration.h"
 #include "core/experiment.h"
 #include "core/table_io.h"
-#include "scenario/scenario_runner.h"
 #include "sim/engine.h"
 #include "sim/machine_catalog.h"
 #include "workload/invoker.h"
@@ -221,27 +220,6 @@ cmdStats(const ArgParser &args)
     return 0;
 }
 
-int
-cmdScenario(const ArgParser &args)
-{
-    if (args.positionalCount() < 2)
-        fatal("the scenario command needs a scenario file: "
-              "litmus-sim scenario <file>");
-    // --machine applies here like everywhere else: register the
-    // custom preset first so the scenario's fleet spec can name it.
-    const std::string overridePath = args.get("machine");
-    if (!overridePath.empty())
-        (void)sim::MachineCatalog::registerFromFile(overridePath);
-    scenario::ScenarioSpec spec =
-        scenario::ScenarioSpec::fromFile(args.positional("arg"));
-    scenario::ScenarioRunner runner(std::move(spec));
-    inform("running scenario with ", runner.traffic().name(),
-           " traffic on ", runner.clusterConfig().totalMachines(),
-           " machines");
-    scenario::printFleetReport(std::cout, runner.run());
-    return 0;
-}
-
 } // namespace
 
 int
@@ -251,9 +229,7 @@ main(int argc, char **argv)
                    "Litmus fair-pricing simulator for serverless "
                    "platforms");
     args.addPositional("command",
-                       "calibrate | price | slowdown | suite | stats "
-                       "| scenario")
-        .addPositional("arg", "scenario file (scenario command)")
+                       "calibrate | price | slowdown | suite | stats")
         .addOption("preset",
                    "machine type (catalog name, e.g. cascade-5218 | "
                    "icelake-4314)",
@@ -288,15 +264,6 @@ main(int argc, char **argv)
     }
 
     const std::string command = args.positional("command");
-    // Only the scenario command takes a second positional; keep the
-    // old "unexpected argument" failure for everything else.
-    if (command != "scenario" && args.positionalCount() > 1) {
-        std::cerr << "error: unexpected argument '"
-                  << args.positional("arg") << "' for command '"
-                  << command << "'\n\n"
-                  << args.usage();
-        return 2;
-    }
     if (command == "calibrate")
         return cmdCalibrate(args);
     if (command == "price")
@@ -307,8 +274,6 @@ main(int argc, char **argv)
         return cmdSuite(args);
     if (command == "stats")
         return cmdStats(args);
-    if (command == "scenario")
-        return cmdScenario(args);
     std::cerr << "error: unknown command '" << command << "'\n\n"
               << args.usage();
     return 2;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared helpers for the benches: paper-vs-measured summary lines,
- * wall-clock timing, peak RSS, and machine-readable JSON artifacts.
+ * wall-clock timing, environment knobs, peak RSS, and
+ * machine-readable JSON artifacts.
  *
  * Every bench prints the series the corresponding paper figure/table
  * reports, a `paper=` line with the headline numbers from the paper,
@@ -16,15 +17,19 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/line_reader.h"
 #include "common/logging.h"
 
 namespace litmus::bench
@@ -66,6 +71,32 @@ wallSeconds(Fn &&fn)
     const auto start = Clock::now();
     fn();
     return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/** A positive integer knob from the environment, @p fallback when
+ *  unset or empty; fatal() on anything else. */
+inline unsigned
+envOr(const char *name, unsigned fallback)
+{
+    const char *value = std::getenv(name);
+    if (!value || !*value)
+        return fallback;
+    // Whole-string parse: "8x" used to silently read as 8; a typoed
+    // env knob should fail loudly, not quietly misconfigure a bench.
+    const std::optional<unsigned> parsed = parseNumber<unsigned>(value);
+    if (!parsed || *parsed == 0)
+        fatal("envOr: ", name, " must be a positive integer, got '",
+              value, "'");
+    return *parsed;
+}
+
+/** LITMUS_BENCH_STRICT: wall-clock and RSS-shape checks are armed
+ *  unless it is exactly "0" (loaded or sanitized hosts). */
+inline bool
+benchStrict()
+{
+    const char *value = std::getenv("LITMUS_BENCH_STRICT");
+    return !value || std::string_view(value) != "0";
 }
 
 /**

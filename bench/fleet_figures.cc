@@ -84,7 +84,7 @@ fleetSpec(std::vector<cluster::MachineGroup> fleet, DispatchPolicy policy,
         machines += group.count;
     spec.traffic.arrivalsPerSecond = kRatePerMachine * machines;
     const std::uint64_t invocations =
-        pricing::envOr("LITMUS_FLEET_INVOCATIONS", per_machine);
+        envOr("LITMUS_FLEET_INVOCATIONS", per_machine);
     spec.traffic.invocations = invocations * machines;
     spec.keepAlive = 10.0;
     spec.seed = 7;
@@ -97,7 +97,7 @@ ScenarioSpec
 priced(ScenarioSpec spec)
 {
     spec.calibrate = true;
-    spec.calibrationLevels = pricing::envOr("LITMUS_CAL_LEVELS", 0);
+    spec.calibrationLevels = envOr("LITMUS_CAL_LEVELS", 0);
     return spec;
 }
 
@@ -364,18 +364,19 @@ measure(const std::string &path, bool upfront)
 void
 fig22FleetScaling()
 {
+    const auto policies = canonical(cluster::kDispatchPolicies);
     printBanner(std::cout,
                 "Figure 22 (extension): fleet scaling, 1 -> 16 "
                 "machines x " +
-                    std::to_string(cluster::allPolicies().size()) +
+                    std::to_string(policies.size()) +
                     " dispatch policies");
 
     // Weak scaling: every machine sees the same arrival rate.
     std::vector<Row<ScenarioSpec>> rows;
     for (unsigned machines : {1u, 2u, 4u, 8u, 16u}) {
-        for (DispatchPolicy policy : cluster::allPolicies())
+        for (const auto &[policy, name] : policies)
             rows.push_back(
-                {{std::to_string(machines), policyName(policy)},
+                {{std::to_string(machines), std::string(name)},
                  fleetSpec({{"cascade-5218", machines}}, policy, 625)});
     }
     const std::vector<Served> served = serve(rows);
@@ -436,9 +437,9 @@ fig23HeteroFleet()
     // The paper's two testbeds side by side, each type billed through
     // its own calibrated discount model.
     std::vector<Row<ScenarioSpec>> rows;
-    for (DispatchPolicy policy : cluster::allPolicies())
+    for (const auto &[policy, name] : canonical(cluster::kDispatchPolicies))
         rows.push_back(
-            {{policyName(policy)},
+            {{std::string(name)},
              priced(fleetSpec({{"cascade-5218", 4}, {"icelake-4314", 4}},
                               policy, 625))});
     const std::vector<Served> served = serve(rows);
@@ -701,7 +702,7 @@ fig26TraceScale()
 
     const char *scaleEnv = std::getenv("LITMUS_TRACE_SCALE");
     const std::string scale = scaleEnv && *scaleEnv ? scaleEnv : "standard";
-    const bool strict = pricing::envOr("LITMUS_BENCH_STRICT", 1) != 0;
+    const bool strict = benchStrict();
 
     const std::vector<TraceCell> cells = traceCells(scale);
     const auto path = [](const TraceCell &cell) {

@@ -427,13 +427,12 @@ main()
     const double steadySeconds =
         envDouble("LITMUS_ENGINE_BENCH_SECONDS", 1.0);
     const std::uint64_t perMachine =
-        pricing::envOr("LITMUS_FLEET_INVOCATIONS", 625);
+        bench::envOr("LITMUS_FLEET_INVOCATIONS", 625);
     // Same parser as fig22_fleet_scaling so the shared knob means the
     // same workload in both benches.
     const double ratePerMachine =
-        pricing::envOr("LITMUS_FLEET_RATE", 500);
-    const char *strictEnv = std::getenv("LITMUS_BENCH_STRICT");
-    const bool strict = !strictEnv || std::string(strictEnv) != "0";
+        bench::envOr("LITMUS_FLEET_RATE", 500);
+    const bool strict = bench::benchStrict();
 
     // Best-of-N wall times: the simulation is deterministic, so the
     // fastest repetition is the least host-noise-polluted measurement.
@@ -459,8 +458,8 @@ main()
         return runFleet(true, perMachine, ratePerMachine, &eventReport);
     });
     const std::uint64_t sparseInv =
-        pricing::envOr("LITMUS_SPARSE_INVOCATIONS", 200);
-    const double sparseRate = pricing::envOr("LITMUS_SPARSE_RATE", 20);
+        bench::envOr("LITMUS_SPARSE_INVOCATIONS", 200);
+    const double sparseRate = bench::envOr("LITMUS_SPARSE_RATE", 20);
     cluster::FleetReport sparseExactReport, sparseEventReport;
     const ModeResult sparseExact = bestOf([&] {
         return runFleet(false, sparseInv, sparseRate, &sparseExactReport);

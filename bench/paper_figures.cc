@@ -57,14 +57,14 @@ using workload::Language;
 unsigned
 reps(unsigned fallback = 5)
 {
-    return pricing::envOr("LITMUS_REPS", fallback);
+    return envOr("LITMUS_REPS", fallback);
 }
 
 /** Calibration repetitions (env LITMUS_CAL_REPS overrides). */
 unsigned
 calReps(unsigned fallback = 1)
 {
-    return pricing::envOr("LITMUS_CAL_REPS", fallback);
+    return envOr("LITMUS_CAL_REPS", fallback);
 }
 
 /**
@@ -712,7 +712,9 @@ fig09Regression()
             const LinearFit &fit =
                 model.perfFit(Language::Python, gen, comp);
             minR2 = std::min(minR2, fit.r2());
-            table.addRow({compName, workload::generatorName(gen),
+            const std::string genName(
+                nameOf(workload::kGeneratorNames, gen));
+            table.addRow({compName, genName,
                           TextTable::num(fit.slope()),
                           TextTable::num(fit.intercept()),
                           TextTable::num(fit.r2())});

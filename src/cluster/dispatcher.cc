@@ -7,50 +7,6 @@
 namespace litmus::cluster
 {
 
-std::string
-policyName(DispatchPolicy policy)
-{
-    switch (policy) {
-    case DispatchPolicy::RoundRobin:
-        return "round-robin";
-    case DispatchPolicy::LeastLoaded:
-        return "least-loaded";
-    case DispatchPolicy::WarmthAware:
-        return "warmth-aware";
-    case DispatchPolicy::CostAware:
-        return "cost-aware";
-    }
-    fatal("policyName: unknown policy");
-}
-
-DispatchPolicy
-policyByName(const std::string &name, const SourceLine &at)
-{
-    if (name == "round-robin" || name == "roundrobin" || name == "rr")
-        return DispatchPolicy::RoundRobin;
-    if (name == "least-loaded" || name == "leastloaded" || name == "ll")
-        return DispatchPolicy::LeastLoaded;
-    if (name == "warmth-aware" || name == "warmth")
-        return DispatchPolicy::WarmthAware;
-    if (name == "cost-aware" || name == "cost")
-        return DispatchPolicy::CostAware;
-    at.fail("policyByName: unknown dispatch policy '", name,
-            "' (want round-robin | least-loaded | warmth-aware | "
-            "cost-aware)");
-}
-
-const std::vector<DispatchPolicy> &
-allPolicies()
-{
-    static const std::vector<DispatchPolicy> policies = {
-        DispatchPolicy::RoundRobin,
-        DispatchPolicy::LeastLoaded,
-        DispatchPolicy::WarmthAware,
-        DispatchPolicy::CostAware,
-    };
-    return policies;
-}
-
 std::size_t
 MachineSnapshot::warmIdleFor(const std::string &function) const
 {

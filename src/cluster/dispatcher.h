@@ -31,7 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/line_reader.h"
+#include "common/name_table.h"
 #include "workload/function_model.h"
 
 namespace litmus::cluster
@@ -46,14 +46,19 @@ enum class DispatchPolicy
     CostAware,
 };
 
-/** Display name: "round-robin" / "least-loaded" / "warmth-aware" /
- *  "cost-aware". */
-std::string policyName(DispatchPolicy policy);
-
-/** Parse a policy name (also accepts "rr" / "ll" / "warmth" /
- *  "cost"); an unknown name fails at @p at. */
-DispatchPolicy policyByName(const std::string &name,
-                            const SourceLine &at = {});
+/** The policies' spellings; the first per policy is its name. */
+inline constexpr Spelling<DispatchPolicy> kDispatchPolicies[] = {
+    {DispatchPolicy::RoundRobin, "round-robin"},
+    {DispatchPolicy::RoundRobin, "roundrobin"},
+    {DispatchPolicy::RoundRobin, "rr"},
+    {DispatchPolicy::LeastLoaded, "least-loaded"},
+    {DispatchPolicy::LeastLoaded, "leastloaded"},
+    {DispatchPolicy::LeastLoaded, "ll"},
+    {DispatchPolicy::WarmthAware, "warmth-aware"},
+    {DispatchPolicy::WarmthAware, "warmth"},
+    {DispatchPolicy::CostAware, "cost-aware"},
+    {DispatchPolicy::CostAware, "cost"},
+};
 
 /** One fleet arrival awaiting dispatch. */
 struct Invocation
@@ -166,9 +171,6 @@ class Dispatcher
 
 /** Factory for the built-in policies. */
 std::unique_ptr<Dispatcher> makeDispatcher(DispatchPolicy policy);
-
-/** All built-in policies, in a stable order (bench sweeps). */
-const std::vector<DispatchPolicy> &allPolicies();
 
 } // namespace litmus::cluster
 

@@ -9,76 +9,6 @@
 namespace litmus::cluster
 {
 
-std::string
-retryPolicyName(RetryPolicy policy)
-{
-    switch (policy) {
-    case RetryPolicy::Drop:
-        return "drop";
-    case RetryPolicy::RetryOnce:
-        return "retry-once";
-    case RetryPolicy::RetryBackoff:
-        return "retry-backoff";
-    }
-    fatal("retryPolicyName: unknown policy");
-}
-
-RetryPolicy
-retryPolicyByName(const std::string &name, const SourceLine &at)
-{
-    if (name == "drop" || name == "none")
-        return RetryPolicy::Drop;
-    if (name == "retry-once" || name == "once")
-        return RetryPolicy::RetryOnce;
-    if (name == "retry-backoff" || name == "backoff")
-        return RetryPolicy::RetryBackoff;
-    at.fail("retryPolicyByName: unknown retry policy '", name,
-            "' (want drop | retry-once | retry-backoff)");
-}
-
-std::string
-faultBillingName(FaultBilling billing)
-{
-    switch (billing) {
-    case FaultBilling::TenantPays:
-        return "tenant-pays";
-    case FaultBilling::ProviderAbsorbs:
-        return "provider-absorbs";
-    }
-    fatal("faultBillingName: unknown billing mode");
-}
-
-FaultBilling
-faultBillingByName(const std::string &name, const SourceLine &at)
-{
-    if (name == "tenant-pays" || name == "tenant")
-        return FaultBilling::TenantPays;
-    if (name == "provider-absorbs" || name == "provider")
-        return FaultBilling::ProviderAbsorbs;
-    at.fail("faultBillingByName: unknown fault billing mode '", name,
-            "' (want tenant-pays | provider-absorbs)");
-}
-
-std::string
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-    case FaultKind::Restart:
-        return "restart";
-    case FaultKind::SlowEnd:
-        return "slow-end";
-    case FaultKind::BlindEnd:
-        return "blind-end";
-    case FaultKind::Crash:
-        return "crash";
-    case FaultKind::SlowStart:
-        return "slow-start";
-    case FaultKind::BlindStart:
-        return "blind-start";
-    }
-    fatal("faultKindName: unknown kind");
-}
-
 std::vector<ScriptedFault>
 parseScriptedFaults(const std::string &key, const std::string &value,
                     const SourceLine &at)

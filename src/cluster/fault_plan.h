@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "common/line_reader.h"
+#include "common/name_table.h"
 #include "common/units.h"
 
 namespace litmus::cluster
@@ -61,13 +62,16 @@ enum class RetryPolicy
     RetryBackoff,
 };
 
-/** Display name: "drop" / "retry-once" / "retry-backoff". */
-std::string retryPolicyName(RetryPolicy policy);
-
-/** Parse a policy name (also accepts "once" / "backoff"); an unknown
- *  name fails at @p at. */
-RetryPolicy retryPolicyByName(const std::string &name,
-                              const SourceLine &at = {});
+/** The retry policies' spellings; the first per policy is its
+ *  name. */
+inline constexpr Spelling<RetryPolicy> kRetryPolicies[] = {
+    {RetryPolicy::Drop, "drop"},
+    {RetryPolicy::Drop, "none"},
+    {RetryPolicy::RetryOnce, "retry-once"},
+    {RetryPolicy::RetryOnce, "once"},
+    {RetryPolicy::RetryBackoff, "retry-backoff"},
+    {RetryPolicy::RetryBackoff, "backoff"},
+};
 
 /** Who pays for the partial work a crash destroyed. */
 enum class FaultBilling
@@ -82,13 +86,13 @@ enum class FaultBilling
     ProviderAbsorbs,
 };
 
-/** Display name: "tenant-pays" / "provider-absorbs". */
-std::string faultBillingName(FaultBilling billing);
-
-/** Parse a billing mode (also accepts "tenant" / "provider"); an
- *  unknown mode fails at @p at. */
-FaultBilling faultBillingByName(const std::string &name,
-                                const SourceLine &at = {});
+/** The billing modes' spellings; the first per mode is its name. */
+inline constexpr Spelling<FaultBilling> kFaultBillings[] = {
+    {FaultBilling::TenantPays, "tenant-pays"},
+    {FaultBilling::TenantPays, "tenant"},
+    {FaultBilling::ProviderAbsorbs, "provider-absorbs"},
+    {FaultBilling::ProviderAbsorbs, "provider"},
+};
 
 /** One scripted (explicitly timed) fault. */
 struct ScriptedFault
@@ -198,9 +202,6 @@ enum class FaultKind
     SlowStart,
     BlindStart,
 };
-
-/** Display name ("crash", "restart", "slow-start", ...). */
-std::string faultKindName(FaultKind kind);
 
 /** One scheduled fault transition. */
 struct FaultEvent

@@ -32,7 +32,7 @@ emitWarn(const std::string &msg)
 void
 emitInform(const std::string &msg)
 {
-    std::cout << "info: " << msg << std::endl;
+    std::cerr << "info: " << msg << std::endl;
 }
 
 } // namespace detail

@@ -69,7 +69,8 @@ warn(Args &&...args)
     detail::emitWarn(detail::concat(std::forward<Args>(args)...));
 }
 
-/** Report normal operating status. */
+/** Report normal operating status (on stderr, like every other
+ *  record, so a program's stdout holds only its results). */
 template <typename... Args>
 void
 inform(Args &&...args)

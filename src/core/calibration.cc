@@ -35,7 +35,9 @@ makeStartupTask(Language lang, Instructions window_override = 0)
     const std::vector<sim::Phase> &startup = workload::startupProgram(lang);
     window = std::min(window, sim::totalInstructions(startup) * 0.9);
     return std::make_unique<sim::Task>(
-        "start-" + workload::languageSuffix(lang), startup, window);
+        std::string("start-").append(
+            nameOf(workload::kLanguageSuffixes, lang)),
+        startup, window);
 }
 
 /**

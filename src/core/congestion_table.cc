@@ -28,9 +28,9 @@ void
 CongestionTable::add(GeneratorKind gen, Row row)
 {
     if (row.startups.size() != workload::allLanguages().size())
-        fatal("CongestionTable::add: ", workload::generatorName(gen),
-              " level ", row.level, " has ", row.startups.size(),
-              " startup entries, want ",
+        fatal("CongestionTable::add: ",
+              nameOf(workload::kGeneratorNames, gen), " level ", row.level,
+              " has ", row.startups.size(), " startup entries, want ",
               workload::allLanguages().size());
     std::vector<Row> &rows = rows_[gen];
     if (!rows.empty() && row.level <= rows.back().level)
@@ -45,7 +45,7 @@ CongestionTable::rows(GeneratorKind gen) const
     const auto it = rows_.find(gen);
     if (it == rows_.end())
         fatal("CongestionTable: no series for ",
-              workload::generatorName(gen));
+              nameOf(workload::kGeneratorNames, gen));
     return it->second;
 }
 

@@ -17,7 +17,7 @@ DiscountModel::DiscountModel(const CalibrationProfile &profile)
         for (GeneratorKind gen : kCalibrationGenerators) {
             if (!table.populated(gen))
                 fatal("DiscountModel: calibration table missing ",
-                      workload::generatorName(gen), " rows");
+                      nameOf(workload::kGeneratorNames, gen), " rows");
 
             // x: startup slowdowns at each level; y: reference
             // slowdowns measured in the same stress cell.

@@ -1,8 +1,5 @@
 #include "core/experiment.h"
 
-#include <cstdlib>
-
-#include "common/line_reader.h"
 #include "common/logging.h"
 #include "common/stats.h"
 #include "core/calibration.h"
@@ -58,21 +55,6 @@ ExperimentResult::row(const std::string &name) const
             return r;
     }
     fatal("ExperimentResult::row: no row named '", name, "'");
-}
-
-unsigned
-envOr(const char *name, unsigned fallback)
-{
-    const char *value = std::getenv(name);
-    if (!value || !*value)
-        return fallback;
-    // Whole-string parse: "8x" used to silently read as 8; a typoed
-    // env knob should fail loudly, not quietly misconfigure a bench.
-    const std::optional<unsigned> parsed = parseNumber<unsigned>(value);
-    if (!parsed || *parsed == 0)
-        fatal("envOr: ", name, " must be a positive integer, got '",
-              value, "'");
-    return *parsed;
 }
 
 namespace

@@ -139,9 +139,6 @@ ExperimentResult runPricingExperiment(const ExperimentConfig &cfg,
  */
 ExperimentResult runSlowdownExperiment(const ExperimentConfig &cfg);
 
-/** Read an unsigned override from the environment (bench knobs). */
-unsigned envOr(const char *name, unsigned fallback);
-
 } // namespace litmus::pricing
 
 #endif // LITMUS_CORE_EXPERIMENT_H

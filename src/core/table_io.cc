@@ -21,42 +21,6 @@ namespace
 using workload::GeneratorKind;
 using workload::Language;
 
-const char *
-langToken(Language lang)
-{
-    return lang == Language::Python
-               ? "python"
-               : (lang == Language::NodeJs ? "nodejs" : "go");
-}
-
-Language
-langFromToken(std::string_view token, const SourceLine &at)
-{
-    if (token == "python")
-        return Language::Python;
-    if (token == "nodejs")
-        return Language::NodeJs;
-    if (token == "go")
-        return Language::Go;
-    at.fail("unknown language '", token, "'");
-}
-
-const char *
-genToken(GeneratorKind gen)
-{
-    return gen == GeneratorKind::CtGen ? "ct" : "mb";
-}
-
-GeneratorKind
-genFromToken(std::string_view token, const SourceLine &at)
-{
-    if (token == "ct")
-        return GeneratorKind::CtGen;
-    if (token == "mb")
-        return GeneratorKind::MbGen;
-    at.fail("unknown generator '", token, "'");
-}
-
 /** A table row while its records are still being read. */
 struct PendingRow
 {
@@ -108,6 +72,18 @@ struct Record
                     std::numeric_limits<unsigned>::max(), "]");
         return *value;
     }
+
+    Language
+    language(std::size_t i) const
+    {
+        return parseName(kLanguageTokens, fields[i], "unknown language", at);
+    }
+
+    GeneratorKind
+    generator(std::size_t i) const
+    {
+        return parseName(kGeneratorTokens, fields[i], "unknown generator", at);
+    }
 };
 
 /** Parse a profile from @p in. */
@@ -149,7 +125,7 @@ load(LineReader &in)
             if (!base.valid())
                 at.fail("malformed baseline: instructions must be "
                         "positive");
-            const Language l = langFromToken(r.fields[1], at);
+            const Language l = r.language(1);
             out.congestion.setBaseline(l, base);
             baselines.insert(l);
         } else if (kind == "solo") {
@@ -162,10 +138,9 @@ load(LineReader &in)
             r.expect(7, "congestion row");
             const CongestionEntry entry{r.real(4), r.real(5), r.real(6),
                                         r.real(7)};
-            const Language l = langFromToken(r.fields[1], at);
+            const Language l = r.language(1);
             const unsigned level = r.level(3);
-            PendingRow &row = pendingRow(genFromToken(r.fields[2], at),
-                                         level, at.line);
+            PendingRow &row = pendingRow(r.generator(2), level, at.line);
             if (!row.startups.emplace(l, entry).second)
                 at.fail("duplicate congestion row for ", r.fields[1], ' ',
                         r.fields[2], " level ", level);
@@ -173,8 +148,7 @@ load(LineReader &in)
             r.expect(5, "performance row");
             const PerformanceEntry entry{r.real(3), r.real(4), r.real(5)};
             const unsigned level = r.level(2);
-            PendingRow &row =
-                pendingRow(genFromToken(r.fields[1], at), level, at.line);
+            PendingRow &row = pendingRow(r.generator(1), level, at.line);
             if (row.reference)
                 at.fail("duplicate performance row for ", r.fields[1],
                         " level ", level);
@@ -194,14 +168,15 @@ load(LineReader &in)
             for (Language lang : workload::allLanguages()) {
                 const auto entry = p.startups.find(lang);
                 if (entry == p.startups.end())
-                    at.fail("generator ", genToken(gen), " level ",
-                            level, " has no ", langToken(lang),
+                    at.fail("generator ", nameOf(kGeneratorTokens, gen),
+                            " level ", level, " has no ",
+                            nameOf(kLanguageTokens, lang),
                             " congestion row");
                 row.startups.push_back(entry->second);
             }
             if (!p.reference)
-                at.fail("generator ", genToken(gen), " level ", level,
-                        " has no performance row");
+                at.fail("generator ", nameOf(kGeneratorTokens, gen),
+                        " level ", level, " has no performance row");
             row.reference = *p.reference;
             out.congestion.add(gen, std::move(row));
         }
@@ -213,12 +188,14 @@ load(LineReader &in)
     const SourceLine whole{in.source(), 0};
     for (Language lang : workload::allLanguages()) {
         if (!baselines.contains(lang))
-            whole.fail("no baseline for ", langToken(lang));
+            whole.fail("no baseline for ",
+                       nameOf(kLanguageTokens, lang));
     }
     for (GeneratorKind gen : kCalibrationGenerators) {
         const std::size_t levels = pending[gen].size();
         if (levels < 2)
-            whole.fail("generator ", genToken(gen), " has ", levels,
+            whole.fail("generator ", nameOf(kGeneratorTokens, gen),
+                       " has ", levels,
                        " level(s), the discount model fits a line "
                        "through at least 2");
     }
@@ -253,9 +230,9 @@ saveProfile(std::ostream &os, const CalibrationProfile &profile)
 
     for (Language lang : workload::allLanguages()) {
         const ProbeReading &base = table.baseline(lang);
-        os << "baseline " << langToken(lang) << ' ' << base.privCpi
-           << ' ' << base.sharedCpi << ' ' << base.instructions << ' '
-           << base.machineL3MissPerUs << '\n';
+        os << "baseline " << nameOf(kLanguageTokens, lang) << ' '
+           << base.privCpi << ' ' << base.sharedCpi << ' '
+           << base.instructions << ' ' << base.machineL3MissPerUs << '\n';
     }
 
     for (const auto &[name, solo] : profile.referenceSolo) {
@@ -267,8 +244,9 @@ saveProfile(std::ostream &os, const CalibrationProfile &profile)
         for (GeneratorKind gen : kCalibrationGenerators) {
             for (const CongestionTable::Row &row : table.rows(gen)) {
                 const CongestionEntry &e = row.startup(lang);
-                os << "congestion " << langToken(lang) << ' '
-                   << genToken(gen) << ' ' << row.level << ' '
+                os << "congestion " << nameOf(kLanguageTokens, lang)
+                   << ' ' << nameOf(kGeneratorTokens, gen) << ' '
+                   << row.level << ' '
                    << e.privSlowdown << ' ' << e.sharedSlowdown << ' '
                    << e.totalSlowdown << ' ' << e.l3MissPerUs << '\n';
             }
@@ -278,9 +256,9 @@ saveProfile(std::ostream &os, const CalibrationProfile &profile)
     for (GeneratorKind gen : kCalibrationGenerators) {
         for (const CongestionTable::Row &row : table.rows(gen)) {
             const PerformanceEntry &p = row.reference;
-            os << "performance " << genToken(gen) << ' ' << row.level
-               << ' ' << p.privSlowdown << ' ' << p.sharedSlowdown << ' '
-               << p.totalSlowdown << '\n';
+            os << "performance " << nameOf(kGeneratorTokens, gen) << ' '
+               << row.level << ' ' << p.privSlowdown << ' '
+               << p.sharedSlowdown << ' ' << p.totalSlowdown << '\n';
         }
     }
 }

@@ -29,10 +29,24 @@
 #include <iosfwd>
 #include <string>
 
+#include "common/name_table.h"
 #include "core/calibration.h"
 
 namespace litmus::pricing
 {
+
+/** The tokens that name a language in a record. */
+inline constexpr Spelling<workload::Language> kLanguageTokens[] = {
+    {workload::Language::Python, "python"},
+    {workload::Language::NodeJs, "nodejs"},
+    {workload::Language::Go, "go"},
+};
+
+/** The tokens that name a generator in a record. */
+inline constexpr Spelling<workload::GeneratorKind> kGeneratorTokens[] = {
+    {workload::GeneratorKind::CtGen, "ct"},
+    {workload::GeneratorKind::MbGen, "mb"},
+};
 
 /** Serialize a whole profile (v2) to a stream; fatal() on a machine
  *  or solo name with whitespace or '#', which would not reload. */

@@ -4,6 +4,7 @@
 
 #include "common/config_reader.h"
 #include "common/logging.h"
+#include "common/name_table.h"
 #include "workload/suite.h"
 
 namespace litmus::scenario
@@ -12,29 +13,10 @@ namespace litmus::scenario
 namespace
 {
 
-bool
-parseBool(const std::string &key, const std::string &value,
-          const SourceLine &at)
-{
-    if (value == "true" || value == "yes" || value == "on" ||
-        value == "1")
-        return true;
-    if (value == "false" || value == "no" || value == "off" ||
-        value == "0")
-        return false;
-    at.fail("scenario key '", key, "' expects a boolean "
-            "(true/false/yes/no/on/off/1/0), got '", value, "'");
-}
-
-/** The known-keys list as one comma-joined string (diagnostics). */
-std::string
-knownKeyListing()
-{
-    std::string known;
-    for (const std::string &k : ScenarioSpec::knownKeys())
-        known += (known.empty() ? "" : ", ") + k;
-    return known;
-}
+constexpr Spelling<bool> kBools[] = {
+    {true, "true"}, {true, "yes"}, {true, "on"}, {true, "1"},
+    {false, "false"}, {false, "no"}, {false, "off"}, {false, "0"},
+};
 
 /** Parse a "type:count,type:count" fleet listing (count defaults to
  *  1); fail at @p at on malformed counts, a count or a total past
@@ -136,9 +118,10 @@ ScenarioSpec::set(const std::string &key, const std::string &value,
     if (key == "fleet") {
         fleet = parseFleetSpec(value, at);
     } else if (key == "policy") {
-        policy = cluster::policyByName(value, at);
+        policy = parseName(cluster::kDispatchPolicies, value,
+                           "policyByName: unknown dispatch policy", at);
     } else if (key == "traffic") {
-        requireTrafficModel(value, at);
+        (void)parseName(kTrafficModels, value, "unknown traffic model", at);
         traffic.model = value;
         // The 10000-arrival default is a stop condition for the
         // generative models; a replay must not silently truncate its
@@ -169,7 +152,8 @@ ScenarioSpec::set(const std::string &key, const std::string &value,
                     cluster::ClusterConfig::kMaxThreads, ", got ",
                     threads);
     } else if (key == "calibrate") {
-        calibrate = parseBool(key, value, at);
+        calibrate =
+            parseName(kBools, value, what + " expects a boolean, got", at);
     } else if (key == "calibration_levels") {
         calibrationLevels = at.number<unsigned>(value, what);
     } else if (key == "tables") {
@@ -177,7 +161,8 @@ ScenarioSpec::set(const std::string &key, const std::string &value,
     } else if (key == "tables_out") {
         tablesOut = value;
     } else if (key == "probes") {
-        probes = parseBool(key, value, at);
+        probes =
+            parseName(kBools, value, what + " expects a boolean, got", at);
     } else if (key == "fault.seed") {
         fault.seed = at.number<std::uint64_t>(value, what);
     } else if (key == "fault.crash.at") {
@@ -187,14 +172,18 @@ ScenarioSpec::set(const std::string &key, const std::string &value,
     } else if (key == "fault.blind.at") {
         fault.blindAt = cluster::parseScriptedFaults(key, value, at);
     } else if (key == "fault.retry") {
-        fault.retry = cluster::retryPolicyByName(value, at);
+        fault.retry = parseName(cluster::kRetryPolicies, value,
+                                "retryPolicyByName: unknown retry policy",
+                                at);
     } else if (key == "fault.retry.max") {
         fault.retryMax = at.number<unsigned>(value, what, 1u);
     } else if (key == "fault.billing") {
-        fault.billing = cluster::faultBillingByName(value, at);
+        fault.billing = parseName(
+            cluster::kFaultBillings, value,
+            "faultBillingByName: unknown fault billing mode", at);
     } else {
         at.fail("unknown scenario key '", key, "' (known: ",
-                knownKeyListing(), ")");
+                joinNames(knownKeys()), ")");
     }
     return *this;
 }

@@ -342,8 +342,6 @@ class TraceTraffic final : public TrafficModel
 void
 TrafficSpec::validate() const
 {
-    if (model.empty())
-        fatal("TrafficSpec: empty model name");
     // Replay models are bounded by their file, not by the stop knobs,
     // and their timestamps carry their own rate.
     const bool replay = model == "trace" || model == "azure";
@@ -388,33 +386,33 @@ TrafficSpec::validate() const
               "finite");
 }
 
-void
-requireTrafficModel(std::string_view name, const SourceLine &at)
+namespace
 {
-    if (std::find(std::begin(kTrafficModelNames),
-                  std::end(kTrafficModelNames),
-                  name) != std::end(kTrafficModelNames))
-        return;
-    std::string known;
-    for (std::string_view model : kTrafficModelNames)
-        known.append(known.empty() ? "" : ", ").append(model);
-    at.fail("unknown traffic model '", name, "' (known: ", known, ")");
+
+template <typename Model>
+std::unique_ptr<TrafficModel>
+make(const TrafficSpec &spec)
+{
+    return std::make_unique<Model>(spec);
 }
+
+} // namespace
+
+const Spelling<TrafficFactory> kTrafficModels[5] = {
+    {&makeAzureTraceModel, "azure"},
+    {&make<GenerativeTraffic<BurstStream>>, "burst"},
+    {&make<GenerativeTraffic<DiurnalStream>>, "diurnal"},
+    {&make<GenerativeTraffic<PoissonStream>>, "poisson"},
+    {&make<TraceTraffic>, "trace"},
+};
 
 std::unique_ptr<TrafficModel>
 makeTrafficModel(const TrafficSpec &spec)
 {
     spec.validate();
-    requireTrafficModel(spec.model);
-    if (spec.model == "poisson")
-        return std::make_unique<GenerativeTraffic<PoissonStream>>(spec);
-    if (spec.model == "diurnal")
-        return std::make_unique<GenerativeTraffic<DiurnalStream>>(spec);
-    if (spec.model == "burst")
-        return std::make_unique<GenerativeTraffic<BurstStream>>(spec);
-    if (spec.model == "trace")
-        return std::make_unique<TraceTraffic>(spec);
-    return makeAzureTraceModel(spec); // the one name left
+    const TrafficFactory factory =
+        parseName(kTrafficModels, spec.model, "unknown traffic model");
+    return factory(spec);
 }
 
 namespace

@@ -42,6 +42,7 @@
 
 #include "cluster/traffic_source.h"
 #include "common/line_reader.h"
+#include "common/name_table.h"
 
 namespace litmus::scenario
 {
@@ -127,13 +128,12 @@ struct TrafficSpec
  */
 using TrafficModel = cluster::TrafficSource;
 
-/** The built-in model names, as diagnostics list them. */
-inline constexpr std::string_view kTrafficModelNames[] = {
-    "azure", "burst", "diurnal", "poisson", "trace"};
+/** Builds one built-in model from a validated spec. */
+using TrafficFactory = std::unique_ptr<TrafficModel> (*)(const TrafficSpec &);
 
-/** Fail at @p at, listing kTrafficModelNames, unless @p name is one of
- *  them. */
-void requireTrafficModel(std::string_view name, const SourceLine &at = {});
+/** The built-in models by name; an unknown one is refused as
+ *  "unknown traffic model". */
+extern const Spelling<TrafficFactory> kTrafficModels[5];
 
 /** Build the built-in model @p spec names; fatal() with the known
  *  names on any other name. */

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 
 #include "common/config_reader.h"
 #include "common/logging.h"
 #include "common/mutex.h"
+#include "common/name_table.h"
 
 namespace litmus::sim
 {
@@ -155,13 +155,9 @@ MachineCatalog::get(const std::string &name, const SourceLine &at)
     Registry &reg = registry();
     MutexLock lock(&reg.mutex);
     const MachineConfig *preset = reg.lookup(name);
-    if (!preset) {
-        std::ostringstream known;
-        for (std::size_t i = 0; i < reg.canonical.size(); ++i)
-            known << (i ? ", " : "") << reg.canonical[i];
+    if (!preset)
         at.fail("MachineCatalog: unknown machine '", name,
-                "' (catalog: ", known.str(), ")");
-    }
+                "' (catalog: ", joinNames(reg.canonical), ")");
     return *preset;
 }
 

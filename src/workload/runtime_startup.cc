@@ -81,34 +81,6 @@ buildGoStartup()
 
 } // namespace
 
-std::string
-languageSuffix(Language lang)
-{
-    switch (lang) {
-      case Language::Python:
-        return "py";
-      case Language::NodeJs:
-        return "nj";
-      case Language::Go:
-        return "go";
-    }
-    panic("languageSuffix: bad language");
-}
-
-std::string
-languageName(Language lang)
-{
-    switch (lang) {
-      case Language::Python:
-        return "Python";
-      case Language::NodeJs:
-        return "Node.js";
-      case Language::Go:
-        return "Go";
-    }
-    panic("languageName: bad language");
-}
-
 const std::vector<Language> &
 allLanguages()
 {

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/name_table.h"
 #include "sim/task.h"
 
 namespace litmus::workload
@@ -30,11 +31,27 @@ enum class Language
     Go,
 };
 
-/** Short suffix used in function names ("py", "nj", "go"). */
-std::string languageSuffix(Language lang);
+/** Display names: reports and the ledger's tenant names. */
+inline constexpr Spelling<Language> kLanguageNames[] = {
+    {Language::Python, "Python"},
+    {Language::NodeJs, "Node.js"},
+    {Language::Go, "Go"},
+};
 
-/** Display name ("Python", "Node.js", "Go"). */
-std::string languageName(Language lang);
+/** Suffixes of the suite's function names ("float-py"). */
+inline constexpr Spelling<Language> kLanguageSuffixes[] = {
+    {Language::Python, "py"},
+    {Language::NodeJs, "nj"},
+    {Language::Go, "go"},
+};
+
+/** Display name ("Python", "Node.js", "Go"): a scan of three entries
+ *  into a string short enough to stay inline. */
+inline std::string
+languageName(Language lang)
+{
+    return std::string(nameOf(kLanguageNames, lang));
+}
 
 /** All modelled languages, in a stable order. */
 const std::vector<Language> &allLanguages();

@@ -7,12 +7,6 @@
 namespace litmus::workload
 {
 
-std::string
-generatorName(GeneratorKind kind)
-{
-    return kind == GeneratorKind::CtGen ? "CT-Gen" : "MB-Gen";
-}
-
 sim::ResourceDemand
 generatorThreadDemand(GeneratorKind kind)
 {

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/name_table.h"
 #include "sim/engine.h"
 
 namespace litmus::workload
@@ -32,8 +33,11 @@ enum class GeneratorKind
     MbGen, // memory-bandwidth traffic: L3-missing streams
 };
 
-/** Display name: "CT-Gen" / "MB-Gen". */
-std::string generatorName(GeneratorKind kind);
+/** Display names. */
+inline constexpr Spelling<GeneratorKind> kGeneratorNames[] = {
+    {GeneratorKind::CtGen, "CT-Gen"},
+    {GeneratorKind::MbGen, "MB-Gen"},
+};
 
 /** Demand of a single generator thread. */
 sim::ResourceDemand generatorThreadDemand(GeneratorKind kind);

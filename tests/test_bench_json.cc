@@ -1,13 +1,15 @@
 /**
  * @file
- * Tests for the bench artifact writer (bench/bench_util.h BenchJson):
- * its output must be valid JSON whatever the keys and values are, so
- * every artifact is parsed back with a strict reader.
+ * Tests for the bench helpers in bench/bench_util.h: the artifact
+ * writer (BenchJson), whose output must be valid JSON whatever the
+ * keys and values are, so every artifact is parsed back with a strict
+ * reader, and the environment knob readers (envOr, benchStrict).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <map>
 #include <optional>
@@ -183,6 +185,42 @@ TEST(BenchJson, ReaderRejectsTheOldOutput)
     EXPECT_FALSE(JsonReader("{\n  \"x\": inf\n}\n").parse());
     EXPECT_FALSE(JsonReader("{\n  \"a\"b\": 1\n}\n").parse());
     EXPECT_TRUE(JsonReader("{\n  \"x\": -1.5e-3\n}\n").parse());
+}
+
+TEST(EnvOr, ParsesAndValidates)
+{
+    ::unsetenv("LITMUS_TEST_KNOB");
+    EXPECT_EQ(envOr("LITMUS_TEST_KNOB", 7u), 7u);
+    ::setenv("LITMUS_TEST_KNOB", "12", 1);
+    EXPECT_EQ(envOr("LITMUS_TEST_KNOB", 7u), 12u);
+    ::setenv("LITMUS_TEST_KNOB", "-3", 1);
+    EXPECT_EXIT(envOr("LITMUS_TEST_KNOB", 7u),
+                ::testing::ExitedWithCode(1), "positive");
+    ::unsetenv("LITMUS_TEST_KNOB");
+}
+
+TEST(EnvOr, RejectsZeroRepsWithClearError)
+{
+    // The bench knob everyone actually sets: LITMUS_REPS=0 must die
+    // with the "positive integer" message, not loop zero times.
+    ::setenv("LITMUS_REPS", "0", 1);
+    EXPECT_EXIT(envOr("LITMUS_REPS", 5u),
+                ::testing::ExitedWithCode(1),
+                "LITMUS_REPS must be a positive integer");
+    ::unsetenv("LITMUS_REPS");
+}
+
+TEST(BenchStrict, OnlyZeroRelaxes)
+{
+    ::unsetenv("LITMUS_BENCH_STRICT");
+    EXPECT_TRUE(benchStrict());
+    for (const char *armed : {"1", "yes", "", "00"}) {
+        ::setenv("LITMUS_BENCH_STRICT", armed, 1);
+        EXPECT_TRUE(benchStrict()) << "'" << armed << "'";
+    }
+    ::setenv("LITMUS_BENCH_STRICT", "0", 1);
+    EXPECT_FALSE(benchStrict());
+    ::unsetenv("LITMUS_BENCH_STRICT");
 }
 
 } // namespace

@@ -95,12 +95,15 @@ smallFleet(unsigned machines, DispatchPolicy policy,
 
 TEST(DispatchPolicyNames, RoundTripAndAliases)
 {
-    for (DispatchPolicy policy : allPolicies())
-        EXPECT_EQ(policyByName(policyName(policy)), policy);
-    EXPECT_EQ(policyByName("rr"), DispatchPolicy::RoundRobin);
-    EXPECT_EQ(policyByName("ll"), DispatchPolicy::LeastLoaded);
-    EXPECT_EQ(policyByName("warmth"), DispatchPolicy::WarmthAware);
-    EXPECT_EXIT(policyByName("fastest"), ::testing::ExitedWithCode(1),
+    const auto parse = [](const std::string &name) {
+        return scenario::ScenarioSpec().set("policy", name).policy;
+    };
+    for (const auto &[policy, name] : canonical(kDispatchPolicies))
+        EXPECT_EQ(parse(std::string(name)), policy);
+    EXPECT_EQ(parse("rr"), DispatchPolicy::RoundRobin);
+    EXPECT_EQ(parse("ll"), DispatchPolicy::LeastLoaded);
+    EXPECT_EQ(parse("warmth"), DispatchPolicy::WarmthAware);
+    EXPECT_EXIT(parse("fastest"), ::testing::ExitedWithCode(1),
                 "unknown dispatch policy");
 }
 
@@ -338,10 +341,13 @@ TEST(Dispatcher, CostAwareWeighsSpeedAgainstCrowding)
 
 TEST(Dispatcher, PolicyNamesIncludeCostAware)
 {
-    EXPECT_EQ(policyByName("cost"), DispatchPolicy::CostAware);
-    EXPECT_EQ(policyByName("cost-aware"), DispatchPolicy::CostAware);
-    EXPECT_EQ(policyName(DispatchPolicy::CostAware), "cost-aware");
-    EXPECT_EQ(allPolicies().size(), 4u);
+    EXPECT_EQ(parseName(kDispatchPolicies, "cost", "policy"),
+              DispatchPolicy::CostAware);
+    EXPECT_EQ(parseName(kDispatchPolicies, "cost-aware", "policy"),
+              DispatchPolicy::CostAware);
+    EXPECT_EQ(nameOf(kDispatchPolicies, DispatchPolicy::CostAware),
+              "cost-aware");
+    EXPECT_EQ(canonical(kDispatchPolicies).size(), 4u);
 }
 
 TEST(Dispatcher, WarmthAwarePrefersWarmThenFallsBack)

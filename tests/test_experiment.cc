@@ -61,29 +61,6 @@ TEST(ExperimentConfig, ValidateCatchesBadCpu)
                 "out of range");
 }
 
-TEST(EnvOr, ParsesAndValidates)
-{
-    ::unsetenv("LITMUS_TEST_KNOB");
-    EXPECT_EQ(envOr("LITMUS_TEST_KNOB", 7u), 7u);
-    ::setenv("LITMUS_TEST_KNOB", "12", 1);
-    EXPECT_EQ(envOr("LITMUS_TEST_KNOB", 7u), 12u);
-    ::setenv("LITMUS_TEST_KNOB", "-3", 1);
-    EXPECT_EXIT(envOr("LITMUS_TEST_KNOB", 7u),
-                ::testing::ExitedWithCode(1), "positive");
-    ::unsetenv("LITMUS_TEST_KNOB");
-}
-
-TEST(EnvOr, RejectsZeroRepsWithClearError)
-{
-    // The bench knob everyone actually sets: LITMUS_REPS=0 must die
-    // with the "positive integer" message, not loop zero times.
-    ::setenv("LITMUS_REPS", "0", 1);
-    EXPECT_EXIT(envOr("LITMUS_REPS", 5u),
-                ::testing::ExitedWithCode(1),
-                "LITMUS_REPS must be a positive integer");
-    ::unsetenv("LITMUS_REPS");
-}
-
 TEST(SlowdownExperiment, ProducesSaneRows)
 {
     const auto result = runSlowdownExperiment(smallConfig());

@@ -159,23 +159,31 @@ relErr(double measured, double expected)
 
 TEST(FaultPlan, PolicyAndBillingNamesRoundTrip)
 {
+    const auto retry = [](const std::string &name) {
+        return scenario::ScenarioSpec().set("fault.retry", name).fault.retry;
+    };
     for (RetryPolicy policy :
          {RetryPolicy::Drop, RetryPolicy::RetryOnce,
           RetryPolicy::RetryBackoff})
-        EXPECT_EQ(retryPolicyByName(retryPolicyName(policy)), policy);
-    EXPECT_EQ(retryPolicyByName("once"), RetryPolicy::RetryOnce);
-    EXPECT_EQ(retryPolicyByName("backoff"), RetryPolicy::RetryBackoff);
-    EXPECT_EXIT(retryPolicyByName("pray"),
+        EXPECT_EQ(retry(std::string(nameOf(kRetryPolicies, policy))),
+                  policy);
+    EXPECT_EQ(retry("once"), RetryPolicy::RetryOnce);
+    EXPECT_EQ(retry("backoff"), RetryPolicy::RetryBackoff);
+    EXPECT_EXIT(retry("pray"),
                 ::testing::ExitedWithCode(1), "unknown retry policy");
 
-    for (FaultBilling billing :
+    const auto billing = [](const std::string &name) {
+        return scenario::ScenarioSpec()
+            .set("fault.billing", name)
+            .fault.billing;
+    };
+    for (FaultBilling mode :
          {FaultBilling::TenantPays, FaultBilling::ProviderAbsorbs})
-        EXPECT_EQ(faultBillingByName(faultBillingName(billing)),
-                  billing);
-    EXPECT_EQ(faultBillingByName("tenant"), FaultBilling::TenantPays);
-    EXPECT_EQ(faultBillingByName("provider"),
-              FaultBilling::ProviderAbsorbs);
-    EXPECT_EXIT(faultBillingByName("split"),
+        EXPECT_EQ(billing(std::string(nameOf(kFaultBillings, mode))),
+                  mode);
+    EXPECT_EQ(billing("tenant"), FaultBilling::TenantPays);
+    EXPECT_EQ(billing("provider"), FaultBilling::ProviderAbsorbs);
+    EXPECT_EXIT(billing("split"),
                 ::testing::ExitedWithCode(1),
                 "unknown fault billing mode");
 }

@@ -21,9 +21,9 @@ TEST(Startup, AllLanguagesListed)
 
 TEST(Startup, Suffixes)
 {
-    EXPECT_EQ(languageSuffix(Language::Python), "py");
-    EXPECT_EQ(languageSuffix(Language::NodeJs), "nj");
-    EXPECT_EQ(languageSuffix(Language::Go), "go");
+    EXPECT_EQ(nameOf(kLanguageSuffixes, Language::Python), "py");
+    EXPECT_EQ(nameOf(kLanguageSuffixes, Language::NodeJs), "nj");
+    EXPECT_EQ(nameOf(kLanguageSuffixes, Language::Go), "go");
     EXPECT_EQ(languageName(Language::Python), "Python");
 }
 

@@ -57,7 +57,8 @@ TEST(Suite, AllThreeLanguagesPresent)
 TEST(Suite, SuffixMatchesLanguage)
 {
     for (const FunctionSpec &spec : table1Suite()) {
-        const std::string suffix = languageSuffix(spec.language);
+        const std::string suffix(
+            nameOf(kLanguageSuffixes, spec.language));
         ASSERT_GT(spec.name.size(), suffix.size());
         EXPECT_EQ(spec.name.substr(spec.name.size() - suffix.size()),
                   suffix)

@@ -16,8 +16,8 @@ namespace
 
 TEST(TrafficGen, Names)
 {
-    EXPECT_EQ(generatorName(GeneratorKind::CtGen), "CT-Gen");
-    EXPECT_EQ(generatorName(GeneratorKind::MbGen), "MB-Gen");
+    EXPECT_EQ(nameOf(kGeneratorNames, GeneratorKind::CtGen), "CT-Gen");
+    EXPECT_EQ(nameOf(kGeneratorNames, GeneratorKind::MbGen), "MB-Gen");
 }
 
 TEST(TrafficGen, CtThreadMostlyHitsL3)
