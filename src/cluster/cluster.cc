@@ -436,6 +436,8 @@ Cluster::refreshSnapshot(const Machine &m)
     snap.committedMemory = m.committedMemory;
     snap.dispatchable = !m.down && !m.blind;
     snap.speedFactor = m.speedFactor;
+    if (tree_)
+        tree_->update(snap);
     ++report_.sched.barrierMachineVisits;
 }
 
@@ -500,7 +502,11 @@ Cluster::checkBookkeeping() const
 void
 Cluster::dispatch(const Invocation &inv)
 {
-    unsigned chosen = dispatcher_->pick(inv, snaps_);
+    unsigned chosen = tree_ ? tree_->pick() : dispatcher_->pick(inv, snaps_);
+    if (tree_ && cfg_.exactQuantum && dispatcher_->pick(inv, snaps_) != chosen)
+        panic("cluster: the ", nameOf(kDispatchPolicies, cfg_.policy),
+              " tree picked machine ", chosen, ", its reference scan ",
+              dispatcher_->pick(inv, snaps_));
     if (chosen >= machines_.size())
         fatal("dispatcher returned machine ", chosen, " of ",
               machines_.size());
@@ -1212,6 +1218,8 @@ Cluster::run()
     // The one O(fleet) snapshot build; from here on only the machines
     // a dispatch, harvest or fault touches are refreshed.
     snaps_ = snapshots();
+    if (DispatchTree::serves(cfg_.policy))
+        tree_.emplace(cfg_.policy, snaps_);
 
     report_.makespan = serveEvent(s);
     report_.sched.barriersElided =

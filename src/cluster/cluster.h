@@ -35,8 +35,9 @@
  * of state persist across barriers: the busy set (machines that may
  * hold live tasks, in index order), a keep-alive min-heap of
  * (expiry, machine), and the dispatcher snapshots, refreshed only for
- * machines a dispatch, a harvest or a fault touched. A barrier costs
- * O(machines touched) apart from the dispatch policy's own pick.
+ * machines a dispatch, a harvest or a fault touched (and a
+ * DispatchTree over them for least-loaded and cost-aware routing). A
+ * barrier costs O(machines touched) apart from a warmth-aware pick.
  *
  * Warm containers: every completed invocation leaves one idle warm
  * container behind (keep-alive bounded). A dispatch that finds one
@@ -50,6 +51,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -521,7 +523,8 @@ class Cluster
      */
     std::vector<MachineSnapshot> snapshots() const;
 
-    /** Copy @p m's mutable state into its entry of snaps_. */
+    /** Copy @p m's mutable state into its entry of snaps_ (and its
+     *  leaf of tree_): the one writer of both after run()'s build. */
     void refreshSnapshot(const Machine &m);
 
     /**
@@ -630,6 +633,9 @@ class Cluster
     /** Dispatcher snapshots, built once by run() and refreshed per
      *  touched machine; equal to snapshots() at every barrier. */
     std::vector<MachineSnapshot> snaps_;
+
+    /** The pick over snaps_, for the policies a tree serves. */
+    std::optional<DispatchTree> tree_;
 
     /** Machines currently down or blind (not dispatchable). */
     unsigned blocked_ = 0;

@@ -1,5 +1,7 @@
 #include "cluster/dispatcher.h"
 
+#include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/logging.h"
@@ -19,26 +21,32 @@ MachineSnapshot::warmIdleFor(const std::string &function) const
 namespace
 {
 
-/** Least live tasks among dispatchable machines; ties go to the
- *  lowest machine index. */
+constexpr double kUnroutable = std::numeric_limits<double>::infinity();
+
+[[noreturn]] void
+noDispatchable()
+{
+    fatal("dispatcher: no dispatchable machine (the cluster must hold "
+          "arrivals while the whole fleet is down or blind)");
+}
+
+/** The reference scan: the first machine in index order whose rank
+ *  is lowest (strict <, so a rank of +inf never wins). */
 unsigned
-leastLoadedIndex(const std::vector<MachineSnapshot> &machines)
+argMinRank(DispatchPolicy policy,
+           const std::vector<MachineSnapshot> &machines)
 {
     unsigned best = 0;
-    unsigned bestLoad = std::numeric_limits<unsigned>::max();
-    bool found = false;
+    double bestRank = kUnroutable;
     for (const MachineSnapshot &m : machines) {
-        if (!m.dispatchable)
-            continue;
-        if (m.liveTasks < bestLoad) {
-            bestLoad = m.liveTasks;
+        const double rank = dispatchRank(policy, m);
+        if (rank < bestRank) {
+            bestRank = rank;
             best = m.index;
-            found = true;
         }
     }
-    if (!found)
-        fatal("dispatcher: no dispatchable machine (the cluster must "
-              "hold arrivals while the whole fleet is down or blind)");
+    if (!(bestRank < kUnroutable))
+        noDispatchable();
     return best;
 }
 
@@ -62,27 +70,29 @@ class RoundRobinDispatcher final : public Dispatcher
             if (machines[i].dispatchable)
                 return machines[i].index;
         }
-        fatal("dispatcher: no dispatchable machine (the cluster must "
-              "hold arrivals while the whole fleet is down or blind)");
+        noDispatchable();
     }
 
   private:
     std::uint64_t next_ = 0;
 };
 
-class LeastLoadedDispatcher final : public Dispatcher
+/** LeastLoaded and CostAware: the arg-min of dispatchRank. */
+class RankDispatcher final : public Dispatcher
 {
   public:
-    DispatchPolicy policy() const override
-    {
-        return DispatchPolicy::LeastLoaded;
-    }
+    explicit RankDispatcher(DispatchPolicy policy) : policy_(policy) {}
+
+    DispatchPolicy policy() const override { return policy_; }
 
     unsigned pick(const Invocation &,
                   const std::vector<MachineSnapshot> &machines) override
     {
-        return leastLoadedIndex(machines);
+        return argMinRank(policy_, machines);
     }
+
+  private:
+    DispatchPolicy policy_;
 };
 
 class WarmthAwareDispatcher final : public Dispatcher
@@ -113,43 +123,8 @@ class WarmthAwareDispatcher final : public Dispatcher
                 found = true;
             }
         }
-        return found ? best : leastLoadedIndex(machines);
-    }
-};
-
-class CostAwareDispatcher final : public Dispatcher
-{
-  public:
-    DispatchPolicy policy() const override
-    {
-        return DispatchPolicy::CostAware;
-    }
-
-    unsigned pick(const Invocation &,
-                  const std::vector<MachineSnapshot> &machines) override
-    {
-        // Cheapest predicted completion wins: a slower machine with
-        // idle cores beats a faster one whose cores already
-        // time-share. Strict < keeps ties on the lowest index, so
-        // routing is deterministic.
-        unsigned best = 0;
-        double bestCost = std::numeric_limits<double>::infinity();
-        bool found = false;
-        for (const MachineSnapshot &m : machines) {
-            if (!m.dispatchable)
-                continue;
-            const double cost = m.predictedCost();
-            if (cost < bestCost) {
-                bestCost = cost;
-                best = m.index;
-                found = true;
-            }
-        }
-        if (!found)
-            fatal("dispatcher: no dispatchable machine (the cluster "
-                  "must hold arrivals while the whole fleet is down "
-                  "or blind)");
-        return best;
+        return found ? best
+                     : argMinRank(DispatchPolicy::LeastLoaded, machines);
     }
 };
 
@@ -162,13 +137,54 @@ makeDispatcher(DispatchPolicy policy)
     case DispatchPolicy::RoundRobin:
         return std::make_unique<RoundRobinDispatcher>();
     case DispatchPolicy::LeastLoaded:
-        return std::make_unique<LeastLoadedDispatcher>();
+    case DispatchPolicy::CostAware:
+        return std::make_unique<RankDispatcher>(policy);
     case DispatchPolicy::WarmthAware:
         return std::make_unique<WarmthAwareDispatcher>();
-    case DispatchPolicy::CostAware:
-        return std::make_unique<CostAwareDispatcher>();
     }
     fatal("makeDispatcher: unknown policy");
+}
+
+double
+dispatchRank(DispatchPolicy policy, const MachineSnapshot &m)
+{
+    const double rank = policy == DispatchPolicy::CostAware
+                            ? m.predictedCost()
+                            : m.liveTasks;
+    return m.dispatchable && rank < kUnroutable ? rank : kUnroutable;
+}
+
+DispatchTree::DispatchTree(DispatchPolicy policy,
+                           const std::vector<MachineSnapshot> &machines)
+    : policy_(policy),
+      leaves_(std::bit_ceil(std::max<std::size_t>(machines.size(), 1))),
+      nodes_(2 * leaves_,
+             Entry{kUnroutable, std::numeric_limits<unsigned>::max()})
+{
+    for (const MachineSnapshot &m : machines)
+        update(m);
+}
+
+void
+DispatchTree::update(const MachineSnapshot &m)
+{
+    // Pairs compare lexicographically, so equal ranks go to the lower
+    // index as in the scan. Climb while a node's minimum changes:
+    // above the first unchanged one nothing can (node 0 is unused).
+    Entry best{dispatchRank(policy_, m), m.index};
+    for (std::size_t node = leaves_ + m.index;
+         node > 0 && nodes_[node] != best; node /= 2) {
+        nodes_[node] = best;
+        best = std::min(nodes_[node & ~std::size_t{1}], nodes_[node | 1]);
+    }
+}
+
+unsigned
+DispatchTree::pick() const
+{
+    if (!(nodes_[1].first < kUnroutable))
+        noDispatchable();
+    return nodes_[1].second;
 }
 
 } // namespace litmus::cluster

@@ -19,6 +19,11 @@
  *    and core oversubscription, so a fast-but-crowded Cascade Lake
  *    loses to an idle Ice Lake exactly when the predicted slowdown
  *    says it should.
+ *
+ * Pick cost on n machines: a DispatchTree serves LeastLoaded and
+ * CostAware in an O(1) read plus O(log n) per snapshot refresh (their
+ * pick() is the O(n) reference scan); WarmthAware scans in O(n);
+ * RoundRobin is O(1) while no machine is down or blind.
  */
 
 #ifndef LITMUS_CLUSTER_DISPATCHER_H
@@ -29,6 +34,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/name_table.h"
@@ -171,6 +177,47 @@ class Dispatcher
 
 /** Factory for the built-in policies. */
 std::unique_ptr<Dispatcher> makeDispatcher(DispatchPolicy policy);
+
+/**
+ * What the least-loaded and cost-aware picks minimise, ties to the
+ * lowest index: live tasks, or predictedCost() (a slower machine with
+ * idle cores beats a faster one whose cores time-share). +inf, which
+ * no pick routes to, when @p m is not dispatchable or the rank is NaN.
+ */
+double dispatchRank(DispatchPolicy policy, const MachineSnapshot &m);
+
+/**
+ * The least-loaded or cost-aware pick, kept current: an array-backed
+ * tournament (min) tree whose leaves hold (dispatchRank, index), so
+ * its root is the machine the reference scan picks.
+ */
+class DispatchTree
+{
+  public:
+    static bool serves(DispatchPolicy policy)
+    {
+        return policy == DispatchPolicy::LeastLoaded ||
+               policy == DispatchPolicy::CostAware;
+    }
+
+    /** Build over @p machines, whose indices are their positions. */
+    DispatchTree(DispatchPolicy policy,
+                 const std::vector<MachineSnapshot> &machines);
+
+    /** Re-rank @p m's leaf in O(log n). */
+    void update(const MachineSnapshot &m);
+
+    /** The root's machine; fatal() when every machine ranks +inf. */
+    unsigned pick() const;
+
+  private:
+    using Entry = std::pair<double, unsigned>;
+
+    DispatchPolicy policy_;
+    std::size_t leaves_;
+    /** Node i's children are 2i and 2i + 1; the root is node 1. */
+    std::vector<Entry> nodes_;
+};
 
 } // namespace litmus::cluster
 

@@ -1,5 +1,9 @@
 #include "scenario/scenario.h"
 
+#include <algorithm>
+#include <optional>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "common/config_reader.h"
@@ -50,33 +54,175 @@ parseFleetSpec(const std::string &spec, const SourceLine &at)
     return fleet;
 }
 
+/** The named sets a `functions` value may give instead of a list. */
+constexpr Spelling<std::vector<const workload::FunctionSpec *> (*)()>
+    kFunctionSets[] = {
+        {workload::allFunctions, "all"},
+        {workload::testSet, "test"},
+        {workload::referenceSet, "reference"},
+        {workload::memoryIntensiveSet, "memory"},
+};
+
 /** Resolve a `functions` listing; fail at @p at on unknown names or
  *  an empty pool. */
 std::vector<const workload::FunctionSpec *>
 resolvePool(const std::string &functions, const SourceLine &at)
 {
-    if (functions.empty() || functions == "all")
+    if (functions.empty())
         return workload::allFunctions();
-    if (functions == "test")
-        return workload::testSet();
-    if (functions == "reference")
-        return workload::referenceSet();
-    if (functions == "memory")
-        return workload::memoryIntensiveSet();
+    for (const auto &[set, name] : kFunctionSets)
+        if (functions == name)
+            return set();
     std::vector<const workload::FunctionSpec *> pool;
     for (const std::string &name : splitNonEmpty(functions, ',')) {
         const workload::FunctionSpec *spec = workload::findFunction(name);
         if (!spec)
             at.fail("scenario key 'functions': unknown function '", name,
-                    "'");
+                    "' (sets: ", nameListing(kFunctionSets),
+                    "; or a comma list of suite names)");
         pool.push_back(spec);
     }
     if (pool.empty())
-        at.fail("scenario: 'functions' names no functions — use a set "
-                "(all/test/reference/memory) or a comma list of suite "
-                "names");
+        at.fail("scenario: 'functions' names no functions — use a set (",
+                nameListing(kFunctionSets),
+                ") or a comma list of suite names");
     return pool;
 }
+
+/** One scenario value, as a key's setter reads it. */
+struct KeyValue
+{
+    const std::string &key;
+    const std::string &text;
+    const SourceLine &at;
+    std::string what = "scenario key '" + key + "'";
+};
+
+/** The setter of the field s.*Path...: text, a boolean, a scripted
+ *  fault list or a number. */
+template <auto... Path>
+void
+field(ScenarioSpec &s, const KeyValue &v)
+{
+    auto &slot = (s .* ... .* Path);
+    using T = std::remove_reference_t<decltype(slot)>;
+    if constexpr (std::is_same_v<T, std::string>)
+        slot = v.text;
+    else if constexpr (std::is_same_v<T, bool> ||
+                       std::is_same_v<T, std::optional<bool>>)
+        slot = parseName(kBools, v.text, v.what + " expects a boolean, got",
+                         v.at);
+    else if constexpr (std::is_same_v<T, std::vector<cluster::ScriptedFault>>)
+        slot = cluster::parseScriptedFaults(v.key, v.text, v.at);
+    else
+        slot = v.at.number<T>(v.text, v.what);
+}
+
+/** How one key applies its value to a spec. */
+using KeySetter = void (*)(ScenarioSpec &, const KeyValue &);
+
+using cluster::FaultSpec;
+using Spec = ScenarioSpec;
+
+/** Every scenario key, sorted, with its setter: set() dispatches on
+ *  this table and knownKeys() lists it. */
+constexpr std::pair<std::string_view, KeySetter> kKeys[] = {
+    {"azure.max_rows", field<&Spec::traffic, &TrafficSpec::azureMaxRows>},
+    {"azure.path", field<&Spec::traffic, &TrafficSpec::azurePath>},
+    {"azure.rate_scale", field<&Spec::traffic, &TrafficSpec::azureRateScale>},
+    {"burst.idle_fraction",
+     field<&Spec::traffic, &TrafficSpec::burstIdleFraction>},
+    {"burst.off", field<&Spec::traffic, &TrafficSpec::burstOff>},
+    {"burst.on", field<&Spec::traffic, &TrafficSpec::burstOn>},
+    {"calibrate", field<&Spec::calibrate>},
+    {"calibration_levels", field<&Spec::calibrationLevels>},
+    {"diurnal.amplitude",
+     field<&Spec::traffic, &TrafficSpec::diurnalAmplitude>},
+    {"diurnal.period", field<&Spec::traffic, &TrafficSpec::diurnalPeriod>},
+    {"diurnal.phase", field<&Spec::traffic, &TrafficSpec::diurnalPhase>},
+    {"drain_cap", field<&Spec::drainCap>},
+    {"duration", field<&Spec::traffic, &TrafficSpec::duration>},
+    {"epoch_us",
+     [](auto &s, auto &v) {
+         field<&Spec::epoch>(s, v);
+         s.epoch *= 1e-6;
+     }},
+    {"fault.billing",
+     [](auto &s, auto &v) {
+         s.fault.billing = parseName(
+             cluster::kFaultBillings, v.text,
+             "faultBillingByName: unknown fault billing mode", v.at);
+     }},
+    {"fault.blind.at", field<&Spec::fault, &FaultSpec::blindAt>},
+    {"fault.blind.duration", field<&Spec::fault, &FaultSpec::blindDuration>},
+    {"fault.blind.mtbf", field<&Spec::fault, &FaultSpec::blindMtbf>},
+    {"fault.crash.at", field<&Spec::fault, &FaultSpec::crashAt>},
+    {"fault.crash.mtbf", field<&Spec::fault, &FaultSpec::crashMtbf>},
+    {"fault.crash.restart", field<&Spec::fault, &FaultSpec::restartDelay>},
+    {"fault.retry",
+     [](auto &s, auto &v) {
+         s.fault.retry = parseName(cluster::kRetryPolicies, v.text,
+                                   "retryPolicyByName: unknown retry policy",
+                                   v.at);
+     }},
+    {"fault.retry.backoff", field<&Spec::fault, &FaultSpec::retryBackoff>},
+    {"fault.retry.max",
+     [](auto &s, auto &v) {
+         s.fault.retryMax = v.at.number(v.text, v.what, 1u);
+     }},
+    {"fault.seed", field<&Spec::fault, &FaultSpec::seed>},
+    {"fault.slow.at", field<&Spec::fault, &FaultSpec::slowAt>},
+    {"fault.slow.duration", field<&Spec::fault, &FaultSpec::slowDuration>},
+    {"fault.slow.factor", field<&Spec::fault, &FaultSpec::slowFactor>},
+    {"fault.slow.mtbf", field<&Spec::fault, &FaultSpec::slowMtbf>},
+    {"fleet",
+     [](auto &s, auto &v) { s.fleet = parseFleetSpec(v.text, v.at); }},
+    {"functions",
+     [](auto &s, auto &v) {
+         (void)resolvePool(v.text, v.at);
+         s.functions = v.text;
+     }},
+    {"invocations",
+     [](auto &s, auto &v) {
+         field<&Spec::traffic, &TrafficSpec::invocations>(s, v);
+         s.invocationsExplicit = true;
+     }},
+    {"keepalive", field<&Spec::keepAlive>},
+    {"policy",
+     [](auto &s, auto &v) {
+         s.policy = parseName(cluster::kDispatchPolicies, v.text,
+                              "policyByName: unknown dispatch policy", v.at);
+     }},
+    {"probes", field<&Spec::probes>},
+    {"rate", field<&Spec::traffic, &TrafficSpec::arrivalsPerSecond>},
+    {"seed", field<&Spec::seed>},
+    {"sharing_factor", field<&Spec::sharingFactor>},
+    {"tables",
+     [](auto &s, auto &v) { s.tables = splitNonEmpty(v.text, ','); }},
+    {"tables_out", field<&Spec::tablesOut>},
+    {"threads",
+     [](auto &s, auto &v) {
+         field<&Spec::threads>(s, v);
+         if (s.threads > cluster::ClusterConfig::kMaxThreads)
+             v.at.fail(v.what, " must be <= ",
+                       cluster::ClusterConfig::kMaxThreads, ", got ",
+                       s.threads);
+     }},
+    {"trace.path", field<&Spec::traffic, &TrafficSpec::tracePath>},
+    {"trace.rate_scale", field<&Spec::traffic, &TrafficSpec::traceRateScale>},
+    {"traffic",
+     [](auto &s, auto &v) {
+         (void)parseName(kTrafficModels, v.text, "unknown traffic model",
+                         v.at);
+         s.traffic.model = v.text;
+         // The 10000-arrival default is a stop condition for the
+         // generative models; a replay must not silently truncate its
+         // file to it.
+         if ((v.text == "trace" || v.text == "azure") &&
+             !s.invocationsExplicit)
+             s.traffic.invocations = 0;
+     }},
+};
 
 } // namespace
 
@@ -84,130 +230,24 @@ ScenarioSpec &
 ScenarioSpec::set(const std::string &key, const std::string &value,
                   const SourceLine &at)
 {
-    const std::string what = "scenario key '" + key + "'";
-    // The keys that set one double field to their value.
-    const std::pair<const char *, double *> reals[] = {
-        {"rate", &traffic.arrivalsPerSecond},
-        {"duration", &traffic.duration},
-        {"diurnal.period", &traffic.diurnalPeriod},
-        {"diurnal.amplitude", &traffic.diurnalAmplitude},
-        {"diurnal.phase", &traffic.diurnalPhase},
-        {"burst.on", &traffic.burstOn},
-        {"burst.off", &traffic.burstOff},
-        {"burst.idle_fraction", &traffic.burstIdleFraction},
-        {"trace.rate_scale", &traffic.traceRateScale},
-        {"azure.rate_scale", &traffic.azureRateScale},
-        {"keepalive", &keepAlive},
-        {"drain_cap", &drainCap},
-        {"sharing_factor", &sharingFactor},
-        {"fault.crash.mtbf", &fault.crashMtbf},
-        {"fault.crash.restart", &fault.restartDelay},
-        {"fault.slow.mtbf", &fault.slowMtbf},
-        {"fault.slow.duration", &fault.slowDuration},
-        {"fault.slow.factor", &fault.slowFactor},
-        {"fault.blind.mtbf", &fault.blindMtbf},
-        {"fault.blind.duration", &fault.blindDuration},
-        {"fault.retry.backoff", &fault.retryBackoff},
-    };
-    for (const auto &[name, field] : reals) {
+    for (const auto &[name, apply] : kKeys) {
         if (key == name) {
-            *field = at.number<double>(value, what);
+            apply(*this, {key, value, at});
             return *this;
         }
     }
-    if (key == "fleet") {
-        fleet = parseFleetSpec(value, at);
-    } else if (key == "policy") {
-        policy = parseName(cluster::kDispatchPolicies, value,
-                           "policyByName: unknown dispatch policy", at);
-    } else if (key == "traffic") {
-        (void)parseName(kTrafficModels, value, "unknown traffic model", at);
-        traffic.model = value;
-        // The 10000-arrival default is a stop condition for the
-        // generative models; a replay must not silently truncate its
-        // file to it.
-        if ((value == "trace" || value == "azure") &&
-            !invocationsExplicit)
-            traffic.invocations = 0;
-    } else if (key == "invocations") {
-        traffic.invocations = at.number<std::uint64_t>(value, what);
-        invocationsExplicit = true;
-    } else if (key == "trace.path") {
-        traffic.tracePath = value;
-    } else if (key == "azure.path") {
-        traffic.azurePath = value;
-    } else if (key == "azure.max_rows") {
-        traffic.azureMaxRows = at.number<std::uint64_t>(value, what);
-    } else if (key == "functions") {
-        (void)resolvePool(value, at);
-        functions = value;
-    } else if (key == "seed") {
-        seed = at.number<std::uint64_t>(value, what);
-    } else if (key == "epoch_us") {
-        epoch = at.number<double>(value, what) * 1e-6;
-    } else if (key == "threads") {
-        threads = at.number<unsigned>(value, what);
-        if (threads > cluster::ClusterConfig::kMaxThreads)
-            at.fail(what, " must be <= ",
-                    cluster::ClusterConfig::kMaxThreads, ", got ",
-                    threads);
-    } else if (key == "calibrate") {
-        calibrate =
-            parseName(kBools, value, what + " expects a boolean, got", at);
-    } else if (key == "calibration_levels") {
-        calibrationLevels = at.number<unsigned>(value, what);
-    } else if (key == "tables") {
-        tables = splitNonEmpty(value, ',');
-    } else if (key == "tables_out") {
-        tablesOut = value;
-    } else if (key == "probes") {
-        probes =
-            parseName(kBools, value, what + " expects a boolean, got", at);
-    } else if (key == "fault.seed") {
-        fault.seed = at.number<std::uint64_t>(value, what);
-    } else if (key == "fault.crash.at") {
-        fault.crashAt = cluster::parseScriptedFaults(key, value, at);
-    } else if (key == "fault.slow.at") {
-        fault.slowAt = cluster::parseScriptedFaults(key, value, at);
-    } else if (key == "fault.blind.at") {
-        fault.blindAt = cluster::parseScriptedFaults(key, value, at);
-    } else if (key == "fault.retry") {
-        fault.retry = parseName(cluster::kRetryPolicies, value,
-                                "retryPolicyByName: unknown retry policy",
-                                at);
-    } else if (key == "fault.retry.max") {
-        fault.retryMax = at.number<unsigned>(value, what, 1u);
-    } else if (key == "fault.billing") {
-        fault.billing = parseName(
-            cluster::kFaultBillings, value,
-            "faultBillingByName: unknown fault billing mode", at);
-    } else {
-        at.fail("unknown scenario key '", key, "' (known: ",
-                joinNames(knownKeys()), ")");
-    }
-    return *this;
+    at.fail("unknown scenario key '", key, "' (known: ",
+            joinNames(knownKeys()), ")");
 }
 
 std::vector<std::string>
 ScenarioSpec::knownKeys()
 {
-    return {"azure.max_rows", "azure.path",
-            "azure.rate_scale",
-            "burst.idle_fraction", "burst.off", "burst.on",
-            "calibrate", "calibration_levels", "diurnal.amplitude",
-            "diurnal.period", "diurnal.phase", "drain_cap", "duration",
-            "epoch_us", "fault.billing",
-            "fault.blind.at", "fault.blind.duration",
-            "fault.blind.mtbf", "fault.crash.at", "fault.crash.mtbf",
-            "fault.crash.restart", "fault.retry",
-            "fault.retry.backoff", "fault.retry.max", "fault.seed",
-            "fault.slow.at", "fault.slow.duration",
-            "fault.slow.factor", "fault.slow.mtbf", "fleet",
-            "functions", "invocations", "keepalive", "policy",
-            "probes", "rate", "seed", "sharing_factor",
-            "tables",
-            "tables_out", "threads", "trace.path", "trace.rate_scale",
-            "traffic"};
+    std::vector<std::string> keys;
+    for (const auto &[name, apply] : kKeys)
+        keys.emplace_back(name);
+    std::sort(keys.begin(), keys.end());
+    return keys;
 }
 
 ScenarioSpec

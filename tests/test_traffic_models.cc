@@ -5,12 +5,15 @@
  * declarative scenario specs, and the ScenarioRunner's determinism.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <map>
 
 #include <gtest/gtest.h>
 
+#include "common/name_table.h"
 #include "scenario/scenario_runner.h"
 #include "sim/machine_catalog.h"
 #include "workload/suite.h"
@@ -404,6 +407,35 @@ TEST(ScenarioSpec, BuilderChainsAndNamedSetsResolve)
     EXPECT_EQ(ScenarioSpec().set("functions", "test").functionPool(),
               workload::testSet());
     EXPECT_EQ(ScenarioSpec().functionPool(), workload::allFunctions());
+    EXPECT_EQ(ScenarioSpec().set("functions", "reference").functionPool(),
+              workload::referenceSet());
+    EXPECT_EQ(ScenarioSpec().set("functions", "memory").functionPool(),
+              workload::memoryIntensiveSet());
+}
+
+TEST(ScenarioSpec, KnownKeysListTheTableSetDispatchesOn)
+{
+    // Sorted, each key once, each accepted by set(), and exactly the
+    // listing an unknown key prints.
+    const std::vector<std::string> keys = ScenarioSpec::knownKeys();
+    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+    EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end());
+    const std::map<std::string, std::string> samples = {
+        {"fault.billing", "tenant-pays"}, {"fault.blind.at", "0.5@0"},
+        {"fault.crash.at", "0.5@0"},      {"fault.retry", "drop"},
+        {"fault.slow.at", "0.5@0"},       {"fleet", "cascade-5218:1"},
+        {"functions", "all"},             {"policy", "cost"},
+        {"traffic", "poisson"},
+    };
+    for (const std::string &key : keys) {
+        const auto sample = samples.find(key);
+        ScenarioSpec().set(key,
+                           sample == samples.end() ? "1" : sample->second);
+    }
+    EXPECT_EXIT((void)ScenarioSpec().set("warp_speed", "9"),
+                ::testing::ExitedWithCode(1),
+                "unknown scenario key 'warp_speed' \\(known: " +
+                    joinNames(keys) + "\\)");
 }
 
 TEST(ScenarioSpecDeath, UnsignedKeysRejectWraparound)
@@ -516,6 +548,16 @@ TEST(ScenarioSpecDeath, ValuesNameTheirLine)
          "faultBillingByName: unknown fault billing mode 'nobody'");
     dies("calibrate.scenario", "calibrate = maybe",
          "scenario key 'calibrate' expects a boolean");
+}
+
+TEST(ScenarioSpecDeath, MisspeltFunctionSetListsTheSets)
+{
+    const std::string path =
+        writeTempFile("tset.scenario", "seed = 3\nfunctions = tset\n");
+    EXPECT_EXIT((void)ScenarioSpec::fromFile(path),
+                ::testing::ExitedWithCode(1),
+                "tset\\.scenario:2: scenario key 'functions': unknown "
+                "function 'tset' \\(sets: all, test, reference, memory;");
 }
 
 TEST(ScenarioSpecDeath, UnknownTrafficModelNamesItsLine)
