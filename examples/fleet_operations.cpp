@@ -55,7 +55,7 @@ main()
     // 3. A declarative scenario: the diurnal mixed-fleet file from
     //    examples/scenarios/, shrunk via the programmatic builder so
     //    the demo stays quick (any key can be overridden the same
-    //    way — that is exactly what the CLI flag overlay does).
+    //    way — that is exactly what litmus_fleet's --<key> flags do).
     std::cout << "\nserving examples/scenarios/diurnal_hetero"
                  ".scenario (shrunk to 800 invocations):\n";
     scenario::ScenarioSpec spec = scenario::ScenarioSpec::fromFile(

@@ -13,13 +13,8 @@ std::vector<ScriptedFault>
 parseScriptedFaults(const std::string &key, const std::string &value,
                     const SourceLine &at)
 {
-    // The CLI packs fault overrides into one comma-separated --faults
-    // flag, so scripted lists there use ';'; scenario files may use
-    // either.
-    std::string normalized = value;
-    std::replace(normalized.begin(), normalized.end(), ';', ',');
     std::vector<ScriptedFault> out;
-    for (const std::string &piece : splitNonEmpty(normalized, ',')) {
+    for (const std::string &piece : splitNonEmpty(value, ',')) {
         ScriptedFault fault;
         const auto sign = piece.find('@');
         const std::string time = piece.substr(0, sign);

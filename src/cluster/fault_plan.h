@@ -103,8 +103,7 @@ struct ScriptedFault
 
 /**
  * Parse a scripted-fault list: "time[@machine]" entries separated by
- * ',' or ';' (the CLI uses ';' because ',' separates --faults
- * pieces), e.g. "0.5@1;2.0". The machine defaults to 0. fatal() on
+ * ',', e.g. "0.5@1,2.0". The machine defaults to 0. fatal() on
  * malformed entries, naming @p at; machine indices are range-checked
  * at compile.
  */

@@ -58,9 +58,10 @@ parseNumber(std::string_view text)
 /** A place in a text input, named in diagnostics. */
 struct SourceLine
 {
-    /** File path, or a fixed label for in-memory text; empty for a
-     *  value with no origin (a CLI flag). A view: the reader or config
-     *  that owns the name must outlive it. */
+    /** File path, a fixed label for in-memory text, or a flag name
+     *  ("--seed", with line 0); empty for a value with no origin. A
+     *  view: the reader, config or caller that owns the name must
+     *  outlive it. */
     std::string_view source;
 
     /** 1-based line; 0 names the whole input. */

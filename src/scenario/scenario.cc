@@ -7,8 +7,8 @@
 #include <utility>
 
 #include "common/config_reader.h"
-#include "common/logging.h"
 #include "common/name_table.h"
+#include "sim/machine_catalog.h"
 #include "workload/suite.h"
 
 namespace litmus::scenario
@@ -24,7 +24,8 @@ constexpr Spelling<bool> kBools[] = {
 
 /** Parse a "type:count,type:count" fleet listing (count defaults to
  *  1); fail at @p at on malformed counts, a count or a total past
- *  ClusterConfig::kMaxMachines, or an empty listing. */
+ *  ClusterConfig::kMaxMachines, a type the catalog does not know, or
+ *  an empty listing. */
 std::vector<cluster::MachineGroup>
 parseFleetSpec(const std::string &spec, const SourceLine &at)
 {
@@ -43,6 +44,7 @@ parseFleetSpec(const std::string &spec, const SourceLine &at)
             if (group.count > cap)
                 at.fail(what, " must be <= ", cap, ", got ", group.count);
         }
+        (void)sim::MachineCatalog::get(group.machine, at);
         machines += group.count;
         fleet.push_back(group);
     }
@@ -118,6 +120,16 @@ field(ScenarioSpec &s, const KeyValue &v)
         slot = v.at.number<T>(v.text, v.what);
 }
 
+/** field<Path...>, refusing a value that is not positive. */
+template <auto... Path>
+void
+positive(ScenarioSpec &s, const KeyValue &v)
+{
+    field<Path...>(s, v);
+    if (!((s .* ... .* Path) > 0))
+        v.at.fail(v.what, " must be positive, got ", v.text);
+}
+
 /** How one key applies its value to a spec. */
 using KeySetter = void (*)(ScenarioSpec &, const KeyValue &);
 
@@ -140,11 +152,11 @@ constexpr std::pair<std::string_view, KeySetter> kKeys[] = {
      field<&Spec::traffic, &TrafficSpec::diurnalAmplitude>},
     {"diurnal.period", field<&Spec::traffic, &TrafficSpec::diurnalPeriod>},
     {"diurnal.phase", field<&Spec::traffic, &TrafficSpec::diurnalPhase>},
-    {"drain_cap", field<&Spec::drainCap>},
+    {"drain_cap", positive<&Spec::drainCap>},
     {"duration", field<&Spec::traffic, &TrafficSpec::duration>},
     {"epoch_us",
      [](auto &s, auto &v) {
-         field<&Spec::epoch>(s, v);
+         positive<&Spec::epoch>(s, v);
          s.epoch *= 1e-6;
      }},
     {"fault.billing",
@@ -187,7 +199,10 @@ constexpr std::pair<std::string_view, KeySetter> kKeys[] = {
          field<&Spec::traffic, &TrafficSpec::invocations>(s, v);
          s.invocationsExplicit = true;
      }},
-    {"keepalive", field<&Spec::keepAlive>},
+    {"keepalive",
+     [](auto &s, auto &v) {
+         s.keepAlive = v.at.number(v.text, v.what, 0.0);
+     }},
     {"policy",
      [](auto &s, auto &v) {
          s.policy = parseName(cluster::kDispatchPolicies, v.text,
@@ -196,7 +211,7 @@ constexpr std::pair<std::string_view, KeySetter> kKeys[] = {
     {"probes", field<&Spec::probes>},
     {"rate", field<&Spec::traffic, &TrafficSpec::arrivalsPerSecond>},
     {"seed", field<&Spec::seed>},
-    {"sharing_factor", field<&Spec::sharingFactor>},
+    {"sharing_factor", positive<&Spec::sharingFactor>},
     {"tables",
      [](auto &s, auto &v) { s.tables = splitNonEmpty(v.text, ','); }},
     {"tables_out", field<&Spec::tablesOut>},
@@ -288,24 +303,6 @@ std::vector<const workload::FunctionSpec *>
 ScenarioSpec::functionPool() const
 {
     return resolvePool(functions, {});
-}
-
-void
-ScenarioSpec::validate() const
-{
-    traffic.validate();
-    if (fleet.empty())
-        fatal("scenario: fleet listing is empty");
-    if (epoch <= 0)
-        fatal("scenario: epoch_us must be positive");
-    if (keepAlive < 0)
-        fatal("scenario: negative keepalive");
-    if (drainCap <= 0)
-        fatal("scenario: drain_cap must be positive");
-    if (sharingFactor <= 0)
-        fatal("scenario: sharing_factor must be positive");
-    fault.validate();
-    (void)functionPool();
 }
 
 } // namespace litmus::scenario

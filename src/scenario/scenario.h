@@ -21,8 +21,9 @@
  *
  * Unknown keys are fatal() so typos surface immediately. The same
  * schema is available programmatically: every key can be applied
- * with ScenarioSpec::set("key", "value"), which is what the CLI
- * shims use to overlay explicit flags onto a loaded file.
+ * with ScenarioSpec::set("key", "value"). It is also litmus_fleet's
+ * command line: each key is a `--<key>` flag, applied with set() on
+ * top of a loaded file.
  */
 
 #ifndef LITMUS_SCENARIO_SCENARIO_H
@@ -45,8 +46,8 @@ namespace litmus::scenario
 {
 
 /**
- * The declarative scenario. Defaults mirror the litmus_fleet CLI so
- * an empty file and a flagless invocation describe the same run.
+ * The declarative scenario. The defaults are the run an empty file
+ * (or a litmus_fleet invocation with no key flags) describes.
  */
 struct ScenarioSpec
 {
@@ -134,10 +135,6 @@ struct ScenarioSpec
     /** Resolve the `functions` listing; fatal() on unknown names or
      *  an empty pool. */
     std::vector<const workload::FunctionSpec *> functionPool() const;
-
-    /** fatal() on inconsistent settings (delegates to the traffic
-     *  spec and mirrors ClusterConfig::validate). */
-    void validate() const;
 
     /** The recognized keys, sorted (help text). */
     static std::vector<std::string> knownKeys();

@@ -36,10 +36,8 @@ profileOutPath(const std::string &path, const std::string &type,
 ScenarioRunner::ScenarioRunner(ScenarioSpec spec)
     : spec_(std::move(spec))
 {
-    spec_.validate();
     pool_ = spec_.functionPool();
     traffic_ = makeTrafficModel(spec_.traffic);
-    bindPricing();
 
     cfg_.fleet = spec_.fleet;
     cfg_.policy = spec_.policy;
@@ -50,10 +48,12 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec)
     cfg_.threads = spec_.threads;
     cfg_.drainCap = spec_.drainCap;
     cfg_.sharingFactor = spec_.sharingFactor;
-    cfg_.probes = spec_.probes.value_or(!cfg_.discountModels.empty());
     cfg_.traffic = traffic_.get();
     cfg_.faults = spec_.fault;
+    // Before any calibration sweep, so a bad spec fails fast.
     cfg_.validate();
+    bindPricing();
+    cfg_.probes = spec_.probes.value_or(!cfg_.discountModels.empty());
 }
 
 ScenarioRunner::~ScenarioRunner() = default;

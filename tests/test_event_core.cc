@@ -189,7 +189,7 @@ TEST(EventCoreDifferential, ChaosTenantPaysScriptedBitIdentical)
     // Scripted crashes and slowdowns at fixed times under tenant-pays
     // billing: fault events must fire at the same barrier in both
     // modes even when the fleet is wholly idle around them.
-    const auto spec = baseSpec("fault.crash.at = 0.05@0;0.11@2\n"
+    const auto spec = baseSpec("fault.crash.at = 0.05@0,0.11@2\n"
                                "fault.crash.restart = 0.04\n"
                                "fault.slow.at = 0.08@1\n"
                                "fault.slow.duration = 0.06\n"
@@ -284,9 +284,10 @@ TEST(EventCoreDifferential, AzureStreamScenarioBitIdentical)
 
 TEST(EventCoreDifferential, SparseFleetCliCampaignBitIdentical)
 {
-    // `litmus_fleet --machines 256 --policy least-loaded --rate 256
-    // --invocations 600 --keepalive 0.5 --faults=...`: 256 mostly idle
-    // machines under crashes, blindness windows and backoff retries.
+    // `litmus_fleet --fleet=cascade-5218:256 --policy=least-loaded
+    // --rate=256 --invocations=600 --keepalive=0.5 --fault.*=...`: 256
+    // mostly idle machines under crashes, blindness windows and
+    // backoff retries.
     // The busy set, keep-alive heap and maintained snapshots must
     // reproduce the oracle, which also cross-checks them against the
     // whole fleet at every barrier.

@@ -190,17 +190,17 @@ TEST(FaultPlan, PolicyAndBillingNamesRoundTrip)
 
 TEST(FaultPlan, ScriptedFaultParsing)
 {
-    // Both separators: ';' (the CLI form, ',' splits --faults pieces)
-    // and ',' (the scenario-file form); machine defaults to 0.
-    for (const char *listing : {"0.5@1;2.0", "0.5@1,2.0"}) {
-        const auto faults =
-            parseScriptedFaults("fault.crash.at", listing);
-        ASSERT_EQ(faults.size(), 2u);
-        EXPECT_DOUBLE_EQ(faults[0].at, 0.5);
-        EXPECT_EQ(faults[0].machine, 1u);
-        EXPECT_DOUBLE_EQ(faults[1].at, 2.0);
-        EXPECT_EQ(faults[1].machine, 0u);
-    }
+    // Entries are separated by ','; the machine defaults to 0.
+    const auto faults = parseScriptedFaults("fault.crash.at", "0.5@1,2.0");
+    ASSERT_EQ(faults.size(), 2u);
+    EXPECT_DOUBLE_EQ(faults[0].at, 0.5);
+    EXPECT_EQ(faults[0].machine, 1u);
+    EXPECT_DOUBLE_EQ(faults[1].at, 2.0);
+    EXPECT_EQ(faults[1].machine, 0u);
+    // ';' is no separator: the entry's machine index is malformed.
+    EXPECT_EXIT(parseScriptedFaults("fault.crash.at", "0.5@1;2.0"),
+                ::testing::ExitedWithCode(1),
+                "'fault.crash.at': bad machine index '1;2.0'");
     EXPECT_TRUE(parseScriptedFaults("fault.crash.at", "").empty());
     EXPECT_EXIT(parseScriptedFaults("fault.crash.at", "abc"),
                 ::testing::ExitedWithCode(1), "bad fault time");

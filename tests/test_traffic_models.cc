@@ -376,7 +376,7 @@ TEST(ScenarioSpec, ParsesEveryKey)
     EXPECT_EQ(spec.threads, 3u);
     ASSERT_TRUE(spec.probes.has_value());
     EXPECT_TRUE(*spec.probes);
-    spec.validate();
+    spec.traffic.validate();
 }
 
 TEST(ScenarioSpec, TraceDropsTheDefaultArrivalCap)
@@ -536,6 +536,17 @@ TEST(ScenarioSpecDeath, ValuesNameTheirLine)
          "scenario key 'fault\\.seed' expects an integer");
     dies("fleet.scenario", "fleet = cascade-5218:0",
          "fleet spec: machine count '0' in 'cascade-5218:0' must be >= 1");
+    dies("machine.scenario", "fleet = cascade-5218:1,nosuch:2",
+         "MachineCatalog: unknown machine 'nosuch' \\(catalog: cascade-5218,");
+    // The serving ranges are checked in each key's setter.
+    dies("epoch.scenario", "epoch_us = 0",
+         "scenario key 'epoch_us' must be positive, got 0");
+    dies("keepalive.scenario", "keepalive = -1",
+         "scenario key 'keepalive' must be >= 0, got -1");
+    dies("drain.scenario", "drain_cap = 0",
+         "scenario key 'drain_cap' must be positive, got 0");
+    dies("sharing.scenario", "sharing_factor = 0",
+         "scenario key 'sharing_factor' must be positive, got 0");
     dies("functions.scenario", "functions = float-py,nope-py",
          "scenario key 'functions': unknown function 'nope-py'");
     dies("crash.scenario", "fault.crash.at = 0.5@x",
@@ -548,6 +559,16 @@ TEST(ScenarioSpecDeath, ValuesNameTheirLine)
          "faultBillingByName: unknown fault billing mode 'nobody'");
     dies("calibrate.scenario", "calibrate = maybe",
          "scenario key 'calibrate' expects a boolean");
+}
+
+TEST(ScenarioSpecDeath, ProgrammaticRangesFailInTheRunner)
+{
+    // A spec built without set() is checked by ClusterConfig::validate
+    // when the runner is built.
+    ScenarioSpec spec;
+    spec.drainCap = 0;
+    EXPECT_EXIT(ScenarioRunner{spec}, ::testing::ExitedWithCode(1),
+                "ClusterConfig: drain cap must be positive");
 }
 
 TEST(ScenarioSpecDeath, MisspeltFunctionSetListsTheSets)

@@ -9,7 +9,7 @@
  *
  *     azure_trace_gen --out=day.csv --functions=100000 \
  *         --minutes=1440 --rate=50000
- *     litmus_fleet --traffic=azure --azure-file=day.csv
+ *     litmus_fleet --traffic=azure --azure.path=day.csv
  *
  * Counts are a pure function of the knobs + --seed (see
  * scenario::writeAzureShapedCsv), and the file is streamed row by
